@@ -32,7 +32,7 @@ from . import __version__
 from .errors import InvalidSpecError, QdistillError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec
-from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, grid_rows, preset_grid
+from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, grid_rows, preset_grid, report_row
 from .ted import ProtocolConfig, overall_success, run_ted
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import outcome_distribution, run_stats
@@ -73,10 +73,14 @@ def _parse_int_values(text: str) -> tuple[int, ...]:
             parts = [int(tok) for tok in text.split(":")]
             lo, hi = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 1
-            return tuple(range(lo, hi + 1, step))
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+            values = tuple(range(lo, hi + 1, step))
+        else:
+            values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except (ValueError, IndexError) as exc:
         raise InvalidSpecError(f"cannot parse integer range {text!r}") from exc
+    if not values:
+        raise InvalidSpecError(f"integer range {text!r} is empty")
+    return values
 
 
 def _parse_partition(text: str) -> IndexPartition:
@@ -105,8 +109,12 @@ def _cli_coeffs(values: list[float], what: str) -> tuple[float, ...]:
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidSpecError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -117,16 +125,24 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
-def _opt(args, cfg: dict[str, str], name: str, default=None):
-    """Flag value if given, else config-file value, else default."""
+def _opt(args, cfg: dict[str, str], name: str, default=None, kind=None):
+    """Flag value if given, else config-file value, else default; ``kind``
+    converts a present value (config-file values arrive as text)."""
     val = getattr(args, name, None)
-    if val is not None:
+    if val is None:
+        val = cfg.get(name, default)
+    if val is None or kind is None:
         return val
-    return cfg.get(name, default)
+    try:
+        return kind(val)
+    except ValueError as exc:
+        raise InvalidSpecError(
+            f"invalid value {val!r} for --{name.replace('_', '-')}"
+        ) from exc
 
 
-def _require(args, cfg, name: str):
-    val = _opt(args, cfg, name)
+def _require(args, cfg, name: str, kind=None):
+    val = _opt(args, cfg, name, kind=kind)
     if val is None:
         raise InvalidSpecError(f"missing required option --{name.replace('_', '-')}")
     return val
@@ -167,50 +183,31 @@ def _print_report(pairs: list[tuple[str, object]]) -> None:
 
 
 def _ghz_spec(args, cfg) -> tuple[GhzSpec, int, IndexPartition | None]:
-    d = int(_require(args, cfg, "d"))
-    p = int(_require(args, cfg, "p"))
-    alphas = _cli_coeffs(_parse_floats(str(_require(args, cfg, "alphas"))), "alphas")
+    d = _require(args, cfg, "d", int)
+    p = _require(args, cfg, "p", int)
+    alphas = _cli_coeffs(_parse_floats(_require(args, cfg, "alphas", str)), "alphas")
     spec = GhzSpec(d, p, alphas)
-    q = int(_opt(args, cfg, "q", 1))
+    q = _opt(args, cfg, "q", 1, int)
     part_text = _opt(args, cfg, "partition")
     partition = _parse_partition(str(part_text)) if part_text else None
     return spec, q, partition
 
 
 def _w_spec(args, cfg) -> tuple[WSpec, int]:
-    p = int(_require(args, cfg, "p"))
-    betas = _cli_coeffs(_parse_floats(str(_require(args, cfg, "betas"))), "betas")
+    p = _require(args, cfg, "p", int)
+    betas = _cli_coeffs(_parse_floats(_require(args, cfg, "betas", str)), "betas")
     spec = WSpec(p, betas)
-    q = int(_opt(args, cfg, "q", p - 1))
+    q = _opt(args, cfg, "q", p - 1, int)
     return spec, q
 
 
 def _protocol_config(args, cfg, family: Family) -> ProtocolConfig:
-    n = int(_require(args, cfg, "n"))
-    representation = str(_opt(args, cfg, "representation", "compact"))
+    n = _require(args, cfg, "n", int)
     if family is Family.GHZ_DIAGONAL:
         spec, q, partition = _ghz_spec(args, cfg)
-        return ProtocolConfig(n, family, spec, q, partition, representation)
+        return ProtocolConfig(n, family, spec, q, partition)
     spec, q = _w_spec(args, cfg)
-    return ProtocolConfig(n, family, spec, q, None, representation)
-
-
-def _ted_row(config: ProtocolConfig, report) -> dict:
-    spec = config.spec
-    if isinstance(spec, GhzSpec):
-        d, driver, gap = spec.d, spec.alphas[0], spec.d - sum(spec.alphas) ** 2
-    else:
-        d, driver, gap = 2, report.p_success_per_copy, spec.p - sum(spec.betas) ** 2
-    return {
-        "family": config.family.value, "d": d, "p": spec.p, "q": config.q,
-        "s": 0, "n": config.n_copies,
-        "alpha0_or_pu": driver, "coeff_gap": gap,
-        "ps_per_copy": report.p_success_per_copy,
-        "ps_overall": report.p_success_overall,
-        "fidelity_closed": report.fidelity_closed_form,
-        "fidelity_numeric": report.fidelity_numeric,
-        "feasible": True,
-    }
+    return ProtocolConfig(n, family, spec, q)
 
 
 def _finish_run(args, cfg, row: dict, columns, report_pairs, seed=None) -> int:
@@ -227,8 +224,7 @@ def _finish_run(args, cfg, row: dict, columns, report_pairs, seed=None) -> int:
 def _cmd_ted(args, family: Family) -> int:
     cfg = _load_config_file(_opt(args, {}, "config"))
     config = _protocol_config(args, cfg, family)
-    report = run_ted(config)
-    row = _ted_row(config, report)
+    row = report_row(config, run_ted(config))
     pairs = [(k, row[k]) for k in CSV_COLUMNS]
     return _finish_run(args, cfg, row, CSV_COLUMNS, pairs)
 
@@ -236,23 +232,10 @@ def _cmd_ted(args, family: Family) -> int:
 def _cmd_tsd(args, family: Family) -> int:
     cfg = _load_config_file(_opt(args, {}, "config"))
     base = _protocol_config(args, cfg, family)
-    s = int(_require(args, cfg, "s"))
-    steering = SteeringConfig(base, s)
-    report = run_tsd(steering)
-    spec = base.spec
-    if isinstance(spec, GhzSpec):
-        d, driver, gap = spec.d, spec.alphas[0], spec.d - sum(spec.alphas) ** 2
-    else:
-        d, driver, gap = 2, report.p_success_per_copy, spec.p - sum(spec.betas) ** 2
+    s = _require(args, cfg, "s", int)
+    report = run_tsd(SteeringConfig(base, s))
     row = {
-        "family": base.family.value, "d": d, "p": spec.p, "q": base.q,
-        "s": s, "n": base.n_copies,
-        "alpha0_or_pu": driver, "coeff_gap": gap,
-        "ps_per_copy": report.p_success_per_copy,
-        "ps_overall": report.p_success_overall,
-        "fidelity_closed": report.fidelity_closed_form,
-        "fidelity_numeric": report.fidelity_assemblage,
-        "feasible": True,
+        **report_row(base, report, s=s),
         "fidelity_assemblage": report.fidelity_assemblage,
         "minimizing_setting": report.minimizing_setting,
         "threshold": report.threshold,
@@ -263,7 +246,7 @@ def _cmd_tsd(args, family: Family) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config_file(_opt(args, {}, "config"))
-    preset = str(_require(args, cfg, "preset"))
+    preset = _require(args, cfg, "preset", str)
     overrides: dict = {}
     alpha0 = _opt(args, cfg, "alpha0")
     if alpha0 is not None:
@@ -271,12 +254,12 @@ def _cmd_sweep(args) -> int:
     beta0 = _opt(args, cfg, "beta0")
     if beta0 is not None:
         overrides["beta0_values"] = tuple(_parse_floats(str(beta0)))
-    pu = _opt(args, cfg, "pu")
+    pu = _opt(args, cfg, "pu", kind=float)
     if pu is not None:
-        overrides["pu"] = float(pu)
-    gap = _opt(args, cfg, "gap")
+        overrides["pu"] = pu
+    gap = _opt(args, cfg, "gap", kind=float)
     if gap is not None:
-        overrides["gap"] = float(gap)
+        overrides["gap"] = gap
     d_vals = _opt(args, cfg, "d")
     if d_vals is not None:
         overrides["d_values"] = _parse_int_values(str(d_vals))
@@ -292,9 +275,6 @@ def _cmd_sweep(args) -> int:
             overrides["p"] = values[0]
         else:
             overrides["p_values"] = values
-    representation = _opt(args, cfg, "representation")
-    if representation is not None:
-        overrides["representation"] = str(representation)
     rows = grid_rows(preset_grid(preset, **overrides))
     out_text = _opt(args, cfg, "out")
     fmt = str(_opt(args, cfg, "format", "csv"))
@@ -313,10 +293,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config_file(_opt(args, {}, "config"))
-    family = Family(str(_require(args, cfg, "family")))
+    family = _require(args, cfg, "family", Family)
     config = _protocol_config(args, cfg, family)
-    trials = int(_opt(args, cfg, "trials", 100000))
-    seed = int(_opt(args, cfg, "seed", 0))
+    trials = _opt(args, cfg, "trials", 100000, int)
+    seed = _opt(args, cfg, "seed", 0, int)
     stats = run_stats(config, trials, seed)
     _, probs = outcome_distribution(config)
     pu = probs[0]
@@ -351,8 +331,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    command = manifest.get("command")
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidSpecError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    command = manifest.get("command") if isinstance(manifest, dict) else None
     if not isinstance(command, list):
         raise InvalidSpecError(f"manifest {args.manifest} has no recorded command")
     return main([str(tok) for tok in command])
@@ -362,7 +345,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file; flags win")
     sub.add_argument("--format", choices=("csv", "tsv"))
     sub.add_argument("--out", help="write CSV and a run manifest here")
-    sub.add_argument("--representation", choices=("compact", "dense"))
 
 
 def _add_ghz_flags(sub: argparse.ArgumentParser) -> None:

@@ -268,12 +268,3 @@ def canonicalize_spec(spec: Spec) -> tuple[Spec, tuple[int, ...]]:
         return GhzSpec(spec.d, spec.p, permuted), tuple(perm)
     return WSpec(spec.p, permuted), tuple(perm)
 
-
-def completeness_deviation(pair: KrausPair) -> float:
-    return validate_povm(pair).completeness_deviation
-
-
-def assignment_povm_ok(assignment: FilterAssignment, tol: float = ENTRY_TOL) -> bool:
-    return all(
-        validate_povm(pr, tol).ok for pr in assignment.pairs if pr is not None
-    )

@@ -14,7 +14,7 @@ Conventions fixed package-wide:
   would otherwise dominate tight tolerances).
 * Dense construction is capped at ``dense_cap()`` total dimension
   (default 4096, overridable via the QDISTILL_DENSE_CAP environment
-  variable); larger instances must use the structured representations in
+  variable); larger instances must use the compact states of
   :mod:`qdistill.states`.
 
 All operations are pure functions over values that are never mutated after
@@ -56,7 +56,7 @@ def check_dense_cap(total_dim: int) -> None:
     if total_dim > cap:
         raise DenseCapExceededError(
             f"dense dimension {total_dim} exceeds cap {cap}; "
-            "use the compact representation or raise QDISTILL_DENSE_CAP"
+            "use the compact states or raise QDISTILL_DENSE_CAP"
         )
 
 

@@ -119,6 +119,8 @@ def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
     """
     if trials < 1:
         raise InvalidSpecError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise InvalidSpecError(f"seed must lie in [0, 2**64), got {seed}")
     dist = outcome_distribution(config)
     histogram: Counter[int] = Counter()
     successes = 0

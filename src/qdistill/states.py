@@ -1,11 +1,12 @@
 """GHZ and W state families.
 
 A protocol instance is pinned down by a validated parameter vector
-(:class:`GhzSpec` or :class:`WSpec`).  States exist in two interchangeable
-representations:
+(:class:`GhzSpec` or :class:`WSpec`).  States exist in two forms:
 
-* a dense :class:`~qdistill.linalg.Ket` over the full product space, and
-* a :class:`CompactState` holding only the nonzero coefficient vector.
+* a dense :class:`~qdistill.linalg.Ket` over the full product space, used by
+  the steering engine (subject to the dense cap), and
+* a :class:`CompactState` holding only the nonzero coefficient vector, used
+  by the entanglement-distillation engine and the Monte Carlo.
 
 The compact form exploits that every filter in this package is diagonal in
 the computational basis, so GHZ states never leave span{|ii...i>} and W
@@ -124,28 +125,24 @@ def w_basis_index(p: int, i: int) -> int:
     return 2**i
 
 
-def make_ghz_dense(spec: GhzSpec) -> Ket:
-    total = spec.d**spec.p
+def _place(spec: Spec, coeffs, normalized: bool) -> Ket:
+    """Scatter a coefficient vector onto its basis states of the full
+    product space (subject to the dense cap)."""
+    if isinstance(spec, GhzSpec):
+        total = spec.d**spec.p
+        index = [ghz_basis_index(spec.d, spec.p, i) for i in range(spec.d)]
+    else:
+        total = 2**spec.p
+        index = [w_basis_index(spec.p, i) for i in range(spec.p)]
     check_dense_cap(total)
     amps = np.zeros(total, dtype=complex)
-    for i, a in enumerate(spec.alphas):
-        amps[ghz_basis_index(spec.d, spec.p, i)] = a
-    return Ket(amps, normalized=True)
-
-
-def make_w_dense(spec: WSpec) -> Ket:
-    total = 2**spec.p
-    check_dense_cap(total)
-    amps = np.zeros(total, dtype=complex)
-    for i, b in enumerate(spec.betas):
-        amps[w_basis_index(spec.p, i)] = b
-    return Ket(amps, normalized=True)
+    amps[index] = coeffs
+    return Ket(amps, normalized=normalized)
 
 
 def make_dense(spec: Spec) -> Ket:
-    if isinstance(spec, GhzSpec):
-        return make_ghz_dense(spec)
-    return make_w_dense(spec)
+    coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
+    return _place(spec, coeffs, normalized=True)
 
 
 def make_compact(spec: Spec) -> CompactState:
@@ -156,22 +153,7 @@ def make_compact(spec: Spec) -> CompactState:
 
 def compact_to_dense(state: CompactState) -> Ket:
     """Expand a compact state; equals the dense constructor output exactly."""
-    spec = state.spec
-    if state.family is Family.GHZ_DIAGONAL:
-        assert isinstance(spec, GhzSpec)
-        total = spec.d**spec.p
-        check_dense_cap(total)
-        amps = np.zeros(total, dtype=complex)
-        for i, c in enumerate(state.coeffs):
-            amps[ghz_basis_index(spec.d, spec.p, i)] = c
-    else:
-        assert isinstance(spec, WSpec)
-        total = 2**spec.p
-        check_dense_cap(total)
-        amps = np.zeros(total, dtype=complex)
-        for i, c in enumerate(state.coeffs):
-            amps[w_basis_index(spec.p, i)] = c
-    return Ket(amps, normalized=state.normalized)
+    return _place(state.spec, state.coeffs, state.normalized)
 
 
 def perfect_ghz(d: int, p: int) -> GhzSpec:

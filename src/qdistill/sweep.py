@@ -16,15 +16,15 @@ dimension/party axis, then copy count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidSpecError
 from .states import Family, GhzSpec, WSpec
 from .ted import (
     ProtocolConfig,
     fidelity_from_success,
+    overall_success,
     run_ted,
-    w_success_probability,
 )
 
 CSV_SCHEMA_VERSION = 1
@@ -95,7 +95,6 @@ def equal_head_w(p: int, beta0: float) -> WSpec:
 class SweepGrid:
     """Axis definitions for one sweep; see the preset constructors below."""
 
-    family: Family
     mode: str
     n_values: tuple[int, ...]
     d_values: tuple[int, ...] = ()
@@ -105,25 +104,48 @@ class SweepGrid:
     pu: float | None = None
     gap: float | None = None
     p: int = 2
-    representation: str = "compact"
-    extra: dict = field(default_factory=dict, compare=False)
 
 
-def _base_row(family: str, d: int, p: int, q: int, n: int, driver: float, gap: float) -> dict:
-    return {
-        "family": family, "d": d, "p": p, "q": q, "s": 0, "n": n,
+def _row(
+    family: Family, d: int, p: int, q: int, n: int, driver: float, gap: float,
+    s: int = 0, **results,
+) -> dict:
+    """One row of the CSV schema; result columns not given stay NaN/false."""
+    row = {
+        "family": family.value, "d": d, "p": p, "q": q, "s": s, "n": n,
         "alpha0_or_pu": driver, "coeff_gap": gap,
         "ps_per_copy": math.nan, "ps_overall": math.nan,
         "fidelity_closed": math.nan, "fidelity_numeric": math.nan,
         "feasible": False,
     }
+    row.update(results)
+    return row
 
 
-def _fill_from_report(row: dict, report) -> None:
-    row["ps_per_copy"] = report.p_success_per_copy
-    row["ps_overall"] = report.p_success_overall
-    row["fidelity_numeric"] = report.fidelity_numeric
-    row["feasible"] = True
+def report_row(
+    config: ProtocolConfig, report, driver: float | None = None, s: int = 0
+) -> dict:
+    """The CSV row of one protocol run.
+
+    ``report`` comes from :func:`~qdistill.ted.run_ted`, or from
+    :func:`~qdistill.tsd.run_tsd` when ``s`` (the number of uncharacterized
+    parties) is positive; a steering row's numeric fidelity is the assemblage
+    fidelity.  ``driver`` defaults to alpha_0 for GHZ and p_u for W.
+    """
+    spec = config.spec
+    if isinstance(spec, GhzSpec):
+        d, size, coeffs, default = spec.d, spec.d, spec.alphas, spec.alphas[0]
+    else:
+        d, size, coeffs, default = 2, spec.p, spec.betas, report.p_success_per_copy
+    return _row(
+        config.family, d, spec.p, config.q, config.n_copies,
+        default if driver is None else driver, size - sum(coeffs) ** 2, s,
+        ps_per_copy=report.p_success_per_copy,
+        ps_overall=report.p_success_overall,
+        fidelity_closed=report.fidelity_closed_form,
+        fidelity_numeric=report.fidelity_assemblage if s else report.fidelity_numeric,
+        feasible=True,
+    )
 
 
 def _ghz_gap_rows(grid: SweepGrid) -> list[dict]:
@@ -134,41 +156,44 @@ def _ghz_gap_rows(grid: SweepGrid) -> list[dict]:
             spec = GhzSpec(d, grid.p, coeffs) if coeffs is not None else None
             pu = d * a0 * a0
             for n in grid.n_values:
-                row = _base_row("ghz", d, grid.p, 1, n, a0, grid.gap)
+                row = _row(Family.GHZ_DIAGONAL, d, grid.p, 1, n, a0, grid.gap)
                 if pu <= 1.0 + FEAS_TOL:
-                    row["ps_per_copy"] = min(pu, 1.0)
-                    row["ps_overall"] = 1.0 - (1.0 - min(pu, 1.0)) ** (n - 1)
-                    row["fidelity_closed"] = fidelity_from_success(
-                        min(pu, 1.0), d, grid.gap, n
+                    row.update(
+                        ps_per_copy=min(pu, 1.0),
+                        ps_overall=overall_success(pu, n),
+                        fidelity_closed=fidelity_from_success(min(pu, 1.0), d, grid.gap, n),
                     )
                 if spec is not None:
-                    config = ProtocolConfig(
-                        n, Family.GHZ_DIAGONAL, spec, q=1,
-                        representation=grid.representation,
+                    report = run_ted(ProtocolConfig(n, Family.GHZ_DIAGONAL, spec, q=1))
+                    row.update(
+                        ps_per_copy=report.p_success_per_copy,
+                        ps_overall=report.p_success_overall,
+                        fidelity_numeric=report.fidelity_numeric,
+                        feasible=True,
                     )
-                    _fill_from_report(row, run_ted(config))
                 rows.append(row)
     return rows
 
 
-def _ghz_convergence_rows(grid: SweepGrid) -> list[dict]:
+def _convergence_rows(grid: SweepGrid) -> list[dict]:
+    """Fidelity vs N along equal-tail GHZ or equal-head W curves, one curve
+    per starting coefficient."""
+    if grid.mode == "ghz-convergence":
+        if len(grid.d_values) != 1:
+            raise InvalidSpecError("convergence sweeps take a single dimension value")
+        family, q = Family.GHZ_DIAGONAL, 1
+        curves = [(a0, equal_tail_ghz(grid.d_values[0], grid.p, a0))
+                  for a0 in grid.alpha0_values]
+    else:
+        if len(grid.p_values) != 1:
+            raise InvalidSpecError("convergence sweeps take a single party count")
+        family, q = Family.W_SINGLE_EXCITATION, grid.p_values[0] - 1
+        curves = [(b0, equal_head_w(grid.p_values[0], b0)) for b0 in grid.beta0_values]
     rows = []
-    if len(grid.d_values) != 1:
-        raise InvalidSpecError("convergence sweeps take a single dimension value")
-    d = grid.d_values[0]
-    for a0 in grid.alpha0_values:
-        spec = equal_tail_ghz(d, grid.p, a0)
-        gap = d - sum(spec.alphas) ** 2
+    for driver, spec in curves:
         for n in grid.n_values:
-            row = _base_row("ghz", d, grid.p, 1, n, a0, gap)
-            config = ProtocolConfig(
-                n, Family.GHZ_DIAGONAL, spec, q=1,
-                representation=grid.representation,
-            )
-            report = run_ted(config)
-            row["fidelity_closed"] = report.fidelity_closed_form
-            _fill_from_report(row, report)
-            rows.append(row)
+            config = ProtocolConfig(n, family, spec, q)
+            rows.append(report_row(config, run_ted(config), driver))
     return rows
 
 
@@ -178,34 +203,14 @@ def _w_contour_rows(grid: SweepGrid) -> list[dict]:
     for p in grid.p_values:
         feasible = 0.0 < pu <= 1.0 and 0.0 <= grid.gap <= p - 1
         for n in grid.n_values:
-            row = _base_row("w", 2, p, p - 1, n, pu, grid.gap)
+            row = _row(Family.W_SINGLE_EXCITATION, 2, p, p - 1, n, pu, grid.gap,
+                       feasible=feasible)
             if 0.0 < pu <= 1.0:
-                row["ps_per_copy"] = pu
-                row["ps_overall"] = 1.0 - (1.0 - pu) ** (n - 1)
-                row["fidelity_closed"] = fidelity_from_success(pu, p, grid.gap, n)
-            row["feasible"] = feasible
-            rows.append(row)
-    return rows
-
-
-def _w_convergence_rows(grid: SweepGrid) -> list[dict]:
-    rows = []
-    if len(grid.p_values) != 1:
-        raise InvalidSpecError("convergence sweeps take a single party count")
-    p = grid.p_values[0]
-    for b0 in grid.beta0_values:
-        spec = equal_head_w(p, b0)
-        gap = p - sum(spec.betas) ** 2
-        pu = w_success_probability(spec)
-        for n in grid.n_values:
-            row = _base_row("w", 2, p, p - 1, n, b0, gap)
-            config = ProtocolConfig(
-                n, Family.W_SINGLE_EXCITATION, spec, q=p - 1,
-                representation=grid.representation,
-            )
-            report = run_ted(config)
-            row["fidelity_closed"] = report.fidelity_closed_form
-            _fill_from_report(row, report)
+                row.update(
+                    ps_per_copy=pu,
+                    ps_overall=overall_success(pu, n),
+                    fidelity_closed=fidelity_from_success(pu, p, grid.gap, n),
+                )
             rows.append(row)
     return rows
 
@@ -214,12 +219,10 @@ def grid_rows(grid: SweepGrid) -> list[dict]:
     """Materialize a grid as CSV-ready row dicts in deterministic order."""
     if grid.mode in ("ghz-contour", "ghz-dimension"):
         return _ghz_gap_rows(grid)
-    if grid.mode == "ghz-convergence":
-        return _ghz_convergence_rows(grid)
+    if grid.mode in ("ghz-convergence", "w-convergence"):
+        return _convergence_rows(grid)
     if grid.mode == "w-contour":
         return _w_contour_rows(grid)
-    if grid.mode == "w-convergence":
-        return _w_convergence_rows(grid)
     raise ValueError(f"unknown sweep mode {grid.mode!r}")
 
 
@@ -228,13 +231,13 @@ def preset_grid(name: str, **overrides) -> SweepGrid:
     presets = {
         # fidelity contour over (N, d) at fixed alpha0 and gap
         "ghz-contour": dict(
-            family=Family.GHZ_DIAGONAL, mode="ghz-contour",
+            mode="ghz-contour",
             alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
             d_values=tuple(range(2, 11)), n_values=tuple(range(2, 21)), p=2,
         ),
         # fidelity vs N for three starting overlaps, equal tail coefficients
         "ghz-convergence": dict(
-            family=Family.GHZ_DIAGONAL, mode="ghz-convergence",
+            mode="ghz-convergence",
             alpha0_values=(
                 1.0 / math.sqrt(8.0), 1.0 / math.sqrt(9.0), 1.0 / math.sqrt(10.0)
             ),
@@ -242,19 +245,19 @@ def preset_grid(name: str, **overrides) -> SweepGrid:
         ),
         # fidelity and success probability vs d at fixed N
         "ghz-dimension": dict(
-            family=Family.GHZ_DIAGONAL, mode="ghz-dimension",
+            mode="ghz-dimension",
             alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
             d_values=tuple(range(2, 11)), n_values=(2,), p=2,
         ),
         # fidelity contour over (N, P) driven directly by (p_u, gap)
         "w-contour": dict(
-            family=Family.W_SINGLE_EXCITATION, mode="w-contour",
+            mode="w-contour",
             pu=0.3, gap=0.5,
             p_values=tuple(range(3, 21)), n_values=tuple(range(2, 21)),
         ),
         # fidelity vs N for three starting first coefficients
         "w-convergence": dict(
-            family=Family.W_SINGLE_EXCITATION, mode="w-convergence",
+            mode="w-convergence",
             beta0_values=(0.5, 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(6.0)),
             p_values=(3,), n_values=tuple(range(2, 51)),
         ),

@@ -45,11 +45,9 @@ from .states import (
     compact_to_dense,
     family_of,
     make_compact,
-    make_dense,
     perfect_like,
 )
 
-REPRESENTATIONS = ("compact", "dense")
 REPORT_PROB_TOL = 1e-12
 REPORT_FIDELITY_TOL = 1e-9
 
@@ -67,15 +65,12 @@ class ProtocolConfig:
     spec: Spec
     q: int
     partition: IndexPartition | None = None
-    representation: str = "compact"
 
     def __post_init__(self) -> None:
         if self.n_copies < 2:
             raise InvalidSpecError(
                 f"protocol needs n_copies >= 2 (one copy is held back unfiltered), got {self.n_copies}"
             )
-        if self.representation not in REPRESENTATIONS:
-            raise InvalidSpecError(f"unknown representation {self.representation!r}")
         if family_of(self.spec) is not self.family:
             raise InvalidSpecError("family does not match the spec type")
         p = self.spec.p
@@ -111,7 +106,7 @@ class DistillationReport:
     p_success_overall: float
     fidelity_closed_form: float
     fidelity_numeric: float
-    distilled_state: StateMixture | Operator
+    distilled_state: StateMixture
 
     def __post_init__(self) -> None:
         expected = overall_success(self.p_success_per_copy, self.n_copies)
@@ -238,15 +233,7 @@ def _compact_zero_layer(
 
 def success_prob_per_copy(config: ProtocolConfig) -> float:
     """Probability that every participant reports outcome 0 on one copy."""
-    if config.representation == "compact":
-        return _compact_zero_layer(
-            config.family, config.spec, config.q, config.partition
-        )[1]
-    assignment = _cached_assignment(config.family, config.spec, config.q, config.partition)
-    _, prob = apply_filter_layer(
-        make_dense(config.spec), assignment, (0,) * assignment.q
-    )
-    return prob
+    return _compact_zero_layer(config.family, config.spec, config.q, config.partition)[1]
 
 
 def closed_form_fidelity_ghz(spec: GhzSpec, n: int) -> float:
@@ -284,57 +271,24 @@ def closed_form_fidelity(spec: Spec, n: int) -> float:
     return closed_form_fidelity_w(spec, n)
 
 
-def _mixture(spec: Spec, ps: float) -> StateMixture:
-    return StateMixture((
-        (ps, make_compact(perfect_like(spec))),
-        (1.0 - ps, make_compact(spec)),
-    ))
-
-
-def distilled_mixture(config: ProtocolConfig) -> StateMixture:
-    return _mixture(
-        config.spec, overall_success(success_prob_per_copy(config), config.n_copies)
-    )
-
-
-def distilled_state(config: ProtocolConfig) -> StateMixture | Operator:
-    """P_s |perfect><perfect| + (1 - P_s) |initial><initial| in the
-    configured representation (the dense form is subject to the cap)."""
-    mixture = distilled_mixture(config)
-    if config.representation == "dense":
-        return mixture.to_dense_operator()
-    return mixture
-
-
-def _mixture_fidelity_numeric(config: ProtocolConfig, ps: float) -> float:
-    """Pure-target fidelity of the distilled mixture, computed from state
-    vectors in the configured representation (not from the closed form)."""
-    perfect = perfect_like(config.spec)
-    if config.representation == "dense":
-        ini = make_dense(config.spec).amplitudes
-        perf = make_dense(perfect).amplitudes
-        overlap = abs(np.vdot(perf, ini)) ** 2
-    else:
-        ci = make_compact(config.spec).coeffs
-        cp = make_compact(perfect).coeffs
-        overlap = float(np.dot(cp, ci)) ** 2
-    return ps + (1.0 - ps) * float(overlap)
-
-
 def run_ted(config: ProtocolConfig) -> DistillationReport:
     """Execute the protocol analytically and assemble the report.
 
-    The report always carries the two-component mixture; callers wanting an
-    explicit density matrix use :func:`distilled_state` or
-    :meth:`StateMixture.to_dense_operator` (quadratic memory).
+    The numeric fidelity comes from the overlap of the initial and perfect
+    coefficient vectors, not from the closed form.  The report carries the
+    two-component mixture; :meth:`StateMixture.to_dense_operator` expands it
+    into an explicit density matrix (quadratic memory).
     """
     pu = success_prob_per_copy(config)
     ps = overall_success(pu, config.n_copies)
+    initial = make_compact(config.spec)
+    perfect = make_compact(perfect_like(config.spec))
+    overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
         fidelity_closed_form=closed_form_fidelity(config.spec, config.n_copies),
-        fidelity_numeric=_mixture_fidelity_numeric(config, ps),
-        distilled_state=_mixture(config.spec, ps),
+        fidelity_numeric=ps + (1.0 - ps) * overlap,
+        distilled_state=StateMixture(((ps, perfect), (1.0 - ps, initial))),
     )

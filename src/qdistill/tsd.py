@@ -38,7 +38,7 @@ from .errors import (
     NotPositiveError,
 )
 from .filters import FilterAssignment
-from .linalg import Ket, _clamp_unit, _root_fidelity, check_dense_cap
+from .linalg import Ket, _clamp_unit, _root_fidelity
 from .states import Family, GhzSpec, make_dense, perfect_like
 from .ted import (
     ProtocolConfig,
@@ -266,20 +266,6 @@ def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
     return Assemblage(a.s, a.d_out, a.char_dims, members)
 
 
-def distilled_assemblage(config: SteeringConfig) -> Assemblage:
-    """Convex mixture of the perfect and initial assemblages with the overall
-    success probability as weight."""
-    spec = config.base.spec
-    ini = build_assemblage(make_dense(spec), config)
-    perf = build_assemblage(make_dense(perfect_like(spec)), config)
-    assignment = assignment_for(
-        config.base.family, spec, config.base.q, config.base.partition
-    )
-    _, pu = filter_assemblage(ini, assignment, (0,) * assignment.q)
-    ps = overall_success(pu, config.base.n_copies)
-    return mix_assemblages(ps, perf, ini)
-
-
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
     """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each setting string."""
     if set(a.members) != set(b.members):
@@ -300,9 +286,13 @@ def assemblage_fidelity(a: Assemblage, b: Assemblage) -> float:
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:
-    """Full steering-distillation run: build, filter, mix, and score."""
+    """Full steering-distillation run: build, filter, mix, and score.
+
+    The distilled assemblage (``report.distilled``) is the convex mixture of
+    the perfect and initial assemblages with the overall success probability
+    as weight.  The dense states it is built from are subject to the cap.
+    """
     spec = config.base.spec
-    check_dense_cap(spec.dims.total_dim)
     ini = build_assemblage(make_dense(spec), config)
     perf = build_assemblage(make_dense(perfect_like(spec)), config)
     assignment = assignment_for(

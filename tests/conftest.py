@@ -15,7 +15,11 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, settings
 
-from qdistill import Family, GhzSpec, ProtocolConfig, WSpec
+from types import SimpleNamespace
+
+from qdistill import Family, GhzSpec, ProtocolConfig, WSpec, apply_filter_layer, make_dense
+from qdistill.states import perfect_like
+from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 
 settings.register_profile(
     "suite",
@@ -140,6 +144,29 @@ def oracle_root_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 def oracle_state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return oracle_root_fidelity(a, b) ** 2
+
+
+def dense_report(config: ProtocolConfig) -> SimpleNamespace:
+    """The run_ted report fields recomputed on dense state vectors.
+
+    p_u is the squared norm of the all-zeros filter layer applied to the full
+    d^P vector, and the numeric fidelity is ps + (1 - ps) |<perfect|initial>|^2
+    on dense vectors, so neither touches the compact route.  Subject to the
+    dense cap.
+    """
+    spec = config.spec
+    assignment = assignment_for(config.family, spec, config.q, config.partition)
+    initial = make_dense(spec)
+    _, pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)
+    ps = overall_success(pu, config.n_copies)
+    perfect = make_dense(perfect_like(spec))
+    overlap = abs(np.vdot(perfect.amplitudes, initial.amplitudes)) ** 2
+    return SimpleNamespace(
+        p_success_per_copy=pu,
+        p_success_overall=ps,
+        fidelity_closed_form=closed_form_fidelity(spec, config.n_copies),
+        fidelity_numeric=ps + (1.0 - ps) * float(overlap),
+    )
 
 
 def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:

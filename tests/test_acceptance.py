@@ -33,12 +33,11 @@ from qdistill import (
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
     make_dense,
-    make_ghz_dense,
-    make_w_dense,
     perfect_ghz,
     perfect_w,
     run_stats,
     run_ted,
+    run_tsd,
     state_fidelity,
 )
 from qdistill.cli import main as cli_main
@@ -46,13 +45,9 @@ from qdistill.filters import last_parties, ghz_partition_assignment, IndexPartit
 from qdistill.montecarlo import outcome_distribution
 from qdistill.sweep import grid_rows, preset_grid
 from qdistill.ted import assignment_for, overall_success
-from qdistill.tsd import (
-    distilled_assemblage,
-    filter_assemblage,
-    validate_assemblage,
-)
+from qdistill.tsd import filter_assemblage, validate_assemblage
 
-from conftest import ghz_corpus, labeled_partitions, w_corpus
+from conftest import dense_report, ghz_corpus, labeled_partitions, w_corpus
 from test_montecarlo import binomial_chi2_pvalue
 
 
@@ -90,7 +85,7 @@ def _ghz_layer_sweep(specs):
         return _LAYER_CACHE["layers"]
     results = []
     for spec in specs:
-        psi = make_ghz_dense(spec)
+        psi = make_dense(spec)
         per_spec = []
         for q in range(1, spec.p):
             if spec.d <= 4:
@@ -129,8 +124,8 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
     worst = 0.0
     worst_matrix = 0.0
     for spec in ghz_specs:
-        psi = make_ghz_dense(spec)
-        perfect_ket = make_ghz_dense(perfect_ghz(spec.d, spec.p))
+        psi = make_dense(spec)
+        perfect_ket = make_dense(perfect_ghz(spec.d, spec.p))
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
         _, pu = apply_filter_layer(psi, assignment, (0,))
         overlap = abs(np.vdot(perfect_ket.amplitudes, psi.amplitudes)) ** 2
@@ -181,11 +176,11 @@ def test_criterion_04_w_success_and_fidelity(w_specs):
     for spec in w_specs:
         be = np.array(spec.betas)
         expected = spec.p * float(np.prod(be**2)) / be[-1] ** (2 * (spec.p - 1))
-        psi = make_w_dense(spec)
+        psi = make_dense(spec)
         assignment = assignment_for(Family.W_SINGLE_EXCITATION, spec, spec.p - 1)
         _, prob = apply_filter_layer(psi, assignment, (0,) * (spec.p - 1))
         worst_prob = max(worst_prob, abs(prob - expected))
-        perfect_ket = make_w_dense(perfect_w(spec.p))
+        perfect_ket = make_dense(perfect_w(spec.p))
         overlap = abs(np.vdot(perfect_ket.amplitudes, psi.amplitudes)) ** 2
         for n in (2, 3, 5, 10):
             ps = overall_success(prob, n)
@@ -212,7 +207,7 @@ def test_criterion_05_assemblage_equals_state_fidelity():
         closed = closed_form_fidelity_ghz if family is Family.GHZ_DIAGONAL else closed_form_fidelity_w
         for n in (2, 3, 5):
             config = SteeringConfig(ProtocolConfig(n, family, spec, q), s)
-            dist = distilled_assemblage(config)
+            dist = run_tsd(config).distilled
             perfect_spec = perfect_ghz(3, 3) if family is Family.GHZ_DIAGONAL else perfect_w(3)
             perfect = build_assemblage(make_dense(perfect_spec), config)
             got = assemblage_fidelity(dist, perfect)
@@ -249,7 +244,7 @@ def test_criterion_06_non_signaling(rng):
             filtered, _ = filter_assemblage(asm, assignment, outcome)
             validate_assemblage(filtered, tol=1e-10)
             checked += 1
-        validate_assemblage(distilled_assemblage(config), tol=1e-10)
+        validate_assemblage(run_tsd(config).distilled, tol=1e-10)
         checked += 1
     check("6", "non-signaling of constructed, filtered, distilled assemblages",
           True, f"{checked} assemblages at 1e-10")
@@ -332,20 +327,16 @@ def test_criterion_09_compact_dense_equivalence(ghz_specs, w_specs, rng):
     for spec in ghz_specs:
         if spec.d**spec.p > 4096:
             continue
-        compact = run_ted(ProtocolConfig(3, Family.GHZ_DIAGONAL, spec, 1))
-        dense = run_ted(
-            ProtocolConfig(3, Family.GHZ_DIAGONAL, spec, 1, representation="dense")
-        )
+        config = ProtocolConfig(3, Family.GHZ_DIAGONAL, spec, 1)
+        compact, dense = run_ted(config), dense_report(config)
         for f in fields:
             worst = max(worst, abs(getattr(compact, f) - getattr(dense, f)))
         compared += 1
     for spec in w_specs:
         if 2**spec.p > 4096:
             continue
-        compact = run_ted(ProtocolConfig(3, Family.W_SINGLE_EXCITATION, spec, spec.p - 1))
-        dense = run_ted(ProtocolConfig(
-            3, Family.W_SINGLE_EXCITATION, spec, spec.p - 1, representation="dense"
-        ))
+        config = ProtocolConfig(3, Family.W_SINGLE_EXCITATION, spec, spec.p - 1)
+        compact, dense = run_ted(config), dense_report(config)
         for f in fields:
             worst = max(worst, abs(getattr(compact, f) - getattr(dense, f)))
         compared += 1
@@ -364,7 +355,7 @@ def test_criterion_09_compact_dense_equivalence(ghz_specs, w_specs, rng):
             points += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0 and points == 10_000
-    check("9", "compact/dense report equivalence and compact throughput", ok,
+    check("9", "compact run vs dense-vector oracle, and compact throughput", ok,
           f"{compared} spec pairs, worst dev {worst:.2e}; 1e4 points in {elapsed:.2f}s")
 
 

@@ -131,8 +131,8 @@ class TestErrorReporting:
         monkeypatch.delenv("QDISTILL_DENSE_CAP", raising=False)
         a = f"{1 / math.sqrt(4)!r}"
         rc, _, err = run(
-            capsys, "ted-ghz", "--d", "4", "--p", "7", "--q", "1", "--n", "2",
-            "--alphas", ",".join([a] * 4), "--representation", "dense",
+            capsys, "tsd-ghz", "--d", "4", "--p", "7", "--q", "1", "--s", "1",
+            "--n", "2", "--alphas", ",".join([a] * 4),
         )
         assert rc == 2
         assert "category=DenseCapExceeded" in err
@@ -159,6 +159,50 @@ class TestErrorReporting:
         )
         assert rc == 2
         assert "category=InvalidSpec" in err
+
+    @staticmethod
+    def assert_invalid_spec(rc, err):
+        assert rc == 2
+        assert err.startswith("error category=InvalidSpec: ")
+        assert "Traceback" not in err
+
+    def test_negative_seed_category(self, capsys):
+        rc, _, err = run(
+            capsys, "simulate", "--family", "ghz", "--d", "3", "--p", "3", "--q", "1",
+            "--n", "5", "--alphas", ALPHAS_SQRT8, "--trials", "10", "--seed", "-1",
+        )
+        self.assert_invalid_spec(rc, err)
+
+    def test_missing_config_file_category(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "ted-w", "--config", str(tmp_path / "absent.cfg"))
+        self.assert_invalid_spec(rc, err)
+
+    def test_non_integer_config_value_category(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 3\nn = two\nbetas = {BETAS_TOY}\n")
+        rc, _, err = run(capsys, "ted-w", "--config", str(cfg))
+        self.assert_invalid_spec(rc, err)
+
+    def test_unknown_family_in_config_category(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family = qubit\np = 3\nn = 3\nbetas = {BETAS_TOY}\n")
+        rc, _, err = run(capsys, "simulate", "--config", str(cfg), "--trials", "10")
+        self.assert_invalid_spec(rc, err)
+
+    def test_missing_manifest_category(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "replay", str(tmp_path / "absent.manifest.json"))
+        self.assert_invalid_spec(rc, err)
+
+    def test_non_json_manifest_category(self, capsys, tmp_path):
+        manifest = tmp_path / "run.manifest.json"
+        manifest.write_text("family,d,p\n")
+        rc, _, err = run(capsys, "replay", str(manifest))
+        self.assert_invalid_spec(rc, err)
+
+    def test_inverted_range_category(self, capsys):
+        rc, out, err = run(capsys, "sweep", "--preset", "ghz-convergence", "--n", "10:2")
+        self.assert_invalid_spec(rc, err)
+        assert out == ""
 
 
 class TestSweepConsistency:
@@ -263,6 +307,14 @@ class TestGoldenFiles:
         ],
         "sd_w3.csv": ["sd-w", "--p", "3", "--s", "1", "--n", "3", "--betas", BETAS_TOY],
         "sweep_ghz_convergence.csv": ["sweep", "--preset", "ghz-convergence", "--n", "2:6"],
+        "sweep_ghz_contour.csv": ["sweep", "--preset", "ghz-contour", "--n", "2:4"],
+        "sweep_ghz_dimension.csv": ["sweep", "--preset", "ghz-dimension"],
+        "sweep_w_contour.csv": ["sweep", "--preset", "w-contour", "--n", "2:4", "--p", "3:6"],
+        "sweep_w_convergence.csv": ["sweep", "--preset", "w-convergence", "--n", "2:6"],
+        "simulate_ghz3.csv": [
+            "simulate", "--family", "ghz", "--d", "3", "--p", "3", "--q", "1",
+            "--n", "5", "--alphas", ALPHAS_SQRT8, "--trials", "2000", "--seed", "42",
+        ],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

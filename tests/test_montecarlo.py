@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qdistill import GhzSpec, WSpec, perfect_ghz, run_stats, simulate_trial
+from qdistill import GhzSpec, InvalidSpecError, WSpec, perfect_ghz, run_stats, simulate_trial
 from qdistill.montecarlo import outcome_distribution, trial_rng
 from qdistill.ted import overall_success
 
@@ -133,3 +133,9 @@ class TestRunStats:
     def test_rejects_zero_trials(self):
         with pytest.raises(Exception):
             run_stats(ghz_config(SQRT8_SPEC), 0, seed=1)
+
+    def test_rejects_seed_outside_philox_key_range(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidSpecError):
+                run_stats(ghz_config(SQRT8_SPEC), 1, seed=seed)
+        assert run_stats(ghz_config(SQRT8_SPEC), 1, seed=2**64 - 1).trials == 1

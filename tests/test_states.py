@@ -15,8 +15,7 @@ from qdistill import (
     WSpec,
     compact_to_dense,
     make_compact,
-    make_ghz_dense,
-    make_w_dense,
+    make_dense,
     partial_trace,
     perfect_ghz,
     perfect_w,
@@ -74,14 +73,14 @@ class TestSpecValidation:
 class TestDenseConstruction:
     def test_bell(self):
         spec = perfect_ghz(2, 2)
-        ket = make_ghz_dense(spec)
+        ket = make_dense(spec)
         expected = np.zeros(4)
         expected[0] = expected[3] = 1 / np.sqrt(2)
         assert np.allclose(ket.amplitudes, expected)
 
     def test_ghz3_placement(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
-        ket = make_ghz_dense(spec)
+        ket = make_dense(spec)
         # alpha_i sits at |iii>, global index 13*i
         for i in range(3):
             assert ket.amplitudes[13 * i] == spec.alphas[i]
@@ -89,7 +88,7 @@ class TestDenseConstruction:
 
     def test_w3_placement(self, rng):
         spec = random_w_spec(rng, 3)
-        ket = make_w_dense(spec)
+        ket = make_dense(spec)
         # beta_0 |001>, beta_1 |010>, beta_2 |100>
         assert ket.amplitudes[1] == spec.betas[0]
         assert ket.amplitudes[2] == spec.betas[1]
@@ -97,7 +96,7 @@ class TestDenseConstruction:
         assert np.count_nonzero(ket.amplitudes) == 3
 
     def test_w2(self):
-        ket = make_w_dense(perfect_w(2))
+        ket = make_dense(perfect_w(2))
         expected = np.zeros(4)
         expected[1] = expected[2] = 1 / np.sqrt(2)
         assert np.allclose(ket.amplitudes, expected)
@@ -106,23 +105,23 @@ class TestDenseConstruction:
         for _ in range(100):
             d = int(rng.integers(2, 5))
             p = int(rng.integers(2, 5))
-            ket = make_ghz_dense(random_ghz_spec(rng, d, p))
+            ket = make_dense(random_ghz_spec(rng, d, p))
             assert np.linalg.norm(ket.amplitudes) == pytest.approx(1.0, abs=1e-12)
-            wket = make_w_dense(random_w_spec(rng, p + 1))
+            wket = make_dense(random_w_spec(rng, p + 1))
             assert np.linalg.norm(wket.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonzero_counts(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
-        assert np.count_nonzero(make_ghz_dense(spec).amplitudes) == 4
+        assert np.count_nonzero(make_dense(spec).amplitudes) == 4
         wspec = random_w_spec(rng, 5)
-        assert np.count_nonzero(make_w_dense(wspec).amplitudes) == 5
+        assert np.count_nonzero(make_dense(wspec).amplitudes) == 5
 
     def test_dense_cap(self, monkeypatch):
         monkeypatch.delenv("QDISTILL_DENSE_CAP", raising=False)
         with pytest.raises(DenseCapExceededError):
-            make_ghz_dense(perfect_ghz(4, 7))  # 16384 > 4096
+            make_dense(perfect_ghz(4, 7))  # 16384 > 4096
         monkeypatch.setenv("QDISTILL_DENSE_CAP", "16384")
-        make_ghz_dense(perfect_ghz(4, 7))
+        make_dense(perfect_ghz(4, 7))
 
 
 class TestCompact:
@@ -147,12 +146,12 @@ class TestCompact:
             spec = random_ghz_spec(rng, d, p)
             assert np.array_equal(
                 compact_to_dense(make_compact(spec)).amplitudes,
-                make_ghz_dense(spec).amplitudes,
+                make_dense(spec).amplitudes,
             )
             wspec = random_w_spec(rng, p)
             assert np.array_equal(
                 compact_to_dense(make_compact(wspec)).amplitudes,
-                make_w_dense(wspec).amplitudes,
+                make_dense(wspec).amplitudes,
             )
 
 
@@ -166,14 +165,14 @@ class TestPerfectTargets:
         assert all(b == pytest.approx(1 / math.sqrt(3)) for b in spec.betas)
 
     def test_perfect_self_fidelity(self):
-        ket = make_ghz_dense(perfect_ghz(2, 3))
+        ket = make_dense(perfect_ghz(2, 3))
         rho = Operator(np.outer(ket.amplitudes, ket.amplitudes.conj()), density=True)
         assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
         assert pure_target_fidelity(rho, ket) == pytest.approx(1.0, abs=1e-12)
 
     def test_reduced_single_party_is_maximally_mixed(self):
         d, p = 3, 3
-        ket = make_ghz_dense(perfect_ghz(d, p))
+        ket = make_dense(perfect_ghz(d, p))
         rho = Operator(np.outer(ket.amplitudes, ket.amplitudes.conj()), density=True)
         reduced = partial_trace(rho, DimsProfile.uniform(d, p), [0, 1])
         assert np.allclose(reduced.entries, np.eye(d) / d, atol=1e-12)

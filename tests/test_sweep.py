@@ -123,7 +123,7 @@ class TestGridRows:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            grid_rows(SweepGrid(family=None, mode="bogus", n_values=(2,)))
+            grid_rows(SweepGrid(mode="bogus", n_values=(2,)))
 
 
 class TestFamilies:

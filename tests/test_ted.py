@@ -15,10 +15,8 @@ from qdistill import (
     apply_filter_layer,
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
-    distilled_state,
     make_compact,
     make_dense,
-    make_ghz_dense,
     overall_success,
     perfect_ghz,
     perfect_w,
@@ -36,6 +34,7 @@ from qdistill.ted import (
 
 from conftest import (
     ORACLE_FIDELITY_TOL,
+    dense_report,
     ghz_config,
     oracle_layer,
     oracle_state_fidelity,
@@ -67,7 +66,7 @@ class TestApplyFilterLayer:
         out, prob = apply_filter_layer(make_dense(SQRT8_SPEC), assignment, (0,))
         assert prob == pytest.approx(3 / 8, abs=1e-14)
         normalized = out.amplitudes / np.sqrt(prob)
-        perfect = make_ghz_dense(perfect_ghz(3, 3)).amplitudes
+        perfect = make_dense(perfect_ghz(3, 3)).amplitudes
         assert np.max(np.abs(normalized - perfect)) < 1e-12
 
     def test_compact_equals_dense_all_outcomes(self, rng):
@@ -131,9 +130,10 @@ class TestSuccessProbability:
         assert success_prob_per_copy(ghz_config(SQRT8_SPEC)) == pytest.approx(0.375, abs=1e-14)
 
     def test_w_toy_value(self):
-        # dense route through the 8-dim state
-        config = w_config(W_TOY_SPEC, n=3, representation="dense")
+        config = w_config(W_TOY_SPEC, n=3)
         assert success_prob_per_copy(config) == pytest.approx(0.375, abs=1e-14)
+        # dense oracle route through the 8-dim state
+        assert dense_report(config).p_success_per_copy == pytest.approx(0.375, abs=1e-14)
 
     def test_perfect_specs_succeed_surely(self):
         assert success_prob_per_copy(ghz_config(perfect_ghz(3, 3))) == pytest.approx(1.0, abs=1e-12)
@@ -145,10 +145,8 @@ class TestSuccessProbability:
             spec = random_ghz_spec(rng, d, p)
             q = int(rng.integers(1, p))
             expected = d * spec.alphas[0] ** 2
-            for representation in ("compact", "dense"):
-                got = success_prob_per_copy(
-                    ghz_config(spec, q=q, representation=representation)
-                )
+            config = ghz_config(spec, q=q)
+            for got in (success_prob_per_copy(config), dense_report(config).p_success_per_copy):
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_w_matches_closed_form(self, rng):
@@ -231,30 +229,25 @@ class TestClosedFormFidelity:
 
 class TestDistilledState:
     def test_perfect_input_stays_pure(self):
-        mixture = distilled_state(ghz_config(perfect_ghz(2, 2), n=4))
+        mixture = run_ted(ghz_config(perfect_ghz(2, 2), n=4)).distilled_state
         weights = [w for w, _ in mixture.components]
         assert weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_approaches_one(self):
         weights = [
-            distilled_state(ghz_config(SQRT8_SPEC, n=n)).components[0][0]
+            run_ted(ghz_config(SQRT8_SPEC, n=n)).distilled_state.components[0][0]
             for n in (2, 5, 10, 20, 45)
         ]
         assert weights[0] == pytest.approx(0.375, abs=1e-12)
         assert all(b > a for a, b in zip(weights, weights[1:]))
         assert weights[-1] > 1 - 1e-8  # 0.625**44 ~ 1e-9
 
-    def test_dense_representation_returns_density(self):
-        out = distilled_state(ghz_config(SQRT8_SPEC, n=2, representation="dense"))
-        assert isinstance(out, Operator)
-        assert out.density
-
     def test_mixture_fidelity_against_oracle(self):
         config = ghz_config(SQRT8_SPEC, n=2)
-        rho = distilled_state(config)
+        rho = run_ted(config).distilled_state
         assert isinstance(rho, StateMixture)
         dense = rho.to_dense_operator()
-        perfect = make_ghz_dense(perfect_ghz(3, 3))
+        perfect = make_dense(perfect_ghz(3, 3))
         via_matrix = state_fidelity(
             dense, Operator(np.outer(perfect.amplitudes, perfect.amplitudes.conj()), density=True)
         )
@@ -280,8 +273,8 @@ class TestRunTed:
     def test_compact_and_dense_reports_agree(self, rng):
         for _ in range(10):
             spec = random_ghz_spec(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-            compact = run_ted(ghz_config(spec, n=4, representation="compact"))
-            dense = run_ted(ghz_config(spec, n=4, representation="dense"))
+            config = ghz_config(spec, n=4)
+            compact, dense = run_ted(config), dense_report(config)
             for field in ("p_success_per_copy", "p_success_overall",
                           "fidelity_closed_form", "fidelity_numeric"):
                 assert getattr(compact, field) == pytest.approx(
@@ -301,10 +294,9 @@ class TestRunTed:
 
     def test_numeric_fidelity_matches_full_uhlmann_oracle(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
-        config = ghz_config(spec, n=3, representation="dense")
-        report = run_ted(config)
+        report = run_ted(ghz_config(spec, n=3))
         rho = report.distilled_state.to_dense_operator().entries
-        perfect = make_ghz_dense(perfect_ghz(3, 3)).amplitudes
+        perfect = make_dense(perfect_ghz(3, 3)).amplitudes
         target = np.outer(perfect, perfect.conj())
         assert report.fidelity_numeric == pytest.approx(
             oracle_state_fidelity(rho, target), abs=ORACLE_FIDELITY_TOL
@@ -318,7 +310,7 @@ class TestRunTed:
                 p_success_overall=0.9,  # should be 0.75
                 fidelity_closed_form=0.9,
                 fidelity_numeric=0.9,
-                distilled_state=distilled_state(ghz_config(SQRT8_SPEC)),
+                distilled_state=run_ted(ghz_config(SQRT8_SPEC)).distilled_state,
             )
         with pytest.raises(InvalidSpecError):
             DistillationReport(
@@ -327,7 +319,7 @@ class TestRunTed:
                 p_success_overall=0.75,
                 fidelity_closed_form=0.9,
                 fidelity_numeric=0.8,
-                distilled_state=distilled_state(ghz_config(SQRT8_SPEC)),
+                distilled_state=run_ted(ghz_config(SQRT8_SPEC)).distilled_state,
             )
 
 
@@ -349,7 +341,3 @@ class TestConfigValidation:
     def test_family_spec_mismatch(self):
         with pytest.raises(InvalidSpecError):
             ProtocolConfig(2, Family.W_SINGLE_EXCITATION, SQRT8_SPEC, 2)
-
-    def test_unknown_representation(self):
-        with pytest.raises(InvalidSpecError):
-            ProtocolConfig(2, Family.GHZ_DIAGONAL, SQRT8_SPEC, 1, representation="sparse")

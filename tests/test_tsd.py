@@ -15,7 +15,6 @@ from qdistill import (
     build_assemblage,
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
-    distilled_assemblage,
     filter_assemblage,
     make_dense,
     mub_family,
@@ -206,7 +205,7 @@ class TestDistilledAssemblage:
     def test_perfect_input_unchanged(self):
         spec = perfect_ghz(3, 3)
         config = steering(spec, n=3)
-        dist = distilled_assemblage(config)
+        dist = run_tsd(config).distilled
         perfect = build_assemblage(make_dense(spec), config)
         for key in perfect.members:
             assert np.allclose(dist.members[key], perfect.members[key], atol=1e-12)
@@ -214,7 +213,7 @@ class TestDistilledAssemblage:
     def test_ghz3_member_structure(self):
         n = 3
         config = steering(GHZ_TOY, n=n)
-        dist = distilled_assemblage(config)
+        dist = run_tsd(config).distilled
         pu = 3 * GHZ_TOY.alphas[0] ** 2
         ps = overall_success(pu, n)
         # computational outcome a: ps |aa><aa|/3 + (1-ps) alpha_a^2 |aa><aa|
@@ -226,7 +225,7 @@ class TestDistilledAssemblage:
     def test_w3_member_structure(self):
         n = 2
         config = steering(W_TOY, n=n, q=2)
-        dist = distilled_assemblage(config)
+        dist = run_tsd(config).distilled
         b = W_TOY.betas
         pu = 3 * b[0] ** 2 * b[1] ** 2 / b[2] ** 2
         ps = overall_success(pu, n)
@@ -253,7 +252,7 @@ class TestAssemblageFidelity:
     def test_equals_state_fidelity_ghz_s1(self):
         for n in (2, 3, 5, 10):
             config = steering(GHZ_TOY, n=n)
-            dist = distilled_assemblage(config)
+            dist = run_tsd(config).distilled
             perfect = build_assemblage(make_dense(perfect_ghz(3, 3)), config)
             got = assemblage_fidelity(dist, perfect)
             want = closed_form_fidelity_ghz(GHZ_TOY, n)
@@ -261,7 +260,7 @@ class TestAssemblageFidelity:
 
     def test_minimum_attained_at_fourier_setting(self):
         config = steering(GHZ_TOY, n=3)
-        dist = distilled_assemblage(config)
+        dist = run_tsd(config).distilled
         perfect = build_assemblage(make_dense(perfect_ghz(3, 3)), config)
         per = assemblage_fidelity_by_setting(dist, perfect)
         assert min(per, key=per.get) == (1,)
@@ -270,7 +269,7 @@ class TestAssemblageFidelity:
     def test_equals_state_fidelity_w_s1(self):
         for n in (2, 3, 7):
             config = steering(W_TOY, n=n, q=2)
-            dist = distilled_assemblage(config)
+            dist = run_tsd(config).distilled
             perfect = build_assemblage(make_dense(perfect_w(3)), config)
             got = assemblage_fidelity(dist, perfect)
             want = closed_form_fidelity_w(W_TOY, n)
@@ -280,7 +279,7 @@ class TestAssemblageFidelity:
         for d, p in ((5, 3), (7, 2)):
             spec = random_ghz_spec(rng, d, p)
             config = steering(spec, n=3, s=1, q=1)
-            dist = distilled_assemblage(config)
+            dist = run_tsd(config).distilled
             perfect = build_assemblage(make_dense(perfect_ghz(d, p)), config)
             got = assemblage_fidelity(dist, perfect)
             assert got == pytest.approx(closed_form_fidelity_ghz(spec, 3), abs=1e-9)
@@ -288,7 +287,7 @@ class TestAssemblageFidelity:
     def test_equals_state_fidelity_w_p4(self, rng):
         spec = random_w_spec(rng, 4)
         config = steering(spec, n=3, s=1, q=3)
-        dist = distilled_assemblage(config)
+        dist = run_tsd(config).distilled
         perfect = build_assemblage(make_dense(perfect_w(4)), config)
         got = assemblage_fidelity(dist, perfect)
         assert got == pytest.approx(closed_form_fidelity_w(spec, 3), abs=1e-9)
