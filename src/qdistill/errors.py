@@ -25,6 +25,10 @@ class DenseCapExceededError(QdistillError):
     category = "DenseCapExceeded"
 
 
+class WorkCapExceededError(QdistillError):
+    category = "WorkCapExceeded"
+
+
 class BadPartitionError(QdistillError):
     category = "BadPartition"
 

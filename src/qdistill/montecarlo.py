@@ -12,23 +12,40 @@ up empty-handed; otherwise the last copy is discarded.
 Reproducibility: trial ``i`` of a run with master seed ``s`` always uses the
 counter-based Philox stream keyed by (s, i), so results are identical no
 matter how trials are scheduled or parallelized.
+
+:func:`simulate_trial` on :func:`trial_rng` is the literal reference: one
+trial at a time, with its full outcome record.  :func:`run_stats` computes
+the same histogram in batches: :func:`philox_uniforms` evaluates the
+Philox4x64-10 streams of a whole chunk of trials as numpy array operations,
+bit for bit what ``trial_rng(s, i).random(N - 1)`` returns, and a copy is
+kept iff its uniform falls in the all-zeros string's slice of the cumulative
+distribution.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, WorkCapExceededError
 from .states import make_compact
 from .ted import ProtocolConfig, _cached_assignment, apply_filter_layer
 
 DISTRIBUTION_SUM_TOL = 1e-12
+MAX_OUTCOME_STRINGS = 2**16  # cap on the 2^Q strings enumerated per config
+
+# run_stats draws at most this many Philox blocks (4 uniforms each) per chunk
+_CHUNK_BLOCKS = 4096
+
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -58,8 +75,14 @@ def outcome_distribution(
     """Joint distribution over the 2^Q per-copy outcome strings.
 
     Strings are enumerated with the all-zeros string first; probabilities
-    come from the exact filter layer and must sum to 1.
+    come from the exact filter layer and must sum to 1.  More than
+    ``MAX_OUTCOME_STRINGS`` strings raise :class:`WorkCapExceededError`.
     """
+    if 2**config.q > MAX_OUTCOME_STRINGS:
+        raise WorkCapExceededError(
+            f"q = {config.q} needs 2**{config.q} outcome strings, "
+            f"over the cap of {MAX_OUTCOME_STRINGS}"
+        )
     assignment = _cached_assignment(
         config.family, config.spec, config.q, config.partition
     )
@@ -83,13 +106,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_trial(
-    config: ProtocolConfig,
-    rng: np.random.Generator,
-    _dist: tuple[tuple[tuple[int, ...], ...], tuple[float, ...]] | None = None,
-) -> TrialRecord:
+def simulate_trial(config: ProtocolConfig, rng: np.random.Generator) -> TrialRecord:
     """Play out one trial of the N-copy protocol."""
-    strings, probs = _dist if _dist is not None else outcome_distribution(config)
+    strings, probs = outcome_distribution(config)
     n = config.n_copies
     cum = np.cumsum(probs)
     draws = np.searchsorted(cum, rng.random(n - 1), side="right")
@@ -110,28 +129,63 @@ def simulate_trial(
     )
 
 
+def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``multiplier * x``, from 32-bit halves."""
+    m_hi, m_lo = np.uint64(multiplier >> 32), np.uint64(multiplier & 0xFFFFFFFF)
+    x_hi, x_lo = x >> _S32, x & _LO32
+    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    mid = (lo_lo >> _S32) + (hi_lo & _LO32) + (lo_hi & _LO32)
+    hi = m_hi * x_hi + (hi_lo >> _S32) + (lo_hi >> _S32) + (mid >> _S32)
+    return hi, np.uint64(multiplier) * x
+
+
+def philox_uniforms(seed: int, start: int, count: int, m: int) -> np.ndarray:
+    """First ``m`` uniforms of the trials ``start .. start+count-1``.
+
+    Row ``t`` equals ``trial_rng(seed, start + t).random(m)`` bit for bit:
+    the key is (seed, trial index), block ``b`` encrypts the counter
+    (b+1, 0, 0, 0) because numpy bumps the counter before its first block,
+    and each 64-bit word w becomes the double ``(w >> 11) * 2**-53``.
+    """
+    blocks = -(-m // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
+    c1 = c2 = c3 = np.zeros((count, blocks), dtype=np.uint64)
+    k1 = np.arange(count, dtype=np.uint64)[:, None] + np.uint64(start)
+    for r in range(10):
+        round_k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        round_k1 = k1 + np.uint64(r * _PHILOX_W[1] % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ round_k0, lo1, hi0 ^ c3 ^ round_k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * blocks)[:, :m]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
     """Run ``trials`` independent trials on per-trial substreams.
 
     Deterministic for fixed (config, trials, seed) regardless of evaluation
-    order.  The histogram counts surviving copies among the first N-1 per
-    trial (the unfiltered last copy of a failed trial does not count).
+    order, and equal to looping :func:`simulate_trial` over
+    ``trial_rng(seed, i)``.  The histogram counts surviving copies among the
+    first N-1 per trial (the unfiltered last copy of a failed trial does not
+    count).
     """
     if trials < 1:
         raise InvalidSpecError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise InvalidSpecError(f"seed must lie in [0, 2**64), got {seed}")
-    dist = outcome_distribution(config)
-    histogram: Counter[int] = Counter()
-    successes = 0
-    for i in range(trials):
-        record = simulate_trial(config, trial_rng(seed, i), dist)
-        kept_filtered = len(record.kept_copies) if record.success else 0
-        histogram[kept_filtered] += 1
-        successes += record.success
+    _, probs = outcome_distribution(config)
+    filtered = config.n_copies - 1
+    chunk = max(1, _CHUNK_BLOCKS // -(-filtered // 4))
+    histogram = np.zeros(config.n_copies, dtype=np.int64)
+    for start in range(0, trials, chunk):
+        u = philox_uniforms(seed, start, min(chunk, trials - start), filtered)
+        # simulate_trial draws the all-zeros string iff u < cumsum(probs)[0]
+        kept = np.count_nonzero(u < probs[0], axis=1)
+        histogram += np.bincount(kept, minlength=config.n_copies)
     return EmpiricalStats(
         trials=trials,
-        success_rate=successes / trials,
-        kept_count_histogram=dict(sorted(histogram.items())),
+        success_rate=(trials - int(histogram[0])) / trials,
+        kept_count_histogram={k: int(c) for k, c in enumerate(histogram) if c},
         rng_seed=seed,
     )

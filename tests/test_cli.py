@@ -10,6 +10,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 ALPHAS_SQRT8 = f"{1 / math.sqrt(8)!r},{math.sqrt(7 / 16)!r},{math.sqrt(7 / 16)!r}"
 BETAS_TOY = f"0.5,0.5,{1 / math.sqrt(2)!r}"
+BETAS_W4 = f"0.45,0.5,0.5,{math.sqrt(0.2975)!r}"
 
 
 def run(capsys, *argv):
@@ -144,6 +145,14 @@ class TestErrorReporting:
         )
         assert rc == 2
         assert "category=BadPartition" in err
+
+    def test_work_cap_category(self, capsys):
+        rc, _, err = run(
+            capsys, "simulate", "--family", "ghz", "--d", "2", "--p", "30", "--q", "29",
+            "--n", "3", "--alphas", "0.6,0.8", "--trials", "10",
+        )
+        assert rc == 2
+        assert err.startswith("error category=WorkCapExceeded: ")
 
     def test_steering_scenario_category(self, capsys):
         rc, _, err = run(
@@ -314,6 +323,10 @@ class TestGoldenFiles:
         "simulate_ghz3.csv": [
             "simulate", "--family", "ghz", "--d", "3", "--p", "3", "--q", "1",
             "--n", "5", "--alphas", ALPHAS_SQRT8, "--trials", "2000", "--seed", "42",
+        ],
+        "simulate_w4.csv": [
+            "simulate", "--family", "w", "--p", "4", "--n", "6", "--betas", BETAS_W4,
+            "--trials", "10000", "--seed", "18446744073709551615",
         ],
     }
 

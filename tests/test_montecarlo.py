@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qdistill import GhzSpec, InvalidSpecError, WSpec, perfect_ghz, run_stats, simulate_trial
-from qdistill.montecarlo import outcome_distribution, trial_rng
+from qdistill import (
+    GhzSpec,
+    InvalidSpecError,
+    WorkCapExceededError,
+    WSpec,
+    perfect_ghz,
+    run_stats,
+    simulate_trial,
+)
+from qdistill.montecarlo import _CHUNK_BLOCKS, outcome_distribution, philox_uniforms, trial_rng
 from qdistill.ted import overall_success
 
 from conftest import ghz_config, random_ghz_spec, w_config
@@ -51,6 +61,30 @@ class TestOutcomeDistribution:
         strings, probs = outcome_distribution(w_config(W_TOY_SPEC, n=3))
         assert probs[0] == pytest.approx(0.375, abs=1e-14)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_caps_outcome_enumeration(self):
+        # 2**17 strings would be enumerated one filter layer at a time
+        config = ghz_config(GhzSpec(2, 18, (0.6, 0.8)), n=3, q=17)
+        with pytest.raises(WorkCapExceededError):
+            outcome_distribution(config)
+        with pytest.raises(WorkCapExceededError):
+            run_stats(config, 10, seed=0)
+
+
+class TestPhiloxUniforms:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**64 - 64),
+        count=st.integers(1, 64),
+        m=st.integers(1, 13),
+    )
+    @example(seed=2**64 - 1, start=2**64 - 64, count=64, m=5)
+    @example(seed=2**64 - 1, start=2**64 - 7, count=7, m=13)
+    @example(seed=0, start=0, count=1, m=1)
+    def test_matches_numpy_philox_bit_for_bit(self, seed, start, count, m):
+        got = philox_uniforms(seed, start, count, m)
+        want = np.array([trial_rng(seed, start + t).random(m) for t in range(count)])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestSimulateTrial:
@@ -131,11 +165,48 @@ class TestRunStats:
         assert pvalue > 0.001
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(Exception):
-            run_stats(ghz_config(SQRT8_SPEC), 0, seed=1)
+        for trials in (0, -1):
+            with pytest.raises(InvalidSpecError):
+                run_stats(ghz_config(SQRT8_SPEC), trials, seed=1)
 
     def test_rejects_seed_outside_philox_key_range(self):
         for seed in (-1, 2**64):
             with pytest.raises(InvalidSpecError):
                 run_stats(ghz_config(SQRT8_SPEC), 1, seed=seed)
         assert run_stats(ghz_config(SQRT8_SPEC), 1, seed=2**64 - 1).trials == 1
+
+
+def loop_kept_counts(config, trials, seed):
+    """Surviving filtered copies per trial, one simulate_trial at a time."""
+    counts = []
+    for i in range(trials):
+        record = simulate_trial(config, trial_rng(seed, i))
+        counts.append(len(record.kept_copies) if record.success else 0)
+    return counts
+
+
+BATCH_CONFIGS = {
+    "ghz-q1": lambda n: ghz_config(SQRT8_SPEC, n=n, q=1),
+    "ghz-q2": lambda n: ghz_config(GhzSpec(2, 4, (0.6, 0.8)), n=n, q=2),
+    "w-q3": lambda n: w_config(WSpec(4, (0.4, 0.45, 0.5, math.sqrt(0.3875))), n=n),
+}
+BATCH_SEEDS = (0, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("n", (2, 5, 9))
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_run_stats_equals_per_trial_loop(name, n):
+    """Batched run_stats against the literal loop, at and around the chunk
+    boundaries; every seed meets every config and every N once."""
+    config = BATCH_CONFIGS[name](n)
+    seed = BATCH_SEEDS[(sorted(BATCH_CONFIGS).index(name) + (2, 5, 9).index(n)) % 3]
+    chunk = max(1, _CHUNK_BLOCKS // -(-(n - 1) // 4))
+    trial_counts = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7)
+    # a run of T trials is trials 0..T-1, so one loop serves every T
+    kept = loop_kept_counts(config, max(trial_counts), seed)
+    for trials in trial_counts:
+        stats = run_stats(config, trials, seed)
+        hist = np.bincount(kept[:trials])
+        expected = {k: int(c) for k, c in enumerate(hist) if c}
+        assert stats.kept_count_histogram == expected
+        assert stats.success_rate == (trials - expected.get(0, 0)) / trials
