@@ -11,8 +11,7 @@ import argparse
 import math
 
 from qdistill import Family, GhzSpec, ProtocolConfig, WSpec, run_stats
-from qdistill.montecarlo import outcome_distribution
-from qdistill.ted import overall_success
+from qdistill.ted import overall_success, success_prob_per_copy
 
 INSTANCES = [
     ("GHZ d=3 a0=1/sqrt(8), N=5",
@@ -34,7 +33,7 @@ def main() -> int:
     print(f"{'instance':<40} {'predicted':>12} {'empirical':>12} {'dev/sigma':>10}")
     for label, config in INSTANCES:
         stats = run_stats(config, args.trials, args.seed)
-        pu = outcome_distribution(config)[1][0]
+        pu = success_prob_per_copy(config)
         expected = overall_success(pu, config.n_copies)
         sigma = math.sqrt(expected * (1 - expected) / args.trials)
         pull = (stats.success_rate - expected) / sigma

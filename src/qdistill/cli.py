@@ -33,9 +33,9 @@ from .errors import InvalidSpecError, QdistillError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec
 from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, grid_rows, preset_grid, report_row
-from .ted import ProtocolConfig, overall_success, run_ted
+from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
-from .montecarlo import outcome_distribution, run_stats
+from .montecarlo import run_stats
 
 CLI_NORM_TOL = 1e-3
 
@@ -298,8 +298,7 @@ def _cmd_simulate(args) -> int:
     trials = _opt(args, cfg, "trials", 100000, int)
     seed = _opt(args, cfg, "seed", 0, int)
     stats = run_stats(config, trials, seed)
-    _, probs = outcome_distribution(config)
-    pu = probs[0]
+    pu = success_prob_per_copy(config)
     expected = overall_success(pu, config.n_copies)
     _print_report([
         ("family", family.value), ("n", config.n_copies),

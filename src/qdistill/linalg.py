@@ -235,7 +235,7 @@ def _require_density(op: Operator, name: str) -> np.ndarray:
 
 
 def _clamp_unit(value: float, what: str) -> float:
-    if value < -FIDELITY_CLAMP_TOL or value > 1.0 + FIDELITY_CLAMP_TOL:
+    if not -FIDELITY_CLAMP_TOL <= value <= 1.0 + FIDELITY_CLAMP_TOL:  # NaN fails too
         raise NotPositiveError(f"{what} {value!r} outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
 

@@ -13,13 +13,12 @@ Reproducibility: trial ``i`` of a run with master seed ``s`` always uses the
 counter-based Philox stream keyed by (s, i), so results are identical no
 matter how trials are scheduled or parallelized.
 
-:func:`simulate_trial` on :func:`trial_rng` is the literal reference: one
-trial at a time, with its full outcome record.  :func:`run_stats` computes
-the same histogram in batches: :func:`philox_uniforms` evaluates the
-Philox4x64-10 streams of a whole chunk of trials as numpy array operations,
-bit for bit what ``trial_rng(s, i).random(N - 1)`` returns, and a copy is
-kept iff its uniform falls in the all-zeros string's slice of the cumulative
-distribution.
+The run path needs only p_u: :func:`run_stats` keeps a copy iff its uniform
+is below ``success_prob_per_copy(config)`` (bit for bit
+``outcome_distribution(config)[1][0]``) and draws whole chunks of trials
+with :func:`philox_uniforms`, bit for bit ``trial_rng(s, i).random(N - 1)``.
+The capped 2^Q :func:`outcome_distribution` and the one-trial
+:func:`simulate_trial` with its full outcome record are reference only.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, WorkCapExceededError
 from .states import make_compact
-from .ted import ProtocolConfig, _cached_assignment, apply_filter_layer
+from .ted import ProtocolConfig, _cached_assignment, apply_filter_layer, success_prob_per_copy
 
 DISTRIBUTION_SUM_TOL = 1e-12
 MAX_OUTCOME_STRINGS = 2**16  # cap on the 2^Q strings enumerated per config
@@ -174,14 +173,14 @@ def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
         raise InvalidSpecError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise InvalidSpecError(f"seed must lie in [0, 2**64), got {seed}")
-    _, probs = outcome_distribution(config)
+    pu = success_prob_per_copy(config)
     filtered = config.n_copies - 1
     chunk = max(1, _CHUNK_BLOCKS // -(-filtered // 4))
     histogram = np.zeros(config.n_copies, dtype=np.int64)
     for start in range(0, trials, chunk):
         u = philox_uniforms(seed, start, min(chunk, trials - start), filtered)
-        # simulate_trial draws the all-zeros string iff u < cumsum(probs)[0]
-        kept = np.count_nonzero(u < probs[0], axis=1)
+        # simulate_trial keeps a copy iff u < cumsum(probs)[0], which is p_u
+        kept = np.count_nonzero(u < pu, axis=1)
         histogram += np.bincount(kept, minlength=config.n_copies)
     return EmpiricalStats(
         trials=trials,

@@ -21,6 +21,7 @@ protocol lives in :mod:`qdistill.montecarlo`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -110,9 +111,9 @@ class DistillationReport:
 
     def __post_init__(self) -> None:
         expected = overall_success(self.p_success_per_copy, self.n_copies)
-        if abs(self.p_success_overall - expected) > REPORT_PROB_TOL:
+        if not abs(self.p_success_overall - expected) <= REPORT_PROB_TOL:  # NaN fails
             raise InvalidSpecError("overall success inconsistent with per-copy value")
-        if abs(self.fidelity_closed_form - self.fidelity_numeric) > REPORT_FIDELITY_TOL:
+        if not abs(self.fidelity_closed_form - self.fidelity_numeric) <= REPORT_FIDELITY_TOL:
             raise InvalidSpecError(
                 "closed-form and numeric fidelities disagree: "
                 f"{self.fidelity_closed_form!r} vs {self.fidelity_numeric!r}"
@@ -249,7 +250,7 @@ def closed_form_fidelity_w(spec: WSpec, n: int) -> float:
     if max(spec.betas) > spec.betas[-1] + 1e-15:
         raise InvalidSpecError("closed form assumes beta_{p-1} is maximal")
     return fidelity_from_success(
-        w_success_probability(spec), spec.p, spec.p - sum(spec.betas) ** 2, n
+        w_success_probability(spec), spec.p, spec.p - math.fsum(spec.betas) ** 2, n
     )
 
 
@@ -261,8 +262,9 @@ def fidelity_from_success(pu: float, size: float, gap: float, n: int) -> float:
 
 
 def w_success_probability(spec: WSpec) -> float:
-    be = np.array(spec.betas)
-    return float(spec.p * np.prod(be * be) / be[-1] ** (2 * (spec.p - 1)))
+    be = np.array(spec.betas)  # P b_max^2 prod (b_i/b_max)^2, multiplied as a sum of logs
+    logs = np.log1p((be[:-1] - be[-1]) / be[-1])  # exact difference for b_i >= b_max/2
+    return float(spec.p * be[-1] ** 2 * math.exp(2 * math.fsum(logs)))
 
 
 def closed_form_fidelity(spec: Spec, n: int) -> float:

@@ -4,7 +4,7 @@ The oracles here deliberately avoid the package's own code paths: partial
 traces are explicit index loops, root fidelities go through
 scipy.linalg.sqrtm (Schur-based, unlike the package's eigendecomposition),
 filter layers are built as full Kronecker-product matrices, and the GHZ
-fidelity law is evaluated in 50-digit decimal arithmetic from exact squared
+and W fidelity laws are evaluated in 50-digit decimal arithmetic from exact
 coefficients.
 """
 
@@ -162,6 +162,27 @@ def oracle_ghz_deviation(alpha_squares: tuple[Fraction, ...], n: int) -> decimal
         d = len(squares)
         total = sum(a.sqrt() for a in squares)
         return (1 - d * squares[0]) ** (n - 1) * (d - total * total) / d
+
+
+def oracle_w_law(betas: tuple[float, ...], n: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """Exact W law (p_u, F(n)) to 50 digits, with beta_{P-1} maximal:
+
+        p_u = P prod_i beta_i^2 / beta_{P-1}^(2(P-1))
+        F(n) = 1 - (1/P)(1 - p_u)^(n-1)(P - (sum beta)^2)
+
+    Every float in ``betas`` is taken exactly; decimal exponents do not
+    underflow, so the literal quotient is used at any P.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b = [decimal.Decimal(x) for x in betas]
+        p = len(b)
+        prod = decimal.Decimal(1)
+        for x in b:
+            prod *= x * x
+        pu = p * prod / b[-1] ** (2 * (p - 1))
+        total = sum(b)
+        return pu, 1 - (1 - pu) ** (n - 1) * (p - total * total) / p
 
 
 def dense_report(config: ProtocolConfig) -> SimpleNamespace:

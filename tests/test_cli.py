@@ -28,6 +28,18 @@ def parse_report(stdout: str) -> dict[str, str]:
     return pairs
 
 
+def assert_simulate_within_5_sigma(stdout: str, trials: int) -> dict[str, str]:
+    """The histogram covers every trial and the rate lies within 5 sigma of
+    the printed expectation."""
+    report = parse_report(stdout)
+    counts = [int(kv.split(":")[1]) for kv in report["kept_count_histogram"].split()]
+    assert sum(counts) == trials
+    expected = float(report["ps_overall_expected"])
+    sigma = math.sqrt(expected * (1 - expected) / trials)
+    assert abs(float(report["success_rate"]) - expected) <= 5 * sigma
+    return report
+
+
 class TestRunCommands:
     def test_ted_ghz_rounded_inputs(self, capsys):
         rc, out, _ = run(
@@ -97,6 +109,21 @@ class TestRunCommands:
         assert a["ps_per_copy"] == b["ps_per_copy"]
         assert a["threshold"] == "false" and b["threshold"] == "true"
 
+    def test_simulate_w_p40(self, capsys):
+        # near-uniform betas with beta_39 maximal: p_u is about 0.47
+        b = 1 / math.sqrt(40.02)
+        betas = (b,) * 39 + (math.sqrt(1 - 39 * b * b),)
+        trials = 20000
+        rc, out, err = run(
+            capsys, "simulate", "--family", "w", "--p", "40", "--n", "3",
+            "--betas", ",".join(repr(x) for x in betas), "--trials", str(trials),
+        )
+        assert rc == 0 and err == ""
+        report = assert_simulate_within_5_sigma(out, trials)
+        pu = 40 * math.prod(x * x for x in betas) / betas[-1] ** 78
+        assert 0.1 <= pu <= 0.9
+        assert float(report["ps_per_copy"]) == pytest.approx(pu, abs=1e-12)
+
     def test_simulate_w_family(self, capsys):
         rc, out, _ = run(
             capsys, "simulate", "--family", "w", "--p", "3", "--n", "3",
@@ -147,12 +174,16 @@ class TestErrorReporting:
         assert "category=BadPartition" in err
 
     def test_work_cap_category(self, capsys):
-        rc, _, err = run(
+        # WorkCapExceeded bounds only the 2^Q reference enumeration; simulate
+        # needs p_u alone, so Q = 29 runs and must pass the 5-sigma check
+        trials = 20000
+        rc, out, err = run(
             capsys, "simulate", "--family", "ghz", "--d", "2", "--p", "30", "--q", "29",
-            "--n", "3", "--alphas", "0.6,0.8", "--trials", "10",
+            "--n", "3", "--alphas", "0.6,0.8", "--trials", str(trials),
         )
-        assert rc == 2
-        assert err.startswith("error category=WorkCapExceeded: ")
+        assert rc == 0 and err == ""
+        report = assert_simulate_within_5_sigma(out, trials)
+        assert float(report["ps_per_copy"]) == pytest.approx(2 * 0.6**2, abs=1e-12)
 
     def test_steering_scenario_category(self, capsys):
         rc, _, err = run(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +21,7 @@ from qdistill import (
     pure_target_fidelity,
     state_fidelity,
 )
-from qdistill.linalg import check_dense_cap
+from qdistill.linalg import _clamp_unit, check_dense_cap
 
 from conftest import oracle_partial_trace, oracle_state_fidelity, random_density, random_psd
 
@@ -186,6 +188,13 @@ class TestStateFidelity:
     def test_rejects_non_density(self):
         with pytest.raises(NotPositiveError):
             state_fidelity(op(np.eye(2)), op(np.eye(2) / 2, density=True))
+
+    def test_clamp_rejects_non_finite(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NotPositiveError):
+                _clamp_unit(value, "fidelity")
+        assert _clamp_unit(1.0 + 1e-13, "fidelity") == 1.0
+        assert _clamp_unit(-1e-13, "fidelity") == 0.0
 
 
 class TestPureTargetFidelity:

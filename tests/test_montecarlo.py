@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdistill import (
     GhzSpec,
+    IndexPartition,
     InvalidSpecError,
     WorkCapExceededError,
     WSpec,
@@ -16,7 +17,7 @@ from qdistill import (
     simulate_trial,
 )
 from qdistill.montecarlo import _CHUNK_BLOCKS, outcome_distribution, philox_uniforms, trial_rng
-from qdistill.ted import overall_success
+from qdistill.ted import overall_success, success_prob_per_copy
 
 from conftest import ghz_config, random_ghz_spec, w_config
 
@@ -67,8 +68,52 @@ class TestOutcomeDistribution:
         config = ghz_config(GhzSpec(2, 18, (0.6, 0.8)), n=3, q=17)
         with pytest.raises(WorkCapExceededError):
             outcome_distribution(config)
-        with pytest.raises(WorkCapExceededError):
-            run_stats(config, 10, seed=0)
+        # run_stats needs p_u alone, so the reference's cap does not bind it
+        trials = 20000
+        stats = run_stats(config, trials, seed=0)
+        assert sum(stats.kept_count_histogram.values()) == trials
+        expected = overall_success(2 * 0.6**2, config.n_copies)
+        sigma = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(stats.success_rate - expected) <= 5 * sigma
+
+
+def unit_coeffs(draw, size: int) -> tuple[float, ...]:
+    """Unit vector of positive coefficients, sorted ascending."""
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+    return tuple(np.sort(raw / np.linalg.norm(raw)))
+
+
+@st.composite
+def ghz_configs(draw):
+    d, p = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+    q = draw(st.integers(1, p - 1))
+    partition = None
+    if draw(st.booleans()):
+        owners = draw(st.lists(st.integers(0, q - 1), min_size=d - 1, max_size=d - 1))
+        partition = IndexPartition(tuple(
+            frozenset(i for i, o in enumerate(owners, start=1) if o == k) for k in range(q)
+        ))
+    return ghz_config(GhzSpec(d, p, unit_coeffs(draw, d)), q=q, partition=partition)
+
+
+@st.composite
+def w_configs(draw):
+    p = draw(st.integers(2, 8))
+    return w_config(WSpec(p, unit_coeffs(draw, p)))
+
+
+# run_stats keeps a copy iff u < success_prob_per_copy(config); that is the
+# reference draw only if it equals the all-zeros probability bit for bit
+@settings(max_examples=150)
+@given(config=ghz_configs())
+def test_ghz_success_prob_equals_reference_all_zeros_probability(config):
+    assert success_prob_per_copy(config) == outcome_distribution(config)[1][0]
+
+
+@settings(max_examples=150)
+@given(config=w_configs())
+def test_w_success_prob_equals_reference_all_zeros_probability(config):
+    assert success_prob_per_copy(config) == outcome_distribution(config)[1][0]
 
 
 class TestPhiloxUniforms:

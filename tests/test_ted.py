@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -30,14 +31,17 @@ from qdistill.ted import (
     StateMixture,
     assignment_for,
     fidelity_from_success,
+    w_success_probability,
 )
 
 from conftest import (
+    CORPUS_SEED,
     ORACLE_FIDELITY_TOL,
     dense_report,
     ghz_config,
     oracle_layer,
     oracle_state_fidelity,
+    oracle_w_law,
     random_ghz_spec,
     random_w_spec,
     w_config,
@@ -321,6 +325,74 @@ class TestRunTed:
                 fidelity_numeric=0.8,
                 distilled_state=run_ted(ghz_config(SQRT8_SPEC)).distilled_state,
             )
+
+    def test_report_rejects_non_finite_values(self):
+        state = run_ted(ghz_config(SQRT8_SPEC)).distilled_state
+        bad = (
+            (0.5, 0.75, math.nan, 0.9),
+            (0.5, 0.75, 0.9, math.nan),
+            (0.5, 0.75, math.nan, math.nan),
+            (0.5, 0.75, math.inf, math.inf),
+            (0.5, math.nan, 0.9, 0.9),
+            (math.nan, 0.75, 0.9, 0.9),
+        )
+        for pu, ps, closed, numeric in bad:
+            with pytest.raises(InvalidSpecError):
+                DistillationReport(
+                    n_copies=3,
+                    p_success_per_copy=pu,
+                    p_success_overall=ps,
+                    fidelity_closed_form=closed,
+                    fidelity_numeric=numeric,
+                    distilled_state=state,
+                )
+
+
+W_LARGE_P = (200, 400, 1000)
+
+
+def near_uniform_w_spec(p: int) -> WSpec:
+    """beta_i^2 proportional to 1 + 2i/P^2: beta_{P-1} is maximal and p_u
+    stays near 0.37 at every P."""
+    w = 1 + 2 * np.arange(p) / p**2
+    return WSpec(p, tuple(np.sqrt(w / w.sum())))
+
+
+def rel_error(got: float, exact: decimal.Decimal) -> float:
+    return float(abs(decimal.Decimal(got) - exact) / exact)
+
+
+class TestWLargeP:
+    """The W law at P >= 200, where prod(beta^2) and beta_max^(2(P-1)) both
+    underflow as doubles, against the 50-digit decimal oracle."""
+
+    @pytest.mark.parametrize("p", W_LARGE_P)
+    def test_near_uniform_matches_decimal_oracle(self, p):
+        spec = near_uniform_w_spec(p)
+        for n in (2, 5, 50):
+            report = run_ted(w_config(spec, n=n))
+            pu, fidelity = oracle_w_law(spec.betas, n)
+            assert all(math.isfinite(v) for v in (
+                report.p_success_per_copy, report.p_success_overall,
+                report.fidelity_closed_form, report.fidelity_numeric,
+            ))
+            assert rel_error(w_success_probability(spec), pu) <= 1e-15
+            assert rel_error(report.fidelity_closed_form, fidelity) <= 1e-15
+            # the compact route rounds once per party, so its bound is P * eps
+            assert rel_error(report.p_success_per_copy, pu) <= 1e-13
+            assert rel_error(report.fidelity_numeric, fidelity) <= 1e-13
+
+    @pytest.mark.parametrize("p", W_LARGE_P)
+    def test_spread_spec_fidelity_matches_decimal_oracle(self, p):
+        # beta_i spread over [0.2, 1] before normalizing: p_u is ~1e-102 at
+        # P = 200, ~1e-205 at P = 400 and below the smallest double at 1000
+        spec = random_w_spec(np.random.default_rng(CORPUS_SEED + p), p)
+        report = run_ted(w_config(spec, n=3))
+        _, fidelity = oracle_w_law(spec.betas, 3)
+        assert 0.0 <= report.p_success_per_copy < 1e-100
+        assert 0.0 <= w_success_probability(spec) < 1e-100
+        assert rel_error(report.fidelity_closed_form, fidelity) <= 1e-15
+        assert rel_error(report.fidelity_numeric, fidelity) <= 1e-13
 
 
 class TestConfigValidation:
