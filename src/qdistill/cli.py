@@ -83,6 +83,30 @@ def _parse_int_values(text: str) -> tuple[int, ...]:
     return values
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise InvalidSpecError(f"sweep value {number!r} is not finite")
+    return number
+
+
+def _finite_floats(text: str) -> tuple[float, ...]:
+    return tuple(_finite(v) for v in _parse_floats(text))
+
+
+# (flag, SweepGrid field, parser of the flag or config-file value); a GHZ
+# preset takes its single --p as the field ``p``
+SWEEP_OVERRIDES = (
+    ("alpha0", "alpha0_values", _finite_floats),
+    ("beta0", "beta0_values", _finite_floats),
+    ("pu", "pu", _finite),
+    ("gap", "gap", _finite),
+    ("d", "d_values", _parse_int_values),
+    ("n", "n_values", _parse_int_values),
+    ("p", "p_values", _parse_int_values),
+)
+
+
 def _parse_partition(text: str) -> IndexPartition:
     """Blocks separated by '|', indices within a block by ',': '1,3|2'."""
     try:
@@ -247,34 +271,16 @@ def _cmd_tsd(args, family: Family) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config_file(_opt(args, {}, "config"))
     preset = _require(args, cfg, "preset", str)
-    overrides: dict = {}
-    alpha0 = _opt(args, cfg, "alpha0")
-    if alpha0 is not None:
-        overrides["alpha0_values"] = tuple(_parse_floats(str(alpha0)))
-    beta0 = _opt(args, cfg, "beta0")
-    if beta0 is not None:
-        overrides["beta0_values"] = tuple(_parse_floats(str(beta0)))
-    pu = _opt(args, cfg, "pu", kind=float)
-    if pu is not None:
-        overrides["pu"] = pu
-    gap = _opt(args, cfg, "gap", kind=float)
-    if gap is not None:
-        overrides["gap"] = gap
-    d_vals = _opt(args, cfg, "d")
-    if d_vals is not None:
-        overrides["d_values"] = _parse_int_values(str(d_vals))
-    n_vals = _opt(args, cfg, "n")
-    if n_vals is not None:
-        overrides["n_values"] = _parse_int_values(str(n_vals))
-    p_vals = _opt(args, cfg, "p")
-    if p_vals is not None:
-        values = _parse_int_values(str(p_vals))
-        if preset.startswith("ghz"):
-            if len(values) != 1:
-                raise InvalidSpecError("GHZ sweeps take a single --p value")
-            overrides["p"] = values[0]
-        else:
-            overrides["p_values"] = values
+    overrides = {}
+    for flag, field, parse in SWEEP_OVERRIDES:
+        value = _opt(args, cfg, flag, kind=parse)
+        if value is not None:
+            overrides[field] = value
+    if preset.startswith("ghz") and "p_values" in overrides:
+        values = overrides.pop("p_values")
+        if len(values) != 1:
+            raise InvalidSpecError("GHZ sweeps take a single --p value")
+        overrides["p"] = values[0]
     rows = grid_rows(preset_grid(preset, **overrides))
     out_text = _opt(args, cfg, "out")
     fmt = str(_opt(args, cfg, "format", "csv"))

@@ -19,6 +19,7 @@ component by beta_{p-1-j}/beta_{p-1}; this requires all p-1 of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .errors import (
     PivotNotMaximalError,
     PivotNotMinimalError,
 )
-from .linalg import Operator
 from .states import GhzSpec, Spec, WSpec
 
 PIVOT_TOL = 1e-12
@@ -37,37 +37,37 @@ ENTRY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class KrausPair:
-    """A dichotomic filter {K0, K1}, both diagonal with entries in [0, 1].
+    """A dichotomic filter {K0, K1}, stored as the two real diagonals
+    ``k0`` and ``k1`` with entries in [0, 1].
 
     Construction checks the structural invariants only; POVM completeness is
     the factories' job and is reported by :func:`validate_povm`, which must
     also be able to inspect deliberately broken pairs.
     """
 
-    k0: Operator
-    k1: Operator
+    k0: np.ndarray
+    k1: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, op in (("k0", self.k0), ("k1", self.k1)):
-            m = op.entries
-            off = m - np.diag(np.diagonal(m))
-            if np.max(np.abs(off)) > ENTRY_TOL:
-                raise DimensionMismatchError(f"{name} must be diagonal")
-            diag = np.diagonal(m)
-            if np.max(np.abs(diag.imag)) > ENTRY_TOL:
+        for name in ("k0", "k1"):
+            raw = np.asarray(getattr(self, name))
+            if raw.ndim != 1:
+                raise DimensionMismatchError(f"{name} must be a 1-d diagonal")
+            if np.iscomplexobj(raw):
                 raise DimensionMismatchError(f"{name} entries must be real")
-            if np.min(diag.real) < -ENTRY_TOL or np.max(diag.real) > 1.0 + ENTRY_TOL:
+            vec = raw.astype(float)
+            if not np.all((-ENTRY_TOL <= vec) & (vec <= 1.0 + ENTRY_TOL)):  # NaN fails
                 raise DimensionMismatchError(f"{name} entries must lie in [0, 1]")
-        if self.k0.dim != self.k1.dim:
+            object.__setattr__(self, name, vec)
+        if len(self.k0) != len(self.k1):
             raise DimensionMismatchError("k0 and k1 dims differ")
 
     @property
     def dim(self) -> int:
-        return self.k0.dim
+        return len(self.k0)
 
     def diag(self, outcome: int) -> np.ndarray:
-        op = self.k0 if outcome == 0 else self.k1
-        return np.diagonal(op.entries).real
+        return self.k0 if outcome == 0 else self.k1
 
     @classmethod
     def from_diagonals(cls, d0: np.ndarray) -> "KrausPair":
@@ -75,7 +75,7 @@ class KrausPair:
         the pair is complete by construction even under floating-point drift."""
         d0 = np.clip(np.asarray(d0, dtype=float), 0.0, 1.0)
         d1 = np.sqrt(np.clip(1.0 - d0 * d0, 0.0, None))
-        return cls(Operator(np.diag(d0)), Operator(np.diag(d1)))
+        return cls(d0, d1)
 
 
 def identity_pair(dim: int) -> KrausPair:
@@ -91,10 +91,8 @@ class PovmReport:
 
 def validate_povm(pair: KrausPair, tol: float = ENTRY_TOL) -> PovmReport:
     """Check K0^dag K0 + K1^dag K1 = I and entry bounds; report max deviation."""
-    m0, m1 = pair.k0.entries, pair.k1.entries
-    total = m0.conj().T @ m0 + m1.conj().T @ m1
-    comp = float(np.max(np.abs(total - np.eye(pair.dim))))
-    entries = np.concatenate([np.diagonal(m0).real, np.diagonal(m1).real])
+    comp = float(np.max(np.abs(pair.k0 * pair.k0 + pair.k1 * pair.k1 - 1.0)))
+    entries = np.concatenate([pair.k0, pair.k1])
     entry = float(max(np.max(entries - 1.0), np.max(-entries), 0.0))
     return PovmReport(ok=comp <= tol and entry <= tol,
                       completeness_deviation=comp, entry_deviation=entry)
@@ -172,6 +170,29 @@ class FilterAssignment:
     @property
     def q(self) -> int:
         return len(self.participants)
+
+
+def apply_layer(
+    values: np.ndarray,
+    assignment: FilterAssignment,
+    outcomes: Sequence[int],
+    local: np.ndarray,
+) -> np.ndarray:
+    """Multiply ``values`` by the joint diagonal of one filter layer.
+
+    ``values[r]`` belongs to the basis state whose party-j local index is
+    ``local[r, j]``.  Each participant multiplies by its diagonal entry there,
+    one participant at a time in party order, so the start vector fixes the
+    rounding: amplitudes for a dense ket, ones for a multiplier.
+    """
+    participants = assignment.participants
+    if len(outcomes) != len(participants):
+        raise DimensionMismatchError(
+            f"{len(participants)} participants but {len(outcomes)} outcomes"
+        )
+    for j, o in zip(participants, outcomes):
+        values = values * assignment.pairs[j].diag(o)[local[:, j]]
+    return values
 
 
 def _ghz_ratios(spec: GhzSpec) -> np.ndarray:

@@ -74,7 +74,7 @@ class Ket:
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
             n = float(np.linalg.norm(amps))
-            if abs(n - 1.0) > KET_NORM_TOL:
+            if not abs(n - 1.0) <= KET_NORM_TOL:  # NaN fails
                 raise NotPositiveError(
                     f"ket flagged normalized but has norm {n!r}"
                 )
@@ -107,13 +107,13 @@ class Operator:
             object.__setattr__(self, "hermitian", True)
         if self.hermitian:
             dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-            if dev > HERMITIAN_TOL:
+            if not dev <= HERMITIAN_TOL:
                 raise NotHermitianError(
                     f"operator flagged hermitian deviates by {dev:.3e}"
                 )
         if self.density:
             tr = complex(np.trace(m))
-            if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+            if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
                 raise NotPositiveError(
                     f"operator flagged density has trace {tr!r}"
                 )
@@ -194,7 +194,7 @@ def partial_trace(rho: Operator, dims: DimsProfile, traced_parties: Iterable[int
 
 def _check_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
     return 0.5 * (m + m.conj().T)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg import DimsProfile, Ket, check_dense_cap
+from .linalg import Ket, check_dense_cap
 
 SPEC_NORM_TOL = 1e-9
 
@@ -67,10 +67,6 @@ class GhzSpec:
             self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas")
         )
 
-    @property
-    def dims(self) -> DimsProfile:
-        return DimsProfile.uniform(self.d, self.p)
-
 
 @dataclass(frozen=True)
 class WSpec:
@@ -86,10 +82,6 @@ class WSpec:
         object.__setattr__(
             self, "betas", _validated_coeffs(self.betas, self.p, "betas")
         )
-
-    @property
-    def dims(self) -> DimsProfile:
-        return DimsProfile.uniform(2, self.p)
 
 
 Spec = GhzSpec | WSpec
@@ -111,32 +103,26 @@ class CompactState:
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
-        if self.normalized and abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
+        if self.normalized and not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12:
             raise InvalidSpecError("compact state flagged normalized is not")
 
 
-def ghz_basis_index(d: int, p: int, i: int) -> int:
-    """Global index of |i i ... i> under party-0-leftmost ordering."""
-    return i * (d**p - 1) // (d - 1)
-
-
-def w_basis_index(p: int, i: int) -> int:
-    """Global index of the W basis term carried by beta_i (party p-1-i excited)."""
-    return 2**i
+def local_indices(spec: Spec) -> np.ndarray:
+    """The basis placement table: row k holds, per party, the local index
+    of the basis state that carries coefficient k (|k k ... k> for GHZ;
+    for W, 1 at party p-1-k and 0 elsewhere)."""
+    if isinstance(spec, GhzSpec):
+        return np.repeat(np.arange(spec.d)[:, None], spec.p, axis=1)
+    return np.eye(spec.p, dtype=np.intp)[:, ::-1]
 
 
 def _place(spec: Spec, coeffs, normalized: bool) -> Ket:
     """Scatter a coefficient vector onto its basis states of the full
     product space (subject to the dense cap)."""
-    if isinstance(spec, GhzSpec):
-        total = spec.d**spec.p
-        index = [ghz_basis_index(spec.d, spec.p, i) for i in range(spec.d)]
-    else:
-        total = 2**spec.p
-        index = [w_basis_index(spec.p, i) for i in range(spec.p)]
-    check_dense_cap(total)
-    amps = np.zeros(total, dtype=complex)
-    amps[index] = coeffs
+    local = spec.d if isinstance(spec, GhzSpec) else 2
+    check_dense_cap(local**spec.p)
+    amps = np.zeros(local**spec.p, dtype=complex)
+    amps[local_indices(spec) @ local ** np.arange(spec.p - 1, -1, -1)] = coeffs
     return Ket(amps, normalized=normalized)
 
 

@@ -61,7 +61,7 @@ def solve_ghz_coefficients(d: int, alpha0: float, gap: float) -> tuple[float, ..
         return None
     if d == 2:
         z = math.sqrt(s2)
-        if abs(s1 * s1 - s2) > 1e-9 or z < a - FEAS_TOL:
+        if not abs(s1 * s1 - s2) <= 1e-9 or z < a - FEAS_TOL:
             return None
         return (a, z)
     k = d - 2

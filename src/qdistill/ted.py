@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError, InvalidSpecError
 from .filters import (
     FilterAssignment,
     IndexPartition,
+    apply_layer,
     ghz_partition_assignment,
     last_parties,
     w_assignment,
@@ -45,6 +46,7 @@ from .states import (
     WSpec,
     compact_to_dense,
     family_of,
+    local_indices,
     make_compact,
     perfect_like,
 )
@@ -144,32 +146,6 @@ def _cached_assignment(
     return assignment_for(family, spec, q, partition)
 
 
-def _compact_multipliers(
-    state: CompactState, assignment: FilterAssignment, outcomes: Sequence[int]
-) -> np.ndarray:
-    """Per-coefficient diagonal action of the joint filter layer."""
-    participants = assignment.participants
-    if len(outcomes) != len(participants):
-        raise DimensionMismatchError(
-            f"{len(participants)} participants but {len(outcomes)} outcomes"
-        )
-    if state.family is Family.GHZ_DIAGONAL:
-        mult = np.ones(len(state.coeffs))
-        for j, o in zip(participants, outcomes):
-            mult *= assignment.pairs[j].diag(o)
-        return mult
-    # W: coefficient i lives on the basis state whose excitation sits on
-    # party p-1-i, so party j sees |1> only for the coefficient i = p-1-j
-    p = state.spec.p
-    mult = np.ones(p)
-    for j, o in zip(participants, outcomes):
-        d = assignment.pairs[j].diag(o)
-        local = np.full(p, d[0])
-        local[p - 1 - j] = d[1]
-        mult *= local
-    return mult
-
-
 def apply_filter_layer(
     state: Ket | CompactState,
     assignment: FilterAssignment,
@@ -182,31 +158,26 @@ def apply_filter_layer(
     outcome strings the probabilities add to 1.
     """
     if isinstance(state, CompactState):
-        mult = _compact_multipliers(state, assignment, outcomes)
+        mult = apply_layer(
+            np.ones(len(state.coeffs)), assignment, outcomes, local_indices(state.spec)
+        )
         coeffs = state.coeffs * mult
         prob = float(np.sum(coeffs * coeffs))
         out = CompactState(state.family, coeffs, state.spec, normalized=False)
         return out, prob
-    # dense path: multiply each participating party's axis by its diagonal
+    # dense reference: the table row of a basis state holds its base-d digits
     participants = assignment.participants
-    if len(outcomes) != len(participants):
-        raise DimensionMismatchError(
-            f"{len(participants)} participants but {len(outcomes)} outcomes"
-        )
-    if not participants:
-        return Ket(state.amplitudes, normalized=False), 1.0
+    if not participants:  # no local dimension to read, and no table is needed
+        amps = apply_layer(state.amplitudes, assignment, outcomes, None)
+        return Ket(amps, normalized=False), 1.0
     local = assignment.pairs[participants[0]].dim
     p = assignment.p
     if state.dim != local**p:
         raise DimensionMismatchError(
             f"state dim {state.dim} does not match {p} parties of local dim {local}"
         )
-    tensor = state.amplitudes.reshape((local,) * p)
-    for j, o in zip(participants, outcomes):
-        shape = [1] * p
-        shape[j] = local
-        tensor = tensor * assignment.pairs[j].diag(o).reshape(shape)
-    amps = tensor.reshape(-1)
+    table = np.indices((local,) * p).reshape(p, -1).T
+    amps = apply_layer(state.amplitudes, assignment, outcomes, table)
     prob = float(np.real(np.vdot(amps, amps)))
     return Ket(amps, normalized=False), prob
 
@@ -223,18 +194,15 @@ def overall_success(p_per_copy: float, n: int) -> float:
 @lru_cache(maxsize=4096)
 def _compact_zero_layer(
     family: Family, spec: Spec, q: int, partition: IndexPartition | None
-) -> tuple[tuple[float, ...], float]:
-    """All-zeros-outcome diagonal multiplier and its success probability."""
+) -> float:
+    """Success probability of the all-zeros outcome on the compact state."""
     assignment = _cached_assignment(family, spec, q, partition)
-    state = make_compact(spec)
-    mult = _compact_multipliers(state, assignment, (0,) * assignment.q)
-    coeffs = state.coeffs * mult
-    return tuple(mult), float(np.sum(coeffs * coeffs))
+    return apply_filter_layer(make_compact(spec), assignment, (0,) * assignment.q)[1]
 
 
 def success_prob_per_copy(config: ProtocolConfig) -> float:
     """Probability that every participant reports outcome 0 on one copy."""
-    return _compact_zero_layer(config.family, config.spec, config.q, config.partition)[1]
+    return _compact_zero_layer(config.family, config.spec, config.q, config.partition)
 
 
 def closed_form_fidelity_ghz(spec: GhzSpec, n: int) -> float:

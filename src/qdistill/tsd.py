@@ -37,7 +37,7 @@ from .errors import (
     InvalidSteeringScenarioError,
     NotPositiveError,
 )
-from .filters import FilterAssignment
+from .filters import FilterAssignment, apply_layer
 from .linalg import Ket, _clamp_unit, _root_fidelity
 from .states import Family, GhzSpec, make_dense, perfect_like
 from .ted import (
@@ -119,11 +119,11 @@ class Assemblage:
 def validate_assemblage(asm: Assemblage, tol: float = NONSIGNALING_TOL) -> None:
     """Check member positivity, unit-trace reduced state, and non-signaling."""
     ref = asm.reduced_state(asm.settings[0])
-    if abs(complex(np.trace(ref)) - 1.0) > tol:
+    if not abs(complex(np.trace(ref)) - 1.0) <= tol:  # NaN fails
         raise NotPositiveError("reduced state trace differs from 1")
     for x in asm.settings[1:]:
         dev = float(np.max(np.abs(asm.reduced_state(x) - ref)))
-        if dev > tol:
+        if not dev <= tol:
             raise NotPositiveError(f"non-signaling violated by {dev:.3e} at x={x}")
     for key, m in asm.members.items():
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
@@ -211,25 +211,14 @@ def _char_diagonal(
 ) -> np.ndarray:
     """Joint diagonal of the filter layer on the characterized subsystem."""
     participants = assignment.participants
-    if len(outcomes) != len(participants):
-        raise DimensionMismatchError(
-            f"{len(participants)} participants but {len(outcomes)} outcomes"
-        )
     s = assignment.p - len(asm.char_dims)
     if any(j < s for j in participants):
         raise InvalidSteeringScenarioError(
             "filters may only touch characterized parties (index >= s); "
             f"assignment touches {sorted(j for j in participants if j < s)}"
         )
-    by_party = dict(zip(participants, outcomes))
-    diag = np.ones(1)
-    for k, dloc in enumerate(asm.char_dims):
-        j = s + k
-        if j in by_party:
-            diag = np.outer(diag, assignment.pairs[j].diag(by_party[j])).reshape(-1)
-        else:
-            diag = np.repeat(diag, dloc)
-    return diag
+    table = np.indices((1,) * s + asm.char_dims).reshape(assignment.p, -1).T
+    return apply_layer(np.ones(asm.char_dim), assignment, outcomes, table)
 
 
 def filter_assemblage(

@@ -216,8 +216,7 @@ def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:
     mat = np.eye(1)
     for j in range(assignment.p):
         if j in by_party:
-            pair = assignment.pairs[j]
-            block = (pair.k0 if by_party[j] == 0 else pair.k1).entries
+            block = np.diag(assignment.pairs[j].diag(by_party[j]))
         else:
             block = np.eye(local, dtype=complex)
         mat = np.kron(mat, block)

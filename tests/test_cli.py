@@ -245,6 +245,26 @@ class TestErrorReporting:
         assert out == ""
 
 
+    @pytest.mark.parametrize("preset, flag, value", [
+        ("ghz-contour", "--alpha0", "nan"),
+        ("ghz-convergence", "--alpha0", "0.3,inf"),
+        ("w-contour", "--beta0", "nan"),  # not read by this preset, still refused
+        ("w-contour", "--pu", "nan"),
+        ("ghz-contour", "--gap", "nan"),
+        ("w-contour", "--gap", "inf"),
+    ])
+    def test_non_finite_sweep_override_category(self, capsys, preset, flag, value):
+        rc, out, err = run(capsys, "sweep", "--preset", preset, flag, value)
+        self.assert_invalid_spec(rc, err)
+        assert out == ""
+
+    def test_non_finite_sweep_config_value_category(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("preset = w-contour\npu = nan\n")
+        rc, out, err = run(capsys, "sweep", "--config", str(cfg))
+        self.assert_invalid_spec(rc, err)
+        assert out == ""
+
 class TestSweepConsistency:
     def test_single_point_sweep_equals_ted_ghz(self, capsys):
         rc, sweep_out, _ = run(

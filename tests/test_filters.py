@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from qdistill import (
     BadPartitionError,
+    DimensionMismatchError,
     GhzSpec,
     IndexPartition,
     KrausPair,
-    Operator,
     PivotNotMaximalError,
     PivotNotMinimalError,
     WSpec,
@@ -31,18 +31,11 @@ from conftest import (
 )
 
 
-def diag_pair(d0, d1):
-    return KrausPair(
-        Operator(np.diag(np.asarray(d0, dtype=complex))),
-        Operator(np.diag(np.asarray(d1, dtype=complex))),
-    )
-
-
 class TestGhzSinglePartyPair:
     def test_perfect_spec_gives_identity(self):
         pair = ghz_single_party_pair(perfect_ghz(3, 3))
-        assert np.allclose(pair.k0.entries, np.eye(3))
-        assert np.allclose(pair.k1.entries, np.zeros((3, 3)))
+        assert np.allclose(pair.k0, np.ones(3))
+        assert np.allclose(pair.k1, np.zeros(3))
 
     def test_d3_entries(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
@@ -94,8 +87,8 @@ class TestPartitionAssignment:
             spec, IndexPartition.single(4), (2,)
         )
         single = ghz_single_party_pair(spec)
-        assert np.array_equal(assignment.pairs[2].k0.entries, single.k0.entries)
-        assert np.array_equal(assignment.pairs[2].k1.entries, single.k1.entries)
+        assert np.array_equal(assignment.pairs[2].k0, single.k0)
+        assert np.array_equal(assignment.pairs[2].k1, single.k1)
 
     def test_partition_invariance_dense(self, rng):
         # post-selected state and probability identical for every labeled
@@ -122,7 +115,7 @@ class TestPartitionAssignment:
         spec = random_ghz_spec(rng, 2, 4)
         part = IndexPartition((frozenset({1}), frozenset()))
         assignment = ghz_partition_assignment(spec, part, (2, 3))
-        assert np.allclose(assignment.pairs[3].k0.entries, np.eye(2))
+        assert np.allclose(assignment.pairs[3].k0, np.ones(2))
 
     def test_diagonal_product_flattens_profile(self, rng):
         # across participants, entry products must be alpha_0/alpha_i
@@ -175,7 +168,7 @@ class TestWAssignment:
     def test_perfect_w_identity_filters(self):
         assignment = w_assignment(perfect_w(4))
         for j in (1, 2, 3):
-            assert np.allclose(assignment.pairs[j].k0.entries, np.eye(2))
+            assert np.allclose(assignment.pairs[j].k0, np.ones(2))
 
     def test_pivot_not_maximal(self):
         spec = WSpec(3, (0.8, 0.3, np.sqrt(1 - 0.64 - 0.09)))
@@ -205,11 +198,11 @@ class TestValidatePovm:
         assert validate_povm(identity_pair(3)).ok
 
     def test_half_pair_ok(self):
-        pair = diag_pair([0.5], [np.sqrt(0.75)])
+        pair = KrausPair([0.5], [np.sqrt(0.75)])
         assert validate_povm(pair).ok
 
     def test_incomplete_pair_reports_deviation(self):
-        pair = diag_pair([0.9], [0.9])
+        pair = KrausPair([0.9], [0.9])
         report = validate_povm(pair)
         assert not report.ok
         assert report.completeness_deviation == pytest.approx(0.62, abs=1e-12)
@@ -260,14 +253,40 @@ class TestCanonicalize:
 
 
 class TestKrausPairType:
-    def test_rejects_non_diagonal(self):
-        m = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
-        with pytest.raises(Exception):
-            KrausPair(Operator(m), Operator(np.eye(2, dtype=complex)))
+    def test_stores_real_diagonal_vectors(self):
+        pair = KrausPair([0.5, 1], [np.sqrt(0.75), 0])
+        assert pair.k0.dtype == float and pair.k0.shape == (2,)
+        assert pair.diag(0) is pair.k0 and pair.diag(1) is pair.k1
+        assert pair.dim == 2
+
+    @pytest.mark.parametrize("k0, k1", [
+        # a non-diagonal operator can no longer be expressed: any 2-D input fails
+        pytest.param(np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex), np.ones(2),
+                     id="non_diagonal_matrix"),
+        pytest.param(np.diag([0.5, 1.0]), np.ones(2), id="diagonal_matrix"),
+        pytest.param(np.ones(2), np.eye(2), id="k1_matrix"),
+        pytest.param(np.float64(0.5), np.ones(1), id="scalar"),
+        # complex input, even with a zero imaginary part, is not cast silently
+        pytest.param(np.array([0.5, 1.0 + 0.1j]), np.ones(2), id="complex"),
+        pytest.param(np.array([0.5, 1.0], dtype=complex), np.ones(2), id="complex_dtype"),
+        pytest.param(np.ones(2), np.array([0.5j, 0.0]), id="k1_complex"),
+        pytest.param([0.5, 0.5], [0.5, 0.5, 0.5], id="unequal_lengths"),
+    ])
+    def test_rejects_malformed_inputs(self, k0, k1):
+        with pytest.raises(DimensionMismatchError):
+            KrausPair(k0, k1)
 
     def test_rejects_out_of_range_entries(self):
-        with pytest.raises(Exception):
-            diag_pair([1.2, 0.5], [0.0, 0.5])
+        # NaN-safe: NaN and infinity fail the [0, 1] check too
+        for k0, k1 in [
+            ([1.2, 0.5], [0.0, 0.5]),
+            ([0.5, -0.1], [0.5, 0.5]),
+            ([0.5, np.nan], [0.5, 0.5]),
+            ([0.5, 0.5], [np.nan, 0.5]),
+            ([0.5, np.inf], [0.5, 0.5]),
+        ]:
+            with pytest.raises(DimensionMismatchError):
+                KrausPair(k0, k1)
 
     def test_halves_preset(self):
         part = IndexPartition.halves(5)

@@ -21,7 +21,7 @@ from qdistill import (
     pure_target_fidelity,
     state_fidelity,
 )
-from qdistill.linalg import _clamp_unit, check_dense_cap
+from qdistill.linalg import _check_hermitian, _clamp_unit, check_dense_cap
 
 from conftest import oracle_partial_trace, oracle_state_fidelity, random_density, random_psd
 
@@ -33,6 +33,26 @@ def op(m, **kw):
 def proj(v):
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())
+
+
+class TestNonFiniteGuards:
+    """Tolerance guards are written ``not (dev <= tol)``, so NaN fails them."""
+
+    def test_ket_rejects_nan(self):
+        for amps in ([math.nan, 0.0], [math.inf, 0.0]):
+            with pytest.raises(NotPositiveError):
+                Ket(np.array(amps))
+
+    def test_operator_rejects_nan(self):
+        m = [[math.nan, 0], [0, 1]]
+        with pytest.raises(NotHermitianError):
+            op(m, density=True)
+        with pytest.raises(NotHermitianError):
+            op(m, hermitian=True)
+
+    def test_check_hermitian_rejects_nan(self):
+        with pytest.raises(NotHermitianError):
+            _check_hermitian(np.array([[math.nan, 0], [0, 1]], dtype=complex))
 
 
 class TestKron:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdistill import (
+    CompactState,
     DenseCapExceededError,
     DimsProfile,
     Family,
@@ -116,6 +117,25 @@ class TestDenseConstruction:
         wspec = random_w_spec(rng, 5)
         assert np.count_nonzero(make_dense(wspec).amplitudes) == 5
 
+    def test_placement_matches_index_formulas(self):
+        # GHZ |i ... i> sits at i (d^P - 1)/(d - 1); the W term of beta_i
+        # (party P-1-i excited) at 2^i
+        for d in range(2, 6):
+            for p in range(2, 6):
+                if d**p > 4096:
+                    continue
+                spec = perfect_ghz(d, p)
+                expected = np.zeros(d**p, dtype=complex)
+                for i in range(d):
+                    expected[i * (d**p - 1) // (d - 1)] = spec.alphas[i]
+                assert np.array_equal(make_dense(spec).amplitudes, expected)
+        for p in range(2, 12):
+            spec = perfect_w(p)
+            expected = np.zeros(2**p, dtype=complex)
+            for i in range(p):
+                expected[2**i] = spec.betas[i]
+            assert np.array_equal(make_dense(spec).amplitudes, expected)
+
     def test_dense_cap(self, monkeypatch):
         monkeypatch.delenv("QDISTILL_DENSE_CAP", raising=False)
         with pytest.raises(DenseCapExceededError):
@@ -153,6 +173,12 @@ class TestCompact:
                 compact_to_dense(make_compact(wspec)).amplitudes,
                 make_dense(wspec).amplitudes,
             )
+
+    def test_rejects_non_finite_coefficients(self):
+        spec = perfect_ghz(2, 2)
+        for coeffs in ([math.nan, 1.0], [math.inf, 0.0]):
+            with pytest.raises(InvalidSpecError):
+                CompactState(Family.GHZ_DIAGONAL, np.array(coeffs), spec)
 
 
 class TestPerfectTargets:

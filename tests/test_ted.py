@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from qdistill import (
 from qdistill.ted import (
     DistillationReport,
     StateMixture,
+    _cached_assignment,
+    _compact_zero_layer,
     assignment_for,
     fidelity_from_success,
     w_success_probability,
@@ -393,6 +396,40 @@ class TestWLargeP:
         assert 0.0 <= w_success_probability(spec) < 1e-100
         assert rel_error(report.fidelity_closed_form, fidelity) <= 1e-15
         assert rel_error(report.fidelity_numeric, fidelity) <= 1e-13
+
+    @given(
+        st.integers(3, 1000), st.floats(0.0, 4.0), st.integers(0, 2**32 - 1),
+        st.integers(2, 60),
+    )
+    def test_near_uniform_law_over_p_range(self, p, tilt, seed, n):
+        # beta_i^2 proportional to 1 + tilt * u_i / P with sorted uniform u,
+        # so beta_{P-1} is maximal and p_u stays of order one at every P
+        u = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, p))
+        w = 1 + tilt * u / p
+        spec = WSpec(p, tuple(np.sqrt(w / w.sum())))
+        pu, fidelity = oracle_w_law(spec.betas, n)
+        assert rel_error(w_success_probability(spec), pu) <= 1e-15
+        assert rel_error(run_ted(w_config(spec, n=n)).fidelity_closed_form, fidelity) <= 1e-15
+
+
+class TestLinearInD:
+    def test_ghz_d3000_allocates_no_d_squared_memory(self):
+        # filters are diagonal vectors, so a run at d = 3000 needs O(d)
+        # memory; d x d complex filter matrices would take 144 MB each
+        d = 3000
+        v = np.linspace(1.0, 2.0, d)
+        spec = GhzSpec(d, 3, tuple(v / np.linalg.norm(v)))
+        _cached_assignment.cache_clear()
+        _compact_zero_layer.cache_clear()
+        tracemalloc.start()
+        try:
+            report = run_ted(ghz_config(spec, n=10, q=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert report.p_success_per_copy == pytest.approx(d * spec.alphas[0] ** 2, rel=1e-12)
+        assert report.fidelity_numeric == pytest.approx(report.fidelity_closed_form, abs=1e-12)
 
 
 class TestConfigValidation:

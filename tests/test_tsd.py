@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from qdistill import (
+    Assemblage,
     Family,
     GhzSpec,
     InvalidSpecError,
     InvalidSteeringScenarioError,
+    NotPositiveError,
     ProtocolConfig,
     SteeringConfig,
     WSpec,
@@ -127,6 +129,15 @@ class TestBuildAssemblage:
             wspec = random_w_spec(rng, 4)
             asm = build_assemblage(make_dense(wspec), steering(wspec, s=1, q=3))
             validate_assemblage(asm)
+
+    def test_validate_rejects_nan_member(self):
+        asm = build_assemblage(make_dense(GHZ_TOY), steering(GHZ_TOY))
+        members = dict(asm.members)
+        key = next(iter(members))
+        members[key] = np.full_like(members[key], math.nan)
+        broken = Assemblage(asm.s, asm.d_out, asm.char_dims, members)
+        with pytest.raises(NotPositiveError):
+            validate_assemblage(broken)
 
     def test_reduced_state_is_partial_trace(self):
         asm = build_assemblage(make_dense(GHZ_TOY), steering(GHZ_TOY))
