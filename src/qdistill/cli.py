@@ -192,13 +192,18 @@ def _write_manifest(out: Path, argv: list[str], config: dict, seed: int | None) 
     )
 
 
-def _write_rows(
-    out: Path, rows: list[dict], columns: tuple[str, ...], fmt: str
-) -> None:
+def _rows_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
+    """Header plus one line per row, every line newline-terminated."""
     sep = "\t" if fmt == "tsv" else ","
     lines = [sep.join(columns)]
     lines.extend(sep.join(_fmt(row[c]) for c in columns) for row in rows)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_rows(
+    out: Path, rows: list[dict], columns: tuple[str, ...], fmt: str
+) -> None:
+    out.write_text(_rows_text(rows, columns, fmt), encoding="utf-8", newline="\n")
 
 
 def _print_report(pairs: list[tuple[str, object]]) -> None:
@@ -290,10 +295,7 @@ def _cmd_sweep(args) -> int:
         _write_manifest(out, list(args.argv), {"preset": preset}, None)
         print(f"wrote {len(rows)} rows to {out}")
     else:
-        sep = "\t" if fmt == "tsv" else ","
-        print(sep.join(CSV_COLUMNS))
-        for row in rows:
-            print(sep.join(_fmt(row[c]) for c in CSV_COLUMNS))
+        print(_rows_text(rows, CSV_COLUMNS, fmt), end="")
     return 0
 
 

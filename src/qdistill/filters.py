@@ -176,14 +176,15 @@ def apply_layer(
     values: np.ndarray,
     assignment: FilterAssignment,
     outcomes: Sequence[int],
-    local: np.ndarray,
+    local: np.ndarray | None,
 ) -> np.ndarray:
     """Multiply ``values`` by the joint diagonal of one filter layer.
 
     ``values[r]`` belongs to the basis state whose party-j local index is
     ``local[r, j]``.  Each participant multiplies by its diagonal entry there,
     one participant at a time in party order, so the start vector fixes the
-    rounding: amplitudes for a dense ket, ones for a multiplier.
+    rounding: amplitudes for a dense ket, ones for a multiplier.  With no
+    participant ``local`` is never read and may be None.
     """
     participants = assignment.participants
     if len(outcomes) != len(participants):

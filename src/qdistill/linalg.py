@@ -1,4 +1,5 @@
-"""Dense complex linear algebra for multipartite protocol simulation.
+"""Kets, the dense cap, and the Hermitian square root and root fidelity
+used by steering.
 
 Conventions fixed package-wide:
 
@@ -17,15 +18,15 @@ Conventions fixed package-wide:
   variable); larger instances must use the compact states of
   :mod:`qdistill.states`.
 
-All operations are pure functions over values that are never mutated after
-construction, so everything here is safe for concurrent use.
+The independent dense references (Kronecker products, index-loop partial
+traces, scipy-based Uhlmann fidelities) live in ``tests/conftest.py``.
+Everything here is a pure function of values that are never mutated.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .errors import (
 )
 
 KET_NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
-DENSITY_TRACE_TOL = 1e-10
 EIG_CLAMP_FLOOR = -1e-10
 SQRT_TRUNC_REL = 1e-13
 FIDELITY_CLAMP_TOL = 1e-12
@@ -84,114 +83,6 @@ class Ket:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """A square matrix, optionally flagged Hermitian and/or density.
-
-    The density flag implies Hermitian and is checked for unit trace on
-    construction.  Positive semidefiniteness is expensive, so it is verified
-    lazily: by :func:`herm_sqrt` (which every fidelity path traverses) and by
-    the explicit :meth:`validate_density` used in tests.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-    density: bool = False
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("operator entries must be square")
-        object.__setattr__(self, "entries", m)
-        if self.density:
-            object.__setattr__(self, "hermitian", True)
-        if self.hermitian:
-            dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-            if not dev <= HERMITIAN_TOL:
-                raise NotHermitianError(
-                    f"operator flagged hermitian deviates by {dev:.3e}"
-                )
-        if self.density:
-            tr = complex(np.trace(m))
-            if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
-                raise NotPositiveError(
-                    f"operator flagged density has trace {tr!r}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def validate_density(self) -> None:
-        """Full density check including the spectrum (not done on init)."""
-        if not self.density:
-            raise NotPositiveError("operator is not flagged as a density matrix")
-        w = np.linalg.eigvalsh(self.entries)
-        if w[0] < EIG_CLAMP_FLOOR:
-            raise NotPositiveError(f"minimum eigenvalue {w[0]:.3e} below clamp floor")
-
-
-@dataclass(frozen=True)
-class DimsProfile:
-    """Per-party local dimensions of a tensor-product space."""
-
-    local_dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.local_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"invalid local dimensions {dims}")
-        object.__setattr__(self, "local_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        out = 1
-        for d in self.local_dims:
-            out *= d
-        return out
-
-    @classmethod
-    def uniform(cls, d: int, parties: int) -> "DimsProfile":
-        return cls((d,) * parties)
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with party 0 as the leftmost (most significant) factor."""
-    return Operator(
-        np.kron(a.entries, b.entries),
-        hermitian=a.hermitian and b.hermitian,
-        density=a.density and b.density,
-    )
-
-
-def partial_trace(rho: Operator, dims: DimsProfile, traced_parties: Iterable[int]) -> Operator:
-    """Trace out the given parties, keeping the rest in their original order."""
-    ds = dims.local_dims
-    p = len(ds)
-    if rho.dim != dims.total_dim:
-        raise DimensionMismatchError(
-            f"operator dim {rho.dim} does not match profile total {dims.total_dim}"
-        )
-    traced = sorted(set(int(t) for t in traced_parties))
-    if traced and (traced[0] < 0 or traced[-1] >= p):
-        raise IndexError(f"traced parties {traced} out of range for {p} parties")
-    t = rho.entries.reshape(ds + ds)
-    removed = 0
-    for ax in traced:
-        k = ax - removed
-        t = np.trace(t, axis1=k, axis2=k + (p - removed))
-        removed += 1
-    kept_dim = 1
-    for j in range(p):
-        if j not in traced:
-            kept_dim *= ds[j]
-    return Operator(
-        t.reshape(kept_dim, kept_dim),
-        hermitian=rho.hermitian,
-        density=rho.density,
-    )
-
-
 def _check_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     dev = float(np.max(np.abs(m - m.conj().T)))
     if not dev <= tol:
@@ -219,51 +110,7 @@ def _root_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(prod, compute_uv=False)))
 
 
-def herm_sqrt(a: Operator) -> Operator:
-    """Principal square root of a Hermitian PSD operator."""
-    return Operator(_sqrt_psd(a.entries), hermitian=True)
-
-
-def _require_density(op: Operator, name: str) -> np.ndarray:
-    m = op.entries
-    if not op.density:
-        _check_hermitian(m)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-            raise NotPositiveError(f"{name} has trace {tr!r}, expected 1")
-    return m
-
-
 def _clamp_unit(value: float, what: str) -> float:
     if not -FIDELITY_CLAMP_TOL <= value <= 1.0 + FIDELITY_CLAMP_TOL:  # NaN fails too
         raise NotPositiveError(f"{what} {value!r} outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
-
-
-def state_fidelity(rho: Operator, sigma: Operator) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 of two states."""
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} != {sigma.dim}")
-    a = _require_density(rho, "rho")
-    b = _require_density(sigma, "sigma")
-    return _clamp_unit(_root_fidelity(a, b) ** 2, "state fidelity")
-
-
-def pure_target_fidelity(rho: Operator, psi: Ket) -> float:
-    """<psi|rho|psi>, the Uhlmann fidelity against a pure target."""
-    if rho.dim != psi.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} != {psi.dim}")
-    v = psi.amplitudes
-    val = float(np.real(v.conj() @ rho.entries @ v))
-    return _clamp_unit(val, "pure-target fidelity")
-
-
-def assemblage_member_fidelity(a: Operator, b: Operator) -> float:
-    """[Tr sqrt(sqrt(a) b sqrt(a))]^2 on unnormalized PSD operators.
-
-    Unlike :func:`state_fidelity` the inputs need not have unit trace, and
-    the result is not clamped to 1 (for a = b it equals [Tr a]^2).
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} != {b.dim}")
-    return _root_fidelity(a.entries, b.entries) ** 2

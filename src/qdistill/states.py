@@ -89,13 +89,13 @@ Spec = GhzSpec | WSpec
 
 @dataclass(frozen=True, eq=False)
 class CompactState:
-    """Coefficient vector on the family's invariant span.
+    """Coefficient vector on the invariant span of the spec's family
+    (``family_of(spec)``).
 
     For GHZ the k-th coefficient multiplies |k k ... k>; for W it multiplies
     the basis state whose only excitation sits on party p-1-k.
     """
 
-    family: Family
     coeffs: np.ndarray
     spec: Spec
     normalized: bool = True
@@ -132,9 +132,8 @@ def make_dense(spec: Spec) -> Ket:
 
 
 def make_compact(spec: Spec) -> CompactState:
-    if isinstance(spec, GhzSpec):
-        return CompactState(Family.GHZ_DIAGONAL, np.array(spec.alphas), spec)
-    return CompactState(Family.W_SINGLE_EXCITATION, np.array(spec.betas), spec)
+    coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
+    return CompactState(np.array(coeffs), spec)
 
 
 def compact_to_dense(state: CompactState) -> Ket:

@@ -37,14 +37,13 @@ from .filters import (
     last_parties,
     w_assignment,
 )
-from .linalg import Ket, Operator
+from .linalg import Ket
 from .states import (
     CompactState,
     Family,
     GhzSpec,
     Spec,
     WSpec,
-    compact_to_dense,
     family_of,
     local_indices,
     make_compact,
@@ -92,14 +91,6 @@ class StateMixture:
     """Convex mixture of compact states (weights sum to 1)."""
 
     components: tuple[tuple[float, CompactState], ...]
-
-    def to_dense_operator(self) -> Operator:
-        out = None
-        for w, st in self.components:
-            v = compact_to_dense(st).amplitudes
-            term = w * np.outer(v, v.conj())
-            out = term if out is None else out + term
-        return Operator(out, density=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,23 +154,20 @@ def apply_filter_layer(
         )
         coeffs = state.coeffs * mult
         prob = float(np.sum(coeffs * coeffs))
-        out = CompactState(state.family, coeffs, state.spec, normalized=False)
-        return out, prob
+        return CompactState(coeffs, state.spec, normalized=False), prob
     # dense reference: the table row of a basis state holds its base-d digits
     participants = assignment.participants
-    if not participants:  # no local dimension to read, and no table is needed
-        amps = apply_layer(state.amplitudes, assignment, outcomes, None)
-        return Ket(amps, normalized=False), 1.0
-    local = assignment.pairs[participants[0]].dim
-    p = assignment.p
-    if state.dim != local**p:
-        raise DimensionMismatchError(
-            f"state dim {state.dim} does not match {p} parties of local dim {local}"
-        )
-    table = np.indices((local,) * p).reshape(p, -1).T
+    table = None  # with no participant there is no local dimension to read
+    if participants:
+        local = assignment.pairs[participants[0]].dim
+        p = assignment.p
+        if state.dim != local**p:
+            raise DimensionMismatchError(
+                f"state dim {state.dim} does not match {p} parties of local dim {local}"
+            )
+        table = np.indices((local,) * p).reshape(p, -1).T
     amps = apply_layer(state.amplitudes, assignment, outcomes, table)
-    prob = float(np.real(np.vdot(amps, amps)))
-    return Ket(amps, normalized=False), prob
+    return Ket(amps, normalized=False), float(np.real(np.vdot(amps, amps)))
 
 
 def overall_success(p_per_copy: float, n: int) -> float:
@@ -246,8 +234,8 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
 
     The numeric fidelity comes from the overlap of the initial and perfect
     coefficient vectors, not from the closed form.  The report carries the
-    two-component mixture; :meth:`StateMixture.to_dense_operator` expands it
-    into an explicit density matrix (quadratic memory).
+    two-component mixture as compact states; ``compact_to_dense`` expands a
+    component onto the full product space (subject to the dense cap).
     """
     pu = success_prob_per_copy(config)
     ps = overall_success(pu, config.n_copies)

@@ -268,12 +268,6 @@ def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting
     return out
 
 
-def assemblage_fidelity(a: Assemblage, b: Assemblage) -> float:
-    """Worst-setting assemblage fidelity (the minimized value only; the
-    minimizing setting is reported by :func:`run_tsd`)."""
-    return min(assemblage_fidelity_by_setting(a, b).values())
-
-
 def run_tsd(config: SteeringConfig) -> SteeringReport:
     """Full steering-distillation run: build, filter, mix, and score.
 

@@ -21,7 +21,15 @@ from hypothesis import HealthCheck, settings
 
 from types import SimpleNamespace
 
-from qdistill import Family, GhzSpec, ProtocolConfig, WSpec, apply_filter_layer, make_dense
+from qdistill import (
+    Family,
+    GhzSpec,
+    ProtocolConfig,
+    WSpec,
+    apply_filter_layer,
+    compact_to_dense,
+    make_dense,
+)
 from qdistill.states import perfect_like
 from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 
@@ -206,6 +214,15 @@ def dense_report(config: ProtocolConfig) -> SimpleNamespace:
         fidelity_closed_form=closed_form_fidelity(spec, config.n_copies),
         fidelity_numeric=ps + (1.0 - ps) * float(overlap),
     )
+
+
+def dense_mixture(mixture) -> np.ndarray:
+    """Density matrix sum_k w_k |v_k><v_k| of a compact StateMixture."""
+    out = 0
+    for w, state in mixture.components:
+        v = compact_to_dense(state).amplitudes
+        out = out + w * np.outer(v, v.conj())
+    return out
 
 
 def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:

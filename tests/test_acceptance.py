@@ -29,12 +29,10 @@ import pytest
 from qdistill import (
     Family,
     GhzSpec,
-    Operator,
     ProtocolConfig,
     SteeringConfig,
     WSpec,
     apply_filter_layer,
-    assemblage_fidelity,
     build_assemblage,
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
@@ -44,10 +42,10 @@ from qdistill import (
     run_stats,
     run_ted,
     run_tsd,
-    state_fidelity,
 )
 from qdistill.cli import main as cli_main
 from qdistill.filters import last_parties, ghz_partition_assignment, IndexPartition
+from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
 from qdistill.sweep import grid_rows, preset_grid
 from qdistill.ted import assignment_for, overall_success
@@ -149,13 +147,9 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
         if spec.d**spec.p <= 81:
             # tie the shortcut to the full matrix-square-root fidelity
             ps = overall_success(pu, 3)
-            rho = ps * np.outer(perfect_ket.amplitudes, perfect_ket.amplitudes.conj()) \
-                + (1 - ps) * np.outer(psi.amplitudes, psi.amplitudes.conj())
-            full = state_fidelity(
-                Operator(rho, density=True),
-                Operator(np.outer(perfect_ket.amplitudes, perfect_ket.amplitudes.conj()),
-                         density=True),
-            )
+            target = np.outer(perfect_ket.amplitudes, perfect_ket.amplitudes.conj())
+            rho = ps * target + (1 - ps) * np.outer(psi.amplitudes, psi.amplitudes.conj())
+            full = _root_fidelity(rho, target) ** 2
             worst_matrix = max(worst_matrix, abs(closed_form_fidelity_ghz(spec, 3) - full))
     elapsed = time.process_time() - start
     ok = worst <= 1e-9 and worst_matrix <= 1e-9 and elapsed < 30.0
@@ -218,13 +212,9 @@ def test_criterion_05_assemblage_equals_state_fidelity():
     for spec, family, s, q in scenarios:
         closed = closed_form_fidelity_ghz if family is Family.GHZ_DIAGONAL else closed_form_fidelity_w
         for n in (2, 3, 5):
-            config = SteeringConfig(ProtocolConfig(n, family, spec, q), s)
-            dist = run_tsd(config).distilled
-            perfect_spec = perfect_ghz(3, 3) if family is Family.GHZ_DIAGONAL else perfect_w(3)
-            perfect = build_assemblage(make_dense(perfect_spec), config)
-            got = assemblage_fidelity(dist, perfect)
-            worst = max(worst, abs(got - closed(spec, n)))
-            if s == 2 and len(dist.members) != 36:
+            report = run_tsd(SteeringConfig(ProtocolConfig(n, family, spec, q), s))
+            worst = max(worst, abs(report.fidelity_assemblage - closed(spec, n)))
+            if s == 2 and len(report.distilled.members) != 36:
                 member_count_ok = False
     ok = worst <= 1e-9 and member_count_ok
     check("5", "assemblage fidelity equals state fidelity (incl. 36-member S=2)", ok,

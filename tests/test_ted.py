@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdistill import (
+    CompactState,
     Family,
+    FilterAssignment,
     GhzSpec,
     InvalidSpecError,
-    Operator,
+    Ket,
     ProtocolConfig,
     WSpec,
     apply_filter_layer,
@@ -22,11 +24,10 @@ from qdistill import (
     overall_success,
     perfect_ghz,
     perfect_w,
-    pure_target_fidelity,
     run_ted,
-    state_fidelity,
     success_prob_per_copy,
 )
+from qdistill.linalg import _root_fidelity
 from qdistill.ted import (
     DistillationReport,
     StateMixture,
@@ -40,6 +41,7 @@ from qdistill.ted import (
 from conftest import (
     CORPUS_SEED,
     ORACLE_FIDELITY_TOL,
+    dense_mixture,
     dense_report,
     ghz_config,
     oracle_layer,
@@ -130,6 +132,16 @@ class TestApplyFilterLayer:
             want, wprob = oracle_layer(assignment, outcome, psi.amplitudes)
             assert gprob == pytest.approx(wprob, abs=1e-13)
             assert np.allclose(got.amplitudes, want, atol=1e-13)
+
+    def test_empty_layer_probability_is_squared_norm(self):
+        # no participant: the layer is the identity on both branches
+        empty = FilterAssignment(2, (None, None))
+        ket = Ket([0.6, 0, 0, 0.6], normalized=False)
+        out, prob = apply_filter_layer(ket, empty, ())
+        assert np.array_equal(out.amplitudes, ket.amplitudes)
+        assert prob == pytest.approx(0.72, abs=1e-15)
+        compact = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2), normalized=False)
+        assert apply_filter_layer(compact, empty, ())[1] == prob
 
 
 class TestSuccessProbability:
@@ -253,12 +265,10 @@ class TestDistilledState:
         config = ghz_config(SQRT8_SPEC, n=2)
         rho = run_ted(config).distilled_state
         assert isinstance(rho, StateMixture)
-        dense = rho.to_dense_operator()
-        perfect = make_dense(perfect_ghz(3, 3))
-        via_matrix = state_fidelity(
-            dense, Operator(np.outer(perfect.amplitudes, perfect.amplitudes.conj()), density=True)
-        )
-        via_shortcut = pure_target_fidelity(dense, perfect)
+        dense = dense_mixture(rho)
+        perfect = make_dense(perfect_ghz(3, 3)).amplitudes
+        via_matrix = _root_fidelity(dense, np.outer(perfect, perfect.conj())) ** 2
+        via_shortcut = np.vdot(perfect, dense @ perfect).real
         closed = closed_form_fidelity_ghz(SQRT8_SPEC, 2)
         assert via_matrix == pytest.approx(closed, abs=1e-10)
         assert via_shortcut == pytest.approx(closed, abs=1e-12)
@@ -302,7 +312,7 @@ class TestRunTed:
     def test_numeric_fidelity_matches_full_uhlmann_oracle(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
         report = run_ted(ghz_config(spec, n=3))
-        rho = report.distilled_state.to_dense_operator().entries
+        rho = dense_mixture(report.distilled_state)
         perfect = make_dense(perfect_ghz(3, 3)).amplitudes
         target = np.outer(perfect, perfect.conj())
         assert report.fidelity_numeric == pytest.approx(

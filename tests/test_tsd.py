@@ -13,7 +13,6 @@ from qdistill import (
     ProtocolConfig,
     SteeringConfig,
     WSpec,
-    assemblage_fidelity,
     build_assemblage,
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
@@ -254,20 +253,20 @@ class TestDistilledAssemblage:
 
 
 class TestAssemblageFidelity:
+    """``run_tsd`` scores its distilled assemblage against the perfect one
+    built from the uniform spec; ``fidelity_assemblage`` is that score."""
+
     def test_self_fidelity_reference_assemblages(self, rng):
         for spec, s, q in [(GHZ_TOY, 1, 1), (GHZ_TOY, 2, 1), (W_TOY, 1, 2)]:
             config = steering(spec, s=s, q=q)
             asm = build_assemblage(make_dense(spec), config)
-            assert assemblage_fidelity(asm, asm) == pytest.approx(1.0, abs=1e-12)
+            worst = min(assemblage_fidelity_by_setting(asm, asm).values())
+            assert worst == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_state_fidelity_ghz_s1(self):
         for n in (2, 3, 5, 10):
-            config = steering(GHZ_TOY, n=n)
-            dist = run_tsd(config).distilled
-            perfect = build_assemblage(make_dense(perfect_ghz(3, 3)), config)
-            got = assemblage_fidelity(dist, perfect)
-            want = closed_form_fidelity_ghz(GHZ_TOY, n)
-            assert got == pytest.approx(want, abs=1e-9)
+            got = run_tsd(steering(GHZ_TOY, n=n)).fidelity_assemblage
+            assert got == pytest.approx(closed_form_fidelity_ghz(GHZ_TOY, n), abs=1e-9)
 
     def test_minimum_attained_at_fourier_setting(self):
         config = steering(GHZ_TOY, n=3)
@@ -279,28 +278,18 @@ class TestAssemblageFidelity:
 
     def test_equals_state_fidelity_w_s1(self):
         for n in (2, 3, 7):
-            config = steering(W_TOY, n=n, q=2)
-            dist = run_tsd(config).distilled
-            perfect = build_assemblage(make_dense(perfect_w(3)), config)
-            got = assemblage_fidelity(dist, perfect)
-            want = closed_form_fidelity_w(W_TOY, n)
-            assert got == pytest.approx(want, abs=1e-9)
+            got = run_tsd(steering(W_TOY, n=n, q=2)).fidelity_assemblage
+            assert got == pytest.approx(closed_form_fidelity_w(W_TOY, n), abs=1e-9)
 
     def test_equals_state_fidelity_higher_prime_dims(self, rng):
         for d, p in ((5, 3), (7, 2)):
             spec = random_ghz_spec(rng, d, p)
-            config = steering(spec, n=3, s=1, q=1)
-            dist = run_tsd(config).distilled
-            perfect = build_assemblage(make_dense(perfect_ghz(d, p)), config)
-            got = assemblage_fidelity(dist, perfect)
+            got = run_tsd(steering(spec, n=3, s=1, q=1)).fidelity_assemblage
             assert got == pytest.approx(closed_form_fidelity_ghz(spec, 3), abs=1e-9)
 
     def test_equals_state_fidelity_w_p4(self, rng):
         spec = random_w_spec(rng, 4)
-        config = steering(spec, n=3, s=1, q=3)
-        dist = run_tsd(config).distilled
-        perfect = build_assemblage(make_dense(perfect_w(4)), config)
-        got = assemblage_fidelity(dist, perfect)
+        got = run_tsd(steering(spec, n=3, s=1, q=3)).fidelity_assemblage
         assert got == pytest.approx(closed_form_fidelity_w(spec, 3), abs=1e-9)
 
 
