@@ -183,10 +183,12 @@ def apply_layer(
     ``values[r]`` belongs to the basis state whose party-j local index is
     ``local[r, j]``.  Each participant multiplies by its diagonal entry there,
     one participant at a time in party order, so the start vector fixes the
-    rounding: amplitudes for a dense ket, ones for a multiplier.  With no
-    participant ``local`` is never read and may be None.
+    rounding: amplitudes for a dense ket, ones for a multiplier.  ``local``
+    must cover the assignment's parties; with no participant it may be None.
     """
     participants = assignment.participants
+    if local is not None and local.shape[1] != assignment.p:
+        raise DimensionMismatchError(f"{assignment.p}-party assignment on {local.shape[1]} parties")
     if len(outcomes) != len(participants):
         raise DimensionMismatchError(
             f"{len(participants)} participants but {len(outcomes)} outcomes"

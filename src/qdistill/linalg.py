@@ -1,5 +1,5 @@
 """Kets, the dense cap, and the Hermitian square root and root fidelity
-used by steering.
+that the tests use as dense references for steering.
 
 Conventions fixed package-wide:
 
@@ -13,19 +13,16 @@ Conventions fixed package-wide:
   are truncated outright, so square-root noise from numerically-zero modes
   cannot leak into fidelity sums (summing sqrt(eps)-sized spurious roots
   would otherwise dominate tight tolerances).
-* Dense construction is capped at ``dense_cap()`` total dimension
-  (default 4096, overridable via the QDISTILL_DENSE_CAP environment
-  variable); larger instances must use the compact states of
-  :mod:`qdistill.states`.
+* Dense construction is capped at ``DENSE_CAP`` total dimension.  No run
+  path builds dense vectors; they serve as the tests' references, next to
+  the independent ones in ``tests/conftest.py`` (Kronecker products,
+  index-loop partial traces, scipy-based Uhlmann fidelities).
 
-The independent dense references (Kronecker products, index-loop partial
-traces, scipy-based Uhlmann fidelities) live in ``tests/conftest.py``.
 Everything here is a pure function of values that are never mutated.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +38,13 @@ KET_NORM_TOL = 1e-12
 EIG_CLAMP_FLOOR = -1e-10
 SQRT_TRUNC_REL = 1e-13
 FIDELITY_CLAMP_TOL = 1e-12
-DEFAULT_DENSE_CAP = 4096
-
-
-def dense_cap() -> int:
-    """Current dense-dimension cap (env var QDISTILL_DENSE_CAP wins)."""
-    raw = os.environ.get("QDISTILL_DENSE_CAP")
-    return int(raw) if raw else DEFAULT_DENSE_CAP
+DENSE_CAP = 2**16
 
 
 def check_dense_cap(total_dim: int) -> None:
-    cap = dense_cap()
-    if total_dim > cap:
+    if total_dim > DENSE_CAP:
         raise DenseCapExceededError(
-            f"dense dimension {total_dim} exceeds cap {cap}; "
-            "use the compact states or raise QDISTILL_DENSE_CAP"
+            f"dense dimension {total_dim} exceeds cap {DENSE_CAP}; use the compact states"
         )
 
 

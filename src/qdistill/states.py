@@ -3,10 +3,10 @@
 A protocol instance is pinned down by a validated parameter vector
 (:class:`GhzSpec` or :class:`WSpec`).  States exist in two forms:
 
-* a dense :class:`~qdistill.linalg.Ket` over the full product space, used by
-  the steering engine (subject to the dense cap), and
-* a :class:`CompactState` holding only the nonzero coefficient vector, used
-  by the entanglement-distillation engine and the Monte Carlo.
+* a :class:`CompactState` holding only the nonzero coefficient vector, on
+  which every engine runs, and
+* a dense :class:`~qdistill.linalg.Ket` over the full product space, the
+  tests' reference (subject to the dense cap).
 
 The compact form exploits that every filter in this package is diagonal in
 the computational basis, so GHZ states never leave span{|ii...i>} and W

@@ -14,13 +14,22 @@ classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
 protocol for the same spec.
 
+Measurements are product-basis projections and filters are diagonal, so
+members stay in the compact span of :mod:`qdistill.states`: projecting row
+r of ``local = local_indices(spec)`` gives the coefficient
+v_r = c_r prod_{k<s} conj(B[x_k][a_k, local[r, k]]).  A member is stored as
+a factor F whose rows are unnormalized pure components (sigma = sum over
+rows of |row><row|), with columns in span coordinates.
+
 The assemblage fidelity of A against B is
 
     F_a = min_x [ sum_a Tr sqrt( sqrt(A_{a|x}) B_{a|x} sqrt(A_{a|x}) ) ]^2
 
 i.e. root fidelities of the unnormalized members are summed over outcomes
 before squaring, and the worst setting string is reported.  On a
-self-comparison the inner sum telescopes to Tr rho_ch = 1.
+self-comparison the inner sum telescopes to Tr rho_ch = 1.  The perfect
+assemblage has pure members |g><g|, against which the root fidelity is
+||F conj(g)||_2, so no matrix function is needed.
 """
 
 from __future__ import annotations
@@ -31,70 +40,46 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidSpecError,
-    InvalidSteeringScenarioError,
-    NotPositiveError,
-)
+from .errors import DimensionMismatchError, InvalidSpecError, InvalidSteeringScenarioError
+from .errors import NotPositiveError, WorkCapExceededError
 from .filters import FilterAssignment, apply_layer
-from .linalg import Ket, _clamp_unit, _root_fidelity
-from .states import Family, GhzSpec, make_dense, perfect_like
-from .ted import (
-    ProtocolConfig,
-    assignment_for,
-    closed_form_fidelity,
-    overall_success,
-)
+from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
+from .states import CompactState, Family, GhzSpec, Spec, family_of, local_indices, make_compact
+from .states import perfect_like
+from .ted import ProtocolConfig, assignment_for, closed_form_fidelity, overall_success
 
 MUB_DIMS = (2, 3, 5, 7)
 NONSIGNALING_TOL = 1e-10
-MEMBER_PSD_TOL = -1e-10
+MEMBER_CAP = 2**16
 
 Setting = tuple[int, ...]
 Outcome = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class MubFamily:
-    """Two mutually unbiased orthonormal bases: computational (x = 0) and
-    Fourier (x = 1), e_a = (1/sqrt(d)) sum_l omega^(a l) |l>."""
-
-    d: int
-    bases: tuple[tuple[Ket, ...], tuple[Ket, ...]]
-
-
-def mub_family(d: int) -> MubFamily:
+def mub_family(d: int) -> np.ndarray:
+    """Two mutually unbiased orthonormal bases as a (2, d, d) array whose
+    row B[x][a] is basis vector a: computational (x = 0) and Fourier
+    (x = 1), e_a = (1/sqrt(d)) sum_l omega^(a l) |l>."""
     if d not in MUB_DIMS:
         raise InvalidSpecError(
             f"measurement bases are provided for prime dimensions {MUB_DIMS}, got {d}"
         )
-    comp = tuple(Ket(np.eye(d, dtype=complex)[a]) for a in range(d))
     omega = np.exp(2j * np.pi / d)
-    fourier = tuple(
-        Ket(np.array([omega ** (a * l) for l in range(d)]) / np.sqrt(d))
-        for a in range(d)
-    )
-    return MubFamily(d, (comp, fourier))
+    fourier = np.array([[omega ** (a * l) for l in range(d)] for a in range(d)])
+    return np.stack([np.eye(d, dtype=complex), fourier / np.sqrt(d)])
 
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
     """Unnormalized conditional states on the characterized subsystem,
     keyed by (setting string, outcome string) of the uncharacterized
-    parties.  Strings are tuples ordered by party index."""
+    parties.  Strings are tuples ordered by party index.  Each member is a
+    factor whose columns follow the rows of ``local_indices(spec)``."""
 
     s: int
     d_out: int
-    char_dims: tuple[int, ...]
+    spec: Spec
     members: Mapping[tuple[Setting, Outcome], np.ndarray]
-
-    @property
-    def char_dim(self) -> int:
-        out = 1
-        for d in self.char_dims:
-            out *= d
-        return out
 
     @property
     def settings(self) -> tuple[Setting, ...]:
@@ -108,16 +93,15 @@ class Assemblage:
         return self.members[(tuple(x), tuple(a))]
 
     def reduced_state(self, x: Setting | None = None) -> np.ndarray:
-        """sum_a sigma_{a|x}; non-signaling makes this x-independent."""
+        """sum_a sigma_{a|x} in span coordinates; non-signaling makes this
+        x-independent."""
         x = self.settings[0] if x is None else tuple(x)
-        out = np.zeros((self.char_dim, self.char_dim), dtype=complex)
-        for a in self.outcomes:
-            out += self.member(x, a)
-        return out
+        return sum(f.T @ f.conj() for f in (self.member(x, a) for a in self.outcomes))
 
 
 def validate_assemblage(asm: Assemblage, tol: float = NONSIGNALING_TOL) -> None:
-    """Check member positivity, unit-trace reduced state, and non-signaling."""
+    """Check unit-trace reduced state and non-signaling (members are
+    positive by construction)."""
     ref = asm.reduced_state(asm.settings[0])
     if not abs(complex(np.trace(ref)) - 1.0) <= tol:  # NaN fails
         raise NotPositiveError("reduced state trace differs from 1")
@@ -125,10 +109,6 @@ def validate_assemblage(asm: Assemblage, tol: float = NONSIGNALING_TOL) -> None:
         dev = float(np.max(np.abs(asm.reduced_state(x) - ref)))
         if not dev <= tol:
             raise NotPositiveError(f"non-signaling violated by {dev:.3e} at x={x}")
-    for key, m in asm.members.items():
-        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if w[0] < MEMBER_PSD_TOL:
-            raise NotPositiveError(f"member {key} has eigenvalue {w[0]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -182,43 +162,27 @@ class SteeringReport:
     distilled: Assemblage
 
 
-def build_assemblage(state: Ket, config: SteeringConfig) -> Assemblage:
+def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
     """Project the uncharacterized parties onto their measurement bases and
-    keep the (unnormalized) conditional states of the characterized rest."""
-    spec = config.base.spec
-    local = spec.d if isinstance(spec, GhzSpec) else 2
-    p = spec.p
-    if state.dim != local**p:
-        raise DimensionMismatchError(
-            f"state dim {state.dim} does not match {p} parties of local dim {local}"
-        )
-    bases = mub_family(local).bases
-    tensor = state.amplitudes.reshape((local,) * p)
-    char_dims = (local,) * (p - config.s)
+    keep the (unnormalized) conditional states of the characterized rest,
+    as 1-row factors."""
+    spec, s = config.base.spec, config.s
+    d_out = spec.d if isinstance(spec, GhzSpec) else 2
+    count = (2 * d_out) ** s
+    if count > MEMBER_CAP:
+        raise WorkCapExceededError(f"{count} assemblage members exceed the cap {MEMBER_CAP}")
+    local = local_indices(state.spec)
+    if family_of(state.spec) is not config.base.family or local.shape != local_indices(spec).shape:
+        raise DimensionMismatchError("state does not match the configured spec's span")
+    bases = mub_family(d_out).conj()
     members: dict[tuple[Setting, Outcome], np.ndarray] = {}
-    for x in itertools.product((0, 1), repeat=config.s):
-        for a in itertools.product(range(local), repeat=config.s):
-            cond = tensor
-            for xi, ai in zip(x, a):
-                cond = np.tensordot(bases[xi][ai].amplitudes.conj(), cond, axes=([0], [0]))
-            v = cond.reshape(-1)
-            members[(x, a)] = np.outer(v, v.conj())
-    return Assemblage(config.s, local, char_dims, members)
-
-
-def _char_diagonal(
-    asm: Assemblage, assignment: FilterAssignment, outcomes: Sequence[int]
-) -> np.ndarray:
-    """Joint diagonal of the filter layer on the characterized subsystem."""
-    participants = assignment.participants
-    s = assignment.p - len(asm.char_dims)
-    if any(j < s for j in participants):
-        raise InvalidSteeringScenarioError(
-            "filters may only touch characterized parties (index >= s); "
-            f"assignment touches {sorted(j for j in participants if j < s)}"
-        )
-    table = np.indices((1,) * s + asm.char_dims).reshape(assignment.p, -1).T
-    return apply_layer(np.ones(asm.char_dim), assignment, outcomes, table)
+    for x in itertools.product((0, 1), repeat=s):
+        rows = state.coeffs[None, :].astype(complex)
+        for k, xk in enumerate(x):  # outcome strings in row-major order
+            rows = (rows[:, None, :] * bases[xk][:, local[:, k]]).reshape(-1, len(local))
+        for a, row in zip(itertools.product(range(d_out), repeat=s), rows):
+            members[(x, a)] = row[None, :]
+    return Assemblage(s, d_out, state.spec, members)
 
 
 def filter_assemblage(
@@ -231,38 +195,43 @@ def filter_assemblage(
     Returns the post-measurement assemblage, normalized by the outcome
     probability Tr[K rho_ch K^dag], together with that probability.
     """
-    diag = _char_diagonal(asm, assignment, outcomes)
-    rho = asm.reduced_state()
-    prob = float(np.real(np.sum(diag * diag * np.diagonal(rho).real)))
+    if any(j < asm.s for j in assignment.participants):
+        raise InvalidSteeringScenarioError(
+            "filters may only touch characterized parties (index >= s); "
+            f"assignment touches {sorted(j for j in assignment.participants if j < asm.s)}"
+        )
+    local = local_indices(asm.spec)
+    mult = apply_layer(np.ones(len(local)), assignment, outcomes, local)
+    weight = np.diagonal(asm.reduced_state()).real
+    prob = float(np.sum(mult * mult * weight))
     if prob <= 0.0:
         raise NotPositiveError("filter outcome has zero probability")
-    scale = np.outer(diag, diag)
-    members = {
-        key: scale * m / prob
-        for key, m in asm.members.items()
-    }
-    return Assemblage(asm.s, asm.d_out, asm.char_dims, members), prob
+    scale = mult / np.sqrt(prob)
+    members = {key: f * scale for key, f in asm.members.items()}
+    return Assemblage(asm.s, asm.d_out, asm.spec, members), prob
 
 
 def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
-    """weight * a + (1 - weight) * b, member-wise."""
+    """weight * a + (1 - weight) * b, member-wise, by stacking factors."""
     if set(a.members) != set(b.members):
         raise DimensionMismatchError("assemblages have different member keys")
-    members = {
-        key: weight * a.members[key] + (1.0 - weight) * b.members[key]
-        for key in a.members
-    }
-    return Assemblage(a.s, a.d_out, a.char_dims, members)
+    wa, wb = np.sqrt(weight), np.sqrt(1.0 - weight)
+    members = {key: np.vstack([wa * a.members[key], wb * b.members[key]]) for key in a.members}
+    return Assemblage(a.s, a.d_out, a.spec, members)
 
 
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
-    """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each setting string."""
+    """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each setting string, where
+    every member of ``b`` is pure: the root fidelity is ||F_a conj(g)||."""
     if set(a.members) != set(b.members):
         raise DimensionMismatchError("assemblages have different member keys")
+    if any(len(g) != 1 for g in b.members.values()):
+        raise DimensionMismatchError("reference assemblage members must be pure (one row)")
     out: dict[Setting, float] = {}
     for x in a.settings:
         total = sum(
-            _root_fidelity(a.member(x, oc), b.member(x, oc)) for oc in a.outcomes
+            float(np.linalg.norm(a.member(x, oc) @ b.member(x, oc)[0].conj()))
+            for oc in a.outcomes
         )
         out[x] = _clamp_unit(total * total, f"assemblage fidelity at x={x}")
     return out
@@ -273,11 +242,14 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
 
     The distilled assemblage (``report.distilled``) is the convex mixture of
     the perfect and initial assemblages with the overall success probability
-    as weight.  The dense states it is built from are subject to the cap.
+    as weight.  ``minimizing_setting`` is the lexicographically largest
+    setting string within FIDELITY_CLAMP_TOL of the minimum, so the tie on
+    uniform specs (every setting scores 1) resolves to the all-Fourier
+    string that non-uniform specs converge to.
     """
     spec = config.base.spec
-    ini = build_assemblage(make_dense(spec), config)
-    perf = build_assemblage(make_dense(perfect_like(spec)), config)
+    ini = build_assemblage(make_compact(spec), config)
+    perf = build_assemblage(make_compact(perfect_like(spec)), config)
     assignment = assignment_for(
         config.base.family, spec, config.base.q, config.base.partition
     )
@@ -285,14 +257,16 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     ps = overall_success(pu, config.base.n_copies)
     dist = mix_assemblages(ps, perf, ini)
     per_setting = assemblage_fidelity_by_setting(dist, perf)
-    minimizer = min(per_setting, key=lambda x: (per_setting[x], x))
+    lowest = min(per_setting.values())
     return SteeringReport(
         n_copies=config.base.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
         fidelity_closed_form=closed_form_fidelity(spec, config.base.n_copies),
-        fidelity_assemblage=per_setting[minimizer],
-        minimizing_setting=minimizer,
+        fidelity_assemblage=lowest,
+        minimizing_setting=max(
+            x for x, f in per_setting.items() if f <= lowest + FIDELITY_CLAMP_TOL
+        ),
         threshold=config.threshold,
         distilled=dist,
     )

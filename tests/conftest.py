@@ -30,7 +30,8 @@ from qdistill import (
     compact_to_dense,
     make_dense,
 )
-from qdistill.states import perfect_like
+from qdistill.linalg import _root_fidelity
+from qdistill.states import local_indices, perfect_like
 from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 
 settings.register_profile(
@@ -193,6 +194,44 @@ def oracle_w_law(betas: tuple[float, ...], n: int) -> tuple[decimal.Decimal, dec
         return pu, 1 - (1 - pu) ** (n - 1) * (p - total * total) / p
 
 
+def oracle_ghz_settings(alphas: tuple[float, ...], n: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """Exact GHZ steering per-setting law to 50 digits, alpha_0 minimal:
+    (all-Fourier value, value of any string with a computational party)
+
+        all-Fourier:    F = ps + (1 - ps) (sum alpha)^2 / d
+        computational:  (sum_i sqrt((ps/d + (1 - ps) alpha_i^2) / d))^2
+
+    with ps = 1 - (1 - d alpha_0^2)^(n-1).  Every float is taken exactly.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = [decimal.Decimal(x) for x in alphas]
+        d = len(a)
+        ps = 1 - (1 - d * a[0] ** 2) ** (n - 1)
+        fourier = ps + (1 - ps) * sum(a) ** 2 / d
+        computational = sum(((ps / d + (1 - ps) * x * x) / d).sqrt() for x in a) ** 2
+        return fourier, computational
+
+
+def oracle_w_settings(betas: tuple[float, ...], n: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """Exact W steering (S = 1) per-setting law to 50 digits, beta_{P-1}
+    maximal: (Hadamard value, computational value)
+
+        Hadamard:       F(n) of ``oracle_w_law``
+        computational:  (sqrt(ps ((P-1)/P)^2 + (1 - ps) (sum_{k<P-1} beta_k)^2 / P)
+                         + sqrt(ps / P^2 + (1 - ps) beta_{P-1}^2 / P))^2
+    """
+    pu, fidelity = oracle_w_law(betas, n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b = [decimal.Decimal(x) for x in betas]
+        p = len(b)
+        ps = 1 - (1 - pu) ** (n - 1)
+        head = (ps * ((p - 1) / decimal.Decimal(p)) ** 2 + (1 - ps) * sum(b[:-1]) ** 2 / p).sqrt()
+        tail = (ps / p**2 + (1 - ps) * b[-1] ** 2 / p).sqrt()
+        return fidelity, (head + tail) ** 2
+
+
 def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     """The run_ted report fields recomputed on dense state vectors.
 
@@ -223,6 +262,52 @@ def dense_mixture(mixture) -> np.ndarray:
         v = compact_to_dense(state).amplitudes
         out = out + w * np.outer(v, v.conj())
     return out
+
+
+def dense_member(asm, x, a) -> np.ndarray:
+    """A member of a span assemblage as a matrix on the d^(P-S)
+    characterized space: span row r sits at sum_{j>=s} local[r, j] d^(P-1-j)."""
+    factor = asm.member(x, a)
+    p = asm.spec.p
+    index = local_indices(asm.spec)[:, asm.s:] @ asm.d_out ** np.arange(p - 1 - asm.s, -1, -1)
+    rows = np.zeros((len(factor), asm.d_out ** (p - asm.s)), dtype=complex)
+    rows[:, index] = factor
+    return rows.T @ rows.conj()
+
+
+def oracle_steering(config) -> SimpleNamespace:
+    """run_tsd's per-copy success and per-setting fidelities recomputed on
+    dense d^P vectors.
+
+    The uncharacterized parties are projected with explicit basis vectors
+    (computational, and Fourier exp(2 pi i a l / d) / sqrt(d)), p_u is the
+    squared norm of the Kronecker-product filter layer, and every member
+    pair is scored by the eigendecomposition root fidelity on the
+    d^(P-S)-square matrices.  Subject to the dense cap.
+    """
+    base, s = config.base, config.s
+    spec = base.spec
+    d = spec.d if isinstance(spec, GhzSpec) else 2
+    fourier = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d)
+    bases = (np.eye(d), fourier)
+    assignment = assignment_for(base.family, spec, base.q, base.partition)
+    psi = make_dense(spec).amplitudes
+    _, pu = oracle_layer(assignment, (0,) * assignment.q, psi)
+    ps = overall_success(pu, base.n_copies)
+    initial = psi.reshape(d**s, -1)
+    perfect = make_dense(perfect_like(spec)).amplitudes.reshape(d**s, -1)
+    per_setting = {}
+    for x in itertools.product((0, 1), repeat=s):
+        total = 0.0
+        for a in itertools.product(range(d), repeat=s):
+            bra = np.ones(1)
+            for xk, ak in zip(x, a):
+                bra = np.kron(bra, bases[xk][ak].conj())
+            v, g = bra @ initial, bra @ perfect
+            target = np.outer(g, g.conj())
+            total += _root_fidelity(ps * target + (1 - ps) * np.outer(v, v.conj()), target)
+        per_setting[x] = total * total
+    return SimpleNamespace(p_success_per_copy=pu, per_setting=per_setting)
 
 
 def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:

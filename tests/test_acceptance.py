@@ -36,6 +36,7 @@ from qdistill import (
     build_assemblage,
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
+    make_compact,
     make_dense,
     perfect_ghz,
     perfect_w,
@@ -65,14 +66,6 @@ def check(cid: str, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {cid:>3} {status} {name}" + (f" [{detail}]" if detail else ""))
     assert ok, f"criterion {cid}: {name} {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def raised_dense_cap():
-    # d = 6, p = 6 needs dense vectors of length 46656
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("QDISTILL_DENSE_CAP", "65536")
-        yield
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +231,7 @@ def test_criterion_06_non_signaling(rng):
         cases.append((WSpec(4, tuple(w)), Family.W_SINGLE_EXCITATION, 1, 3))
     for spec, family, s, q in cases:
         config = SteeringConfig(ProtocolConfig(2, family, spec, q), s)
-        asm = build_assemblage(make_dense(spec), config)
+        asm = build_assemblage(make_compact(spec), config)
         validate_assemblage(asm, tol=1e-10)
         checked += 1
         assignment = assignment_for(family, spec, q)

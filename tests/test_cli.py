@@ -155,15 +155,23 @@ class TestErrorReporting:
         assert rc == 2
         assert "category=PivotNotMinimal" in err
 
-    def test_dense_cap_category(self, capsys, monkeypatch):
-        monkeypatch.delenv("QDISTILL_DENSE_CAP", raising=False)
-        a = f"{1 / math.sqrt(4)!r}"
+    def test_dense_cap_category(self, capsys):
+        # steering holds no dense state, so 2^13 amplitudes run; the
+        # (2 d)^S assemblage members are what is capped
+        rc, out, err = run(
+            capsys, "tsd-ghz", "--d", "2", "--p", "13", "--q", "1", "--s", "1",
+            "--n", "4", "--alphas", "0.6,0.8",
+        )
+        assert rc == 0 and err == ""
+        report = parse_report(out)
+        closed = 1 - (1 - 2 * 0.36) ** 3 * (2 - 1.4**2) / 2
+        assert abs(float(report["fidelity_assemblage"]) - closed) <= 1e-12
         rc, _, err = run(
-            capsys, "tsd-ghz", "--d", "4", "--p", "7", "--q", "1", "--s", "1",
-            "--n", "2", "--alphas", ",".join([a] * 4),
+            capsys, "tsd-ghz", "--d", "2", "--p", "20", "--q", "1", "--s", "17",
+            "--n", "2", "--alphas", "0.6,0.8",
         )
         assert rc == 2
-        assert "category=DenseCapExceeded" in err
+        assert "error category=WorkCapExceeded" in err
 
     def test_bad_partition_category(self, capsys):
         rc, _, err = run(

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qdistill import DenseCapExceededError, Ket, NotHermitianError, NotPositiveError, dense_cap
-from qdistill.linalg import _check_hermitian, _clamp_unit, _root_fidelity, _sqrt_psd, check_dense_cap
+from qdistill import DenseCapExceededError, Ket, NotHermitianError, NotPositiveError
+from qdistill.linalg import (
+    DENSE_CAP,
+    _check_hermitian,
+    _clamp_unit,
+    _root_fidelity,
+    _sqrt_psd,
+    check_dense_cap,
+)
 
 from conftest import oracle_state_fidelity, random_density, random_psd
 
@@ -135,12 +142,9 @@ class TestTypesAndCap:
             Ket(np.array([1.0, 1.0]))
         Ket(np.array([1.0, 1.0]), normalized=False)
 
-    def test_dense_cap_env(self, monkeypatch):
-        monkeypatch.delenv("QDISTILL_DENSE_CAP", raising=False)
-        assert dense_cap() == 4096
-        check_dense_cap(4096)
+    def test_dense_cap_env(self):
+        # a constant: no environment variable moves it
+        assert DENSE_CAP == 2**16
+        check_dense_cap(2**16)
         with pytest.raises(DenseCapExceededError):
-            check_dense_cap(4097)
-        monkeypatch.setenv("QDISTILL_DENSE_CAP", "8192")
-        assert dense_cap() == 8192
-        check_dense_cap(8192)
+            check_dense_cap(2**16 + 1)

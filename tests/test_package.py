@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -25,3 +27,23 @@ def test_runtime_imports_only_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == ""
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    # the benchmark traces these names by module and attribute; a change
+    # that deletes or renames one would leave the benchmark a blind spot
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{t.module}.{t.attr}" for t in spans.TARGETS
+        if not callable(getattr(importlib.import_module(t.module), t.attr, None))
+    ]
+    assert missing == []
+    uncached = [
+        f"{module}.{attr}" for _, module, attr in spans.CACHES
+        if not hasattr(getattr(importlib.import_module(module), attr, None), "cache_info")
+    ]
+    assert uncached == []

@@ -132,12 +132,10 @@ class TestDenseConstruction:
                 expected[2**i] = spec.betas[i]
             assert np.array_equal(make_dense(spec).amplitudes, expected)
 
-    def test_dense_cap(self, monkeypatch):
-        monkeypatch.delenv("QDISTILL_DENSE_CAP", raising=False)
+    def test_dense_cap(self):
+        assert make_dense(perfect_ghz(4, 8)).dim == 2**16
         with pytest.raises(DenseCapExceededError):
-            make_dense(perfect_ghz(4, 7))  # 16384 > 4096
-        monkeypatch.setenv("QDISTILL_DENSE_CAP", "16384")
-        make_dense(perfect_ghz(4, 7))
+            make_dense(perfect_ghz(2, 17))  # 2^17 > 2^16
 
 
 class TestCompact:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qdistill import (
     CompactState,
+    DimensionMismatchError,
     Family,
     FilterAssignment,
     GhzSpec,
@@ -142,6 +143,18 @@ class TestApplyFilterLayer:
         assert prob == pytest.approx(0.72, abs=1e-15)
         compact = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2), normalized=False)
         assert apply_filter_layer(compact, empty, ())[1] == prob
+
+    def test_assignment_for_fewer_parties_than_state(self):
+        state = make_compact(GhzSpec(3, 4, SQRT8_SPEC.alphas))
+        assignment = assignment_for(Family.GHZ_DIAGONAL, SQRT8_SPEC, 1)  # 3 parties
+        with pytest.raises(DimensionMismatchError):
+            apply_filter_layer(state, assignment, (0,))
+
+    def test_assignment_for_more_parties_than_state(self):
+        spec4 = GhzSpec(3, 4, SQRT8_SPEC.alphas)
+        assignment = assignment_for(Family.GHZ_DIAGONAL, spec4, 1)
+        with pytest.raises(DimensionMismatchError):
+            apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
 
 
 class TestSuccessProbability:

@@ -1,14 +1,18 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdistill import (
-    Assemblage,
     Family,
     GhzSpec,
     InvalidSpecError,
     InvalidSteeringScenarioError,
+    DimensionMismatchError,
     NotPositiveError,
     ProtocolConfig,
     SteeringConfig,
@@ -17,13 +21,15 @@ from qdistill import (
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
     filter_assemblage,
-    make_dense,
+    make_compact,
     mub_family,
     perfect_ghz,
     perfect_w,
     run_tsd,
+    WorkCapExceededError,
     success_prob_per_copy,
 )
+from qdistill.states import perfect_like
 from qdistill.ted import assignment_for, overall_success
 from qdistill.tsd import (
     assemblage_fidelity_by_setting,
@@ -31,7 +37,15 @@ from qdistill.tsd import (
     validate_assemblage,
 )
 
-from conftest import ghz_config, random_ghz_spec, random_w_spec
+from conftest import (
+    dense_member,
+    ghz_config,
+    oracle_ghz_settings,
+    oracle_steering,
+    oracle_w_settings,
+    random_ghz_spec,
+    random_w_spec,
+)
 
 GHZ_TOY = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
 W_TOY = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
@@ -47,24 +61,24 @@ def steering(spec, n=2, q=1, s=1, family=None):
 
 class TestMubFamily:
     def test_d2_is_computational_and_hadamard(self):
-        fam = mub_family(2)
-        comp, four = fam.bases
-        assert np.allclose(comp[0].amplitudes, [1, 0])
-        assert np.allclose(four[0].amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert np.allclose(four[1].amplitudes, [1 / np.sqrt(2), -1 / np.sqrt(2)])
+        comp, four = mub_family(2)
+        assert np.allclose(comp[0], [1, 0])
+        assert np.allclose(four[0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert np.allclose(four[1], [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_orthonormal_and_unbiased(self, d):
         fam = mub_family(d)
-        for basis in fam.bases:
+        assert fam.shape == (2, d, d)
+        for basis in fam:
             for i, ei in enumerate(basis):
                 for j, ej in enumerate(basis):
                     want = 1.0 if i == j else 0.0
-                    assert abs(np.vdot(ei.amplitudes, ej.amplitudes) - want) < 1e-12
-        comp, four = fam.bases
+                    assert abs(np.vdot(ei, ej) - want) < 1e-12
+        comp, four = fam
         for e in comp:
             for f in four:
-                overlap = abs(np.vdot(e.amplitudes, f.amplitudes)) ** 2
+                overlap = abs(np.vdot(e, f)) ** 2
                 assert overlap == pytest.approx(1 / d, abs=1e-12)
 
     def test_unsupported_dimension(self):
@@ -75,114 +89,121 @@ class TestMubFamily:
 class TestBuildAssemblage:
     def test_ghz3_computational_members(self):
         config = steering(GHZ_TOY)
-        asm = build_assemblage(make_dense(GHZ_TOY), config)
+        asm = build_assemblage(make_compact(GHZ_TOY), config)
         for a in range(3):
-            member = asm.member((0,), (a,))
+            member = dense_member(asm, (0,), (a,))
             expected = np.zeros((9, 9), dtype=complex)
             expected[4 * a, 4 * a] = GHZ_TOY.alphas[a] ** 2  # |aa><aa| scaled
             assert np.allclose(member, expected, atol=1e-14)
 
     def test_ghz3_fourier_members(self):
         config = steering(GHZ_TOY)
-        asm = build_assemblage(make_dense(GHZ_TOY), config)
+        asm = build_assemblage(make_compact(GHZ_TOY), config)
         omega = np.exp(2j * np.pi / 3)
         for a in range(3):
             ket = np.zeros(9, dtype=complex)
             for i in range(3):
                 ket[4 * i] = GHZ_TOY.alphas[i] * omega ** (-a * i) / np.sqrt(3)
             expected = np.outer(ket, ket.conj())
-            assert np.allclose(asm.member((1,), (a,)), expected, atol=1e-14)
+            assert np.allclose(dense_member(asm, (1,), (a,)), expected, atol=1e-14)
 
     def test_w3_members_match_derived_forms(self):
         config = steering(W_TOY, q=2)
-        asm = build_assemblage(make_dense(W_TOY), config)
+        asm = build_assemblage(make_compact(W_TOY), config)
         b0, b1, b2 = W_TOY.betas
         # computational setting: outcome 0 keeps the two-excitation-free branch
         w0 = np.zeros(4, dtype=complex)
         w0[1], w0[2] = b0, b1  # |01>, |10>
-        assert np.allclose(asm.member((0,), (0,)), np.outer(w0, w0.conj()), atol=1e-14)
+        assert np.allclose(dense_member(asm, (0,), (0,)), np.outer(w0, w0.conj()), atol=1e-14)
         m10 = np.zeros((4, 4), dtype=complex)
         m10[0, 0] = b2**2  # beta_2^2 |00><00|
-        assert np.allclose(asm.member((0,), (1,)), m10, atol=1e-14)
-        assert np.trace(asm.member((0,), (0,))).real == pytest.approx(b0**2 + b1**2, abs=1e-14)
+        assert np.allclose(dense_member(asm, (0,), (1,)), m10, atol=1e-14)
+        assert np.trace(dense_member(asm, (0,), (0,))).real == pytest.approx(b0**2 + b1**2, abs=1e-14)
         # Hadamard setting: (1/2) |w_pm><w_pm| with w_pm = b2|00> +- b0|01> +- b1|10>
         for a, sign in ((0, 1.0), (1, -1.0)):
             wpm = np.zeros(4, dtype=complex)
             wpm[0], wpm[1], wpm[2] = b2, sign * b0, sign * b1
             expected = 0.5 * np.outer(wpm, wpm.conj())
-            assert np.allclose(asm.member((1,), (a,)), expected, atol=1e-14)
+            assert np.allclose(dense_member(asm, (1,), (a,)), expected, atol=1e-14)
 
     def test_member_count_s2(self):
         config = steering(GHZ_TOY, s=2, q=1)
-        asm = build_assemblage(make_dense(GHZ_TOY), config)
+        asm = build_assemblage(make_compact(GHZ_TOY), config)
         assert len(asm.members) == 36  # 4 setting strings x 9 outcome strings
-        assert asm.char_dim == 3
+        assert all(dense_member(asm, *key).shape == (3, 3) for key in asm.members)
 
     def test_nonsignaling_random_specs(self, rng):
         for _ in range(10):
             spec = random_ghz_spec(rng, 3, 3)
             for s in (1, 2):
-                asm = build_assemblage(make_dense(spec), steering(spec, s=s, q=1))
+                asm = build_assemblage(make_compact(spec), steering(spec, s=s, q=1))
                 validate_assemblage(asm)
         for _ in range(10):
             wspec = random_w_spec(rng, 4)
-            asm = build_assemblage(make_dense(wspec), steering(wspec, s=1, q=3))
+            asm = build_assemblage(make_compact(wspec), steering(wspec, s=1, q=3))
             validate_assemblage(asm)
 
     def test_validate_rejects_nan_member(self):
-        asm = build_assemblage(make_dense(GHZ_TOY), steering(GHZ_TOY))
+        asm = build_assemblage(make_compact(GHZ_TOY), steering(GHZ_TOY))
         members = dict(asm.members)
         key = next(iter(members))
         members[key] = np.full_like(members[key], math.nan)
-        broken = Assemblage(asm.s, asm.d_out, asm.char_dims, members)
+        broken = dataclasses.replace(asm, members=members)
         with pytest.raises(NotPositiveError):
             validate_assemblage(broken)
 
     def test_reduced_state_is_partial_trace(self):
-        asm = build_assemblage(make_dense(GHZ_TOY), steering(GHZ_TOY))
+        asm = build_assemblage(make_compact(GHZ_TOY), steering(GHZ_TOY))
         expected = np.zeros((9, 9), dtype=complex)
         for i in range(3):
             expected[4 * i, 4 * i] = GHZ_TOY.alphas[i] ** 2
         for x in asm.settings:
-            assert np.allclose(asm.reduced_state(x), expected, atol=1e-12)
+            reduced = sum(dense_member(asm, x, a) for a in asm.outcomes)
+            assert np.allclose(reduced, expected, atol=1e-12)
 
 
 class TestFilterAssemblage:
     def test_identityish_filters_on_perfect_spec(self):
         spec = perfect_ghz(3, 3)
         config = steering(spec)
-        asm = build_assemblage(make_dense(spec), config)
+        asm = build_assemblage(make_compact(spec), config)
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
         for key in asm.members:
-            assert np.allclose(filtered.members[key], asm.members[key], atol=1e-12)
+            assert np.allclose(
+                dense_member(filtered, *key), dense_member(asm, *key), atol=1e-12
+            )
 
     def test_ghz3_filter_recovers_perfect_assemblage(self):
         config = steering(GHZ_TOY)
-        asm = build_assemblage(make_dense(GHZ_TOY), config)
+        asm = build_assemblage(make_compact(GHZ_TOY), config)
         assignment = assignment_for(Family.GHZ_DIAGONAL, GHZ_TOY, 1)
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(3 * GHZ_TOY.alphas[0] ** 2, abs=1e-14)
-        perfect = build_assemblage(make_dense(perfect_ghz(3, 3)), config)
+        perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), config)
         for key in perfect.members:
-            assert np.allclose(filtered.members[key], perfect.members[key], atol=1e-12)
+            assert np.allclose(
+                dense_member(filtered, *key), dense_member(perfect, *key), atol=1e-12
+            )
 
     def test_w3_filter_probability_and_output(self):
         config = steering(W_TOY, q=2)
-        asm = build_assemblage(make_dense(W_TOY), config)
+        asm = build_assemblage(make_compact(W_TOY), config)
         assignment = assignment_for(Family.W_SINGLE_EXCITATION, W_TOY, 2)
         filtered, prob = filter_assemblage(asm, assignment, (0, 0))
         b = W_TOY.betas
         assert prob == pytest.approx(3 * b[0] ** 2 * b[1] ** 2 / b[2] ** 2, abs=1e-14)
-        perfect = build_assemblage(make_dense(perfect_w(3)), config)
+        perfect = build_assemblage(make_compact(perfect_w(3)), config)
         for key in perfect.members:
-            assert np.allclose(filtered.members[key], perfect.members[key], atol=1e-12)
+            assert np.allclose(
+                dense_member(filtered, *key), dense_member(perfect, *key), atol=1e-12
+            )
 
     def test_filter_on_uncharacterized_party_rejected(self, rng):
         spec = random_ghz_spec(rng, 3, 4)
         config = steering(spec, s=2, q=1)
-        asm = build_assemblage(make_dense(spec), config)
+        asm = build_assemblage(make_compact(spec), config)
         # an assignment whose participant sits on party 1 (< s) must be refused
         from qdistill.filters import IndexPartition, ghz_partition_assignment
 
@@ -194,7 +215,7 @@ class TestFilterAssemblage:
         for _ in range(5):
             spec = random_ghz_spec(rng, 3, 4)
             config = steering(spec, s=1, q=2)
-            asm = build_assemblage(make_dense(spec), config)
+            asm = build_assemblage(make_compact(spec), config)
             assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 2)
             _, prob = filter_assemblage(asm, assignment, (0, 0))
             assert prob == pytest.approx(
@@ -204,7 +225,7 @@ class TestFilterAssemblage:
     def test_filtered_assemblage_stays_nonsignaling(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
         config = steering(spec)
-        asm = build_assemblage(make_dense(spec), config)
+        asm = build_assemblage(make_compact(spec), config)
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
         for outcome in ((0,), (1,)):
             filtered, _ = filter_assemblage(asm, assignment, outcome)
@@ -216,9 +237,9 @@ class TestDistilledAssemblage:
         spec = perfect_ghz(3, 3)
         config = steering(spec, n=3)
         dist = run_tsd(config).distilled
-        perfect = build_assemblage(make_dense(spec), config)
+        perfect = build_assemblage(make_compact(spec), config)
         for key in perfect.members:
-            assert np.allclose(dist.members[key], perfect.members[key], atol=1e-12)
+            assert np.allclose(dense_member(dist, *key), dense_member(perfect, *key), atol=1e-12)
 
     def test_ghz3_member_structure(self):
         n = 3
@@ -230,7 +251,7 @@ class TestDistilledAssemblage:
         for a in range(3):
             expected = np.zeros((9, 9), dtype=complex)
             expected[4 * a, 4 * a] = ps / 3 + (1 - ps) * GHZ_TOY.alphas[a] ** 2
-            assert np.allclose(dist.member((0,), (a,)), expected, atol=1e-13)
+            assert np.allclose(dense_member(dist, (0,), (a,)), expected, atol=1e-13)
 
     def test_w3_member_structure(self):
         n = 2
@@ -241,13 +262,13 @@ class TestDistilledAssemblage:
         ps = overall_success(pu, n)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = ps / 3 + (1 - ps) * b[2] ** 2
-        assert np.allclose(dist.member((0,), (1,)), expected, atol=1e-13)
+        assert np.allclose(dense_member(dist, (0,), (1,)), expected, atol=1e-13)
 
     def test_mix_requires_matching_keys(self):
         c1 = steering(GHZ_TOY, s=1)
         c2 = steering(GHZ_TOY, s=2, q=1)
-        a1 = build_assemblage(make_dense(GHZ_TOY), c1)
-        a2 = build_assemblage(make_dense(GHZ_TOY), c2)
+        a1 = build_assemblage(make_compact(GHZ_TOY), c1)
+        a2 = build_assemblage(make_compact(GHZ_TOY), c2)
         with pytest.raises(Exception):
             mix_assemblages(0.5, a1, a2)
 
@@ -259,7 +280,7 @@ class TestAssemblageFidelity:
     def test_self_fidelity_reference_assemblages(self, rng):
         for spec, s, q in [(GHZ_TOY, 1, 1), (GHZ_TOY, 2, 1), (W_TOY, 1, 2)]:
             config = steering(spec, s=s, q=q)
-            asm = build_assemblage(make_dense(spec), config)
+            asm = build_assemblage(make_compact(spec), config)
             worst = min(assemblage_fidelity_by_setting(asm, asm).values())
             assert worst == pytest.approx(1.0, abs=1e-12)
 
@@ -271,7 +292,7 @@ class TestAssemblageFidelity:
     def test_minimum_attained_at_fourier_setting(self):
         config = steering(GHZ_TOY, n=3)
         dist = run_tsd(config).distilled
-        perfect = build_assemblage(make_dense(perfect_ghz(3, 3)), config)
+        perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), config)
         per = assemblage_fidelity_by_setting(dist, perfect)
         assert min(per, key=per.get) == (1,)
         assert per[(0,)] >= per[(1,)]
@@ -338,3 +359,136 @@ class TestRunTsd:
         assert not config.threshold
         report = run_tsd(config)
         assert report.p_success_per_copy == pytest.approx(0.27, abs=1e-12)
+
+
+def per_setting_of(config):
+    """run_tsd's distilled assemblage scored setting by setting against the
+    perfect one it is built from."""
+    report = run_tsd(config)
+    perfect = build_assemblage(make_compact(perfect_like(config.base.spec)), config)
+    return report, assemblage_fidelity_by_setting(report.distilled, perfect)
+
+
+def ghz_spec_of(d, p, seed):
+    return random_ghz_spec(np.random.default_rng(seed), d, p)
+
+
+ORACLE_CASES = [
+    (GHZ_TOY, 1, 1, 3),
+    (GHZ_TOY, 1, 2, 2),
+    (GHZ_TOY, 2, 1, 5),
+    (W_TOY, 1, 2, 3),
+    (ghz_spec_of(3, 4, 1), 2, 1, 4),
+    (ghz_spec_of(5, 4, 2), 2, 1, 4),
+    (ghz_spec_of(2, 8, 3), 3, 1, 4),
+    *[(random_w_spec(np.random.default_rng(p), p), 1, p - 1, 3) for p in range(4, 9)],
+]
+
+
+class TestDenseOracle:
+    """Every per-setting value of the span route against the dense route:
+    d^P vectors, explicit basis vectors, Kronecker filters and
+    eigendecomposition root fidelities on d^(P-S)-square members."""
+
+    @pytest.mark.parametrize("spec, s, q, n", ORACLE_CASES)
+    def test_per_setting_values_match_dense_oracle(self, spec, s, q, n):
+        config = steering(spec, n=n, q=q, s=s)
+        report, per = per_setting_of(config)
+        want = oracle_steering(config)
+        assert report.p_success_per_copy == pytest.approx(want.p_success_per_copy, abs=1e-12)
+        assert per.keys() == want.per_setting.keys()
+        for x, value in per.items():
+            assert value == pytest.approx(want.per_setting[x], abs=1e-12)
+        assert report.fidelity_assemblage == min(per.values())
+
+    @pytest.mark.parametrize("spec, s, q, n", ORACLE_CASES)
+    def test_decimal_setting_law_matches_dense_oracle(self, spec, s, q, n):
+        config = steering(spec, n=n, q=q, s=s)
+        want = oracle_steering(config).per_setting
+        if isinstance(spec, GhzSpec):
+            fourier, computational = oracle_ghz_settings(spec.alphas, n)
+        else:
+            fourier, computational = oracle_w_settings(spec.betas, n)
+        for x, value in want.items():
+            law = fourier if all(x) else computational
+            assert value == pytest.approx(float(law), abs=1e-12)
+
+
+class TestSettingLaw:
+    """The exact per-setting law, at sizes the dense oracle cannot reach:
+    the all-Fourier (Hadamard) string gives the state closed form F, any
+    string with a computational party the classical fidelity."""
+
+    @given(st.data())
+    def test_span_route_matches_decimal_law(self, data):
+        if data.draw(st.booleans(), label="ghz"):
+            d = data.draw(st.sampled_from((2, 3, 5, 7)), label="d")
+            p = data.draw(st.integers(2, 12), label="p")
+            s = data.draw(st.integers(1, min(3, p - 1)), label="s")
+            q = data.draw(st.integers(1, p - s), label="q")
+            raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+            spec = GhzSpec(d, p, tuple(np.sort(np.asarray(raw) / np.linalg.norm(raw))))
+        else:
+            p = data.draw(st.integers(3, 200), label="p")
+            s, q = 1, p - 1
+            raw = data.draw(st.lists(st.floats(0.5, 1.0), min_size=p, max_size=p))
+            spec = WSpec(p, tuple(np.sort(np.asarray(raw) / np.linalg.norm(raw))))
+        n = data.draw(st.integers(2, 40), label="n")
+        _, per = per_setting_of(steering(spec, n=n, q=q, s=s))
+        if isinstance(spec, GhzSpec):
+            fourier, computational = oracle_ghz_settings(spec.alphas, n)
+        else:
+            fourier, computational = oracle_w_settings(spec.betas, n)
+        for x, value in per.items():
+            law = fourier if all(x) else computational
+            assert abs(value - float(law)) <= 1e-12
+
+
+class TestUniformTieBreak:
+    """On a uniform spec every setting scores 1; the minimizer is pinned to
+    the lexicographically largest string within FIDELITY_CLAMP_TOL of the
+    minimum, the all-Fourier string non-uniform specs converge to."""
+
+    @pytest.mark.parametrize(
+        "spec, s, q",
+        [(perfect_ghz(d, 3), s, 1) for d in (2, 3, 5) for s in (1, 2)]
+        + [(perfect_w(p), 1, p - 1) for p in (3, 4, 6)],
+    )
+    def test_uniform_spec_picks_all_fourier(self, spec, s, q):
+        report = run_tsd(steering(spec, n=3, q=q, s=s))
+        assert report.minimizing_setting == (1,) * s
+        assert report.fidelity_assemblage == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSpanGuards:
+    def test_oversized_outcome_loop_fails_fast(self):
+        # (2 d)^S = 4^30 members; refused before any is built
+        spec = GhzSpec(2, 40, (0.6, 0.8))
+        start = time.process_time()
+        with pytest.raises(WorkCapExceededError):
+            run_tsd(steering(spec, s=30, q=1))
+        assert time.process_time() - start < 1.0
+
+    def test_sizes_past_the_dense_route_run_in_milliseconds(self):
+        # 2^12 amplitudes: the dense route took over a minute for GHZ
+        ghz = steering(GhzSpec(2, 12, (0.6, 0.8)), n=4)
+        w = steering(random_w_spec(np.random.default_rng(12), 12), n=3, q=11)
+        for config in (ghz, w):
+            start = time.process_time()
+            report = run_tsd(config)
+            assert time.process_time() - start < 0.05
+            assert report.fidelity_assemblage == pytest.approx(
+                report.fidelity_closed_form, abs=1e-12
+            )
+
+    def test_state_off_the_configured_span(self):
+        config = steering(GHZ_TOY)
+        with pytest.raises(DimensionMismatchError):
+            build_assemblage(make_compact(GhzSpec(3, 4, GHZ_TOY.alphas)), config)
+        with pytest.raises(DimensionMismatchError):
+            build_assemblage(make_compact(W_TOY), config)
+
+    def test_reference_members_must_be_pure(self):
+        dist = run_tsd(steering(GHZ_TOY, n=3)).distilled
+        with pytest.raises(DimensionMismatchError):
+            assemblage_fidelity_by_setting(dist, dist)
