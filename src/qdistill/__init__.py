@@ -31,10 +31,7 @@ from .filters import (
     FilterAssignment,
     IndexPartition,
     KrausPair,
-    canonicalize_spec,
     ghz_partition_assignment,
-    ghz_single_party_pair,
-    validate_povm,
     w_assignment,
 )
 from .ted import (
@@ -91,13 +88,11 @@ __all__ = [
     "WorkCapExceededError",
     "apply_filter_layer",
     "build_assemblage",
-    "canonicalize_spec",
     "closed_form_fidelity_ghz",
     "closed_form_fidelity_w",
     "compact_to_dense",
     "filter_assemblage",
     "ghz_partition_assignment",
-    "ghz_single_party_pair",
     "make_compact",
     "make_dense",
     "mub_family",
@@ -109,6 +104,5 @@ __all__ = [
     "run_tsd",
     "simulate_trial",
     "success_prob_per_copy",
-    "validate_povm",
     "w_assignment",
 ]

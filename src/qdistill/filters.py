@@ -29,7 +29,7 @@ from .errors import (
     PivotNotMaximalError,
     PivotNotMinimalError,
 )
-from .states import GhzSpec, Spec, WSpec
+from .states import GhzSpec, WSpec
 
 PIVOT_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -40,9 +40,9 @@ class KrausPair:
     """A dichotomic filter {K0, K1}, stored as the two real diagonals
     ``k0`` and ``k1`` with entries in [0, 1].
 
-    Construction checks the structural invariants only; POVM completeness is
-    the factories' job and is reported by :func:`validate_povm`, which must
-    also be able to inspect deliberately broken pairs.
+    Construction checks the structural invariants only, so a deliberately
+    incomplete pair can still be built; POVM completeness is the job of
+    :meth:`from_diagonals`, through which every factory builds its pairs.
     """
 
     k0: np.ndarray
@@ -78,26 +78,6 @@ class KrausPair:
         return cls(d0, d1)
 
 
-def identity_pair(dim: int) -> KrausPair:
-    return KrausPair.from_diagonals(np.ones(dim))
-
-
-@dataclass(frozen=True)
-class PovmReport:
-    ok: bool
-    completeness_deviation: float
-    entry_deviation: float
-
-
-def validate_povm(pair: KrausPair, tol: float = ENTRY_TOL) -> PovmReport:
-    """Check K0^dag K0 + K1^dag K1 = I and entry bounds; report max deviation."""
-    comp = float(np.max(np.abs(pair.k0 * pair.k0 + pair.k1 * pair.k1 - 1.0)))
-    entries = np.concatenate([pair.k0, pair.k1])
-    entry = float(max(np.max(entries - 1.0), np.max(-entries), 0.0))
-    return PovmReport(ok=comp <= tol and entry <= tol,
-                      completeness_deviation=comp, entry_deviation=entry)
-
-
 @dataclass(frozen=True)
 class IndexPartition:
     """Disjoint blocks of basis indices, one per participating party, whose
@@ -112,10 +92,6 @@ class IndexPartition:
         )
 
     @classmethod
-    def single(cls, d: int) -> "IndexPartition":
-        return cls((frozenset(range(1, d)),))
-
-    @classmethod
     def contiguous(cls, d: int, q: int) -> "IndexPartition":
         """Split {1..d-1} into q contiguous blocks as evenly as possible."""
         if q < 1:
@@ -128,12 +104,6 @@ class IndexPartition:
             blocks.append(frozenset(idx[at:at + size]))
             at += size
         return cls(tuple(blocks))
-
-    @classmethod
-    def halves(cls, d: int) -> "IndexPartition":
-        """Two blocks split at floor((d-1)/2): {1..m} and {m+1..d-1}."""
-        m = (d - 1) // 2
-        return cls((frozenset(range(1, m + 1)), frozenset(range(m + 1, d))))
 
 
 def _check_partition(partition: IndexPartition, d: int) -> None:
@@ -203,15 +173,9 @@ def _ghz_ratios(spec: GhzSpec) -> np.ndarray:
     ratios = al[0] / al
     if np.max(ratios) > 1.0 + PIVOT_TOL:
         raise PivotNotMinimalError(
-            "alpha_0 must be the minimal coefficient; "
-            "canonicalize_spec() relabels the basis explicitly"
+            "alpha_0 must be the minimal coefficient; relabel the basis so that it is"
         )
     return np.clip(ratios, 0.0, 1.0)
-
-
-def ghz_single_party_pair(spec: GhzSpec) -> KrausPair:
-    """The one-party GHZ filter K0 = diag(alpha_0/alpha_i)."""
-    return KrausPair.from_diagonals(_ghz_ratios(spec))
 
 
 def ghz_partition_assignment(
@@ -242,8 +206,7 @@ def ghz_partition_assignment(
     slots: list[KrausPair | None] = [None] * spec.p
     for block, j in zip(partition.blocks, parties):
         d0 = np.ones(spec.d)
-        for i in block:
-            d0[i] = ratios[i]
+        d0[list(block)] = ratios[list(block)]
         slots[j] = KrausPair.from_diagonals(d0)
     return FilterAssignment(spec.p, tuple(slots))
 
@@ -260,35 +223,11 @@ def w_assignment(spec: WSpec) -> FilterAssignment:
     ratios = be / be[-1]
     if np.max(ratios) > 1.0 + PIVOT_TOL:
         raise PivotNotMaximalError(
-            "beta_{p-1} must be the maximal coefficient; "
-            "canonicalize_spec() relabels parties explicitly"
+            "beta_{p-1} must be the maximal coefficient; relabel the parties so that it is"
         )
     slots: list[KrausPair | None] = [None]
     for j in range(1, spec.p):
         r = min(float(ratios[spec.p - 1 - j]), 1.0)
         slots.append(KrausPair.from_diagonals(np.array([r, 1.0])))
     return FilterAssignment(spec.p, tuple(slots))
-
-
-def canonicalize_spec(spec: Spec) -> tuple[Spec, tuple[int, ...]]:
-    """Relabel so the filter pivot conditions hold.
-
-    GHZ: swap basis index 0 with the argmin of alpha.  W: swap party label
-    p-1 with the argmax of beta.  Returns the new spec and the permutation
-    ``perm`` with ``new[k] = old[perm[k]]``.  Relabeling is never done
-    silently elsewhere, since it would desynchronize externally supplied
-    measurement settings.
-    """
-    if isinstance(spec, GhzSpec):
-        coeffs = spec.alphas
-        pivot, target = int(np.argmin(coeffs)), 0
-    else:
-        coeffs = spec.betas
-        pivot, target = int(np.argmax(coeffs)), len(coeffs) - 1
-    perm = list(range(len(coeffs)))
-    perm[target], perm[pivot] = perm[pivot], perm[target]
-    permuted = tuple(coeffs[k] for k in perm)
-    if isinstance(spec, GhzSpec):
-        return GhzSpec(spec.d, spec.p, permuted), tuple(perm)
-    return WSpec(spec.p, permuted), tuple(perm)
 

@@ -19,7 +19,9 @@ members stay in the compact span of :mod:`qdistill.states`: projecting row
 r of ``local = local_indices(spec)`` gives the coefficient
 v_r = c_r prod_{k<s} conj(B[x_k][a_k, local[r, k]]).  A member is stored as
 a factor F whose rows are unnormalized pure components (sigma = sum over
-rows of |row><row|), with columns in span coordinates.
+rows of |row><row|), with columns in span coordinates.  All factors of an
+assemblage sit in one (members, rows, span) array, so each stage (build,
+filter, mix, score) is one numpy expression over it.
 
 The assemblage fidelity of A against B is
 
@@ -35,13 +37,13 @@ assemblage has pure members |g><g|, against which the root fidelity is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSpecError, InvalidSteeringScenarioError
-from .errors import NotPositiveError, WorkCapExceededError
+from .errors import WorkCapExceededError
 from .filters import FilterAssignment, apply_layer
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
 from .states import CompactState, Family, GhzSpec, Spec, family_of, local_indices, make_compact
@@ -49,7 +51,6 @@ from .states import perfect_like
 from .ted import ProtocolConfig, assignment_for, closed_form_fidelity, overall_success
 
 MUB_DIMS = (2, 3, 5, 7)
-NONSIGNALING_TOL = 1e-10
 MEMBER_CAP = 2**16
 
 Setting = tuple[int, ...]
@@ -71,15 +72,19 @@ def mub_family(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
-    """Unnormalized conditional states on the characterized subsystem,
-    keyed by (setting string, outcome string) of the uncharacterized
-    parties.  Strings are tuples ordered by party index.  Each member is a
-    factor whose columns follow the rows of ``local_indices(spec)``."""
+    """Unnormalized conditional states on the characterized subsystem, one
+    per (setting string, outcome string) of the uncharacterized parties.
+
+    ``members`` is one complex array of shape (2^s d_out^s, rows, span):
+    member (x, a) is the factor ``members[i]`` with
+    i = ravel_multi_index((*x, *a), (2,)*s + (d_out,)*s), settings first
+    and both strings in row-major party order.  Its columns follow the rows
+    of ``local_indices(spec)``."""
 
     s: int
     d_out: int
     spec: Spec
-    members: Mapping[tuple[Setting, Outcome], np.ndarray]
+    members: np.ndarray
 
     @property
     def settings(self) -> tuple[Setting, ...]:
@@ -90,25 +95,8 @@ class Assemblage:
         return tuple(itertools.product(range(self.d_out), repeat=self.s))
 
     def member(self, x: Setting, a: Outcome) -> np.ndarray:
-        return self.members[(tuple(x), tuple(a))]
-
-    def reduced_state(self, x: Setting | None = None) -> np.ndarray:
-        """sum_a sigma_{a|x} in span coordinates; non-signaling makes this
-        x-independent."""
-        x = self.settings[0] if x is None else tuple(x)
-        return sum(f.T @ f.conj() for f in (self.member(x, a) for a in self.outcomes))
-
-
-def validate_assemblage(asm: Assemblage, tol: float = NONSIGNALING_TOL) -> None:
-    """Check unit-trace reduced state and non-signaling (members are
-    positive by construction)."""
-    ref = asm.reduced_state(asm.settings[0])
-    if not abs(complex(np.trace(ref)) - 1.0) <= tol:  # NaN fails
-        raise NotPositiveError("reduced state trace differs from 1")
-    for x in asm.settings[1:]:
-        dev = float(np.max(np.abs(asm.reduced_state(x) - ref)))
-        if not dev <= tol:
-            raise NotPositiveError(f"non-signaling violated by {dev:.3e} at x={x}")
+        shape = (2,) * self.s + (self.d_out,) * self.s
+        return self.members[np.ravel_multi_index((*x, *a), shape)]
 
 
 @dataclass(frozen=True)
@@ -165,7 +153,7 @@ class SteeringReport:
 def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
     """Project the uncharacterized parties onto their measurement bases and
     keep the (unnormalized) conditional states of the characterized rest,
-    as 1-row factors."""
+    as 1-row factors: one broadcast product per uncharacterized party."""
     spec, s = config.base.spec, config.s
     d_out = spec.d if isinstance(spec, GhzSpec) else 2
     count = (2 * d_out) ** s
@@ -175,14 +163,12 @@ def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
     if family_of(state.spec) is not config.base.family or local.shape != local_indices(spec).shape:
         raise DimensionMismatchError("state does not match the configured spec's span")
     bases = mub_family(d_out).conj()
-    members: dict[tuple[Setting, Outcome], np.ndarray] = {}
-    for x in itertools.product((0, 1), repeat=s):
-        rows = state.coeffs[None, :].astype(complex)
-        for k, xk in enumerate(x):  # outcome strings in row-major order
-            rows = (rows[:, None, :] * bases[xk][:, local[:, k]]).reshape(-1, len(local))
-        for a, row in zip(itertools.product(range(d_out), repeat=s), rows):
-            members[(x, a)] = row[None, :]
-    return Assemblage(s, d_out, state.spec, members)
+    members = state.coeffs.astype(complex)
+    for k in range(s):  # party k's setting on axis k, its outcome on axis s + k
+        shape = [1] * (2 * s) + [len(local)]
+        shape[k], shape[s + k] = 2, d_out
+        members = members * bases[:, :, local[:, k]].reshape(shape)
+    return Assemblage(s, d_out, state.spec, members.reshape(count, 1, len(local)))
 
 
 def filter_assemblage(
@@ -193,7 +179,9 @@ def filter_assemblage(
     """One-way-LOCC filter layer on the characterized side.
 
     Returns the post-measurement assemblage, normalized by the outcome
-    probability Tr[K rho_ch K^dag], together with that probability.
+    probability Tr[K rho_ch K^dag], together with that probability.  An
+    outcome of probability 0 (possible once p_u underflows) leaves the zero
+    assemblage.
     """
     if any(j < asm.s for j in assignment.participants):
         raise InvalidSteeringScenarioError(
@@ -202,39 +190,37 @@ def filter_assemblage(
         )
     local = local_indices(asm.spec)
     mult = apply_layer(np.ones(len(local)), assignment, outcomes, local)
-    weight = np.diagonal(asm.reduced_state()).real
+    # diagonal of rho_ch, read off the all-computational setting's members
+    weight = np.sum(np.abs(asm.members[: asm.d_out**asm.s]) ** 2, axis=(0, 1))
     prob = float(np.sum(mult * mult * weight))
-    if prob <= 0.0:
-        raise NotPositiveError("filter outcome has zero probability")
-    scale = mult / np.sqrt(prob)
-    members = {key: f * scale for key, f in asm.members.items()}
-    return Assemblage(asm.s, asm.d_out, asm.spec, members), prob
+    if prob == 0.0:
+        return replace(asm, members=np.zeros_like(asm.members)), 0.0
+    return replace(asm, members=asm.members * (mult / np.sqrt(prob))), prob
+
+
+def _check_shapes(a: Assemblage, b: Assemblage) -> None:
+    if a.members.shape[::2] != b.members.shape[::2]:  # (member count, span width)
+        raise DimensionMismatchError("assemblages differ in member count or span width")
 
 
 def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
     """weight * a + (1 - weight) * b, member-wise, by stacking factors."""
-    if set(a.members) != set(b.members):
-        raise DimensionMismatchError("assemblages have different member keys")
+    _check_shapes(a, b)
     wa, wb = np.sqrt(weight), np.sqrt(1.0 - weight)
-    members = {key: np.vstack([wa * a.members[key], wb * b.members[key]]) for key in a.members}
-    return Assemblage(a.s, a.d_out, a.spec, members)
+    return replace(a, members=np.concatenate([wa * a.members, wb * b.members], axis=1))
 
 
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
     """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each setting string, where
     every member of ``b`` is pure: the root fidelity is ||F_a conj(g)||."""
-    if set(a.members) != set(b.members):
-        raise DimensionMismatchError("assemblages have different member keys")
-    if any(len(g) != 1 for g in b.members.values()):
+    _check_shapes(a, b)
+    if b.members.shape[1] != 1:
         raise DimensionMismatchError("reference assemblage members must be pure (one row)")
-    out: dict[Setting, float] = {}
-    for x in a.settings:
-        total = sum(
-            float(np.linalg.norm(a.member(x, oc) @ b.member(x, oc)[0].conj()))
-            for oc in a.outcomes
-        )
-        out[x] = _clamp_unit(total * total, f"assemblage fidelity at x={x}")
-    return out
+    roots = np.linalg.norm(a.members @ b.members.conj().transpose(0, 2, 1), axis=(1, 2))
+    # cumulative sums add in outcome order, left to right
+    totals = np.cumsum(roots.reshape(len(a.settings), -1), axis=1)[:, -1]
+    return {x: _clamp_unit(float(t * t), f"assemblage fidelity at x={x}")
+            for x, t in zip(a.settings, totals)}
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:

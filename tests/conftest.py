@@ -275,6 +275,24 @@ def dense_member(asm, x, a) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
+NONSIGNALING_TOL = 1e-10
+
+
+def nonsignaling_deviation(asm) -> float:
+    """Largest of |Tr rho_ch - 1| and the entrywise distance between the
+    outcome sums sum_a sigma_{a|x} of each setting string and of the first,
+    on dense members.  NaN members give NaN, which fails any ``<=`` bound."""
+    reduced = [sum(dense_member(asm, x, a) for a in asm.outcomes) for x in asm.settings]
+    trace = abs(complex(np.trace(reduced[0])) - 1.0)
+    shifts = [np.max(np.abs(r - reduced[0])) for r in reduced[1:]]
+    return float(np.max([trace, *shifts]))
+
+
+def completeness_deviation(pair) -> float:
+    """max |K0^dag K0 + K1^dag K1 - I| of a diagonal filter pair."""
+    return float(np.max(np.abs(pair.k0 * pair.k0 + pair.k1 * pair.k1 - 1.0)))
+
+
 def oracle_steering(config) -> SimpleNamespace:
     """run_tsd's per-copy success and per-setting fidelities recomputed on
     dense d^P vectors.

@@ -50,13 +50,15 @@ from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
 from qdistill.sweep import grid_rows, preset_grid
 from qdistill.ted import assignment_for, overall_success
-from qdistill.tsd import filter_assemblage, validate_assemblage
+from qdistill.tsd import filter_assemblage
 
 from conftest import (
+    NONSIGNALING_TOL,
     dense_report,
     ghz_corpus,
     labeled_partitions,
     oracle_ghz_deviation,
+    nonsignaling_deviation,
     w_corpus,
 )
 from test_montecarlo import binomial_chi2_pvalue
@@ -215,7 +217,7 @@ def test_criterion_05_assemblage_equals_state_fidelity():
 
 
 def test_criterion_06_non_signaling(rng):
-    checked = 0
+    deviations = []
     ghz_toy = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
     w_toy = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
     cases = [(ghz_toy, Family.GHZ_DIAGONAL, 1, 1), (ghz_toy, Family.GHZ_DIAGONAL, 2, 1),
@@ -232,17 +234,15 @@ def test_criterion_06_non_signaling(rng):
     for spec, family, s, q in cases:
         config = SteeringConfig(ProtocolConfig(2, family, spec, q), s)
         asm = build_assemblage(make_compact(spec), config)
-        validate_assemblage(asm, tol=1e-10)
-        checked += 1
+        deviations.append(nonsignaling_deviation(asm))
         assignment = assignment_for(family, spec, q)
         for outcome in [(0,) * assignment.q, (1,) + (0,) * (assignment.q - 1)]:
             filtered, _ = filter_assemblage(asm, assignment, outcome)
-            validate_assemblage(filtered, tol=1e-10)
-            checked += 1
-        validate_assemblage(run_tsd(config).distilled, tol=1e-10)
-        checked += 1
+            deviations.append(nonsignaling_deviation(filtered))
+        deviations.append(nonsignaling_deviation(run_tsd(config).distilled))
+    ok = all(dev <= NONSIGNALING_TOL for dev in deviations)  # NaN fails
     check("6", "non-signaling of constructed, filtered, distilled assemblages",
-          True, f"{checked} assemblages at 1e-10")
+          ok, f"{len(deviations)} assemblages, worst {max(deviations):.2e} at 1e-10")
 
 
 def test_criterion_07_monte_carlo():

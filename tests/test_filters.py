@@ -12,23 +12,27 @@ from qdistill import (
     PivotNotMaximalError,
     PivotNotMinimalError,
     WSpec,
-    canonicalize_spec,
     ghz_partition_assignment,
-    ghz_single_party_pair,
     make_dense,
     perfect_ghz,
     perfect_w,
-    validate_povm,
     w_assignment,
 )
-from qdistill.filters import identity_pair, last_parties
+from qdistill.filters import last_parties
 
 from conftest import (
+    completeness_deviation,
     labeled_partitions,
     oracle_layer,
     random_ghz_spec,
     random_w_spec,
 )
+
+
+def ghz_single_party_pair(spec: GhzSpec) -> KrausPair:
+    """The one-party GHZ filter: one block {1..d-1} on the last party."""
+    j = spec.p - 1
+    return ghz_partition_assignment(spec, IndexPartition.contiguous(spec.d, 1), (j,)).pairs[j]
 
 
 class TestGhzSinglePartyPair:
@@ -54,21 +58,20 @@ class TestGhzSinglePartyPair:
         for _ in range(100):
             d = int(rng.integers(2, 7))
             pair = ghz_single_party_pair(random_ghz_spec(rng, d, 2))
-            report = validate_povm(pair)
-            assert report.ok, report
+            assert completeness_deviation(pair) <= 1e-12
 
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
     def test_completeness_hypothesis(self, raw):
         vec = np.sort(np.asarray(raw) / np.linalg.norm(raw))
         spec = GhzSpec(len(vec), 2, tuple(vec))
-        assert validate_povm(ghz_single_party_pair(spec)).ok
+        assert completeness_deviation(ghz_single_party_pair(spec)) <= 1e-12
 
     def test_tied_pivot_accepted(self):
         # equal minimal coefficients give a unit diagonal entry, not an error
         spec = GhzSpec(3, 3, (0.5, 0.5, np.sqrt(0.5)))
         pair = ghz_single_party_pair(spec)
         assert np.allclose(pair.diag(0)[:2], [1.0, 1.0])
-        assert validate_povm(pair).ok
+        assert completeness_deviation(pair) <= 1e-12
 
 
 class TestPartitionAssignment:
@@ -84,9 +87,9 @@ class TestPartitionAssignment:
     def test_single_block_reduces_to_single_party_pair(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
         assignment = ghz_partition_assignment(
-            spec, IndexPartition.single(4), (2,)
+            spec, IndexPartition.contiguous(4, 1), (2,)
         )
-        single = ghz_single_party_pair(spec)
+        single = KrausPair.from_diagonals(spec.alphas[0] / np.array(spec.alphas))
         assert np.array_equal(assignment.pairs[2].k0, single.k0)
         assert np.array_equal(assignment.pairs[2].k1, single.k1)
 
@@ -180,7 +183,7 @@ class TestWAssignment:
             p = int(rng.integers(2, 8))
             assignment = w_assignment(random_w_spec(rng, p))
             for j in assignment.participants:
-                assert validate_povm(assignment.pairs[j]).ok
+                assert completeness_deviation(assignment.pairs[j]) <= 1e-12
 
     def test_filtered_w_state_is_uniform(self, rng):
         for p in (3, 4, 5):
@@ -194,62 +197,28 @@ class TestWAssignment:
 
 
 class TestValidatePovm:
+    """POVM completeness, checked by ``conftest.completeness_deviation``."""
+
     def test_identity_pair_ok(self):
-        assert validate_povm(identity_pair(3)).ok
+        assert completeness_deviation(KrausPair.from_diagonals(np.ones(3))) <= 1e-12
 
     def test_half_pair_ok(self):
         pair = KrausPair([0.5], [np.sqrt(0.75)])
-        assert validate_povm(pair).ok
+        assert completeness_deviation(pair) <= 1e-12
 
     def test_incomplete_pair_reports_deviation(self):
         pair = KrausPair([0.9], [0.9])
-        report = validate_povm(pair)
-        assert not report.ok
-        assert report.completeness_deviation == pytest.approx(0.62, abs=1e-12)
+        assert completeness_deviation(pair) == pytest.approx(0.62, abs=1e-12)
 
     def test_produced_pairs_always_complete(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 6))
             spec = random_ghz_spec(rng, d, 3)
-            for part in [IndexPartition.single(d), IndexPartition.halves(d)]:
-                q = len(part.blocks)
+            for q in (1, 2):
+                part = IndexPartition.contiguous(d, q)
                 assignment = ghz_partition_assignment(spec, part, last_parties(3, q))
                 for j in assignment.participants:
-                    assert validate_povm(assignment.pairs[j]).completeness_deviation < 1e-12
-
-
-class TestCanonicalize:
-    def test_ghz_swaps_minimum_to_front(self):
-        spec = GhzSpec(3, 3, (0.8, 0.3, np.sqrt(1 - 0.64 - 0.09)))
-        canon, perm = canonicalize_spec(spec)
-        assert canon.alphas[0] == min(spec.alphas)
-        assert perm == (1, 0, 2)
-
-    def test_already_canonical_identity_perm(self, rng):
-        spec = random_ghz_spec(rng, 4, 2)
-        canon, perm = canonicalize_spec(spec)
-        assert perm == (0, 1, 2, 3)
-        assert canon.alphas == spec.alphas
-
-    def test_w_swaps_maximum_to_back(self):
-        spec = WSpec(3, (0.8, 0.3, np.sqrt(1 - 0.64 - 0.09)))
-        canon, perm = canonicalize_spec(spec)
-        assert canon.betas[-1] == max(spec.betas)
-        assert perm == (2, 1, 0)
-
-    def test_filters_valid_after_canonicalization(self, rng):
-        for _ in range(50):
-            d = int(rng.integers(2, 6))
-            v = rng.uniform(0.2, 1.0, d)
-            v /= np.linalg.norm(v)
-            canon, _ = canonicalize_spec(GhzSpec(d, 2, tuple(v)))
-            assert validate_povm(ghz_single_party_pair(canon)).ok
-            p = int(rng.integers(2, 7))
-            w = rng.uniform(0.2, 1.0, p)
-            w /= np.linalg.norm(w)
-            wcanon, _ = canonicalize_spec(WSpec(p, tuple(w)))
-            for j in w_assignment(wcanon).participants:
-                assert validate_povm(w_assignment(wcanon).pairs[j]).ok
+                    assert completeness_deviation(assignment.pairs[j]) < 1e-12
 
 
 class TestKrausPairType:
@@ -287,9 +256,3 @@ class TestKrausPairType:
         ]:
             with pytest.raises(DimensionMismatchError):
                 KrausPair(k0, k1)
-
-    def test_halves_preset(self):
-        part = IndexPartition.halves(5)
-        assert part.blocks == (frozenset({1, 2}), frozenset({3, 4}))
-        part3 = IndexPartition.halves(3)
-        assert part3.blocks == (frozenset({1}), frozenset({2}))

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -47,3 +48,20 @@ def test_bench_trace_targets_resolve(monkeypatch):
         if not hasattr(getattr(importlib.import_module(module), attr, None), "cache_info")
     ]
     assert uncached == []
+
+
+def test_traced_steer_benchmark_runs_clean():
+    # one quick traced pass of the steering workload, end to end: the last
+    # stdout line is the benchmark's JSON result (details go to the
+    # gitignored .bench_out/)
+    root = Path(__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", "steer", "--seed", "3",
+         "--seconds", "0", "--quick", "--trace", "1"],
+        capture_output=True, text=True, check=True, cwd=root, timeout=120,
+    )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert [name for name, metric in result["metrics"].items() if "note" in metric] == []
+    assert result["metrics"]["tsd.members"]["value"] > 0

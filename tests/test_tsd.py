@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -13,7 +14,6 @@ from qdistill import (
     InvalidSpecError,
     InvalidSteeringScenarioError,
     DimensionMismatchError,
-    NotPositiveError,
     ProtocolConfig,
     SteeringConfig,
     WSpec,
@@ -29,17 +29,15 @@ from qdistill import (
     WorkCapExceededError,
     success_prob_per_copy,
 )
-from qdistill.states import perfect_like
+from qdistill.states import local_indices, perfect_like
 from qdistill.ted import assignment_for, overall_success
-from qdistill.tsd import (
-    assemblage_fidelity_by_setting,
-    mix_assemblages,
-    validate_assemblage,
-)
+from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
 
 from conftest import (
+    NONSIGNALING_TOL,
     dense_member,
     ghz_config,
+    nonsignaling_deviation,
     oracle_ghz_settings,
     oracle_steering,
     oracle_w_settings,
@@ -49,6 +47,15 @@ from conftest import (
 
 GHZ_TOY = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
 W_TOY = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
+
+
+def ghz_spec_of(d, p, seed):
+    return random_ghz_spec(np.random.default_rng(seed), d, p)
+
+
+def keys(asm):
+    """Every (setting string, outcome string), in member order."""
+    return itertools.product(asm.settings, asm.outcomes)
 
 
 def steering(spec, n=2, q=1, s=1, family=None):
@@ -130,27 +137,25 @@ class TestBuildAssemblage:
         config = steering(GHZ_TOY, s=2, q=1)
         asm = build_assemblage(make_compact(GHZ_TOY), config)
         assert len(asm.members) == 36  # 4 setting strings x 9 outcome strings
-        assert all(dense_member(asm, *key).shape == (3, 3) for key in asm.members)
+        assert all(dense_member(asm, *key).shape == (3, 3) for key in keys(asm))
 
     def test_nonsignaling_random_specs(self, rng):
         for _ in range(10):
             spec = random_ghz_spec(rng, 3, 3)
             for s in (1, 2):
                 asm = build_assemblage(make_compact(spec), steering(spec, s=s, q=1))
-                validate_assemblage(asm)
+                assert nonsignaling_deviation(asm) <= NONSIGNALING_TOL
         for _ in range(10):
             wspec = random_w_spec(rng, 4)
             asm = build_assemblage(make_compact(wspec), steering(wspec, s=1, q=3))
-            validate_assemblage(asm)
+            assert nonsignaling_deviation(asm) <= NONSIGNALING_TOL
 
     def test_validate_rejects_nan_member(self):
         asm = build_assemblage(make_compact(GHZ_TOY), steering(GHZ_TOY))
-        members = dict(asm.members)
-        key = next(iter(members))
-        members[key] = np.full_like(members[key], math.nan)
+        members = asm.members.copy()
+        members[0] = math.nan
         broken = dataclasses.replace(asm, members=members)
-        with pytest.raises(NotPositiveError):
-            validate_assemblage(broken)
+        assert not nonsignaling_deviation(broken) <= NONSIGNALING_TOL
 
     def test_reduced_state_is_partial_trace(self):
         asm = build_assemblage(make_compact(GHZ_TOY), steering(GHZ_TOY))
@@ -162,6 +167,64 @@ class TestBuildAssemblage:
             assert np.allclose(reduced, expected, atol=1e-12)
 
 
+def loop_members(spec, s):
+    """Every member by explicit loops over setting string, outcome string
+    and party: the coefficients times each party's conjugated basis entry,
+    multiplied in party order."""
+    d_out = spec.d if isinstance(spec, GhzSpec) else 2
+    bases = mub_family(d_out).conj()
+    local = local_indices(spec)
+    rows = []
+    for x in itertools.product((0, 1), repeat=s):
+        for a in itertools.product(range(d_out), repeat=s):
+            row = make_compact(spec).coeffs.astype(complex)
+            for k in range(s):
+                row = row * bases[x[k], a[k], local[:, k]]
+            rows.append(row[None, :])
+    return np.stack(rows)
+
+
+def loop_scores(a, b):
+    """Per-setting fidelity by a loop over outcome strings, member by member."""
+    return {
+        x: sum(float(np.linalg.norm(a.member(x, o) @ b.member(x, o)[0].conj()))
+               for o in a.outcomes) ** 2
+        for x in a.settings
+    }
+
+
+LAYOUT_CASES = [
+    (GHZ_TOY, 1, 1), (GHZ_TOY, 2, 1), (ghz_spec_of(2, 5, 7), 3, 1),
+    (ghz_spec_of(5, 3, 8), 2, 1), (W_TOY, 1, 2),
+]
+
+
+class TestArrayLayout:
+    """Members sit in one array, settings first, both strings row-major;
+    the array stages reproduce member-by-member loops."""
+
+    @pytest.mark.parametrize("spec, s, q", LAYOUT_CASES)
+    def test_members_in_setting_then_outcome_order(self, spec, s, q):
+        config = steering(spec, n=3, q=q, s=s)
+        for asm in (build_assemblage(make_compact(spec), config), run_tsd(config).distilled):
+            stacked = np.stack([asm.member(x, a) for x in asm.settings for a in asm.outcomes])
+            assert np.array_equal(stacked, asm.members)
+            assert len(asm.members) == (2 * asm.d_out) ** s
+
+    @pytest.mark.parametrize("spec, s, q", LAYOUT_CASES)
+    def test_build_and_score_match_member_loops(self, spec, s, q):
+        # the build multiplies in the loop's order, so it is bit-identical;
+        # the batched norms may round differently in the last place
+        config = steering(spec, n=3, q=q, s=s)
+        assert np.array_equal(build_assemblage(make_compact(spec), config).members,
+                              loop_members(spec, s))
+        dist = run_tsd(config).distilled
+        perfect = build_assemblage(make_compact(perfect_like(spec)), config)
+        want = loop_scores(dist, perfect)
+        for x, value in assemblage_fidelity_by_setting(dist, perfect).items():
+            assert value == pytest.approx(want[x], abs=1e-14)
+
+
 class TestFilterAssemblage:
     def test_identityish_filters_on_perfect_spec(self):
         spec = perfect_ghz(3, 3)
@@ -170,7 +233,7 @@ class TestFilterAssemblage:
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
-        for key in asm.members:
+        for key in keys(asm):
             assert np.allclose(
                 dense_member(filtered, *key), dense_member(asm, *key), atol=1e-12
             )
@@ -182,7 +245,7 @@ class TestFilterAssemblage:
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(3 * GHZ_TOY.alphas[0] ** 2, abs=1e-14)
         perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), config)
-        for key in perfect.members:
+        for key in keys(perfect):
             assert np.allclose(
                 dense_member(filtered, *key), dense_member(perfect, *key), atol=1e-12
             )
@@ -195,7 +258,7 @@ class TestFilterAssemblage:
         b = W_TOY.betas
         assert prob == pytest.approx(3 * b[0] ** 2 * b[1] ** 2 / b[2] ** 2, abs=1e-14)
         perfect = build_assemblage(make_compact(perfect_w(3)), config)
-        for key in perfect.members:
+        for key in keys(perfect):
             assert np.allclose(
                 dense_member(filtered, *key), dense_member(perfect, *key), atol=1e-12
             )
@@ -207,7 +270,7 @@ class TestFilterAssemblage:
         # an assignment whose participant sits on party 1 (< s) must be refused
         from qdistill.filters import IndexPartition, ghz_partition_assignment
 
-        bad = ghz_partition_assignment(spec, IndexPartition.single(spec.d), (1,))
+        bad = ghz_partition_assignment(spec, IndexPartition.contiguous(spec.d, 1), (1,))
         with pytest.raises(InvalidSteeringScenarioError):
             filter_assemblage(asm, bad, (0,))
 
@@ -229,7 +292,7 @@ class TestFilterAssemblage:
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
         for outcome in ((0,), (1,)):
             filtered, _ = filter_assemblage(asm, assignment, outcome)
-            validate_assemblage(filtered)
+            assert nonsignaling_deviation(filtered) <= NONSIGNALING_TOL
 
 
 class TestDistilledAssemblage:
@@ -238,7 +301,7 @@ class TestDistilledAssemblage:
         config = steering(spec, n=3)
         dist = run_tsd(config).distilled
         perfect = build_assemblage(make_compact(spec), config)
-        for key in perfect.members:
+        for key in keys(perfect):
             assert np.allclose(dense_member(dist, *key), dense_member(perfect, *key), atol=1e-12)
 
     def test_ghz3_member_structure(self):
@@ -269,8 +332,19 @@ class TestDistilledAssemblage:
         c2 = steering(GHZ_TOY, s=2, q=1)
         a1 = build_assemblage(make_compact(GHZ_TOY), c1)
         a2 = build_assemblage(make_compact(GHZ_TOY), c2)
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             mix_assemblages(0.5, a1, a2)
+
+    def test_mix_and_score_require_matching_span(self):
+        # W P = 3 and P = 4 at S = 1 both have 4 members, on spans of 3 and 4
+        w3 = build_assemblage(make_compact(W_TOY), steering(W_TOY, q=2))
+        w4_spec = random_w_spec(np.random.default_rng(4), 4)
+        w4 = build_assemblage(make_compact(w4_spec), steering(w4_spec, q=3))
+        assert len(w3.members) == len(w4.members)
+        with pytest.raises(DimensionMismatchError):
+            mix_assemblages(0.5, w3, w4)
+        with pytest.raises(DimensionMismatchError):
+            assemblage_fidelity_by_setting(w3, w4)
 
 
 class TestAssemblageFidelity:
@@ -367,10 +441,6 @@ def per_setting_of(config):
     report = run_tsd(config)
     perfect = build_assemblage(make_compact(perfect_like(config.base.spec)), config)
     return report, assemblage_fidelity_by_setting(report.distilled, perfect)
-
-
-def ghz_spec_of(d, p, seed):
-    return random_ghz_spec(np.random.default_rng(seed), d, p)
 
 
 ORACLE_CASES = [
@@ -480,6 +550,28 @@ class TestSpanGuards:
             assert report.fidelity_assemblage == pytest.approx(
                 report.fidelity_closed_form, abs=1e-12
             )
+
+    def test_member_cap_runs_in_milliseconds(self):
+        # exactly 2^16 members, at the cap
+        config = steering(ghz_spec_of(2, 20, 20), n=4, s=8, q=1)
+        start = time.process_time()
+        report = run_tsd(config)
+        assert time.process_time() - start < 0.2
+        assert len(report.distilled.members) == 2**16
+        assert report.fidelity_assemblage == pytest.approx(
+            report.fidelity_closed_form, abs=1e-12
+        )
+
+    def test_underflowing_w_success_gives_zero(self):
+        # p_u underflows to 0.0 at P = 1000; run_ted reports it as 0, and the
+        # steering run does the same instead of refusing the filter outcome
+        ratios = np.append(np.random.default_rng(5).uniform(0.2, 1, 999), 1.0)
+        spec = WSpec(1000, tuple(ratios / np.linalg.norm(ratios)))
+        report = run_tsd(steering(spec, n=3, q=999))
+        assert report.p_success_per_copy == 0.0
+        assert report.fidelity_assemblage == pytest.approx(
+            report.fidelity_closed_form, abs=1e-9
+        )
 
     def test_state_off_the_configured_span(self):
         config = steering(GHZ_TOY)
