@@ -11,12 +11,15 @@ replay              re-execute the command recorded in a run manifest
 Reports go to stdout as ``key = value`` lines; ``--out`` additionally writes
 a CSV (or TSV) with a fixed, versioned schema plus a JSON run manifest next
 to it (``<out stem>.manifest.json``).  Numeric fields are printed with 12
-significant digits, so repeated runs are byte-identical.  Flags override
-values read from ``--config`` files (flat ``key = value`` lines, keys named
-after the long flags).
+significant digits, so repeated runs are byte-identical.
+
+``--config FILE`` lines ``key = value`` are parsed as flags ``--key=value``
+put before the command-line flags: they are checked like flags, a flag on the
+command line wins, and keys that name no flag of the command are ignored.
 
 On failure the process exits nonzero after printing a single line
-``error category=<Category>: <message>`` to stderr.
+``error category=<Category>: <message>`` to stderr; a command line or config
+value the parser rejects is ``InvalidSpec``.
 """
 
 from __future__ import annotations
@@ -24,15 +27,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .errors import InvalidSpecError, QdistillError
+from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec
-from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, grid_rows, preset_grid, report_row
+from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, ROW_CAP, grid_rows, preset_grid, report_row
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
@@ -46,6 +53,11 @@ SIMULATE_COLUMNS = (
 )
 
 STEERING_COLUMNS = CSV_COLUMNS + ("fidelity_assemblage", "minimizing_setting", "threshold")
+
+SWEEP_FIELDS = {  # sweep flag -> SweepGrid field
+    "alpha0": "alpha0_values", "beta0": "beta0_values", "pu": "pu", "gap": "gap",
+    "d": "d_values", "n": "n_values", "p": "p_values",
+}
 
 
 def _fmt(value) -> str:
@@ -66,25 +78,31 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_int_values(text: str) -> tuple[int, ...]:
-    """Accept '5', '2:10', '2:10:2', or '3,4,7' (ranges are inclusive)."""
+    """Accept '5', '2:10', '2:10:2', or '3,4,7' (ranges are inclusive).  A
+    range longer than the sweep row cap is refused before it is built."""
     text = text.strip()
     try:
         if ":" in text:
             parts = [int(tok) for tok in text.split(":")]
-            lo, hi = parts[0], parts[1]
-            step = parts[2] if len(parts) > 2 else 1
-            values = tuple(range(lo, hi + 1, step))
+            values = range(parts[0], parts[1] + 1, parts[2] if len(parts) > 2 else 1)
         else:
             values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except (ValueError, IndexError) as exc:
         raise InvalidSpecError(f"cannot parse integer range {text!r}") from exc
     if not values:
         raise InvalidSpecError(f"integer range {text!r} is empty")
-    return values
+    if values[ROW_CAP:]:  # not len(): it overflows past sys.maxsize
+        raise WorkCapExceededError(
+            f"integer range {text!r} has more than {ROW_CAP} values, the sweep row cap"
+        )
+    return tuple(values)
 
 
-def _finite(value) -> float:
-    number = float(value)
+def _finite(text: str) -> float:
+    try:
+        number = float(text)
+    except ValueError as exc:  # argparse adds the flag: "argument --pu: invalid ..."
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
     if not math.isfinite(number):
         raise InvalidSpecError(f"sweep value {number!r} is not finite")
     return number
@@ -94,21 +112,10 @@ def _finite_floats(text: str) -> tuple[float, ...]:
     return tuple(_finite(v) for v in _parse_floats(text))
 
 
-# (flag, SweepGrid field, parser of the flag or config-file value); a GHZ
-# preset takes its single --p as the field ``p``
-SWEEP_OVERRIDES = (
-    ("alpha0", "alpha0_values", _finite_floats),
-    ("beta0", "beta0_values", _finite_floats),
-    ("pu", "pu", _finite),
-    ("gap", "gap", _finite),
-    ("d", "d_values", _parse_int_values),
-    ("n", "n_values", _parse_int_values),
-    ("p", "p_values", _parse_int_values),
-)
-
-
-def _parse_partition(text: str) -> IndexPartition:
-    """Blocks separated by '|', indices within a block by ',': '1,3|2'."""
+def _parse_partition(text: str) -> IndexPartition | None:
+    """Blocks separated by '|', indices within a block by ',': '1,3|2'; '' is none."""
+    if not text:
+        return None
     try:
         blocks = tuple(
             frozenset(int(tok) for tok in part.split(",") if tok.strip())
@@ -130,14 +137,15 @@ def _cli_coeffs(values: list[float], what: str) -> tuple[float, ...]:
     return tuple(v / norm for v in values)
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
+def _config_tokens(args) -> list[str]:
+    """The ``--config`` lines whose key names a flag of the command, as
+    ``--key=value`` (so a value starting with '-' is not read as a flag)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidSpecError(f"cannot read config file {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
+        raise InvalidSpecError(f"cannot read config file {args.config!r}: {exc}") from exc
+    flags = vars(args).keys() - {"command", "func"}  # the rest are flag dests, named as the flags
+    tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -145,54 +153,19 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise InvalidSpecError(f"config line without '=': {line!r}")
         key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        if key.strip() in flags:
+            tokens.append(f"--{key.strip()}={val.strip()}")
+    return tokens
 
 
-def _opt(args, cfg: dict[str, str], name: str, default=None, kind=None):
-    """Flag value if given, else config-file value, else default; ``kind``
-    converts a present value (config-file values arrive as text)."""
-    val = getattr(args, name, None)
-    if val is None:
-        val = cfg.get(name, default)
-    if val is None or kind is None:
-        return val
-    try:
-        return kind(val)
-    except ValueError as exc:
-        raise InvalidSpecError(
-            f"invalid value {val!r} for --{name.replace('_', '-')}"
-        ) from exc
+def _need(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise InvalidSpecError(f"missing required option --{name}")
+    return value
 
 
-def _require(args, cfg, name: str, kind=None):
-    val = _opt(args, cfg, name, kind=kind)
-    if val is None:
-        raise InvalidSpecError(f"missing required option --{name.replace('_', '-')}")
-    return val
-
-
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".manifest.json")
-
-
-def _write_manifest(out: Path, argv: list[str], config: dict, seed: int | None) -> None:
-    manifest = {
-        "tool": "qdistill",
-        "version": __version__,
-        "csv_schema_version": CSV_SCHEMA_VERSION,
-        "command": argv,
-        "config": config,
-        "seed": seed,
-        "outputs": [str(out)],
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    _manifest_path(out).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _rows_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
+def _rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
     """Header plus one line per row, every line newline-terminated."""
     sep = "\t" if fmt == "tsv" else ","
     lines = [sep.join(columns)]
@@ -200,140 +173,107 @@ def _rows_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_rows(
-    out: Path, rows: list[dict], columns: tuple[str, ...], fmt: str
-) -> None:
-    out.write_text(_rows_text(rows, columns, fmt), encoding="utf-8", newline="\n")
+def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | None:
+    """Write ``rows`` to ``--out`` and a run manifest next to it
+    (``<out stem>.manifest.json``); the path, or None without ``--out``."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    out.write_text(_rows_text(rows, columns, args.format), encoding="utf-8", newline="\n")
+    manifest = {
+        "tool": "qdistill",
+        "version": __version__,
+        "csv_schema_version": CSV_SCHEMA_VERSION,
+        "command": args.argv,
+        "config": manifest_config,
+        "seed": seed,
+        "outputs": [str(out)],
+        "created": datetime.now(timezone.utc).isoformat(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+    }
+    out.with_name(out.stem + ".manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return out
 
 
-def _print_report(pairs: list[tuple[str, object]]) -> None:
+def _print_report(pairs) -> None:
     for key, value in pairs:
         print(f"{key} = {_fmt(value)}")
 
 
-def _ghz_spec(args, cfg) -> tuple[GhzSpec, int, IndexPartition | None]:
-    d = _require(args, cfg, "d", int)
-    p = _require(args, cfg, "p", int)
-    alphas = _cli_coeffs(_parse_floats(_require(args, cfg, "alphas", str)), "alphas")
-    spec = GhzSpec(d, p, alphas)
-    q = _opt(args, cfg, "q", 1, int)
-    part_text = _opt(args, cfg, "partition")
-    partition = _parse_partition(str(part_text)) if part_text else None
-    return spec, q, partition
-
-
-def _w_spec(args, cfg) -> tuple[WSpec, int]:
-    p = _require(args, cfg, "p", int)
-    betas = _cli_coeffs(_parse_floats(_require(args, cfg, "betas", str)), "betas")
-    spec = WSpec(p, betas)
-    q = _opt(args, cfg, "q", p - 1, int)
-    return spec, q
-
-
-def _protocol_config(args, cfg, family: Family) -> ProtocolConfig:
-    n = _require(args, cfg, "n", int)
+def _protocol_config(args, family: Family) -> ProtocolConfig:
+    n = _need(args, "n")
     if family is Family.GHZ_DIAGONAL:
-        spec, q, partition = _ghz_spec(args, cfg)
-        return ProtocolConfig(n, family, spec, q, partition)
-    spec, q = _w_spec(args, cfg)
-    return ProtocolConfig(n, family, spec, q)
+        spec = GhzSpec(_need(args, "d"), _need(args, "p"),
+                       _cli_coeffs(_need(args, "alphas"), "alphas"))
+        q = 1 if args.q is None else args.q
+        return ProtocolConfig(n, family, spec, q, args.partition)
+    spec = WSpec(_need(args, "p"), _cli_coeffs(_need(args, "betas"), "betas"))
+    return ProtocolConfig(n, family, spec, spec.p - 1 if args.q is None else args.q)
 
 
-def _finish_run(args, cfg, row: dict, columns, report_pairs, seed=None) -> int:
-    _print_report(report_pairs)
-    out_text = _opt(args, cfg, "out")
-    if out_text:
-        out = Path(str(out_text))
-        fmt = str(_opt(args, cfg, "format", "csv"))
-        _write_rows(out, [row], columns, fmt)
-        _write_manifest(out, list(args.argv), {k: _fmt(v) for k, v in row.items()}, seed)
+def _cmd_run(args, family: Family, steering: bool) -> int:
+    config = _protocol_config(args, family)
+    if steering:
+        s = _need(args, "s")
+        report = run_tsd(SteeringConfig(config, s))
+        row = {
+            **report_row(config, report, s=s),
+            "fidelity_assemblage": report.fidelity_assemblage,
+            "minimizing_setting": report.minimizing_setting,
+            "threshold": report.threshold,
+        }
+    else:
+        row = report_row(config, run_ted(config))
+    columns = STEERING_COLUMNS if steering else CSV_COLUMNS
+    _print_report((k, row[k]) for k in columns)
+    _write_out(args, [row], columns, {k: _fmt(v) for k, v in row.items()})
     return 0
 
 
-def _cmd_ted(args, family: Family) -> int:
-    cfg = _load_config_file(_opt(args, {}, "config"))
-    config = _protocol_config(args, cfg, family)
-    row = report_row(config, run_ted(config))
-    pairs = [(k, row[k]) for k in CSV_COLUMNS]
-    return _finish_run(args, cfg, row, CSV_COLUMNS, pairs)
-
-
-def _cmd_tsd(args, family: Family) -> int:
-    cfg = _load_config_file(_opt(args, {}, "config"))
-    base = _protocol_config(args, cfg, family)
-    s = _require(args, cfg, "s", int)
-    report = run_tsd(SteeringConfig(base, s))
-    row = {
-        **report_row(base, report, s=s),
-        "fidelity_assemblage": report.fidelity_assemblage,
-        "minimizing_setting": report.minimizing_setting,
-        "threshold": report.threshold,
-    }
-    pairs = [(k, row[k]) for k in STEERING_COLUMNS]
-    return _finish_run(args, cfg, row, STEERING_COLUMNS, pairs)
-
-
 def _cmd_sweep(args) -> int:
-    cfg = _load_config_file(_opt(args, {}, "config"))
-    preset = _require(args, cfg, "preset", str)
-    overrides = {}
-    for flag, field, parse in SWEEP_OVERRIDES:
-        value = _opt(args, cfg, flag, kind=parse)
-        if value is not None:
-            overrides[field] = value
-    if preset.startswith("ghz") and "p_values" in overrides:
-        values = overrides.pop("p_values")
-        if len(values) != 1:
-            raise InvalidSpecError("GHZ sweeps take a single --p value")
-        overrides["p"] = values[0]
+    preset = _need(args, "preset")
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in SWEEP_FIELDS.items() if getattr(args, flag) is not None
+    }
     rows = grid_rows(preset_grid(preset, **overrides))
-    out_text = _opt(args, cfg, "out")
-    fmt = str(_opt(args, cfg, "format", "csv"))
-    if out_text:
-        out = Path(str(out_text))
-        _write_rows(out, rows, CSV_COLUMNS, fmt)
-        _write_manifest(out, list(args.argv), {"preset": preset}, None)
+    out = _write_out(args, rows, CSV_COLUMNS, {"preset": preset})
+    if out:
         print(f"wrote {len(rows)} rows to {out}")
     else:
-        print(_rows_text(rows, CSV_COLUMNS, fmt), end="")
+        print(_rows_text(rows, CSV_COLUMNS, args.format), end="")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config_file(_opt(args, {}, "config"))
-    family = _require(args, cfg, "family", Family)
-    config = _protocol_config(args, cfg, family)
-    trials = _opt(args, cfg, "trials", 100000, int)
-    seed = _opt(args, cfg, "seed", 0, int)
-    stats = run_stats(config, trials, seed)
+    family = Family(_need(args, "family"))
+    config = _protocol_config(args, family)
+    stats = run_stats(config, args.trials, args.seed)
     pu = success_prob_per_copy(config)
     expected = overall_success(pu, config.n_copies)
     _print_report([
         ("family", family.value), ("n", config.n_copies),
-        ("trials", trials), ("seed", seed),
+        ("trials", args.trials), ("seed", args.seed),
         ("ps_per_copy", pu), ("ps_overall_expected", expected),
         ("success_rate", stats.success_rate),
         ("kept_count_histogram",
          " ".join(f"{k}:{v}" for k, v in stats.kept_count_histogram.items())),
     ])
-    out_text = _opt(args, cfg, "out")
-    if out_text:
-        spec = config.spec
-        d = spec.d if isinstance(spec, GhzSpec) else 2
-        rows = [
-            {
-                "family": family.value, "d": d, "p": spec.p, "q": config.q,
-                "n": config.n_copies, "trials": trials, "seed": seed,
-                "ps_per_copy": pu, "ps_overall_expected": expected,
-                "success_rate": stats.success_rate,
-                "kept_count": kept, "count": count,
-            }
-            for kept, count in stats.kept_count_histogram.items()
-        ]
-        out = Path(str(out_text))
-        fmt = str(_opt(args, cfg, "format", "csv"))
-        _write_rows(out, rows, SIMULATE_COLUMNS, fmt)
-        _write_manifest(out, list(args.argv), {"trials": trials}, seed)
+    spec = config.spec
+    run = {
+        "family": family.value, "d": spec.d if isinstance(spec, GhzSpec) else 2,
+        "p": spec.p, "q": config.q, "n": config.n_copies,
+        "trials": args.trials, "seed": args.seed,
+        "ps_per_copy": pu, "ps_overall_expected": expected,
+        "success_rate": stats.success_rate,
+    }
+    # a generator, built only if written: the histogram can have N entries
+    rows = ({**run, "kept_count": k, "count": c} for k, c in stats.kept_count_histogram.items())
+    _write_out(args, rows, SIMULATE_COLUMNS, {"trials": args.trials}, args.seed)
     return 0
 
 
@@ -345,87 +285,79 @@ def _cmd_replay(args) -> int:
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if not isinstance(command, list):
         raise InvalidSpecError(f"manifest {args.manifest} has no recorded command")
-    return main([str(tok) for tok in command])
+    replayed = _parse([str(tok) for tok in command])
+    if replayed.command == "replay":
+        raise InvalidSpecError(f"manifest {args.manifest} records a replay, not a run")
+    return replayed.func(replayed)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line by raising InvalidSpecError, not by exiting."""
+
+    def error(self, message: str):
+        raise InvalidSpecError(message)
+
+
+def _add_ints(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(f"--{name}", type=int)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file; flags win")
-    sub.add_argument("--format", choices=("csv", "tsv"))
+    sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
     sub.add_argument("--out", help="write CSV and a run manifest here")
 
 
-def _add_ghz_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--alphas")
-    sub.add_argument("--partition", help="blocks like '1,3|2'")
-
-
-def _add_w_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--betas")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdistill",
         description="Threshold distillation of GHZ/W entanglement and steering",
     )
     parser.add_argument("--version", action="version", version=f"qdistill {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    ted_ghz = subs.add_parser("ted-ghz", help="GHZ entanglement distillation")
-    _add_ghz_flags(ted_ghz)
-    _add_common(ted_ghz)
-    ted_ghz.set_defaults(func=lambda a: _cmd_ted(a, Family.GHZ_DIAGONAL))
-
-    ted_w = subs.add_parser("ted-w", help="W entanglement distillation")
-    _add_w_flags(ted_w)
-    _add_common(ted_w)
-    ted_w.set_defaults(func=lambda a: _cmd_ted(a, Family.W_SINGLE_EXCITATION))
-
-    tsd_ghz = subs.add_parser("tsd-ghz", help="GHZ steering distillation")
-    _add_ghz_flags(tsd_ghz)
-    tsd_ghz.add_argument("--s", type=int)
-    _add_common(tsd_ghz)
-    tsd_ghz.set_defaults(func=lambda a: _cmd_tsd(a, Family.GHZ_DIAGONAL))
-
-    sd_w = subs.add_parser("sd-w", help="W steering distillation (one-sided only)")
-    _add_w_flags(sd_w)
-    sd_w.add_argument("--s", type=int)
-    _add_common(sd_w)
-    sd_w.set_defaults(func=lambda a: _cmd_tsd(a, Family.W_SINGLE_EXCITATION))
+    for name, family, steering, help_text in (
+        ("ted-ghz", Family.GHZ_DIAGONAL, False, "GHZ entanglement distillation"),
+        ("ted-w", Family.W_SINGLE_EXCITATION, False, "W entanglement distillation"),
+        ("tsd-ghz", Family.GHZ_DIAGONAL, True, "GHZ steering distillation"),
+        ("sd-w", Family.W_SINGLE_EXCITATION, True, "W steering distillation (one-sided only)"),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        if family is Family.GHZ_DIAGONAL:
+            _add_ints(sub, "d", "p", "q", "n")
+            sub.add_argument("--alphas", type=_parse_floats)
+            sub.add_argument("--partition", type=_parse_partition, help="blocks like '1,3|2'")
+        else:
+            _add_ints(sub, "p", "q", "n")
+            sub.add_argument("--betas", type=_parse_floats)
+        if steering:
+            _add_ints(sub, "s")
+        _add_common(sub)
+        sub.set_defaults(func=partial(_cmd_run, family=family, steering=steering))
 
     sweep = subs.add_parser("sweep", help="grid sweep to CSV")
     sweep.add_argument("--preset", choices=(
         "ghz-contour", "ghz-convergence", "ghz-dimension",
         "w-contour", "w-convergence",
     ))
-    sweep.add_argument("--alpha0")
-    sweep.add_argument("--beta0")
-    sweep.add_argument("--pu", type=float)
-    sweep.add_argument("--gap", type=float)
-    sweep.add_argument("--d")
-    sweep.add_argument("--p")
-    sweep.add_argument("--n")
+    sweep.add_argument("--alpha0", type=_finite_floats)
+    sweep.add_argument("--beta0", type=_finite_floats)
+    sweep.add_argument("--pu", type=_finite)
+    sweep.add_argument("--gap", type=_finite)
+    for name in ("d", "p", "n"):
+        sweep.add_argument(f"--{name}", type=_parse_int_values)
     _add_common(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     simulate = subs.add_parser("simulate", help="Monte Carlo protocol run")
     simulate.add_argument("--family", choices=("ghz", "w"))
-    simulate.add_argument("--d", type=int)
-    simulate.add_argument("--p", type=int)
-    simulate.add_argument("--q", type=int)
-    simulate.add_argument("--n", type=int)
-    simulate.add_argument("--alphas")
-    simulate.add_argument("--betas")
-    simulate.add_argument("--partition")
-    simulate.add_argument("--trials", type=int)
-    simulate.add_argument("--seed", type=int)
+    _add_ints(simulate, "d", "p", "q", "n")
+    simulate.add_argument("--alphas", type=_parse_floats)
+    simulate.add_argument("--betas", type=_parse_floats)
+    simulate.add_argument("--partition", type=_parse_partition)
+    simulate.add_argument("--trials", type=int, default=100000)
+    simulate.add_argument("--seed", type=int, default=0)
     _add_common(simulate)
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -436,12 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line, with its ``--config`` lines in front of the
+    command's own flags."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
     args.argv = argv
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
+        args = _parse(argv)
         return args.func(args)
     except QdistillError as exc:
         print(f"error category={exc.category}: {exc}", file=sys.stderr)

@@ -1,10 +1,16 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qdistill
 from qdistill.cli import main
+from qdistill.sweep import CSV_COLUMNS, ROW_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -17,6 +23,18 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter under a 1 GiB address-space limit,
+    so a runaway allocation fails there instead of exhausting the host."""
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+    env = {
+        **os.environ, "PYTHONPATH": str(Path(qdistill.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+    }
+    return subprocess.run([sys.executable, "-c", limit + code], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def parse_report(stdout: str) -> dict[str, str]:
@@ -273,6 +291,46 @@ class TestErrorReporting:
         self.assert_invalid_spec(rc, err)
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["ted-ghz", "--d", "abc"],
+        ["ted-ghz", "--bogus", "1"],
+        ["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY, "--format", "xml"],
+        ["frobnicate"],
+        [],
+    ], ids=["bad-int", "unknown-flag", "bad-choice", "unknown-command", "empty"])
+    def test_parser_rejection_category(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        self.assert_invalid_spec(rc, err)
+        assert err.count("\n") == 1 and out == ""
+
+    def test_parser_rejection_from_the_shell(self):
+        done = run_child("from qdistill.cli import main; raise SystemExit(main(['ted-ghz', '--d', 'abc']))")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error category=InvalidSpec: argument --d: invalid int value: 'abc'\n"
+
+    def test_replay_of_a_replay_category(self, capsys, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"command": ["replay", str(manifest)]}))
+        rc, _, err = run(capsys, "replay", str(manifest))
+        self.assert_invalid_spec(rc, err)
+
+    def test_sweep_row_cap_category(self, capsys):
+        # 1000 party counts x 100 copy counts is exactly the cap; one more N is over
+        rc, _, err = run(capsys, "sweep", "--preset", "w-contour", "--p", "3:1002", "--n", "2:102")
+        assert rc == 2
+        assert err == f"error category=WorkCapExceeded: w-contour grid has 101000 rows, over the cap {ROW_CAP}\n"
+
+    def test_huge_range_refused_before_it_is_built(self):
+        # 2e9 values would take tens of GB; the child's 1 GiB limit makes a
+        # build fail with MemoryError instead of exhausting the host
+        done = run_child(
+            "from qdistill.cli import main; "
+            "raise SystemExit(main(['sweep', '--preset', 'w-contour', '--n', '2:2000000000']))"
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error category=WorkCapExceeded: ")
+        assert done.stderr.count("\n") == 1
+
 class TestSweepConsistency:
     def test_single_point_sweep_equals_ted_ghz(self, capsys):
         rc, sweep_out, _ = run(
@@ -307,6 +365,8 @@ class TestOutputsAndManifests:
         assert manifest["command"] == argv
         assert manifest["outputs"] == [str(out)]
         assert manifest["tool"] == "qdistill"
+        assert all(isinstance(manifest[k], str) and manifest[k]
+                   for k in ("python", "numpy", "platform"))
         out.unlink()
         assert main(["replay", str(manifest_path)]) == 0
         capsys.readouterr()
@@ -360,6 +420,95 @@ class TestConfigFile:
         rc, out, _ = run(capsys, "ted-ghz", "--config", str(cfg), "--n", "5")
         assert rc == 0
         assert parse_report(out)["n"] == "5"
+
+    @pytest.mark.parametrize("fmt", ["tsv", "xml"])
+    def test_config_format_is_checked_like_the_flag(self, capsys, tmp_path, fmt):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 3\nn = 3\nbetas = {BETAS_TOY}\nformat = {fmt}\n")
+        out = tmp_path / "run.out"
+        rc, _, err = run(capsys, "ted-w", "--config", str(cfg), "--out", str(out))
+        if fmt == "tsv":
+            assert rc == 0
+            assert out.read_text().splitlines()[0] == "\t".join(CSV_COLUMNS)
+        else:
+            TestErrorReporting.assert_invalid_spec(rc, err)
+            assert not out.exists()
+
+    def test_unknown_and_prefix_keys_are_ignored(self, capsys, tmp_path):
+        # keys must name a flag exactly: 'alpha' does not set --alphas
+        flags = ["--d", "3", "--p", "3", "--n", "2", "--alphas", ALPHAS_SQRT8]
+        rc, expected, _ = run(capsys, "ted-ghz", *flags)
+        assert rc == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus = 7\ntrials = x\nalpha = 0.1,0.2\nq = -1\n")
+        rc, out, _ = run(capsys, "ted-ghz", "--config", str(cfg), *flags, "--q", "1")
+        assert rc == 0 and out == expected
+        cfg.write_text(f"d = 3\np = 3\nn = 2\nalpha = {ALPHAS_SQRT8}\n")
+        rc, _, err = run(capsys, "ted-ghz", "--config", str(cfg))
+        assert rc == 2
+        assert err == "error category=InvalidSpec: missing required option --alphas\n"
+
+
+# the flags of each subcommand as the parser must present them in --help
+SPEC_FLAGS = ["p", "q", "n"]
+PARTITION = ("partition", {"help": "blocks like '1,3|2'"})
+COMMON_FLAGS = [
+    ("config", {"help": "flat key = value config file; flags win"}),
+    ("format", {"choices": ("csv", "tsv")}),
+    ("out", {"help": "write CSV and a run manifest here"}),
+]
+SUBCOMMANDS = {
+    "ted-ghz": ("GHZ entanglement distillation", ["d", *SPEC_FLAGS, "alphas", PARTITION]),
+    "ted-w": ("W entanglement distillation", [*SPEC_FLAGS, "betas"]),
+    "tsd-ghz": ("GHZ steering distillation", ["d", *SPEC_FLAGS, "alphas", PARTITION, "s"]),
+    "sd-w": ("W steering distillation (one-sided only)", [*SPEC_FLAGS, "betas", "s"]),
+    "sweep": ("grid sweep to CSV", [
+        ("preset", {"choices": (
+            "ghz-contour", "ghz-convergence", "ghz-dimension", "w-contour", "w-convergence",
+        )}),
+        "alpha0", "beta0", "pu", "gap", "d", "p", "n",
+    ]),
+    "simulate": ("Monte Carlo protocol run", [
+        ("family", {"choices": ("ghz", "w")}),
+        "d", *SPEC_FLAGS, "alphas", "betas", "partition", "trials", "seed",
+    ]),
+}
+
+
+def reference_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """A plain argparse tree declaring the CLI's flags with no types or
+    defaults: its --help text is what the real parser must print."""
+    parser = argparse.ArgumentParser(
+        prog="qdistill",
+        description="Threshold distillation of GHZ/W entanglement and steering",
+    )
+    parser.add_argument("--version", action="version", version="")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag in flags + COMMON_FLAGS:
+            flag, kwargs = flag if isinstance(flag, tuple) else (flag, {})
+            sub.add_argument(f"--{flag}", **kwargs)
+    subs.add_parser("replay", help="re-run a recorded manifest").add_argument("manifest")
+    return parser, subs.choices
+
+
+class TestParser:
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"qdistill {qdistill.__version__}\n"
+
+    @pytest.mark.parametrize("command", [None, *SUBCOMMANDS, "replay"])
+    def test_help_text_unchanged(self, capsys, command):
+        parser, subs = reference_parser()
+        expected = (parser if command is None else subs[command]).format_help()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command is None else [command, "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and captured.err == ""
 
 
 class TestGoldenFiles:

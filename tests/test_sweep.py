@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from qdistill import GhzSpec
+from qdistill import GhzSpec, InvalidSpecError, WorkCapExceededError
 from qdistill.sweep import (
     CSV_COLUMNS,
+    ROW_CAP,
     SweepGrid,
     equal_head_w,
     equal_tail_ghz,
@@ -124,6 +125,18 @@ class TestGridRows:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             grid_rows(SweepGrid(mode="bogus", n_values=(2,)))
+
+    @pytest.mark.parametrize("preset", ["ghz-contour", "ghz-convergence", "ghz-dimension"])
+    def test_ghz_party_count_is_the_single_p_value(self, preset):
+        assert {r["p"] for r in grid_rows(preset_grid(preset, p_values=(4,)))} == {4}
+        with pytest.raises(InvalidSpecError, match="GHZ sweeps take a single --p value"):
+            grid_rows(preset_grid(preset, p_values=(2, 3)))
+
+    def test_row_cap_refused_before_building(self):
+        # 18 party counts per copy count: one copy count past the cap
+        n_values = tuple(range(2, 3 + ROW_CAP // 18))
+        with pytest.raises(WorkCapExceededError, match="over the cap"):
+            grid_rows(preset_grid("w-contour", n_values=n_values))
 
 
 class TestFamilies:
