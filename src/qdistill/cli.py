@@ -179,7 +179,6 @@ def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | 
     if not args.out:
         return None
     out = Path(args.out)
-    out.write_text(_rows_text(rows, columns, args.format), encoding="utf-8", newline="\n")
     manifest = {
         "tool": "qdistill",
         "version": __version__,
@@ -193,9 +192,13 @@ def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | 
         "numpy": np.__version__,
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
     }
-    out.with_name(out.stem + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        out.write_text(_rows_text(rows, columns, args.format), encoding="utf-8", newline="\n")
+        out.with_name(out.stem + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise InvalidSpecError(f"cannot write --out {args.out}: {exc}") from exc
     return out
 
 

@@ -42,7 +42,7 @@ class KrausPair:
 
     Construction checks the structural invariants only, so a deliberately
     incomplete pair can still be built; POVM completeness is the job of
-    :meth:`from_diagonals`, through which every factory builds its pairs.
+    :func:`complete_pairs`, through which every factory builds its pairs.
     """
 
     k0: np.ndarray
@@ -56,7 +56,7 @@ class KrausPair:
             if np.iscomplexobj(raw):
                 raise DimensionMismatchError(f"{name} entries must be real")
             vec = raw.astype(float)
-            if not np.all((-ENTRY_TOL <= vec) & (vec <= 1.0 + ENTRY_TOL)):  # NaN fails
+            if not ((-ENTRY_TOL <= vec) & (vec <= 1.0 + ENTRY_TOL)).all():  # NaN fails
                 raise DimensionMismatchError(f"{name} entries must lie in [0, 1]")
             object.__setattr__(self, name, vec)
         if len(self.k0) != len(self.k1):
@@ -69,13 +69,17 @@ class KrausPair:
     def diag(self, outcome: int) -> np.ndarray:
         return self.k0 if outcome == 0 else self.k1
 
-    @classmethod
-    def from_diagonals(cls, d0: np.ndarray) -> "KrausPair":
-        """Build {diag(d0), sqrt(I - diag(d0)^2)} with the principal root, so
-        the pair is complete by construction even under floating-point drift."""
-        d0 = np.clip(np.asarray(d0, dtype=float), 0.0, 1.0)
-        d1 = np.sqrt(np.clip(1.0 - d0 * d0, 0.0, None))
-        return cls(d0, d1)
+
+def complete_pairs(table) -> tuple[KrausPair, ...]:
+    """One pair {diag(d0), sqrt(I - diag(d0)^2)} per row d0 of a (q, dim)
+    table, with the principal root, so each is complete by construction even
+    under floating-point drift.  The table is checked once, as one pair."""
+    k0 = np.asarray(table, dtype=float).clip(0.0, 1.0)
+    whole = KrausPair(k0.ravel(), np.sqrt((1.0 - k0 * k0).clip(0.0, None)).ravel())
+    pairs = tuple(object.__new__(KrausPair) for _ in k0)  # their rows passed ``whole``'s checks
+    for pair, row0, row1 in zip(pairs, whole.k0.reshape(k0.shape), whole.k1.reshape(k0.shape)):
+        pair.__dict__.update(k0=row0, k1=row1)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -171,11 +175,11 @@ def apply_layer(
 def _ghz_ratios(spec: GhzSpec) -> np.ndarray:
     al = np.array(spec.alphas)
     ratios = al[0] / al
-    if np.max(ratios) > 1.0 + PIVOT_TOL:
+    if ratios.max() > 1.0 + PIVOT_TOL:
         raise PivotNotMinimalError(
             "alpha_0 must be the minimal coefficient; relabel the basis so that it is"
         )
-    return np.clip(ratios, 0.0, 1.0)
+    return ratios.clip(0.0, 1.0)
 
 
 def ghz_partition_assignment(
@@ -203,12 +207,11 @@ def ghz_partition_assignment(
             "threshold assignment must leave at least one non-participating party"
         )
     ratios = _ghz_ratios(spec)
-    slots: list[KrausPair | None] = [None] * spec.p
-    for block, j in zip(partition.blocks, parties):
-        d0 = np.ones(spec.d)
-        d0[list(block)] = ratios[list(block)]
-        slots[j] = KrausPair.from_diagonals(d0)
-    return FilterAssignment(spec.p, tuple(slots))
+    table = np.ones((len(parties), spec.d))
+    for row, block in zip(table, partition.blocks):
+        row[list(block)] = ratios[list(block)]
+    slots = dict(zip(parties, complete_pairs(table)))
+    return FilterAssignment(spec.p, tuple(slots.get(j) for j in range(spec.p)))
 
 
 def last_parties(p: int, q: int) -> tuple[int, ...]:
@@ -221,13 +224,11 @@ def w_assignment(spec: WSpec) -> FilterAssignment:
     component by beta_{p-1-j}/beta_{p-1}; party 0 stays idle."""
     be = np.array(spec.betas)
     ratios = be / be[-1]
-    if np.max(ratios) > 1.0 + PIVOT_TOL:
+    if ratios.max() > 1.0 + PIVOT_TOL:
         raise PivotNotMaximalError(
             "beta_{p-1} must be the maximal coefficient; relabel the parties so that it is"
         )
-    slots: list[KrausPair | None] = [None]
-    for j in range(1, spec.p):
-        r = min(float(ratios[spec.p - 1 - j]), 1.0)
-        slots.append(KrausPair.from_diagonals(np.array([r, 1.0])))
-    return FilterAssignment(spec.p, tuple(slots))
+    table = np.ones((spec.p - 1, 2))
+    table[:, 0] = np.minimum(ratios[-2::-1], 1.0)
+    return FilterAssignment(spec.p, (None, *complete_pairs(table)))
 

@@ -15,13 +15,18 @@ perfect assemblage with the same per-copy probability as the entanglement
 protocol for the same spec.
 
 Measurements are product-basis projections and filters are diagonal, so
-members stay in the compact span of :mod:`qdistill.states`: projecting row
-r of ``local = local_indices(spec)`` gives the coefficient
-v_r = c_r prod_{k<s} conj(B[x_k][a_k, local[r, k]]).  A member is stored as
-a factor F whose rows are unnormalized pure components (sigma = sum over
-rows of |row><row|), with columns in span coordinates.  All factors of an
-assemblage sit in one (members, rows, span) array, so each stage (build,
-filter, mix, score) is one numpy expression over it.
+members stay in the compact span of :mod:`qdistill.states`: a member is a
+factor F whose rows are unnormalized pure components (sigma = sum over rows
+of |row><row|), with columns in span coordinates.  On the GHZ span member
+(x, a) has entry c_k prod_{j in C} delta(a_j, k) d^(-|F|/2) omega^(-k sum_{j in F} a_j),
+C and F being the parties measuring the computational (x = 0) and Fourier
+(x = 1) bases: with C non-empty it is zero unless those outcomes agree on
+one k, the Fourier outcomes adding only a phase; with C empty it depends on
+a only through m = sum(a) mod d.  Folding multiplicities into the scale, the
+(2d)^s members reduce to the d members c_k e_k and the d members
+c_k omega^(-k m)/sqrt(d): the s = 1 assemblage (W steering has s = 1 only),
+stored as one (2 d_out, rows, span) array, computational block first, so
+each stage (build, filter, mix, score) is one numpy expression over it.
 
 The assemblage fidelity of A against B is
 
@@ -31,55 +36,48 @@ i.e. root fidelities of the unnormalized members are summed over outcomes
 before squaring, and the worst setting string is reported.  On a
 self-comparison the inner sum telescopes to Tr rho_ch = 1.  The perfect
 assemblage has pure members |g><g|, against which the root fidelity is
-||F conj(g)||_2, so no matrix function is needed.
+||F conj(g)||_2, so no matrix function is needed.  Folding is exact in this
+sum: a string scores the computational block if any party measures it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError, InvalidSteeringScenarioError
-from .errors import WorkCapExceededError
+from .errors import DimensionMismatchError, InvalidSteeringScenarioError, WorkCapExceededError
 from .filters import FilterAssignment, apply_layer
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
 from .states import CompactState, Family, GhzSpec, Spec, family_of, local_indices, make_compact
 from .states import perfect_like
 from .ted import ProtocolConfig, assignment_for, closed_form_fidelity, overall_success
 
-MUB_DIMS = (2, 3, 5, 7)
-MEMBER_CAP = 2**16
+D_OUT_CAP = 1000
 
 Setting = tuple[int, ...]
-Outcome = tuple[int, ...]
 
 
+@lru_cache(maxsize=4)  # an entry holds 32 d^2 bytes, 32 MB at the cap
 def mub_family(d: int) -> np.ndarray:
-    """Two mutually unbiased orthonormal bases as a (2, d, d) array whose
-    row B[x][a] is basis vector a: computational (x = 0) and Fourier
-    (x = 1), e_a = (1/sqrt(d)) sum_l omega^(a l) |l>."""
-    if d not in MUB_DIMS:
-        raise InvalidSpecError(
-            f"measurement bases are provided for prime dimensions {MUB_DIMS}, got {d}"
-        )
-    omega = np.exp(2j * np.pi / d)
-    fourier = np.array([[omega ** (a * l) for l in range(d)] for a in range(d)])
-    return np.stack([np.eye(d, dtype=complex), fourier / np.sqrt(d)])
+    """Two mutually unbiased orthonormal bases as a read-only (2, d, d)
+    array whose row B[x][a] is basis vector a: computational (x = 0) and
+    Fourier (x = 1), e_a = (1/sqrt(d)) sum_l omega^(a l mod d) |l>."""
+    fourier = np.exp(2j * np.pi * (np.outer(np.arange(d), np.arange(d)) % d) / d)
+    bases = np.stack([np.eye(d, dtype=complex), fourier / np.sqrt(d)])
+    bases.flags.writeable = False
+    return bases
 
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
-    """Unnormalized conditional states on the characterized subsystem, one
-    per (setting string, outcome string) of the uncharacterized parties.
-
-    ``members`` is one complex array of shape (2^s d_out^s, rows, span):
-    member (x, a) is the factor ``members[i]`` with
-    i = ravel_multi_index((*x, *a), (2,)*s + (d_out,)*s), settings first
-    and both strings in row-major party order.  Its columns follow the rows
-    of ``local_indices(spec)``."""
+    """Unnormalized conditional states on the characterized subsystem, with
+    multiplicities folded in (see the module docstring): ``members`` is one
+    complex (2 d_out, rows, span) array, computational member k (outcomes
+    all k) first, then Fourier member m (outcome sum m mod d_out).  Its
+    columns follow the rows of ``local_indices(spec)``."""
 
     s: int
     d_out: int
@@ -88,15 +86,9 @@ class Assemblage:
 
     @property
     def settings(self) -> tuple[Setting, ...]:
-        return tuple(itertools.product((0, 1), repeat=self.s))
-
-    @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return tuple(itertools.product(range(self.d_out), repeat=self.s))
-
-    def member(self, x: Setting, a: Outcome) -> np.ndarray:
-        shape = (2,) * self.s + (self.d_out,) * self.s
-        return self.members[np.ravel_multi_index((*x, *a), shape)]
+        """One setting string per Fourier count f = 0..s: (1,)*f + (0,)*(s-f),
+        the lexicographically largest string with f Fourier parties."""
+        return tuple((1,) * f + (0,) * (self.s - f) for f in range(self.s + 1))
 
 
 @dataclass(frozen=True)
@@ -129,6 +121,8 @@ class SteeringConfig:
             raise InvalidSteeringScenarioError(
                 f"q = {self.base.q} filters do not fit on {p - self.s} characterized parties"
             )
+        elif self.base.spec.d > D_OUT_CAP:  # memory grows as d^2
+            raise WorkCapExceededError(f"d = {self.base.spec.d} exceeds the cap {D_OUT_CAP}")
 
     @property
     def threshold(self) -> bool:
@@ -153,36 +147,23 @@ class SteeringReport:
 def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
     """Project the uncharacterized parties onto their measurement bases and
     keep the (unnormalized) conditional states of the characterized rest,
-    as 1-row factors: one broadcast product per uncharacterized party."""
-    spec, s = config.base.spec, config.s
+    as 1-row factors.  Party 0's projection gives every block: the GHZ
+    parties are exchangeable, and W steering has s = 1."""
+    spec = config.base.spec
     d_out = spec.d if isinstance(spec, GhzSpec) else 2
-    count = (2 * d_out) ** s
-    if count > MEMBER_CAP:
-        raise WorkCapExceededError(f"{count} assemblage members exceed the cap {MEMBER_CAP}")
     local = local_indices(state.spec)
     if family_of(state.spec) is not config.base.family or local.shape != local_indices(spec).shape:
         raise DimensionMismatchError("state does not match the configured spec's span")
-    bases = mub_family(d_out).conj()
-    members = state.coeffs.astype(complex)
-    for k in range(s):  # party k's setting on axis k, its outcome on axis s + k
-        shape = [1] * (2 * s) + [len(local)]
-        shape[k], shape[s + k] = 2, d_out
-        members = members * bases[:, :, local[:, k]].reshape(shape)
-    return Assemblage(s, d_out, state.spec, members.reshape(count, 1, len(local)))
+    bases = mub_family(d_out)[:, :, local[:, 0]]
+    members = state.coeffs.astype(complex) * np.conjugate(bases)
+    return Assemblage(config.s, d_out, state.spec, members.reshape(2 * d_out, 1, len(local)))
 
 
-def filter_assemblage(
-    asm: Assemblage,
-    assignment: FilterAssignment,
-    outcomes: Sequence[int],
-) -> tuple[Assemblage, float]:
-    """One-way-LOCC filter layer on the characterized side.
-
-    Returns the post-measurement assemblage, normalized by the outcome
-    probability Tr[K rho_ch K^dag], together with that probability.  An
-    outcome of probability 0 (possible once p_u underflows) leaves the zero
-    assemblage.
-    """
+def _filter_weights(
+    asm: Assemblage, assignment: FilterAssignment, outcomes: Sequence[int]
+) -> tuple[np.ndarray, float]:
+    """The layer's multiplier on the span and its outcome probability
+    Tr[K rho_ch K^dag]."""
     if any(j < asm.s for j in assignment.participants):
         raise InvalidSteeringScenarioError(
             "filters may only touch characterized parties (index >= s); "
@@ -190,37 +171,52 @@ def filter_assemblage(
         )
     local = local_indices(asm.spec)
     mult = apply_layer(np.ones(len(local)), assignment, outcomes, local)
-    # diagonal of rho_ch, read off the all-computational setting's members
-    weight = np.sum(np.abs(asm.members[: asm.d_out**asm.s]) ** 2, axis=(0, 1))
-    prob = float(np.sum(mult * mult * weight))
+    # diagonal of rho_ch, read off the computational block
+    weight = (np.abs(asm.members[: asm.d_out]) ** 2).sum(axis=(0, 1))
+    return mult, float((mult * mult * weight).sum())
+
+
+def filter_assemblage(
+    asm: Assemblage,
+    assignment: FilterAssignment,
+    outcomes: Sequence[int],
+) -> tuple[Assemblage, float]:
+    """One-way-LOCC filter layer on the characterized side: the
+    post-measurement assemblage, normalized by the outcome probability, and
+    that probability.  An outcome of probability 0 (possible once p_u
+    underflows) leaves the zero assemblage."""
+    mult, prob = _filter_weights(asm, assignment, outcomes)
     if prob == 0.0:
         return replace(asm, members=np.zeros_like(asm.members)), 0.0
     return replace(asm, members=asm.members * (mult / np.sqrt(prob))), prob
 
 
 def _check_shapes(a: Assemblage, b: Assemblage) -> None:
-    if a.members.shape[::2] != b.members.shape[::2]:  # (member count, span width)
-        raise DimensionMismatchError("assemblages differ in member count or span width")
+    if (a.s, *a.members.shape[::2]) != (b.s, *b.members.shape[::2]):  # s, members, span
+        raise DimensionMismatchError("assemblages differ in s, member count or span width")
 
 
 def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
     """weight * a + (1 - weight) * b, member-wise, by stacking factors."""
     _check_shapes(a, b)
     wa, wb = np.sqrt(weight), np.sqrt(1.0 - weight)
-    return replace(a, members=np.concatenate([wa * a.members, wb * b.members], axis=1))
+    members = np.concatenate([wa * a.members, wb * b.members], axis=1)
+    return Assemblage(a.s, a.d_out, a.spec, members)
 
 
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
-    """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each setting string, where
-    every member of ``b`` is pure: the root fidelity is ||F_a conj(g)||."""
+    """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each of ``a.settings``, every
+    member of ``b`` pure: the root fidelity is ||F_a conj(g)||.  A string
+    with a computational party scores that block, the all-Fourier string
+    the Fourier block."""
     _check_shapes(a, b)
     if b.members.shape[1] != 1:
         raise DimensionMismatchError("reference assemblage members must be pure (one row)")
     roots = np.linalg.norm(a.members @ b.members.conj().transpose(0, 2, 1), axis=(1, 2))
     # cumulative sums add in outcome order, left to right
-    totals = np.cumsum(roots.reshape(len(a.settings), -1), axis=1)[:, -1]
-    return {x: _clamp_unit(float(t * t), f"assemblage fidelity at x={x}")
-            for x, t in zip(a.settings, totals)}
+    totals = np.cumsum(roots.reshape(2, -1), axis=1)[:, -1]
+    computational, fourier = (_clamp_unit(float(t * t), "assemblage fidelity") for t in totals)
+    return {x: fourier if all(x) else computational for x in a.settings}
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:
@@ -239,7 +235,7 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     assignment = assignment_for(
         config.base.family, spec, config.base.q, config.base.partition
     )
-    _, pu = filter_assemblage(ini, assignment, (0,) * assignment.q)
+    _, pu = _filter_weights(ini, assignment, (0,) * assignment.q)
     ps = overall_success(pu, config.base.n_copies)
     dist = mix_assemblages(ps, perf, ini)
     per_setting = assemblage_fidelity_by_setting(dist, perf)

@@ -264,15 +264,59 @@ def dense_mixture(mixture) -> np.ndarray:
     return out
 
 
+def member_keys(asm):
+    """Every (setting string, outcome string) of an assemblage's
+    uncharacterized parties, settings first, both in row-major order."""
+    settings = itertools.product((0, 1), repeat=asm.s)
+    return itertools.product(settings, itertools.product(range(asm.d_out), repeat=asm.s))
+
+
+def class_of(x) -> tuple[int, ...]:
+    """The class representative that run_tsd scores setting string x under:
+    (1,)*f + (0,)*(s-f), with f the number of Fourier parties of x."""
+    return (1,) * sum(x) + (0,) * (len(x) - sum(x))
+
+
+def rebuilt_member(asm, x, a) -> np.ndarray:
+    """Member (x, a) as a (rows, span) factor, rebuilt from the two-block
+    store by undoing the multiplicity folding.
+
+    With a computational party the member is zero unless the computational
+    outcomes agree on one k; it is then stored member k scaled by d^(-f/2)
+    and the phase omega^(-k sum of the Fourier outcomes), f Fourier parties.
+    The all-Fourier member is Fourier member m = sum(a) mod d scaled by
+    d^(-(s-1)/2)."""
+    d, s = asm.d_out, asm.s
+    fourier_sum = sum(ak for xk, ak in zip(x, a) if xk)
+    computational = {ak for xk, ak in zip(x, a) if not xk}
+    if not computational:
+        return asm.members[d + sum(a) % d] * d ** (-(s - 1) / 2)
+    if len(computational) > 1:
+        return np.zeros_like(asm.members[0])
+    (k,) = computational
+    phase = np.exp(-2j * np.pi * (k * fourier_sum % d) / d)
+    return asm.members[k] * d ** (-sum(x) / 2) * phase
+
+
 def dense_member(asm, x, a) -> np.ndarray:
     """A member of a span assemblage as a matrix on the d^(P-S)
     characterized space: span row r sits at sum_{j>=s} local[r, j] d^(P-1-j)."""
-    factor = asm.member(x, a)
+    factor = rebuilt_member(asm, x, a)
     p = asm.spec.p
     index = local_indices(asm.spec)[:, asm.s:] @ asm.d_out ** np.arange(p - 1 - asm.s, -1, -1)
     rows = np.zeros((len(factor), asm.d_out ** (p - asm.s)), dtype=complex)
     rows[:, index] = factor
     return rows.T @ rows.conj()
+
+
+def rebuilt_scores(a, b) -> dict:
+    """Fidelity of every setting string of ``a`` against the pure ``b``, by
+    a loop over its outcome strings, member by member, on rebuilt members."""
+    scores = {}
+    for x, o in member_keys(a):
+        root = float(np.linalg.norm(rebuilt_member(a, x, o) @ rebuilt_member(b, x, o)[0].conj()))
+        scores[x] = scores.get(x, 0.0) + root
+    return {x: t * t for x, t in scores.items()}
 
 
 NONSIGNALING_TOL = 1e-10
@@ -281,8 +325,12 @@ NONSIGNALING_TOL = 1e-10
 def nonsignaling_deviation(asm) -> float:
     """Largest of |Tr rho_ch - 1| and the entrywise distance between the
     outcome sums sum_a sigma_{a|x} of each setting string and of the first,
-    on dense members.  NaN members give NaN, which fails any ``<=`` bound."""
-    reduced = [sum(dense_member(asm, x, a) for a in asm.outcomes) for x in asm.settings]
+    on dense rebuilt members.  NaN members give NaN, which fails any ``<=``
+    bound."""
+    reduced = {}
+    for x, a in member_keys(asm):
+        reduced[x] = reduced.get(x, 0) + dense_member(asm, x, a)
+    reduced = list(reduced.values())
     trace = abs(complex(np.trace(reduced[0])) - 1.0)
     shifts = [np.max(np.abs(r - reduced[0])) for r in reduced[1:]]
     return float(np.max([trace, *shifts]))
@@ -293,39 +341,47 @@ def completeness_deviation(pair) -> float:
     return float(np.max(np.abs(pair.k0 * pair.k0 + pair.k1 * pair.k1 - 1.0)))
 
 
-def oracle_steering(config) -> SimpleNamespace:
-    """run_tsd's per-copy success and per-setting fidelities recomputed on
-    dense d^P vectors.
-
-    The uncharacterized parties are projected with explicit basis vectors
-    (computational, and Fourier exp(2 pi i a l / d) / sqrt(d)), p_u is the
-    squared norm of the Kronecker-product filter layer, and every member
-    pair is scored by the eigendecomposition root fidelity on the
-    d^(P-S)-square matrices.  Subject to the dense cap.
-    """
-    base, s = config.base, config.s
-    spec = base.spec
+def oracle_projections(spec, s: int):
+    """(x, a, v): the unnormalized conditional vector v on the d^(P-S)
+    characterized space left when the first s parties of the dense state
+    project onto explicit basis vectors (computational, and Fourier
+    exp(2 pi i a l / d) / sqrt(d)), for every setting and outcome string.
+    Subject to the dense cap."""
     d = spec.d if isinstance(spec, GhzSpec) else 2
     fourier = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d)
     bases = (np.eye(d), fourier)
-    assignment = assignment_for(base.family, spec, base.q, base.partition)
-    psi = make_dense(spec).amplitudes
-    _, pu = oracle_layer(assignment, (0,) * assignment.q, psi)
-    ps = overall_success(pu, base.n_copies)
-    initial = psi.reshape(d**s, -1)
-    perfect = make_dense(perfect_like(spec)).amplitudes.reshape(d**s, -1)
-    per_setting = {}
+    psi = make_dense(spec).amplitudes.reshape(d**s, -1)
     for x in itertools.product((0, 1), repeat=s):
-        total = 0.0
         for a in itertools.product(range(d), repeat=s):
             bra = np.ones(1)
             for xk, ak in zip(x, a):
                 bra = np.kron(bra, bases[xk][ak].conj())
-            v, g = bra @ initial, bra @ perfect
-            target = np.outer(g, g.conj())
-            total += _root_fidelity(ps * target + (1 - ps) * np.outer(v, v.conj()), target)
-        per_setting[x] = total * total
-    return SimpleNamespace(p_success_per_copy=pu, per_setting=per_setting)
+            yield x, a, bra @ psi
+
+
+def oracle_steering(config) -> SimpleNamespace:
+    """run_tsd's per-copy success and the fidelity of every setting string
+    recomputed on dense d^P vectors.
+
+    The uncharacterized parties are projected by ``oracle_projections``, p_u
+    is the squared norm of the Kronecker-product filter layer, and every
+    member pair is scored by the eigendecomposition root fidelity on the
+    d^(P-S)-square matrices.  Subject to the dense cap.
+    """
+    base, s = config.base, config.s
+    spec = base.spec
+    assignment = assignment_for(base.family, spec, base.q, base.partition)
+    _, pu = oracle_layer(assignment, (0,) * assignment.q, make_dense(spec).amplitudes)
+    ps = overall_success(pu, base.n_copies)
+    per_setting = {}
+    pairs = zip(oracle_projections(spec, s), oracle_projections(perfect_like(spec), s))
+    for (x, _, v), (_, _, g) in pairs:
+        target = np.outer(g, g.conj())
+        root = _root_fidelity(ps * target + (1 - ps) * np.outer(v, v.conj()), target)
+        per_setting[x] = per_setting.get(x, 0.0) + root
+    return SimpleNamespace(
+        p_success_per_copy=pu, per_setting={x: t * t for x, t in per_setting.items()}
+    )
 
 
 def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:

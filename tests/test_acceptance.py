@@ -48,6 +48,7 @@ from qdistill.cli import main as cli_main
 from qdistill.filters import last_parties, ghz_partition_assignment, IndexPartition
 from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
+from qdistill.states import perfect_like
 from qdistill.sweep import grid_rows, preset_grid
 from qdistill.ted import assignment_for, overall_success
 from qdistill.tsd import filter_assemblage
@@ -59,6 +60,7 @@ from conftest import (
     labeled_partitions,
     oracle_ghz_deviation,
     nonsignaling_deviation,
+    rebuilt_scores,
     w_corpus,
 )
 from test_montecarlo import binomial_chi2_pvalue
@@ -196,24 +198,27 @@ def test_criterion_04_w_success_and_fidelity(w_specs):
 def test_criterion_05_assemblage_equals_state_fidelity():
     ghz_spec = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
     w_spec = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
-    worst = 0.0
-    member_count_ok = True
+    worst = worst_rebuilt = 0.0
     scenarios = [
         (ghz_spec, Family.GHZ_DIAGONAL, 1, 1),
         (ghz_spec, Family.GHZ_DIAGONAL, 1, 2),
         (ghz_spec, Family.GHZ_DIAGONAL, 2, 1),
+        (GhzSpec(3, 4, ghz_spec.alphas), Family.GHZ_DIAGONAL, 3, 1),
         (w_spec, Family.W_SINGLE_EXCITATION, 1, 2),
     ]
     for spec, family, s, q in scenarios:
         closed = closed_form_fidelity_ghz if family is Family.GHZ_DIAGONAL else closed_form_fidelity_w
         for n in (2, 3, 5):
-            report = run_tsd(SteeringConfig(ProtocolConfig(n, family, spec, q), s))
+            config = SteeringConfig(ProtocolConfig(n, family, spec, q), s)
+            report = run_tsd(config)
             worst = max(worst, abs(report.fidelity_assemblage - closed(spec, n)))
-            if s == 2 and len(report.distilled.members) != 36:
-                member_count_ok = False
-    ok = worst <= 1e-9 and member_count_ok
-    check("5", "assemblage fidelity equals state fidelity (incl. 36-member S=2)", ok,
-          f"worst dev {worst:.2e}")
+            if s >= 2:  # the minimum over all (2 d)^S members, rebuilt one by one
+                perfect = build_assemblage(make_compact(perfect_like(spec)), config)
+                rebuilt = min(rebuilt_scores(report.distilled, perfect).values())
+                worst_rebuilt = max(worst_rebuilt, abs(rebuilt - report.fidelity_assemblage))
+    ok = worst <= 1e-9 and worst_rebuilt <= 1e-12
+    check("5", "assemblage fidelity equals state fidelity (incl. S = 2, 3 rebuilt members)", ok,
+          f"worst dev {worst:.2e}, rebuilt {worst_rebuilt:.2e}")
 
 
 def test_criterion_06_non_signaling(rng):
@@ -221,12 +226,13 @@ def test_criterion_06_non_signaling(rng):
     ghz_toy = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
     w_toy = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
     cases = [(ghz_toy, Family.GHZ_DIAGONAL, 1, 1), (ghz_toy, Family.GHZ_DIAGONAL, 2, 1),
+             (GhzSpec(3, 4, ghz_toy.alphas), Family.GHZ_DIAGONAL, 3, 1),
              (w_toy, Family.W_SINGLE_EXCITATION, 1, 2)]
     for _ in range(8):
         v = rng.uniform(0.2, 1.0, 3)
         v /= np.linalg.norm(v)
         v.sort()
-        cases.append((GhzSpec(3, 4, tuple(v)), Family.GHZ_DIAGONAL, int(rng.integers(1, 3)), 1))
+        cases.append((GhzSpec(3, 4, tuple(v)), Family.GHZ_DIAGONAL, int(rng.integers(1, 4)), 1))
         w = rng.uniform(0.2, 1.0, 4)
         w /= np.linalg.norm(w)
         w.sort()

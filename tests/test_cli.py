@@ -11,6 +11,7 @@ import pytest
 import qdistill
 from qdistill.cli import main
 from qdistill.sweep import CSV_COLUMNS, ROW_CAP
+from qdistill.tsd import D_OUT_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,22 +175,25 @@ class TestErrorReporting:
         assert "category=PivotNotMinimal" in err
 
     def test_dense_cap_category(self, capsys):
-        # steering holds no dense state, so 2^13 amplitudes run; the
-        # (2 d)^S assemblage members are what is capped
+        # steering holds no dense state and never builds the (2 d)^S
+        # members, so 2^13 amplitudes and S = 17 run; the outcome count d,
+        # which sets the assemblage's d^2 memory, is what is capped
+        for p, s, n in ((13, 1, 4), (20, 17, 2)):
+            rc, out, err = run(
+                capsys, "tsd-ghz", "--d", "2", "--p", str(p), "--q", "1", "--s", str(s),
+                "--n", str(n), "--alphas", "0.6,0.8",
+            )
+            assert rc == 0 and err == ""
+            report = parse_report(out)
+            closed = 1 - (1 - 2 * 0.36) ** (n - 1) * (2 - 1.4**2) / 2
+            assert abs(float(report["fidelity_assemblage"]) - closed) <= 1e-12
+        d = D_OUT_CAP + 1
         rc, out, err = run(
-            capsys, "tsd-ghz", "--d", "2", "--p", "13", "--q", "1", "--s", "1",
-            "--n", "4", "--alphas", "0.6,0.8",
+            capsys, "tsd-ghz", "--d", str(d), "--p", "3", "--q", "1", "--s", "1",
+            "--n", "2", "--alphas", ",".join([repr(1 / math.sqrt(d))] * d),
         )
-        assert rc == 0 and err == ""
-        report = parse_report(out)
-        closed = 1 - (1 - 2 * 0.36) ** 3 * (2 - 1.4**2) / 2
-        assert abs(float(report["fidelity_assemblage"]) - closed) <= 1e-12
-        rc, _, err = run(
-            capsys, "tsd-ghz", "--d", "2", "--p", "20", "--q", "1", "--s", "17",
-            "--n", "2", "--alphas", "0.6,0.8",
-        )
-        assert rc == 2
-        assert "error category=WorkCapExceeded" in err
+        assert rc == 2 and out == ""
+        assert err.startswith("error category=WorkCapExceeded: ")
 
     def test_bad_partition_category(self, capsys):
         rc, _, err = run(
@@ -264,6 +268,17 @@ class TestErrorReporting:
         manifest.write_text("family,d,p\n")
         rc, _, err = run(capsys, "replay", str(manifest))
         self.assert_invalid_spec(rc, err)
+
+    @pytest.mark.parametrize("argv, out", [
+        (["sweep", "--preset", "ghz-dimension"], "nosuchdir/x.csv"),
+        (["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY], "."),
+        (["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY], "run.csv"),
+    ], ids=["missing-directory", "directory", "manifest-is-directory"])
+    def test_unwritable_out_category(self, capsys, tmp_path, argv, out):
+        (tmp_path / "run.manifest.json").mkdir()
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / out))
+        self.assert_invalid_spec(rc, err)
+        assert err.count("\n") == 1
 
     def test_inverted_range_category(self, capsys):
         rc, out, err = run(capsys, "sweep", "--preset", "ghz-convergence", "--n", "10:2")

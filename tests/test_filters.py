@@ -18,7 +18,7 @@ from qdistill import (
     perfect_w,
     w_assignment,
 )
-from qdistill.filters import last_parties
+from qdistill.filters import complete_pairs, last_parties
 
 from conftest import (
     completeness_deviation,
@@ -89,7 +89,7 @@ class TestPartitionAssignment:
         assignment = ghz_partition_assignment(
             spec, IndexPartition.contiguous(4, 1), (2,)
         )
-        single = KrausPair.from_diagonals(spec.alphas[0] / np.array(spec.alphas))
+        (single,) = complete_pairs([spec.alphas[0] / np.array(spec.alphas)])
         assert np.array_equal(assignment.pairs[2].k0, single.k0)
         assert np.array_equal(assignment.pairs[2].k1, single.k1)
 
@@ -200,7 +200,7 @@ class TestValidatePovm:
     """POVM completeness, checked by ``conftest.completeness_deviation``."""
 
     def test_identity_pair_ok(self):
-        assert completeness_deviation(KrausPair.from_diagonals(np.ones(3))) <= 1e-12
+        assert completeness_deviation(complete_pairs(np.ones((1, 3)))[0]) <= 1e-12
 
     def test_half_pair_ok(self):
         pair = KrausPair([0.5], [np.sqrt(0.75)])
@@ -256,3 +256,15 @@ class TestKrausPairType:
         ]:
             with pytest.raises(DimensionMismatchError):
                 KrausPair(k0, k1)
+
+    def test_table_is_checked_once_as_one_pair(self):
+        # complete_pairs completes a (q, dim) table and checks it with the
+        # conditions and error category of a single pair
+        with pytest.raises(DimensionMismatchError):
+            complete_pairs([[1.0, 0.5], [np.nan, 0.5]])
+        rows = [[1.0, 0.25, 0.0], [0.5, 1.0, 0.75]]
+        pairs = complete_pairs(rows)
+        for pair, row in zip(pairs, np.array(rows)):
+            assert np.array_equal(pair.k0, row)
+            assert np.array_equal(pair.k1, np.sqrt(np.clip(1.0 - row * row, 0.0, None)))
+            assert pair.k0.dtype == float and pair.dim == 3

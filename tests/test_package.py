@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qdistill
 
 
@@ -50,13 +52,14 @@ def test_bench_trace_targets_resolve(monkeypatch):
     assert uncached == []
 
 
-def test_traced_steer_benchmark_runs_clean():
-    # one quick traced pass of the steering workload, end to end: the last
-    # stdout line is the benchmark's JSON result (details go to the
-    # gitignored .bench_out/)
+@pytest.mark.parametrize("workload", ["ted-sweep", "mc", "steer", "cli"])
+def test_traced_benchmark_runs_clean(workload):
+    # one quick traced pass of each workload, end to end, checks included:
+    # the last stdout line is the benchmark's JSON result (details go to
+    # the gitignored .bench_out/)
     root = Path(__file__).parents[1]
     done = subprocess.run(
-        [sys.executable, str(root / "bench" / "run.py"), "--workload", "steer", "--seed", "3",
+        [sys.executable, str(root / "bench" / "run.py"), "--workload", workload, "--seed", "3",
          "--seconds", "0", "--quick", "--trace", "1"],
         capture_output=True, text=True, check=True, cwd=root, timeout=120,
     )
@@ -64,4 +67,5 @@ def test_traced_steer_benchmark_runs_clean():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert [name for name, metric in result["metrics"].items() if "note" in metric] == []
-    assert result["metrics"]["tsd.members"]["value"] > 0
+    if workload == "steer":
+        assert result["metrics"]["tsd.members"]["value"] > 0

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import time
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from qdistill import (
     Family,
     GhzSpec,
-    InvalidSpecError,
     InvalidSteeringScenarioError,
     DimensionMismatchError,
     ProtocolConfig,
@@ -31,18 +29,22 @@ from qdistill import (
 )
 from qdistill.states import local_indices, perfect_like
 from qdistill.ted import assignment_for, overall_success
-from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
+from qdistill.tsd import D_OUT_CAP, assemblage_fidelity_by_setting, mix_assemblages
 
 from conftest import (
     NONSIGNALING_TOL,
+    class_of,
     dense_member,
     ghz_config,
+    member_keys,
     nonsignaling_deviation,
     oracle_ghz_settings,
+    oracle_projections,
     oracle_steering,
     oracle_w_settings,
     random_ghz_spec,
     random_w_spec,
+    rebuilt_scores,
 )
 
 GHZ_TOY = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
@@ -51,11 +53,6 @@ W_TOY = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
 
 def ghz_spec_of(d, p, seed):
     return random_ghz_spec(np.random.default_rng(seed), d, p)
-
-
-def keys(asm):
-    """Every (setting string, outcome string), in member order."""
-    return itertools.product(asm.settings, asm.outcomes)
 
 
 def steering(spec, n=2, q=1, s=1, family=None):
@@ -73,8 +70,9 @@ class TestMubFamily:
         assert np.allclose(four[0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert np.allclose(four[1], [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_orthonormal_and_unbiased(self, d):
+        # unbiased in every dimension, prime or not
         fam = mub_family(d)
         assert fam.shape == (2, d, d)
         for basis in fam:
@@ -88,9 +86,20 @@ class TestMubFamily:
                 overlap = abs(np.vdot(e, f)) ** 2
                 assert overlap == pytest.approx(1 / d, abs=1e-12)
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(InvalidSpecError):
-            mub_family(4)
+    def test_fourier_rows_stay_accurate_at_large_d(self):
+        # the phase a l is reduced mod d before the exponential
+        d = 300
+        four = mub_family(d)[1]
+        assert np.max(np.abs(four @ four.conj().T - np.eye(d))) < 1e-12
+        assert np.max(np.abs(np.abs(four) ** 2 - 1 / d)) < 1e-15
+        a, l = 299, 299  # a l = 89401 = 1 mod 300: one step of the root of unity
+        assert abs(four[a, l] - four[1, 1]) < 1e-16
+
+    def test_cached_read_only(self):
+        fam = mub_family(4)
+        assert mub_family(4) is fam
+        with pytest.raises(ValueError):
+            fam[1, 0, 0] = 0.0
 
 
 class TestBuildAssemblage:
@@ -134,15 +143,19 @@ class TestBuildAssemblage:
             assert np.allclose(dense_member(asm, (1,), (a,)), expected, atol=1e-14)
 
     def test_member_count_s2(self):
-        config = steering(GHZ_TOY, s=2, q=1)
-        asm = build_assemblage(make_compact(GHZ_TOY), config)
-        assert len(asm.members) == 36  # 4 setting strings x 9 outcome strings
-        assert all(dense_member(asm, *key).shape == (3, 3) for key in keys(asm))
+        # 2 d members at any S; the (2 d)^S members they stand for, rebuilt,
+        # are the dense projections of the state
+        for spec, s in ((GHZ_TOY, 2), (ghz_spec_of(3, 4, 5), 3),
+                        (ghz_spec_of(4, 3, 6), 2), (ghz_spec_of(2, 5, 7), 3)):
+            asm = build_assemblage(make_compact(spec), steering(spec, s=s, q=1))
+            assert len(asm.members) == 2 * spec.d
+            for x, a, v in oracle_projections(spec, s):
+                assert np.allclose(dense_member(asm, x, a), np.outer(v, v.conj()), atol=1e-14)
 
     def test_nonsignaling_random_specs(self, rng):
         for _ in range(10):
-            spec = random_ghz_spec(rng, 3, 3)
-            for s in (1, 2):
+            spec = random_ghz_spec(rng, 3, 4)
+            for s in (1, 2, 3):
                 asm = build_assemblage(make_compact(spec), steering(spec, s=s, q=1))
                 assert nonsignaling_deviation(asm) <= NONSIGNALING_TOL
         for _ in range(10):
@@ -162,35 +175,22 @@ class TestBuildAssemblage:
         expected = np.zeros((9, 9), dtype=complex)
         for i in range(3):
             expected[4 * i, 4 * i] = GHZ_TOY.alphas[i] ** 2
-        for x in asm.settings:
-            reduced = sum(dense_member(asm, x, a) for a in asm.outcomes)
+        for x in (0,), (1,):
+            reduced = sum(dense_member(asm, x, (a,)) for a in range(3))
             assert np.allclose(reduced, expected, atol=1e-12)
 
 
-def loop_members(spec, s):
-    """Every member by explicit loops over setting string, outcome string
-    and party: the coefficients times each party's conjugated basis entry,
-    multiplied in party order."""
+def loop_members(spec):
+    """The two blocks by explicit loops over setting and outcome: the
+    coefficients times party 0's conjugated basis entry."""
     d_out = spec.d if isinstance(spec, GhzSpec) else 2
     bases = mub_family(d_out).conj()
     local = local_indices(spec)
     rows = []
-    for x in itertools.product((0, 1), repeat=s):
-        for a in itertools.product(range(d_out), repeat=s):
-            row = make_compact(spec).coeffs.astype(complex)
-            for k in range(s):
-                row = row * bases[x[k], a[k], local[:, k]]
-            rows.append(row[None, :])
-    return np.stack(rows)
-
-
-def loop_scores(a, b):
-    """Per-setting fidelity by a loop over outcome strings, member by member."""
-    return {
-        x: sum(float(np.linalg.norm(a.member(x, o) @ b.member(x, o)[0].conj()))
-               for o in a.outcomes) ** 2
-        for x in a.settings
-    }
+    for x in (0, 1):
+        for a in range(d_out):
+            rows.append(make_compact(spec).coeffs.astype(complex) * bases[x, a, local[:, 0]])
+    return np.stack(rows)[:, None, :]
 
 
 LAYOUT_CASES = [
@@ -200,29 +200,35 @@ LAYOUT_CASES = [
 
 
 class TestArrayLayout:
-    """Members sit in one array, settings first, both strings row-major;
-    the array stages reproduce member-by-member loops."""
+    """Members sit in one (2 d_out, rows, span) array, the computational
+    block first, the same at every s; the array stages reproduce
+    member-by-member loops over every setting and outcome string."""
 
     @pytest.mark.parametrize("spec, s, q", LAYOUT_CASES)
     def test_members_in_setting_then_outcome_order(self, spec, s, q):
         config = steering(spec, n=3, q=q, s=s)
-        for asm in (build_assemblage(make_compact(spec), config), run_tsd(config).distilled):
-            stacked = np.stack([asm.member(x, a) for x in asm.settings for a in asm.outcomes])
-            assert np.array_equal(stacked, asm.members)
-            assert len(asm.members) == (2 * asm.d_out) ** s
+        asm = build_assemblage(make_compact(spec), config)
+        span = len(local_indices(spec))
+        assert asm.members.shape == (2 * asm.d_out, 1, span)
+        assert run_tsd(config).distilled.members.shape == (2 * asm.d_out, 2, span)
+        one_sided = build_assemblage(make_compact(spec), steering(spec, q=q))
+        assert np.array_equal(asm.members, one_sided.members)
+        assert asm.settings == tuple((1,) * f + (0,) * (s - f) for f in range(s + 1))
+        if isinstance(spec, GhzSpec):  # computational member k is c_k e_k
+            assert np.array_equal(asm.members[: spec.d, 0], np.diag(spec.alphas))
 
     @pytest.mark.parametrize("spec, s, q", LAYOUT_CASES)
     def test_build_and_score_match_member_loops(self, spec, s, q):
         # the build multiplies in the loop's order, so it is bit-identical;
-        # the batched norms may round differently in the last place
+        # the folded sums may round differently in the last places
         config = steering(spec, n=3, q=q, s=s)
         assert np.array_equal(build_assemblage(make_compact(spec), config).members,
-                              loop_members(spec, s))
+                              loop_members(spec))
         dist = run_tsd(config).distilled
         perfect = build_assemblage(make_compact(perfect_like(spec)), config)
-        want = loop_scores(dist, perfect)
-        for x, value in assemblage_fidelity_by_setting(dist, perfect).items():
-            assert value == pytest.approx(want[x], abs=1e-14)
+        per = assemblage_fidelity_by_setting(dist, perfect)
+        for x, value in rebuilt_scores(dist, perfect).items():
+            assert per[class_of(x)] == pytest.approx(value, abs=1e-14)
 
 
 class TestFilterAssemblage:
@@ -233,7 +239,7 @@ class TestFilterAssemblage:
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
-        for key in keys(asm):
+        for key in member_keys(asm):
             assert np.allclose(
                 dense_member(filtered, *key), dense_member(asm, *key), atol=1e-12
             )
@@ -245,7 +251,7 @@ class TestFilterAssemblage:
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(3 * GHZ_TOY.alphas[0] ** 2, abs=1e-14)
         perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), config)
-        for key in keys(perfect):
+        for key in member_keys(perfect):
             assert np.allclose(
                 dense_member(filtered, *key), dense_member(perfect, *key), atol=1e-12
             )
@@ -258,7 +264,7 @@ class TestFilterAssemblage:
         b = W_TOY.betas
         assert prob == pytest.approx(3 * b[0] ** 2 * b[1] ** 2 / b[2] ** 2, abs=1e-14)
         perfect = build_assemblage(make_compact(perfect_w(3)), config)
-        for key in keys(perfect):
+        for key in member_keys(perfect):
             assert np.allclose(
                 dense_member(filtered, *key), dense_member(perfect, *key), atol=1e-12
             )
@@ -301,7 +307,7 @@ class TestDistilledAssemblage:
         config = steering(spec, n=3)
         dist = run_tsd(config).distilled
         perfect = build_assemblage(make_compact(spec), config)
-        for key in keys(perfect):
+        for key in member_keys(perfect):
             assert np.allclose(dense_member(dist, *key), dense_member(perfect, *key), atol=1e-12)
 
     def test_ghz3_member_structure(self):
@@ -408,7 +414,7 @@ class TestRunTsd:
         r1 = run_tsd(steering(GHZ_TOY, n=4, s=1, q=1))
         r3 = run_tsd(steering(GHZ_TOY, n=4, s=2, q=1))
         assert not r3.threshold
-        assert len(r3.distilled.members) == 36
+        assert len(r3.distilled.members) == 6
         assert r3.fidelity_assemblage == pytest.approx(r1.fidelity_assemblage, abs=1e-9)
 
     def test_w3_sd(self):
@@ -452,13 +458,18 @@ ORACLE_CASES = [
     (ghz_spec_of(5, 4, 2), 2, 1, 4),
     (ghz_spec_of(2, 8, 3), 3, 1, 4),
     *[(random_w_spec(np.random.default_rng(p), p), 1, p - 1, 3) for p in range(4, 9)],
+    (ghz_spec_of(4, 3, 4), 1, 1, 3),
+    (ghz_spec_of(4, 4, 5), 3, 1, 4),
+    (ghz_spec_of(6, 3, 6), 2, 1, 5),
+    (ghz_spec_of(6, 4, 7), 1, 2, 3),
 ]
 
 
 class TestDenseOracle:
-    """Every per-setting value of the span route against the dense route:
-    d^P vectors, explicit basis vectors, Kronecker filters and
-    eigendecomposition root fidelities on d^(P-S)-square members."""
+    """Every setting string's value on the dense route against its class
+    value on the span route: d^P vectors, explicit basis vectors, Kronecker
+    filters and eigendecomposition root fidelities on d^(P-S)-square
+    members."""
 
     @pytest.mark.parametrize("spec, s, q, n", ORACLE_CASES)
     def test_per_setting_values_match_dense_oracle(self, spec, s, q, n):
@@ -466,9 +477,10 @@ class TestDenseOracle:
         report, per = per_setting_of(config)
         want = oracle_steering(config)
         assert report.p_success_per_copy == pytest.approx(want.p_success_per_copy, abs=1e-12)
-        assert per.keys() == want.per_setting.keys()
-        for x, value in per.items():
-            assert value == pytest.approx(want.per_setting[x], abs=1e-12)
+        assert len(want.per_setting) == 2**s
+        assert {class_of(x) for x in want.per_setting} == per.keys()
+        for x, value in want.per_setting.items():
+            assert per[class_of(x)] == pytest.approx(value, abs=1e-12)
         assert report.fidelity_assemblage == min(per.values())
 
     @pytest.mark.parametrize("spec, s, q, n", ORACLE_CASES)
@@ -492,12 +504,15 @@ class TestSettingLaw:
     @given(st.data())
     def test_span_route_matches_decimal_law(self, data):
         if data.draw(st.booleans(), label="ghz"):
-            d = data.draw(st.sampled_from((2, 3, 5, 7)), label="d")
-            p = data.draw(st.integers(2, 12), label="p")
-            s = data.draw(st.integers(1, min(3, p - 1)), label="s")
+            d = data.draw(st.integers(2, 300), label="d")
+            p = data.draw(st.integers(2, 60), label="p")
+            s = data.draw(st.integers(1, p - 1), label="s")
             q = data.draw(st.integers(1, p - s), label="q")
-            raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
-            spec = GhzSpec(d, p, tuple(np.sort(np.asarray(raw) / np.linalg.norm(raw))))
+            # coefficients from a drawn seed: d drawn floats would overrun
+            # hypothesis's draw buffer at large d
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            raw = np.random.default_rng(seed).uniform(0.05, 1.0, d)
+            spec = GhzSpec(d, p, tuple(np.sort(raw / np.linalg.norm(raw))))
         else:
             p = data.draw(st.integers(3, 200), label="p")
             s, q = 1, p - 1
@@ -532,12 +547,24 @@ class TestUniformTieBreak:
 
 class TestSpanGuards:
     def test_oversized_outcome_loop_fails_fast(self):
-        # (2 d)^S = 4^30 members; refused before any is built
-        spec = GhzSpec(2, 40, (0.6, 0.8))
+        # memory grows as d^2: one past the cap is refused with the config,
+        # before any assemblage is built
+        d = D_OUT_CAP + 1
+        spec = GhzSpec(d, 3, (1 / math.sqrt(d),) * d)
         start = time.process_time()
         with pytest.raises(WorkCapExceededError):
-            run_tsd(steering(spec, s=30, q=1))
+            run_tsd(steering(spec, s=1, q=1))
         assert time.process_time() - start < 1.0
+
+    def test_outcome_cap_runs(self):
+        d = D_OUT_CAP
+        raw = np.random.default_rng(d).uniform(0.2, 1.0, d)
+        spec = GhzSpec(d, 3, tuple(np.sort(raw / np.linalg.norm(raw))))
+        report = run_tsd(steering(spec, n=4, s=2, q=1))
+        assert len(report.distilled.members) == 2 * d
+        assert report.fidelity_assemblage == pytest.approx(
+            report.fidelity_closed_form, abs=1e-12
+        )
 
     def test_sizes_past_the_dense_route_run_in_milliseconds(self):
         # 2^12 amplitudes: the dense route took over a minute for GHZ
@@ -552,15 +579,22 @@ class TestSpanGuards:
             )
 
     def test_member_cap_runs_in_milliseconds(self):
-        # exactly 2^16 members, at the cap
-        config = steering(ghz_spec_of(2, 20, 20), n=4, s=8, q=1)
-        start = time.process_time()
-        report = run_tsd(config)
-        assert time.process_time() - start < 0.2
-        assert len(report.distilled.members) == 2**16
-        assert report.fidelity_assemblage == pytest.approx(
-            report.fidelity_closed_form, abs=1e-12
-        )
+        # the (2 d)^S members are never built: 4^30 of them at (2, 40, 30),
+        # and the largest S at d = 50 and d = 300 (best of 5 CPU times)
+        for (d, p, s), budget in (((2, 40, 30), 0.05), ((50, 50, 49), 0.05),
+                                  ((300, 40, 39), 0.05)):
+            config = steering(ghz_spec_of(d, p, d), n=4, s=s, q=1)
+            times = []
+            for _ in range(5):
+                start = time.process_time()
+                report = run_tsd(config)
+                times.append(time.process_time() - start)
+            assert min(times) < budget
+            assert len(report.distilled.members) == 2 * d
+            assert report.minimizing_setting == (1,) * s
+            assert report.fidelity_assemblage == pytest.approx(
+                report.fidelity_closed_form, abs=1e-12
+            )
 
     def test_underflowing_w_success_gives_zero(self):
         # p_u underflows to 0.0 at P = 1000; run_ted reports it as 0, and the
