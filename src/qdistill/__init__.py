@@ -30,7 +30,6 @@ from .states import (
 from .filters import (
     FilterAssignment,
     IndexPartition,
-    KrausPair,
     ghz_partition_assignment,
     w_assignment,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "InvalidSpecError",
     "InvalidSteeringScenarioError",
     "Ket",
-    "KrausPair",
     "NotHermitianError",
     "NotPositiveError",
     "PivotNotMaximalError",

@@ -213,9 +213,10 @@ def _protocol_config(args, family: Family) -> ProtocolConfig:
         spec = GhzSpec(_need(args, "d"), _need(args, "p"),
                        _cli_coeffs(_need(args, "alphas"), "alphas"))
         q = 1 if args.q is None else args.q
-        return ProtocolConfig(n, family, spec, q, args.partition)
-    spec = WSpec(_need(args, "p"), _cli_coeffs(_need(args, "betas"), "betas"))
-    return ProtocolConfig(n, family, spec, spec.p - 1 if args.q is None else args.q)
+    else:
+        spec = WSpec(_need(args, "p"), _cli_coeffs(_need(args, "betas"), "betas"))
+        q = spec.p - 1 if args.q is None else args.q
+    return ProtocolConfig(n, family, spec, q, getattr(args, "partition", None))
 
 
 def _cmd_run(args, family: Family, steering: bool) -> int:

@@ -2,7 +2,9 @@
 
 Each participating party applies a two-outcome filter {K0, K1}, diagonal in
 the computational basis, with K0^dag K0 + K1^dag K1 = I.  Outcome 0
-post-selects the distilled branch.
+post-selects the distilled branch.  A layer (:class:`FilterAssignment`) is
+one real (q, dim) table whose row r is the K0 diagonal of the r-th
+participant; the K1 diagonals sqrt(1 - K0^2) are derived from it.
 
 For a GHZ spec with alpha_0 minimal, the work of flattening the coefficient
 profile can be split arbitrarily: each participating party owns a block of
@@ -18,7 +20,7 @@ component by beta_{p-1-j}/beta_{p-1}; this requires all p-1 of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,64 +31,16 @@ from .errors import (
     PivotNotMaximalError,
     PivotNotMinimalError,
 )
-from .states import GhzSpec, WSpec
+from .states import GhzSpec, Spec, WSpec, local_indices
 
 PIVOT_TOL = 1e-12
-ENTRY_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class KrausPair:
-    """A dichotomic filter {K0, K1}, stored as the two real diagonals
-    ``k0`` and ``k1`` with entries in [0, 1].
-
-    Construction checks the structural invariants only, so a deliberately
-    incomplete pair can still be built; POVM completeness is the job of
-    :func:`complete_pairs`, through which every factory builds its pairs.
-    """
-
-    k0: np.ndarray
-    k1: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("k0", "k1"):
-            raw = np.asarray(getattr(self, name))
-            if raw.ndim != 1:
-                raise DimensionMismatchError(f"{name} must be a 1-d diagonal")
-            if np.iscomplexobj(raw):
-                raise DimensionMismatchError(f"{name} entries must be real")
-            vec = raw.astype(float)
-            if not ((-ENTRY_TOL <= vec) & (vec <= 1.0 + ENTRY_TOL)).all():  # NaN fails
-                raise DimensionMismatchError(f"{name} entries must lie in [0, 1]")
-            object.__setattr__(self, name, vec)
-        if len(self.k0) != len(self.k1):
-            raise DimensionMismatchError("k0 and k1 dims differ")
-
-    @property
-    def dim(self) -> int:
-        return len(self.k0)
-
-    def diag(self, outcome: int) -> np.ndarray:
-        return self.k0 if outcome == 0 else self.k1
-
-
-def complete_pairs(table) -> tuple[KrausPair, ...]:
-    """One pair {diag(d0), sqrt(I - diag(d0)^2)} per row d0 of a (q, dim)
-    table, with the principal root, so each is complete by construction even
-    under floating-point drift.  The table is checked once, as one pair."""
-    k0 = np.asarray(table, dtype=float).clip(0.0, 1.0)
-    whole = KrausPair(k0.ravel(), np.sqrt((1.0 - k0 * k0).clip(0.0, None)).ravel())
-    pairs = tuple(object.__new__(KrausPair) for _ in k0)  # their rows passed ``whole``'s checks
-    for pair, row0, row1 in zip(pairs, whole.k0.reshape(k0.shape), whole.k1.reshape(k0.shape)):
-        pair.__dict__.update(k0=row0, k1=row1)
-    return pairs
 
 
 @dataclass(frozen=True)
 class IndexPartition:
     """Disjoint blocks of basis indices, one per participating party, whose
     union is {1, ..., d-1}.  Index 0 (the pivot) is never filtered.  Empty
-    blocks are allowed: the owning party then applies the identity pair."""
+    blocks are allowed: the owning party then applies the identity filter."""
 
     blocks: tuple[frozenset[int], ...]
 
@@ -110,36 +64,39 @@ class IndexPartition:
         return cls(tuple(blocks))
 
 
-def _check_partition(partition: IndexPartition, d: int) -> None:
-    seen: set[int] = set()
-    for b in partition.blocks:
-        if any(i < 1 or i >= d for i in b):
-            raise BadPartitionError(f"block {sorted(b)} outside 1..{d - 1}")
-        if seen & b:
-            raise BadPartitionError("blocks overlap")
-        seen |= b
-    if seen != set(range(1, d)):
-        raise BadPartitionError(
-            f"blocks cover {sorted(seen)}, expected all of 1..{d - 1}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class FilterAssignment:
-    """Per-party filters; ``None`` marks a non-participating party."""
+    """One filter layer on ``p`` parties: participant ``participants[r]``
+    (strictly ascending) applies {diag(k0[r]), diag(k1[r])}.
+
+    ``k0`` is a read-only real (q, dim) table with entries in [0, 1];
+    ``k1 = sqrt(1 - k0^2)`` is derived with the principal root, so every
+    pair is complete by construction.  Parties not listed stay idle.
+    """
 
     p: int
-    pairs: tuple[KrausPair | None, ...]
+    participants: tuple[int, ...]
+    k0: np.ndarray
+    k1: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != self.p:
+        parties = tuple(int(j) for j in self.participants)
+        if any(a >= b for a, b in zip((-1, *parties), (*parties, self.p))):
             raise DimensionMismatchError(
-                f"expected {self.p} per-party slots, got {len(self.pairs)}"
+                f"participants {parties} must ascend strictly within 0..{self.p - 1}"
             )
-
-    @property
-    def participants(self) -> tuple[int, ...]:
-        return tuple(j for j, pr in enumerate(self.pairs) if pr is not None)
+        if np.iscomplexobj(self.k0):
+            raise DimensionMismatchError("k0 entries must be real")
+        k0 = np.array(self.k0, dtype=float)
+        if k0.ndim != 2 or len(k0) != len(parties):
+            raise DimensionMismatchError(f"k0 shape {k0.shape} is not ({len(parties)}, dim)")
+        if not ((0.0 <= k0) & (k0 <= 1.0)).all():  # NaN fails
+            raise DimensionMismatchError("k0 entries must lie in [0, 1]")
+        k1 = np.sqrt(1.0 - k0 * k0)
+        k0.flags.writeable = k1.flags.writeable = False
+        object.__setattr__(self, "participants", parties)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
 
     @property
     def q(self) -> int:
@@ -150,26 +107,31 @@ def apply_layer(
     values: np.ndarray,
     assignment: FilterAssignment,
     outcomes: Sequence[int],
-    local: np.ndarray | None,
+    local: np.ndarray,
 ) -> np.ndarray:
     """Multiply ``values`` by the joint diagonal of one filter layer.
 
     ``values[r]`` belongs to the basis state whose party-j local index is
     ``local[r, j]``.  Each participant multiplies by its diagonal entry there,
     one participant at a time in party order, so the start vector fixes the
-    rounding: amplitudes for a dense ket, ones for a multiplier.  ``local``
-    must cover the assignment's parties; with no participant it may be None.
+    rounding: amplitudes for a dense ket, ones for a multiplier.
     """
-    participants = assignment.participants
-    if local is not None and local.shape[1] != assignment.p:
+    if local.shape[1] != assignment.p:
         raise DimensionMismatchError(f"{assignment.p}-party assignment on {local.shape[1]} parties")
-    if len(outcomes) != len(participants):
-        raise DimensionMismatchError(
-            f"{len(participants)} participants but {len(outcomes)} outcomes"
-        )
-    for j, o in zip(participants, outcomes):
-        values = values * assignment.pairs[j].diag(o)[local[:, j]]
+    if len(outcomes) != assignment.q:
+        raise DimensionMismatchError(f"{assignment.q} participants but {len(outcomes)} outcomes")
+    for j, o, row0, row1 in zip(assignment.participants, outcomes, assignment.k0, assignment.k1):
+        values = values * (row0 if o == 0 else row1)[local[:, j]]
     return values
+
+
+def span_multiplier(
+    spec: Spec, assignment: FilterAssignment, outcomes: Sequence[int]
+) -> np.ndarray:
+    """The layer's multiplier on the compact span of ``spec``: entry k
+    multiplies the coefficient of row k of ``local_indices(spec)``."""
+    local = local_indices(spec)
+    return apply_layer(np.ones(len(local)), assignment, outcomes, local)
 
 
 def _ghz_ratios(spec: GhzSpec) -> np.ndarray:
@@ -190,28 +152,27 @@ def ghz_partition_assignment(
     """Distribute the GHZ filter across participating parties by index block.
 
     Party ``parties[k]`` filters the indices in ``partition.blocks[k]`` and
-    leaves diagonal entry 1 everywhere else.
+    leaves diagonal entry 1 everywhere else; the parties may come in any
+    order, their blocks travel with them.
     """
-    _check_partition(partition, spec.d)
+    blocks = partition.blocks
+    if sorted(i for b in blocks for i in b) != list(range(1, spec.d)):
+        raise BadPartitionError(
+            f"blocks {[sorted(b) for b in blocks]} do not split 1..{spec.d - 1}"
+        )
     parties = tuple(int(j) for j in parties)
-    if len(parties) != len(partition.blocks):
-        raise BadPartitionError(
-            f"{len(partition.blocks)} blocks for {len(parties)} parties"
-        )
-    if len(set(parties)) != len(parties):
-        raise BadPartitionError(f"duplicate parties in {parties}")
-    if any(j < 0 or j >= spec.p for j in parties):
-        raise BadPartitionError(f"party indices {parties} outside 0..{spec.p - 1}")
+    if len(parties) != len(blocks):
+        raise BadPartitionError(f"{len(blocks)} blocks for {len(parties)} parties")
+    if len(set(parties)) != len(parties) or not all(0 <= j < spec.p for j in parties):
+        raise BadPartitionError(f"parties {parties} are not distinct indices in 0..{spec.p - 1}")
     if len(parties) > spec.p - 1:
-        raise BadPartitionError(
-            "threshold assignment must leave at least one non-participating party"
-        )
+        raise BadPartitionError("threshold assignment must leave a non-participating party")
     ratios = _ghz_ratios(spec)
-    table = np.ones((len(parties), spec.d))
-    for row, block in zip(table, partition.blocks):
+    owned = sorted(zip(parties, blocks))  # distinct parties: blocks are never compared
+    table = np.ones((len(owned), spec.d))
+    for row, (_, block) in zip(table, owned):
         row[list(block)] = ratios[list(block)]
-    slots = dict(zip(parties, complete_pairs(table)))
-    return FilterAssignment(spec.p, tuple(slots.get(j) for j in range(spec.p)))
+    return FilterAssignment(spec.p, tuple(j for j, _ in owned), table)
 
 
 def last_parties(p: int, q: int) -> tuple[int, ...]:
@@ -230,5 +191,5 @@ def w_assignment(spec: WSpec) -> FilterAssignment:
         )
     table = np.ones((spec.p - 1, 2))
     table[:, 0] = np.minimum(ratios[-2::-1], 1.0)
-    return FilterAssignment(spec.p, (None, *complete_pairs(table)))
+    return FilterAssignment(spec.p, tuple(range(1, spec.p)), table)
 

@@ -10,8 +10,8 @@ column.  Infeasible grid points are emitted with ``feasible=False`` rather
 than dropped, so grids keep their full rectangular shape.
 
 Rows are emitted in deterministic lexicographic order: driver value, then
-dimension/party axis, then copy count.  A grid of more than ``ROW_CAP`` rows
-is refused before any row is built.
+dimension/party axis, then copy count.  A grid of more than ``ROW_CAP`` rows,
+or with a d or p below 2, is refused before any row is built.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ def solve_ghz_coefficients(d: int, alpha0: float, gap: float) -> tuple[float, ..
 
 def equal_tail_ghz(d: int, p: int, alpha0: float) -> GhzSpec:
     """GHZ spec with all tail coefficients equal: the convergence-curve family."""
+    if not 0.0 < alpha0 < 1.0:
+        raise InvalidSpecError(f"alpha0 = {alpha0} is outside (0, 1)")
     tail = math.sqrt((1.0 - alpha0 * alpha0) / (d - 1))
     return GhzSpec(d, p, (alpha0,) + (tail,) * (d - 1))
 
@@ -237,6 +239,8 @@ def grid_rows(grid: SweepGrid) -> list[dict]:
         raise ValueError(f"unknown sweep mode {grid.mode!r}")
     if grid.mode.startswith("ghz") and len(grid.p_values) != 1:
         raise InvalidSpecError("GHZ sweeps take a single --p value")
+    if min(grid.p_values, default=2) < 2 or min(grid.d_values, default=2) < 2:
+        raise InvalidSpecError("sweeps need every d >= 2 and every p >= 2")
     build, axes = _MODES[grid.mode]
     count = len(grid.n_values) * math.prod(len(getattr(grid, axis)) for axis in axes)
     if count > ROW_CAP:

@@ -35,6 +35,7 @@ from .filters import (
     apply_layer,
     ghz_partition_assignment,
     last_parties,
+    span_multiplier,
     w_assignment,
 )
 from .linalg import Ket
@@ -45,7 +46,6 @@ from .states import (
     Spec,
     WSpec,
     family_of,
-    local_indices,
     make_compact,
     perfect_like,
 )
@@ -149,23 +149,16 @@ def apply_filter_layer(
     outcome strings the probabilities add to 1.
     """
     if isinstance(state, CompactState):
-        mult = apply_layer(
-            np.ones(len(state.coeffs)), assignment, outcomes, local_indices(state.spec)
-        )
-        coeffs = state.coeffs * mult
+        coeffs = state.coeffs * span_multiplier(state.spec, assignment, outcomes)
         prob = float(np.sum(coeffs * coeffs))
         return CompactState(coeffs, state.spec, normalized=False), prob
     # dense reference: the table row of a basis state holds its base-d digits
-    participants = assignment.participants
-    table = None  # with no participant there is no local dimension to read
-    if participants:
-        local = assignment.pairs[participants[0]].dim
-        p = assignment.p
-        if state.dim != local**p:
-            raise DimensionMismatchError(
-                f"state dim {state.dim} does not match {p} parties of local dim {local}"
-            )
-        table = np.indices((local,) * p).reshape(p, -1).T
+    local, p = assignment.k0.shape[1], assignment.p
+    if state.dim != local**p:
+        raise DimensionMismatchError(
+            f"state dim {state.dim} does not match {p} parties of local dim {local}"
+        )
+    table = np.indices((local,) * p).reshape(p, -1).T
     amps = apply_layer(state.amplitudes, assignment, outcomes, table)
     return Ket(amps, normalized=False), float(np.real(np.vdot(amps, amps)))
 

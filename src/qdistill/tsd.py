@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, WorkCapExceededError
-from .filters import FilterAssignment, apply_layer
+from .filters import FilterAssignment, span_multiplier
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
 from .states import CompactState, Family, GhzSpec, Spec, family_of, local_indices, make_compact
 from .states import perfect_like
@@ -169,8 +169,7 @@ def _filter_weights(
             "filters may only touch characterized parties (index >= s); "
             f"assignment touches {sorted(j for j in assignment.participants if j < asm.s)}"
         )
-    local = local_indices(asm.spec)
-    mult = apply_layer(np.ones(len(local)), assignment, outcomes, local)
+    mult = span_multiplier(asm.spec, assignment, outcomes)
     # diagonal of rho_ch, read off the computational block
     weight = (np.abs(asm.members[: asm.d_out]) ** 2).sum(axis=(0, 1))
     return mult, float((mult * mult * weight).sum())

@@ -336,9 +336,11 @@ def nonsignaling_deviation(asm) -> float:
     return float(np.max([trace, *shifts]))
 
 
-def completeness_deviation(pair) -> float:
-    """max |K0^dag K0 + K1^dag K1 - I| of a diagonal filter pair."""
-    return float(np.max(np.abs(pair.k0 * pair.k0 + pair.k1 * pair.k1 - 1.0)))
+def completeness_deviation(k0, k1) -> float:
+    """max |K0^dag K0 + K1^dag K1 - I| over diagonal filter pairs, given as
+    their K0 and K1 rows."""
+    k0, k1 = np.asarray(k0), np.asarray(k1)
+    return float(np.max(np.abs(k0 * k0 + k1 * k1 - 1.0)))
 
 
 def oracle_projections(spec, s: int):
@@ -386,13 +388,13 @@ def oracle_steering(config) -> SimpleNamespace:
 
 def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:
     """Full joint filter operator built by chained Kronecker products."""
-    participants = assignment.participants
-    by_party = dict(zip(participants, outcomes))
-    local = assignment.pairs[participants[0]].dim
+    rows = zip(assignment.participants, outcomes, assignment.k0, assignment.k1)
+    by_party = {j: row0 if o == 0 else row1 for j, o, row0, row1 in rows}
+    local = assignment.k0.shape[1]
     mat = np.eye(1)
     for j in range(assignment.p):
         if j in by_party:
-            block = np.diag(assignment.pairs[j].diag(by_party[j]))
+            block = np.diag(by_party[j])
         else:
             block = np.eye(local, dtype=complex)
         mat = np.kron(mat, block)

@@ -299,6 +299,31 @@ class TestErrorReporting:
         self.assert_invalid_spec(rc, err)
         assert out == ""
 
+    @pytest.mark.parametrize("preset, flag, value", [
+        ("ghz-contour", "--d", "1"),
+        ("ghz-contour", "--d", "0:3"),
+        ("ghz-dimension", "--d", "1"),
+        ("ghz-convergence", "--d", "1"),
+        ("ghz-convergence", "--alpha0", "2"),
+        ("ghz-convergence", "--alpha0", "0.3,1"),
+        ("w-contour", "--p", "0"),
+        ("w-contour", "--p", "1"),
+    ])
+    def test_degenerate_sweep_axis_category(self, capsys, preset, flag, value):
+        # refused before any row is built: no traceback and no q = 0 rows
+        rc, out, err = run(capsys, "sweep", "--preset", preset, flag, value)
+        self.assert_invalid_spec(rc, err)
+        assert out == ""
+
+    def test_w_partition_category(self, capsys):
+        # partitions apply to GHZ only; W used to drop the flag silently
+        rc, out, err = run(
+            capsys, "simulate", "--family", "w", "--p", "3", "--n", "3",
+            "--betas", BETAS_TOY, "--partition", "1", "--trials", "10",
+        )
+        self.assert_invalid_spec(rc, err)
+        assert out == ""
+
     def test_non_finite_sweep_config_value_category(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("preset = w-contour\npu = nan\n")

@@ -136,7 +136,7 @@ class TestApplyFilterLayer:
 
     def test_empty_layer_probability_is_squared_norm(self):
         # no participant: the layer is the identity on both branches
-        empty = FilterAssignment(2, (None, None))
+        empty = FilterAssignment(2, (), np.ones((0, 2)))
         ket = Ket([0.6, 0, 0, 0.6], normalized=False)
         out, prob = apply_filter_layer(ket, empty, ())
         assert np.array_equal(out.amplitudes, ket.amplitudes)
