@@ -15,13 +15,11 @@ from .errors import (
     QdistillError,
     WorkCapExceededError,
 )
-from .linalg import Ket
 from .states import (
     CompactState,
     Family,
     GhzSpec,
     WSpec,
-    compact_to_dense,
     make_compact,
     make_dense,
     perfect_ghz,
@@ -71,7 +69,6 @@ __all__ = [
     "IndexPartition",
     "InvalidSpecError",
     "InvalidSteeringScenarioError",
-    "Ket",
     "NotHermitianError",
     "NotPositiveError",
     "PivotNotMaximalError",
@@ -88,7 +85,6 @@ __all__ = [
     "build_assemblage",
     "closed_form_fidelity_ghz",
     "closed_form_fidelity_w",
-    "compact_to_dense",
     "filter_assemblage",
     "ghz_partition_assignment",
     "make_compact",

@@ -78,13 +78,15 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_int_values(text: str) -> tuple[int, ...]:
-    """Accept '5', '2:10', '2:10:2', or '3,4,7' (ranges are inclusive).  A
-    range longer than the sweep row cap is refused before it is built."""
+    """Accept '5', '2:10', '2:10:2', '10:2:-2' or '3,4,7' (ranges include
+    their end for either sign of the step).  A range longer than the sweep
+    row cap is refused before it is built."""
     text = text.strip()
     try:
         if ":" in text:
             parts = [int(tok) for tok in text.split(":")]
-            values = range(parts[0], parts[1] + 1, parts[2] if len(parts) > 2 else 1)
+            step = parts[2] if len(parts) > 2 else 1
+            values = range(parts[0], parts[1] + (1 if step > 0 else -1), step)
         else:
             values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except (ValueError, IndexError) as exc:

@@ -4,7 +4,10 @@ Each participating party applies a two-outcome filter {K0, K1}, diagonal in
 the computational basis, with K0^dag K0 + K1^dag K1 = I.  Outcome 0
 post-selects the distilled branch.  A layer (:class:`FilterAssignment`) is
 one real (q, dim) table whose row r is the K0 diagonal of the r-th
-participant; the K1 diagonals sqrt(1 - K0^2) are derived from it.
+participant; the K1 diagonals sqrt(1 - K0^2) are derived from it.  Since
+every filter is diagonal, a layer acts on the compact span of a state as
+one multiplier per coefficient (:func:`span_multiplier`), which the
+entanglement and the steering engines share.
 
 For a GHZ spec with alpha_0 minimal, the work of flattening the coefficient
 profile can be split arbitrarily: each participating party owns a block of
@@ -103,35 +106,24 @@ class FilterAssignment:
         return len(self.participants)
 
 
-def apply_layer(
-    values: np.ndarray,
-    assignment: FilterAssignment,
-    outcomes: Sequence[int],
-    local: np.ndarray,
-) -> np.ndarray:
-    """Multiply ``values`` by the joint diagonal of one filter layer.
-
-    ``values[r]`` belongs to the basis state whose party-j local index is
-    ``local[r, j]``.  Each participant multiplies by its diagonal entry there,
-    one participant at a time in party order, so the start vector fixes the
-    rounding: amplitudes for a dense ket, ones for a multiplier.
-    """
-    if local.shape[1] != assignment.p:
-        raise DimensionMismatchError(f"{assignment.p}-party assignment on {local.shape[1]} parties")
-    if len(outcomes) != assignment.q:
-        raise DimensionMismatchError(f"{assignment.q} participants but {len(outcomes)} outcomes")
-    for j, o, row0, row1 in zip(assignment.participants, outcomes, assignment.k0, assignment.k1):
-        values = values * (row0 if o == 0 else row1)[local[:, j]]
-    return values
-
-
 def span_multiplier(
     spec: Spec, assignment: FilterAssignment, outcomes: Sequence[int]
 ) -> np.ndarray:
     """The layer's multiplier on the compact span of ``spec``: entry k
-    multiplies the coefficient of row k of ``local_indices(spec)``."""
+    multiplies the coefficient of row k of ``local_indices(spec)``.
+
+    Starting from ones, each participant multiplies in its diagonal entry at
+    that row's local index, one participant at a time in party order.
+    """
     local = local_indices(spec)
-    return apply_layer(np.ones(len(local)), assignment, outcomes, local)
+    if local.shape[1] != assignment.p:
+        raise DimensionMismatchError(f"{assignment.p}-party assignment on {local.shape[1]} parties")
+    if len(outcomes) != assignment.q:
+        raise DimensionMismatchError(f"{assignment.q} participants but {len(outcomes)} outcomes")
+    values = np.ones(len(local))
+    for j, o, row0, row1 in zip(assignment.participants, outcomes, assignment.k0, assignment.k1):
+        values *= (row0 if o == 0 else row1)[local[:, j]]
+    return values
 
 
 def _ghz_ratios(spec: GhzSpec) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Kets, the dense cap, and the Hermitian square root and root fidelity
-that the tests use as dense references for steering.
+"""The dense cap, and the Hermitian square root and root fidelity that the
+tests use as dense references for steering.
 
 Conventions fixed package-wide:
 
@@ -13,28 +13,21 @@ Conventions fixed package-wide:
   are truncated outright, so square-root noise from numerically-zero modes
   cannot leak into fidelity sums (summing sqrt(eps)-sized spurious roots
   would otherwise dominate tight tolerances).
-* Dense construction is capped at ``DENSE_CAP`` total dimension.  No run
-  path builds dense vectors; they serve as the tests' references, next to
-  the independent ones in ``tests/conftest.py`` (Kronecker products,
-  index-loop partial traces, scipy-based Uhlmann fidelities).
+* Dense construction (``states.make_dense``) is capped at ``DENSE_CAP``
+  total dimension.  No run path builds dense vectors; they serve as the
+  tests' references, next to the independent ones in ``tests/conftest.py``
+  (Kronecker products, index-loop partial traces, scipy-based Uhlmann
+  fidelities).
 
 Everything here is a pure function of values that are never mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DenseCapExceededError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPositiveError,
-)
+from .errors import DenseCapExceededError, NotHermitianError, NotPositiveError
 
-KET_NORM_TOL = 1e-12
 EIG_CLAMP_FLOOR = -1e-10
 SQRT_TRUNC_REL = 1e-13
 FIDELITY_CLAMP_TOL = 1e-12
@@ -46,30 +39,6 @@ def check_dense_cap(total_dim: int) -> None:
         raise DenseCapExceededError(
             f"dense dimension {total_dim} exceeds cap {DENSE_CAP}; use the compact states"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class Ket:
-    """A state vector.  ``normalized`` asserts unit Euclidean norm."""
-
-    amplitudes: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise DimensionMismatchError("ket amplitudes must be a 1-d vector")
-        object.__setattr__(self, "amplitudes", amps)
-        if self.normalized:
-            n = float(np.linalg.norm(amps))
-            if not abs(n - 1.0) <= KET_NORM_TOL:  # NaN fails
-                raise NotPositiveError(
-                    f"ket flagged normalized but has norm {n!r}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 def _check_hermitian(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:

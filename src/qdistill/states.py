@@ -1,17 +1,14 @@
 """GHZ and W state families.
 
 A protocol instance is pinned down by a validated parameter vector
-(:class:`GhzSpec` or :class:`WSpec`).  States exist in two forms:
-
-* a :class:`CompactState` holding only the nonzero coefficient vector, on
-  which every engine runs, and
-* a dense :class:`~qdistill.linalg.Ket` over the full product space, the
-  tests' reference (subject to the dense cap).
-
-The compact form exploits that every filter in this package is diagonal in
-the computational basis, so GHZ states never leave span{|ii...i>} and W
-states never leave the single-excitation span.  Coefficients are restricted
-to strictly positive reals; the filter construction divides by them.
+(:class:`GhzSpec` or :class:`WSpec`).  Every engine runs on a
+:class:`CompactState`, which holds only the nonzero coefficient vector:
+every filter in this package is diagonal in the computational basis, so GHZ
+states never leave span{|ii...i>} and W states never leave the
+single-excitation span.  ``make_dense`` places a spec's coefficients on the
+full product space as a plain amplitude array, the tests' reference
+(subject to the dense cap).  Coefficients are restricted to strictly
+positive reals; the filter construction divides by them.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .linalg import Ket, check_dense_cap
+from .linalg import check_dense_cap
 
 SPEC_NORM_TOL = 1e-9
 
@@ -116,29 +113,19 @@ def local_indices(spec: Spec) -> np.ndarray:
     return np.eye(spec.p, dtype=np.intp)[:, ::-1]
 
 
-def _place(spec: Spec, coeffs, normalized: bool) -> Ket:
-    """Scatter a coefficient vector onto its basis states of the full
-    product space (subject to the dense cap)."""
-    local = spec.d if isinstance(spec, GhzSpec) else 2
-    check_dense_cap(local**spec.p)
-    amps = np.zeros(local**spec.p, dtype=complex)
-    amps[local_indices(spec) @ local ** np.arange(spec.p - 1, -1, -1)] = coeffs
-    return Ket(amps, normalized=normalized)
-
-
-def make_dense(spec: Spec) -> Ket:
-    coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
-    return _place(spec, coeffs, normalized=True)
-
-
 def make_compact(spec: Spec) -> CompactState:
     coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
     return CompactState(np.array(coeffs), spec)
 
 
-def compact_to_dense(state: CompactState) -> Ket:
-    """Expand a compact state; equals the dense constructor output exactly."""
-    return _place(state.spec, state.coeffs, state.normalized)
+def make_dense(spec: Spec) -> np.ndarray:
+    """The spec's complex amplitude vector over the full product space, its
+    coefficients placed by ``local_indices`` (subject to the dense cap)."""
+    local = spec.d if isinstance(spec, GhzSpec) else 2
+    check_dense_cap(local**spec.p)
+    amps = np.zeros(local**spec.p, dtype=complex)
+    amps[local_indices(spec) @ local ** np.arange(spec.p - 1, -1, -1)] = make_compact(spec).coeffs
+    return amps
 
 
 def perfect_ghz(d: int, p: int) -> GhzSpec:

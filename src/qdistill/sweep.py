@@ -155,6 +155,17 @@ def report_row(
     )
 
 
+def _closed_columns(pu: float, size: int, gap: float, n: int) -> dict:
+    """ps_per_copy, ps_overall and fidelity_closed from the aggregates, or
+    no columns (they stay NaN) where no coefficient vector has them: p_u in
+    (0, 1] and gap = size - (sum of coefficients)^2 in [0, size - 1]."""
+    if not (0.0 < pu <= 1.0 + FEAS_TOL and 0.0 <= gap <= size - 1):
+        return {}
+    pu = min(pu, 1.0)
+    return dict(ps_per_copy=pu, ps_overall=overall_success(pu, n),
+                fidelity_closed=fidelity_from_success(pu, size, gap, n))
+
+
 def _ghz_gap_rows(grid: SweepGrid) -> list[dict]:
     rows = []
     p = grid.p_values[0]
@@ -162,15 +173,10 @@ def _ghz_gap_rows(grid: SweepGrid) -> list[dict]:
         for d in grid.d_values:
             coeffs = solve_ghz_coefficients(d, a0, grid.gap)
             spec = GhzSpec(d, p, coeffs) if coeffs is not None else None
-            pu = d * a0 * a0
             for n in grid.n_values:
                 row = _row(Family.GHZ_DIAGONAL, d, p, 1, n, a0, grid.gap)
-                if pu <= 1.0 + FEAS_TOL:
-                    row.update(
-                        ps_per_copy=min(pu, 1.0),
-                        ps_overall=overall_success(pu, n),
-                        fidelity_closed=fidelity_from_success(min(pu, 1.0), d, grid.gap, n),
-                    )
+                if 0.0 < a0 < 1.0:
+                    row.update(_closed_columns(d * a0 * a0, d, grid.gap, n))
                 if spec is not None:
                     report = run_ted(ProtocolConfig(n, Family.GHZ_DIAGONAL, spec, q=1))
                     row.update(
@@ -209,17 +215,10 @@ def _w_contour_rows(grid: SweepGrid) -> list[dict]:
     rows = []
     pu = grid.pu
     for p in grid.p_values:
-        feasible = 0.0 < pu <= 1.0 and 0.0 <= grid.gap <= p - 1
         for n in grid.n_values:
-            row = _row(Family.W_SINGLE_EXCITATION, 2, p, p - 1, n, pu, grid.gap,
-                       feasible=feasible)
-            if 0.0 < pu <= 1.0:
-                row.update(
-                    ps_per_copy=pu,
-                    ps_overall=overall_success(pu, n),
-                    fidelity_closed=fidelity_from_success(pu, p, grid.gap, n),
-                )
-            rows.append(row)
+            closed = _closed_columns(pu, p, grid.gap, n)
+            rows.append(_row(Family.W_SINGLE_EXCITATION, 2, p, p - 1, n, pu, grid.gap,
+                             feasible=bool(closed), **closed))
     return rows
 
 

@@ -28,17 +28,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSpecError
+from .errors import InvalidSpecError
 from .filters import (
     FilterAssignment,
     IndexPartition,
-    apply_layer,
     ghz_partition_assignment,
     last_parties,
     span_multiplier,
     w_assignment,
 )
-from .linalg import Ket
 from .states import (
     CompactState,
     Family,
@@ -138,29 +136,18 @@ def _cached_assignment(
 
 
 def apply_filter_layer(
-    state: Ket | CompactState,
+    state: CompactState,
     assignment: FilterAssignment,
     outcomes: Sequence[int],
-) -> tuple[Ket | CompactState, float]:
+) -> tuple[CompactState, float]:
     """Apply one joint filter layer for the given outcome bits.
 
     Returns the unnormalized post-measurement state together with its squared
     norm, i.e. the probability of this outcome string.  Summed over all 2^Q
     outcome strings the probabilities add to 1.
     """
-    if isinstance(state, CompactState):
-        coeffs = state.coeffs * span_multiplier(state.spec, assignment, outcomes)
-        prob = float(np.sum(coeffs * coeffs))
-        return CompactState(coeffs, state.spec, normalized=False), prob
-    # dense reference: the table row of a basis state holds its base-d digits
-    local, p = assignment.k0.shape[1], assignment.p
-    if state.dim != local**p:
-        raise DimensionMismatchError(
-            f"state dim {state.dim} does not match {p} parties of local dim {local}"
-        )
-    table = np.indices((local,) * p).reshape(p, -1).T
-    amps = apply_layer(state.amplitudes, assignment, outcomes, table)
-    return Ket(amps, normalized=False), float(np.real(np.vdot(amps, amps)))
+    coeffs = state.coeffs * span_multiplier(state.spec, assignment, outcomes)
+    return CompactState(coeffs, state.spec, normalized=False), float(np.sum(coeffs * coeffs))
 
 
 def overall_success(p_per_copy: float, n: int) -> float:
@@ -227,8 +214,7 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
 
     The numeric fidelity comes from the overlap of the initial and perfect
     coefficient vectors, not from the closed form.  The report carries the
-    two-component mixture as compact states; ``compact_to_dense`` expands a
-    component onto the full product space (subject to the dense cap).
+    two-component mixture as compact states, the only state form.
     """
     pu = success_prob_per_copy(config)
     ps = overall_success(pu, config.n_copies)

@@ -1,11 +1,19 @@
 """Shared fixtures, seeded corpora, and independent oracles.
 
-The oracles here deliberately avoid the package's own code paths: partial
-traces are explicit index loops, root fidelities go through
+The oracles here avoid the package's filter and steering kernels: partial
+traces are explicit index loops, ``oracle_root_fidelity`` goes through
 scipy.linalg.sqrtm (Schur-based, unlike the package's eigendecomposition),
-filter layers are built as full Kronecker-product matrices, and the GHZ
-and W fidelity laws are evaluated in 50-digit decimal arithmetic from exact
-coefficients.
+filter layers are Kronecker products of the per-party filter diagonals
+applied to ``make_dense`` vectors, and the GHZ and W fidelity laws are
+evaluated in 50-digit decimal arithmetic from exact coefficients.
+
+From the package they take only specs, filter assignments, the placement
+table, the dense constructor, the closed forms that a report carries, and
+one scorer: ``oracle_steering`` scores its dense members with the package's
+eigendecomposition root fidelity ``linalg._root_fidelity``, because on its
+rank-1 targets scipy's sqrtm drifts from it by up to about 1e-9 (GHZ,
+d = 2..5, P = 3..8), far over that oracle's 1e-12 bound.
+``tests/test_package.py`` pins this import list.
 """
 
 from __future__ import annotations
@@ -26,8 +34,6 @@ from qdistill import (
     GhzSpec,
     ProtocolConfig,
     WSpec,
-    apply_filter_layer,
-    compact_to_dense,
     make_dense,
 )
 from qdistill.linalg import _root_fidelity
@@ -235,18 +241,18 @@ def oracle_w_settings(betas: tuple[float, ...], n: int) -> tuple[decimal.Decimal
 def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     """The run_ted report fields recomputed on dense state vectors.
 
-    p_u is the squared norm of the all-zeros filter layer applied to the full
-    d^P vector, and the numeric fidelity is ps + (1 - ps) |<perfect|initial>|^2
-    on dense vectors, so neither touches the compact route.  Subject to the
-    dense cap.
+    p_u is the squared norm of the all-zeros ``oracle_layer`` applied to the
+    full d^P vector, and the numeric fidelity is
+    ps + (1 - ps) |<perfect|initial>|^2 on dense vectors, so neither touches
+    the compact route.  Subject to the dense cap.
     """
     spec = config.spec
     assignment = assignment_for(config.family, spec, config.q, config.partition)
     initial = make_dense(spec)
-    _, pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)
+    _, pu = oracle_layer(assignment, (0,) * assignment.q, initial)
     ps = overall_success(pu, config.n_copies)
     perfect = make_dense(perfect_like(spec))
-    overlap = abs(np.vdot(perfect.amplitudes, initial.amplitudes)) ** 2
+    overlap = abs(np.vdot(perfect, initial)) ** 2
     return SimpleNamespace(
         p_success_per_copy=pu,
         p_success_overall=ps,
@@ -255,11 +261,22 @@ def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     )
 
 
+def dense_vector(state) -> np.ndarray:
+    """A compact state placed on the full product space: coefficient r sits
+    at global index sum_j local[r, j] dim^(P-1-j), with local =
+    local_indices(spec) and dim the local dimension."""
+    spec = state.spec
+    dim = spec.d if isinstance(spec, GhzSpec) else 2
+    v = np.zeros(dim**spec.p, dtype=complex)
+    v[local_indices(spec) @ dim ** np.arange(spec.p - 1, -1, -1)] = state.coeffs
+    return v
+
+
 def dense_mixture(mixture) -> np.ndarray:
     """Density matrix sum_k w_k |v_k><v_k| of a compact StateMixture."""
     out = 0
     for w, state in mixture.components:
-        v = compact_to_dense(state).amplitudes
+        v = dense_vector(state)
         out = out + w * np.outer(v, v.conj())
     return out
 
@@ -352,7 +369,7 @@ def oracle_projections(spec, s: int):
     d = spec.d if isinstance(spec, GhzSpec) else 2
     fourier = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d)
     bases = (np.eye(d), fourier)
-    psi = make_dense(spec).amplitudes.reshape(d**s, -1)
+    psi = make_dense(spec).reshape(d**s, -1)
     for x in itertools.product((0, 1), repeat=s):
         for a in itertools.product(range(d), repeat=s):
             bra = np.ones(1)
@@ -367,13 +384,14 @@ def oracle_steering(config) -> SimpleNamespace:
 
     The uncharacterized parties are projected by ``oracle_projections``, p_u
     is the squared norm of the Kronecker-product filter layer, and every
-    member pair is scored by the eigendecomposition root fidelity on the
-    d^(P-S)-square matrices.  Subject to the dense cap.
+    member pair is scored by the package's eigendecomposition root fidelity
+    ``_root_fidelity`` on the d^(P-S)-square matrices (see the module
+    docstring for why not scipy's).  Subject to the dense cap.
     """
     base, s = config.base, config.s
     spec = base.spec
     assignment = assignment_for(base.family, spec, base.q, base.partition)
-    _, pu = oracle_layer(assignment, (0,) * assignment.q, make_dense(spec).amplitudes)
+    _, pu = oracle_layer(assignment, (0,) * assignment.q, make_dense(spec))
     ps = overall_success(pu, base.n_copies)
     per_setting = {}
     pairs = zip(oracle_projections(spec, s), oracle_projections(perfect_like(spec), s))
@@ -386,24 +404,22 @@ def oracle_steering(config) -> SimpleNamespace:
     )
 
 
-def oracle_filter_matrix(assignment, outcomes) -> np.ndarray:
-    """Full joint filter operator built by chained Kronecker products."""
+def oracle_filter_diagonal(assignment, outcomes) -> np.ndarray:
+    """Diagonal of the joint filter operator, built by chained Kronecker
+    products of the per-party diagonals (all ones for an idle party).  Every
+    filter is diagonal, so it carries the whole operator at d^P cost."""
     rows = zip(assignment.participants, outcomes, assignment.k0, assignment.k1)
     by_party = {j: row0 if o == 0 else row1 for j, o, row0, row1 in rows}
     local = assignment.k0.shape[1]
-    mat = np.eye(1)
+    diag = np.ones(1)
     for j in range(assignment.p):
-        if j in by_party:
-            block = np.diag(by_party[j])
-        else:
-            block = np.eye(local, dtype=complex)
-        mat = np.kron(mat, block)
-    return mat
+        diag = np.kron(diag, by_party.get(j, np.ones(local)))
+    return diag
 
 
 def oracle_layer(assignment, outcomes, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    mat = oracle_filter_matrix(assignment, outcomes)
-    out = mat @ psi
+    """The filter layer applied to a dense vector, with its squared norm."""
+    out = oracle_filter_diagonal(assignment, outcomes) * psi
     return out, float(np.real(np.vdot(out, out)))
 
 

@@ -32,7 +32,6 @@ from qdistill import (
     ProtocolConfig,
     SteeringConfig,
     WSpec,
-    apply_filter_layer,
     build_assemblage,
     closed_form_fidelity_ghz,
     closed_form_fidelity_w,
@@ -59,6 +58,7 @@ from conftest import (
     ghz_corpus,
     labeled_partitions,
     oracle_ghz_deviation,
+    oracle_layer,
     nonsignaling_deviation,
     rebuilt_scores,
     w_corpus,
@@ -86,8 +86,8 @@ _LAYER_CACHE: dict = {}
 
 
 def _ghz_layer_sweep(specs):
-    """Dense all-zeros layers for every q (and every labeled partition when
-    d <= 4) of every corpus spec."""
+    """All-zeros Kronecker-product oracle layers on the dense vector for every
+    q (and every labeled partition when d <= 4) of every corpus spec."""
     if "layers" in _LAYER_CACHE:
         return _LAYER_CACHE["layers"]
     results = []
@@ -103,8 +103,8 @@ def _ghz_layer_sweep(specs):
                 assignment = ghz_partition_assignment(
                     spec, partition, last_parties(spec.p, q)
                 )
-                out, prob = apply_filter_layer(psi, assignment, (0,) * q)
-                state = out.amplitudes / np.sqrt(prob)
+                out, prob = oracle_layer(assignment, (0,) * q, psi)
+                state = out / np.sqrt(prob)
                 per_spec.append((q, prob, state))
         results.append((spec, per_spec))
     _LAYER_CACHE["layers"] = results
@@ -134,8 +134,8 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
         psi = make_dense(spec)
         perfect_ket = make_dense(perfect_ghz(spec.d, spec.p))
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
-        _, pu = apply_filter_layer(psi, assignment, (0,))
-        overlap = abs(np.vdot(perfect_ket.amplitudes, psi.amplitudes)) ** 2
+        _, pu = oracle_layer(assignment, (0,), psi)
+        overlap = abs(np.vdot(perfect_ket, psi)) ** 2
         for n in (2, 3, 5, 10):
             ps = overall_success(pu, n)
             uhlmann = ps + (1.0 - ps) * overlap  # pure target, mixture linearity
@@ -144,8 +144,8 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
         if spec.d**spec.p <= 81:
             # tie the shortcut to the full matrix-square-root fidelity
             ps = overall_success(pu, 3)
-            target = np.outer(perfect_ket.amplitudes, perfect_ket.amplitudes.conj())
-            rho = ps * target + (1 - ps) * np.outer(psi.amplitudes, psi.amplitudes.conj())
+            target = np.outer(perfect_ket, perfect_ket.conj())
+            rho = ps * target + (1 - ps) * np.outer(psi, psi.conj())
             full = _root_fidelity(rho, target) ** 2
             worst_matrix = max(worst_matrix, abs(closed_form_fidelity_ghz(spec, 3) - full))
     elapsed = time.process_time() - start
@@ -181,10 +181,10 @@ def test_criterion_04_w_success_and_fidelity(w_specs):
         expected = spec.p * float(np.prod(be**2)) / be[-1] ** (2 * (spec.p - 1))
         psi = make_dense(spec)
         assignment = assignment_for(Family.W_SINGLE_EXCITATION, spec, spec.p - 1)
-        _, prob = apply_filter_layer(psi, assignment, (0,) * (spec.p - 1))
+        _, prob = oracle_layer(assignment, (0,) * (spec.p - 1), psi)
         worst_prob = max(worst_prob, abs(prob - expected))
         perfect_ket = make_dense(perfect_w(spec.p))
-        overlap = abs(np.vdot(perfect_ket.amplitudes, psi.amplitudes)) ** 2
+        overlap = abs(np.vdot(perfect_ket, psi)) ** 2
         for n in (2, 3, 5, 10):
             ps = overall_success(prob, n)
             uhlmann = ps + (1.0 - ps) * overlap

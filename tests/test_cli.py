@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import qdistill
-from qdistill.cli import main
+from qdistill import InvalidSpecError
+from qdistill.cli import _parse_int_values, main
 from qdistill.sweep import CSV_COLUMNS, ROW_CAP
 from qdistill.tsd import D_OUT_CAP
 
@@ -549,6 +550,26 @@ class TestParser:
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out == expected and captured.err == ""
+
+    @pytest.mark.parametrize("text, values", [
+        ("2:7:2", (2, 4, 6)),
+        ("10:2:-1", (10, 9, 8, 7, 6, 5, 4, 3, 2)),
+        ("6:2:-2", (6, 4, 2)),
+        ("6:3:-2", (6, 4)),
+        ("4:4:-1", (4,)),
+    ])
+    def test_int_ranges_include_their_end(self, text, values):
+        assert _parse_int_values(text) == values
+
+    @pytest.mark.parametrize("text", ["2:6:0", "2:6:-1"])
+    def test_zero_step_or_empty_range_refused(self, text):
+        with pytest.raises(InvalidSpecError):
+            _parse_int_values(text)
+
+    def test_descending_sweep_range_keeps_its_end(self, capsys):
+        rc, out, _ = run(capsys, "sweep", "--preset", "w-convergence", "--n", "6:2:-2")
+        assert rc == 0
+        assert [line.split(",")[5] for line in out.splitlines()[1:]] == ["6", "4", "2"] * 3
 
 
 class TestGoldenFiles:

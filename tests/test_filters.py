@@ -99,7 +99,7 @@ class TestPartitionAssignment:
         # partition and every participant count, d <= 4, p <= 4
         for d, p in [(2, 3), (3, 3), (4, 3), (3, 4)]:
             spec = random_ghz_spec(rng, d, p)
-            psi = make_dense(spec).amplitudes
+            psi = make_dense(spec)
             reference = None
             for q in range(1, p):
                 for part in labeled_partitions(d, q):
@@ -197,7 +197,7 @@ class TestWAssignment:
     def test_filtered_w_state_is_uniform(self, rng):
         for p in (3, 4, 5):
             spec = random_w_spec(rng, p)
-            psi = make_dense(spec).amplitudes
+            psi = make_dense(spec)
             assignment = w_assignment(spec)
             out, prob = oracle_layer(assignment, (0,) * (p - 1), psi)
             amps = out[np.nonzero(out)[0]] / np.sqrt(prob)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdistill import DenseCapExceededError, Ket, NotHermitianError, NotPositiveError
+from qdistill import DenseCapExceededError, NotHermitianError, NotPositiveError
 from qdistill.linalg import (
     DENSE_CAP,
     _check_hermitian,
@@ -27,11 +27,6 @@ def proj(v):
 
 class TestNonFiniteGuards:
     """Tolerance guards are written ``not (dev <= tol)``, so NaN fails them."""
-
-    def test_ket_rejects_nan(self):
-        for amps in ([math.nan, 0.0], [math.inf, 0.0]):
-            with pytest.raises(NotPositiveError):
-                Ket(np.array(amps))
 
     def test_check_hermitian_rejects_nan(self):
         with pytest.raises(NotHermitianError):
@@ -137,11 +132,6 @@ class TestAssemblageMemberFidelity:
 
 
 class TestTypesAndCap:
-    def test_ket_norm_flag(self):
-        with pytest.raises(NotPositiveError):
-            Ket(np.array([1.0, 1.0]))
-        Ket(np.array([1.0, 1.0]), normalized=False)
-
     def test_dense_cap_env(self):
         # a constant: no environment variable moves it
         assert DENSE_CAP == 2**16

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -30,6 +31,27 @@ def test_runtime_imports_only_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == ""
+
+
+# what the conftest oracles may take from the package: specs, assignments,
+# the placement table, the dense constructor, closed forms and the one scorer
+# oracle_steering uses; no filter or steering kernel
+ORACLE_IMPORTS = {
+    "Family", "GhzSpec", "WSpec", "ProtocolConfig", "IndexPartition",
+    "assignment_for", "closed_form_fidelity", "overall_success",
+    "local_indices", "perfect_like", "make_dense", "_root_fidelity",
+}
+
+
+def test_oracles_import_only_the_allowlist():
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):  # function-level imports included
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qdistill":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "qdistill")
+    assert imported == ORACLE_IMPORTS
 
 
 def test_bench_trace_targets_resolve(monkeypatch):

@@ -71,6 +71,30 @@ class TestGridRows:
         assert all(not math.isnan(r["fidelity_closed"]) for r in d2)
         assert all(math.isnan(r["fidelity_numeric"]) for r in d2)
 
+    @pytest.mark.parametrize("preset, overrides, filled", [
+        ("ghz-contour", dict(gap=-5.0), False),
+        ("ghz-dimension", dict(gap=20.0), False),  # over d - 1 for every d
+        ("ghz-contour", dict(alpha0_values=(-0.5,), d_values=(2,)), False),
+        ("w-contour", dict(gap=-5.0, p_values=(3,)), False),
+        ("w-contour", dict(gap=2.5, p_values=(3,)), False),
+        ("w-contour", dict(pu=0.0, p_values=(3,)), False),
+        ("ghz-contour", dict(gap=0.0, d_values=(3,)), True),
+        ("w-contour", dict(gap=0.0, p_values=(3,)), True),
+        ("w-contour", dict(gap=2.0, p_values=(3,)), True),
+    ], ids=["ghz-gap-negative", "ghz-gap-over-size", "ghz-alpha0-negative",
+            "w-gap-negative", "w-gap-over-size", "w-pu-zero",
+            "ghz-gap-zero", "w-gap-zero", "w-gap-size-minus-one"])
+    def test_closed_form_columns_only_where_coefficients_exist(self, preset, overrides, filled):
+        # 0 < p_u <= 1, 0 <= gap <= size - 1 and, for GHZ, 0 < alpha0 < 1
+        rows = grid_rows(preset_grid(preset, n_values=(2,), **overrides))
+        columns = ("ps_per_copy", "ps_overall", "fidelity_closed")
+        for r in rows:
+            assert [math.isnan(r[c]) for c in columns] == [not filled] * 3
+            if filled:
+                assert 0.0 <= r["fidelity_closed"] <= 1.0
+            else:
+                assert r["feasible"] is False
+
     def test_contour_majority_above_099(self):
         rows = grid_rows(preset_grid("ghz-contour"))
         frac = sum(r["fidelity_closed"] > 0.99 for r in rows) / len(rows)

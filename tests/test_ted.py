@@ -14,7 +14,6 @@ from qdistill import (
     FilterAssignment,
     GhzSpec,
     InvalidSpecError,
-    Ket,
     ProtocolConfig,
     WSpec,
     apply_filter_layer,
@@ -44,6 +43,7 @@ from conftest import (
     ORACLE_FIDELITY_TOL,
     dense_mixture,
     dense_report,
+    dense_vector,
     ghz_config,
     oracle_layer,
     oracle_state_fidelity,
@@ -66,37 +66,34 @@ class TestApplyFilterLayer:
     def test_perfect_spec_all_zero_outcomes(self):
         spec = perfect_ghz(3, 3)
         assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
-        state = make_dense(spec)
+        state = make_compact(spec)
         out, prob = apply_filter_layer(state, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(out.amplitudes, state.amplitudes)
+        assert np.allclose(out.coeffs, state.coeffs)
 
     def test_ghz3_success_branch(self):
         assignment = assignment_for(Family.GHZ_DIAGONAL, SQRT8_SPEC, 1)
-        out, prob = apply_filter_layer(make_dense(SQRT8_SPEC), assignment, (0,))
+        out, prob = apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
         assert prob == pytest.approx(3 / 8, abs=1e-14)
-        normalized = out.amplitudes / np.sqrt(prob)
-        perfect = make_dense(perfect_ghz(3, 3)).amplitudes
+        normalized = dense_vector(out) / np.sqrt(prob)
+        perfect = make_dense(perfect_ghz(3, 3))
         assert np.max(np.abs(normalized - perfect)) < 1e-12
 
     def test_compact_equals_dense_all_outcomes(self, rng):
+        # the compact layer against the Kronecker-product oracle on dense vectors
         for family, spec, q in [
             (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 3, 4), 2),
             (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 4, 3), 1),
+            (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 3, 3), 2),
             (Family.W_SINGLE_EXCITATION, random_w_spec(rng, 4), 3),
         ]:
             assignment = assignment_for(family, spec, q)
-            dense = make_dense(spec)
-            compact = make_compact(spec)
-            from qdistill import compact_to_dense
-
+            psi = make_dense(spec)
             for outcome in itertools.product((0, 1), repeat=assignment.q):
-                dout, dprob = apply_filter_layer(dense, assignment, outcome)
-                cout, cprob = apply_filter_layer(compact, assignment, outcome)
-                assert dprob == pytest.approx(cprob, abs=1e-13)
-                assert np.allclose(
-                    compact_to_dense(cout).amplitudes, dout.amplitudes, atol=1e-13
-                )
+                got, gprob = apply_filter_layer(make_compact(spec), assignment, outcome)
+                want, wprob = oracle_layer(assignment, outcome, psi)
+                assert gprob == pytest.approx(wprob, abs=1e-13)
+                assert np.allclose(dense_vector(got), want, atol=1e-13)
 
     def test_outcome_probabilities_sum_to_one(self, rng):
         for q in (1, 2, 3):
@@ -124,25 +121,13 @@ class TestApplyFilterLayer:
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_dense_layer_matches_kron_oracle(self, rng):
-        spec = random_ghz_spec(rng, 3, 3)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 2)
-        psi = make_dense(spec)
-        for outcome in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            got, gprob = apply_filter_layer(psi, assignment, outcome)
-            want, wprob = oracle_layer(assignment, outcome, psi.amplitudes)
-            assert gprob == pytest.approx(wprob, abs=1e-13)
-            assert np.allclose(got.amplitudes, want, atol=1e-13)
-
     def test_empty_layer_probability_is_squared_norm(self):
-        # no participant: the layer is the identity on both branches
+        # no participant: the layer is the identity
         empty = FilterAssignment(2, (), np.ones((0, 2)))
-        ket = Ket([0.6, 0, 0, 0.6], normalized=False)
-        out, prob = apply_filter_layer(ket, empty, ())
-        assert np.array_equal(out.amplitudes, ket.amplitudes)
-        assert prob == pytest.approx(0.72, abs=1e-15)
         compact = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2), normalized=False)
-        assert apply_filter_layer(compact, empty, ())[1] == prob
+        out, prob = apply_filter_layer(compact, empty, ())
+        assert np.array_equal(out.coeffs, compact.coeffs)
+        assert prob == pytest.approx(0.72, abs=1e-15)
 
     def test_assignment_for_fewer_parties_than_state(self):
         state = make_compact(GhzSpec(3, 4, SQRT8_SPEC.alphas))
@@ -279,7 +264,7 @@ class TestDistilledState:
         rho = run_ted(config).distilled_state
         assert isinstance(rho, StateMixture)
         dense = dense_mixture(rho)
-        perfect = make_dense(perfect_ghz(3, 3)).amplitudes
+        perfect = make_dense(perfect_ghz(3, 3))
         via_matrix = _root_fidelity(dense, np.outer(perfect, perfect.conj())) ** 2
         via_shortcut = np.vdot(perfect, dense @ perfect).real
         closed = closed_form_fidelity_ghz(SQRT8_SPEC, 2)
@@ -326,7 +311,7 @@ class TestRunTed:
         spec = random_ghz_spec(rng, 3, 3)
         report = run_ted(ghz_config(spec, n=3))
         rho = dense_mixture(report.distilled_state)
-        perfect = make_dense(perfect_ghz(3, 3)).amplitudes
+        perfect = make_dense(perfect_ghz(3, 3))
         target = np.outer(perfect, perfect.conj())
         assert report.fidelity_numeric == pytest.approx(
             oracle_state_fidelity(rho, target), abs=ORACLE_FIDELITY_TOL
