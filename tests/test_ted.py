@@ -84,7 +84,6 @@ class TestApplyFilterLayer:
         for family, spec, q in [
             (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 3, 4), 2),
             (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 4, 3), 1),
-            (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 3, 3), 2),
             (Family.W_SINGLE_EXCITATION, random_w_spec(rng, 4), 3),
         ]:
             assignment = assignment_for(family, spec, q)
@@ -120,6 +119,17 @@ class TestApplyFilterLayer:
             for oc in itertools.product((0, 1), repeat=q)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_dense_layer_matches_kron_oracle(self, rng):
+        # every outcome of a two-copy layer, checked on the dense vector it spans
+        spec = random_ghz_spec(rng, 3, 3)
+        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 2)
+        psi = make_dense(spec)
+        for outcome in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            got, gprob = apply_filter_layer(make_compact(spec), assignment, outcome)
+            want, wprob = oracle_layer(assignment, outcome, psi)
+            assert gprob == pytest.approx(wprob, abs=1e-13)
+            assert np.allclose(dense_vector(got), want, atol=1e-13)
 
     def test_empty_layer_probability_is_squared_norm(self):
         # no participant: the layer is the identity
