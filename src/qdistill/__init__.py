@@ -48,7 +48,6 @@ from .tsd import (
     SteeringReport,
     build_assemblage,
     filter_assemblage,
-    mub_family,
     run_tsd,
 )
 from .montecarlo import EmpiricalStats, TrialRecord, run_stats, simulate_trial
@@ -89,7 +88,6 @@ __all__ = [
     "ghz_partition_assignment",
     "make_compact",
     "make_dense",
-    "mub_family",
     "overall_success",
     "perfect_ghz",
     "perfect_w",

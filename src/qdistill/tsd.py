@@ -15,18 +15,17 @@ perfect assemblage with the same per-copy probability as the entanglement
 protocol for the same spec.
 
 Measurements are product-basis projections and filters are diagonal, so
-members stay in the compact span of :mod:`qdistill.states`: a member is a
-factor F whose rows are unnormalized pure components (sigma = sum over rows
-of |row><row|), with columns in span coordinates.  On the GHZ span member
-(x, a) has entry c_k prod_{j in C} delta(a_j, k) d^(-|F|/2) omega^(-k sum_{j in F} a_j),
-C and F being the parties measuring the computational (x = 0) and Fourier
-(x = 1) bases: with C non-empty it is zero unless those outcomes agree on
-one k, the Fourier outcomes adding only a phase; with C empty it depends on
-a only through m = sum(a) mod d.  Folding multiplicities into the scale, the
-(2d)^s members reduce to the d members c_k e_k and the d members
-c_k omega^(-k m)/sqrt(d): the s = 1 assemblage (W steering has s = 1 only),
-stored as one (2 d_out, rows, span) array, computational block first, so
-each stage (build, filter, mix, score) is one numpy expression over it.
+every member lives in the compact span of :mod:`qdistill.states` as a
+factor whose rows are unnormalized pure components (sigma = sum over rows
+of |row><row|), with columns in span coordinates.  Member (x, a) has
+column k equal to R[:, k] prod_{j<s} conj(B[x_j][a_j, local[k, j]]), with
+R the real factor of the characterized state (one row per pure component),
+local = ``local_indices(spec)`` and B the computational (x = 0) or Fourier
+(x = 1) basis.  Each member is R times a phase, a scale and a column mask,
+so R alone is stored: building takes the coefficient vector as one row,
+filtering scales R's columns, and mixing stacks the rows of two factors.
+No stage forms a complex array, a basis or an outcome axis, and a run costs
+O(span) at any d and s.
 
 The assemblage fidelity of A against B is
 
@@ -35,49 +34,44 @@ The assemblage fidelity of A against B is
 i.e. root fidelities of the unnormalized members are summed over outcomes
 before squaring, and the worst setting string is reported.  On a
 self-comparison the inner sum telescopes to Tr rho_ch = 1.  The perfect
-assemblage has pure members |g><g|, against which the root fidelity is
-||F conj(g)||_2, so no matrix function is needed.  Folding is exact in this
-sum: a string scores the computational block if any party measures it.
+assemblage has pure members |g_{a|x}><g_{a|x}|, against which the root
+fidelity is ||F_{a|x} conj(g_{a|x})||_2, so no matrix function is needed.
+Member phases cancel in that product, which leaves two totals over R and
+the perfect coefficients g.  The all-Fourier string scores ||R g||: its
+d^s members each give ||R g|| / d^s.  Any string with a computational
+party scores sum_a ||sum_{k: l0_k = a} R[:, k] g_k||, with l0 the first
+column of ``local_indices(spec)``: its members vanish unless the
+computational outcomes agree on one a, the Fourier outcomes adding only a
+phase, and every GHZ party has the same local index on a span row (W
+steering has s = 1), so l0 groups the columns for every such string.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSteeringScenarioError, WorkCapExceededError
+from .errors import DimensionMismatchError, InvalidSteeringScenarioError
 from .filters import FilterAssignment, span_multiplier
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
 from .states import CompactState, Family, GhzSpec, Spec, family_of, local_indices, make_compact
 from .states import perfect_like
 from .ted import ProtocolConfig, assignment_for, closed_form_fidelity, overall_success
 
-D_OUT_CAP = 1000
-
 Setting = tuple[int, ...]
-
-
-@lru_cache(maxsize=4)  # an entry holds 32 d^2 bytes, 32 MB at the cap
-def mub_family(d: int) -> np.ndarray:
-    """Two mutually unbiased orthonormal bases as a read-only (2, d, d)
-    array whose row B[x][a] is basis vector a: computational (x = 0) and
-    Fourier (x = 1), e_a = (1/sqrt(d)) sum_l omega^(a l mod d) |l>."""
-    fourier = np.exp(2j * np.pi * (np.outer(np.arange(d), np.arange(d)) % d) / d)
-    bases = np.stack([np.eye(d, dtype=complex), fourier / np.sqrt(d)])
-    bases.flags.writeable = False
-    return bases
 
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
-    """Unnormalized conditional states on the characterized subsystem, with
-    multiplicities folded in (see the module docstring): ``members`` is one
-    complex (2 d_out, rows, span) array, computational member k (outcomes
-    all k) first, then Fourier member m (outcome sum m mod d_out).  Its
-    columns follow the rows of ``local_indices(spec)``."""
+    """Unnormalized conditional states on the characterized subsystem, all
+    given by one factor (see the module docstring): ``members`` is the real
+    (rows, span) array R, one row per pure component, its columns following
+    the rows of ``local_indices(spec)``.  The field keeps the name it had
+    when it held every member, since callers and benchmarks read it by
+    that name."""
 
     s: int
     d_out: int
@@ -121,8 +115,6 @@ class SteeringConfig:
             raise InvalidSteeringScenarioError(
                 f"q = {self.base.q} filters do not fit on {p - self.s} characterized parties"
             )
-        elif self.base.spec.d > D_OUT_CAP:  # memory grows as d^2
-            raise WorkCapExceededError(f"d = {self.base.spec.d} exceeds the cap {D_OUT_CAP}")
 
     @property
     def threshold(self) -> bool:
@@ -144,19 +136,18 @@ class SteeringReport:
     distilled: Assemblage
 
 
+def _span_shape(spec: Spec) -> tuple[Family, int, int]:
+    return family_of(spec), spec.p, spec.d if isinstance(spec, GhzSpec) else spec.p
+
+
 def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
-    """Project the uncharacterized parties onto their measurement bases and
-    keep the (unnormalized) conditional states of the characterized rest,
-    as 1-row factors.  Party 0's projection gives every block: the GHZ
-    parties are exchangeable, and W steering has s = 1."""
+    """The assemblage the uncharacterized parties' measurements leave on
+    the characterized rest: the state's coefficients as a 1-row factor."""
     spec = config.base.spec
-    d_out = spec.d if isinstance(spec, GhzSpec) else 2
-    local = local_indices(state.spec)
-    if family_of(state.spec) is not config.base.family or local.shape != local_indices(spec).shape:
+    if _span_shape(state.spec) != _span_shape(spec):
         raise DimensionMismatchError("state does not match the configured spec's span")
-    bases = mub_family(d_out)[:, :, local[:, 0]]
-    members = state.coeffs.astype(complex) * np.conjugate(bases)
-    return Assemblage(config.s, d_out, state.spec, members.reshape(2 * d_out, 1, len(local)))
+    d_out = spec.d if isinstance(spec, GhzSpec) else 2
+    return Assemblage(config.s, d_out, state.spec, state.coeffs[None, :])
 
 
 def _filter_weights(
@@ -170,8 +161,7 @@ def _filter_weights(
             f"assignment touches {sorted(j for j in assignment.participants if j < asm.s)}"
         )
     mult = span_multiplier(asm.spec, assignment, outcomes)
-    # diagonal of rho_ch, read off the computational block
-    weight = (np.abs(asm.members[: asm.d_out]) ** 2).sum(axis=(0, 1))
+    weight = (asm.members * asm.members).sum(axis=0)  # diagonal of rho_ch
     return mult, float((mult * mult * weight).sum())
 
 
@@ -191,30 +181,33 @@ def filter_assemblage(
 
 
 def _check_shapes(a: Assemblage, b: Assemblage) -> None:
-    if (a.s, *a.members.shape[::2]) != (b.s, *b.members.shape[::2]):  # s, members, span
-        raise DimensionMismatchError("assemblages differ in s, member count or span width")
+    if (a.s, a.d_out, a.members.shape[1]) != (b.s, b.d_out, b.members.shape[1]):
+        raise DimensionMismatchError("assemblages differ in s, outcome count or span width")
 
 
 def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
-    """weight * a + (1 - weight) * b, member-wise, by stacking factors."""
+    """weight * a + (1 - weight) * b, member-wise, by stacking factor rows."""
     _check_shapes(a, b)
-    wa, wb = np.sqrt(weight), np.sqrt(1.0 - weight)
-    members = np.concatenate([wa * a.members, wb * b.members], axis=1)
+    members = np.concatenate([np.sqrt(weight) * a.members, np.sqrt(1.0 - weight) * b.members])
     return Assemblage(a.s, a.d_out, a.spec, members)
 
 
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
     """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each of ``a.settings``, every
-    member of ``b`` pure: the root fidelity is ||F_a conj(g)||.  A string
-    with a computational party scores that block, the all-Fourier string
-    the Fourier block."""
+    member of ``b`` pure (one row g): ||R g|| for the all-Fourier string,
+    sum_a ||sum_{k: l0_k = a} R[:, k] g_k|| for a string with a
+    computational party (see the module docstring)."""
     _check_shapes(a, b)
-    if b.members.shape[1] != 1:
+    if len(b.members) != 1:
         raise DimensionMismatchError("reference assemblage members must be pure (one row)")
-    roots = np.linalg.norm(a.members @ b.members.conj().transpose(0, 2, 1), axis=(1, 2))
-    # cumulative sums add in outcome order, left to right
-    totals = np.cumsum(roots.reshape(2, -1), axis=1)[:, -1]
-    computational, fourier = (_clamp_unit(float(t * t), "assemblage fidelity") for t in totals)
+    weighted = a.members * b.members  # column k is R[:, k] g_k
+    grouped = np.zeros((a.d_out, len(weighted)))
+    np.add.at(grouped, local_indices(a.spec)[:, 0], weighted.T)
+    computational = np.sqrt(np.square(grouped).sum(axis=1)).sum()
+    fourier = math.hypot(*weighted.sum(axis=1))
+    computational, fourier = (
+        _clamp_unit(float(t * t), "assemblage fidelity") for t in (computational, fourier)
+    )
     return {x: fourier if all(x) else computational for x in a.settings}
 
 

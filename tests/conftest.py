@@ -6,6 +6,8 @@ scipy.linalg.sqrtm (Schur-based, unlike the package's eigendecomposition),
 filter layers are Kronecker products of the per-party filter diagonals
 applied to ``make_dense`` vectors, and the GHZ and W fidelity laws are
 evaluated in 50-digit decimal arithmetic from exact coefficients.
+Steering members are rebuilt from an assemblage's stored factor by
+projecting onto the explicit bases of ``mub_family``, a test-only helper.
 
 From the package they take only specs, filter assignments, the placement
 table, the dense constructor, the closed forms that a report carries, and
@@ -21,6 +23,7 @@ from __future__ import annotations
 import decimal
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -294,25 +297,28 @@ def class_of(x) -> tuple[int, ...]:
     return (1,) * sum(x) + (0,) * (len(x) - sum(x))
 
 
-def rebuilt_member(asm, x, a) -> np.ndarray:
-    """Member (x, a) as a (rows, span) factor, rebuilt from the two-block
-    store by undoing the multiplicity folding.
+@lru_cache(maxsize=4)  # an entry holds 32 d^2 bytes
+def mub_family(d: int) -> np.ndarray:
+    """Two mutually unbiased orthonormal bases as a read-only (2, d, d)
+    array whose row B[x][a] is basis vector a: computational (x = 0) and
+    Fourier (x = 1), e_a = (1/sqrt(d)) sum_l omega^(a l mod d) |l>."""
+    fourier = np.exp(2j * np.pi * (np.outer(np.arange(d), np.arange(d)) % d) / d)
+    bases = np.stack([np.eye(d, dtype=complex), fourier / np.sqrt(d)])
+    bases.flags.writeable = False
+    return bases
 
-    With a computational party the member is zero unless the computational
-    outcomes agree on one k; it is then stored member k scaled by d^(-f/2)
-    and the phase omega^(-k sum of the Fourier outcomes), f Fourier parties.
-    The all-Fourier member is Fourier member m = sum(a) mod d scaled by
-    d^(-(s-1)/2)."""
-    d, s = asm.d_out, asm.s
-    fourier_sum = sum(ak for xk, ak in zip(x, a) if xk)
-    computational = {ak for xk, ak in zip(x, a) if not xk}
-    if not computational:
-        return asm.members[d + sum(a) % d] * d ** (-(s - 1) / 2)
-    if len(computational) > 1:
-        return np.zeros_like(asm.members[0])
-    (k,) = computational
-    phase = np.exp(-2j * np.pi * (k * fourier_sum % d) / d)
-    return asm.members[k] * d ** (-sum(x) / 2) * phase
+
+def rebuilt_member(asm, x, a) -> np.ndarray:
+    """Member (x, a) as a complex (rows, span) factor, rebuilt from the
+    stored real factor R by the measurement itself: column k is R[:, k]
+    times conj(B[x_j][a_j, local[k, j]]) for each uncharacterized party j,
+    with B = ``mub_family(d_out)`` and local = ``local_indices(spec)``."""
+    bases = mub_family(asm.d_out).conj()
+    local = local_indices(asm.spec)
+    member = asm.members.astype(complex)
+    for j, (xj, aj) in enumerate(zip(x, a)):
+        member = member * bases[xj, aj, local[:, j]]
+    return member
 
 
 def dense_member(asm, x, a) -> np.ndarray:
