@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
-from .states import Family, GhzSpec, WSpec
+from .states import Family, GhzSpec, WSpec, span_shape
 from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, ROW_CAP, grid_rows, preset_grid, report_row
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
@@ -271,7 +271,7 @@ def _cmd_simulate(args) -> int:
     ])
     spec = config.spec
     run = {
-        "family": family.value, "d": spec.d if isinstance(spec, GhzSpec) else 2,
+        "family": family.value, "d": span_shape(spec)[1],
         "p": spec.p, "q": config.q, "n": config.n_copies,
         "trials": args.trials, "seed": args.seed,
         "ps_per_copy": pu, "ps_overall_expected": expected,

@@ -34,7 +34,7 @@ from .errors import (
     PivotNotMaximalError,
     PivotNotMinimalError,
 )
-from .states import GhzSpec, Spec, WSpec, local_indices
+from .states import GhzSpec, Spec, WSpec, local_column, span_shape
 
 PIVOT_TOL = 1e-12
 
@@ -110,19 +110,19 @@ def span_multiplier(
     spec: Spec, assignment: FilterAssignment, outcomes: Sequence[int]
 ) -> np.ndarray:
     """The layer's multiplier on the compact span of ``spec``: entry k
-    multiplies the coefficient of row k of ``local_indices(spec)``.
+    multiplies the coefficient of span row k.
 
-    Starting from ones, each participant multiplies in its diagonal entry at
-    that row's local index, one participant at a time in party order.
+    Starting from ones, each participant j multiplies in its diagonal entry
+    at the local index that ``local_column(spec, j)`` assigns it on each
+    row, one participant at a time in party order.
     """
-    local = local_indices(spec)
-    if local.shape[1] != assignment.p:
-        raise DimensionMismatchError(f"{assignment.p}-party assignment on {local.shape[1]} parties")
+    if assignment.p != spec.p:
+        raise DimensionMismatchError(f"{assignment.p}-party assignment on {spec.p} parties")
     if len(outcomes) != assignment.q:
         raise DimensionMismatchError(f"{assignment.q} participants but {len(outcomes)} outcomes")
-    values = np.ones(len(local))
+    values = np.ones(span_shape(spec)[0])
     for j, o, row0, row1 in zip(assignment.participants, outcomes, assignment.k0, assignment.k1):
-        values *= (row0 if o == 0 else row1)[local[:, j]]
+        values *= (row0 if o == 0 else row1)[local_column(spec, j)]
     return values
 
 

@@ -64,7 +64,6 @@ class EmpiricalStats:
     trials: int
     success_rate: float
     kept_count_histogram: Mapping[int, int]
-    rng_seed: int
 
 
 @lru_cache(maxsize=256)
@@ -186,5 +185,4 @@ def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
         trials=trials,
         success_rate=(trials - int(histogram[0])) / trials,
         kept_count_histogram={k: int(c) for k, c in enumerate(histogram) if c},
-        rng_seed=seed,
     )

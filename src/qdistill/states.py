@@ -5,8 +5,9 @@ A protocol instance is pinned down by a validated parameter vector
 :class:`CompactState`, which holds only the nonzero coefficient vector:
 every filter in this package is diagonal in the computational basis, so GHZ
 states never leave span{|ii...i>} and W states never leave the
-single-excitation span.  ``make_dense`` places a spec's coefficients on the
-full product space as a plain amplitude array, the tests' reference
+single-excitation span, whose shape and placement only this module decides
+(:func:`span_shape`, :func:`local_column`).  ``make_dense`` places a spec's
+coefficients on the full product space by that rule, the tests' reference
 (subject to the dense cap).  Coefficients are restricted to strictly
 positive reals; the filter construction divides by them.
 """
@@ -39,7 +40,7 @@ def _validated_coeffs(values, count: int, what: str) -> tuple[float, ...]:
         raise InvalidSpecError(f"expected {count} {what}, got {len(vec)}")
     if any(not math.isfinite(v) or v <= 0.0 for v in vec):
         raise InvalidSpecError(f"all {what} must be finite and strictly positive")
-    norm = math.sqrt(sum(v * v for v in vec))
+    norm = math.sqrt(math.fsum([v * v for v in vec]))  # exactly rounded at any count
     if abs(norm - 1.0) > SPEC_NORM_TOL:
         raise InvalidSpecError(
             f"{what} have norm {norm!r}; more than {SPEC_NORM_TOL} from 1"
@@ -104,13 +105,18 @@ class CompactState:
             raise InvalidSpecError("compact state flagged normalized is not")
 
 
-def local_indices(spec: Spec) -> np.ndarray:
-    """The basis placement table: row k holds, per party, the local index
-    of the basis state that carries coefficient k (|k k ... k> for GHZ;
-    for W, 1 at party p-1-k and 0 elsewhere)."""
+def span_shape(spec: Spec) -> tuple[int, int]:
+    """(rows, local dimension) of the spec's span: (d, d) for GHZ, (P, 2) for W."""
+    return (spec.d, spec.d) if isinstance(spec, GhzSpec) else (spec.p, 2)
+
+
+def local_column(spec: Spec, j: int) -> np.ndarray:
+    """The local index party j holds on each span row: row k is |k k ... k>
+    for GHZ, so k at every party; for W row k has its excitation on party
+    p-1-k, so party j holds 1 on row p-1-j and 0 elsewhere."""
     if isinstance(spec, GhzSpec):
-        return np.repeat(np.arange(spec.d)[:, None], spec.p, axis=1)
-    return np.eye(spec.p, dtype=np.intp)[:, ::-1]
+        return np.arange(spec.d)
+    return (np.arange(spec.p) == spec.p - 1 - j).astype(np.intp)
 
 
 def make_compact(spec: Spec) -> CompactState:
@@ -119,12 +125,13 @@ def make_compact(spec: Spec) -> CompactState:
 
 
 def make_dense(spec: Spec) -> np.ndarray:
-    """The spec's complex amplitude vector over the full product space, its
-    coefficients placed by ``local_indices`` (subject to the dense cap)."""
-    local = spec.d if isinstance(spec, GhzSpec) else 2
-    check_dense_cap(local**spec.p)
-    amps = np.zeros(local**spec.p, dtype=complex)
-    amps[local_indices(spec) @ local ** np.arange(spec.p - 1, -1, -1)] = make_compact(spec).coeffs
+    """The spec's complex amplitude vector over the full product space: span
+    row k at sum_j local_column(spec, j)[k] dim^(p-1-j) (dense cap applies)."""
+    dim = span_shape(spec)[1]
+    check_dense_cap(dim**spec.p)
+    amps = np.zeros(dim**spec.p, dtype=complex)
+    index = sum(local_column(spec, j) * dim ** (spec.p - 1 - j) for j in range(spec.p))
+    amps[index] = make_compact(spec).coeffs
     return amps
 
 

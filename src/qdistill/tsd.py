@@ -12,20 +12,21 @@ setting string (non-signaling).  Participating characterized parties then
 apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
-protocol for the same spec.
+protocol for the same spec: ``run_tsd`` takes it from
+``ted.apply_filter_layer`` on the compact state, as ``run_ted`` does.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
 factor whose rows are unnormalized pure components (sigma = sum over rows
 of |row><row|), with columns in span coordinates.  Member (x, a) has
-column k equal to R[:, k] prod_{j<s} conj(B[x_j][a_j, local[k, j]]), with
-R the real factor of the characterized state (one row per pure component),
-local = ``local_indices(spec)`` and B the computational (x = 0) or Fourier
+column k equal to R[:, k] prod_{j<s} conj(B[x_j][a_j, l_j[k]]), with R
+the real factor of the characterized state (one row per pure component),
+l_j = ``local_column(spec, j)`` and B the computational (x = 0) or Fourier
 (x = 1) basis.  Each member is R times a phase, a scale and a column mask,
 so R alone is stored: building takes the coefficient vector as one row,
 filtering scales R's columns, and mixing stacks the rows of two factors.
-No stage forms a complex array, a basis or an outcome axis, and a run costs
-O(span) at any d and s.
+No stage forms a complex array, a basis or an outcome axis, so a run holds
+O(span) numbers at any d and s.
 
 The assemblage fidelity of A against B is
 
@@ -39,8 +40,8 @@ fidelity is ||F_{a|x} conj(g_{a|x})||_2, so no matrix function is needed.
 Member phases cancel in that product, which leaves two totals over R and
 the perfect coefficients g.  The all-Fourier string scores ||R g||: its
 d^s members each give ||R g|| / d^s.  Any string with a computational
-party scores sum_a ||sum_{k: l0_k = a} R[:, k] g_k||, with l0 the first
-column of ``local_indices(spec)``: its members vanish unless the
+party scores sum_a ||sum_{k: l0_k = a} R[:, k] g_k||, with l0 =
+``local_column(spec, 0)``: its members vanish unless the
 computational outcomes agree on one a, the Fourier outcomes adding only a
 phase, and every GHZ party has the same local index on a span row (W
 steering has s = 1), so l0 groups the columns for every such string.
@@ -57,9 +58,10 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError
 from .filters import FilterAssignment, span_multiplier
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
-from .states import CompactState, Family, GhzSpec, Spec, family_of, local_indices, make_compact
-from .states import perfect_like
-from .ted import ProtocolConfig, assignment_for, closed_form_fidelity, overall_success
+from .states import CompactState, Family, Spec, local_column, make_compact, perfect_like
+from .states import span_shape
+from .ted import ProtocolConfig, apply_filter_layer, assignment_for, closed_form_fidelity
+from .ted import overall_success
 
 Setting = tuple[int, ...]
 
@@ -69,14 +71,16 @@ class Assemblage:
     """Unnormalized conditional states on the characterized subsystem, all
     given by one factor (see the module docstring): ``members`` is the real
     (rows, span) array R, one row per pure component, its columns following
-    the rows of ``local_indices(spec)``.  The field keeps the name it had
-    when it held every member, since callers and benchmarks read it by
-    that name."""
+    the span rows of ``spec``.  The field keeps the name it had when it
+    held every member, since callers and benchmarks read it by that name."""
 
     s: int
-    d_out: int
     spec: Spec
     members: np.ndarray
+
+    @property
+    def d_out(self) -> int:  # outcomes per uncharacterized party
+        return span_shape(self.spec)[1]
 
     @property
     def settings(self) -> tuple[Setting, ...]:
@@ -136,33 +140,13 @@ class SteeringReport:
     distilled: Assemblage
 
 
-def _span_shape(spec: Spec) -> tuple[Family, int, int]:
-    return family_of(spec), spec.p, spec.d if isinstance(spec, GhzSpec) else spec.p
-
-
 def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
     """The assemblage the uncharacterized parties' measurements leave on
     the characterized rest: the state's coefficients as a 1-row factor."""
     spec = config.base.spec
-    if _span_shape(state.spec) != _span_shape(spec):
+    if len({(type(sp), sp.p, span_shape(sp)) for sp in (state.spec, spec)}) != 1:
         raise DimensionMismatchError("state does not match the configured spec's span")
-    d_out = spec.d if isinstance(spec, GhzSpec) else 2
-    return Assemblage(config.s, d_out, state.spec, state.coeffs[None, :])
-
-
-def _filter_weights(
-    asm: Assemblage, assignment: FilterAssignment, outcomes: Sequence[int]
-) -> tuple[np.ndarray, float]:
-    """The layer's multiplier on the span and its outcome probability
-    Tr[K rho_ch K^dag]."""
-    if any(j < asm.s for j in assignment.participants):
-        raise InvalidSteeringScenarioError(
-            "filters may only touch characterized parties (index >= s); "
-            f"assignment touches {sorted(j for j in assignment.participants if j < asm.s)}"
-        )
-    mult = span_multiplier(asm.spec, assignment, outcomes)
-    weight = (asm.members * asm.members).sum(axis=0)  # diagonal of rho_ch
-    return mult, float((mult * mult * weight).sum())
+    return Assemblage(config.s, state.spec, state.coeffs[None, :])
 
 
 def filter_assemblage(
@@ -172,9 +156,16 @@ def filter_assemblage(
 ) -> tuple[Assemblage, float]:
     """One-way-LOCC filter layer on the characterized side: the
     post-measurement assemblage, normalized by the outcome probability, and
-    that probability.  An outcome of probability 0 (possible once p_u
-    underflows) leaves the zero assemblage."""
-    mult, prob = _filter_weights(asm, assignment, outcomes)
+    that probability Tr[K rho_ch K^dag].  An outcome of probability 0
+    (possible once p_u underflows) leaves the zero assemblage."""
+    if any(j < asm.s for j in assignment.participants):
+        raise InvalidSteeringScenarioError(
+            "filters may only touch characterized parties (index >= s); "
+            f"assignment touches {sorted(j for j in assignment.participants if j < asm.s)}"
+        )
+    mult = span_multiplier(asm.spec, assignment, outcomes)
+    weight = (asm.members * asm.members).sum(axis=0)  # diagonal of rho_ch
+    prob = float((mult * mult * weight).sum())
     if prob == 0.0:
         return replace(asm, members=np.zeros_like(asm.members)), 0.0
     return replace(asm, members=asm.members * (mult / np.sqrt(prob))), prob
@@ -189,7 +180,7 @@ def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
     """weight * a + (1 - weight) * b, member-wise, by stacking factor rows."""
     _check_shapes(a, b)
     members = np.concatenate([np.sqrt(weight) * a.members, np.sqrt(1.0 - weight) * b.members])
-    return Assemblage(a.s, a.d_out, a.spec, members)
+    return Assemblage(a.s, a.spec, members)
 
 
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
@@ -202,7 +193,7 @@ def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting
         raise DimensionMismatchError("reference assemblage members must be pure (one row)")
     weighted = a.members * b.members  # column k is R[:, k] g_k
     grouped = np.zeros((a.d_out, len(weighted)))
-    np.add.at(grouped, local_indices(a.spec)[:, 0], weighted.T)
+    np.add.at(grouped, local_column(a.spec, 0), weighted.T)
     computational = np.sqrt(np.square(grouped).sum(axis=1)).sum()
     fourier = math.hypot(*weighted.sum(axis=1))
     computational, fourier = (
@@ -222,12 +213,13 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     string that non-uniform specs converge to.
     """
     spec = config.base.spec
-    ini = build_assemblage(make_compact(spec), config)
+    state = make_compact(spec)
+    ini = build_assemblage(state, config)
     perf = build_assemblage(make_compact(perfect_like(spec)), config)
     assignment = assignment_for(
         config.base.family, spec, config.base.q, config.base.partition
     )
-    _, pu = _filter_weights(ini, assignment, (0,) * assignment.q)
+    _, pu = apply_filter_layer(state, assignment, (0,) * assignment.q)
     ps = overall_success(pu, config.base.n_copies)
     dist = mix_assemblages(ps, perf, ini)
     per_setting = assemblage_fidelity_by_setting(dist, perf)

@@ -9,12 +9,17 @@ evaluated in 50-digit decimal arithmetic from exact coefficients.
 Steering members are rebuilt from an assemblage's stored factor by
 projecting onto the explicit bases of ``mub_family``, a test-only helper.
 
-From the package they take only specs, filter assignments, the placement
-table, the dense constructor, the closed forms that a report carries, and
-one scorer: ``oracle_steering`` scores its dense members with the package's
-eigendecomposition root fidelity ``linalg._root_fidelity``, because on its
-rank-1 targets scipy's sqrtm drifts from it by up to about 1e-9 (GHZ,
-d = 2..5, P = 3..8), far over that oracle's 1e-12 bound.
+``dense_vector`` and the member rebuilders place coefficients by their own
+``placement_table``, every party's local index per span row written out
+from the family definitions, not by the package's per-party rule
+``states.local_column`` (which ``make_dense`` uses); a test checks that
+the two agree column by column on the corpora.  From the package the
+oracles take only specs, filter assignments, the dense constructor, the
+closed forms that a report carries, and one scorer: ``oracle_steering``
+scores its dense members with the package's eigendecomposition root
+fidelity ``linalg._root_fidelity``, because on its rank-1 targets scipy's
+sqrtm drifts from it by up to about 1e-9 (GHZ, d = 2..5, P = 3..8), far
+over that oracle's 1e-12 bound.
 ``tests/test_package.py`` pins this import list.
 """
 
@@ -40,7 +45,7 @@ from qdistill import (
     make_dense,
 )
 from qdistill.linalg import _root_fidelity
-from qdistill.states import local_indices, perfect_like
+from qdistill.states import perfect_like
 from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 
 settings.register_profile(
@@ -264,14 +269,23 @@ def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     )
 
 
+def placement_table(spec) -> np.ndarray:
+    """The (span, P) basis placement table: row k holds, per party, the
+    local index of the basis state that carries coefficient k (|k k ... k>
+    for GHZ; for W, 1 at party P-1-k and 0 elsewhere)."""
+    if isinstance(spec, GhzSpec):
+        return np.repeat(np.arange(spec.d)[:, None], spec.p, axis=1)
+    return np.eye(spec.p, dtype=np.intp)[:, ::-1]
+
+
 def dense_vector(state) -> np.ndarray:
     """A compact state placed on the full product space: coefficient r sits
     at global index sum_j local[r, j] dim^(P-1-j), with local =
-    local_indices(spec) and dim the local dimension."""
+    placement_table(spec) and dim the local dimension."""
     spec = state.spec
     dim = spec.d if isinstance(spec, GhzSpec) else 2
     v = np.zeros(dim**spec.p, dtype=complex)
-    v[local_indices(spec) @ dim ** np.arange(spec.p - 1, -1, -1)] = state.coeffs
+    v[placement_table(spec) @ dim ** np.arange(spec.p - 1, -1, -1)] = state.coeffs
     return v
 
 
@@ -312,9 +326,9 @@ def rebuilt_member(asm, x, a) -> np.ndarray:
     """Member (x, a) as a complex (rows, span) factor, rebuilt from the
     stored real factor R by the measurement itself: column k is R[:, k]
     times conj(B[x_j][a_j, local[k, j]]) for each uncharacterized party j,
-    with B = ``mub_family(d_out)`` and local = ``local_indices(spec)``."""
+    with B = ``mub_family(d_out)`` and local = ``placement_table(spec)``."""
     bases = mub_family(asm.d_out).conj()
-    local = local_indices(asm.spec)
+    local = placement_table(asm.spec)
     member = asm.members.astype(complex)
     for j, (xj, aj) in enumerate(zip(x, a)):
         member = member * bases[xj, aj, local[:, j]]
@@ -326,7 +340,7 @@ def dense_member(asm, x, a) -> np.ndarray:
     characterized space: span row r sits at sum_{j>=s} local[r, j] d^(P-1-j)."""
     factor = rebuilt_member(asm, x, a)
     p = asm.spec.p
-    index = local_indices(asm.spec)[:, asm.s:] @ asm.d_out ** np.arange(p - 1 - asm.s, -1, -1)
+    index = placement_table(asm.spec)[:, asm.s:] @ asm.d_out ** np.arange(p - 1 - asm.s, -1, -1)
     rows = np.zeros((len(factor), asm.d_out ** (p - asm.s)), dtype=complex)
     rows[:, index] = factor
     return rows.T @ rows.conj()

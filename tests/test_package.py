@@ -34,12 +34,12 @@ def test_runtime_imports_only_numpy():
 
 
 # what the conftest oracles may take from the package: specs, assignments,
-# the placement table, the dense constructor, closed forms and the one scorer
-# oracle_steering uses; no filter or steering kernel
+# the dense constructor, closed forms and the one scorer oracle_steering
+# uses; no filter or steering kernel, and not the basis placement rule
 ORACLE_IMPORTS = {
     "Family", "GhzSpec", "WSpec", "ProtocolConfig", "IndexPartition",
     "assignment_for", "closed_form_fidelity", "overall_success",
-    "local_indices", "perfect_like", "make_dense", "_root_fidelity",
+    "perfect_like", "make_dense", "_root_fidelity",
 }
 
 

@@ -17,9 +17,16 @@ from qdistill import (
     perfect_ghz,
     perfect_w,
 )
-from qdistill.states import family_of
+from qdistill.states import family_of, local_column, span_shape
 
-from conftest import oracle_partial_trace, random_ghz_spec, random_w_spec
+from conftest import (
+    ghz_corpus,
+    oracle_partial_trace,
+    placement_table,
+    random_ghz_spec,
+    random_w_spec,
+    w_corpus,
+)
 
 
 def coeff_lists(size):
@@ -131,6 +138,15 @@ class TestDenseConstruction:
                 expected[2**i] = spec.betas[i]
             assert np.array_equal(make_dense(spec), expected)
 
+    def test_rule_matches_the_oracle_placement_table(self):
+        # the package's per-party rule and the tests' own (span, P) table
+        # place every corpus spec alike, column by column
+        for spec in [*ghz_corpus(), *w_corpus()]:
+            table = placement_table(spec)
+            assert span_shape(spec) == (len(table), spec.d if isinstance(spec, GhzSpec) else 2)
+            for j in range(spec.p):
+                assert np.array_equal(local_column(spec, j), table[:, j])
+
     def test_dense_cap(self):
         assert make_dense(perfect_ghz(4, 8)).size == 2**16
         with pytest.raises(DenseCapExceededError):
@@ -149,6 +165,15 @@ class TestCompact:
         cs = make_compact(spec)
         assert family_of(cs.spec) is Family.W_SINGLE_EXCITATION
         assert tuple(cs.coeffs) == spec.betas
+
+    def test_uniform_specs_build_up_to_a_million(self):
+        # the norm is summed exactly, so the normalized coefficients pass
+        # CompactState's 1e-12 check at any count
+        for count in (2 * 10**5, 3 * 10**5, 10**6):
+            for spec in (perfect_ghz(count, 3), perfect_w(count)):
+                coeffs = make_compact(spec).coeffs
+                assert len(coeffs) == count
+                assert abs(np.linalg.norm(coeffs) - 1.0) <= 1e-12
 
     def test_rejects_non_finite_coefficients(self):
         spec = perfect_ghz(2, 2)

@@ -23,10 +23,11 @@ from qdistill import (
     make_compact,
     perfect_ghz,
     perfect_w,
+    run_ted,
     run_tsd,
     success_prob_per_copy,
 )
-from qdistill.states import local_indices, perfect_like
+from qdistill.states import perfect_like, span_shape
 from qdistill.ted import assignment_for, overall_success
 from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
 
@@ -35,6 +36,7 @@ from conftest import (
     class_of,
     dense_member,
     ghz_config,
+    ghz_corpus,
     member_keys,
     mub_family,
     nonsignaling_deviation,
@@ -45,6 +47,7 @@ from conftest import (
     random_ghz_spec,
     random_w_spec,
     rebuilt_scores,
+    w_corpus,
 )
 
 GHZ_TOY = GhzSpec(3, 3, (0.3, 0.5, math.sqrt(1 - 0.09 - 0.25)))
@@ -197,7 +200,7 @@ class TestArrayLayout:
     def test_members_in_setting_then_outcome_order(self, spec, s, q):
         config = steering(spec, n=3, q=q, s=s)
         asm = build_assemblage(make_compact(spec), config)
-        span = len(local_indices(spec))
+        span = span_shape(spec)[0]
         assert asm.members.shape == (1, span) and asm.members.dtype == np.float64
         assert run_tsd(config).distilled.members.shape == (2, span)
         one_sided = build_assemblage(make_compact(spec), steering(spec, q=q))
@@ -435,6 +438,44 @@ class TestRunTsd:
         assert report.p_success_per_copy == pytest.approx(0.27, abs=1e-12)
 
 
+def corpus_steering_configs():
+    """Every valid (s, q) on each GHZ corpus spec, and s = 1 on each W
+    corpus spec: 1500 configs, with n cycling through 2..10."""
+    configs = []
+    for i, spec in enumerate(ghz_corpus()):
+        for s in range(1, spec.p):
+            for q in range(1, spec.p - s + 1):
+                configs.append(steering(spec, n=2 + (i + s + q) % 9, q=q, s=s))
+    for i, spec in enumerate(w_corpus()):
+        configs.append(steering(spec, n=2 + i % 9, q=spec.p - 1))
+    return configs
+
+
+class TestEntanglementParity:
+    """The characterized parties apply the entanglement filters, so a
+    steering run reports exactly the entanglement run's success
+    probabilities and closed form, bit for bit."""
+
+    @staticmethod
+    def assert_same_success(config):
+        tsd, ted = run_tsd(config), run_ted(config.base)
+        assert tsd.p_success_per_copy == ted.p_success_per_copy
+        assert tsd.p_success_overall == ted.p_success_overall
+        assert tsd.fidelity_closed_form == ted.fidelity_closed_form
+
+    def test_corpus(self):
+        configs = corpus_steering_configs()
+        assert len(configs) == 1500
+        for config in configs:
+            self.assert_same_success(config)
+
+    def test_w_at_a_thousand_parties(self):
+        # beta ratios in [0.999, 1] keep p_u near 0.38 instead of underflowing
+        ratios = np.append(np.random.default_rng(0).uniform(0.999, 1.0, 999), 1.0)
+        spec = WSpec(1000, tuple(ratios / np.linalg.norm(ratios)))
+        self.assert_same_success(steering(spec, n=3, q=999))
+
+
 def per_setting_of(config):
     """run_tsd's distilled assemblage scored setting by setting against the
     perfect one it is built from."""
@@ -541,11 +582,8 @@ class TestUniformTieBreak:
 
 class TestSpanGuards:
     def test_large_outcome_counts_run_in_bounded_memory(self):
-        # the factor is O(d), so no outcome count is capped.  At d = 10^5
-        # the uniform spec's coefficients, normalized by a left-to-right
-        # sum, have squares summing to 1 + 1.9e-12, which moves the
-        # assemblage score (not the closed form) by 2.2e-12
-        for d, tol in ((1001, 1e-12), (10**5, 1e-11)):
+        # the factor is O(d), so no outcome count is capped
+        for d in (1001, 10**5):
             raw = np.random.default_rng(d).uniform(0.2, 1.0, d)
             spec = GhzSpec(d, 3, tuple(np.sort(raw / np.linalg.norm(raw))))
             config = steering(spec, n=4, s=2, q=1)
@@ -558,8 +596,23 @@ class TestSpanGuards:
             assert peak < 40 * 2**20
             assert report.distilled.members.shape == (2, d)
             assert report.fidelity_assemblage == pytest.approx(
-                report.fidelity_closed_form, abs=tol
+                report.fidelity_closed_form, abs=1e-12
             )
+
+    def test_w_span_runs_in_bounded_memory(self):
+        # the W placement is a one-hot column per party, never a P x P
+        # table; the time stays O(P Q), so only memory is gated
+        ratios = np.append(np.random.default_rng(3000).uniform(0.999, 1.0, 2999), 1.0)
+        spec = WSpec(3000, tuple(ratios / np.linalg.norm(ratios)))
+        config = steering(spec, n=3, q=2999)
+        for run in (lambda: run_ted(config.base), lambda: run_tsd(config)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20
 
     def test_d1000_runs_in_milliseconds(self):
         # a d = 1000 run is O(d): no d^2 member array or basis is formed
