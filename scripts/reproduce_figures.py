@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Emit the CSV data for the standard performance figures.
 
-Runs every sweep preset through the CLI so each output comes with a run
-manifest.  Plotting is left to whatever tool you prefer; the columns are
-documented in the README.
+Runs every sweep preset of ``qdistill.sweep.PRESETS`` through the CLI, with
+its default grid, so each output comes with a run manifest; the table
+documents what each preset draws.  Plotting is left to whatever tool you
+prefer; the columns are documented in the README.
 
 Usage: python scripts/reproduce_figures.py [--outdir results]
 """
@@ -12,14 +13,7 @@ import argparse
 from pathlib import Path
 
 from qdistill.cli import main as qdistill
-
-PRESETS = (
-    "ghz-contour",      # fidelity over (N, d) at alpha0 = 1/sqrt(10), gap 0.5
-    "ghz-convergence",  # fidelity vs N for alpha0 in {1/sqrt(8), 1/sqrt(9), 1/sqrt(10)}
-    "ghz-dimension",    # fidelity and success probability vs d
-    "w-contour",        # fidelity over (N, P) at p_u = 0.3, gap 0.5
-    "w-convergence",    # fidelity vs N for beta0 in {1/2, 1/sqrt(5), 1/sqrt(6)}
-)
+from qdistill.sweep import PRESETS
 
 
 def main() -> int:

@@ -39,7 +39,8 @@ from . import __version__
 from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec, span_shape
-from .sweep import CSV_COLUMNS, CSV_SCHEMA_VERSION, ROW_CAP, grid_rows, preset_grid, report_row
+from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, PRESETS, ROW_CAP, grid_rows, preset_grid,
+                    report_row)
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
@@ -210,6 +211,10 @@ def _print_report(pairs) -> None:
 
 
 def _protocol_config(args, family: Family) -> ProtocolConfig:
+    other = ("betas",) if family is Family.GHZ_DIAGONAL else ("d", "alphas")
+    given = [f"--{name}" for name in other if getattr(args, name, None) is not None]
+    if given:
+        raise InvalidSpecError(f"the {family.value} family does not read {', '.join(given)}")
     n = _need(args, "n")
     if family is Family.GHZ_DIAGONAL:
         spec = GhzSpec(_need(args, "d"), _need(args, "p"),
@@ -242,10 +247,8 @@ def _cmd_run(args, family: Family, steering: bool) -> int:
 
 def _cmd_sweep(args) -> int:
     preset = _need(args, "preset")
-    overrides = {
-        field: getattr(args, flag)
-        for flag, field in SWEEP_FIELDS.items() if getattr(args, flag) is not None
-    }
+    overrides = {field: getattr(args, flag) for flag, field in SWEEP_FIELDS.items()
+                 if getattr(args, flag) is not None}
     rows = grid_rows(preset_grid(preset, **overrides))
     out = _write_out(args, rows, CSV_COLUMNS, {"preset": preset})
     if out:
@@ -343,10 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=partial(_cmd_run, family=family, steering=steering))
 
     sweep = subs.add_parser("sweep", help="grid sweep to CSV")
-    sweep.add_argument("--preset", choices=(
-        "ghz-contour", "ghz-convergence", "ghz-dimension",
-        "w-contour", "w-convergence",
-    ))
+    sweep.add_argument("--preset", choices=sorted(PRESETS))
     sweep.add_argument("--alpha0", type=_finite_floats)
     sweep.add_argument("--beta0", type=_finite_floats)
     sweep.add_argument("--pu", type=_finite)

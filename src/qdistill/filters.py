@@ -126,14 +126,18 @@ def span_multiplier(
     return values
 
 
-def _ghz_ratios(spec: GhzSpec) -> np.ndarray:
-    al = np.array(spec.alphas)
-    ratios = al[0] / al
-    if ratios.max() > 1.0 + PIVOT_TOL:
-        raise PivotNotMinimalError(
-            "alpha_0 must be the minimal coefficient; relabel the basis so that it is"
+def check_pivot(spec: Spec) -> None:
+    """The pivot rule of the filters and the closed forms: alpha_0 minimal
+    (GHZ) or beta_{p-1} maximal (W), up to a relative ``PIVOT_TOL``."""
+    if isinstance(spec, GhzSpec):
+        if spec.alphas[0] / min(spec.alphas) > 1.0 + PIVOT_TOL:
+            raise PivotNotMinimalError(
+                "alpha_0 must be the minimal coefficient; relabel the basis so that it is"
+            )
+    elif max(spec.betas) / spec.betas[-1] > 1.0 + PIVOT_TOL:
+        raise PivotNotMaximalError(
+            "beta_{p-1} must be the maximal coefficient; relabel the parties so that it is"
         )
-    return ratios.clip(0.0, 1.0)
 
 
 def ghz_partition_assignment(
@@ -159,7 +163,8 @@ def ghz_partition_assignment(
         raise BadPartitionError(f"parties {parties} are not distinct indices in 0..{spec.p - 1}")
     if len(parties) > spec.p - 1:
         raise BadPartitionError("threshold assignment must leave a non-participating party")
-    ratios = _ghz_ratios(spec)
+    check_pivot(spec)
+    ratios = np.minimum(spec.alphas[0] / np.array(spec.alphas), 1.0)
     owned = sorted(zip(parties, blocks))  # distinct parties: blocks are never compared
     table = np.ones((len(owned), spec.d))
     for row, (_, block) in zip(table, owned):
@@ -175,13 +180,9 @@ def last_parties(p: int, q: int) -> tuple[int, ...]:
 def w_assignment(spec: WSpec) -> FilterAssignment:
     """W filters: parties 1..p-1 participate, party j attenuating its |0>
     component by beta_{p-1-j}/beta_{p-1}; party 0 stays idle."""
+    check_pivot(spec)
     be = np.array(spec.betas)
-    ratios = be / be[-1]
-    if ratios.max() > 1.0 + PIVOT_TOL:
-        raise PivotNotMaximalError(
-            "beta_{p-1} must be the maximal coefficient; relabel the parties so that it is"
-        )
     table = np.ones((spec.p - 1, 2))
-    table[:, 0] = np.minimum(ratios[-2::-1], 1.0)
+    table[:, 0] = np.minimum(be[-2::-1] / be[-1], 1.0)
     return FilterAssignment(spec.p, tuple(range(1, spec.p)), table)
 

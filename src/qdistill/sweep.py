@@ -9,15 +9,17 @@ protocol engine is run on it to fill the independent ``fidelity_numeric``
 column.  Infeasible grid points are emitted with ``feasible=False`` rather
 than dropped, so grids keep their full rectangular shape.
 
-Rows are emitted in deterministic lexicographic order: driver value, then
-dimension/party axis, then copy count.  A grid of more than ``ROW_CAP`` rows,
-or with a d or p below 2, is refused before any row is built.
+Rows run over driver value, then size (d or P), then copy count, each in its
+axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows, with
+a d or p below 2, or overriding a field its preset does not read is refused
+before any row is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import InvalidSpecError, WorkCapExceededError
 from .states import Family, GhzSpec, WSpec
@@ -100,8 +102,7 @@ def equal_head_w(p: int, beta0: float) -> WSpec:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis definitions for one sweep; see the preset constructors below.
-    GHZ modes take a single-valued ``p_values``."""
+    """One sweep's axes (see :data:`PRESETS`); GHZ modes take a single p value."""
 
     mode: str
     n_values: tuple[int, ...]
@@ -113,10 +114,8 @@ class SweepGrid:
     gap: float | None = None
 
 
-def _row(
-    family: Family, d: int, p: int, q: int, n: int, driver: float, gap: float,
-    s: int = 0, **results,
-) -> dict:
+def _row(family: Family, d: int, p: int, q: int, n: int, driver: float, gap: float,
+         s: int = 0, **results) -> dict:
     """One row of the CSV schema; result columns not given stay NaN/false."""
     row = {
         "family": family.value, "d": d, "p": p, "q": q, "s": s, "n": n,
@@ -129,9 +128,7 @@ def _row(
     return row
 
 
-def report_row(
-    config: ProtocolConfig, report, driver: float | None = None, s: int = 0
-) -> dict:
+def report_row(config: ProtocolConfig, report, driver: float | None = None, s: int = 0) -> dict:
     """The CSV row of one protocol run.
 
     ``report`` comes from :func:`~qdistill.ted.run_ted`, or from
@@ -166,125 +163,105 @@ def _closed_columns(pu: float, size: int, gap: float, n: int) -> dict:
                 fidelity_closed=fidelity_from_success(pu, size, gap, n))
 
 
-def _ghz_gap_rows(grid: SweepGrid) -> list[dict]:
-    rows = []
+def _ghz_gap_rows(grid: SweepGrid, a0: float, d: int) -> list[dict]:
+    coeffs = solve_ghz_coefficients(d, a0, grid.gap)
     p = grid.p_values[0]
-    for a0 in grid.alpha0_values:
-        for d in grid.d_values:
-            coeffs = solve_ghz_coefficients(d, a0, grid.gap)
-            spec = GhzSpec(d, p, coeffs) if coeffs is not None else None
-            for n in grid.n_values:
-                row = _row(Family.GHZ_DIAGONAL, d, p, 1, n, a0, grid.gap)
-                if 0.0 < a0 < 1.0:
-                    row.update(_closed_columns(d * a0 * a0, d, grid.gap, n))
-                if spec is not None:
-                    report = run_ted(ProtocolConfig(n, Family.GHZ_DIAGONAL, spec, q=1))
-                    row.update(
-                        ps_per_copy=report.p_success_per_copy,
-                        ps_overall=report.p_success_overall,
-                        fidelity_numeric=report.fidelity_numeric,
-                        feasible=True,
-                    )
-                rows.append(row)
+    spec = GhzSpec(d, p, coeffs) if coeffs is not None else None
+    rows = []
+    for n in grid.n_values:
+        row = _row(Family.GHZ_DIAGONAL, d, p, 1, n, a0, grid.gap)
+        if 0.0 < a0 < 1.0:
+            row.update(_closed_columns(d * a0 * a0, d, grid.gap, n))
+        if spec is not None:
+            report = run_ted(ProtocolConfig(n, Family.GHZ_DIAGONAL, spec, q=1))
+            row.update(ps_per_copy=report.p_success_per_copy, ps_overall=report.p_success_overall,
+                       fidelity_numeric=report.fidelity_numeric, feasible=True)
+        rows.append(row)
     return rows
 
 
-def _convergence_rows(grid: SweepGrid) -> list[dict]:
-    """Fidelity vs N along equal-tail GHZ or equal-head W curves, one curve
-    per starting coefficient."""
+def _convergence_rows(grid: SweepGrid, driver: float, size: int) -> list[dict]:
+    """Fidelity vs N along one equal-tail GHZ or equal-head W curve."""
     if grid.mode == "ghz-convergence":
-        if len(grid.d_values) != 1:
-            raise InvalidSpecError("convergence sweeps take a single dimension value")
-        family, q = Family.GHZ_DIAGONAL, 1
-        curves = [(a0, equal_tail_ghz(grid.d_values[0], grid.p_values[0], a0))
-                  for a0 in grid.alpha0_values]
+        family, q, spec = Family.GHZ_DIAGONAL, 1, equal_tail_ghz(size, grid.p_values[0], driver)
     else:
-        if len(grid.p_values) != 1:
-            raise InvalidSpecError("convergence sweeps take a single party count")
-        family, q = Family.W_SINGLE_EXCITATION, grid.p_values[0] - 1
-        curves = [(b0, equal_head_w(grid.p_values[0], b0)) for b0 in grid.beta0_values]
+        family, q, spec = Family.W_SINGLE_EXCITATION, size - 1, equal_head_w(size, driver)
+    configs = (ProtocolConfig(n, family, spec, q) for n in grid.n_values)
+    return [report_row(config, run_ted(config), driver) for config in configs]
+
+
+def _w_contour_rows(grid: SweepGrid, pu: float, p: int) -> list[dict]:
     rows = []
-    for driver, spec in curves:
-        for n in grid.n_values:
-            config = ProtocolConfig(n, family, spec, q)
-            rows.append(report_row(config, run_ted(config), driver))
+    for n in grid.n_values:
+        closed = _closed_columns(pu, p, grid.gap, n)
+        rows.append(_row(Family.W_SINGLE_EXCITATION, 2, p, p - 1, n, pu, grid.gap,
+                         feasible=bool(closed), **closed))
     return rows
 
 
-def _w_contour_rows(grid: SweepGrid) -> list[dict]:
-    rows = []
-    pu = grid.pu
-    for p in grid.p_values:
-        for n in grid.n_values:
-            closed = _closed_columns(pu, p, grid.gap, n)
-            rows.append(_row(Family.W_SINGLE_EXCITATION, 2, p, p - 1, n, pu, grid.gap,
-                             feasible=bool(closed), **closed))
-    return rows
+class Preset(NamedTuple):
+    """``build(grid, driver, size)`` gives one (driver, size) point's rows over
+    n_values; ``defaults`` are the only SweepGrid fields the preset reads."""
+
+    build: Callable[[SweepGrid, float, int], list[dict]]
+    driver: str
+    size: str
+    defaults: dict
 
 
-# mode: (row builder, the axes besides n_values whose lengths multiply the row count)
-_MODES = {
-    "ghz-contour": (_ghz_gap_rows, ("alpha0_values", "d_values")),
-    "ghz-dimension": (_ghz_gap_rows, ("alpha0_values", "d_values")),
-    "ghz-convergence": (_convergence_rows, ("alpha0_values",)),
-    "w-contour": (_w_contour_rows, ("p_values",)),
-    "w-convergence": (_convergence_rows, ("beta0_values",)),
+PRESETS = {
+    # fidelity contour over (N, d) at fixed alpha0 and gap
+    "ghz-contour": Preset(_ghz_gap_rows, "alpha0_values", "d_values", dict(
+        alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
+        d_values=tuple(range(2, 11)), n_values=tuple(range(2, 21)), p_values=(2,),
+    )),
+    # fidelity vs N for three starting overlaps, equal tail coefficients
+    "ghz-convergence": Preset(_convergence_rows, "alpha0_values", "d_values", dict(
+        alpha0_values=(1.0 / math.sqrt(8.0), 1.0 / math.sqrt(9.0), 1.0 / math.sqrt(10.0)),
+        d_values=(3,), n_values=tuple(range(2, 51)), p_values=(3,),
+    )),
+    # fidelity and success probability vs d at fixed N
+    "ghz-dimension": Preset(_ghz_gap_rows, "alpha0_values", "d_values", dict(
+        alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
+        d_values=tuple(range(2, 11)), n_values=(2,), p_values=(2,),
+    )),
+    # fidelity contour over (N, P) driven directly by (p_u, gap)
+    "w-contour": Preset(_w_contour_rows, "pu", "p_values", dict(
+        pu=0.3, gap=0.5, p_values=tuple(range(3, 21)), n_values=tuple(range(2, 21)),
+    )),
+    # fidelity vs N for three starting first coefficients
+    "w-convergence": Preset(_convergence_rows, "beta0_values", "p_values", dict(
+        beta0_values=(0.5, 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(6.0)),
+        p_values=(3,), n_values=tuple(range(2, 51)),
+    )),
 }
 
 
 def grid_rows(grid: SweepGrid) -> list[dict]:
     """Materialize a grid as CSV-ready row dicts in deterministic order."""
-    if grid.mode not in _MODES:
+    if grid.mode not in PRESETS:
         raise ValueError(f"unknown sweep mode {grid.mode!r}")
     if grid.mode.startswith("ghz") and len(grid.p_values) != 1:
         raise InvalidSpecError("GHZ sweeps take a single --p value")
     if min(grid.p_values, default=2) < 2 or min(grid.d_values, default=2) < 2:
         raise InvalidSpecError("sweeps need every d >= 2 and every p >= 2")
-    build, axes = _MODES[grid.mode]
-    count = len(grid.n_values) * math.prod(len(getattr(grid, axis)) for axis in axes)
+    preset = PRESETS[grid.mode]
+    drivers, sizes = getattr(grid, preset.driver), getattr(grid, preset.size)
+    drivers = drivers if isinstance(drivers, tuple) else (drivers,)  # w-contour's one p_u
+    count = len(drivers) * len(sizes) * len(grid.n_values)
     if count > ROW_CAP:
         raise WorkCapExceededError(f"{grid.mode} grid has {count} rows, over the cap {ROW_CAP}")
-    return build(grid)
+    return [row for driver in drivers for size in sizes
+            for row in preset.build(grid, driver, size)]
 
 
 def preset_grid(name: str, **overrides) -> SweepGrid:
-    """Named sweeps for the standard performance grids."""
-    presets = {
-        # fidelity contour over (N, d) at fixed alpha0 and gap
-        "ghz-contour": dict(
-            mode="ghz-contour",
-            alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
-            d_values=tuple(range(2, 11)), n_values=tuple(range(2, 21)), p_values=(2,),
-        ),
-        # fidelity vs N for three starting overlaps, equal tail coefficients
-        "ghz-convergence": dict(
-            mode="ghz-convergence",
-            alpha0_values=(
-                1.0 / math.sqrt(8.0), 1.0 / math.sqrt(9.0), 1.0 / math.sqrt(10.0)
-            ),
-            d_values=(3,), n_values=tuple(range(2, 51)), p_values=(3,),
-        ),
-        # fidelity and success probability vs d at fixed N
-        "ghz-dimension": dict(
-            mode="ghz-dimension",
-            alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
-            d_values=tuple(range(2, 11)), n_values=(2,), p_values=(2,),
-        ),
-        # fidelity contour over (N, P) driven directly by (p_u, gap)
-        "w-contour": dict(
-            mode="w-contour",
-            pu=0.3, gap=0.5,
-            p_values=tuple(range(3, 21)), n_values=tuple(range(2, 21)),
-        ),
-        # fidelity vs N for three starting first coefficients
-        "w-convergence": dict(
-            mode="w-convergence",
-            beta0_values=(0.5, 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(6.0)),
-            p_values=(3,), n_values=tuple(range(2, 51)),
-        ),
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    cfg = presets[name]
-    cfg.update(overrides)
-    return SweepGrid(**cfg)
+    """The grid of a named sweep, with some of its defaults overridden;
+    overriding a field the preset does not read is refused."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    defaults = PRESETS[name].defaults
+    unread = sorted(overrides.keys() - defaults.keys())
+    if unread:
+        raise InvalidSpecError(f"preset {name} reads only {sorted(defaults)}, not {unread}")
+    return SweepGrid(mode=name, **{**defaults, **overrides})

@@ -32,6 +32,7 @@ from .errors import InvalidSpecError
 from .filters import (
     FilterAssignment,
     IndexPartition,
+    check_pivot,
     ghz_partition_assignment,
     last_parties,
     span_multiplier,
@@ -50,6 +51,10 @@ from .states import (
 
 REPORT_PROB_TOL = 1e-12
 REPORT_FIDELITY_TOL = 1e-9
+
+# run paths vary n innermost, so a spec's entries are reused only by the calls
+# right after it: a few entries keep those hits and bound the O(d) data held
+SPEC_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def assignment_for(
     return w_assignment(spec)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _cached_assignment(
     family: Family, spec: Spec, q: int, partition: IndexPartition | None
 ) -> FilterAssignment:
@@ -159,7 +164,7 @@ def overall_success(p_per_copy: float, n: int) -> float:
     return 1.0 - (1.0 - min(p_per_copy, 1.0)) ** (n - 1)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _compact_zero_layer(
     family: Family, spec: Spec, q: int, partition: IndexPartition | None
 ) -> float:
@@ -175,16 +180,14 @@ def success_prob_per_copy(config: ProtocolConfig) -> float:
 
 def closed_form_fidelity_ghz(spec: GhzSpec, n: int) -> float:
     """Distilled-vs-perfect fidelity 1 - (1/d)(1 - d a_0^2)^(n-1)(d - (sum a)^2)."""
-    if min(spec.alphas) < spec.alphas[0] - 1e-15:
-        raise InvalidSpecError("closed form assumes alpha_0 is minimal")
+    check_pivot(spec)
     pu = spec.d * spec.alphas[0] ** 2
     return fidelity_from_success(pu, spec.d, spec.d - sum(spec.alphas) ** 2, n)
 
 
 def closed_form_fidelity_w(spec: WSpec, n: int) -> float:
     """Distilled-vs-perfect fidelity 1 - (1/P)(1 - p_u)^(n-1)(P - (sum b)^2)."""
-    if max(spec.betas) > spec.betas[-1] + 1e-15:
-        raise InvalidSpecError("closed form assumes beta_{p-1} is maximal")
+    check_pivot(spec)
     return fidelity_from_success(
         w_success_probability(spec), spec.p, spec.p - math.fsum(spec.betas) ** 2, n
     )

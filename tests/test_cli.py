@@ -10,8 +10,8 @@ import pytest
 
 import qdistill
 from qdistill import InvalidSpecError
-from qdistill.cli import _parse_int_values, main
-from qdistill.sweep import CSV_COLUMNS, ROW_CAP
+from qdistill.cli import SWEEP_FIELDS, _parse_int_values, main
+from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -26,7 +26,7 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-def run_child(code: str) -> subprocess.CompletedProcess:
+def run_child(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter under a 1 GiB address-space limit,
     so a runaway allocation fails there instead of exhausting the host."""
     limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
@@ -35,7 +35,7 @@ def run_child(code: str) -> subprocess.CompletedProcess:
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
     }
     return subprocess.run([sys.executable, "-c", limit + code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 def parse_report(stdout: str) -> dict[str, str]:
@@ -316,6 +316,54 @@ class TestErrorReporting:
         rc, out, err = run(capsys, "sweep", "--preset", preset, flag, value)
         self.assert_invalid_spec(rc, err)
         assert out == ""
+
+    # a value each sweep flag accepts
+    SWEEP_VALUES = {"alpha0": "0.3", "beta0": "0.5", "pu": "0.3", "gap": "0.5",
+                    "d": "3", "p": "3", "n": "2"}
+
+    @pytest.mark.parametrize("preset, flag", [
+        (preset, flag) for preset in PRESETS for flag, field in SWEEP_FIELDS.items()
+        if field not in PRESETS[preset].defaults
+    ])
+    def test_sweep_flag_the_preset_does_not_read_category(self, capsys, preset, flag):
+        # these used to be dropped without a word, printing the default grid
+        value = self.SWEEP_VALUES[flag]
+        rc, out, err = run(capsys, "sweep", "--preset", preset, f"--{flag}", value)
+        self.assert_invalid_spec(rc, err)
+        assert err.count("\n") == 1 and out == ""
+
+    @pytest.mark.parametrize("family_flags", [
+        ["--family", "w", "--p", "3", "--betas", BETAS_TOY, "--d", "9"],
+        ["--family", "w", "--p", "3", "--betas", BETAS_TOY, "--alphas", "1,2"],
+        ["--family", "ghz", "--d", "2", "--p", "3", "--alphas", "0.6,0.8", "--betas", "0.1"],
+    ], ids=["w-d", "w-alphas", "ghz-betas"])
+    def test_other_family_simulate_flag_category(self, capsys, family_flags):
+        # the other family's coefficients used to be dropped without a word
+        rc, out, err = run(capsys, "simulate", *family_flags, "--n", "3", "--trials", "10")
+        self.assert_invalid_spec(rc, err)
+        assert err.count("\n") == 1 and out == ""
+
+    @pytest.mark.parametrize("n, trials", [("5", "100000000000"), ("100000000", "1")],
+                             ids=["many-trials", "many-copies"])
+    def test_monte_carlo_work_cap_category(self, n, trials):
+        # both ran past 20 s with no output; now refused before any sampling
+        argv = ["simulate", "--family", "ghz", "--d", "3", "--p", "3", "--n", n,
+                "--alphas", ALPHAS_SQRT8, "--trials", trials]
+        done = run_child(f"from qdistill.cli import main; raise SystemExit(main({argv!r}))",
+                         timeout=20)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error category=WorkCapExceeded: ")
+        assert done.stderr.count("\n") == 1
+
+    def test_pivot_tie_within_the_filters_tolerance_runs(self, capsys):
+        # alpha_1 lies 1e-12 relative below alpha_0, inside the filters'
+        # pivot tolerance: simulate ran, ted-ghz and tsd-ghz exited 2
+        spec = ["--d", "3", "--p", "3", "--n", "3",
+                "--alphas", "0.5,0.4999999999995,0.7071067811868"]
+        for argv in (["ted-ghz", *spec], ["tsd-ghz", *spec, "--s", "1"],
+                     ["simulate", "--family", "ghz", *spec, "--trials", "10"]):
+            rc, _, err = run(capsys, *argv)
+            assert rc == 0 and err == ""
 
     def test_w_partition_category(self, capsys):
         # partitions apply to GHZ only; W used to drop the flag silently

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qdistill.sweep import PRESETS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,7 @@ def test_reproduce_figures_writes_every_preset(tmp_path):
     proc = run_script("reproduce_figures.py", "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     presets = ["ghz_contour", "ghz_convergence", "ghz_dimension", "w_contour", "w_convergence"]
+    assert presets == [name.replace("-", "_") for name in sorted(PRESETS)]
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
         name for preset in presets for name in (f"{preset}.csv", f"{preset}.manifest.json")
     )

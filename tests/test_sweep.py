@@ -1,10 +1,15 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
 from qdistill import GhzSpec, InvalidSpecError, WorkCapExceededError
+from qdistill.cli import build_parser
 from qdistill.sweep import (
     CSV_COLUMNS,
+    PRESETS,
     ROW_CAP,
     SweepGrid,
     equal_head_w,
@@ -161,6 +166,51 @@ class TestGridRows:
         n_values = tuple(range(2, 3 + ROW_CAP // 18))
         with pytest.raises(WorkCapExceededError, match="over the cap"):
             grid_rows(preset_grid("w-contour", n_values=n_values))
+
+
+class TestPresetTable:
+    GRID_FIELDS = [f.name for f in dataclasses.fields(SweepGrid) if f.name != "mode"]
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_overrides_the_preset_does_not_read_are_refused(self, name):
+        unread = [f for f in self.GRID_FIELDS if f not in PRESETS[name].defaults]
+        assert unread
+        for field in unread:
+            with pytest.raises(InvalidSpecError, match="reads only"):
+                preset_grid(name, **{field: 0.5})
+        with pytest.raises(InvalidSpecError, match="reads only"):
+            preset_grid(name, mode="w-contour")
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_row_count_is_the_axis_product(self, name):
+        preset = PRESETS[name]
+        grid = preset_grid(name, n_values=(2, 3, 5))
+        drivers, sizes = getattr(grid, preset.driver), getattr(grid, preset.size)
+        drivers = drivers if isinstance(drivers, tuple) else (drivers,)
+        rows = grid_rows(grid)
+        assert len(rows) == len(drivers) * len(sizes) * len(grid.n_values)
+        # driver, then size, then n, each in the order its axis gives
+        size = "p" if preset.size == "p_values" else "d"
+        assert [(r["alpha0_or_pu"], r[size], r["n"]) for r in rows] == [
+            (driver, s, n) for driver in drivers for s in sizes for n in grid.n_values
+        ]
+
+    def test_convergence_presets_take_several_sizes(self):
+        rows = grid_rows(preset_grid("ghz-convergence", d_values=(3, 4), n_values=(2,)))
+        assert [(r["d"], r["p"]) for r in rows] == [(3, 3), (4, 3)] * 3
+        rows = grid_rows(preset_grid("w-convergence", beta0_values=(0.4,), p_values=(3, 4)))
+        assert {(r["p"], r["q"]) for r in rows} == {(3, 2), (4, 3)}
+
+    def test_every_preset_list_is_the_table(self):
+        sweep = build_parser()._subparsers._group_actions[0].choices["sweep"]
+        (action,) = [a for a in sweep._actions if a.dest == "preset"]
+        assert list(action.choices) == sorted(PRESETS)
+        # the benchmark keeps its own copy, which must not drift
+        tree = ast.parse((Path(__file__).parents[1] / "bench" / "workloads.py").read_text())
+        (bench,) = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id == "SWEEP_PRESETS"]
+        assert sorted(bench) == sorted(PRESETS)
 
 
 class TestFamilies:

@@ -14,7 +14,10 @@ from qdistill import (
     FilterAssignment,
     GhzSpec,
     InvalidSpecError,
+    PivotNotMaximalError,
+    PivotNotMinimalError,
     ProtocolConfig,
+    SteeringConfig,
     WSpec,
     apply_filter_layer,
     closed_form_fidelity_ghz,
@@ -24,7 +27,9 @@ from qdistill import (
     overall_success,
     perfect_ghz,
     perfect_w,
+    run_stats,
     run_ted,
+    run_tsd,
     success_prob_per_copy,
 )
 from qdistill.linalg import _root_fidelity
@@ -34,6 +39,7 @@ from qdistill.ted import (
     _cached_assignment,
     _compact_zero_layer,
     assignment_for,
+    closed_form_fidelity,
     fidelity_from_success,
     w_success_probability,
 )
@@ -247,8 +253,33 @@ class TestClosedFormFidelity:
 
     def test_requires_minimal_pivot(self):
         spec = GhzSpec(3, 3, (0.8, 0.3, math.sqrt(1 - 0.64 - 0.09)))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(PivotNotMinimalError):
             closed_form_fidelity_ghz(spec, 2)
+
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_every_entry_point_keeps_the_filters_pivot_rule(self, family):
+        # a pivot off by 5e-13 relative is inside the filters' PIVOT_TOL
+        # (1e-12), so every entry point runs; one off by 5e-12 is refused by
+        # every entry point with the same category
+        for rel, refused in ((5e-13, False), (5e-12, True)):
+            if family == "ghz":
+                a0, a1 = 0.5, 0.5 * (1 - rel)
+                spec = GhzSpec(3, 3, (a0, a1, math.sqrt(1 - a0 * a0 - a1 * a1)))
+                config, error = ghz_config(spec, n=3), PivotNotMinimalError
+            else:
+                b1, b2 = 0.7 * (1 + rel), 0.7
+                spec = WSpec(3, (math.sqrt(1 - b1 * b1 - b2 * b2), b1, b2))
+                config, error = w_config(spec, n=3), PivotNotMaximalError
+            calls = (
+                lambda: closed_form_fidelity(spec, 3), lambda: run_ted(config),
+                lambda: run_tsd(SteeringConfig(config, 1)), lambda: run_stats(config, 10, 0),
+            )
+            for call in calls:
+                if refused:
+                    with pytest.raises(error):
+                        call()
+                else:
+                    call()
 
     def test_fidelity_from_success_shape(self):
         assert fidelity_from_success(0.3, 3, 0.5, 2) == pytest.approx(1 - 0.7 * 0.5 / 3)
@@ -448,6 +479,29 @@ class TestLinearInD:
         assert peak <= 16 * 2**20
         assert report.p_success_per_copy == pytest.approx(d * spec.alphas[0] ** 2, rel=1e-12)
         assert report.fidelity_numeric == pytest.approx(report.fidelity_closed_form, abs=1e-12)
+
+
+class TestSpecCaches:
+    def test_held_memory_stops_growing_with_distinct_specs(self):
+        # every run path varies n innermost, so the caches need keep only the
+        # latest specs; a cache keyed on every spec ever seen grows without bound
+        def held_after(count: int) -> int:
+            _cached_assignment.cache_clear()
+            _compact_zero_layer.cache_clear()
+            rng = np.random.default_rng(5)
+            tracemalloc.start()
+            try:
+                for _ in range(count):
+                    spec = random_ghz_spec(rng, 2000, 3)
+                    for n in (2, 3):
+                        run_ted(ghz_config(spec, n=n))
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        base = held_after(20)
+        # 20 more specs of d = 2000 would hold at least 20 x 2000 x 8 B more
+        assert held_after(40) - base < 20 * 2000 * 8 / 4
 
 
 class TestConfigValidation:
