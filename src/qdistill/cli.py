@@ -8,6 +8,9 @@ sweep               emit a long-format CSV over a parameter grid
 simulate            Monte Carlo run of the N-copy protocol
 replay              re-execute the command recorded in a run manifest
 
+A command builds only its own parser from the ``COMMANDS`` table; ``--help``
+without a command shows the whole tree.
+
 Reports go to stdout as ``key = value`` lines; ``--out`` additionally writes
 a CSV (or TSV) with a fixed, versioned schema plus a JSON run manifest next
 to it (``<out stem>.manifest.json``).  Numeric fields are printed with 12
@@ -80,17 +83,18 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_int_values(text: str) -> tuple[int, ...]:
     """Accept '5', '2:10', '2:10:2', '10:2:-2' or '3,4,7' (ranges include
-    their end for either sign of the step).  A range longer than the sweep
-    row cap is refused before it is built."""
+    their end for either sign of the step).  A range of more than three
+    fields ('2:6:2:99') is refused, as is one longer than the sweep row cap,
+    before it is built."""
     text = text.strip()
     try:
         if ":" in text:
-            parts = [int(tok) for tok in text.split(":")]
-            step = parts[2] if len(parts) > 2 else 1
-            values = range(parts[0], parts[1] + (1 if step > 0 else -1), step)
+            start, stop, *step = (int(tok) for tok in text.split(":"))
+            (step,) = step or (1,)  # ValueError past three fields
+            values = range(start, stop + (1 if step > 0 else -1), step)
         else:
             values = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InvalidSpecError(f"cannot parse integer range {text!r}") from exc
     if not values:
         raise InvalidSpecError(f"integer range {text!r} is empty")
@@ -318,70 +322,99 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write CSV and a run manifest here")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_run(sub: argparse.ArgumentParser, family: Family, steering: bool) -> None:
+    if family is Family.GHZ_DIAGONAL:
+        _add_ints(sub, "d", "p", "q", "n")
+        sub.add_argument("--alphas", type=_parse_floats)
+        sub.add_argument("--partition", type=_parse_partition, help="blocks like '1,3|2'")
+    else:
+        _add_ints(sub, "p", "q", "n")
+        sub.add_argument("--betas", type=_parse_floats)
+    if steering:
+        _add_ints(sub, "s")
+    _add_common(sub)
+    sub.set_defaults(func=partial(_cmd_run, family=family, steering=steering))
+
+
+def _add_sweep(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--preset", choices=sorted(PRESETS))
+    sub.add_argument("--alpha0", type=_finite_floats)
+    sub.add_argument("--beta0", type=_finite_floats)
+    sub.add_argument("--pu", type=_finite)
+    sub.add_argument("--gap", type=_finite)
+    for name in ("d", "p", "n"):
+        sub.add_argument(f"--{name}", type=_parse_int_values)
+    _add_common(sub)
+    sub.set_defaults(func=_cmd_sweep)
+
+
+def _add_simulate(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--family", choices=("ghz", "w"))
+    _add_ints(sub, "d", "p", "q", "n")
+    sub.add_argument("--alphas", type=_parse_floats)
+    sub.add_argument("--betas", type=_parse_floats)
+    sub.add_argument("--partition", type=_parse_partition)
+    sub.add_argument("--trials", type=int, default=100000)
+    sub.add_argument("--seed", type=int, default=0)
+    _add_common(sub)
+    sub.set_defaults(func=_cmd_simulate)
+
+
+def _add_replay(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("manifest")
+    sub.set_defaults(func=_cmd_replay)
+
+
+# subcommand -> (its line in the top-level help, the function that declares
+# its flags and its ``func``), in the order the help lists them
+COMMANDS = {
+    "ted-ghz": ("GHZ entanglement distillation",
+                partial(_add_run, family=Family.GHZ_DIAGONAL, steering=False)),
+    "ted-w": ("W entanglement distillation",
+              partial(_add_run, family=Family.W_SINGLE_EXCITATION, steering=False)),
+    "tsd-ghz": ("GHZ steering distillation",
+                partial(_add_run, family=Family.GHZ_DIAGONAL, steering=True)),
+    "sd-w": ("W steering distillation (one-sided only)",
+             partial(_add_run, family=Family.W_SINGLE_EXCITATION, steering=True)),
+    "sweep": ("grid sweep to CSV", _add_sweep),
+    "simulate": ("Monte Carlo protocol run", _add_simulate),
+    "replay": ("re-run a recorded manifest", _add_replay),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full tree of subcommands, or with ``command`` that subcommand's
+    parser alone, named and behaving as its node of the tree; its namespace
+    carries ``command`` as the tree's does."""
+    if command is not None:
+        parser = _Parser(prog=f"qdistill {command}")
+        COMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
     parser = _Parser(
         prog="qdistill",
         description="Threshold distillation of GHZ/W entanglement and steering",
     )
     parser.add_argument("--version", action="version", version=f"qdistill {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, family, steering, help_text in (
-        ("ted-ghz", Family.GHZ_DIAGONAL, False, "GHZ entanglement distillation"),
-        ("ted-w", Family.W_SINGLE_EXCITATION, False, "W entanglement distillation"),
-        ("tsd-ghz", Family.GHZ_DIAGONAL, True, "GHZ steering distillation"),
-        ("sd-w", Family.W_SINGLE_EXCITATION, True, "W steering distillation (one-sided only)"),
-    ):
-        sub = subs.add_parser(name, help=help_text)
-        if family is Family.GHZ_DIAGONAL:
-            _add_ints(sub, "d", "p", "q", "n")
-            sub.add_argument("--alphas", type=_parse_floats)
-            sub.add_argument("--partition", type=_parse_partition, help="blocks like '1,3|2'")
-        else:
-            _add_ints(sub, "p", "q", "n")
-            sub.add_argument("--betas", type=_parse_floats)
-        if steering:
-            _add_ints(sub, "s")
-        _add_common(sub)
-        sub.set_defaults(func=partial(_cmd_run, family=family, steering=steering))
-
-    sweep = subs.add_parser("sweep", help="grid sweep to CSV")
-    sweep.add_argument("--preset", choices=sorted(PRESETS))
-    sweep.add_argument("--alpha0", type=_finite_floats)
-    sweep.add_argument("--beta0", type=_finite_floats)
-    sweep.add_argument("--pu", type=_finite)
-    sweep.add_argument("--gap", type=_finite)
-    for name in ("d", "p", "n"):
-        sweep.add_argument(f"--{name}", type=_parse_int_values)
-    _add_common(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    simulate = subs.add_parser("simulate", help="Monte Carlo protocol run")
-    simulate.add_argument("--family", choices=("ghz", "w"))
-    _add_ints(simulate, "d", "p", "q", "n")
-    simulate.add_argument("--alphas", type=_parse_floats)
-    simulate.add_argument("--betas", type=_parse_floats)
-    simulate.add_argument("--partition", type=_parse_partition)
-    simulate.add_argument("--trials", type=int, default=100000)
-    simulate.add_argument("--seed", type=int, default=0)
-    _add_common(simulate)
-    simulate.set_defaults(func=_cmd_simulate)
-
-    replay = subs.add_parser("replay", help="re-run a recorded manifest")
-    replay.add_argument("manifest")
-    replay.set_defaults(func=_cmd_replay)
-
+    for name, (help_text, add_flags) in COMMANDS.items():
+        add_flags(subs.add_parser(name, help=help_text))
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse a command line, with its ``--config`` lines in front of the
-    command's own flags."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command's own flags.  Only the parser of the command in ``argv[0]`` is
+    built; any other command line goes to the full tree, which prints the
+    help or version and exits, or refuses the line."""
+    if not argv or argv[0] not in COMMANDS:
+        build_parser().parse_args(argv)
+        # the tree takes a command only as the first token
+        raise InvalidSpecError(f"the command must come first: {' '.join(argv)!r}")
+    parser = build_parser(argv[0])
+    args = parser.parse_args(argv[1:])
     if getattr(args, "config", None):
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
+        args = parser.parse_args(_config_tokens(args) + argv[1:])
     args.argv = argv
     return args
 

@@ -10,7 +10,8 @@ import pytest
 
 import qdistill
 from qdistill import InvalidSpecError
-from qdistill.cli import SWEEP_FIELDS, _parse_int_values, main
+from qdistill import cli
+from qdistill.cli import SWEEP_FIELDS, _config_tokens, _parse_int_values, build_parser, main
 from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -18,6 +19,15 @@ GOLDEN = Path(__file__).parent / "golden"
 ALPHAS_SQRT8 = f"{1 / math.sqrt(8)!r},{math.sqrt(7 / 16)!r},{math.sqrt(7 / 16)!r}"
 BETAS_TOY = f"0.5,0.5,{1 / math.sqrt(2)!r}"
 BETAS_W4 = f"0.45,0.5,0.5,{math.sqrt(0.2975)!r}"
+
+# command lines the parser itself refuses
+PARSER_REJECTIONS = {
+    "bad-int": ["ted-ghz", "--d", "abc"],
+    "unknown-flag": ["ted-ghz", "--bogus", "1"],
+    "bad-choice": ["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY, "--format", "xml"],
+    "unknown-command": ["frobnicate"],
+    "empty": [],
+}
 
 
 def run(capsys, *argv):
@@ -381,13 +391,7 @@ class TestErrorReporting:
         self.assert_invalid_spec(rc, err)
         assert out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["ted-ghz", "--d", "abc"],
-        ["ted-ghz", "--bogus", "1"],
-        ["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY, "--format", "xml"],
-        ["frobnicate"],
-        [],
-    ], ids=["bad-int", "unknown-flag", "bad-choice", "unknown-command", "empty"])
+    @pytest.mark.parametrize("argv", list(PARSER_REJECTIONS.values()), ids=list(PARSER_REJECTIONS))
     def test_parser_rejection_category(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         self.assert_invalid_spec(rc, err)
@@ -615,6 +619,12 @@ class TestParser:
         with pytest.raises(InvalidSpecError):
             _parse_int_values(text)
 
+    def test_range_of_more_than_three_fields_refused(self, capsys):
+        # ran as 2:6:2, dropping the fourth field without a word
+        rc, out, err = run(capsys, "sweep", "--preset", "w-convergence", "--n", "2:6:2:99")
+        TestErrorReporting.assert_invalid_spec(rc, err)
+        assert err.count("\n") == 1 and out == ""
+
     def test_descending_sweep_range_keeps_its_end(self, capsys):
         rc, out, _ = run(capsys, "sweep", "--preset", "w-convergence", "--n", "6:2:-2")
         assert rc == 0
@@ -654,3 +664,113 @@ class TestGoldenFiles:
         assert main(self.CASES[name] + ["--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+CONFIG = "<config file>"  # stands for the written config file in an argv
+
+# (config file text or None for no file, argv): the --config command lines
+# of TestConfigFile and TestErrorReporting
+CONFIG_CASES = {
+    "values": ("d = 3\np = 3\nq = 1\nn = 2\n"
+               f"alphas = {ALPHAS_SQRT8}\n# comment line\n", ["ted-ghz", "--config", CONFIG]),
+    "flag-wins": ("d = 3\np = 3\nq = 1\nn = 2\n"
+                  f"alphas = {ALPHAS_SQRT8}\n", ["ted-ghz", "--config", CONFIG, "--n", "5"]),
+    "format-tsv": (f"p = 3\nn = 3\nbetas = {BETAS_TOY}\nformat = tsv\n",
+                   ["ted-w", "--config", CONFIG, "--out", "run.out"]),
+    "format-xml": (f"p = 3\nn = 3\nbetas = {BETAS_TOY}\nformat = xml\n",
+                   ["ted-w", "--config", CONFIG, "--out", "run.out"]),
+    "unknown-keys": ("bogus = 7\ntrials = x\nalpha = 0.1,0.2\nq = -1\n",
+                     ["ted-ghz", "--config", CONFIG, "--d", "3", "--p", "3", "--n", "2",
+                      "--alphas", ALPHAS_SQRT8, "--q", "1"]),
+    "missing-file": (None, ["ted-w", "--config", CONFIG]),
+    "non-integer": (f"p = 3\nn = two\nbetas = {BETAS_TOY}\n", ["ted-w", "--config", CONFIG]),
+    "unknown-family": (f"family = qubit\np = 3\nn = 3\nbetas = {BETAS_TOY}\n",
+                       ["simulate", "--config", CONFIG, "--trials", "10"]),
+    "non-finite-sweep": ("preset = w-contour\npu = nan\n", ["sweep", "--config", CONFIG]),
+}
+
+
+def tree_parse(argv: list[str]):
+    """A command line parsed by the full tree alone, config lines in front
+    of the command's flags: the reference for the per-command parser."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
+    return args
+
+
+class TestPerCommandParser:
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        """What ``parse`` makes of ``argv``: the namespace, with ``func``
+        compared by its function and keywords, or the refusal or exit, and
+        what was printed."""
+        try:
+            args = parse(argv)
+        except InvalidSpecError as exc:
+            result = ("InvalidSpec", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        else:
+            fields = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+            result = ("args", fields, getattr(args.func, "func", args.func),
+                      getattr(args.func, "keywords", {}))
+        printed = capsys.readouterr()
+        return result, printed.out, printed.err
+
+    def assert_same_as_tree(self, argv, capsys):
+        assert self.outcome(cli._parse, argv, capsys) == self.outcome(tree_parse, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        *TestGoldenFiles.CASES.values(),
+        *PARSER_REJECTIONS.values(),
+        *([command, "--help"] for command in cli.COMMANDS),
+        ["ted-ghz", "--version"],
+        ["--", "ted-ghz"],
+    ], ids=[*TestGoldenFiles.CASES, *PARSER_REJECTIONS,
+            *(f"{command}-help" for command in cli.COMMANDS), "ted-ghz-version", "dashes"])
+    def test_command_line_parses_as_the_full_tree_does(self, capsys, argv):
+        self.assert_same_as_tree(argv, capsys)
+
+    @pytest.mark.parametrize("text, argv", list(CONFIG_CASES.values()), ids=list(CONFIG_CASES))
+    def test_config_command_line_parses_as_the_full_tree_does(self, capsys, tmp_path, text, argv):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        self.assert_same_as_tree([str(cfg) if tok == CONFIG else tok for tok in argv], capsys)
+
+
+class TestParserCost:
+    """Counts, not timings: a command declares the flags of the commands it
+    runs and no other, so building the whole tree per command fails here."""
+
+    @pytest.fixture
+    def declared(self, monkeypatch):
+        declared = []
+        for name, (help_text, add_flags) in list(cli.COMMANDS.items()):
+            def counted(sub, name=name, add_flags=add_flags):
+                declared.append(name)
+                add_flags(sub)
+            monkeypatch.setitem(cli.COMMANDS, name, (help_text, counted))
+        return declared
+
+    @pytest.mark.parametrize("name", ["ted_ghz3.csv", "sweep_w_contour.csv"])
+    def test_a_command_declares_only_its_own_flags(self, capsys, tmp_path, declared, name):
+        argv = TestGoldenFiles.CASES[name]
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert declared == [argv[0]]
+
+    def test_replay_declares_its_own_and_the_recorded_commands_flags(
+            self, capsys, tmp_path, declared):
+        out = tmp_path / "run.csv"
+        assert main(TestGoldenFiles.CASES["ted_w3.csv"] + ["--out", str(out)]) == 0
+        declared.clear()
+        assert main(["replay", str(tmp_path / "run.manifest.json")]) == 0
+        assert declared == ["replay", "ted-w"]
+
+    def test_help_without_a_command_declares_every_command(self, capsys, declared):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert declared == list(cli.COMMANDS)

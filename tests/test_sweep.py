@@ -202,7 +202,7 @@ class TestPresetTable:
         assert {(r["p"], r["q"]) for r in rows} == {(3, 2), (4, 3)}
 
     def test_every_preset_list_is_the_table(self):
-        sweep = build_parser()._subparsers._group_actions[0].choices["sweep"]
+        sweep = build_parser("sweep")
         (action,) = [a for a in sweep._actions if a.dest == "preset"]
         assert list(action.choices) == sorted(PRESETS)
         # the benchmark keeps its own copy, which must not drift
