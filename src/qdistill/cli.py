@@ -65,10 +65,10 @@ SWEEP_FIELDS = {  # sweep flag -> SweepGrid field
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # most cells; numpy floats included
+        return f"{value:.12g}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
     if isinstance(value, tuple):
         return "".join(str(v) for v in value)
     return str(value)
@@ -176,7 +176,7 @@ def _rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
     """Header plus one line per row, every line newline-terminated."""
     sep = "\t" if fmt == "tsv" else ","
     lines = [sep.join(columns)]
-    lines.extend(sep.join(_fmt(row[c]) for c in columns) for row in rows)
+    lines.extend(sep.join([_fmt(row[c]) for c in columns]) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,12 @@ closed-form fidelity against the uniform-coefficient target
 
     F = 1 - (1/d) (1 - p_u)^(N-1) (d - (sum_i alpha_i)^2)
 
-(and the same shape with P for W).  The sampled, per-copy view of the same
-protocol lives in :mod:`qdistill.montecarlo`.
+(and the same shape with P for W).  N enters only through (1 - p_u)^(N-1):
+the filter assignment and p_u depend on the spec and the participants, both
+compact states and their overlap on the spec alone, so each is built once
+and kept in a small ``lru_cache``; a call to :func:`run_ted` does only the
+per-N work.  The sampled, per-copy view of the same protocol lives in
+:mod:`qdistill.montecarlo`.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ from .states import (
 REPORT_PROB_TOL = 1e-12
 REPORT_FIDELITY_TOL = 1e-9
 
+# size of each per-spec cache (assignment, zero layer, the two compact states):
 # run paths vary n innermost, so a spec's entries are reused only by the calls
-# right after it: a few entries keep those hits and bound the O(d) data held
+# right after it; a few entries keep those hits and bound the O(d) data held
 SPEC_CACHE_SIZE = 4
 
 
@@ -212,6 +217,16 @@ def closed_form_fidelity(spec: Spec, n: int) -> float:
     return closed_form_fidelity_w(spec, n)
 
 
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _spec_states(spec: Spec) -> tuple[CompactState, CompactState, float]:
+    """The spec's compact state, its uniform target and their squared
+    overlap.  Reports share the arrays, so they are read-only."""
+    initial = make_compact(spec)
+    perfect = make_compact(perfect_like(spec))
+    initial.coeffs.flags.writeable = perfect.coeffs.flags.writeable = False
+    return initial, perfect, float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+
+
 def run_ted(config: ProtocolConfig) -> DistillationReport:
     """Execute the protocol analytically and assemble the report.
 
@@ -221,9 +236,7 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
     """
     pu = success_prob_per_copy(config)
     ps = overall_success(pu, config.n_copies)
-    initial = make_compact(config.spec)
-    perfect = make_compact(perfect_like(config.spec))
-    overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+    initial, perfect, overlap = _spec_states(config.spec)
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,

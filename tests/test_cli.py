@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdistill
@@ -489,6 +490,22 @@ class TestOutputsAndManifests:
         count_col = header.index("count")
         total = sum(int(ln.split(",")[count_col]) for ln in lines[1:])
         assert total == 2000
+
+    @pytest.mark.parametrize("value, text", [
+        (1 / 3, "0.333333333333"),
+        (np.float64(1 / 3), "0.333333333333"),
+        (2.5e-20, "2.5e-20"),
+        (1.0, "1"),
+        (math.nan, "nan"),
+        (True, "true"),
+        (False, "false"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        ("ghz", "ghz"),
+        ((0, 1, 1), "011"),
+    ])
+    def test_cell_formatting(self, value, text):
+        assert cli._fmt(value) == text
 
     def test_tsv_format(self, capsys, tmp_path):
         out = tmp_path / "run.tsv"

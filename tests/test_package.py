@@ -54,14 +54,20 @@ def test_oracles_import_only_the_allowlist():
     assert imported == ORACLE_IMPORTS
 
 
+def bench_module(monkeypatch, name: str):
+    """``bench/<name>.py`` loaded as a module of its own."""
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_trace_targets_resolve(monkeypatch):
     # the benchmark traces these names by module and attribute; a change
     # that deletes or renames one would leave the benchmark a blind spot
-    path = Path(__file__).parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = bench_module(monkeypatch, "spans")
     missing = [
         f"{t.module}.{t.attr}" for t in spans.TARGETS
         if not callable(getattr(importlib.import_module(t.module), t.attr, None))
@@ -72,6 +78,17 @@ def test_bench_trace_targets_resolve(monkeypatch):
         if not hasattr(getattr(importlib.import_module(module), attr, None), "cache_info")
     ]
     assert uncached == []
+
+
+def test_bench_empties_the_spec_state_cache(monkeypatch):
+    # the bench models each command and pass as a fresh process; a cache it
+    # did not empty would carry states across commands, a reuse no user sees
+    workloads = bench_module(monkeypatch, "workloads")
+    spec = qdistill.GhzSpec(2, 2, (0.6, 0.8))
+    qdistill.run_ted(qdistill.ProtocolConfig(2, qdistill.Family.GHZ_DIAGONAL, spec, 1))
+    assert qdistill.ted._spec_states.cache_info().currsize > 0
+    workloads.clear_package_caches()
+    assert qdistill.ted._spec_states.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("workload", ["ted-sweep", "mc", "steer", "cli"])

@@ -1,3 +1,4 @@
+import collections
 import decimal
 import math
 import tracemalloc
@@ -32,12 +33,16 @@ from qdistill import (
     run_tsd,
     success_prob_per_copy,
 )
+import qdistill.ted
 from qdistill.linalg import _root_fidelity
+from qdistill.states import perfect_like
 from qdistill.ted import (
+    SPEC_CACHE_SIZE,
     DistillationReport,
     StateMixture,
     _cached_assignment,
     _compact_zero_layer,
+    _spec_states,
     assignment_for,
     closed_form_fidelity,
     fidelity_from_success,
@@ -51,12 +56,14 @@ from conftest import (
     dense_report,
     dense_vector,
     ghz_config,
+    ghz_corpus,
     oracle_layer,
     oracle_state_fidelity,
     oracle_w_law,
     random_ghz_spec,
     random_w_spec,
     w_config,
+    w_corpus,
 )
 import itertools
 
@@ -470,6 +477,7 @@ class TestLinearInD:
         spec = GhzSpec(d, 3, tuple(v / np.linalg.norm(v)))
         _cached_assignment.cache_clear()
         _compact_zero_layer.cache_clear()
+        _spec_states.cache_clear()
         tracemalloc.start()
         try:
             report = run_ted(ghz_config(spec, n=10, q=2))
@@ -485,9 +493,11 @@ class TestSpecCaches:
     def test_held_memory_stops_growing_with_distinct_specs(self):
         # every run path varies n innermost, so the caches need keep only the
         # latest specs; a cache keyed on every spec ever seen grows without bound
+        caches = (_cached_assignment, _compact_zero_layer, _spec_states)
+
         def held_after(count: int) -> int:
-            _cached_assignment.cache_clear()
-            _compact_zero_layer.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
             rng = np.random.default_rng(5)
             tracemalloc.start()
             try:
@@ -501,7 +511,90 @@ class TestSpecCaches:
 
         base = held_after(20)
         # 20 more specs of d = 2000 would hold at least 20 x 2000 x 8 B more
+        # (the compact and uniform states alone 20 x 2 x 2000 x 8 B)
         assert held_after(40) - base < 20 * 2000 * 8 / 4
+        assert [cache.cache_info().currsize for cache in caches] == [SPEC_CACHE_SIZE] * 3
+
+    def test_reports_match_a_per_call_rebuild_through_evictions(self):
+        # SPEC_CACHE_SIZE + 1 specs visited round-robin evict each entry before
+        # its next use, so every call rebuilds; the repeat call is the hit
+        fields = ("n_copies", "p_success_per_copy", "p_success_overall",
+                  "fidelity_closed_form", "fidelity_numeric")
+        specs = ghz_corpus(30) + w_corpus(20)
+        group = SPEC_CACHE_SIZE + 1
+        for start in range(0, len(specs), group):
+            _spec_states.cache_clear()
+            visits = 0
+            for n in (2, 3, 7, 50):
+                for spec in specs[start:start + group]:
+                    config = (ghz_config if isinstance(spec, GhzSpec) else w_config)(spec, n=n)
+                    expected = rebuilt_report(config)
+                    for report in (run_ted(config), run_ted(config)):
+                        assert [getattr(report, f) for f in fields] == [
+                            getattr(expected, f) for f in fields]
+                        for (w, state), (w_ref, ref) in zip(
+                                report.distilled_state.components,
+                                expected.distilled_state.components, strict=True):
+                            assert w == w_ref and state.spec == ref.spec
+                            assert np.array_equal(state.coeffs, ref.coeffs)
+                    visits += 1
+            info = _spec_states.cache_info()
+            assert (info.misses, info.hits) == (visits, visits)
+
+    def test_cached_states_are_read_only(self):
+        spec = random_ghz_spec(np.random.default_rng(8), 6, 3)
+        first = run_ted(ghz_config(spec, n=4))
+        kept = [state.coeffs.copy() for _, state in first.distilled_state.components]
+        for _, state in first.distilled_state.components:
+            with pytest.raises(ValueError):
+                state.coeffs[0] = 0.5
+        second = run_ted(ghz_config(spec, n=4))
+        for (_, state), values in zip(second.distilled_state.components, kept, strict=True):
+            assert np.array_equal(state.coeffs, values)
+
+
+def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
+    """``run_ted`` with the spec's states built afresh on every call."""
+    pu = success_prob_per_copy(config)
+    ps = overall_success(pu, config.n_copies)
+    initial = make_compact(config.spec)
+    perfect = make_compact(perfect_like(config.spec))
+    overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+    return DistillationReport(
+        n_copies=config.n_copies,
+        p_success_per_copy=pu,
+        p_success_overall=ps,
+        fidelity_closed_form=closed_form_fidelity(config.spec, config.n_copies),
+        fidelity_numeric=ps + (1.0 - ps) * overlap,
+        distilled_state=StateMixture(((ps, perfect), (1.0 - ps, initial))),
+    )
+
+
+class TestSpecStateCost:
+    """Counts, not timings: the per-spec builders run once per spec however
+    many n a run visits, so rebuilding them per call fails here."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = collections.Counter()
+        for name in ("perfect_like", "make_compact"):
+            fn = getattr(qdistill.ted, name)
+
+            def counted(spec, name=name, fn=fn):
+                built[name] += 1
+                return fn(spec)
+            monkeypatch.setattr(qdistill.ted, name, counted)
+        return built
+
+    def test_a_sweep_over_n_builds_the_spec_states_once(self, built):
+        spec = random_ghz_spec(np.random.default_rng(9), 50, 50)
+        for cache in (_cached_assignment, _compact_zero_layer, _spec_states):
+            cache.cache_clear()
+        success_prob_per_copy(ghz_config(spec))  # p_u's own compact state
+        built.clear()
+        for n in range(2, 102):
+            run_ted(ghz_config(spec, n=n))
+        assert built == {"perfect_like": 1, "make_compact": 2}
 
 
 class TestConfigValidation:
