@@ -14,16 +14,21 @@ counter-based Philox stream keyed by (s, i), so results are identical no
 matter how trials are scheduled or parallelized.
 
 The run path needs only p_u: :func:`run_stats` keeps a copy iff its uniform
-is below ``success_prob_per_copy(config)`` (bit for bit
-``outcome_distribution(config)[1][0]``) and draws whole chunks of trials
-with :func:`philox_uniforms`, bit for bit ``trial_rng(s, i).random(N - 1)``.
-The capped 2^Q :func:`outcome_distribution` and the one-trial
-:func:`simulate_trial` with its full outcome record are reference only.
+``(w >> 11) * 2**-53`` is below ``success_prob_per_copy(config)`` (bit for
+bit ``outcome_distribution(config)[1][0]``).  It never forms that float:
+:func:`survives` compares ``w >> 11`` with the integer ``ceil(p_u * 2**53)``,
+which is the same test.  The words come from :func:`philox_words`, bit for
+bit ``trial_rng(s, i)``'s, in tiles of at most ``_CHUNK_BLOCKS`` blocks:
+many short trials a tile, or one long trial split into block ranges whose
+counts add, so memory stays O(tile) at any N.  The capped 2^Q
+:func:`outcome_distribution` and the one-trial :func:`simulate_trial` with
+its full outcome record are reference only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -37,11 +42,14 @@ from .ted import ProtocolConfig, _cached_assignment, apply_filter_layer, success
 DISTRIBUTION_SUM_TOL = 1e-12
 MAX_OUTCOME_STRINGS = 2**16  # cap on the 2^Q strings enumerated per config
 
-# run_stats draws at most this many Philox blocks (4 uniforms each) per chunk
+# run_stats draws at most this many Philox blocks (4 words each) per tile:
+# about 0.6 MiB of traced buffers
 _CHUNK_BLOCKS = 4096
 
-# trials x (N - 1): 1 s of CPU at the measured 1e7 copies/s (one trial: 2.5 s,
-# 48 B a copy); 20x the largest test run (1e5 x 5), 200x a bench mc job
+# trials x (N - 1): 0.5-0.65 s of CPU at the measured 1.6-2e7 copies/s for
+# N - 1 >= 4, in many trials or one (29 MB max RSS for one trial at the cap,
+# 1.3 MB above the import); 2.3 s at N = 2, where each trial encrypts a whole
+# block for one copy; 20x the largest test run (1e5 x 5), 200x a bench mc job
 MC_WORK_CAP = 10**7
 
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
@@ -131,36 +139,58 @@ def simulate_trial(config: ProtocolConfig, rng: np.random.Generator) -> TrialRec
     )
 
 
-def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of ``multiplier * x``, from 32-bit halves."""
+def _mulhi(multiplier: int, x: np.ndarray) -> np.ndarray:
+    """High 64-bit word of ``multiplier * x``, from 32-bit halves.
+
+    ``u`` and ``v`` fold the carries of the two cross products; each is at
+    most 2**64 - 2**32, so neither sum can wrap.
+    """
     m_hi, m_lo = np.uint64(multiplier >> 32), np.uint64(multiplier & 0xFFFFFFFF)
     x_hi, x_lo = x >> _S32, x & _LO32
-    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
-    mid = (lo_lo >> _S32) + (hi_lo & _LO32) + (lo_hi & _LO32)
-    hi = m_hi * x_hi + (hi_lo >> _S32) + (lo_hi >> _S32) + (mid >> _S32)
-    return hi, np.uint64(multiplier) * x
+    u = m_hi * x_lo + (m_lo * x_lo >> _S32)
+    v = m_lo * x_hi + (u & _LO32)
+    return m_hi * x_hi + (u >> _S32) + (v >> _S32)
 
 
-def philox_uniforms(seed: int, start: int, count: int, m: int) -> np.ndarray:
-    """First ``m`` uniforms of the trials ``start .. start+count-1``.
+def philox_words(seed: int, start: int, count: int, first: int, blocks: int) -> np.ndarray:
+    """64-bit words of blocks ``first .. first+blocks-1`` of the trials
+    ``start .. start+count-1``: four words a block, one trial a column.
 
-    Row ``t`` equals ``trial_rng(seed, start + t).random(m)`` bit for bit:
-    the key is (seed, trial index), block ``b`` encrypts the counter
+    The key is (seed, trial index), and block ``b`` encrypts the counter
     (b+1, 0, 0, 0) because numpy bumps the counter before its first block,
-    and each 64-bit word w becomes the double ``(w >> 11) * 2**-53``.
+    so with ``first = 0`` column ``t`` holds ``trial_rng(seed, start + t)``'s
+    words in order.  The state starts in shapes that broadcast: round 0
+    multiplies only the block counters and round 1's first product is one
+    number per tile.
     """
-    blocks = -(-m // 4)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
-    c1 = c2 = c3 = np.zeros((count, blocks), dtype=np.uint64)
-    k1 = np.arange(count, dtype=np.uint64)[:, None] + np.uint64(start)
+    c0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[:, None]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k1 = np.arange(count, dtype=np.uint64)[None, :] + np.uint64(start)
+    m0, m1 = (np.uint64(m) for m in _PHILOX_M)
     for r in range(10):
         round_k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
         round_k1 = k1 + np.uint64(r * _PHILOX_W[1] % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ round_k0, lo1, hi0 ^ c3 ^ round_k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(count, 4 * blocks)[:, :m]
-    return (words >> np.uint64(11)) * 2.0**-53
+        hi0, hi1 = _mulhi(_PHILOX_M[0], c0), _mulhi(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ (c1 ^ round_k0), m1 * c2, hi0 ^ c3 ^ round_k1, m0 * c0
+    return np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, count)
+
+
+def philox_uniforms(seed: int, start: int, count: int, m: int) -> np.ndarray:
+    """First ``m`` uniforms of the trials ``start .. start+count-1``: row
+    ``t`` equals ``trial_rng(seed, start + t).random(m)`` bit for bit."""
+    return (philox_words(seed, start, count, 0, -(-m // 4))[:m].T >> np.uint64(11)) * 2.0**-53
+
+
+def survives(words: np.ndarray, pu: float) -> np.ndarray:
+    """``(w >> 11) * 2**-53 < pu`` for each word ``w``, compared as integers.
+
+    For an integer k, ``k * 2**-53 < pu`` iff ``k < ceil(pu * 2**53)``, and
+    both sides are exact for every finite ``pu >= 0``: scaling by 2**53 is
+    exact and ``w >> 11`` is an integer below 2**53, which is why capping
+    the threshold at 2**53 (so that it fits a word) changes nothing.
+    """
+    threshold = np.uint64(min(math.ceil(pu * 2.0**53), 2**53))
+    return words >> np.uint64(11) < threshold
 
 
 def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
@@ -180,16 +210,23 @@ def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
     if trials * filtered > MC_WORK_CAP:
         raise WorkCapExceededError(f"{trials} trials x {filtered} copies > the cap {MC_WORK_CAP}")
     pu = success_prob_per_copy(config)
-    chunk = max(1, _CHUNK_BLOCKS // -(-filtered // 4))
-    histogram = np.zeros(config.n_copies, dtype=np.int64)
+    per_trial = -(-filtered // 4)  # Philox blocks per trial
+    span = min(per_trial, _CHUNK_BLOCKS)
+    chunk = max(1, _CHUNK_BLOCKS // per_trial)
+    histogram: dict[int, int] = {}
     for start in range(0, trials, chunk):
-        u = philox_uniforms(seed, start, min(chunk, trials - start), filtered)
-        # simulate_trial keeps a copy iff u < cumsum(probs)[0], which is p_u
-        kept = np.count_nonzero(u < pu, axis=1)
-        histogram += np.bincount(kept, minlength=config.n_copies)
-    seen = np.flatnonzero(histogram)
+        count = min(chunk, trials - start)
+        kept = np.zeros(count, dtype=np.int64)
+        for first in range(0, per_trial, span):
+            words = philox_words(seed, start, count, first, min(span, per_trial - first))
+            # simulate_trial keeps a copy iff u < cumsum(probs)[0], which is p_u
+            kept += np.count_nonzero(survives(words[: filtered - 4 * first], pu), axis=0)
+        low = int(kept.min())  # bins span this tile's counts, not 0..N-1
+        counts = np.bincount(kept - low)
+        for k in np.flatnonzero(counts).tolist():
+            histogram[low + k] = histogram.get(low + k, 0) + int(counts[k])
     return EmpiricalStats(
         trials=trials,
-        success_rate=(trials - int(histogram[0])) / trials,
-        kept_count_histogram=dict(zip(seen.tolist(), histogram[seen].tolist())),
+        success_rate=(trials - histogram.get(0, 0)) / trials,
+        kept_count_histogram=dict(sorted(histogram.items())),
     )

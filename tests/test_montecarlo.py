@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from qdistill import (
     run_stats,
     simulate_trial,
 )
-from qdistill.montecarlo import _CHUNK_BLOCKS, outcome_distribution, philox_uniforms, trial_rng
+from qdistill import montecarlo
+from qdistill.montecarlo import (
+    _CHUNK_BLOCKS,
+    outcome_distribution,
+    philox_uniforms,
+    philox_words,
+    survives,
+    trial_rng,
+)
 from qdistill.ted import overall_success, success_prob_per_copy
 
 from conftest import ghz_config, random_ghz_spec, w_config
@@ -130,6 +139,31 @@ class TestPhiloxUniforms:
         got = philox_uniforms(seed, start, count, m)
         want = np.array([trial_rng(seed, start + t).random(m) for t in range(count)])
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# a multiple of 2**-53 (k = 3 * 2**51 + 5): its neighbouring doubles sit on
+# either side of a step of the integer threshold
+EDGE_U = (3 * 2**51 + 5) * 2.0**-53
+
+
+@given(pu=st.floats(0.0, 1.0 + 1e-12))
+@example(pu=0.0)
+@example(pu=5e-324)
+@example(pu=0.5)
+@example(pu=0.25 + 2**-53)
+@example(pu=float(np.nextafter(EDGE_U, 0.0)))
+@example(pu=EDGE_U)
+@example(pu=float(np.nextafter(EDGE_U, 1.0)))
+@example(pu=1 - 2**-53)
+@example(pu=1.0)
+@example(pu=1 + 1e-13)
+def test_integer_threshold_equals_float_comparison(pu):
+    """survives against the float comparison simulate_trial makes, on Philox
+    words and on the words whose top 53 bits sit next to the threshold."""
+    k = min(math.floor(pu * 2.0**53), 2**53 - 1)
+    edge = [(j << 11) | low for j in range(max(k - 1, 0), min(k + 2, 2**53)) for low in (0, 2047)]
+    words = np.concatenate((philox_words(3, 0, 1, 0, 64)[:, 0], np.array(edge, dtype=np.uint64)))
+    assert np.array_equal(survives(words, pu), (words >> np.uint64(11)) * 2.0**-53 < pu)
 
 
 class TestSimulateTrial:
@@ -255,3 +289,35 @@ def test_run_stats_equals_per_trial_loop(name, n):
         expected = {k: int(c) for k, c in enumerate(hist) if c}
         assert stats.kept_count_histogram == expected
         assert stats.success_rate == (trials - expected.get(0, 0)) / trials
+
+
+@pytest.mark.parametrize("n", (2, 5, 6, 9, 18))
+@pytest.mark.parametrize("tile", (1, 2, 3))
+def test_run_stats_streams_trials_across_tiles(monkeypatch, tile, n):
+    """With tiny tiles one trial spans several tiles (N = 18 has five
+    blocks, the last holding one copy); histograms still equal the loop."""
+    monkeypatch.setattr(montecarlo, "_CHUNK_BLOCKS", tile)
+    name = sorted(BATCH_CONFIGS)[(n + tile) % 3]
+    config, seed = BATCH_CONFIGS[name](n), BATCH_SEEDS[tile - 1]
+    chunk = max(1, tile // -(-(n - 1) // 4))
+    trial_counts = (1, chunk, chunk + 1, 3 * chunk + 2)
+    kept = loop_kept_counts(config, max(trial_counts), seed)
+    for trials in trial_counts:
+        hist = np.bincount(kept[:trials])
+        expected = {k: int(c) for k, c in enumerate(hist) if c}
+        assert run_stats(config, trials, seed).kept_count_histogram == expected
+
+
+def test_one_long_trial_holds_one_tile_of_memory():
+    """A trial of 10**6 filtered copies is counted tile by tile: the traced
+    peak stays under 2 MiB, where its 10**6 uniforms alone would take 8 MB."""
+    config, seed = ghz_config(SQRT8_SPEC, n=10**6 + 1), 2**64 - 1
+    want = int(np.count_nonzero(trial_rng(seed, 0).random(10**6) < success_prob_per_copy(config)))
+    tracemalloc.start()
+    try:
+        stats = run_stats(config, 1, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert stats.kept_count_histogram == {want: 1}
