@@ -93,9 +93,7 @@ def outcome_distribution(
             f"q = {config.q} needs 2**{config.q} outcome strings, "
             f"over the cap of {MAX_OUTCOME_STRINGS}"
         )
-    assignment = _cached_assignment(
-        config.family, config.spec, config.q, config.partition
-    )
+    assignment = _cached_assignment(config.spec, config.q, config.partition)
     state = make_compact(config.spec)
     strings = tuple(itertools.product((0, 1), repeat=assignment.q))
     probs = []
@@ -173,12 +171,6 @@ def philox_words(seed: int, start: int, count: int, first: int, blocks: int) -> 
         hi0, hi1 = _mulhi(_PHILOX_M[0], c0), _mulhi(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ (c1 ^ round_k0), m1 * c2, hi0 ^ c3 ^ round_k1, m0 * c0
     return np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, count)
-
-
-def philox_uniforms(seed: int, start: int, count: int, m: int) -> np.ndarray:
-    """First ``m`` uniforms of the trials ``start .. start+count-1``: row
-    ``t`` equals ``trial_rng(seed, start + t).random(m)`` bit for bit."""
-    return (philox_words(seed, start, count, 0, -(-m // 4))[:m].T >> np.uint64(11)) * 2.0**-53
 
 
 def survives(words: np.ndarray, pu: float) -> np.ndarray:

@@ -15,11 +15,13 @@ closed-form fidelity against the uniform-coefficient target
 
     F = 1 - (1/d) (1 - p_u)^(N-1) (d - (sum_i alpha_i)^2)
 
-(and the same shape with P for W).  N enters only through (1 - p_u)^(N-1):
-the filter assignment and p_u depend on the spec and the participants, both
-compact states and their overlap on the spec alone, so each is built once
-and kept in a small ``lru_cache``; a call to :func:`run_ted` does only the
-per-N work.  The sampled, per-copy view of the same protocol lives in
+(and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
+so p_u, both compact states and their overlap are fixed by the spec, q and
+the partition.  :func:`spec_context` builds that set; ``run_ted``,
+``run_stats`` and ``simulate`` read it through one small ``lru_cache``
+(``_compact_zero_layer``), and ``run_tsd``, whose specs rarely repeat,
+calls it directly.  A call to :func:`run_ted` does only the per-N work.
+The sampled, per-copy view of the same protocol lives in
 :mod:`qdistill.montecarlo`.
 """
 
@@ -56,9 +58,10 @@ from .states import (
 REPORT_PROB_TOL = 1e-12
 REPORT_FIDELITY_TOL = 1e-9
 
-# size of each per-spec cache (assignment, zero layer, the two compact states):
-# run paths vary n innermost, so a spec's entries are reused only by the calls
-# right after it; a few entries keep those hits and bound the O(d) data held
+# size of each (spec, q, partition) cache (the spec context, and the
+# assignment the reference outcome enumeration reads): run paths vary n
+# innermost, so an entry is reused only by the calls right after it; a few
+# entries keep those hits and bound the O(d) data held
 SPEC_CACHE_SIZE = 4
 
 
@@ -122,27 +125,22 @@ class DistillationReport:
 
 
 def assignment_for(
-    family: Family,
-    spec: Spec,
-    q: int,
-    partition: IndexPartition | None = None,
+    spec: Spec, q: int, partition: IndexPartition | None = None
 ) -> FilterAssignment:
     """Filter assignment under the default participation convention
-    (the last q parties participate)."""
-    if family is Family.GHZ_DIAGONAL:
-        assert isinstance(spec, GhzSpec)
+    (the last q parties participate); W always uses all p-1 of them."""
+    if isinstance(spec, GhzSpec):
         if partition is None:
             partition = IndexPartition.contiguous(spec.d, q)
         return ghz_partition_assignment(spec, partition, last_parties(spec.p, q))
-    assert isinstance(spec, WSpec)
     return w_assignment(spec)
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def _cached_assignment(
-    family: Family, spec: Spec, q: int, partition: IndexPartition | None
+    spec: Spec, q: int, partition: IndexPartition | None
 ) -> FilterAssignment:
-    return assignment_for(family, spec, q, partition)
+    return assignment_for(spec, q, partition)
 
 
 def apply_filter_layer(
@@ -169,18 +167,29 @@ def overall_success(p_per_copy: float, n: int) -> float:
     return 1.0 - (1.0 - min(p_per_copy, 1.0)) ** (n - 1)
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _compact_zero_layer(
-    family: Family, spec: Spec, q: int, partition: IndexPartition | None
-) -> float:
-    """Success probability of the all-zeros outcome on the compact state."""
-    assignment = _cached_assignment(family, spec, q, partition)
-    return apply_filter_layer(make_compact(spec), assignment, (0,) * assignment.q)[1]
+def spec_context(
+    spec: Spec, q: int, partition: IndexPartition | None
+) -> tuple[float, CompactState, CompactState, float]:
+    """Everything of a run that N does not enter: p_u (the all-zeros
+    outcome's probability on the compact state), that state, its uniform
+    target and their squared overlap.  Reports share the arrays, so they
+    are read-only.  The assignment is built here, not read from
+    ``_cached_assignment``: a cached context needs it no more, and
+    ``run_tsd``'s fresh specs would only miss."""
+    initial = make_compact(spec)
+    assignment = assignment_for(spec, q, partition)
+    pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)[1]
+    perfect = make_compact(perfect_like(spec))
+    initial.coeffs.flags.writeable = perfect.coeffs.flags.writeable = False
+    return pu, initial, perfect, float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+
+
+_compact_zero_layer = lru_cache(maxsize=SPEC_CACHE_SIZE)(spec_context)
 
 
 def success_prob_per_copy(config: ProtocolConfig) -> float:
     """Probability that every participant reports outcome 0 on one copy."""
-    return _compact_zero_layer(config.family, config.spec, config.q, config.partition)
+    return _compact_zero_layer(config.spec, config.q, config.partition)[0]
 
 
 def closed_form_fidelity_ghz(spec: GhzSpec, n: int) -> float:
@@ -217,16 +226,6 @@ def closed_form_fidelity(spec: Spec, n: int) -> float:
     return closed_form_fidelity_w(spec, n)
 
 
-@lru_cache(maxsize=SPEC_CACHE_SIZE)
-def _spec_states(spec: Spec) -> tuple[CompactState, CompactState, float]:
-    """The spec's compact state, its uniform target and their squared
-    overlap.  Reports share the arrays, so they are read-only."""
-    initial = make_compact(spec)
-    perfect = make_compact(perfect_like(spec))
-    initial.coeffs.flags.writeable = perfect.coeffs.flags.writeable = False
-    return initial, perfect, float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
-
-
 def run_ted(config: ProtocolConfig) -> DistillationReport:
     """Execute the protocol analytically and assemble the report.
 
@@ -234,9 +233,8 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
     coefficient vectors, not from the closed form.  The report carries the
     two-component mixture as compact states, the only state form.
     """
-    pu = success_prob_per_copy(config)
+    pu, initial, perfect, overlap = _compact_zero_layer(config.spec, config.q, config.partition)
     ps = overall_success(pu, config.n_copies)
-    initial, perfect, overlap = _spec_states(config.spec)
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,

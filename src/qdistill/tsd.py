@@ -12,8 +12,9 @@ setting string (non-signaling).  Participating characterized parties then
 apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
-protocol for the same spec: ``run_tsd`` takes it from
-``ted.apply_filter_layer`` on the compact state, as ``run_ted`` does.
+protocol for the same spec: ``run_tsd`` takes p_u and both compact states
+from ``ted.spec_context``, the builder behind ``run_ted``'s cache, and
+calls it uncached since its specs rarely repeat.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -58,10 +59,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError
 from .filters import FilterAssignment, span_multiplier
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
-from .states import CompactState, Family, Spec, local_column, make_compact, perfect_like
-from .states import span_shape
-from .ted import ProtocolConfig, apply_filter_layer, assignment_for, closed_form_fidelity
-from .ted import overall_success
+from .states import CompactState, Family, Spec, local_column, span_shape
+from .ted import ProtocolConfig, closed_form_fidelity, overall_success, spec_context
 
 Setting = tuple[int, ...]
 
@@ -213,13 +212,9 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     string that non-uniform specs converge to.
     """
     spec = config.base.spec
-    state = make_compact(spec)
-    ini = build_assemblage(state, config)
-    perf = build_assemblage(make_compact(perfect_like(spec)), config)
-    assignment = assignment_for(
-        config.base.family, spec, config.base.q, config.base.partition
-    )
-    _, pu = apply_filter_layer(state, assignment, (0,) * assignment.q)
+    pu, initial, perfect, _ = spec_context(spec, config.base.q, config.base.partition)
+    ini = build_assemblage(initial, config)
+    perf = build_assemblage(perfect, config)
     ps = overall_success(pu, config.base.n_copies)
     dist = mix_assemblages(ps, perf, ini)
     per_setting = assemblage_fidelity_by_setting(dist, perf)

@@ -208,6 +208,24 @@ def oracle_w_law(betas: tuple[float, ...], n: int) -> tuple[decimal.Decimal, dec
         return pu, 1 - (1 - pu) ** (n - 1) * (p - total * total) / p
 
 
+def oracle_w_fmax(betas: tuple[float, ...], idle) -> float:
+    """Best fidelity with the uniform P-party W state that diagonal filters
+    on every party outside ``idle`` can post-select from
+    sum_i beta_i |1 on party P-1-i>, with I the idle parties and Q = P - |I|:
+
+        F_max = (Q + (sum_I beta)^2 / sum_I beta^2) / P
+
+    Every participant's |0> entry scales all coefficients but its own, so
+    the idle coefficients share one factor and keep their ratios, while
+    each participant's own coefficient is free: the best state is the
+    all-ones vector projected onto that span.  Exact in fractions.
+    """
+    p = len(betas)
+    chosen = [Fraction(betas[p - 1 - j]) for j in idle]
+    total, squares = sum(chosen), sum(b * b for b in chosen)
+    return float((p - len(chosen) + total * total / squares) / p)
+
+
 def oracle_ghz_settings(alphas: tuple[float, ...], n: int) -> tuple[decimal.Decimal, decimal.Decimal]:
     """Exact GHZ steering per-setting law to 50 digits, alpha_0 minimal:
     (all-Fourier value, value of any string with a computational party)
@@ -255,7 +273,7 @@ def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     the compact route.  Subject to the dense cap.
     """
     spec = config.spec
-    assignment = assignment_for(config.family, spec, config.q, config.partition)
+    assignment = assignment_for(spec, config.q, config.partition)
     initial = make_dense(spec)
     _, pu = oracle_layer(assignment, (0,) * assignment.q, initial)
     ps = overall_success(pu, config.n_copies)
@@ -410,7 +428,7 @@ def oracle_steering(config) -> SimpleNamespace:
     """
     base, s = config.base, config.s
     spec = base.spec
-    assignment = assignment_for(base.family, spec, base.q, base.partition)
+    assignment = assignment_for(spec, base.q, base.partition)
     _, pu = oracle_layer(assignment, (0,) * assignment.q, make_dense(spec))
     ps = overall_success(pu, base.n_copies)
     per_setting = {}

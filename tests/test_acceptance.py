@@ -133,7 +133,7 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
     for spec in ghz_specs:
         psi = make_dense(spec)
         perfect_ket = make_dense(perfect_ghz(spec.d, spec.p))
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
+        assignment = assignment_for(spec, 1)
         _, pu = oracle_layer(assignment, (0,), psi)
         overlap = abs(np.vdot(perfect_ket, psi)) ** 2
         for n in (2, 3, 5, 10):
@@ -180,7 +180,7 @@ def test_criterion_04_w_success_and_fidelity(w_specs):
         be = np.array(spec.betas)
         expected = spec.p * float(np.prod(be**2)) / be[-1] ** (2 * (spec.p - 1))
         psi = make_dense(spec)
-        assignment = assignment_for(Family.W_SINGLE_EXCITATION, spec, spec.p - 1)
+        assignment = assignment_for(spec, spec.p - 1)
         _, prob = oracle_layer(assignment, (0,) * (spec.p - 1), psi)
         worst_prob = max(worst_prob, abs(prob - expected))
         perfect_ket = make_dense(perfect_w(spec.p))
@@ -241,7 +241,7 @@ def test_criterion_06_non_signaling(rng):
         config = SteeringConfig(ProtocolConfig(2, family, spec, q), s)
         asm = build_assemblage(make_compact(spec), config)
         deviations.append(nonsignaling_deviation(asm))
-        assignment = assignment_for(family, spec, q)
+        assignment = assignment_for(spec, q)
         for outcome in [(0,) * assignment.q, (1,) + (0,) * (assignment.q - 1)]:
             filtered, _ = filter_assemblage(asm, assignment, outcome)
             deviations.append(nonsignaling_deviation(filtered))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qdistill import (
@@ -24,6 +24,7 @@ from conftest import (
     completeness_deviation,
     labeled_partitions,
     oracle_layer,
+    oracle_w_fmax,
     random_ghz_spec,
     random_w_spec,
 )
@@ -280,3 +281,60 @@ class TestKrausPairType:
         layer = FilterAssignment(3, (1, 2), rows)
         assert np.array_equal(layer.k0, rows) and layer.k0 is not rows
         assert np.array_equal(layer.k1, np.sqrt(np.clip(1.0 - rows * rows, 0.0, None)))
+
+
+def post_selected_w_fidelity(assignment: FilterAssignment, spec: WSpec) -> float:
+    """Fidelity of the all-zeros outcome's normalized state with the uniform
+    W state, on dense vectors through the Kronecker-product oracle layer."""
+    out, prob = oracle_layer(assignment, (0,) * assignment.q, make_dense(spec))
+    return abs(np.vdot(make_dense(perfect_w(spec.p)), out)) ** 2 / prob
+
+
+class TestWNeedsAllButOneParty:
+    """The abstract's W claim: reaching the uniform W state takes Q = P - 1
+    participants.  With fewer, the post-selected fidelity is bounded by
+    ``oracle_w_fmax``, which is below 1 unless the idle coefficients are
+    equal, and the bound is tight.  This covers diagonal (dichotomic,
+    computational-basis) filters, the class the package implements, not
+    general local operations."""
+
+    @given(data=st.data())
+    def test_fewer_participants_stay_at_or_below_the_bound(self, data):
+        p = data.draw(st.integers(3, 10))
+        q = data.draw(st.integers(1, p - 2))
+        parties = data.draw(st.lists(st.integers(0, p - 1), min_size=q, max_size=q, unique=True))
+        v = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=p, max_size=p)))
+        spec = WSpec(p, tuple(v / np.linalg.norm(v)))
+        k0 = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                min_size=q, max_size=q))
+        layer = FilterAssignment(p, tuple(sorted(parties)), np.array(k0))
+        # far from underflow, so every coefficient that matters is a normal float
+        assume(oracle_layer(layer, (0,) * q, make_dense(spec))[1] > 1e-200)
+        idle = set(range(p)) - set(parties)
+        assert post_selected_w_fidelity(layer, spec) <= oracle_w_fmax(spec.betas, idle) + 1e-12
+
+    @pytest.mark.parametrize("p, parties", [(3, (2,)), (4, (1, 2)), (6, (0, 2, 5)), (10, (3,)),
+                                            (10, (0, 1, 2, 3, 4, 5, 6, 7))])
+    def test_the_bound_is_reached(self, p, parties):
+        # participant j keeps |1> against |0> at ratio (sum_I b^2) / ((sum_I b) b_j),
+        # which puts its coefficient on the projection of the all-ones vector
+        spec = random_w_spec(np.random.default_rng(p + len(parties)), p)
+        idle = [j for j in range(p) if j not in parties]
+        beta = [spec.betas[p - 1 - j] for j in range(p)]  # by party
+        total, squares = sum(beta[j] for j in idle), sum(beta[j] ** 2 for j in idle)
+        rows = []
+        for j in parties:
+            ratio = squares / (total * beta[j])
+            rows.append((1.0, ratio) if ratio <= 1.0 else (1.0 / ratio, 1.0))
+        fmax = oracle_w_fmax(spec.betas, idle)
+        assert fmax < 1.0 - 1e-6  # the random idle coefficients differ
+        fidelity = post_selected_w_fidelity(FilterAssignment(p, parties, np.array(rows)), spec)
+        assert abs(fidelity - fmax) <= 1e-12
+
+    def test_all_but_one_party_reach_the_uniform_state(self):
+        rng = np.random.default_rng(7)
+        for p in range(2, 11):
+            spec = random_w_spec(rng, p)
+            assert oracle_w_fmax(spec.betas, {0}) == 1.0
+            fidelity = post_selected_w_fidelity(w_assignment(spec), spec)
+            assert fidelity == pytest.approx(1.0, abs=1e-12)

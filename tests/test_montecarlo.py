@@ -21,7 +21,6 @@ from qdistill import montecarlo
 from qdistill.montecarlo import (
     _CHUNK_BLOCKS,
     outcome_distribution,
-    philox_uniforms,
     philox_words,
     survives,
     trial_rng,
@@ -136,8 +135,11 @@ class TestPhiloxUniforms:
     @example(seed=2**64 - 1, start=2**64 - 7, count=7, m=13)
     @example(seed=0, start=0, count=1, m=1)
     def test_matches_numpy_philox_bit_for_bit(self, seed, start, count, m):
-        got = philox_uniforms(seed, start, count, m)
-        want = np.array([trial_rng(seed, start + t).random(m) for t in range(count)])
+        # numpy's uniform is (w >> 11) * 2**-53 of the same word, so equal words
+        # are equal draws for run_stats and the reference alike
+        got = philox_words(seed, start, count, 0, -(-m // 4))[:m].T
+        want = np.array([trial_rng(seed, start + t).bit_generator.random_raw(m)
+                         for t in range(count)])
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -86,9 +87,22 @@ def test_bench_empties_the_spec_state_cache(monkeypatch):
     workloads = bench_module(monkeypatch, "workloads")
     spec = qdistill.GhzSpec(2, 2, (0.6, 0.8))
     qdistill.run_ted(qdistill.ProtocolConfig(2, qdistill.Family.GHZ_DIAGONAL, spec, 1))
-    assert qdistill.ted._spec_states.cache_info().currsize > 0
+    assert qdistill.ted._compact_zero_layer.cache_info().currsize > 0
     workloads.clear_package_caches()
-    assert qdistill.ted._spec_states.cache_info().currsize == 0
+    assert qdistill.ted._compact_zero_layer.cache_info().currsize == 0
+
+
+def test_every_package_cache_is_bounded():
+    # run paths meet a new spec on nearly every call, so a cache without a
+    # size limit would hold every spec a long run has seen
+    sizes = {}
+    for module_info in pkgutil.iter_modules(qdistill.__path__, "qdistill."):
+        module = importlib.import_module(module_info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                sizes[f"{module_info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"qdistill.ted._cached_assignment", "qdistill.ted._compact_zero_layer"} <= set(sizes)
+    assert [name for name, size in sizes.items() if size is None] == []
 
 
 @pytest.mark.parametrize("workload", ["ted-sweep", "mc", "steer", "cli"])

@@ -40,9 +40,7 @@ from qdistill.ted import (
     SPEC_CACHE_SIZE,
     DistillationReport,
     StateMixture,
-    _cached_assignment,
     _compact_zero_layer,
-    _spec_states,
     assignment_for,
     closed_form_fidelity,
     fidelity_from_success,
@@ -78,14 +76,14 @@ W_TOY_F_N3 = 0.9888298909339968
 class TestApplyFilterLayer:
     def test_perfect_spec_all_zero_outcomes(self):
         spec = perfect_ghz(3, 3)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
+        assignment = assignment_for(spec, 1)
         state = make_compact(spec)
         out, prob = apply_filter_layer(state, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.coeffs, state.coeffs)
 
     def test_ghz3_success_branch(self):
-        assignment = assignment_for(Family.GHZ_DIAGONAL, SQRT8_SPEC, 1)
+        assignment = assignment_for(SQRT8_SPEC, 1)
         out, prob = apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
         assert prob == pytest.approx(3 / 8, abs=1e-14)
         normalized = dense_vector(out) / np.sqrt(prob)
@@ -94,12 +92,12 @@ class TestApplyFilterLayer:
 
     def test_compact_equals_dense_all_outcomes(self, rng):
         # the compact layer against the Kronecker-product oracle on dense vectors
-        for family, spec, q in [
-            (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 3, 4), 2),
-            (Family.GHZ_DIAGONAL, random_ghz_spec(rng, 4, 3), 1),
-            (Family.W_SINGLE_EXCITATION, random_w_spec(rng, 4), 3),
+        for spec, q in [
+            (random_ghz_spec(rng, 3, 4), 2),
+            (random_ghz_spec(rng, 4, 3), 1),
+            (random_w_spec(rng, 4), 3),
         ]:
-            assignment = assignment_for(family, spec, q)
+            assignment = assignment_for(spec, q)
             psi = make_dense(spec)
             for outcome in itertools.product((0, 1), repeat=assignment.q):
                 got, gprob = apply_filter_layer(make_compact(spec), assignment, outcome)
@@ -110,7 +108,7 @@ class TestApplyFilterLayer:
     def test_outcome_probabilities_sum_to_one(self, rng):
         for q in (1, 2, 3):
             spec = random_ghz_spec(rng, 4, 4)
-            assignment = assignment_for(Family.GHZ_DIAGONAL, spec, q)
+            assignment = assignment_for(spec, q)
             total = sum(
                 apply_filter_layer(make_compact(spec), assignment, oc)[1]
                 for oc in itertools.product((0, 1), repeat=q)
@@ -126,7 +124,7 @@ class TestApplyFilterLayer:
         vec = np.sort(np.asarray(raw) / np.linalg.norm(raw))
         spec = GhzSpec(len(vec), p, tuple(vec))
         q = data.draw(st.integers(1, p - 1))
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, q)
+        assignment = assignment_for(spec, q)
         total = sum(
             apply_filter_layer(make_compact(spec), assignment, oc)[1]
             for oc in itertools.product((0, 1), repeat=q)
@@ -136,7 +134,7 @@ class TestApplyFilterLayer:
     def test_dense_layer_matches_kron_oracle(self, rng):
         # every outcome of a two-copy layer, checked on the dense vector it spans
         spec = random_ghz_spec(rng, 3, 3)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 2)
+        assignment = assignment_for(spec, 2)
         psi = make_dense(spec)
         for outcome in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             got, gprob = apply_filter_layer(make_compact(spec), assignment, outcome)
@@ -154,13 +152,13 @@ class TestApplyFilterLayer:
 
     def test_assignment_for_fewer_parties_than_state(self):
         state = make_compact(GhzSpec(3, 4, SQRT8_SPEC.alphas))
-        assignment = assignment_for(Family.GHZ_DIAGONAL, SQRT8_SPEC, 1)  # 3 parties
+        assignment = assignment_for(SQRT8_SPEC, 1)  # 3 parties
         with pytest.raises(DimensionMismatchError):
             apply_filter_layer(state, assignment, (0,))
 
     def test_assignment_for_more_parties_than_state(self):
         spec4 = GhzSpec(3, 4, SQRT8_SPEC.alphas)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec4, 1)
+        assignment = assignment_for(spec4, 1)
         with pytest.raises(DimensionMismatchError):
             apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
 
@@ -475,9 +473,7 @@ class TestLinearInD:
         d = 3000
         v = np.linspace(1.0, 2.0, d)
         spec = GhzSpec(d, 3, tuple(v / np.linalg.norm(v)))
-        _cached_assignment.cache_clear()
         _compact_zero_layer.cache_clear()
-        _spec_states.cache_clear()
         tracemalloc.start()
         try:
             report = run_ted(ghz_config(spec, n=10, q=2))
@@ -491,13 +487,10 @@ class TestLinearInD:
 
 class TestSpecCaches:
     def test_held_memory_stops_growing_with_distinct_specs(self):
-        # every run path varies n innermost, so the caches need keep only the
+        # every run path varies n innermost, so the cache need keep only the
         # latest specs; a cache keyed on every spec ever seen grows without bound
-        caches = (_cached_assignment, _compact_zero_layer, _spec_states)
-
         def held_after(count: int) -> int:
-            for cache in caches:
-                cache.cache_clear()
+            _compact_zero_layer.cache_clear()
             rng = np.random.default_rng(5)
             tracemalloc.start()
             try:
@@ -513,7 +506,7 @@ class TestSpecCaches:
         # 20 more specs of d = 2000 would hold at least 20 x 2000 x 8 B more
         # (the compact and uniform states alone 20 x 2 x 2000 x 8 B)
         assert held_after(40) - base < 20 * 2000 * 8 / 4
-        assert [cache.cache_info().currsize for cache in caches] == [SPEC_CACHE_SIZE] * 3
+        assert _compact_zero_layer.cache_info().currsize == SPEC_CACHE_SIZE
 
     def test_reports_match_a_per_call_rebuild_through_evictions(self):
         # SPEC_CACHE_SIZE + 1 specs visited round-robin evict each entry before
@@ -523,7 +516,7 @@ class TestSpecCaches:
         specs = ghz_corpus(30) + w_corpus(20)
         group = SPEC_CACHE_SIZE + 1
         for start in range(0, len(specs), group):
-            _spec_states.cache_clear()
+            _compact_zero_layer.cache_clear()
             visits = 0
             for n in (2, 3, 7, 50):
                 for spec in specs[start:start + group]:
@@ -538,7 +531,7 @@ class TestSpecCaches:
                             assert w == w_ref and state.spec == ref.spec
                             assert np.array_equal(state.coeffs, ref.coeffs)
                     visits += 1
-            info = _spec_states.cache_info()
+            info = _compact_zero_layer.cache_info()
             assert (info.misses, info.hits) == (visits, visits)
 
     def test_cached_states_are_read_only(self):
@@ -554,10 +547,11 @@ class TestSpecCaches:
 
 
 def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
-    """``run_ted`` with the spec's states built afresh on every call."""
-    pu = success_prob_per_copy(config)
-    ps = overall_success(pu, config.n_copies)
+    """``run_ted`` with p_u and the spec's states built afresh on every call."""
     initial = make_compact(config.spec)
+    assignment = assignment_for(config.spec, config.q, config.partition)
+    pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)[1]
+    ps = overall_success(pu, config.n_copies)
     perfect = make_compact(perfect_like(config.spec))
     overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
     return DistillationReport(
@@ -570,31 +564,57 @@ def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
     )
 
 
+class CountedHashSpec(GhzSpec):
+    """A GHZ spec that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        type(self).hashes += 1
+        return super().__hash__()
+
+
 class TestSpecStateCost:
     """Counts, not timings: the per-spec builders run once per spec however
     many n a run visits, so rebuilding them per call fails here."""
 
     @pytest.fixture
     def built(self, monkeypatch):
+        # every package module's reference is counted, as the benchmark's
+        # tracer does, so a builder called from outside ``ted`` counts too
         built = collections.Counter()
-        for name in ("perfect_like", "make_compact"):
+        for name in ("perfect_like", "make_compact", "assignment_for"):
             fn = getattr(qdistill.ted, name)
 
-            def counted(spec, name=name, fn=fn):
+            def counted(*args, name=name, fn=fn):
                 built[name] += 1
-                return fn(spec)
-            monkeypatch.setattr(qdistill.ted, name, counted)
+                return fn(*args)
+            for module in (qdistill.ted, qdistill.tsd, qdistill.montecarlo):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        _compact_zero_layer.cache_clear()
         return built
 
     def test_a_sweep_over_n_builds_the_spec_states_once(self, built):
         spec = random_ghz_spec(np.random.default_rng(9), 50, 50)
-        for cache in (_cached_assignment, _compact_zero_layer, _spec_states):
-            cache.cache_clear()
-        success_prob_per_copy(ghz_config(spec))  # p_u's own compact state
-        built.clear()
         for n in range(2, 102):
             run_ted(ghz_config(spec, n=n))
-        assert built == {"perfect_like": 1, "make_compact": 2}
+        assert built == {"perfect_like": 1, "make_compact": 2, "assignment_for": 1}
+
+    def test_a_steering_run_builds_each_state_and_the_assignment_once(self, built):
+        for config in (ghz_config(random_ghz_spec(np.random.default_rng(10), 5, 4), n=3, q=2),
+                       w_config(random_w_spec(np.random.default_rng(11), 5), n=3)):
+            built.clear()
+            run_tsd(SteeringConfig(config, 1))
+            assert built == {"perfect_like": 1, "make_compact": 2, "assignment_for": 1}
+
+    def test_a_warm_run_hashes_the_spec_once(self):
+        spec = CountedHashSpec(SQRT8_SPEC.d, SQRT8_SPEC.p, SQRT8_SPEC.alphas)
+        run_ted(ghz_config(spec, n=2))
+        CountedHashSpec.hashes = 0
+        report = run_ted(ghz_config(spec, n=5))
+        assert CountedHashSpec.hashes == 1
+        assert report.p_success_per_copy == success_prob_per_copy(ghz_config(SQRT8_SPEC))
 
 
 class TestConfigValidation:

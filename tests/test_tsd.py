@@ -232,7 +232,7 @@ class TestFilterAssemblage:
         spec = perfect_ghz(3, 3)
         config = steering(spec)
         asm = build_assemblage(make_compact(spec), config)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
+        assignment = assignment_for(spec, 1)
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
         for key in member_keys(asm):
@@ -243,7 +243,7 @@ class TestFilterAssemblage:
     def test_ghz3_filter_recovers_perfect_assemblage(self):
         config = steering(GHZ_TOY)
         asm = build_assemblage(make_compact(GHZ_TOY), config)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, GHZ_TOY, 1)
+        assignment = assignment_for(GHZ_TOY, 1)
         filtered, prob = filter_assemblage(asm, assignment, (0,))
         assert prob == pytest.approx(3 * GHZ_TOY.alphas[0] ** 2, abs=1e-14)
         perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), config)
@@ -255,7 +255,7 @@ class TestFilterAssemblage:
     def test_w3_filter_probability_and_output(self):
         config = steering(W_TOY, q=2)
         asm = build_assemblage(make_compact(W_TOY), config)
-        assignment = assignment_for(Family.W_SINGLE_EXCITATION, W_TOY, 2)
+        assignment = assignment_for(W_TOY, 2)
         filtered, prob = filter_assemblage(asm, assignment, (0, 0))
         b = W_TOY.betas
         assert prob == pytest.approx(3 * b[0] ** 2 * b[1] ** 2 / b[2] ** 2, abs=1e-14)
@@ -281,7 +281,7 @@ class TestFilterAssemblage:
             spec = random_ghz_spec(rng, 3, 4)
             config = steering(spec, s=1, q=2)
             asm = build_assemblage(make_compact(spec), config)
-            assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 2)
+            assignment = assignment_for(spec, 2)
             _, prob = filter_assemblage(asm, assignment, (0, 0))
             assert prob == pytest.approx(
                 success_prob_per_copy(ghz_config(spec, q=2)), abs=1e-12
@@ -291,7 +291,7 @@ class TestFilterAssemblage:
         spec = random_ghz_spec(rng, 3, 3)
         config = steering(spec)
         asm = build_assemblage(make_compact(spec), config)
-        assignment = assignment_for(Family.GHZ_DIAGONAL, spec, 1)
+        assignment = assignment_for(spec, 1)
         for outcome in ((0,), (1,)):
             filtered, _ = filter_assemblage(asm, assignment, outcome)
             assert nonsignaling_deviation(filtered) <= NONSIGNALING_TOL
