@@ -64,6 +64,10 @@ class GhzSpec:
         object.__setattr__(
             self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas")
         )
+        object.__setattr__(self, "_hash", hash((self.d, self.p, self.alphas)))
+
+    def __hash__(self) -> int:  # the dataclass's field hash, computed once
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,10 @@ class WSpec:
         object.__setattr__(
             self, "betas", _validated_coeffs(self.betas, self.p, "betas")
         )
+        object.__setattr__(self, "_hash", hash((self.p, self.betas)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Spec = GhzSpec | WSpec

@@ -16,11 +16,14 @@ closed-form fidelity against the uniform-coefficient target
     F = 1 - (1/d) (1 - p_u)^(N-1) (d - (sum_i alpha_i)^2)
 
 (and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
-so p_u, both compact states and their overlap are fixed by the spec, q and
-the partition.  :func:`spec_context` builds that set; ``run_ted``,
-``run_stats`` and ``simulate`` read it through one small ``lru_cache``
-(``_compact_zero_layer``), and ``run_tsd``, whose specs rarely repeat,
-calls it directly.  A call to :func:`run_ted` does only the per-N work.
+so p_u, both compact states, their overlap and the closed form's terms
+(its own p_u, the size and the gap, :func:`closed_form_terms`) are fixed by
+the spec, q and the partition.  :func:`spec_context` builds that set;
+``run_ted``, ``run_stats`` and ``simulate`` read it through one small
+``lru_cache`` (``_compact_zero_layer``), and ``run_tsd``, whose specs
+rarely repeat, calls it directly.  A warm call to :func:`run_ted` does
+only the per-N work: one lookup (a spec keeps its hash), the overall
+success and the fidelity from the cached terms, O(1) at any d.
 The sampled, per-copy view of the same protocol lives in
 :mod:`qdistill.montecarlo`.
 """
@@ -169,19 +172,21 @@ def overall_success(p_per_copy: float, n: int) -> float:
 
 def spec_context(
     spec: Spec, q: int, partition: IndexPartition | None
-) -> tuple[float, CompactState, CompactState, float]:
+) -> tuple[float, CompactState, CompactState, float, tuple[float, int, float]]:
     """Everything of a run that N does not enter: p_u (the all-zeros
     outcome's probability on the compact state), that state, its uniform
-    target and their squared overlap.  Reports share the arrays, so they
-    are read-only.  The assignment is built here, not read from
-    ``_cached_assignment``: a cached context needs it no more, and
-    ``run_tsd``'s fresh specs would only miss."""
+    target, their squared overlap and the closed form's
+    :func:`closed_form_terms`, computed apart from that p_u.  Reports
+    share the arrays, so they are read-only.  The assignment is built
+    here, not read from ``_cached_assignment``: a cached context needs it
+    no more, and ``run_tsd``'s fresh specs would only miss."""
     initial = make_compact(spec)
     assignment = assignment_for(spec, q, partition)
     pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)[1]
     perfect = make_compact(perfect_like(spec))
     initial.coeffs.flags.writeable = perfect.coeffs.flags.writeable = False
-    return pu, initial, perfect, float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+    overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+    return pu, initial, perfect, overlap, closed_form_terms(spec)
 
 
 _compact_zero_layer = lru_cache(maxsize=SPEC_CACHE_SIZE)(spec_context)
@@ -192,19 +197,23 @@ def success_prob_per_copy(config: ProtocolConfig) -> float:
     return _compact_zero_layer(config.spec, config.q, config.partition)[0]
 
 
+def closed_form_terms(spec: Spec) -> tuple[float, int, float]:
+    """The closed form's spec-only terms (p_u, size, gap): (d a_0^2, d,
+    d - (sum a)^2) for GHZ, (the W p_u, P, P - (sum b)^2) for W."""
+    check_pivot(spec)
+    if isinstance(spec, GhzSpec):
+        return spec.d * spec.alphas[0] ** 2, spec.d, spec.d - sum(spec.alphas) ** 2
+    return w_success_probability(spec), spec.p, spec.p - math.fsum(spec.betas) ** 2
+
+
 def closed_form_fidelity_ghz(spec: GhzSpec, n: int) -> float:
     """Distilled-vs-perfect fidelity 1 - (1/d)(1 - d a_0^2)^(n-1)(d - (sum a)^2)."""
-    check_pivot(spec)
-    pu = spec.d * spec.alphas[0] ** 2
-    return fidelity_from_success(pu, spec.d, spec.d - sum(spec.alphas) ** 2, n)
+    return fidelity_from_success(*closed_form_terms(spec), n)
 
 
 def closed_form_fidelity_w(spec: WSpec, n: int) -> float:
     """Distilled-vs-perfect fidelity 1 - (1/P)(1 - p_u)^(n-1)(P - (sum b)^2)."""
-    check_pivot(spec)
-    return fidelity_from_success(
-        w_success_probability(spec), spec.p, spec.p - math.fsum(spec.betas) ** 2, n
-    )
+    return fidelity_from_success(*closed_form_terms(spec), n)
 
 
 def fidelity_from_success(pu: float, size: float, gap: float, n: int) -> float:
@@ -221,9 +230,7 @@ def w_success_probability(spec: WSpec) -> float:
 
 
 def closed_form_fidelity(spec: Spec, n: int) -> float:
-    if isinstance(spec, GhzSpec):
-        return closed_form_fidelity_ghz(spec, n)
-    return closed_form_fidelity_w(spec, n)
+    return fidelity_from_success(*closed_form_terms(spec), n)
 
 
 def run_ted(config: ProtocolConfig) -> DistillationReport:
@@ -233,13 +240,15 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
     coefficient vectors, not from the closed form.  The report carries the
     two-component mixture as compact states, the only state form.
     """
-    pu, initial, perfect, overlap = _compact_zero_layer(config.spec, config.q, config.partition)
+    pu, initial, perfect, overlap, terms = _compact_zero_layer(
+        config.spec, config.q, config.partition
+    )
     ps = overall_success(pu, config.n_copies)
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
-        fidelity_closed_form=closed_form_fidelity(config.spec, config.n_copies),
+        fidelity_closed_form=fidelity_from_success(*terms, config.n_copies),
         fidelity_numeric=ps + (1.0 - ps) * overlap,
         distilled_state=StateMixture(((ps, perfect), (1.0 - ps, initial))),
     )

@@ -12,9 +12,9 @@ setting string (non-signaling).  Participating characterized parties then
 apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
-protocol for the same spec: ``run_tsd`` takes p_u and both compact states
-from ``ted.spec_context``, the builder behind ``run_ted``'s cache, and
-calls it uncached since its specs rarely repeat.
+protocol for the same spec: ``run_tsd`` takes p_u, both compact states
+and the closed form's terms from ``ted.spec_context``, the builder behind
+``run_ted``'s cache, and calls it uncached since its specs rarely repeat.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -60,7 +60,7 @@ from .errors import DimensionMismatchError, InvalidSteeringScenarioError
 from .filters import FilterAssignment, span_multiplier
 from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
 from .states import CompactState, Family, Spec, local_column, span_shape
-from .ted import ProtocolConfig, closed_form_fidelity, overall_success, spec_context
+from .ted import ProtocolConfig, fidelity_from_success, overall_success, spec_context
 
 Setting = tuple[int, ...]
 
@@ -212,7 +212,7 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     string that non-uniform specs converge to.
     """
     spec = config.base.spec
-    pu, initial, perfect, _ = spec_context(spec, config.base.q, config.base.partition)
+    pu, initial, perfect, _, terms = spec_context(spec, config.base.q, config.base.partition)
     ini = build_assemblage(initial, config)
     perf = build_assemblage(perfect, config)
     ps = overall_success(pu, config.base.n_copies)
@@ -223,7 +223,7 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
         n_copies=config.base.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
-        fidelity_closed_form=closed_form_fidelity(spec, config.base.n_copies),
+        fidelity_closed_form=fidelity_from_success(*terms, config.base.n_copies),
         fidelity_assemblage=lowest,
         minimizing_setting=max(
             x for x, f in per_setting.items() if f <= lowest + FIDELITY_CLAMP_TOL

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,3 +198,52 @@ class TestPerfectTargets:
         rho = np.outer(ket, ket.conj())
         reduced = oracle_partial_trace(rho, (d,) * p, [0, 1])
         assert np.allclose(reduced, np.eye(d) / d, atol=1e-12)
+
+
+class TestSpecHash:
+    """A spec hashes its fields once, when it is built; its fields, repr,
+    equality and immutability stay the dataclass's."""
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        for spec in ghz_corpus(30) + w_corpus(20):
+            fields = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+            assert hash(spec) == hash(fields)
+
+    def test_hashing_a_built_spec_never_walks_its_coefficients(self):
+        class CountedTuple(tuple):
+            hashes = 0
+
+            def __hash__(self) -> int:
+                CountedTuple.hashes += 1
+                return super().__hash__()
+
+        rng = np.random.default_rng(4)
+        for spec, field in ((random_ghz_spec(rng, 5, 3), "alphas"),
+                            (random_w_spec(rng, 4), "betas")):
+            first = hash(spec)
+            object.__setattr__(spec, field, CountedTuple(getattr(spec, field)))
+            keyed = {spec: 1, (spec, 2): 2}
+            assert all(hash(spec) == first for _ in range(5)) and keyed[spec] == 1
+            assert CountedTuple.hashes == 0
+
+    def test_fields_repr_and_equality_are_unchanged(self):
+        ghz, w = GhzSpec(2, 3, (0.6, 0.8)), WSpec(2, (0.6, 0.8))
+        assert [f.name for f in dataclasses.fields(ghz)] == ["d", "p", "alphas"]
+        assert [f.name for f in dataclasses.fields(w)] == ["p", "betas"]
+        assert repr(ghz) == f"GhzSpec(d=2, p=3, alphas={ghz.alphas!r})"
+        assert repr(w) == f"WSpec(p=2, betas={w.betas!r})"
+        assert dataclasses.asdict(ghz) == {"d": 2, "p": 3, "alphas": ghz.alphas}
+        assert ghz == GhzSpec(2, 3, [0.6, 0.8]) and w == WSpec(2, [0.6, 0.8])
+        assert ghz != GhzSpec(2, 4, (0.6, 0.8)) and w != WSpec(2, (0.8, 0.6))
+        assert ghz != w
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ghz.p = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.betas = (0.8, 0.6)
+
+    def test_replace_gets_its_own_hash(self):
+        ghz, w = GhzSpec(2, 3, (0.6, 0.8)), WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
+        moved = dataclasses.replace(ghz, p=4)
+        assert hash(moved) == hash((2, 4, ghz.alphas)) != hash(ghz)
+        swapped = dataclasses.replace(w, betas=w.betas[::-1])
+        assert hash(swapped) == hash((3, swapped.betas)) != hash(w)

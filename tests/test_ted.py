@@ -289,6 +289,17 @@ class TestClosedFormFidelity:
     def test_fidelity_from_success_shape(self):
         assert fidelity_from_success(0.3, 3, 0.5, 2) == pytest.approx(1 - 0.7 * 0.5 / 3)
 
+    @pytest.mark.parametrize("n", [2, 5, 37])
+    def test_run_paths_give_the_public_closed_form_bit_for_bit(self, n):
+        # run_ted reads the closed form's terms from the cached spec context
+        # and run_tsd from an uncached one; both must keep the public
+        # function's bits, not merely its value
+        for spec in ghz_corpus() + w_corpus():
+            config = (ghz_config if isinstance(spec, GhzSpec) else w_config)(spec, n=n)
+            expected = closed_form_fidelity(spec, n)
+            assert run_ted(config).fidelity_closed_form == expected
+            assert run_tsd(SteeringConfig(config, 1)).fidelity_closed_form == expected
+
 
 class TestDistilledState:
     def test_perfect_input_stays_pure(self):
@@ -534,6 +545,19 @@ class TestSpecCaches:
             info = _compact_zero_layer.cache_info()
             assert (info.misses, info.hits) == (visits, visits)
 
+    def test_specs_built_apart_from_equal_coefficients_share_one_entry(self):
+        rng = np.random.default_rng(12)
+        alphas, betas = random_ghz_spec(rng, 6, 3).alphas, random_w_spec(rng, 5).betas
+        for build, config in ((lambda: GhzSpec(6, 3, list(alphas)), ghz_config),
+                              (lambda: WSpec(5, list(betas)), w_config)):
+            first, second = build(), build()
+            assert first is not second and first == second and hash(first) == hash(second)
+            _compact_zero_layer.cache_clear()
+            run_ted(config(first, n=2))
+            run_ted(config(second, n=3))
+            info = _compact_zero_layer.cache_info()
+            assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
     def test_cached_states_are_read_only(self):
         spec = random_ghz_spec(np.random.default_rng(8), 6, 3)
         first = run_ted(ghz_config(spec, n=4))
@@ -564,14 +588,29 @@ def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
     )
 
 
-class CountedHashSpec(GhzSpec):
-    """A GHZ spec that counts how often it is hashed."""
+class CountsHashes:
+    """Mixed into a spec type: counts how often its specs are hashed."""
 
     hashes = 0
 
     def __hash__(self) -> int:
         type(self).hashes += 1
         return super().__hash__()
+
+
+class CountedHashSpec(CountsHashes, GhzSpec):
+    pass
+
+
+class CountedHashWSpec(CountsHashes, WSpec):
+    pass
+
+
+# what a run builds per spec, however many n it visits; ``check_pivot`` is
+# counted through ``ted``'s reference, the closed form's own check (the
+# assignment's check runs inside ``filters``, once per ``assignment_for``)
+BUILT_ONCE = {"perfect_like": 1, "make_compact": 2, "assignment_for": 1,
+              "check_pivot": 1, "closed_form_terms": 1}
 
 
 class TestSpecStateCost:
@@ -583,7 +622,7 @@ class TestSpecStateCost:
         # every package module's reference is counted, as the benchmark's
         # tracer does, so a builder called from outside ``ted`` counts too
         built = collections.Counter()
-        for name in ("perfect_like", "make_compact", "assignment_for"):
+        for name in BUILT_ONCE:
             fn = getattr(qdistill.ted, name)
 
             def counted(*args, name=name, fn=fn):
@@ -596,17 +635,20 @@ class TestSpecStateCost:
         return built
 
     def test_a_sweep_over_n_builds_the_spec_states_once(self, built):
-        spec = random_ghz_spec(np.random.default_rng(9), 50, 50)
-        for n in range(2, 102):
-            run_ted(ghz_config(spec, n=n))
-        assert built == {"perfect_like": 1, "make_compact": 2, "assignment_for": 1}
+        rng = np.random.default_rng(9)
+        for spec, config in ((random_ghz_spec(rng, 50, 50), ghz_config),
+                             (random_w_spec(rng, 50), w_config)):
+            built.clear()
+            for n in range(2, 102):
+                run_ted(config(spec, n=n))
+            assert built == BUILT_ONCE
 
     def test_a_steering_run_builds_each_state_and_the_assignment_once(self, built):
         for config in (ghz_config(random_ghz_spec(np.random.default_rng(10), 5, 4), n=3, q=2),
                        w_config(random_w_spec(np.random.default_rng(11), 5), n=3)):
             built.clear()
             run_tsd(SteeringConfig(config, 1))
-            assert built == {"perfect_like": 1, "make_compact": 2, "assignment_for": 1}
+            assert built == BUILT_ONCE
 
     def test_a_warm_run_hashes_the_spec_once(self):
         spec = CountedHashSpec(SQRT8_SPEC.d, SQRT8_SPEC.p, SQRT8_SPEC.alphas)
@@ -615,6 +657,15 @@ class TestSpecStateCost:
         report = run_ted(ghz_config(spec, n=5))
         assert CountedHashSpec.hashes == 1
         assert report.p_success_per_copy == success_prob_per_copy(ghz_config(SQRT8_SPEC))
+
+    def test_a_warm_w_run_hashes_the_spec_once(self):
+        spec = CountedHashWSpec(W_TOY_SPEC.p, W_TOY_SPEC.betas)
+        run_ted(w_config(spec, n=2))
+        CountedHashWSpec.hashes = 0
+        report = run_ted(w_config(spec, n=5))
+        assert CountedHashWSpec.hashes == 1
+        plain = WSpec(W_TOY_SPEC.p, W_TOY_SPEC.betas)  # normalized as ``spec`` was
+        assert report.p_success_per_copy == success_prob_per_copy(w_config(plain))
 
 
 class TestConfigValidation:
