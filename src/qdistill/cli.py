@@ -31,9 +31,11 @@ import argparse
 import json
 import math
 import platform
+import shutil
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cached_property, partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -64,14 +66,14 @@ SWEEP_FIELDS = {  # sweep flag -> SweepGrid field
 }
 
 
+# a cell's text by its exact type; any other (numpy's ints and bools, subclasses) by str()
+CELL_FORMATS = {float: "{:.12g}".format, np.float64: "{:.12g}".format, int: str, str: str,
+                bool: {True: "true", False: "false"}.__getitem__,
+                tuple: lambda t: "".join(map(str, t))}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, float):  # most cells; numpy floats included
-        return f"{value:.12g}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return "".join(str(v) for v in value)
-    return str(value)
+    return CELL_FORMATS.get(type(value), str)(value)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -173,11 +175,13 @@ def _need(args, name: str):
 
 
 def _rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
-    """Header plus one line per row, every line newline-terminated."""
-    sep = "\t" if fmt == "tsv" else ","
-    lines = [sep.join(columns)]
-    lines.extend(sep.join([_fmt(row[c]) for c in columns]) for row in rows)
-    return "\n".join(lines) + "\n"
+    """Header plus one line per row, each newline-terminated; a column whose
+    cells share a type takes that type's formatter once, not per cell."""
+    sep, rows, cells = "\t" if fmt == "tsv" else ",", list(rows), []
+    for values in (list(map(itemgetter(column), rows)) for column in columns):
+        kinds = set(map(type, values))
+        cells.append(map(CELL_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _fmt, values))
+    return "\n".join([sep.join(columns), *map(sep.join, zip(*cells))]) + "\n"
 
 
 def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | None:
@@ -306,6 +310,12 @@ def _cmd_replay(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Rejects a command line by raising InvalidSpecError, not by exiting."""
+
+    # argparse's default help width, read once, not once per flag declared
+    _width = cached_property(lambda self: shutil.get_terminal_size().columns - 2)
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=self._width)
 
     def error(self, message: str):
         raise InvalidSpecError(message)

@@ -45,6 +45,8 @@ def _validated_coeffs(values, count: int, what: str) -> tuple[float, ...]:
         raise InvalidSpecError(
             f"{what} have norm {norm!r}; more than {SPEC_NORM_TOL} from 1"
         )
+    if abs(norm - 1.0) <= 4 * 2.0**-52:  # normalized up to rounding: dividing by
+        return tuple(vec)  # the norm would move it by an ulp and back on each rebuild
     return tuple(v / norm for v in vec)
 
 

@@ -9,9 +9,13 @@ protocol engine is run on it to fill the independent ``fidelity_numeric``
 column.  Infeasible grid points are emitted with ``feasible=False`` rather
 than dropped, so grids keep their full rectangular shape.
 
+N enters only through (1 - p_u)^(N-1), so the engine runs once per curve
+(driver value and size), not once per row: each row of a curve takes
+``run_ted``'s per-N step, :func:`~qdistill.ted.results_at`, on one context.
+
 Rows run over driver value, then size (d or P), then copy count, each in its
 axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows, with
-a d or p below 2, or overriding a field its preset does not read is refused
+a d, p or n below 2, or overriding a field its preset does not read is refused
 before any row is built.
 """
 
@@ -25,9 +29,10 @@ from .errors import InvalidSpecError, WorkCapExceededError
 from .states import Family, GhzSpec, WSpec
 from .ted import (
     ProtocolConfig,
+    _compact_zero_layer,
     fidelity_from_success,
     overall_success,
-    run_ted,
+    results_at,
 )
 
 CSV_SCHEMA_VERSION = 1
@@ -42,8 +47,8 @@ CSV_COLUMNS = (
 
 FEAS_TOL = 1e-12
 
-# grid_rows on 10^5 rows: 0.44 s (w-contour) to 2.3 s (ghz-contour) of CPU at
-# about 80 MB peak RSS; the largest default preset has 342 rows
+# grid_rows on 10^5 rows: 0.22 s (ghz-convergence) to 0.32 s (w-contour) of CPU
+# at 80-86 MB peak RSS; the largest default preset has 342 rows
 ROW_CAP = 100_000
 
 
@@ -114,88 +119,81 @@ class SweepGrid:
     gap: float | None = None
 
 
-def _row(family: Family, d: int, p: int, q: int, n: int, driver: float, gap: float,
-         s: int = 0, **results) -> dict:
-    """One row of the CSV schema; result columns not given stay NaN/false."""
-    row = {
-        "family": family.value, "d": d, "p": p, "q": q, "s": s, "n": n,
-        "alpha0_or_pu": driver, "coeff_gap": gap,
-        "ps_per_copy": math.nan, "ps_overall": math.nan,
-        "fidelity_closed": math.nan, "fidelity_numeric": math.nan,
-        "feasible": False,
-    }
-    row.update(results)
-    return row
+def _row(family: str, d: int, p: int, q: int, s: int, n: int, driver: float, gap: float,
+         pu=math.nan, ps=math.nan, closed=math.nan, numeric=math.nan, feasible=False) -> dict:
+    """One row of the CSV schema, built in ``CSV_COLUMNS`` order."""
+    return {"family": family, "d": d, "p": p, "q": q, "s": s, "n": n,
+            "alpha0_or_pu": driver, "coeff_gap": gap, "ps_per_copy": pu, "ps_overall": ps,
+            "fidelity_closed": closed, "fidelity_numeric": numeric, "feasible": feasible}
 
 
-def report_row(config: ProtocolConfig, report, driver: float | None = None, s: int = 0) -> dict:
+def _spec_columns(spec: GhzSpec | WSpec) -> tuple[str, int, float]:
+    """A spec's family, d (2 for W) and coeff_gap columns: the gap is
+    size - (sum of coefficients)^2, size d for GHZ and P for W."""
+    if isinstance(spec, GhzSpec):
+        return Family.GHZ_DIAGONAL.value, spec.d, spec.d - sum(spec.alphas) ** 2
+    return Family.W_SINGLE_EXCITATION.value, 2, spec.p - sum(spec.betas) ** 2
+
+
+def report_row(config: ProtocolConfig, report, s: int = 0) -> dict:
     """The CSV row of one protocol run.
 
     ``report`` comes from :func:`~qdistill.ted.run_ted`, or from
     :func:`~qdistill.tsd.run_tsd` when ``s`` (the number of uncharacterized
     parties) is positive; a steering row's numeric fidelity is the assemblage
-    fidelity.  ``driver`` defaults to alpha_0 for GHZ and p_u for W.
+    fidelity.  The driver column is alpha_0 for GHZ and p_u for W.
     """
     spec = config.spec
-    if isinstance(spec, GhzSpec):
-        d, size, coeffs, default = spec.d, spec.d, spec.alphas, spec.alphas[0]
-    else:
-        d, size, coeffs, default = 2, spec.p, spec.betas, report.p_success_per_copy
+    family, d, gap = _spec_columns(spec)
+    driver = spec.alphas[0] if isinstance(spec, GhzSpec) else report.p_success_per_copy
     return _row(
-        config.family, d, spec.p, config.q, config.n_copies,
-        default if driver is None else driver, size - sum(coeffs) ** 2, s,
-        ps_per_copy=report.p_success_per_copy,
-        ps_overall=report.p_success_overall,
-        fidelity_closed=report.fidelity_closed_form,
-        fidelity_numeric=report.fidelity_assemblage if s else report.fidelity_numeric,
-        feasible=True,
+        family, d, spec.p, config.q, s, config.n_copies, driver, gap,
+        report.p_success_per_copy, report.p_success_overall, report.fidelity_closed_form,
+        report.fidelity_assemblage if s else report.fidelity_numeric, True,
     )
 
 
-def _closed_columns(pu: float, size: int, gap: float, n: int) -> dict:
+def _closed_columns(pu: float, size: int, gap: float, n: int) -> tuple[float, float, float]:
     """ps_per_copy, ps_overall and fidelity_closed from the aggregates, or
-    no columns (they stay NaN) where no coefficient vector has them: p_u in
-    (0, 1] and gap = size - (sum of coefficients)^2 in [0, size - 1]."""
+    NaN where no coefficient vector has them: p_u in (0, 1] and
+    gap = size - (sum of coefficients)^2 in [0, size - 1]."""
     if not (0.0 < pu <= 1.0 + FEAS_TOL and 0.0 <= gap <= size - 1):
-        return {}
+        return (math.nan,) * 3
     pu = min(pu, 1.0)
-    return dict(ps_per_copy=pu, ps_overall=overall_success(pu, n),
-                fidelity_closed=fidelity_from_success(pu, size, gap, n))
+    return pu, overall_success(pu, n), fidelity_from_success(pu, size, gap, n)
 
 
 def _ghz_gap_rows(grid: SweepGrid, a0: float, d: int) -> list[dict]:
-    coeffs = solve_ghz_coefficients(d, a0, grid.gap)
-    p = grid.p_values[0]
-    spec = GhzSpec(d, p, coeffs) if coeffs is not None else None
-    rows = []
+    p, gap, family = grid.p_values[0], grid.gap, Family.GHZ_DIAGONAL.value
+    pu = d * a0 * a0 if 0.0 < a0 < 1.0 else math.nan  # no closed columns off (0, 1)
+    coeffs = solve_ghz_coefficients(d, a0, gap)
+    context = None if coeffs is None else _compact_zero_layer(GhzSpec(d, p, coeffs), 1, None)
+    rows, feasible, numeric = [], context is not None, math.nan
     for n in grid.n_values:
-        row = _row(Family.GHZ_DIAGONAL, d, p, 1, n, a0, grid.gap)
-        if 0.0 < a0 < 1.0:
-            row.update(_closed_columns(d * a0 * a0, d, grid.gap, n))
-        if spec is not None:
-            report = run_ted(ProtocolConfig(n, Family.GHZ_DIAGONAL, spec, q=1))
-            row.update(ps_per_copy=report.p_success_per_copy, ps_overall=report.p_success_overall,
-                       fidelity_numeric=report.fidelity_numeric, feasible=True)
-        rows.append(row)
+        pu_n, ps, closed = _closed_columns(pu, d, gap, n)
+        if feasible:  # the engine's columns; fidelity_closed stays the aggregates'
+            pu_n, ps, _, numeric = results_at(context, n)
+        rows.append(_row(family, d, p, 1, 0, n, a0, gap, pu_n, ps, closed, numeric, feasible))
     return rows
 
 
 def _convergence_rows(grid: SweepGrid, driver: float, size: int) -> list[dict]:
     """Fidelity vs N along one equal-tail GHZ or equal-head W curve."""
     if grid.mode == "ghz-convergence":
-        family, q, spec = Family.GHZ_DIAGONAL, 1, equal_tail_ghz(size, grid.p_values[0], driver)
+        q, spec = 1, equal_tail_ghz(size, grid.p_values[0], driver)
     else:
-        family, q, spec = Family.W_SINGLE_EXCITATION, size - 1, equal_head_w(size, driver)
-    configs = (ProtocolConfig(n, family, spec, q) for n in grid.n_values)
-    return [report_row(config, run_ted(config), driver) for config in configs]
+        q, spec = size - 1, equal_head_w(size, driver)
+    (family, d, gap), context = _spec_columns(spec), _compact_zero_layer(spec, q, None)
+    return [_row(family, d, spec.p, q, 0, n, driver, gap, *results_at(context, n), True)
+            for n in grid.n_values]
 
 
 def _w_contour_rows(grid: SweepGrid, pu: float, p: int) -> list[dict]:
-    rows = []
+    family, gap, rows = Family.W_SINGLE_EXCITATION.value, grid.gap, []
     for n in grid.n_values:
-        closed = _closed_columns(pu, p, grid.gap, n)
-        rows.append(_row(Family.W_SINGLE_EXCITATION, 2, p, p - 1, n, pu, grid.gap,
-                         feasible=bool(closed), **closed))
+        closed = _closed_columns(pu, p, gap, n)
+        rows.append(_row(family, 2, p, p - 1, 0, n, pu, gap, *closed,
+                         feasible=not math.isnan(closed[0])))
     return rows
 
 
@@ -243,8 +241,8 @@ def grid_rows(grid: SweepGrid) -> list[dict]:
         raise ValueError(f"unknown sweep mode {grid.mode!r}")
     if grid.mode.startswith("ghz") and len(grid.p_values) != 1:
         raise InvalidSpecError("GHZ sweeps take a single --p value")
-    if min(grid.p_values, default=2) < 2 or min(grid.d_values, default=2) < 2:
-        raise InvalidSpecError("sweeps need every d >= 2 and every p >= 2")
+    if min((*grid.d_values, *grid.p_values, *grid.n_values), default=2) < 2:
+        raise InvalidSpecError("sweeps need every d, p and n >= 2")
     preset = PRESETS[grid.mode]
     drivers, sizes = getattr(grid, preset.driver), getattr(grid, preset.size)
     drivers = drivers if isinstance(drivers, tuple) else (drivers,)  # w-contour's one p_u

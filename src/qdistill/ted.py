@@ -22,8 +22,8 @@ the spec, q and the partition.  :func:`spec_context` builds that set;
 ``run_ted``, ``run_stats`` and ``simulate`` read it through one small
 ``lru_cache`` (``_compact_zero_layer``), and ``run_tsd``, whose specs
 rarely repeat, calls it directly.  A warm call to :func:`run_ted` does
-only the per-N work: one lookup (a spec keeps its hash), the overall
-success and the fidelity from the cached terms, O(1) at any d.
+only the per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
+:func:`results_at`, which a sweep curve calls per N after one lookup.
 The sampled, per-copy view of the same protocol lives in
 :mod:`qdistill.montecarlo`.
 """
@@ -167,7 +167,7 @@ def overall_success(p_per_copy: float, n: int) -> float:
         raise InvalidSpecError(f"per-copy probability {p_per_copy!r} outside [0, 1]")
     if n < 2:
         raise InvalidSpecError(f"n must be >= 2, got {n}")
-    return 1.0 - (1.0 - min(p_per_copy, 1.0)) ** (n - 1)
+    return 1.0 - (1.0 - (p_per_copy if p_per_copy < 1.0 else 1.0)) ** (n - 1)
 
 
 def spec_context(
@@ -233,6 +233,17 @@ def closed_form_fidelity(spec: Spec, n: int) -> float:
     return fidelity_from_success(*closed_form_terms(spec), n)
 
 
+def results_at(context: tuple, n: int) -> tuple[float, float, float, float]:
+    """A run's per-N work on a :func:`spec_context`: p_u, the overall success and
+    the closed-form and numeric fidelities, refused if they disagree as in a report."""
+    pu, _, _, overlap, terms = context
+    ps = overall_success(pu, n)
+    closed, numeric = fidelity_from_success(*terms, n), ps + (1.0 - ps) * overlap
+    if not abs(closed - numeric) <= REPORT_FIDELITY_TOL:  # NaN fails
+        raise InvalidSpecError(f"fidelities disagree: closed form {closed!r}, numeric {numeric!r}")
+    return pu, ps, closed, numeric
+
+
 def run_ted(config: ProtocolConfig) -> DistillationReport:
     """Execute the protocol analytically and assemble the report.
 
@@ -240,15 +251,14 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
     coefficient vectors, not from the closed form.  The report carries the
     two-component mixture as compact states, the only state form.
     """
-    pu, initial, perfect, overlap, terms = _compact_zero_layer(
-        config.spec, config.q, config.partition
-    )
-    ps = overall_success(pu, config.n_copies)
+    context = _compact_zero_layer(config.spec, config.q, config.partition)
+    pu, ps, closed, numeric = results_at(context, config.n_copies)
+    _, initial, perfect, _, _ = context
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
-        fidelity_closed_form=fidelity_from_success(*terms, config.n_copies),
-        fidelity_numeric=ps + (1.0 - ps) * overlap,
+        fidelity_closed_form=closed,
+        fidelity_numeric=numeric,
         distilled_state=StateMixture(((ps, perfect), (1.0 - ps, initial))),
     )

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qdistill
 from qdistill import InvalidSpecError
@@ -321,6 +323,8 @@ class TestErrorReporting:
         ("ghz-convergence", "--alpha0", "0.3,1"),
         ("w-contour", "--p", "0"),
         ("w-contour", "--p", "1"),
+        ("ghz-convergence", "--n", "1"),
+        ("w-contour", "--n", "0:3"),
     ])
     def test_degenerate_sweep_axis_category(self, capsys, preset, flag, value):
         # refused before any row is built: no traceback and no q = 0 rows
@@ -517,6 +521,58 @@ class TestOutputsAndManifests:
         assert "\t" in out.read_text().splitlines()[0]
 
 
+
+def oracle_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, tuple):
+        return "".join(str(v) for v in value)
+    return str(value)
+
+
+CELLS = {
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "numpy-float": st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    "int": st.integers(-10**20, 10**20),
+    "numpy-int": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "tuple": st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    "str": st.text("abcxyz_-.", max_size=6),
+}
+ANY_CELL = st.one_of(*CELLS.values())
+
+
+@st.composite
+def row_sets(draw):
+    """(columns, rows): each column holds one cell type or any mix of them."""
+    columns = tuple(f"c{i}" for i in range(draw(st.integers(1, 5))))
+    kinds = [draw(st.sampled_from([*CELLS.values(), ANY_CELL])) for _ in columns]
+    rows = draw(st.lists(st.fixed_dictionaries(dict(zip(columns, kinds))), max_size=6))
+    return columns, rows
+
+
+class TestRowsText:
+    """The CSV writer gives the text of the cell-by-cell rule, whatever mix
+    of cell types a column holds."""
+
+    @given(row_sets(), st.sampled_from(["csv", "tsv"]), st.booleans())
+    def test_rows_text_matches_the_cell_rule(self, row_set, fmt, as_generator):
+        columns, rows = row_set
+        sep = "\t" if fmt == "tsv" else ","
+        expected = "".join(sep.join(line) + "\n" for line in [
+            columns, *([oracle_cell(row[c]) for c in columns] for row in rows)])
+        given_rows = (row for row in rows) if as_generator else rows
+        assert cli._rows_text(given_rows, columns, fmt) == expected
+        assert all(cli._fmt(row[c]) == oracle_cell(row[c]) for row in rows for c in columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_zero_rows_give_the_header(self, fmt):
+        sep = "\t" if fmt == "tsv" else ","
+        assert cli._rows_text(iter(()), CSV_COLUMNS, fmt) == sep.join(CSV_COLUMNS) + "\n"
+
+
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -621,6 +677,21 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == expected and captured.err == ""
 
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    @pytest.mark.parametrize("command", [None, "sweep", "simulate"])
+    def test_help_text_follows_the_terminal_width(self, capsys, monkeypatch, columns, command):
+        # the width is read once per parser, when it is built
+        monkeypatch.setenv("COLUMNS", columns)
+        def reference_help():
+            parser, subs = reference_parser()
+            return (parser if command is None else subs[command]).format_help()
+        expected = reference_help()
+        with pytest.raises(SystemExit):
+            main(["--help"] if command is None else [command, "--help"])
+        assert capsys.readouterr().out == expected
+        monkeypatch.setenv("COLUMNS", "200" if columns == "60" else "60")
+        assert reference_help() != expected  # the width shows in the text
+
     @pytest.mark.parametrize("text, values", [
         ("2:7:2", (2, 4, 6)),
         ("10:2:-1", (10, 9, 8, 7, 6, 5, 4, 3, 2)),
@@ -665,6 +736,12 @@ class TestGoldenFiles:
         "sweep_ghz_dimension.csv": ["sweep", "--preset", "ghz-dimension"],
         "sweep_w_contour.csv": ["sweep", "--preset", "w-contour", "--n", "2:4", "--p", "3:6"],
         "sweep_w_convergence.csv": ["sweep", "--preset", "w-convergence", "--n", "2:6"],
+        # the default grids (ghz-dimension's is sweep_ghz_dimension.csv above)
+        "sweep_ghz_contour_default.csv": ["sweep", "--preset", "ghz-contour"],
+        "sweep_ghz_contour_default.tsv": ["sweep", "--preset", "ghz-contour", "--format", "tsv"],
+        "sweep_ghz_convergence_default.csv": ["sweep", "--preset", "ghz-convergence"],
+        "sweep_w_contour_default.csv": ["sweep", "--preset", "w-contour"],
+        "sweep_w_convergence_default.csv": ["sweep", "--preset", "w-convergence"],
         "simulate_ghz3.csv": [
             "simulate", "--family", "ghz", "--d", "3", "--p", "3", "--q", "1",
             "--n", "5", "--alphas", ALPHAS_SQRT8, "--trials", "2000", "--seed", "42",

@@ -74,6 +74,36 @@ class TestSpecValidation:
         assert sum(a * a for a in spec.alphas) == pytest.approx(1.0, abs=1e-12)
 
 
+def rebuilt(spec):
+    return type(spec)(*(getattr(spec, f.name) for f in dataclasses.fields(spec)))
+
+
+class TestRebuild:
+    """A spec rebuilt from its own fields is the same spec, so a copy hits
+    the spec caches: normalizing a normalized vector leaves it alone."""
+
+    @given(st.integers(2, 12).flatmap(lambda d: st.tuples(st.just(d), coeff_lists(d))),
+           st.integers(2, 6))
+    def test_ghz_rebuild_is_equal(self, d_coeffs, p):
+        d, coeffs = d_coeffs
+        spec = GhzSpec(d, p, coeffs)
+        again = rebuilt(spec)
+        assert again.alphas == spec.alphas and again == spec and hash(again) == hash(spec)
+
+    @given(st.integers(2, 12).flatmap(coeff_lists))
+    def test_w_rebuild_is_equal(self, coeffs):
+        spec = WSpec(len(coeffs), coeffs)
+        again = rebuilt(spec)
+        assert again.betas == spec.betas and again == spec and hash(again) == hash(spec)
+
+    def test_rebuilds_that_flipped_by_an_ulp(self):
+        spec = WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
+        assert dataclasses.replace(spec) == spec == rebuilt(rebuilt(spec))
+        rng = np.random.default_rng(0)
+        specs = [random_ghz_spec(rng, 5, 3) for _ in range(1000)]
+        assert [s for s in specs if dataclasses.replace(s) != s] == []
+
+
 class TestDenseConstruction:
     def test_bell(self):
         spec = perfect_ghz(2, 2)

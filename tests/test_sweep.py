@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from qdistill import GhzSpec, InvalidSpecError, WorkCapExceededError
+import qdistill
+from qdistill import (
+    Family,
+    GhzSpec,
+    InvalidSpecError,
+    ProtocolConfig,
+    WorkCapExceededError,
+    run_ted,
+)
 from qdistill.cli import build_parser
 from qdistill.sweep import (
     CSV_COLUMNS,
@@ -18,6 +26,7 @@ from qdistill.sweep import (
     preset_grid,
     solve_ghz_coefficients,
 )
+from qdistill.ted import _compact_zero_layer, fidelity_from_success
 
 
 class TestCoefficientSolver:
@@ -227,3 +236,85 @@ class TestFamilies:
     def test_equal_head_w_rejects_large_beta0(self):
         with pytest.raises(Exception):
             equal_head_w(3, 0.9)
+
+
+# (preset, overrides): the default grids and a few of their overrides
+ENGINE_GRIDS = [
+    *((name, {}) for name in sorted(PRESETS)),
+    ("ghz-contour", dict(d_values=(3, 5, 9))),
+    ("ghz-contour", dict(n_values=tuple(range(2, 81)))),
+    ("ghz-contour", dict(gap=0.3)),
+    ("ghz-dimension", dict(gap=0.3, n_values=(2, 5, 80))),
+    ("ghz-convergence", dict(d_values=(3, 5, 8))),
+    ("ghz-convergence", dict(n_values=tuple(range(2, 81)), p_values=(5,))),
+    ("w-convergence", dict(beta0_values=(0.2, 0.3), p_values=tuple(range(3, 12)))),
+    ("w-convergence", dict(n_values=tuple(range(2, 81)))),
+]
+
+
+def engine_config(row: dict, gap: float | None) -> ProtocolConfig:
+    """The protocol instance a feasible sweep row stands for."""
+    n, p, driver = row["n"], row["p"], row["alpha0_or_pu"]
+    if row["family"] == "w":
+        return ProtocolConfig(n, Family.W_SINGLE_EXCITATION, equal_head_w(p, driver), p - 1)
+    d = row["d"]
+    spec = (equal_tail_ghz(d, p, driver) if gap is None
+            else GhzSpec(d, p, solve_ghz_coefficients(d, driver, gap)))
+    return ProtocolConfig(n, Family.GHZ_DIAGONAL, spec, 1)
+
+
+class TestEngineRows:
+    """A feasible row holds what ``run_ted`` reports on its instance, bit
+    for bit; the rows of a curve share one spec context."""
+
+    @pytest.mark.parametrize("preset, overrides", ENGINE_GRIDS,
+                             ids=[f"{p}-{i}" for i, (p, _) in enumerate(ENGINE_GRIDS)])
+    def test_feasible_rows_equal_run_ted(self, preset, overrides):
+        grid = preset_grid(preset, **overrides)
+        rows = [r for r in grid_rows(grid) if r["feasible"]]
+        assert rows or preset == "w-contour"  # its rows come from (p_u, gap) alone
+        for row in rows if preset != "w-contour" else ():
+            report = run_ted(engine_config(row, grid.gap))
+            assert row["ps_per_copy"] == report.p_success_per_copy
+            assert row["ps_overall"] == report.p_success_overall
+            assert row["fidelity_numeric"] == report.fidelity_numeric
+            if grid.gap is None:
+                assert row["fidelity_closed"] == report.fidelity_closed_form
+            else:  # a gap row's closed form is the aggregates', not the solved spec's
+                d, a0 = row["d"], row["alpha0_or_pu"]
+                assert row["fidelity_closed"] == fidelity_from_success(
+                    d * a0 * a0, d, grid.gap, row["n"])
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """Counts spec-context lookups through every package module's
+        reference, as the benchmark's tracer would."""
+        counted = {"lookups": 0}
+
+        def lookup(*args):
+            counted["lookups"] += 1
+            return _compact_zero_layer(*args)
+        for module in (qdistill.ted, qdistill.sweep):
+            if getattr(module, "_compact_zero_layer", None) is _compact_zero_layer:
+                monkeypatch.setattr(module, "_compact_zero_layer", lookup)
+        return counted
+
+    @pytest.mark.parametrize("preset, overrides, curves", [
+        ("ghz-convergence", {}, 3),
+        ("w-convergence", {}, 3),
+        ("ghz-contour", {}, 5),  # d = 3..7 have coefficients
+        ("ghz-dimension", {}, 5),
+        ("w-contour", {}, 0),
+        ("ghz-convergence", dict(d_values=(3, 5, 8), n_values=tuple(range(2, 81))), 9),
+        ("w-convergence", dict(beta0_values=(0.2, 0.3), p_values=tuple(range(3, 12))), 18),
+    ])
+    def test_one_context_lookup_per_curve(self, lookups, preset, overrides, curves):
+        rows = grid_rows(preset_grid(preset, **overrides))
+        assert lookups["lookups"] == curves < len(rows)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_copy_counts_below_two_are_refused(self, preset):
+        # also where a row has no closed-form columns to compute
+        overrides = {"gap": -5.0} if "contour" in preset else {}
+        with pytest.raises(InvalidSpecError, match="every d, p and n >= 2"):
+            grid_rows(preset_grid(preset, n_values=(3, 1), **overrides))
