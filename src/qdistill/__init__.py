@@ -36,8 +36,6 @@ from .ted import (
     ProtocolConfig,
     StateMixture,
     apply_filter_layer,
-    closed_form_fidelity_ghz,
-    closed_form_fidelity_w,
     overall_success,
     run_ted,
     success_prob_per_copy,
@@ -82,8 +80,6 @@ __all__ = [
     "WorkCapExceededError",
     "apply_filter_layer",
     "build_assemblage",
-    "closed_form_fidelity_ghz",
-    "closed_form_fidelity_w",
     "filter_assemblage",
     "ghz_partition_assignment",
     "make_compact",

@@ -44,8 +44,8 @@ from . import __version__
 from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec, span_shape
-from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, PRESETS, ROW_CAP, grid_rows, preset_grid,
-                    report_row)
+from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, PRESETS, ROW_CAP, STEERING_COLUMNS,
+                    grid_rows, preset_grid, report_row)
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
@@ -57,8 +57,6 @@ SIMULATE_COLUMNS = (
     "ps_per_copy", "ps_overall_expected", "success_rate",
     "kept_count", "count",
 )
-
-STEERING_COLUMNS = CSV_COLUMNS + ("fidelity_assemblage", "minimizing_setting", "threshold")
 
 SWEEP_FIELDS = {  # sweep flag -> SweepGrid field
     "alpha0": "alpha0_values", "beta0": "beta0_values", "pu": "pu", "gap": "gap",
@@ -237,18 +235,10 @@ def _protocol_config(args, family: Family) -> ProtocolConfig:
 def _cmd_run(args, family: Family, steering: bool) -> int:
     config = _protocol_config(args, family)
     if steering:
-        s = _need(args, "s")
-        report = run_tsd(SteeringConfig(config, s))
-        row = {
-            **report_row(config, report, s=s),
-            "fidelity_assemblage": report.fidelity_assemblage,
-            "minimizing_setting": report.minimizing_setting,
-            "threshold": report.threshold,
-        }
-    else:
-        row = report_row(config, run_ted(config))
+        config = SteeringConfig(config, _need(args, "s"))
+    row = report_row(config, run_tsd(config) if steering else run_ted(config))
+    _print_report(row.items())
     columns = STEERING_COLUMNS if steering else CSV_COLUMNS
-    _print_report((k, row[k]) for k in columns)
     _write_out(args, [row], columns, {k: _fmt(v) for k, v in row.items()})
     return 0
 
@@ -271,25 +261,17 @@ def _cmd_simulate(args) -> int:
     config = _protocol_config(args, family)
     stats = run_stats(config, args.trials, args.seed)
     pu = success_prob_per_copy(config)
-    expected = overall_success(pu, config.n_copies)
-    _print_report([
-        ("family", family.value), ("n", config.n_copies),
-        ("trials", args.trials), ("seed", args.seed),
-        ("ps_per_copy", pu), ("ps_overall_expected", expected),
-        ("success_rate", stats.success_rate),
-        ("kept_count_histogram",
-         " ".join(f"{k}:{v}" for k, v in stats.kept_count_histogram.items())),
-    ])
-    spec = config.spec
     run = {
-        "family": family.value, "d": span_shape(spec)[1],
-        "p": spec.p, "q": config.q, "n": config.n_copies,
-        "trials": args.trials, "seed": args.seed,
-        "ps_per_copy": pu, "ps_overall_expected": expected,
+        "family": family.value, "n": config.n_copies, "trials": args.trials, "seed": args.seed,
+        "ps_per_copy": pu, "ps_overall_expected": overall_success(pu, config.n_copies),
         "success_rate": stats.success_rate,
     }
+    histogram = stats.kept_count_histogram
+    _print_report([*run.items(),
+                   ("kept_count_histogram", " ".join(f"{k}:{v}" for k, v in histogram.items()))])
+    run.update(d=span_shape(config.spec)[1], p=config.spec.p, q=config.q)
     # a generator, built only if written: the histogram can have N entries
-    rows = ({**run, "kept_count": k, "count": c} for k, c in stats.kept_count_histogram.items())
+    rows = ({**run, "kept_count": k, "count": c} for k, c in histogram.items())
     _write_out(args, rows, SIMULATE_COLUMNS, {"trials": args.trials}, args.seed)
     return 0
 

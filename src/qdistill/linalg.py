@@ -1,5 +1,6 @@
-"""The dense cap, and the Hermitian square root and root fidelity that the
-tests use as dense references for steering.
+"""Reference only: the dense cap, and the Hermitian square root and root
+fidelity that the tests use as dense references for steering.  No run path
+calls into this module; ``states.make_dense`` reads the cap.
 
 Conventions fixed package-wide:
 
@@ -30,7 +31,6 @@ from .errors import DenseCapExceededError, NotHermitianError, NotPositiveError
 
 EIG_CLAMP_FLOOR = -1e-10
 SQRT_TRUNC_REL = 1e-13
-FIDELITY_CLAMP_TOL = 1e-12
 DENSE_CAP = 2**16
 
 
@@ -66,9 +66,3 @@ def _root_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     product)."""
     prod = _sqrt_psd(a) @ _sqrt_psd(b)
     return float(np.sum(np.linalg.svd(prod, compute_uv=False)))
-
-
-def _clamp_unit(value: float, what: str) -> float:
-    if not -FIDELITY_CLAMP_TOL <= value <= 1.0 + FIDELITY_CLAMP_TOL:  # NaN fails too
-        raise NotPositiveError(f"{what} {value!r} outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)

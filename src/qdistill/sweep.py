@@ -12,6 +12,9 @@ than dropped, so grids keep their full rectangular shape.
 N enters only through (1 - p_u)^(N-1), so the engine runs once per curve
 (driver value and size), not once per row: each row of a curve takes
 ``run_ted``'s per-N step, :func:`~qdistill.ted.results_at`, on one context.
+A row built from a spec holds the closed form's own gap as ``coeff_gap``
+(:func:`~qdistill.ted.closed_form_terms`, on a curve read from the context).
+:func:`report_row` builds the row of one ``run_ted`` or ``run_tsd`` run.
 
 Rows run over driver value, then size (d or P), then copy count, each in its
 axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows, with
@@ -26,14 +29,16 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import InvalidSpecError, WorkCapExceededError
-from .states import Family, GhzSpec, WSpec
+from .states import Family, GhzSpec, WSpec, family_of, span_shape
 from .ted import (
     ProtocolConfig,
     _compact_zero_layer,
+    closed_form_terms,
     fidelity_from_success,
     overall_success,
     results_at,
 )
+from .tsd import SteeringConfig
 
 CSV_SCHEMA_VERSION = 1
 
@@ -44,6 +49,8 @@ CSV_COLUMNS = (
     "fidelity_closed", "fidelity_numeric",
     "feasible",
 )
+
+STEERING_COLUMNS = CSV_COLUMNS + ("fidelity_assemblage", "minimizing_setting", "threshold")
 
 FEAS_TOL = 1e-12
 
@@ -127,30 +134,25 @@ def _row(family: str, d: int, p: int, q: int, s: int, n: int, driver: float, gap
             "fidelity_closed": closed, "fidelity_numeric": numeric, "feasible": feasible}
 
 
-def _spec_columns(spec: GhzSpec | WSpec) -> tuple[str, int, float]:
-    """A spec's family, d (2 for W) and coeff_gap columns: the gap is
-    size - (sum of coefficients)^2, size d for GHZ and P for W."""
-    if isinstance(spec, GhzSpec):
-        return Family.GHZ_DIAGONAL.value, spec.d, spec.d - sum(spec.alphas) ** 2
-    return Family.W_SINGLE_EXCITATION.value, 2, spec.p - sum(spec.betas) ** 2
-
-
-def report_row(config: ProtocolConfig, report, s: int = 0) -> dict:
-    """The CSV row of one protocol run.
-
-    ``report`` comes from :func:`~qdistill.ted.run_ted`, or from
-    :func:`~qdistill.tsd.run_tsd` when ``s`` (the number of uncharacterized
-    parties) is positive; a steering row's numeric fidelity is the assemblage
-    fidelity.  The driver column is alpha_0 for GHZ and p_u for W.
-    """
-    spec = config.spec
-    family, d, gap = _spec_columns(spec)
+def report_row(config: ProtocolConfig | SteeringConfig, report) -> dict:
+    """The CSV row of one run: ``CSV_COLUMNS`` for a ``run_ted`` report on a
+    ``ProtocolConfig``, ``STEERING_COLUMNS`` for a ``run_tsd`` report on a
+    ``SteeringConfig`` (its numeric fidelity is the assemblage fidelity).
+    The driver column is alpha_0 for GHZ and p_u for W."""
+    steering = isinstance(config, SteeringConfig)
+    base = config.base if steering else config
+    spec = base.spec
     driver = spec.alphas[0] if isinstance(spec, GhzSpec) else report.p_success_per_copy
-    return _row(
-        family, d, spec.p, config.q, s, config.n_copies, driver, gap,
-        report.p_success_per_copy, report.p_success_overall, report.fidelity_closed_form,
-        report.fidelity_assemblage if s else report.fidelity_numeric, True,
+    row = _row(
+        family_of(spec).value, span_shape(spec)[1], spec.p, base.q, config.s if steering else 0,
+        base.n_copies, driver, closed_form_terms(spec)[2], report.p_success_per_copy,
+        report.p_success_overall, report.fidelity_closed_form,
+        report.fidelity_assemblage if steering else report.fidelity_numeric, True,
     )
+    if steering:
+        row.update(fidelity_assemblage=report.fidelity_assemblage,
+                   minimizing_setting=report.minimizing_setting, threshold=report.threshold)
+    return row
 
 
 def _closed_columns(pu: float, size: int, gap: float, n: int) -> tuple[float, float, float]:
@@ -183,7 +185,8 @@ def _convergence_rows(grid: SweepGrid, driver: float, size: int) -> list[dict]:
         q, spec = 1, equal_tail_ghz(size, grid.p_values[0], driver)
     else:
         q, spec = size - 1, equal_head_w(size, driver)
-    (family, d, gap), context = _spec_columns(spec), _compact_zero_layer(spec, q, None)
+    context = _compact_zero_layer(spec, q, None)
+    family, d, gap = family_of(spec).value, span_shape(spec)[1], context[4][2]
     return [_row(family, d, spec.p, q, 0, n, driver, gap, *results_at(context, n), True)
             for n in grid.n_values]
 

@@ -23,7 +23,7 @@ the spec, q and the partition.  :func:`spec_context` builds that set;
 ``lru_cache`` (``_compact_zero_layer``), and ``run_tsd``, whose specs
 rarely repeat, calls it directly.  A warm call to :func:`run_ted` does
 only the per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
-:func:`results_at`, which a sweep curve calls per N after one lookup.
+:func:`results_at`, the one per-N step (``run_tsd`` and sweep rows too).
 The sampled, per-copy view of the same protocol lives in
 :mod:`qdistill.montecarlo`.
 """
@@ -206,16 +206,6 @@ def closed_form_terms(spec: Spec) -> tuple[float, int, float]:
     return w_success_probability(spec), spec.p, spec.p - math.fsum(spec.betas) ** 2
 
 
-def closed_form_fidelity_ghz(spec: GhzSpec, n: int) -> float:
-    """Distilled-vs-perfect fidelity 1 - (1/d)(1 - d a_0^2)^(n-1)(d - (sum a)^2)."""
-    return fidelity_from_success(*closed_form_terms(spec), n)
-
-
-def closed_form_fidelity_w(spec: WSpec, n: int) -> float:
-    """Distilled-vs-perfect fidelity 1 - (1/P)(1 - p_u)^(n-1)(P - (sum b)^2)."""
-    return fidelity_from_success(*closed_form_terms(spec), n)
-
-
 def fidelity_from_success(pu: float, size: float, gap: float, n: int) -> float:
     """Fidelity of the two-component mixture, parameterized by aggregates only."""
     if n < 2:
@@ -230,6 +220,7 @@ def w_success_probability(spec: WSpec) -> float:
 
 
 def closed_form_fidelity(spec: Spec, n: int) -> float:
+    """Distilled-vs-perfect fidelity 1 - (1 - p_u)^(n-1) gap / size (closed_form_terms)."""
     return fidelity_from_success(*closed_form_terms(spec), n)
 
 

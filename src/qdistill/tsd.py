@@ -12,9 +12,9 @@ setting string (non-signaling).  Participating characterized parties then
 apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
-protocol for the same spec: ``run_tsd`` takes p_u, both compact states
-and the closed form's terms from ``ted.spec_context``, the builder behind
-``run_ted``'s cache, and calls it uncached since its specs rarely repeat.
+protocol for the same spec: ``run_tsd`` takes both compact states from
+``ted.spec_context`` (uncached: its specs rarely repeat), and p_u, the
+overall success and the closed-form fidelity from ``ted.results_at`` on it.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -56,13 +56,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSteeringScenarioError
+from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
-from .linalg import FIDELITY_CLAMP_TOL, _clamp_unit
 from .states import CompactState, Family, Spec, local_column, span_shape
-from .ted import ProtocolConfig, fidelity_from_success, overall_success, spec_context
+from .ted import ProtocolConfig, results_at, spec_context
 
 Setting = tuple[int, ...]
+
+FIDELITY_CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +194,17 @@ def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting
     weighted = a.members * b.members  # column k is R[:, k] g_k
     grouped = np.zeros((a.d_out, len(weighted)))
     np.add.at(grouped, local_column(a.spec, 0), weighted.T)
-    computational = np.sqrt(np.square(grouped).sum(axis=1)).sum()
-    fourier = math.hypot(*weighted.sum(axis=1))
-    computational, fourier = (
-        _clamp_unit(float(t * t), "assemblage fidelity") for t in (computational, fourier)
-    )
+    computational = _squared_unit(np.sqrt(np.square(grouped).sum(axis=1)).sum())
+    fourier = _squared_unit(math.hypot(*weighted.sum(axis=1)))
     return {x: fourier if all(x) else computational for x in a.settings}
+
+
+def _squared_unit(total: float) -> float:
+    """A root-fidelity total squared, roundoff above 1 clamped; a square is never below 0."""
+    value = float(total * total)
+    if not value <= 1.0 + FIDELITY_CLAMP_TOL:  # NaN fails too
+        raise NotPositiveError(f"assemblage fidelity {value!r} outside [0, 1] beyond tolerance")
+    return min(value, 1.0)
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:
@@ -211,19 +217,19 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     uniform specs (every setting scores 1) resolves to the all-Fourier
     string that non-uniform specs converge to.
     """
-    spec = config.base.spec
-    pu, initial, perfect, _, terms = spec_context(spec, config.base.q, config.base.partition)
-    ini = build_assemblage(initial, config)
+    base = config.base
+    context = spec_context(base.spec, base.q, base.partition)
+    pu, ps, closed, _ = results_at(context, base.n_copies)
+    _, initial, perfect, _, _ = context
     perf = build_assemblage(perfect, config)
-    ps = overall_success(pu, config.base.n_copies)
-    dist = mix_assemblages(ps, perf, ini)
+    dist = mix_assemblages(ps, perf, build_assemblage(initial, config))
     per_setting = assemblage_fidelity_by_setting(dist, perf)
     lowest = min(per_setting.values())
     return SteeringReport(
-        n_copies=config.base.n_copies,
+        n_copies=base.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
-        fidelity_closed_form=fidelity_from_success(*terms, config.base.n_copies),
+        fidelity_closed_form=closed,
         fidelity_assemblage=lowest,
         minimizing_setting=max(
             x for x, f in per_setting.items() if f <= lowest + FIDELITY_CLAMP_TOL

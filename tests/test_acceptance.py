@@ -33,8 +33,6 @@ from qdistill import (
     SteeringConfig,
     WSpec,
     build_assemblage,
-    closed_form_fidelity_ghz,
-    closed_form_fidelity_w,
     make_compact,
     make_dense,
     perfect_ghz,
@@ -49,7 +47,7 @@ from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
 from qdistill.states import perfect_like
 from qdistill.sweep import grid_rows, preset_grid
-from qdistill.ted import assignment_for, overall_success
+from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 from qdistill.tsd import filter_assemblage
 
 from conftest import (
@@ -139,7 +137,7 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
         for n in (2, 3, 5, 10):
             ps = overall_success(pu, n)
             uhlmann = ps + (1.0 - ps) * overlap  # pure target, mixture linearity
-            closed = closed_form_fidelity_ghz(spec, n)
+            closed = closed_form_fidelity(spec, n)
             worst = max(worst, abs(closed - uhlmann))
         if spec.d**spec.p <= 81:
             # tie the shortcut to the full matrix-square-root fidelity
@@ -147,7 +145,7 @@ def test_criterion_02_ghz_fidelity_closed_vs_oracle(ghz_specs):
             target = np.outer(perfect_ket, perfect_ket.conj())
             rho = ps * target + (1 - ps) * np.outer(psi, psi.conj())
             full = _root_fidelity(rho, target) ** 2
-            worst_matrix = max(worst_matrix, abs(closed_form_fidelity_ghz(spec, 3) - full))
+            worst_matrix = max(worst_matrix, abs(closed_form_fidelity(spec, 3) - full))
     elapsed = time.process_time() - start
     ok = worst <= 1e-9 and worst_matrix <= 1e-9 and elapsed < 30.0
     check("2", "GHZ closed-form fidelity vs Uhlmann oracle", ok,
@@ -188,7 +186,7 @@ def test_criterion_04_w_success_and_fidelity(w_specs):
         for n in (2, 3, 5, 10):
             ps = overall_success(prob, n)
             uhlmann = ps + (1.0 - ps) * overlap
-            worst_fid = max(worst_fid, abs(closed_form_fidelity_w(spec, n) - uhlmann))
+            worst_fid = max(worst_fid, abs(closed_form_fidelity(spec, n) - uhlmann))
     elapsed = time.perf_counter() - start
     ok = worst_prob <= 1e-12 and worst_fid <= 1e-9
     check("4", "W per-copy success and closed-form fidelity", ok,
@@ -207,11 +205,10 @@ def test_criterion_05_assemblage_equals_state_fidelity():
         (w_spec, Family.W_SINGLE_EXCITATION, 1, 2),
     ]
     for spec, family, s, q in scenarios:
-        closed = closed_form_fidelity_ghz if family is Family.GHZ_DIAGONAL else closed_form_fidelity_w
         for n in (2, 3, 5):
             config = SteeringConfig(ProtocolConfig(n, family, spec, q), s)
             report = run_tsd(config)
-            worst = max(worst, abs(report.fidelity_assemblage - closed(spec, n)))
+            worst = max(worst, abs(report.fidelity_assemblage - closed_form_fidelity(spec, n)))
             if s >= 2:  # the minimum over all (2 d)^S members, rebuilt one by one
                 perfect = build_assemblage(make_compact(perfect_like(spec)), config)
                 rebuilt = min(rebuilt_scores(report.distilled, perfect).values())
@@ -294,7 +291,7 @@ def test_criterion_08a_convergence_curves():
     for a0sq in (Fraction(1, 8), Fraction(1, 9), Fraction(1, 10)):
         tailsq = (1 - a0sq) / 2
         spec = GhzSpec(3, 3, (math.sqrt(a0sq), math.sqrt(tailsq), math.sqrt(tailsq)))
-        curve = [closed_form_fidelity_ghz(spec, n) for n in range(2, 51)]
+        curve = [closed_form_fidelity(spec, n) for n in range(2, 51)]
         monotone = monotone and all(b > a for a, b in zip(curve, curve[1:]))
         for n, fid in zip(range(2, 51), curve):
             exact = oracle_ghz_deviation((a0sq, tailsq, tailsq), n)

@@ -237,6 +237,17 @@ class TestErrorReporting:
         assert rc == 2
         assert "category=InvalidSteeringScenario" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tsd-ghz", "--d", "3", "--p", "3", "--q", "1", "--s", "0", "--n", "2",
+         "--alphas", ALPHAS_SQRT8],
+        ["sd-w", "--p", "3", "--s", "0", "--n", "3", "--betas", BETAS_TOY],
+    ], ids=["tsd-ghz", "sd-w"])
+    def test_no_uncharacterized_party_category(self, capsys, argv):
+        # s = 0 is refused, not run as entanglement distillation
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error category=InvalidSteeringScenario: ")
+
     def test_unnormalized_input_category(self, capsys):
         rc, _, err = run(
             capsys, "ted-ghz", "--d", "2", "--p", "2", "--q", "1", "--n", "2",
@@ -447,6 +458,16 @@ class TestSweepConsistency:
         report = parse_report(ted_out)
         for key in ("ps_per_copy", "ps_overall", "fidelity_closed", "fidelity_numeric"):
             assert sweep_vals[key] == report[key]
+
+    def test_uniform_w_gap_is_the_closed_forms(self, capsys):
+        # coeff_gap is P - fsum(b)^2, the closed form's gap: -8.9e-16 on the
+        # uniform W state at P = 6, where a left-to-right sum gives +8.9e-16
+        rc, out, _ = run(capsys, "sweep", "--preset", "w-convergence", "--p", "6",
+                         "--beta0", "0.4082482904638631")
+        assert rc == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 49
+        assert {row[CSV_COLUMNS.index("coeff_gap")] for row in rows} == {"-8.881784197e-16"}
 
 
 class TestOutputsAndManifests:
@@ -758,6 +779,14 @@ class TestGoldenFiles:
         assert main(self.CASES[name] + ["--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["ted_ghz3", "ted_w3", "tsd_ghz3", "sd_w3",
+                                      "simulate_ghz3", "simulate_w4"])
+    def test_stdout_golden(self, capsys, name):
+        # the report lines byte for byte: keys, their order and the text
+        rc, out, err = run(capsys, *self.CASES[f"{name}.csv"])
+        assert (rc, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 CONFIG = "<config file>"  # stands for the written config file in an argv

@@ -7,7 +7,6 @@ from qdistill import DenseCapExceededError, NotHermitianError, NotPositiveError
 from qdistill.linalg import (
     DENSE_CAP,
     _check_hermitian,
-    _clamp_unit,
     _root_fidelity,
     _sqrt_psd,
     check_dense_cap,
@@ -91,13 +90,6 @@ class TestStateFidelity:
             v /= np.linalg.norm(v)
             short = np.vdot(v, rho @ v).real
             assert abs(fidelity(rho, proj(v)) - short) <= 1e-10
-
-    def test_clamp_rejects_non_finite(self):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(NotPositiveError):
-                _clamp_unit(value, "fidelity")
-        assert _clamp_unit(1.0 + 1e-13, "fidelity") == 1.0
-        assert _clamp_unit(-1e-13, "fidelity") == 0.0
 
 
 class TestPureTargetFidelity:

@@ -3,7 +3,10 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qdistill
 from qdistill import (
@@ -11,8 +14,10 @@ from qdistill import (
     GhzSpec,
     InvalidSpecError,
     ProtocolConfig,
+    SteeringConfig,
     WorkCapExceededError,
     run_ted,
+    run_tsd,
 )
 from qdistill.cli import build_parser
 from qdistill.sweep import (
@@ -24,9 +29,12 @@ from qdistill.sweep import (
     equal_tail_ghz,
     grid_rows,
     preset_grid,
+    report_row,
     solve_ghz_coefficients,
 )
-from qdistill.ted import _compact_zero_layer, fidelity_from_success
+from qdistill.ted import _compact_zero_layer, closed_form_terms, fidelity_from_success
+
+from conftest import ghz_config, random_ghz_spec, random_w_spec, w_config
 
 
 class TestCoefficientSolver:
@@ -318,3 +326,46 @@ class TestEngineRows:
         overrides = {"gap": -5.0} if "contour" in preset else {}
         with pytest.raises(InvalidSpecError, match="every d, p and n >= 2"):
             grid_rows(preset_grid(preset, n_values=(3, 1), **overrides))
+
+
+@st.composite
+def curve_points(draw):
+    """A convergence curve's (preset, driver, size) whose spec is valid:
+    equal-tail GHZ with d <= 12, equal-head W with P <= 40."""
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 12))
+        return "ghz-convergence", draw(st.floats(0.01, 1.0 / math.sqrt(d))), d
+    p = draw(st.integers(3, 40))
+    return "w-convergence", draw(st.floats(0.01, 1.0 / math.sqrt(p))), p
+
+
+def run_rows(spec) -> list[dict]:
+    """report_row of an entanglement and a one-sided steering run on ``spec``."""
+    config = (ghz_config if isinstance(spec, GhzSpec) else w_config)(spec, n=3)
+    steering = SteeringConfig(config, 1)
+    return [report_row(config, run_ted(config)), report_row(steering, run_tsd(steering))]
+
+
+class TestOneGapRule:
+    """Every row built from a spec holds the closed form's own gap
+    (closed_form_terms), bit for bit: one gap rule, not a second sum."""
+
+    @given(curve_points())
+    @example(("w-convergence", 1.0 / math.sqrt(6.0), 6))  # uniform W: fsum and sum differ
+    def test_convergence_and_run_rows(self, point):
+        preset, driver, size = point
+        ghz = preset == "ghz-convergence"
+        grid = preset_grid(preset, n_values=(2, 3, 40), **(
+            dict(alpha0_values=(driver,), d_values=(size,)) if ghz
+            else dict(beta0_values=(driver,), p_values=(size,))))
+        spec = equal_tail_ghz(size, 3, driver) if ghz else equal_head_w(size, driver)
+        gap = closed_form_terms(spec)[2]
+        assert [row["coeff_gap"] for row in grid_rows(grid)] == [gap] * 3
+        assert [row["coeff_gap"] for row in run_rows(spec)] == [gap] * 2
+
+    @given(st.booleans(), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_random_spec_run_rows(self, ghz, size, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_ghz_spec(rng, min(size, 12), 3) if ghz else random_w_spec(rng, size)
+        gap = closed_form_terms(spec)[2]
+        assert [row["coeff_gap"] for row in run_rows(spec)] == [gap] * 2

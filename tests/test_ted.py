@@ -21,8 +21,6 @@ from qdistill import (
     SteeringConfig,
     WSpec,
     apply_filter_layer,
-    closed_form_fidelity_ghz,
-    closed_form_fidelity_w,
     make_compact,
     make_dense,
     overall_success,
@@ -227,11 +225,11 @@ class TestOverallSuccess:
 class TestClosedFormFidelity:
     def test_perfect_is_one(self):
         for n in (2, 5, 50):
-            assert closed_form_fidelity_ghz(perfect_ghz(4, 3), n) == pytest.approx(1.0, abs=1e-12)
-            assert closed_form_fidelity_w(perfect_w(4), n) == pytest.approx(1.0, abs=1e-12)
+            assert closed_form_fidelity(perfect_ghz(4, 3), n) == pytest.approx(1.0, abs=1e-12)
+            assert closed_form_fidelity(perfect_w(4), n) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_toy_frozen_value(self):
-        got = closed_form_fidelity_ghz(SQRT8_SPEC, 2)
+        got = closed_form_fidelity(SQRT8_SPEC, 2)
         assert got == pytest.approx(GHZ_TOY_F_N2, abs=1e-12)
         # independent recomputation from the mixture definition
         al = np.array(SQRT8_SPEC.alphas)
@@ -240,11 +238,11 @@ class TestClosedFormFidelity:
         assert got == pytest.approx(ps + (1 - ps) * overlap, abs=1e-14)
 
     def test_w_toy_frozen_value(self):
-        got = closed_form_fidelity_w(W_TOY_SPEC, 3)
+        got = closed_form_fidelity(W_TOY_SPEC, 3)
         assert got == pytest.approx(W_TOY_F_N3, abs=1e-12)
 
     def test_w_monotone_in_n(self):
-        vals = [closed_form_fidelity_w(W_TOY_SPEC, n) for n in range(2, 30)]
+        vals = [closed_form_fidelity(W_TOY_SPEC, n) for n in range(2, 30)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_ghz_convergence_at_n50(self):
@@ -253,13 +251,13 @@ class TestClosedFormFidelity:
             a0 = math.sqrt(a0sq)
             tail = math.sqrt((1 - a0sq) / 2)
             spec = GhzSpec(3, 3, (a0, tail, tail))
-            dev = 1.0 - closed_form_fidelity_ghz(spec, 50)
+            dev = 1.0 - closed_form_fidelity(spec, 50)
             assert dev == pytest.approx(expected_dev, rel=1e-3)
 
     def test_requires_minimal_pivot(self):
         spec = GhzSpec(3, 3, (0.8, 0.3, math.sqrt(1 - 0.64 - 0.09)))
         with pytest.raises(PivotNotMinimalError):
-            closed_form_fidelity_ghz(spec, 2)
+            closed_form_fidelity(spec, 2)
 
     @pytest.mark.parametrize("family", ["ghz", "w"])
     def test_every_entry_point_keeps_the_filters_pivot_rule(self, family):
@@ -324,7 +322,7 @@ class TestDistilledState:
         perfect = make_dense(perfect_ghz(3, 3))
         via_matrix = _root_fidelity(dense, np.outer(perfect, perfect.conj())) ** 2
         via_shortcut = np.vdot(perfect, dense @ perfect).real
-        closed = closed_form_fidelity_ghz(SQRT8_SPEC, 2)
+        closed = closed_form_fidelity(SQRT8_SPEC, 2)
         assert via_matrix == pytest.approx(closed, abs=1e-10)
         assert via_shortcut == pytest.approx(closed, abs=1e-12)
 

@@ -13,12 +13,11 @@ from qdistill import (
     GhzSpec,
     InvalidSteeringScenarioError,
     DimensionMismatchError,
+    NotPositiveError,
     ProtocolConfig,
     SteeringConfig,
     WSpec,
     build_assemblage,
-    closed_form_fidelity_ghz,
-    closed_form_fidelity_w,
     filter_assemblage,
     make_compact,
     perfect_ghz,
@@ -28,7 +27,7 @@ from qdistill import (
     success_prob_per_copy,
 )
 from qdistill.states import perfect_like, span_shape
-from qdistill.ted import assignment_for, overall_success
+from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
 
 from conftest import (
@@ -364,7 +363,7 @@ class TestAssemblageFidelity:
     def test_equals_state_fidelity_ghz_s1(self):
         for n in (2, 3, 5, 10):
             got = run_tsd(steering(GHZ_TOY, n=n)).fidelity_assemblage
-            assert got == pytest.approx(closed_form_fidelity_ghz(GHZ_TOY, n), abs=1e-9)
+            assert got == pytest.approx(closed_form_fidelity(GHZ_TOY, n), abs=1e-9)
 
     def test_minimum_attained_at_fourier_setting(self):
         config = steering(GHZ_TOY, n=3)
@@ -377,18 +376,42 @@ class TestAssemblageFidelity:
     def test_equals_state_fidelity_w_s1(self):
         for n in (2, 3, 7):
             got = run_tsd(steering(W_TOY, n=n, q=2)).fidelity_assemblage
-            assert got == pytest.approx(closed_form_fidelity_w(W_TOY, n), abs=1e-9)
+            assert got == pytest.approx(closed_form_fidelity(W_TOY, n), abs=1e-9)
 
     def test_equals_state_fidelity_higher_prime_dims(self, rng):
         for d, p in ((5, 3), (7, 2)):
             spec = random_ghz_spec(rng, d, p)
             got = run_tsd(steering(spec, n=3, s=1, q=1)).fidelity_assemblage
-            assert got == pytest.approx(closed_form_fidelity_ghz(spec, 3), abs=1e-9)
+            assert got == pytest.approx(closed_form_fidelity(spec, 3), abs=1e-9)
 
     def test_equals_state_fidelity_w_p4(self, rng):
         spec = random_w_spec(rng, 4)
         got = run_tsd(steering(spec, n=3, s=1, q=3)).fidelity_assemblage
-        assert got == pytest.approx(closed_form_fidelity_w(spec, 3), abs=1e-9)
+        assert got == pytest.approx(closed_form_fidelity(spec, 3), abs=1e-9)
+
+    @staticmethod
+    def scaled_scores(scale: float) -> dict:
+        """Both settings of a GHZ d = 3 assemblage whose one member row is
+        ``scale`` times the perfect one's, scored against the perfect one:
+        each root-fidelity total is ``scale``, each score ``scale ** 2``."""
+        perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), steering(GHZ_TOY))
+        scaled = dataclasses.replace(perfect, members=scale * perfect.members)
+        return assemblage_fidelity_by_setting(scaled, perfect)
+
+    def test_score_beyond_tolerance_is_refused(self):
+        for scale in (1.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(NotPositiveError) as caught:
+                self.scaled_scores(scale)
+            assert caught.value.category == "NotPositiveSemidefinite"
+
+    def test_roundoff_above_one_clamps(self):
+        assert (1.0 + 5e-14) ** 2 > 1.0 + 9e-14
+        assert set(self.scaled_scores(1.0 + 5e-14).values()) == {1.0}
+        # a score is a square: negated members score as the members do, so
+        # no score falls below 0 for the clamp to lift
+        below = self.scaled_scores(1.0 - 5e-14)
+        assert set(self.scaled_scores(-(1.0 - 5e-14)).values()) == set(below.values())
+        assert all(1.0 - 2e-13 < value < 1.0 for value in below.values())
 
 
 class TestRunTsd:
@@ -418,7 +441,7 @@ class TestRunTsd:
         report = run_tsd(steering(W_TOY, n=3, s=1, q=2))
         assert not report.threshold  # W steering distillation is never threshold
         assert report.fidelity_assemblage == pytest.approx(
-            closed_form_fidelity_w(W_TOY, 3), abs=1e-9
+            closed_form_fidelity(W_TOY, 3), abs=1e-9
         )
 
     def test_invalid_scenarios(self):
