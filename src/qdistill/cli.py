@@ -43,14 +43,14 @@ import numpy as np
 from . import __version__
 from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
-from .states import Family, GhzSpec, WSpec, span_shape
+from .states import Family, GhzSpec, WSpec, _validated_coeffs, span_shape
 from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, PRESETS, ROW_CAP, STEERING_COLUMNS,
                     grid_rows, preset_grid, report_row)
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
 
-CLI_NORM_TOL = 1e-3
+CLI_NORM_TOL = 1e-3  # hand-typed coefficients are renormalized within this of unit norm
 
 SIMULATE_COLUMNS = (
     "family", "d", "p", "q", "n", "trials", "seed",
@@ -133,17 +133,6 @@ def _parse_partition(text: str) -> IndexPartition | None:
     return IndexPartition(blocks)
 
 
-def _cli_coeffs(values: list[float], what: str) -> tuple[float, ...]:
-    """Renormalize hand-typed coefficients; reject anything grossly off."""
-    norm = math.sqrt(sum(v * v for v in values))
-    if abs(norm - 1.0) > CLI_NORM_TOL:
-        raise InvalidSpecError(
-            f"{what} have norm {norm:.6f}; expected a normalized vector "
-            f"(tolerance {CLI_NORM_TOL} for input rounding)"
-        )
-    return tuple(v / norm for v in values)
-
-
 def _config_tokens(args) -> list[str]:
     """The ``--config`` lines whose key names a flag of the command, as
     ``--key=value`` (so a value starting with '-' is not read as a flag)."""
@@ -223,12 +212,13 @@ def _protocol_config(args, family: Family) -> ProtocolConfig:
         raise InvalidSpecError(f"the {family.value} family does not read {', '.join(given)}")
     n = _need(args, "n")
     if family is Family.GHZ_DIAGONAL:
-        spec = GhzSpec(_need(args, "d"), _need(args, "p"),
-                       _cli_coeffs(_need(args, "alphas"), "alphas"))
+        d, p = _need(args, "d"), _need(args, "p")
+        spec = GhzSpec(d, p, _validated_coeffs(_need(args, "alphas"), d, "alphas", CLI_NORM_TOL))
         q = 1 if args.q is None else args.q
     else:
-        spec = WSpec(_need(args, "p"), _cli_coeffs(_need(args, "betas"), "betas"))
-        q = spec.p - 1 if args.q is None else args.q
+        p = _need(args, "p")
+        spec = WSpec(p, _validated_coeffs(_need(args, "betas"), p, "betas", CLI_NORM_TOL))
+        q = p - 1 if args.q is None else args.q
     return ProtocolConfig(n, family, spec, q, getattr(args, "partition", None))
 
 

@@ -8,8 +8,9 @@ states never leave span{|ii...i>} and W states never leave the
 single-excitation span, whose shape and placement only this module decides
 (:func:`span_shape`, :func:`local_column`).  ``make_dense`` places a spec's
 coefficients on the full product space by that rule, the tests' reference
-(subject to the dense cap).  Coefficients are restricted to strictly
-positive reals; the filter construction divides by them.
+(subject to the dense cap).  Coefficients are strictly positive reals (the
+filters divide by them) that the spec alone normalizes, by their exactly
+rounded norm; a compact state checks only that they are finite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Family(str, enum.Enum):
     W_SINGLE_EXCITATION = "w"
 
 
-def _validated_coeffs(values, count: int, what: str) -> tuple[float, ...]:
+def _validated_coeffs(values, count: int, what: str, tol: float = SPEC_NORM_TOL) -> tuple[float, ...]:
     try:
         vec = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -40,11 +41,12 @@ def _validated_coeffs(values, count: int, what: str) -> tuple[float, ...]:
         raise InvalidSpecError(f"expected {count} {what}, got {len(vec)}")
     if any(not math.isfinite(v) or v <= 0.0 for v in vec):
         raise InvalidSpecError(f"all {what} must be finite and strictly positive")
-    norm = math.sqrt(math.fsum([v * v for v in vec]))  # exactly rounded at any count
-    if abs(norm - 1.0) > SPEC_NORM_TOL:
-        raise InvalidSpecError(
-            f"{what} have norm {norm!r}; more than {SPEC_NORM_TOL} from 1"
-        )
+    try:
+        norm = math.sqrt(math.fsum([v * v for v in vec]))  # exactly rounded at any count
+    except OverflowError:  # a partial sum past float range
+        norm = math.inf
+    if abs(norm - 1.0) > tol:
+        raise InvalidSpecError(f"{what} have norm {norm!r}; more than {tol} from 1")
     if abs(norm - 1.0) <= 4 * 2.0**-52:  # normalized up to rounding: dividing by
         return tuple(vec)  # the norm would move it by an ulp and back on each rebuild
     return tuple(v / norm for v in vec)
@@ -63,9 +65,7 @@ class GhzSpec:
             raise InvalidSpecError(f"local dimension must be >= 2, got {self.d}")
         if self.p < 2:
             raise InvalidSpecError(f"party count must be >= 2, got {self.p}")
-        object.__setattr__(
-            self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas")
-        )
+        object.__setattr__(self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas"))
         object.__setattr__(self, "_hash", hash((self.d, self.p, self.alphas)))
 
     def __hash__(self) -> int:  # the dataclass's field hash, computed once
@@ -83,9 +83,7 @@ class WSpec:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise InvalidSpecError(f"party count must be >= 2, got {self.p}")
-        object.__setattr__(
-            self, "betas", _validated_coeffs(self.betas, self.p, "betas")
-        )
+        object.__setattr__(self, "betas", _validated_coeffs(self.betas, self.p, "betas"))
         object.__setattr__(self, "_hash", hash((self.p, self.betas)))
 
     def __hash__(self) -> int:
@@ -106,13 +104,11 @@ class CompactState:
 
     coeffs: np.ndarray
     spec: Spec
-    normalized: bool = True
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if self.normalized and not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12:
-            raise InvalidSpecError("compact state flagged normalized is not")
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        if not np.isfinite(self.coeffs).all():
+            raise InvalidSpecError("compact state coefficients must be finite")
 
 
 def span_shape(spec: Spec) -> tuple[int, int]:

@@ -17,9 +17,9 @@ A row built from a spec holds the closed form's own gap as ``coeff_gap``
 :func:`report_row` builds the row of one ``run_ted`` or ``run_tsd`` run.
 
 Rows run over driver value, then size (d or P), then copy count, each in its
-axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows, with
-a d, p or n below 2, or overriding a field its preset does not read is refused
-before any row is built.
+axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows or
+``SIZE_CAP`` coefficients (d or P per curve), with a d, p or n below 2, or
+overriding a field its preset does not read is refused before any row is built.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ FEAS_TOL = 1e-12
 # grid_rows on 10^5 rows: 0.22 s (ghz-convergence) to 0.32 s (w-contour) of CPU
 # at 80-86 MB peak RSS; the largest default preset has 342 rows
 ROW_CAP = 100_000
+
+# grid_rows on one W curve at P = 10^4: 0.27 s of CPU at 31 MB peak RSS (the W filter
+# layer is quadratic in P, GHZ linear in d); the default presets have at most 207
+SIZE_CAP = 10_000
 
 
 def solve_ghz_coefficients(d: int, alpha0: float, gap: float) -> tuple[float, ...] | None:
@@ -249,9 +253,10 @@ def grid_rows(grid: SweepGrid) -> list[dict]:
     preset = PRESETS[grid.mode]
     drivers, sizes = getattr(grid, preset.driver), getattr(grid, preset.size)
     drivers = drivers if isinstance(drivers, tuple) else (drivers,)  # w-contour's one p_u
-    count = len(drivers) * len(sizes) * len(grid.n_values)
-    if count > ROW_CAP:
-        raise WorkCapExceededError(f"{grid.mode} grid has {count} rows, over the cap {ROW_CAP}")
+    count, total = len(drivers) * len(sizes) * len(grid.n_values), len(drivers) * sum(sizes)
+    for value, what, cap in ((count, "rows", ROW_CAP), (total, "coefficients", SIZE_CAP)):
+        if value > cap:
+            raise WorkCapExceededError(f"{grid.mode} grid has {value} {what}, over the cap {cap}")
     return [row for driver in drivers for size in sizes
             for row in preset.build(grid, driver, size)]
 

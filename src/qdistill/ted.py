@@ -18,12 +18,12 @@ closed-form fidelity against the uniform-coefficient target
 (and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
 so p_u, both compact states, their overlap and the closed form's terms
 (its own p_u, the size and the gap, :func:`closed_form_terms`) are fixed by
-the spec, q and the partition.  :func:`spec_context` builds that set;
-``run_ted``, ``run_stats`` and ``simulate`` read it through one small
-``lru_cache`` (``_compact_zero_layer``), and ``run_tsd``, whose specs
-rarely repeat, calls it directly.  A warm call to :func:`run_ted` does
-only the per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
-:func:`results_at`, the one per-N step (``run_tsd`` and sweep rows too).
+the spec, q and the partition.  :func:`spec_context` builds that set, and
+every run path (``run_ted``, ``run_tsd`` through its report, ``run_stats``,
+``simulate``, sweep curves) reads it through one small ``lru_cache``
+(``_compact_zero_layer``).  A warm call to :func:`run_ted` does only the
+per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
+:func:`results_at`, the one per-N step (sweep rows too).
 The sampled, per-copy view of the same protocol lives in
 :mod:`qdistill.montecarlo`.
 """
@@ -158,7 +158,7 @@ def apply_filter_layer(
     outcome strings the probabilities add to 1.
     """
     coeffs = state.coeffs * span_multiplier(state.spec, assignment, outcomes)
-    return CompactState(coeffs, state.spec, normalized=False), float(np.sum(coeffs * coeffs))
+    return CompactState(coeffs, state.spec), float(np.sum(coeffs * coeffs))
 
 
 def overall_success(p_per_copy: float, n: int) -> float:
@@ -167,7 +167,9 @@ def overall_success(p_per_copy: float, n: int) -> float:
         raise InvalidSpecError(f"per-copy probability {p_per_copy!r} outside [0, 1]")
     if n < 2:
         raise InvalidSpecError(f"n must be >= 2, got {n}")
-    return 1.0 - (1.0 - (p_per_copy if p_per_copy < 1.0 else 1.0)) ** (n - 1)
+    # past 1e308 copies, which no float holds, any base below 1 gives 0: take the limit
+    base = 1.0 - (p_per_copy if p_per_copy < 1.0 else 1.0)
+    return 1.0 - base ** (n - 1 if n < 1e308 else math.inf)
 
 
 def spec_context(
@@ -179,7 +181,7 @@ def spec_context(
     :func:`closed_form_terms`, computed apart from that p_u.  Reports
     share the arrays, so they are read-only.  The assignment is built
     here, not read from ``_cached_assignment``: a cached context needs it
-    no more, and ``run_tsd``'s fresh specs would only miss."""
+    no more, so a second cache would only hold it."""
     initial = make_compact(spec)
     assignment = assignment_for(spec, q, partition)
     pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)[1]
@@ -210,13 +212,17 @@ def fidelity_from_success(pu: float, size: float, gap: float, n: int) -> float:
     """Fidelity of the two-component mixture, parameterized by aggregates only."""
     if n < 2:
         raise InvalidSpecError(f"n must be >= 2, got {n}")
-    return 1.0 - (1.0 - pu) ** (n - 1) * gap / size
+    return 1.0 - (1.0 - pu) ** (n - 1 if n < 1e308 else math.inf) * gap / size  # as overall_success
 
 
 def w_success_probability(spec: WSpec) -> float:
-    be = np.array(spec.betas)  # P b_max^2 prod (b_i/b_max)^2, multiplied as a sum of logs
-    logs = np.log1p((be[:-1] - be[-1]) / be[-1])  # exact difference for b_i >= b_max/2
-    return float(spec.p * be[-1] ** 2 * math.exp(2 * math.fsum(logs)))
+    head, top = np.array(spec.betas[:-1]), spec.betas[-1]  # P b_max^2 prod (b_i/b_max)^2
+    far, shift = head < top / 2, 0  # b_i - b_max is exact only for b_i >= b_max/2
+    logs = np.log1p((np.where(far, top, head) - top) / top)
+    if far.any():  # there the log of the ratio's mantissa, its power of two applied exactly
+        mantissas, twos = np.frexp(head[far] / top)
+        logs[far], shift = np.log(mantissas), 2 * int(twos.sum())
+    return math.ldexp(spec.p * top**2 * math.exp(2 * math.fsum(logs)), shift)
 
 
 def closed_form_fidelity(spec: Spec, n: int) -> float:

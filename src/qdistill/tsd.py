@@ -12,9 +12,9 @@ setting string (non-signaling).  Participating characterized parties then
 apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
-protocol for the same spec: ``run_tsd`` takes both compact states from
-``ted.spec_context`` (uncached: its specs rarely repeat), and p_u, the
-overall success and the closed-form fidelity from ``ted.results_at`` on it.
+protocol for the same spec: ``run_tsd`` takes p_u, the overall success,
+the closed-form fidelity and both compact states of the mixture from the
+``ted.run_ted`` report of its base config.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -59,7 +59,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
 from .states import CompactState, Family, Spec, local_column, span_shape
-from .ted import ProtocolConfig, results_at, spec_context
+from .ted import ProtocolConfig, run_ted
 
 Setting = tuple[int, ...]
 
@@ -217,19 +217,17 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     uniform specs (every setting scores 1) resolves to the all-Fourier
     string that non-uniform specs converge to.
     """
-    base = config.base
-    context = spec_context(base.spec, base.q, base.partition)
-    pu, ps, closed, _ = results_at(context, base.n_copies)
-    _, initial, perfect, _, _ = context
+    ted = run_ted(config.base)
+    (ps, perfect), (_, initial) = ted.distilled_state.components
     perf = build_assemblage(perfect, config)
     dist = mix_assemblages(ps, perf, build_assemblage(initial, config))
     per_setting = assemblage_fidelity_by_setting(dist, perf)
     lowest = min(per_setting.values())
     return SteeringReport(
-        n_copies=base.n_copies,
-        p_success_per_copy=pu,
+        n_copies=ted.n_copies,
+        p_success_per_copy=ted.p_success_per_copy,
         p_success_overall=ps,
-        fidelity_closed_form=closed,
+        fidelity_closed_form=ted.fidelity_closed_form,
         fidelity_assemblage=lowest,
         minimizing_setting=max(
             x for x, f in per_setting.items() if f <= lowest + FIDELITY_CLAMP_TOL

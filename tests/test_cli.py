@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qdistill
-from qdistill import InvalidSpecError
+from qdistill import Family, InvalidSpecError, WSpec, run_ted
 from qdistill import cli
 from qdistill.cli import SWEEP_FIELDS, _config_tokens, _parse_int_values, build_parser, main
 from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
@@ -30,6 +30,20 @@ PARSER_REJECTIONS = {
     "bad-choice": ["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY, "--format", "xml"],
     "unknown-command": ["frobnicate"],
     "empty": [],
+}
+
+BIG = "1" + "0" * 400  # 401 digits: no float holds it
+BIG_COMMANDS = {
+    "ted-ghz-n": ["ted-ghz", "--d", "3", "--p", "3", "--n", BIG, "--alphas", ALPHAS_SQRT8],
+    "tsd-ghz-n": ["tsd-ghz", "--d", "3", "--p", "3", "--s", "1", "--n", BIG,
+                  "--alphas", ALPHAS_SQRT8],
+    "ted-w-n": ["ted-w", "--p", "3", "--n", BIG, "--betas", BETAS_TOY],
+    "sd-w-n": ["sd-w", "--p", "3", "--s", "1", "--n", BIG, "--betas", BETAS_TOY],
+    **{f"{preset}-n": ["sweep", "--preset", preset, "--n", BIG] for preset in sorted(PRESETS)},
+    **{f"{preset}-{flag}": ["sweep", "--preset", preset, f"--{flag}", BIG]
+       for preset, flag in (("ghz-convergence", "d"), ("ghz-contour", "d"),
+                            ("ghz-dimension", "d"), ("w-convergence", "p"),
+                            ("w-contour", "p"))},
 }
 
 
@@ -430,6 +444,35 @@ class TestErrorReporting:
         assert rc == 2
         assert err == f"error category=WorkCapExceeded: w-contour grid has 101000 rows, over the cap {ROW_CAP}\n"
 
+    def test_count_is_checked_before_the_norm(self, capsys):
+        rc, out, err = run(capsys, "ted-ghz", "--d", "3", "--p", "3", "--n", "2",
+                           "--alphas", "0.5,0.5")
+        assert (rc, out, err) == (2, "", "error category=InvalidSpec: expected 3 alphas, got 2\n")
+
+    def test_norm_error_names_the_input_tolerance(self, capsys):
+        for alphas, norm in (("0.9,0.9", repr(math.hypot(0.9, 0.9))), ("1e154,1e154", "inf")):
+            rc, out, err = run(capsys, "ted-ghz", "--d", "2", "--p", "2", "--n", "2",
+                               "--alphas", alphas)
+            assert (rc, out) == (2, "")
+            assert err == f"error category=InvalidSpec: alphas have norm {norm}; more than 0.001 from 1\n"
+
+    @pytest.mark.parametrize("argv", list(BIG_COMMANDS.values()), ids=list(BIG_COMMANDS))
+    def test_integers_past_float_range_run_or_are_refused(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        if "--n" in argv:  # (1 - p_u)^(n-1) takes its limit
+            assert (rc, err) == (0, "")
+            assert "1," in out or "= 1\n" in out
+        else:  # d or P itself is past the sweep's size cap
+            assert (rc, out) == (2, "")
+            assert err.startswith("error category=WorkCapExceeded: ") and err.count("\n") == 1
+
+    def test_w_ratio_below_float_range_runs_silently(self):
+        # b_0 - b_1 rounded to -b_1 here, and log1p(-1) warned on stderr
+        done = run_child("from qdistill.cli import main; raise SystemExit(main("
+                         "['ted-w', '--p', '2', '--n', '2', '--betas', '1e-200,1']))")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "fidelity_closed = 0.5\n" in done.stdout
+
     def test_huge_range_refused_before_it_is_built(self):
         # 2e9 values would take tens of GB; the child's 1 GiB limit makes a
         # build fail with MemoryError instead of exhausting the host
@@ -440,6 +483,32 @@ class TestErrorReporting:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error category=WorkCapExceeded: ")
         assert done.stderr.count("\n") == 1
+
+
+class TestCoefficientRule:
+    def test_typed_coefficients_build_the_spec_they_round_to(self, capsys, monkeypatch):
+        # a vector normalized up to rounding is kept bit for bit, as a spec keeps it
+        seen = []
+        monkeypatch.setattr(cli, "run_ted", lambda config: seen.append(config) or run_ted(config))
+        rc, _, err = run(capsys, "ted-w", "--p", "3", "--n", "3",
+                         "--betas", "0.5,0.5,0.7071067811865475")
+        assert (rc, err) == (0, "")
+        assert seen[0].spec == WSpec(3, (0.5, 0.5, 1 / math.sqrt(2)))
+
+    @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6), st.floats(-9e-4, 9e-4))
+    def test_typed_coefficients_follow_the_spec_rule(self, values, error):
+        # hand-typed coefficients within the input tolerance are divided by
+        # their exactly rounded norm, as a spec divides its own
+        norm = math.sqrt(math.fsum(v * v for v in values))
+        typed = [v / norm * (1 + error) for v in values]
+        args = build_parser("ted-w").parse_args(
+            ["--p", str(len(typed)), "--n", "2", "--betas", ",".join(map(repr, typed))])
+        spec = cli._protocol_config(args, Family.W_SINGLE_EXCITATION).spec
+        typed_norm = math.sqrt(math.fsum(v * v for v in typed))
+        expected = tuple(typed) if abs(typed_norm - 1) <= 4 * 2.0**-52 else tuple(
+            v / typed_norm for v in typed)
+        assert spec.betas == expected
+
 
 class TestSweepConsistency:
     def test_single_point_sweep_equals_ted_ghz(self, capsys):

@@ -18,7 +18,7 @@ from qdistill import (
     perfect_ghz,
     perfect_w,
 )
-from qdistill.states import family_of, local_column, span_shape
+from qdistill.states import _validated_coeffs, family_of, local_column, span_shape
 
 from conftest import (
     ghz_corpus,
@@ -67,6 +67,21 @@ class TestSpecValidation:
     def test_rejects_far_from_unit(self):
         with pytest.raises(InvalidSpecError):
             GhzSpec(2, 2, (0.7, 0.8))
+
+    def test_norm_past_float_range_is_refused_not_raised(self):
+        # the squares are finite but their sum is not
+        with pytest.raises(InvalidSpecError, match="norm inf"):
+            GhzSpec(2, 2, (1e154, 1e154))
+
+    def test_tolerance_argument_is_the_only_difference(self):
+        # the CLI's looser tolerance renormalizes what the spec's refuses,
+        # by the same rule the spec applies to a vector within its own
+        off = (0.6 * 1.0004, 0.8 * 1.0004)
+        with pytest.raises(InvalidSpecError, match="more than 1e-09 from 1"):
+            GhzSpec(2, 2, off)
+        coeffs = _validated_coeffs(off, 2, "alphas", 1e-3)
+        assert GhzSpec(2, 2, coeffs).alphas == coeffs
+        assert coeffs == tuple(v / math.sqrt(math.fsum(x * x for x in off)) for v in off)
 
     @given(coeff_lists(3))
     def test_spec_roundtrips_normalized(self, coeffs):
@@ -211,6 +226,11 @@ class TestCompact:
         for coeffs in ([math.nan, 1.0], [math.inf, 0.0]):
             with pytest.raises(InvalidSpecError):
                 CompactState(np.array(coeffs), spec)
+
+    def test_unnormalized_coefficients_build_without_a_flag(self):
+        # a filter layer's output is unnormalized; the spec alone normalizes
+        state = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2))
+        assert np.array_equal(state.coeffs, [0.6, 0.6])
 
 
 class TestPerfectTargets:

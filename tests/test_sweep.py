@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from qdistill.sweep import (
     CSV_COLUMNS,
     PRESETS,
     ROW_CAP,
+    SIZE_CAP,
     SweepGrid,
     equal_head_w,
     equal_tail_ghz,
@@ -183,6 +185,40 @@ class TestGridRows:
         n_values = tuple(range(2, 3 + ROW_CAP // 18))
         with pytest.raises(WorkCapExceededError, match="over the cap"):
             grid_rows(preset_grid("w-contour", n_values=n_values))
+
+    @pytest.mark.parametrize("name, field", [
+        ("ghz-contour", "d_values"), ("ghz-convergence", "d_values"),
+        ("ghz-dimension", "d_values"), ("w-contour", "p_values"), ("w-convergence", "p_values"),
+    ])
+    def test_size_cap_refused_before_building(self, name, field):
+        # one size past the cap, one far past float range, and a range of
+        # sizes each under the cap whose curves total more than it
+        grids = [{field: (SIZE_CAP + 1,)}, {field: (10**400,)},
+                 {field: tuple(range(2, 200)), "n_values": (2,)}]
+        for overrides in grids:
+            start = time.process_time()
+            with pytest.raises(WorkCapExceededError, match=f"over the cap {SIZE_CAP}$"):
+                grid_rows(preset_grid(name, **overrides))
+            assert time.process_time() - start < 0.05
+
+    def test_size_cap_counts_every_driver(self):
+        grid = preset_grid("ghz-convergence", alpha0_values=(1e-4, 2e-4, 3e-4),
+                           d_values=(SIZE_CAP // 3 + 1,), n_values=(2,))
+        with pytest.raises(WorkCapExceededError, match=f"has {3 * (SIZE_CAP // 3 + 1)} coefficients"):
+            grid_rows(grid)
+        assert len(grid_rows(dataclasses.replace(grid, d_values=(SIZE_CAP // 3,)))) == 3
+
+    def test_row_cap_is_checked_first(self):
+        grid = preset_grid("w-contour", p_values=tuple(range(3, 1003)), n_values=tuple(range(2, 103)))
+        with pytest.raises(WorkCapExceededError, match=f"101000 rows, over the cap {ROW_CAP}"):
+            grid_rows(grid)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_default_presets_are_under_the_size_cap(self, name):
+        preset = PRESETS[name]
+        drivers = preset.defaults[preset.driver]
+        drivers = drivers if isinstance(drivers, tuple) else (drivers,)
+        assert len(drivers) * sum(preset.defaults[preset.size]) <= 207 < SIZE_CAP
 
 
 class TestPresetTable:

@@ -1,6 +1,7 @@
 import collections
 import decimal
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -143,7 +144,7 @@ class TestApplyFilterLayer:
     def test_empty_layer_probability_is_squared_norm(self):
         # no participant: the layer is the identity
         empty = FilterAssignment(2, (), np.ones((0, 2)))
-        compact = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2), normalized=False)
+        compact = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2))
         out, prob = apply_filter_layer(compact, empty, ())
         assert np.array_equal(out.coeffs, compact.coeffs)
         assert prob == pytest.approx(0.72, abs=1e-15)
@@ -220,6 +221,22 @@ class TestOverallSuccess:
             overall_success(1.5, 3)
         with pytest.raises(InvalidSpecError):
             overall_success(0.5, 1)
+
+    def test_copy_counts_past_float_range_take_the_limit(self):
+        # (1 - p)^(n-1) at n - 1 = 10^400, which no float holds; 1 - 1e-300
+        # rounds to 1, as it does at every n in float range
+        huge = 10**400
+        assert [overall_success(p, huge) for p in (0.0, 1e-300, 0.375, 1.0)] == [0.0, 0.0, 1.0, 1.0]
+        assert fidelity_from_success(0.375, 3, 0.5, huge) == 1.0
+        assert fidelity_from_success(0.0, 3, 0.5, huge) == 1.0 - 0.5 / 3
+        report = run_ted(ghz_config(SQRT8_SPEC, n=huge))
+        assert (report.p_success_overall, report.fidelity_closed_form) == (1.0, 1.0)
+
+    def test_copy_counts_in_float_range_keep_the_power_law(self):
+        for n in (2, 3, 50, 10**6, 10**300, int(sys.float_info.max) + 1):
+            for p in (0.0, 1e-300, 0.375, 1.0 - 2.0**-53, 1.0):
+                assert overall_success(p, n) == 1.0 - (1.0 - p) ** (n - 1)
+                assert fidelity_from_success(p, 3, 0.5, n) == 1.0 - (1.0 - p) ** (n - 1) * 0.5 / 3
 
 
 class TestClosedFormFidelity:
@@ -473,6 +490,49 @@ class TestWLargeP:
         pu, fidelity = oracle_w_law(spec.betas, n)
         assert rel_error(w_success_probability(spec), pu) <= 1e-15
         assert rel_error(run_ted(w_config(spec, n=n)).fidelity_closed_form, fidelity) <= 1e-15
+
+
+def normalized(betas) -> tuple[float, ...]:
+    norm = math.sqrt(math.fsum(b * b for b in betas))
+    return tuple(b / norm for b in betas)
+
+
+class TestWSmallRatios:
+    """The W law where some beta_i / beta_max is below 1/2, so that
+    beta_i - beta_max is rounded, against the 50-digit decimal oracle."""
+
+    @pytest.mark.parametrize("ratio", (0.4999999, 0.3, 1e-3, 1e-6, 1e-10, 1e-15, 1e-50, 1e-100))
+    def test_matches_decimal_oracle_while_p_u_is_normal(self, ratio):
+        cases = 0
+        for p in (2, 3, 5):
+            for small in range(1, p):
+                spec = WSpec(p, normalized((ratio,) * small + (0.8,) * (p - 1 - small) + (1.0,)))
+                pu, fidelity = oracle_w_law(spec.betas, 3)
+                if pu < decimal.Decimal(sys.float_info.min):
+                    continue
+                cases += 1
+                assert rel_error(w_success_probability(spec), pu) <= 1e-15
+                assert rel_error(closed_form_fidelity(spec, 3), fidelity) <= 1e-15
+        assert cases >= 3
+
+    def test_underflowing_ratio_gives_zero_without_a_warning(self):
+        # the rounded difference was -1 here, and log1p(-1) divides by zero
+        spec = WSpec(2, (1e-200, 1.0))
+        assert w_success_probability(spec) == 0.0
+        assert run_ted(w_config(spec)).fidelity_closed_form == 0.5
+
+    def test_ratios_from_one_half_keep_the_log1p_bits(self):
+        def log1p_law(spec):
+            be = np.array(spec.betas)
+            logs = np.log1p((be[:-1] - be[-1]) / be[-1])
+            return float(spec.p * be[-1] ** 2 * math.exp(2 * math.fsum(logs)))
+
+        rng = np.random.default_rng(CORPUS_SEED)
+        specs = [WSpec(3, normalized((0.5, 0.75, 1.0)))]
+        specs += [WSpec(p, normalized((*rng.uniform(0.5, 1.0, p - 1), 1.0))) for p in range(2, 40)]
+        for spec in specs:
+            assert min(spec.betas[:-1]) >= spec.betas[-1] / 2
+            assert w_success_probability(spec) == log1p_law(spec)
 
 
 class TestLinearInD:

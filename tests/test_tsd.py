@@ -27,7 +27,7 @@ from qdistill import (
     success_prob_per_copy,
 )
 from qdistill.states import perfect_like, span_shape
-from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
+from qdistill.ted import _compact_zero_layer, assignment_for, closed_form_fidelity, overall_success
 from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
 
 from conftest import (
@@ -497,6 +497,32 @@ class TestEntanglementParity:
         ratios = np.append(np.random.default_rng(0).uniform(0.999, 1.0, 999), 1.0)
         spec = WSpec(1000, tuple(ratios / np.linalg.norm(ratios)))
         self.assert_same_success(steering(spec, n=3, q=999))
+
+
+class TestSteeringReadsTheEntanglementReport:
+    """run_tsd takes p_u, the overall success, the closed form and both
+    mixture states from the run_ted report on its base config, which reads
+    the one cached spec context."""
+
+    def test_second_run_hits_the_spec_context_cache(self):
+        config = steering(GHZ_TOY, n=3)
+        _compact_zero_layer.cache_clear()
+        run_tsd(config)
+        run_tsd(config)
+        info = _compact_zero_layer.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_corpus_runs_on_the_run_ted_report(self):
+        # every valid (s, q) on each GHZ corpus spec, s = 1 on each W one
+        for config in corpus_steering_configs():
+            ted = run_ted(config.base)
+            hits = _compact_zero_layer.cache_info().hits
+            tsd = run_tsd(config)
+            assert _compact_zero_layer.cache_info().hits == hits + 1
+            assert (tsd.p_success_per_copy, tsd.p_success_overall, tsd.fidelity_closed_form) == (
+                ted.p_success_per_copy, ted.p_success_overall, ted.fidelity_closed_form)
+            rows = [np.sqrt(w) * state.coeffs for w, state in ted.distilled_state.components]
+            assert np.array_equal(tsd.distilled.members, rows)
 
 
 def per_setting_of(config):
