@@ -4,10 +4,15 @@ Each participating party applies a two-outcome filter {K0, K1}, diagonal in
 the computational basis, with K0^dag K0 + K1^dag K1 = I.  Outcome 0
 post-selects the distilled branch.  A layer (:class:`FilterAssignment`) is
 one real (q, dim) table whose row r is the K0 diagonal of the r-th
-participant; the K1 diagonals sqrt(1 - K0^2) are derived from it.  Since
-every filter is diagonal, a layer acts on the compact span of a state as
-one multiplier per coefficient (:func:`span_multiplier`), which the
-entanglement and the steering engines share.
+participant; the K1 diagonals sqrt(1 - K0^2) are derived from it on first
+read.  Since every filter is diagonal, a layer acts on the compact span of
+a state as one multiplier per coefficient (:func:`span_multiplier`), which
+the entanglement and the steering engines share.  The kernel takes the
+placement in the changed-row form of ``states.changed_rows``: a GHZ
+participant changes every row, so the multiplier is the product of the
+selected table rows in party order; a W participant changes one row, so
+each row's multiplier is a product of index-0 entries around one index-1
+entry, O(P) by prefix and suffix products.
 
 For a GHZ spec with alpha_0 minimal, the work of flattening the coefficient
 profile can be split arbitrarily: each participating party owns a block of
@@ -15,7 +20,9 @@ basis indices and filters only those, carrying diagonal entry 1 on all
 indices outside its block (completeness forces the implicit entries to 1).
 The product of the participants' diagonals then equals alpha_0/alpha_i at
 every index i >= 1, so the post-selected state and the success probability
-are independent of the split and of how many parties participate.
+are independent of the split and of how many parties participate.  The
+assignment fills its table from one owner array, the block of each index,
+whether the split is the default contiguous one or explicit.
 
 For a W spec with beta_{p-1} maximal, parties 1..p-1 filter their |0>
 component by beta_{p-1-j}/beta_{p-1}; this requires all p-1 of them.
@@ -23,7 +30,9 @@ component by beta_{p-1-j}/beta_{p-1}; this requires all p-1 of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +43,19 @@ from .errors import (
     PivotNotMaximalError,
     PivotNotMinimalError,
 )
-from .states import GhzSpec, Spec, WSpec, local_column, span_shape
+from .states import GhzSpec, Spec, WSpec, changed_rows, span_shape
 
 PIVOT_TOL = 1e-12
+
+
+def _contiguous_bounds(d: int, q: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of the even contiguous split of {1..d-1}
+    into q blocks, the first (d - 1) mod q blocks one index longer."""
+    if q < 1:
+        raise BadPartitionError(f"need at least one block, got {q}")
+    base, extra = divmod(d - 1, q)
+    starts = [1 + k * base + min(k, extra) for k in range(q + 1)]
+    return list(zip(starts, starts[1:]))
 
 
 @dataclass(frozen=True)
@@ -55,16 +74,7 @@ class IndexPartition:
     @classmethod
     def contiguous(cls, d: int, q: int) -> "IndexPartition":
         """Split {1..d-1} into q contiguous blocks as evenly as possible."""
-        if q < 1:
-            raise BadPartitionError(f"need at least one block, got {q}")
-        idx = list(range(1, d))
-        base, extra = divmod(len(idx), q)
-        blocks, at = [], 0
-        for k in range(q):
-            size = base + (1 if k < extra else 0)
-            blocks.append(frozenset(idx[at:at + size]))
-            at += size
-        return cls(tuple(blocks))
+        return cls(tuple(frozenset(range(a, b)) for a, b in _contiguous_bounds(d, q)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +83,14 @@ class FilterAssignment:
     (strictly ascending) applies {diag(k0[r]), diag(k1[r])}.
 
     ``k0`` is a read-only real (q, dim) table with entries in [0, 1];
-    ``k1 = sqrt(1 - k0^2)`` is derived with the principal root, so every
-    pair is complete by construction.  Parties not listed stay idle.
+    ``k1 = sqrt(1 - k0^2)`` is derived with the principal root on first
+    read (the all-zeros outcome never needs it), so every pair is complete
+    by construction.  Parties not listed stay idle.
     """
 
     p: int
     participants: tuple[int, ...]
     k0: np.ndarray
-    k1: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         parties = tuple(int(j) for j in self.participants)
@@ -88,18 +98,23 @@ class FilterAssignment:
             raise DimensionMismatchError(
                 f"participants {parties} must ascend strictly within 0..{self.p - 1}"
             )
-        if np.iscomplexobj(self.k0):
+        k0 = np.array(self.k0)
+        if k0.dtype.kind == "c":
             raise DimensionMismatchError("k0 entries must be real")
-        k0 = np.array(self.k0, dtype=float)
+        k0 = k0.astype(float, copy=False)
         if k0.ndim != 2 or len(k0) != len(parties):
             raise DimensionMismatchError(f"k0 shape {k0.shape} is not ({len(parties)}, dim)")
-        if not ((0.0 <= k0) & (k0 <= 1.0)).all():  # NaN fails
+        if k0.size and not (k0.min() >= 0.0 and k0.max() <= 1.0):  # NaN fails
             raise DimensionMismatchError("k0 entries must lie in [0, 1]")
-        k1 = np.sqrt(1.0 - k0 * k0)
-        k0.flags.writeable = k1.flags.writeable = False
+        k0.flags.writeable = False
         object.__setattr__(self, "participants", parties)
         object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "k1", k1)
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        k1 = np.sqrt(1.0 - self.k0 * self.k0)
+        k1.flags.writeable = False
+        return k1
 
     @property
     def q(self) -> int:
@@ -112,17 +127,36 @@ def span_multiplier(
     """The layer's multiplier on the compact span of ``spec``: entry k
     multiplies the coefficient of span row k.
 
-    Starting from ones, each participant j multiplies in its diagonal entry
-    at the local index that ``local_column(spec, j)`` assigns it on each
-    row, one participant at a time in party order.
+    Each participant selects its K0 or K1 row by its outcome, and
+    ``changed_rows`` says which span rows it acts on.  GHZ participants act
+    on every row, so the multiplier is the product of the selected rows,
+    taken in party order.  A W participant holds index 1 on one row and 0
+    on the others, so row k's multiplier is the product of every
+    participant's index-0 entry but that of party p-1-k, times the index-1
+    entry of party p-1-k if it participates: exclusive prefix and suffix
+    products give every row in O(P), with no division (an entry can be 0).
     """
     if assignment.p != spec.p:
         raise DimensionMismatchError(f"{assignment.p}-party assignment on {spec.p} parties")
     if len(outcomes) != assignment.q:
         raise DimensionMismatchError(f"{assignment.q} participants but {len(outcomes)} outcomes")
-    values = np.ones(span_shape(spec)[0])
-    for j, o, row0, row1 in zip(assignment.participants, outcomes, assignment.k0, assignment.k1):
-        values *= (row0 if o == 0 else row1)[local_column(spec, j)]
+    rows, dim = span_shape(spec)
+    if assignment.k0.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"filters of dimension {assignment.k0.shape[1]} on local dimension {dim}"
+        )
+    table = assignment.k0
+    if any(outcomes):
+        table = np.where(np.asarray(outcomes)[:, None] == 0, table, assignment.k1)
+    changed = changed_rows(spec, assignment.participants)
+    if changed is None:
+        return np.multiply.reduce(table, axis=0)
+    zeros, q = table[:, 0], len(table)
+    prefix, suffix = np.ones(q + 1), np.ones(q + 1)
+    np.cumprod(zeros, out=prefix[1:])  # prefix[r]: the entries before r
+    np.cumprod(zeros[::-1], out=suffix[-2::-1])  # suffix[r]: the entries from r on
+    values = np.full(rows, prefix[-1])  # an idle party's row
+    values[changed] = prefix[:-1] * suffix[1:] * table[:, 1]
     return values
 
 
@@ -142,34 +176,47 @@ def check_pivot(spec: Spec) -> None:
 
 def ghz_partition_assignment(
     spec: GhzSpec,
-    partition: IndexPartition,
+    partition: IndexPartition | None,
     parties: tuple[int, ...],
 ) -> FilterAssignment:
     """Distribute the GHZ filter across participating parties by index block.
 
     Party ``parties[k]`` filters the indices in ``partition.blocks[k]`` and
     leaves diagonal entry 1 everywhere else; the parties may come in any
-    order, their blocks travel with them.
+    order, their blocks travel with them.  ``None`` is the even contiguous
+    split of :meth:`IndexPartition.contiguous` over ``len(parties)`` blocks,
+    built without forming the blocks.
     """
-    blocks = partition.blocks
-    if sorted(i for b in blocks for i in b) != list(range(1, spec.d)):
-        raise BadPartitionError(
-            f"blocks {[sorted(b) for b in blocks]} do not split 1..{spec.d - 1}"
-        )
     parties = tuple(int(j) for j in parties)
-    if len(parties) != len(blocks):
-        raise BadPartitionError(f"{len(blocks)} blocks for {len(parties)} parties")
-    if len(set(parties)) != len(parties) or not all(0 <= j < spec.p for j in parties):
+    if partition is None:
+        sizes = [b - a for a, b in _contiguous_bounds(spec.d, len(parties))]
+        owner = np.repeat(np.arange(-1, len(sizes)), [1, *sizes])
+    else:
+        owner = _owner_array(partition.blocks, spec.d)
+        if len(parties) != len(partition.blocks):
+            raise BadPartitionError(f"{len(partition.blocks)} blocks for {len(parties)} parties")
+    if len(set(parties)) != len(parties) or not 0 <= min(parties) <= max(parties) < spec.p:
         raise BadPartitionError(f"parties {parties} are not distinct indices in 0..{spec.p - 1}")
     if len(parties) > spec.p - 1:
         raise BadPartitionError("threshold assignment must leave a non-participating party")
     check_pivot(spec)
-    ratios = np.minimum(spec.alphas[0] / np.array(spec.alphas), 1.0)
-    owned = sorted(zip(parties, blocks))  # distinct parties: blocks are never compared
-    table = np.ones((len(owned), spec.d))
-    for row, (_, block) in zip(table, owned):
-        row[list(block)] = ratios[list(block)]
-    return FilterAssignment(spec.p, tuple(j for j, _ in owned), table)
+    ratios = np.minimum(spec.alphas[0] / np.fromiter(spec.alphas, float, spec.d), 1.0)
+    order = sorted(range(len(parties)), key=parties.__getitem__)  # blocks by party
+    table = np.where(owner == np.array(order)[:, None], ratios, 1.0)
+    return FilterAssignment(spec.p, tuple(sorted(parties)), table)
+
+
+def _owner_array(blocks: tuple[frozenset[int], ...], d: int) -> np.ndarray:
+    """The block of each index 0..d-1 (-1 for the pivot 0), refused unless
+    the blocks split 1..d-1."""
+    sizes = [len(b) for b in blocks]
+    owner = np.full(d, -1)
+    if sum(sizes) == d - 1 and all(1 <= min(b) and max(b) < d for b in blocks if b):
+        indices = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, d - 1)
+        owner[indices] = np.repeat(np.arange(len(blocks)), sizes)
+    if (owner[1:] < 0).any():  # d - 1 indices in 1..d-1 cover it unless one repeats
+        raise BadPartitionError(f"blocks {[sorted(b) for b in blocks]} do not split 1..{d - 1}")
+    return owner
 
 
 def last_parties(p: int, q: int) -> tuple[int, ...]:

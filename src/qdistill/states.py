@@ -6,7 +6,10 @@ A protocol instance is pinned down by a validated parameter vector
 every filter in this package is diagonal in the computational basis, so GHZ
 states never leave span{|ii...i>} and W states never leave the
 single-excitation span, whose shape and placement only this module decides
-(:func:`span_shape`, :func:`local_column`).  ``make_dense`` places a spec's
+(:func:`span_shape`, :func:`local_column`, and :func:`changed_rows`, the
+same placement in the form the filter kernel takes: the one span row on
+which a W party holds |1>, or none for GHZ, where every row changes with
+every party).  ``make_dense`` places a spec's
 coefficients on the full product space by that rule, the tests' reference
 (subject to the dense cap).  Coefficients are strictly positive reals (the
 filters divide by them) that the spec alone normalizes, by their exactly
@@ -123,6 +126,16 @@ def local_column(spec: Spec, j: int) -> np.ndarray:
     if isinstance(spec, GhzSpec):
         return np.arange(spec.d)
     return (np.arange(spec.p) == spec.p - 1 - j).astype(np.intp)
+
+
+def changed_rows(spec: Spec, parties) -> np.ndarray | None:
+    """The span row on which each of ``parties`` holds a nonzero local index,
+    the same placement as :func:`local_column`: for W party j holds 0 on
+    every row but p-1-j, where it holds 1; GHZ gives None, since party j
+    holds k on row k and so changes every row."""
+    if isinstance(spec, GhzSpec):
+        return None
+    return spec.p - 1 - np.asarray(parties, dtype=np.intp)
 
 
 def make_compact(spec: Spec) -> CompactState:

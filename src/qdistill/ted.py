@@ -131,10 +131,9 @@ def assignment_for(
     spec: Spec, q: int, partition: IndexPartition | None = None
 ) -> FilterAssignment:
     """Filter assignment under the default participation convention
-    (the last q parties participate); W always uses all p-1 of them."""
+    (the last q parties participate, a GHZ partition defaulting to the even
+    contiguous split); W always uses all p-1 of them."""
     if isinstance(spec, GhzSpec):
-        if partition is None:
-            partition = IndexPartition.contiguous(spec.d, q)
         return ghz_partition_assignment(spec, partition, last_parties(spec.p, q))
     return w_assignment(spec)
 
@@ -158,7 +157,7 @@ def apply_filter_layer(
     outcome strings the probabilities add to 1.
     """
     coeffs = state.coeffs * span_multiplier(state.spec, assignment, outcomes)
-    return CompactState(coeffs, state.spec), float(np.sum(coeffs * coeffs))
+    return CompactState(coeffs, state.spec), float((coeffs * coeffs).sum())
 
 
 def overall_success(p_per_copy: float, n: int) -> float:

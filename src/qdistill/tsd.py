@@ -46,6 +46,9 @@ party scores sum_a ||sum_{k: l0_k = a} R[:, k] g_k||, with l0 =
 computational outcomes agree on one a, the Fourier outcomes adding only a
 phase, and every GHZ party has the same local index on a span row (W
 steering has s = 1), so l0 groups the columns for every such string.
+Party 0's ``changed_rows`` gives those groups without forming l0: for GHZ
+l0 is the identity, one column per group; for W it marks row p-1 alone,
+which leaves that column and the sum of the others, taken left to right.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
-from .states import CompactState, Family, Spec, local_column, span_shape
+from .states import CompactState, Family, Spec, changed_rows, span_shape
 from .ted import ProtocolConfig, run_ted
 
 Setting = tuple[int, ...]
@@ -143,8 +146,8 @@ class SteeringReport:
 def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
     """The assemblage the uncharacterized parties' measurements leave on
     the characterized rest: the state's coefficients as a 1-row factor."""
-    spec = config.base.spec
-    if len({(type(sp), sp.p, span_shape(sp)) for sp in (state.spec, spec)}) != 1:
+    sp, spec = state.spec, config.base.spec
+    if type(sp) is not type(spec) or sp.p != spec.p or len(state.coeffs) != span_shape(spec)[0]:
         raise DimensionMismatchError("state does not match the configured spec's span")
     return Assemblage(config.s, state.spec, state.coeffs[None, :])
 
@@ -172,8 +175,9 @@ def filter_assemblage(
 
 
 def _check_shapes(a: Assemblage, b: Assemblage) -> None:
-    if (a.s, a.d_out, a.members.shape[1]) != (b.s, b.d_out, b.members.shape[1]):
-        raise DimensionMismatchError("assemblages differ in s, outcome count or span width")
+    # one family and one span width fix the outcome count too
+    if a.s != b.s or type(a.spec) is not type(b.spec) or a.members.shape[1] != b.members.shape[1]:
+        raise DimensionMismatchError("assemblages differ in s, family or span width")
 
 
 def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
@@ -192,9 +196,13 @@ def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting
     if len(b.members) != 1:
         raise DimensionMismatchError("reference assemblage members must be pure (one row)")
     weighted = a.members * b.members  # column k is R[:, k] g_k
-    grouped = np.zeros((a.d_out, len(weighted)))
-    np.add.at(grouped, local_column(a.spec, 0), weighted.T)
-    computational = _squared_unit(np.sqrt(np.square(grouped).sum(axis=1)).sum())
+    grouped, changed = weighted, changed_rows(a.spec, (0,))  # GHZ: a group per column
+    if changed is not None:  # W: column p-1 alone, the others summed left to right
+        (c,) = changed
+        rest = np.concatenate((weighted[:, :c], weighted[:, c + 1:]), axis=1)
+        ends = np.add.accumulate(rest, axis=1)[:, -1:]
+        grouped = np.concatenate((ends, weighted[:, c:c + 1]), axis=1)
+    computational = _squared_unit(np.sqrt(np.square(grouped).sum(axis=0)).sum())
     fourier = _squared_unit(math.hypot(*weighted.sum(axis=1)))
     return {x: fourier if all(x) else computational for x in a.settings}
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -19,6 +21,7 @@ from qdistill import (
     w_assignment,
 )
 from qdistill.filters import last_parties
+from qdistill.ted import assignment_for
 
 from conftest import (
     completeness_deviation,
@@ -169,6 +172,36 @@ class TestPartitionAssignment:
         with pytest.raises(BadPartitionError):
             ghz_partition_assignment(spec, part, (0, 1, 2))
 
+    def test_default_split_is_the_contiguous_partition(self, rng):
+        # None builds its owner array from the split rule, without blocks;
+        # the same blocks given explicitly must fill the same table
+        for d, p in [(2, 3), (12, 5)]:
+            spec = random_ghz_spec(rng, d, p)
+            for q in range(1, p):
+                for parties in (last_parties(p, q), tuple(reversed(range(q)))):
+                    got = ghz_partition_assignment(spec, None, parties)
+                    want = ghz_partition_assignment(
+                        spec, IndexPartition.contiguous(d, q), parties
+                    )
+                    assert got.participants == want.participants
+                    assert np.array_equal(got.k0, want.k0)
+        with pytest.raises(BadPartitionError):
+            ghz_partition_assignment(random_ghz_spec(rng, 3, 3), None, ())
+
+    def test_large_d_assignment_runs_in_milliseconds(self):
+        # the default split is filled through its owner array, with no
+        # per-index Python loop (best of 5 CPU times)
+        d = 10**5
+        raw = np.random.default_rng(d).uniform(0.2, 1.0, d)
+        spec = GhzSpec(d, 3, tuple(np.sort(raw / np.linalg.norm(raw))))
+        times = []
+        for _ in range(5):
+            start = time.process_time()
+            assignment = assignment_for(spec, 1)
+            times.append(time.process_time() - start)
+        assert min(times) < 0.015
+        assert assignment.k0.shape == (1, d) and assignment.k0[0, 0] == 1.0
+
 
 class TestWAssignment:
     def test_w3_entries(self, rng):
@@ -272,6 +305,12 @@ class TestKrausPairType:
         for row in ([1.2, 0.5], [0.5, -0.1], [0.5, np.nan], [0.5, np.inf], [-np.inf, 0.5]):
             with pytest.raises(DimensionMismatchError):
                 FilterAssignment(2, (1,), [row])
+
+    def test_k1_is_derived_on_first_read(self):
+        # the all-zeros outcome reads k0 alone, so k1 waits for its first reader
+        layer = FilterAssignment(3, (0, 2), [[0.5, 1], [1, 0]])
+        assert "k1" not in vars(layer)
+        assert layer.k1 is layer.k1 and "k1" in vars(layer)
 
     def test_table_is_checked_once_as_one_pair(self):
         # one bad entry anywhere in the table refuses the whole layer

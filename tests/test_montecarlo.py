@@ -92,8 +92,8 @@ def unit_coeffs(draw, size: int) -> tuple[float, ...]:
 
 
 @st.composite
-def ghz_configs(draw):
-    d, p = draw(st.integers(2, 5)), draw(st.integers(2, 6))
+def ghz_configs(draw, max_d: int = 5, max_p: int = 6):
+    d, p = draw(st.integers(2, max_d)), draw(st.integers(2, max_p))
     q = draw(st.integers(1, p - 1))
     partition = None
     if draw(st.booleans()):
@@ -105,8 +105,8 @@ def ghz_configs(draw):
 
 
 @st.composite
-def w_configs(draw):
-    p = draw(st.integers(2, 8))
+def w_configs(draw, max_p: int = 8):
+    p = draw(st.integers(2, max_p))
     return w_config(WSpec(p, unit_coeffs(draw, p)))
 
 

@@ -18,7 +18,7 @@ from qdistill import (
     perfect_ghz,
     perfect_w,
 )
-from qdistill.states import _validated_coeffs, family_of, local_column, span_shape
+from qdistill.states import _validated_coeffs, changed_rows, family_of, local_column, span_shape
 
 from conftest import (
     ghz_corpus,
@@ -192,6 +192,20 @@ class TestDenseConstruction:
             assert span_shape(spec) == (len(table), spec.d if isinstance(spec, GhzSpec) else 2)
             for j in range(spec.p):
                 assert np.array_equal(local_column(spec, j), table[:, j])
+
+    def test_changed_rows_match_the_oracle_placement_table(self):
+        # the kernel's form: a W party holds 0 on every row of the table
+        # but one, where it holds 1; a GHZ party holds a new index on each row
+        for spec in [*ghz_corpus(), *w_corpus()]:
+            table, parties = placement_table(spec), np.arange(spec.p)
+            rows = changed_rows(spec, parties)
+            if isinstance(spec, GhzSpec):
+                assert rows is None
+                assert all(len(np.unique(column)) == spec.d for column in table.T)
+                continue
+            marked = np.zeros_like(table)
+            marked[rows, parties] = 1
+            assert np.array_equal(marked, table)
 
     def test_dense_cap(self):
         assert make_dense(perfect_ghz(4, 8)).size == 2**16

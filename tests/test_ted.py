@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdistill import (
@@ -62,6 +62,7 @@ from conftest import (
     w_config,
     w_corpus,
 )
+from test_montecarlo import ghz_configs, w_configs
 import itertools
 
 SQRT8_SPEC = GhzSpec(3, 3, (1 / math.sqrt(8), math.sqrt(7 / 16), math.sqrt(7 / 16)))
@@ -160,6 +161,36 @@ class TestApplyFilterLayer:
         assignment = assignment_for(spec4, 1)
         with pytest.raises(DimensionMismatchError):
             apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
+
+    def test_filters_of_another_local_dimension(self):
+        assignment = FilterAssignment(3, (2,), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatchError):
+            apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
+
+    @staticmethod
+    def assert_layer_matches_oracle(config):
+        # every outcome string, the nonzero ones reaching the K1 rows too
+        assignment = assignment_for(config.spec, config.q, config.partition)
+        state, psi = make_compact(config.spec), make_dense(config.spec)
+        for outcome in itertools.product((0, 1), repeat=assignment.q):
+            got, gprob = apply_filter_layer(state, assignment, outcome)
+            want, wprob = oracle_layer(assignment, outcome, psi)
+            assert abs(gprob - wprob) <= 1e-13
+            assert np.max(np.abs(dense_vector(got) - want)) <= 1e-13
+
+    @settings(max_examples=15)  # up to 2^9 outcome strings, each through the oracle
+    @given(config=w_configs(max_p=10))
+    def test_w_layer_matches_oracle_on_every_outcome(self, config):
+        self.assert_layer_matches_oracle(config)
+
+    def test_w_layer_matches_oracle_at_nine_and_ten_parties(self, rng):
+        # the sizes the drawn examples above seldom reach
+        for p in (9, 10):
+            self.assert_layer_matches_oracle(w_config(random_w_spec(rng, p)))
+
+    @given(config=ghz_configs(max_d=6, max_p=5))
+    def test_ghz_layer_matches_oracle_on_every_outcome(self, config):
+        self.assert_layer_matches_oracle(config)
 
 
 class TestSuccessProbability:

@@ -348,6 +348,18 @@ class TestDistilledAssemblage:
         with pytest.raises(DimensionMismatchError):
             assemblage_fidelity_by_setting(w3, w4)
 
+    def test_mix_and_score_require_one_family(self):
+        # GHZ d = 2 and W P = 2 both have two outcomes and spans of 2, but
+        # place their rows differently
+        ghz_spec, w_spec = GhzSpec(2, 3, (0.6, 0.8)), WSpec(2, (0.6, 0.8))
+        ghz = build_assemblage(make_compact(ghz_spec), steering(ghz_spec))
+        w = build_assemblage(make_compact(w_spec), steering(w_spec))
+        assert ghz.d_out == w.d_out and ghz.members.shape == w.members.shape
+        with pytest.raises(DimensionMismatchError):
+            mix_assemblages(0.5, ghz, w)
+        with pytest.raises(DimensionMismatchError):
+            assemblage_fidelity_by_setting(ghz, w)
+
 
 class TestAssemblageFidelity:
     """``run_tsd`` scores its distilled assemblage against the perfect one
@@ -648,13 +660,18 @@ class TestSpanGuards:
                 report.fidelity_closed_form, abs=1e-12
             )
 
-    def test_w_span_runs_in_bounded_memory(self):
-        # the W placement is a one-hot column per party, never a P x P
-        # table; the time stays O(P Q), so only memory is gated
+    @staticmethod
+    def w_config_of_3000_parties():
         ratios = np.append(np.random.default_rng(3000).uniform(0.999, 1.0, 2999), 1.0)
         spec = WSpec(3000, tuple(ratios / np.linalg.norm(ratios)))
-        config = steering(spec, n=3, q=2999)
+        return steering(spec, n=3, q=2999)
+
+    def test_w_span_runs_in_bounded_memory(self):
+        # the W placement is one changed row per party, never a P x P
+        # table, so the layer holds O(P) numbers
+        config = self.w_config_of_3000_parties()
         for run in (lambda: run_ted(config.base), lambda: run_tsd(config)):
+            _compact_zero_layer.cache_clear()
             tracemalloc.start()
             try:
                 run()
@@ -662,6 +679,19 @@ class TestSpanGuards:
             finally:
                 tracemalloc.stop()
             assert peak < 5 * 2**20
+
+    def test_w_span_runs_in_milliseconds(self):
+        # each participant changes one row, so a fresh W layer is O(P), not
+        # O(P^2) (best of 5 CPU times, the spec context rebuilt each time)
+        config = self.w_config_of_3000_parties()
+        for run in (lambda: run_ted(config.base), lambda: run_tsd(config)):
+            times = []
+            for _ in range(5):
+                _compact_zero_layer.cache_clear()
+                start = time.process_time()
+                run()
+                times.append(time.process_time() - start)
+            assert min(times) < 0.010
 
     def test_d1000_runs_in_milliseconds(self):
         # a d = 1000 run is O(d): no d^2 member array or basis is formed
