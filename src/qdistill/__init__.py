@@ -34,7 +34,6 @@ from .filters import (
 from .ted import (
     DistillationReport,
     ProtocolConfig,
-    StateMixture,
     apply_filter_layer,
     overall_success,
     run_ted,
@@ -72,7 +71,6 @@ __all__ = [
     "PivotNotMinimalError",
     "ProtocolConfig",
     "QdistillError",
-    "StateMixture",
     "SteeringConfig",
     "SteeringReport",
     "TrialRecord",

@@ -13,7 +13,7 @@ N enters only through (1 - p_u)^(N-1), so the engine runs once per curve
 (driver value and size), not once per row: each row of a curve takes
 ``run_ted``'s per-N step, :func:`~qdistill.ted.results_at`, on one context.
 A row built from a spec holds the closed form's own gap as ``coeff_gap``
-(:func:`~qdistill.ted.closed_form_terms`, on a curve read from the context).
+(:func:`~qdistill.ted.closed_form_terms`, read from the spec context).
 :func:`report_row` builds the row of one ``run_ted`` or ``run_tsd`` run.
 
 Rows run over driver value, then size (d or P), then copy count, each in its
@@ -33,7 +33,6 @@ from .states import Family, GhzSpec, WSpec, family_of, span_shape
 from .ted import (
     ProtocolConfig,
     _compact_zero_layer,
-    closed_form_terms,
     fidelity_from_success,
     overall_success,
     results_at,
@@ -58,8 +57,8 @@ FEAS_TOL = 1e-12
 # at 80-86 MB peak RSS; the largest default preset has 342 rows
 ROW_CAP = 100_000
 
-# grid_rows on one W curve at P = 10^4: 0.27 s of CPU at 31 MB peak RSS (the W filter
-# layer is quadratic in P, GHZ linear in d); the default presets have at most 207
+# grid_rows on one W curve (49 rows) at P = 10^4: 7-11 ms of CPU, best of 5, at 30 MB peak RSS
+# (both filter layers are linear in the size, d or P); the default presets have at most 207
 SIZE_CAP = 10_000
 
 
@@ -149,8 +148,8 @@ def report_row(config: ProtocolConfig | SteeringConfig, report) -> dict:
     driver = spec.alphas[0] if isinstance(spec, GhzSpec) else report.p_success_per_copy
     row = _row(
         family_of(spec).value, span_shape(spec)[1], spec.p, base.q, config.s if steering else 0,
-        base.n_copies, driver, closed_form_terms(spec)[2], report.p_success_per_copy,
-        report.p_success_overall, report.fidelity_closed_form,
+        base.n_copies, driver, _compact_zero_layer(spec, base.q, base.partition)[4][2],
+        report.p_success_per_copy, report.p_success_overall, report.fidelity_closed_form,
         report.fidelity_assemblage if steering else report.fidelity_numeric, True,
     )
     if steering:

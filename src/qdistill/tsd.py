@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
-from .states import CompactState, Family, Spec, changed_rows, span_shape
+from .states import CompactState, Spec, changed_rows, span_shape
 from .ted import ProtocolConfig, run_ted
 
 Setting = tuple[int, ...]
@@ -96,11 +96,11 @@ class Assemblage:
 class SteeringConfig:
     """A protocol instance plus the number of uncharacterized parties.
 
-    The first ``s`` parties are uncharacterized; participating filters sit on
-    the last ``q`` parties.  A run counts as *threshold* steering
-    distillation only if at least one characterized party stays idle; using
-    every characterized party still distills, but is flagged non-threshold.
-    W-state steering distillation exists only for s = 1 with q = p-1.
+    The first ``s`` parties are uncharacterized; the ``q`` filters sit on
+    the last parties and must fit on the p - s characterized ones.  A run
+    counts as *threshold* steering distillation only if at least one
+    characterized party stays idle (q < p - s).  W has q = p-1, so it fits
+    only at s = 1 and is never threshold.
     """
 
     base: ProtocolConfig
@@ -112,23 +112,14 @@ class SteeringConfig:
             raise InvalidSteeringScenarioError(
                 f"need between 1 and {p - 1} uncharacterized parties, got {self.s}"
             )
-        if self.base.family is Family.W_SINGLE_EXCITATION:
-            if self.s != 1:
-                raise InvalidSteeringScenarioError(
-                    "W steering distillation needs p-1 filtering parties, so only "
-                    "the one-sided scenario (s = 1) is available"
-                )
-        elif self.base.q > p - self.s:
+        if self.base.q > p - self.s:
             raise InvalidSteeringScenarioError(
                 f"q = {self.base.q} filters do not fit on {p - self.s} characterized parties"
             )
 
     @property
     def threshold(self) -> bool:
-        p = self.base.spec.p
-        if self.base.family is Family.W_SINGLE_EXCITATION:
-            return False
-        return self.s <= p - 2 and self.base.q <= p - self.s - 1
+        return self.base.q < self.base.spec.p - self.s
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +217,7 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     string that non-uniform specs converge to.
     """
     ted = run_ted(config.base)
-    (ps, perfect), (_, initial) = ted.distilled_state.components
+    (ps, perfect), (_, initial) = ted.distilled_state
     perf = build_assemblage(perfect, config)
     dist = mix_assemblages(ps, perf, build_assemblage(initial, config))
     per_setting = assemblage_fidelity_by_setting(dist, perf)

@@ -308,9 +308,9 @@ def dense_vector(state) -> np.ndarray:
 
 
 def dense_mixture(mixture) -> np.ndarray:
-    """Density matrix sum_k w_k |v_k><v_k| of a compact StateMixture."""
+    """Density matrix sum_k w_k |v_k><v_k| of a report's (w_k, compact state) pairs."""
     out = 0
-    for w, state in mixture.components:
+    for w, state in mixture:
         v = dense_vector(state)
         out = out + w * np.outer(v, v.conj())
     return out

@@ -32,17 +32,18 @@ from qdistill import (
     run_tsd,
     success_prob_per_copy,
 )
+import qdistill.cli
 import qdistill.ted
 from qdistill.linalg import _root_fidelity
 from qdistill.states import perfect_like
 from qdistill.ted import (
     SPEC_CACHE_SIZE,
     DistillationReport,
-    StateMixture,
     _compact_zero_layer,
     assignment_for,
     closed_form_fidelity,
     fidelity_from_success,
+    results_at,
     w_success_probability,
 )
 
@@ -62,6 +63,7 @@ from conftest import (
     w_config,
     w_corpus,
 )
+from test_cli import ALPHAS_SQRT8
 from test_montecarlo import ghz_configs, w_configs
 import itertools
 
@@ -350,12 +352,12 @@ class TestClosedFormFidelity:
 class TestDistilledState:
     def test_perfect_input_stays_pure(self):
         mixture = run_ted(ghz_config(perfect_ghz(2, 2), n=4)).distilled_state
-        weights = [w for w, _ in mixture.components]
+        weights = [w for w, _ in mixture]
         assert weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_approaches_one(self):
         weights = [
-            run_ted(ghz_config(SQRT8_SPEC, n=n)).distilled_state.components[0][0]
+            run_ted(ghz_config(SQRT8_SPEC, n=n)).distilled_state[0][0]
             for n in (2, 5, 10, 20, 45)
         ]
         assert weights[0] == pytest.approx(0.375, abs=1e-12)
@@ -364,8 +366,10 @@ class TestDistilledState:
 
     def test_mixture_fidelity_against_oracle(self):
         config = ghz_config(SQRT8_SPEC, n=2)
-        rho = run_ted(config).distilled_state
-        assert isinstance(rho, StateMixture)
+        report = run_ted(config)
+        rho = report.distilled_state  # (P_s, perfect), (1 - P_s, initial)
+        assert [w for w, _ in rho] == [report.p_success_overall, 1.0 - report.p_success_overall]
+        assert [state.spec for _, state in rho] == [perfect_ghz(3, 3), SQRT8_SPEC]
         dense = dense_mixture(rho)
         perfect = make_dense(perfect_ghz(3, 3))
         via_matrix = _root_fidelity(dense, np.outer(perfect, perfect.conj())) ** 2
@@ -420,46 +424,48 @@ class TestRunTed:
             oracle_state_fidelity(rho, target), abs=ORACLE_FIDELITY_TOL
         )
 
-    def test_report_type_invariants_enforced(self):
-        with pytest.raises(InvalidSpecError):
-            DistillationReport(
-                n_copies=3,
-                p_success_per_copy=0.5,
-                p_success_overall=0.9,  # should be 0.75
-                fidelity_closed_form=0.9,
-                fidelity_numeric=0.9,
-                distilled_state=run_ted(ghz_config(SQRT8_SPEC)).distilled_state,
-            )
-        with pytest.raises(InvalidSpecError):
-            DistillationReport(
-                n_copies=3,
-                p_success_per_copy=0.5,
-                p_success_overall=0.75,
-                fidelity_closed_form=0.9,
-                fidelity_numeric=0.8,
-                distilled_state=run_ted(ghz_config(SQRT8_SPEC)).distilled_state,
-            )
 
-    def test_report_rejects_non_finite_values(self):
-        state = run_ted(ghz_config(SQRT8_SPEC)).distilled_state
-        bad = (
-            (0.5, 0.75, math.nan, 0.9),
-            (0.5, 0.75, 0.9, math.nan),
-            (0.5, 0.75, math.nan, math.nan),
-            (0.5, 0.75, math.inf, math.inf),
-            (0.5, math.nan, 0.9, 0.9),
-            (math.nan, 0.75, 0.9, 0.9),
-        )
-        for pu, ps, closed, numeric in bad:
-            with pytest.raises(InvalidSpecError):
-                DistillationReport(
-                    n_copies=3,
-                    p_success_per_copy=pu,
-                    p_success_overall=ps,
-                    fidelity_closed_form=closed,
-                    fidelity_numeric=numeric,
-                    distilled_state=state,
-                )
+# a handmade spec context for results_at, n = 3: p_u = 0.5 gives ps = 0.75,
+# and with gap 0.4 over size 2 both fidelities are 0.95
+def handmade_context(pu=0.5, overlap=0.8, terms=(0.5, 2, 0.4)):
+    return pu, None, None, overlap, terms
+
+
+class TestResultsAt:
+    """results_at is the one check of a report's numbers: every report and
+    every sweep row that runs the engine takes them from it."""
+
+    def test_a_consistent_context_passes(self):
+        pu, ps, closed, numeric = results_at(handmade_context(), 3)
+        assert (pu, ps) == (0.5, 0.75)
+        assert closed == pytest.approx(0.95, abs=1e-15)
+        assert numeric == pytest.approx(0.95, abs=1e-15)
+
+    def test_refuses_disagreeing_fidelities(self):
+        for context in (handmade_context(overlap=0.7), handmade_context(terms=(0.5, 2, 0.5)),
+                        handmade_context(overlap=0.8 + 1e-8)):  # numeric 2.5e-9 off
+            with pytest.raises(InvalidSpecError, match="fidelities disagree"):
+                results_at(context, 3)
+
+    def test_refuses_non_finite_terms(self):
+        nan, inf = math.nan, math.inf
+        for context in (
+            handmade_context(overlap=nan),
+            handmade_context(overlap=inf),
+            handmade_context(terms=(nan, 2, 0.4)),
+            handmade_context(terms=(0.5, 2, nan)),
+            handmade_context(terms=(0.5, 2, inf)),
+            handmade_context(overlap=inf, terms=(0.5, 2, -inf)),  # both fidelities +inf
+        ):
+            with pytest.raises(InvalidSpecError, match="fidelities disagree"):
+                results_at(context, 3)
+
+    def test_refuses_success_outside_unit_interval(self):
+        # gap 0 and overlap 1 make both fidelities 1 at any p_u, so only the
+        # range check can refuse these
+        for pu in (-0.25, -1e-9, 1.0 + 1e-9, 1.5, math.nan):
+            with pytest.raises(InvalidSpecError, match="outside"):
+                results_at(handmade_context(pu, 1.0, (pu, 2, 0.0)), 3)
 
 
 W_LARGE_P = (200, 400, 1000)
@@ -626,8 +632,8 @@ class TestSpecCaches:
                         assert [getattr(report, f) for f in fields] == [
                             getattr(expected, f) for f in fields]
                         for (w, state), (w_ref, ref) in zip(
-                                report.distilled_state.components,
-                                expected.distilled_state.components, strict=True):
+                                report.distilled_state,
+                                expected.distilled_state, strict=True):
                             assert w == w_ref and state.spec == ref.spec
                             assert np.array_equal(state.coeffs, ref.coeffs)
                     visits += 1
@@ -650,12 +656,12 @@ class TestSpecCaches:
     def test_cached_states_are_read_only(self):
         spec = random_ghz_spec(np.random.default_rng(8), 6, 3)
         first = run_ted(ghz_config(spec, n=4))
-        kept = [state.coeffs.copy() for _, state in first.distilled_state.components]
-        for _, state in first.distilled_state.components:
+        kept = [state.coeffs.copy() for _, state in first.distilled_state]
+        for _, state in first.distilled_state:
             with pytest.raises(ValueError):
                 state.coeffs[0] = 0.5
         second = run_ted(ghz_config(spec, n=4))
-        for (_, state), values in zip(second.distilled_state.components, kept, strict=True):
+        for (_, state), values in zip(second.distilled_state, kept, strict=True):
             assert np.array_equal(state.coeffs, values)
 
 
@@ -673,7 +679,7 @@ def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
         p_success_overall=ps,
         fidelity_closed_form=closed_form_fidelity(config.spec, config.n_copies),
         fidelity_numeric=ps + (1.0 - ps) * overlap,
-        distilled_state=StateMixture(((ps, perfect), (1.0 - ps, initial))),
+        distilled_state=((ps, perfect), (1.0 - ps, initial)),
     )
 
 
@@ -696,8 +702,8 @@ class CountedHashWSpec(CountsHashes, WSpec):
 
 
 # what a run builds per spec, however many n it visits; ``check_pivot`` is
-# counted through ``ted``'s reference, the closed form's own check (the
-# assignment's check runs inside ``filters``, once per ``assignment_for``)
+# counted through every module's reference, ``filters`` (the assignment's
+# check) included, so a second check of the same spec counts too
 BUILT_ONCE = {"perfect_like": 1, "make_compact": 2, "assignment_for": 1,
               "check_pivot": 1, "closed_form_terms": 1}
 
@@ -717,7 +723,8 @@ class TestSpecStateCost:
             def counted(*args, name=name, fn=fn):
                 built[name] += 1
                 return fn(*args)
-            for module in (qdistill.ted, qdistill.tsd, qdistill.montecarlo):
+            for module in (qdistill.ted, qdistill.tsd, qdistill.montecarlo,
+                           qdistill.filters, qdistill.sweep):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted)
         _compact_zero_layer.cache_clear()
@@ -738,6 +745,17 @@ class TestSpecStateCost:
             built.clear()
             run_tsd(SteeringConfig(config, 1))
             assert built == BUILT_ONCE
+
+    @pytest.mark.parametrize("argv", [
+        ["ted-ghz", "--d", "3", "--p", "3", "--q", "1", "--n", "2", "--alphas", ALPHAS_SQRT8],
+        ["tsd-ghz", "--d", "3", "--p", "3", "--q", "1", "--s", "1", "--n", "2",
+         "--alphas", ALPHAS_SQRT8],
+    ], ids=["ted-ghz", "tsd-ghz"])
+    def test_a_cli_run_command_evaluates_the_closed_form_terms_once(self, built, argv, capsys):
+        # the report row reads coeff_gap from the run's cached spec context
+        assert qdistill.cli.main(argv) == 0
+        assert "fidelity_closed" in capsys.readouterr().out
+        assert built["closed_form_terms"] == 1 and built["check_pivot"] == 1
 
     def test_a_warm_run_hashes_the_spec_once(self):
         spec = CountedHashSpec(SQRT8_SPEC.d, SQRT8_SPEC.p, SQRT8_SPEC.alphas)

@@ -473,6 +473,39 @@ class TestRunTsd:
         assert report.p_success_per_copy == pytest.approx(0.27, abs=1e-12)
 
 
+def former_steering_rule(w: bool, p: int, q: int, s: int) -> tuple[str | None, bool | None]:
+    """The steering rule as two family branches, before one fit rule took
+    both: (the refusal's message start or None, threshold).  W then refused
+    s >= 2 with its own message; the fit message now says the same."""
+    if not 1 <= s <= p - 1:
+        return "need between", None
+    if w:
+        if s != 1:
+            return "do not fit", None
+        return None, False
+    if q > p - s:
+        return "do not fit", None
+    return None, s <= p - 2 and q <= p - s - 1
+
+
+class TestSteeringRuleTable:
+    def test_one_fit_rule_matches_the_family_branches(self):
+        cases = 0
+        for p in range(2, 9):
+            specs = ((False, perfect_ghz(2, p), range(1, p)), (True, perfect_w(p), (p - 1,)))
+            for w, spec, qs in specs:
+                for q in qs:
+                    for s in range(-1, p + 2):
+                        refusal, threshold = former_steering_rule(w, p, q, s)
+                        if refusal is None:
+                            assert steering(spec, q=q, s=s).threshold is threshold
+                        else:
+                            with pytest.raises(InvalidSteeringScenarioError, match=refusal):
+                                steering(spec, q=q, s=s)
+                        cases += 1
+        assert cases == sum(p * (p + 3) for p in range(2, 9))  # p values of q, p + 3 of s
+
+
 def corpus_steering_configs():
     """Every valid (s, q) on each GHZ corpus spec, and s = 1 on each W
     corpus spec: 1500 configs, with n cycling through 2..10."""
@@ -533,7 +566,7 @@ class TestSteeringReadsTheEntanglementReport:
             assert _compact_zero_layer.cache_info().hits == hits + 1
             assert (tsd.p_success_per_copy, tsd.p_success_overall, tsd.fidelity_closed_form) == (
                 ted.p_success_per_copy, ted.p_success_overall, ted.fidelity_closed_form)
-            rows = [np.sqrt(w) * state.coeffs for w, state in ted.distilled_state.components]
+            rows = [np.sqrt(w) * state.coeffs for w, state in ted.distilled_state]
             assert np.array_equal(tsd.distilled.members, rows)
 
 
