@@ -22,7 +22,8 @@ The product of the participants' diagonals then equals alpha_0/alpha_i at
 every index i >= 1, so the post-selected state and the success probability
 are independent of the split and of how many parties participate.  The
 assignment fills its table from one owner array, the block of each index,
-whether the split is the default contiguous one or explicit.
+whether the split is explicit or the default even one: contiguous blocks
+over {1..d-1}, the first (d - 1) mod q of them one index longer.
 
 For a W spec with beta_{p-1} maximal, parties 1..p-1 filter their |0>
 component by beta_{p-1-j}/beta_{p-1}; this requires all p-1 of them.
@@ -48,16 +49,6 @@ from .states import GhzSpec, Spec, WSpec, changed_rows, span_shape
 PIVOT_TOL = 1e-12
 
 
-def _contiguous_bounds(d: int, q: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of the even contiguous split of {1..d-1}
-    into q blocks, the first (d - 1) mod q blocks one index longer."""
-    if q < 1:
-        raise BadPartitionError(f"need at least one block, got {q}")
-    base, extra = divmod(d - 1, q)
-    starts = [1 + k * base + min(k, extra) for k in range(q + 1)]
-    return list(zip(starts, starts[1:]))
-
-
 @dataclass(frozen=True)
 class IndexPartition:
     """Disjoint blocks of basis indices, one per participating party, whose
@@ -70,11 +61,6 @@ class IndexPartition:
         object.__setattr__(
             self, "blocks", tuple(frozenset(int(i) for i in b) for b in self.blocks)
         )
-
-    @classmethod
-    def contiguous(cls, d: int, q: int) -> "IndexPartition":
-        """Split {1..d-1} into q contiguous blocks as evenly as possible."""
-        return cls(tuple(frozenset(range(a, b)) for a, b in _contiguous_bounds(d, q)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,28 +168,29 @@ def ghz_partition_assignment(
     """Distribute the GHZ filter across participating parties by index block.
 
     Party ``parties[k]`` filters the indices in ``partition.blocks[k]`` and
-    leaves diagonal entry 1 everywhere else; the parties may come in any
-    order, their blocks travel with them.  ``None`` is the even contiguous
-    split of :meth:`IndexPartition.contiguous` over ``len(parties)`` blocks,
-    built without forming the blocks.
+    leaves diagonal entry 1 everywhere else; the parties ascend strictly,
+    the order the assignment stores.  ``None`` is the default even split
+    into ``len(parties)`` blocks, built as its owner array without blocks.
     """
     parties = tuple(int(j) for j in parties)
+    q = len(parties)
+    if q < 1:
+        raise BadPartitionError(f"need at least one block, got {q}")
     if partition is None:
-        sizes = [b - a for a, b in _contiguous_bounds(spec.d, len(parties))]
-        owner = np.repeat(np.arange(-1, len(sizes)), [1, *sizes])
+        base, extra = divmod(spec.d - 1, q)
+        owner = np.repeat(np.arange(-1, q), [1] + [base + 1] * extra + [base] * (q - extra))
     else:
         owner = _owner_array(partition.blocks, spec.d)
-        if len(parties) != len(partition.blocks):
-            raise BadPartitionError(f"{len(partition.blocks)} blocks for {len(parties)} parties")
-    if len(set(parties)) != len(parties) or not 0 <= min(parties) <= max(parties) < spec.p:
-        raise BadPartitionError(f"parties {parties} are not distinct indices in 0..{spec.p - 1}")
-    if len(parties) > spec.p - 1:
+        if q != len(partition.blocks):
+            raise BadPartitionError(f"{len(partition.blocks)} blocks for {q} parties")
+    if any(a >= b for a, b in zip((-1, *parties), (*parties, spec.p))):
+        raise BadPartitionError(f"parties {parties} must ascend strictly within 0..{spec.p - 1}")
+    if q > spec.p - 1:
         raise BadPartitionError("threshold assignment must leave a non-participating party")
     check_pivot(spec)
     ratios = np.minimum(spec.alphas[0] / np.fromiter(spec.alphas, float, spec.d), 1.0)
-    order = sorted(range(len(parties)), key=parties.__getitem__)  # blocks by party
-    table = np.where(owner == np.array(order)[:, None], ratios, 1.0)
-    return FilterAssignment(spec.p, tuple(sorted(parties)), table)
+    table = np.where(owner == np.arange(q)[:, None], ratios, 1.0)
+    return FilterAssignment(spec.p, parties, table)
 
 
 def _owner_array(blocks: tuple[frozenset[int], ...], d: int) -> np.ndarray:

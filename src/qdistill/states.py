@@ -140,7 +140,7 @@ def changed_rows(spec: Spec, parties) -> np.ndarray | None:
 
 def make_compact(spec: Spec) -> CompactState:
     coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
-    return CompactState(np.array(coeffs), spec)
+    return CompactState(np.fromiter(coeffs, float, len(coeffs)), spec)
 
 
 def make_dense(spec: Spec) -> np.ndarray:

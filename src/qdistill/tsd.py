@@ -82,10 +82,6 @@ class Assemblage:
     members: np.ndarray
 
     @property
-    def d_out(self) -> int:  # outcomes per uncharacterized party
-        return span_shape(self.spec)[1]
-
-    @property
     def settings(self) -> tuple[Setting, ...]:
         """One setting string per Fourier count f = 0..s: (1,)*f + (0,)*(s-f),
         the lexicographically largest string with f Fourier parties."""

@@ -109,6 +109,14 @@ def w_config(spec: WSpec, n: int = 2, **kw) -> ProtocolConfig:
     return ProtocolConfig(n, Family.W_SINGLE_EXCITATION, spec, spec.p - 1, **kw)
 
 
+def contiguous_partition(d: int, q: int):
+    """The default even split of {1..d-1} into q contiguous blocks, the
+    first (d - 1) mod q one index longer, by numpy's ``array_split`` rule."""
+    from qdistill import IndexPartition
+
+    return IndexPartition(tuple(frozenset(b.tolist()) for b in np.array_split(np.arange(1, d), q)))
+
+
 def labeled_partitions(d: int, q: int):
     """All assignments of indices 1..d-1 to q labeled blocks (empty allowed)."""
     from qdistill import IndexPartition
@@ -287,6 +295,11 @@ def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     )
 
 
+def local_dim(spec) -> int:
+    """Local dimension of every party: d for GHZ, 2 for W (a qubit)."""
+    return spec.d if isinstance(spec, GhzSpec) else 2
+
+
 def placement_table(spec) -> np.ndarray:
     """The (span, P) basis placement table: row k holds, per party, the
     local index of the basis state that carries coefficient k (|k k ... k>
@@ -301,7 +314,7 @@ def dense_vector(state) -> np.ndarray:
     at global index sum_j local[r, j] dim^(P-1-j), with local =
     placement_table(spec) and dim the local dimension."""
     spec = state.spec
-    dim = spec.d if isinstance(spec, GhzSpec) else 2
+    dim = local_dim(spec)
     v = np.zeros(dim**spec.p, dtype=complex)
     v[placement_table(spec) @ dim ** np.arange(spec.p - 1, -1, -1)] = state.coeffs
     return v
@@ -320,7 +333,7 @@ def member_keys(asm):
     """Every (setting string, outcome string) of an assemblage's
     uncharacterized parties, settings first, both in row-major order."""
     settings = itertools.product((0, 1), repeat=asm.s)
-    return itertools.product(settings, itertools.product(range(asm.d_out), repeat=asm.s))
+    return itertools.product(settings, itertools.product(range(local_dim(asm.spec)), repeat=asm.s))
 
 
 def class_of(x) -> tuple[int, ...]:
@@ -344,8 +357,8 @@ def rebuilt_member(asm, x, a) -> np.ndarray:
     """Member (x, a) as a complex (rows, span) factor, rebuilt from the
     stored real factor R by the measurement itself: column k is R[:, k]
     times conj(B[x_j][a_j, local[k, j]]) for each uncharacterized party j,
-    with B = ``mub_family(d_out)`` and local = ``placement_table(spec)``."""
-    bases = mub_family(asm.d_out).conj()
+    with B = ``mub_family(local_dim(spec))`` and local = ``placement_table(spec)``."""
+    bases = mub_family(local_dim(asm.spec)).conj()
     local = placement_table(asm.spec)
     member = asm.members.astype(complex)
     for j, (xj, aj) in enumerate(zip(x, a)):
@@ -357,9 +370,9 @@ def dense_member(asm, x, a) -> np.ndarray:
     """A member of a span assemblage as a matrix on the d^(P-S)
     characterized space: span row r sits at sum_{j>=s} local[r, j] d^(P-1-j)."""
     factor = rebuilt_member(asm, x, a)
-    p = asm.spec.p
-    index = placement_table(asm.spec)[:, asm.s:] @ asm.d_out ** np.arange(p - 1 - asm.s, -1, -1)
-    rows = np.zeros((len(factor), asm.d_out ** (p - asm.s)), dtype=complex)
+    p, dim = asm.spec.p, local_dim(asm.spec)
+    index = placement_table(asm.spec)[:, asm.s:] @ dim ** np.arange(p - 1 - asm.s, -1, -1)
+    rows = np.zeros((len(factor), dim ** (p - asm.s)), dtype=complex)
     rows[:, index] = factor
     return rows.T @ rows.conj()
 
@@ -404,7 +417,7 @@ def oracle_projections(spec, s: int):
     project onto explicit basis vectors (computational, and Fourier
     exp(2 pi i a l / d) / sqrt(d)), for every setting and outcome string.
     Subject to the dense cap."""
-    d = spec.d if isinstance(spec, GhzSpec) else 2
+    d = local_dim(spec)
     fourier = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d)
     bases = (np.eye(d), fourier)
     psi = make_dense(spec).reshape(d**s, -1)

@@ -42,7 +42,7 @@ from qdistill import (
     run_tsd,
 )
 from qdistill.cli import main as cli_main
-from qdistill.filters import last_parties, ghz_partition_assignment, IndexPartition
+from qdistill.filters import last_parties, ghz_partition_assignment
 from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
 from qdistill.states import perfect_like
@@ -52,6 +52,7 @@ from qdistill.tsd import filter_assemblage
 
 from conftest import (
     NONSIGNALING_TOL,
+    contiguous_partition,
     dense_report,
     ghz_corpus,
     labeled_partitions,
@@ -96,7 +97,7 @@ def _ghz_layer_sweep(specs):
             if spec.d <= 4:
                 partitions = list(labeled_partitions(spec.d, q))
             else:
-                partitions = [IndexPartition.contiguous(spec.d, q)]
+                partitions = [contiguous_partition(spec.d, q)]
             for partition in partitions:
                 assignment = ghz_partition_assignment(
                     spec, partition, last_parties(spec.p, q)

@@ -25,6 +25,7 @@ from qdistill.ted import assignment_for
 
 from conftest import (
     completeness_deviation,
+    contiguous_partition,
     labeled_partitions,
     oracle_layer,
     oracle_w_fmax,
@@ -36,7 +37,7 @@ from conftest import (
 def ghz_single_party_pair(spec: GhzSpec) -> tuple[np.ndarray, np.ndarray]:
     """The (K0, K1) diagonals of the one-party GHZ filter: one block
     {1..d-1} on the last party."""
-    part = IndexPartition.contiguous(spec.d, 1)
+    part = contiguous_partition(spec.d, 1)
     assignment = ghz_partition_assignment(spec, part, (spec.p - 1,))
     return assignment.k0[0], assignment.k1[0]
 
@@ -91,9 +92,7 @@ class TestPartitionAssignment:
 
     def test_single_block_reduces_to_single_party_pair(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
-        assignment = ghz_partition_assignment(
-            spec, IndexPartition.contiguous(4, 1), (2,)
-        )
+        assignment = ghz_partition_assignment(spec, contiguous_partition(4, 1), (2,))
         single = FilterAssignment(3, (2,), [spec.alphas[0] / np.array(spec.alphas)])
         assert np.array_equal(assignment.k0, single.k0)
         assert np.array_equal(assignment.k1, single.k1)
@@ -131,7 +130,7 @@ class TestPartitionAssignment:
         # (and 1 at the pivot) for any partition
         for d, q in [(4, 2), (5, 3), (6, 4)]:
             spec = random_ghz_spec(rng, d, 5)
-            part = IndexPartition.contiguous(d, q)
+            part = contiguous_partition(d, q)
             assignment = ghz_partition_assignment(spec, part, last_parties(5, q))
             product = np.ones(d)
             for row in assignment.k0:
@@ -149,22 +148,12 @@ class TestPartitionAssignment:
             (IndexPartition((frozenset({1, 2, 3, 4}),)), (2,)),                # index d
             (IndexPartition((frozenset({1, 2, 3}),)), (1, 2)),                 # count mismatch
             (IndexPartition((frozenset({1, 2}), frozenset({3}))), (2, 2)),     # duplicate party
+            (IndexPartition((frozenset({1, 2}), frozenset({3}))), (2, 1)),     # descending
             (IndexPartition((frozenset({1, 2}), frozenset({3}))), (1, 5)),     # out of range
         ]
         for part, parties in cases:
             with pytest.raises(BadPartitionError):
                 ghz_partition_assignment(spec, part, parties)
-
-    def test_party_order_travels_with_blocks(self, rng):
-        # non-ascending parties give the assignment of the sorted call
-        spec = random_ghz_spec(rng, 5, 4)
-        blocks = (frozenset({3}), frozenset({1, 4}), frozenset({2}))
-        got = ghz_partition_assignment(spec, IndexPartition(blocks), (3, 1, 2))
-        want = ghz_partition_assignment(
-            spec, IndexPartition((blocks[1], blocks[2], blocks[0])), (1, 2, 3)
-        )
-        assert got.participants == want.participants == (1, 2, 3)
-        assert np.array_equal(got.k0, want.k0) and np.array_equal(got.k1, want.k1)
 
     def test_all_parties_participating_rejected(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
@@ -173,16 +162,15 @@ class TestPartitionAssignment:
             ghz_partition_assignment(spec, part, (0, 1, 2))
 
     def test_default_split_is_the_contiguous_partition(self, rng):
-        # None builds its owner array from the split rule, without blocks;
-        # the same blocks given explicitly must fill the same table
+        # None builds its owner array from the package's split rule, without
+        # blocks; numpy's array_split blocks given explicitly must fill the
+        # same table
         for d, p in [(2, 3), (12, 5)]:
             spec = random_ghz_spec(rng, d, p)
             for q in range(1, p):
-                for parties in (last_parties(p, q), tuple(reversed(range(q)))):
+                for parties in (last_parties(p, q), tuple(range(q))):
                     got = ghz_partition_assignment(spec, None, parties)
-                    want = ghz_partition_assignment(
-                        spec, IndexPartition.contiguous(d, q), parties
-                    )
+                    want = ghz_partition_assignment(spec, contiguous_partition(d, q), parties)
                     assert got.participants == want.participants
                     assert np.array_equal(got.k0, want.k0)
         with pytest.raises(BadPartitionError):
@@ -260,7 +248,7 @@ class TestValidatePovm:
             d = int(rng.integers(2, 6))
             spec = random_ghz_spec(rng, d, 3)
             for q in (1, 2):
-                part = IndexPartition.contiguous(d, q)
+                part = contiguous_partition(d, q)
                 assignment = ghz_partition_assignment(spec, part, last_parties(3, q))
                 assert completeness_deviation(assignment.k0, assignment.k1) < 1e-12
 

@@ -122,3 +122,47 @@ def test_traced_benchmark_runs_clean(workload):
     assert [name for name, metric in result["metrics"].items() if "note" in metric] == []
     if workload == "steer":
         assert result["metrics"]["tsd.members"]["value"] > 0
+
+
+def defined_names(tree: ast.Module, module):
+    """(qualified name, name, owner class or None) of every module-level
+    function, class and constant, and every non-dunder method or property."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, None
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, target.id, None
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(module, node.name)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, cls
+
+
+def test_every_package_name_is_read(monkeypatch):
+    # src/ keeps only what a run path reads: a name no module of the package
+    # reads is test-only API, unless an oracle imports it or the benchmark
+    # traces it; a method that overrides a base class is read by that base
+    package = Path(qdistill.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    spans = bench_module(monkeypatch, "spans")
+    kept = read | ORACLE_IMPORTS | {t.attr for t in spans.TARGETS}
+    kept |= {attr for _, _, attr in spans.CACHES}
+    unread = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        module = importlib.import_module(f"qdistill.{stem}")
+        for qualified, name, cls in defined_names(tree, module):
+            overrides = cls is not None and any(hasattr(b, name) for b in cls.__mro__[1:])
+            if name not in kept and not overrides:
+                unread.append(f"{stem}.{qualified}")
+    assert unread == []

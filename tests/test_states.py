@@ -227,8 +227,8 @@ class TestCompact:
         assert tuple(cs.coeffs) == spec.betas
 
     def test_uniform_specs_build_up_to_a_million(self):
-        # the norm is summed exactly, so the normalized coefficients pass
-        # CompactState's 1e-12 check at any count
+        # the norm is summed exactly, so the normalized coefficients keep
+        # unit norm within 1e-12 at any count
         for count in (2 * 10**5, 3 * 10**5, 10**6):
             for spec in (perfect_ghz(count, 3), perfect_w(count)):
                 coeffs = make_compact(spec).coeffs

@@ -33,9 +33,11 @@ from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
 from conftest import (
     NONSIGNALING_TOL,
     class_of,
+    contiguous_partition,
     dense_member,
     ghz_config,
     ghz_corpus,
+    local_dim,
     member_keys,
     mub_family,
     nonsignaling_deviation,
@@ -269,9 +271,9 @@ class TestFilterAssemblage:
         config = steering(spec, s=2, q=1)
         asm = build_assemblage(make_compact(spec), config)
         # an assignment whose participant sits on party 1 (< s) must be refused
-        from qdistill.filters import IndexPartition, ghz_partition_assignment
+        from qdistill.filters import ghz_partition_assignment
 
-        bad = ghz_partition_assignment(spec, IndexPartition.contiguous(spec.d, 1), (1,))
+        bad = ghz_partition_assignment(spec, contiguous_partition(spec.d, 1), (1,))
         with pytest.raises(InvalidSteeringScenarioError):
             filter_assemblage(asm, bad, (0,))
 
@@ -342,7 +344,7 @@ class TestDistilledAssemblage:
         w3 = build_assemblage(make_compact(W_TOY), steering(W_TOY, q=2))
         w4_spec = random_w_spec(np.random.default_rng(4), 4)
         w4 = build_assemblage(make_compact(w4_spec), steering(w4_spec, q=3))
-        assert w3.d_out == w4.d_out and len(w3.members) == len(w4.members)
+        assert local_dim(w3.spec) == local_dim(w4.spec) and len(w3.members) == len(w4.members)
         with pytest.raises(DimensionMismatchError):
             mix_assemblages(0.5, w3, w4)
         with pytest.raises(DimensionMismatchError):
@@ -354,7 +356,7 @@ class TestDistilledAssemblage:
         ghz_spec, w_spec = GhzSpec(2, 3, (0.6, 0.8)), WSpec(2, (0.6, 0.8))
         ghz = build_assemblage(make_compact(ghz_spec), steering(ghz_spec))
         w = build_assemblage(make_compact(w_spec), steering(w_spec))
-        assert ghz.d_out == w.d_out and ghz.members.shape == w.members.shape
+        assert local_dim(ghz.spec) == local_dim(w.spec) and ghz.members.shape == w.members.shape
         with pytest.raises(DimensionMismatchError):
             mix_assemblages(0.5, ghz, w)
         with pytest.raises(DimensionMismatchError):
