@@ -16,7 +16,6 @@ from .errors import (
     WorkCapExceededError,
 )
 from .states import (
-    CompactState,
     Family,
     GhzSpec,
     WSpec,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Assemblage",
     "BadPartitionError",
-    "CompactState",
     "DenseCapExceededError",
     "DimensionMismatchError",
     "DistillationReport",

@@ -98,7 +98,7 @@ def outcome_distribution(
     strings = tuple(itertools.product((0, 1), repeat=assignment.q))
     probs = []
     for outcome in strings:
-        _, prob = apply_filter_layer(state, assignment, outcome)
+        _, prob = apply_filter_layer(state, config.spec, assignment, outcome)
         probs.append(prob)
     total = float(sum(probs))
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:

@@ -1,19 +1,19 @@
 """GHZ and W state families.
 
 A protocol instance is pinned down by a validated parameter vector
-(:class:`GhzSpec` or :class:`WSpec`).  Every engine runs on a
-:class:`CompactState`, which holds only the nonzero coefficient vector:
-every filter in this package is diagonal in the computational basis, so GHZ
-states never leave span{|ii...i>} and W states never leave the
-single-excitation span, whose shape and placement only this module decides
-(:func:`span_shape`, :func:`local_column`, and :func:`changed_rows`, the
-same placement in the form the filter kernel takes: the one span row on
-which a W party holds |1>, or none for GHZ, where every row changes with
-every party).  ``make_dense`` places a spec's
+(:class:`GhzSpec` or :class:`WSpec`).  Every engine runs on the spec plus
+one coefficient array, :func:`make_compact`'s read-only nonzero
+coefficients: every filter in this package is diagonal in the
+computational basis, so GHZ states never leave span{|ii...i>} and W states
+never leave the single-excitation span, whose shape and placement only this
+module decides (:func:`span_shape`, :func:`local_column`, and
+:func:`changed_rows`, the same placement in the form the filter kernel
+takes: the one span row on which a W party holds |1>, or none for GHZ,
+where every row changes with every party).  ``make_dense`` places a spec's
 coefficients on the full product space by that rule, the tests' reference
 (subject to the dense cap).  Coefficients are strictly positive reals (the
 filters divide by them) that the spec alone normalizes, by their exactly
-rounded norm; a compact state checks only that they are finite.
+rounded norm.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class Family(str, enum.Enum):
 
 
 def _validated_coeffs(values, count: int, what: str, tol: float = SPEC_NORM_TOL) -> tuple[float, ...]:
+    if count < 2:  # the size floor, checked before the count it sets
+        raise InvalidSpecError(f"span size (d for GHZ, P for W) must be >= 2, got {count}")
     try:
         vec = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
@@ -64,8 +66,6 @@ class GhzSpec:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise InvalidSpecError(f"local dimension must be >= 2, got {self.d}")
         if self.p < 2:
             raise InvalidSpecError(f"party count must be >= 2, got {self.p}")
         object.__setattr__(self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas"))
@@ -84,8 +84,6 @@ class WSpec:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise InvalidSpecError(f"party count must be >= 2, got {self.p}")
         object.__setattr__(self, "betas", _validated_coeffs(self.betas, self.p, "betas"))
         object.__setattr__(self, "_hash", hash((self.p, self.betas)))
 
@@ -94,24 +92,6 @@ class WSpec:
 
 
 Spec = GhzSpec | WSpec
-
-
-@dataclass(frozen=True, eq=False)
-class CompactState:
-    """Coefficient vector on the invariant span of the spec's family
-    (``family_of(spec)``).
-
-    For GHZ the k-th coefficient multiplies |k k ... k>; for W it multiplies
-    the basis state whose only excitation sits on party p-1-k.
-    """
-
-    coeffs: np.ndarray
-    spec: Spec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if not np.isfinite(self.coeffs).all():
-            raise InvalidSpecError("compact state coefficients must be finite")
 
 
 def span_shape(spec: Spec) -> tuple[int, int]:
@@ -138,9 +118,13 @@ def changed_rows(spec: Spec, parties) -> np.ndarray | None:
     return spec.p - 1 - np.asarray(parties, dtype=np.intp)
 
 
-def make_compact(spec: Spec) -> CompactState:
+def make_compact(spec: Spec) -> np.ndarray:
+    """The spec's coefficients, read-only since reports share them: the k-th
+    multiplies |k k ... k> for GHZ, the state excited on party p-1-k for W."""
     coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
-    return CompactState(np.fromiter(coeffs, float, len(coeffs)), spec)
+    compact = np.fromiter(coeffs, float, len(coeffs))
+    compact.flags.writeable = False
+    return compact
 
 
 def make_dense(spec: Spec) -> np.ndarray:
@@ -150,7 +134,7 @@ def make_dense(spec: Spec) -> np.ndarray:
     check_dense_cap(dim**spec.p)
     amps = np.zeros(dim**spec.p, dtype=complex)
     index = sum(local_column(spec, j) * dim ** (spec.p - 1 - j) for j in range(spec.p))
-    amps[index] = make_compact(spec).coeffs
+    amps[index] = make_compact(spec)
     return amps
 
 

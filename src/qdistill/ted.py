@@ -16,7 +16,7 @@ closed-form fidelity against the uniform-coefficient target
     F = 1 - (1/d) (1 - p_u)^(N-1) (d - (sum_i alpha_i)^2)
 
 (and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
-so p_u, both compact states, their overlap and the closed form's terms
+so p_u, both coefficient arrays, their overlap and the closed form's terms
 (its own p_u, the size and the gap, :func:`closed_form_terms`) are fixed by
 the spec, q and the partition.  :func:`spec_context` builds that set, and
 every run path (``run_ted``, ``run_tsd`` through its report, ``run_stats``,
@@ -48,7 +48,6 @@ from .filters import (
     w_assignment,
 )
 from .states import (
-    CompactState,
     Family,
     GhzSpec,
     Spec,
@@ -106,7 +105,7 @@ class DistillationReport:
     p_success_overall: float
     fidelity_closed_form: float
     fidelity_numeric: float
-    distilled_state: tuple[tuple[float, CompactState], ...]  # (P_s, perfect), (1 - P_s, initial)
+    distilled_state: tuple[tuple[float, np.ndarray], ...]  # (P_s, perfect), (1 - P_s, initial)
 
 
 def assignment_for(
@@ -128,18 +127,19 @@ def _cached_assignment(
 
 
 def apply_filter_layer(
-    state: CompactState,
+    coeffs: np.ndarray,
+    spec: Spec,
     assignment: FilterAssignment,
     outcomes: Sequence[int],
-) -> tuple[CompactState, float]:
-    """Apply one joint filter layer for the given outcome bits.
+) -> tuple[np.ndarray, float]:
+    """Apply one joint filter layer for the given outcome bits to ``coeffs``.
 
-    Returns the unnormalized post-measurement state together with its squared
-    norm, i.e. the probability of this outcome string.  Summed over all 2^Q
-    outcome strings the probabilities add to 1.
+    Returns the unnormalized post-measurement coefficients together with
+    their squared norm, i.e. the probability of this outcome string.  Summed
+    over all 2^Q outcome strings the probabilities add to 1.
     """
-    coeffs = state.coeffs * span_multiplier(state.spec, assignment, outcomes)
-    return CompactState(coeffs, state.spec), float((coeffs * coeffs).sum())
+    out = coeffs * span_multiplier(spec, assignment, outcomes)
+    return out, float((out * out).sum())
 
 
 def overall_success(p_per_copy: float, n: int) -> float:
@@ -155,20 +155,19 @@ def overall_success(p_per_copy: float, n: int) -> float:
 
 def spec_context(
     spec: Spec, q: int, partition: IndexPartition | None
-) -> tuple[float, CompactState, CompactState, float, tuple[float, int, float]]:
+) -> tuple[float, np.ndarray, np.ndarray, float, tuple[float, int, float]]:
     """Everything of a run that N does not enter: p_u (the all-zeros
-    outcome's probability on the compact state), that state, its uniform
-    target, their squared overlap and the closed form's
+    outcome's probability on the spec's coefficients), those coefficients,
+    their uniform target's, their squared overlap and the closed form's
     :func:`closed_form_terms`, computed apart from that p_u.  Reports
-    share the arrays, so they are read-only.  The assignment, built first
+    share the read-only arrays.  The assignment, built first
     since it checks the pivot, is not read from ``_cached_assignment``: a
     cached context needs it no more, so a second cache would only hold it."""
     assignment = assignment_for(spec, q, partition)
     initial = make_compact(spec)
-    pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)[1]
+    pu = apply_filter_layer(initial, spec, assignment, (0,) * assignment.q)[1]
     perfect = make_compact(perfect_like(spec))
-    initial.coeffs.flags.writeable = perfect.coeffs.flags.writeable = False
-    overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+    overlap = float(np.dot(perfect, initial)) ** 2
     return pu, initial, perfect, overlap, closed_form_terms(spec)
 
 
@@ -229,7 +228,7 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
 
     The numeric fidelity comes from the overlap of the initial and perfect
     coefficient vectors, not from the closed form.  The report carries the
-    two-component mixture as compact states, the only state form.
+    two-component mixture as (weight, coefficient array) pairs, the only state form.
     """
     context = _compact_zero_layer(config.spec, config.q, config.partition)
     pu, ps, closed, numeric = results_at(context, config.n_copies)

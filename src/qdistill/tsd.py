@@ -13,7 +13,7 @@ apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
 protocol for the same spec: ``run_tsd`` takes p_u, the overall success,
-the closed-form fidelity and both compact states of the mixture from the
+the closed-form fidelity and both coefficient arrays of the mixture from the
 ``ted.run_ted`` report of its base config.
 
 Measurements are product-basis projections and filters are diagonal, so
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
-from .states import CompactState, Spec, changed_rows, span_shape
+from .states import Spec, changed_rows, span_shape
 from .ted import ProtocolConfig, run_ted
 
 Setting = tuple[int, ...]
@@ -130,13 +130,13 @@ class SteeringReport:
     distilled: Assemblage
 
 
-def build_assemblage(state: CompactState, config: SteeringConfig) -> Assemblage:
-    """The assemblage the uncharacterized parties' measurements leave on
-    the characterized rest: the state's coefficients as a 1-row factor."""
-    sp, spec = state.spec, config.base.spec
-    if type(sp) is not type(spec) or sp.p != spec.p or len(state.coeffs) != span_shape(spec)[0]:
-        raise DimensionMismatchError("state does not match the configured spec's span")
-    return Assemblage(config.s, state.spec, state.coeffs[None, :])
+def build_assemblage(coeffs: np.ndarray, config: SteeringConfig) -> Assemblage:
+    """The assemblage the uncharacterized parties' measurements leave on the
+    characterized rest: ``coeffs``, on the configured spec's span, as a 1-row factor."""
+    spec = config.base.spec
+    if len(coeffs) != span_shape(spec)[0]:
+        raise DimensionMismatchError("coefficients do not match the configured spec's span")
+    return Assemblage(config.s, spec, coeffs[None, :])
 
 
 def filter_assemblage(
@@ -203,7 +203,8 @@ def _squared_unit(total: float) -> float:
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:
-    """Full steering-distillation run: build, filter, mix, and score.
+    """Full steering-distillation run: build, mix and score the assemblages
+    of the base config's ``run_ted`` mixture (no filter layer runs here).
 
     The distilled assemblage (``report.distilled``) is the convex mixture of
     the perfect and initial assemblages with the overall success probability

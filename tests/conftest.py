@@ -309,22 +309,22 @@ def placement_table(spec) -> np.ndarray:
     return np.eye(spec.p, dtype=np.intp)[:, ::-1]
 
 
-def dense_vector(state) -> np.ndarray:
-    """A compact state placed on the full product space: coefficient r sits
-    at global index sum_j local[r, j] dim^(P-1-j), with local =
-    placement_table(spec) and dim the local dimension."""
-    spec = state.spec
+def dense_vector(coeffs, spec) -> np.ndarray:
+    """Coefficients on the span of ``spec`` placed on the full product
+    space: coefficient r sits at global index sum_j local[r, j] dim^(P-1-j),
+    with local = placement_table(spec) and dim the local dimension."""
     dim = local_dim(spec)
     v = np.zeros(dim**spec.p, dtype=complex)
-    v[placement_table(spec) @ dim ** np.arange(spec.p - 1, -1, -1)] = state.coeffs
+    v[placement_table(spec) @ dim ** np.arange(spec.p - 1, -1, -1)] = coeffs
     return v
 
 
-def dense_mixture(mixture) -> np.ndarray:
-    """Density matrix sum_k w_k |v_k><v_k| of a report's (w_k, compact state) pairs."""
+def dense_mixture(mixture, spec) -> np.ndarray:
+    """Density matrix sum_k w_k |v_k><v_k| of a report's (w_k, coefficient
+    array) pairs on the span of ``spec``."""
     out = 0
-    for w, state in mixture:
-        v = dense_vector(state)
+    for w, coeffs in mixture:
+        v = dense_vector(coeffs, spec)
         out = out + w * np.outer(v, v.conj())
     return out
 

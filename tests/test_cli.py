@@ -449,6 +449,18 @@ class TestErrorReporting:
                            "--alphas", "0.5,0.5")
         assert (rc, out, err) == (2, "", "error category=InvalidSpec: expected 3 alphas, got 2\n")
 
+    @pytest.mark.parametrize("argv, size", [
+        (("ted-ghz", "--d", "0", "--p", "3", "--alphas", "1"), 0),
+        (("ted-ghz", "--d", "-3", "--p", "3", "--alphas", "0.6,0.8"), -3),
+        (("ted-w", "--p", "0", "--betas", "1"), 0),
+        (("sd-w", "--p", "1", "--s", "1", "--betas", "1"), 1),
+    ])
+    def test_size_floor_is_checked_before_the_count(self, capsys, argv, size):
+        rc, out, err = run(capsys, *argv, "--n", "2")
+        assert (rc, out) == (2, "")
+        assert err == ("error category=InvalidSpec: span size (d for GHZ, P for W) "
+                       f"must be >= 2, got {size}\n")
+
     def test_norm_error_names_the_input_tolerance(self, capsys):
         for alphas, norm in (("0.9,0.9", repr(math.hypot(0.9, 0.9))), ("1e154,1e154", "inf")):
             rc, out, err = run(capsys, "ted-ghz", "--d", "2", "--p", "2", "--n", "2",

@@ -7,9 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdistill import (
-    CompactState,
     DenseCapExceededError,
-    Family,
     GhzSpec,
     InvalidSpecError,
     WSpec,
@@ -18,7 +16,7 @@ from qdistill import (
     perfect_ghz,
     perfect_w,
 )
-from qdistill.states import _validated_coeffs, changed_rows, family_of, local_column, span_shape
+from qdistill.states import _validated_coeffs, changed_rows, local_column, span_shape
 
 from conftest import (
     ghz_corpus,
@@ -38,11 +36,12 @@ def coeff_lists(size):
 
 class TestSpecValidation:
     def test_rejects_small_d_or_p(self):
-        with pytest.raises(InvalidSpecError):
+        # d and P are the span sizes, floored where the coefficients are counted
+        with pytest.raises(InvalidSpecError, match=r"span size .* must be >= 2, got 1$"):
             GhzSpec(1, 2, (1.0,))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="party count must be >= 2, got 1"):
             GhzSpec(2, 1, (0.6, 0.8))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match=r"span size .* must be >= 2, got 1$"):
             WSpec(1, (1.0,))
 
     def test_rejects_wrong_length(self):
@@ -54,6 +53,13 @@ class TestSpecValidation:
             GhzSpec(2, 2, (1.0, 0.0))
         with pytest.raises(InvalidSpecError):
             WSpec(2, (-0.6, 0.8))
+
+    def test_rejects_non_finite(self):
+        for coeffs in ((math.nan, 1.0), (math.inf, 0.0)):
+            with pytest.raises(InvalidSpecError, match="finite and strictly positive"):
+                GhzSpec(2, 2, coeffs)
+            with pytest.raises(InvalidSpecError, match="finite and strictly positive"):
+                WSpec(2, coeffs)
 
     def test_rejects_complex(self):
         with pytest.raises(InvalidSpecError):
@@ -214,37 +220,29 @@ class TestDenseConstruction:
 
 
 class TestCompact:
+    @staticmethod
+    def assert_read_only_coeffs(compact: np.ndarray, coeffs: tuple[float, ...]) -> None:
+        assert compact.dtype == np.float64 and not compact.flags.writeable
+        assert tuple(compact) == coeffs
+        with pytest.raises(ValueError, match="read-only"):
+            compact[0] = 0.5
+
     def test_ghz_coeffs(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
-        cs = make_compact(spec)
-        assert family_of(cs.spec) is Family.GHZ_DIAGONAL
-        assert tuple(cs.coeffs) == spec.alphas
+        self.assert_read_only_coeffs(make_compact(spec), spec.alphas)
 
     def test_w_coeffs(self, rng):
         spec = random_w_spec(rng, 3)
-        cs = make_compact(spec)
-        assert family_of(cs.spec) is Family.W_SINGLE_EXCITATION
-        assert tuple(cs.coeffs) == spec.betas
+        self.assert_read_only_coeffs(make_compact(spec), spec.betas)
 
     def test_uniform_specs_build_up_to_a_million(self):
         # the norm is summed exactly, so the normalized coefficients keep
         # unit norm within 1e-12 at any count
         for count in (2 * 10**5, 3 * 10**5, 10**6):
             for spec in (perfect_ghz(count, 3), perfect_w(count)):
-                coeffs = make_compact(spec).coeffs
+                coeffs = make_compact(spec)
                 assert len(coeffs) == count
                 assert abs(np.linalg.norm(coeffs) - 1.0) <= 1e-12
-
-    def test_rejects_non_finite_coefficients(self):
-        spec = perfect_ghz(2, 2)
-        for coeffs in ([math.nan, 1.0], [math.inf, 0.0]):
-            with pytest.raises(InvalidSpecError):
-                CompactState(np.array(coeffs), spec)
-
-    def test_unnormalized_coefficients_build_without_a_flag(self):
-        # a filter layer's output is unnormalized; the spec alone normalizes
-        state = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2))
-        assert np.array_equal(state.coeffs, [0.6, 0.6])
 
 
 class TestPerfectTargets:

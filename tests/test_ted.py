@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import decimal
 import math
 import sys
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdistill import (
-    CompactState,
     DimensionMismatchError,
     Family,
     FilterAssignment,
@@ -80,15 +80,15 @@ class TestApplyFilterLayer:
         spec = perfect_ghz(3, 3)
         assignment = assignment_for(spec, 1)
         state = make_compact(spec)
-        out, prob = apply_filter_layer(state, assignment, (0,))
+        out, prob = apply_filter_layer(state, spec, assignment, (0,))
         assert prob == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(out.coeffs, state.coeffs)
+        assert np.allclose(out, state)
 
     def test_ghz3_success_branch(self):
         assignment = assignment_for(SQRT8_SPEC, 1)
-        out, prob = apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
+        out, prob = apply_filter_layer(make_compact(SQRT8_SPEC), SQRT8_SPEC, assignment, (0,))
         assert prob == pytest.approx(3 / 8, abs=1e-14)
-        normalized = dense_vector(out) / np.sqrt(prob)
+        normalized = dense_vector(out, SQRT8_SPEC) / np.sqrt(prob)
         perfect = make_dense(perfect_ghz(3, 3))
         assert np.max(np.abs(normalized - perfect)) < 1e-12
 
@@ -102,17 +102,17 @@ class TestApplyFilterLayer:
             assignment = assignment_for(spec, q)
             psi = make_dense(spec)
             for outcome in itertools.product((0, 1), repeat=assignment.q):
-                got, gprob = apply_filter_layer(make_compact(spec), assignment, outcome)
+                got, gprob = apply_filter_layer(make_compact(spec), spec, assignment, outcome)
                 want, wprob = oracle_layer(assignment, outcome, psi)
                 assert gprob == pytest.approx(wprob, abs=1e-13)
-                assert np.allclose(dense_vector(got), want, atol=1e-13)
+                assert np.allclose(dense_vector(got, spec), want, atol=1e-13)
 
     def test_outcome_probabilities_sum_to_one(self, rng):
         for q in (1, 2, 3):
             spec = random_ghz_spec(rng, 4, 4)
             assignment = assignment_for(spec, q)
             total = sum(
-                apply_filter_layer(make_compact(spec), assignment, oc)[1]
+                apply_filter_layer(make_compact(spec), spec, assignment, oc)[1]
                 for oc in itertools.product((0, 1), repeat=q)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -128,7 +128,7 @@ class TestApplyFilterLayer:
         q = data.draw(st.integers(1, p - 1))
         assignment = assignment_for(spec, q)
         total = sum(
-            apply_filter_layer(make_compact(spec), assignment, oc)[1]
+            apply_filter_layer(make_compact(spec), spec, assignment, oc)[1]
             for oc in itertools.product((0, 1), repeat=q)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -139,35 +139,35 @@ class TestApplyFilterLayer:
         assignment = assignment_for(spec, 2)
         psi = make_dense(spec)
         for outcome in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            got, gprob = apply_filter_layer(make_compact(spec), assignment, outcome)
+            got, gprob = apply_filter_layer(make_compact(spec), spec, assignment, outcome)
             want, wprob = oracle_layer(assignment, outcome, psi)
             assert gprob == pytest.approx(wprob, abs=1e-13)
-            assert np.allclose(dense_vector(got), want, atol=1e-13)
+            assert np.allclose(dense_vector(got, spec), want, atol=1e-13)
 
     def test_empty_layer_probability_is_squared_norm(self):
         # no participant: the layer is the identity
         empty = FilterAssignment(2, (), np.ones((0, 2)))
-        compact = CompactState(np.array([0.6, 0.6]), perfect_ghz(2, 2))
-        out, prob = apply_filter_layer(compact, empty, ())
-        assert np.array_equal(out.coeffs, compact.coeffs)
+        compact = np.array([0.6, 0.6])  # unnormalized, as a layer's output is
+        out, prob = apply_filter_layer(compact, perfect_ghz(2, 2), empty, ())
+        assert np.array_equal(out, compact)
         assert prob == pytest.approx(0.72, abs=1e-15)
 
     def test_assignment_for_fewer_parties_than_state(self):
-        state = make_compact(GhzSpec(3, 4, SQRT8_SPEC.alphas))
+        spec4 = GhzSpec(3, 4, SQRT8_SPEC.alphas)
         assignment = assignment_for(SQRT8_SPEC, 1)  # 3 parties
         with pytest.raises(DimensionMismatchError):
-            apply_filter_layer(state, assignment, (0,))
+            apply_filter_layer(make_compact(spec4), spec4, assignment, (0,))
 
     def test_assignment_for_more_parties_than_state(self):
         spec4 = GhzSpec(3, 4, SQRT8_SPEC.alphas)
         assignment = assignment_for(spec4, 1)
         with pytest.raises(DimensionMismatchError):
-            apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
+            apply_filter_layer(make_compact(SQRT8_SPEC), SQRT8_SPEC, assignment, (0,))
 
     def test_filters_of_another_local_dimension(self):
         assignment = FilterAssignment(3, (2,), np.ones((1, 2)))
         with pytest.raises(DimensionMismatchError):
-            apply_filter_layer(make_compact(SQRT8_SPEC), assignment, (0,))
+            apply_filter_layer(make_compact(SQRT8_SPEC), SQRT8_SPEC, assignment, (0,))
 
     @staticmethod
     def assert_layer_matches_oracle(config):
@@ -175,10 +175,10 @@ class TestApplyFilterLayer:
         assignment = assignment_for(config.spec, config.q, config.partition)
         state, psi = make_compact(config.spec), make_dense(config.spec)
         for outcome in itertools.product((0, 1), repeat=assignment.q):
-            got, gprob = apply_filter_layer(state, assignment, outcome)
+            got, gprob = apply_filter_layer(state, config.spec, assignment, outcome)
             want, wprob = oracle_layer(assignment, outcome, psi)
             assert abs(gprob - wprob) <= 1e-13
-            assert np.max(np.abs(dense_vector(got) - want)) <= 1e-13
+            assert np.max(np.abs(dense_vector(got, config.spec) - want)) <= 1e-13
 
     @settings(max_examples=15)  # up to 2^9 outcome strings, each through the oracle
     @given(config=w_configs(max_p=10))
@@ -369,8 +369,8 @@ class TestDistilledState:
         report = run_ted(config)
         rho = report.distilled_state  # (P_s, perfect), (1 - P_s, initial)
         assert [w for w, _ in rho] == [report.p_success_overall, 1.0 - report.p_success_overall]
-        assert [state.spec for _, state in rho] == [perfect_ghz(3, 3), SQRT8_SPEC]
-        dense = dense_mixture(rho)
+        assert [tuple(coeffs) for _, coeffs in rho] == [perfect_ghz(3, 3).alphas, SQRT8_SPEC.alphas]
+        dense = dense_mixture(rho, SQRT8_SPEC)
         perfect = make_dense(perfect_ghz(3, 3))
         via_matrix = _root_fidelity(dense, np.outer(perfect, perfect.conj())) ** 2
         via_shortcut = np.vdot(perfect, dense @ perfect).real
@@ -417,7 +417,7 @@ class TestRunTed:
     def test_numeric_fidelity_matches_full_uhlmann_oracle(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
         report = run_ted(ghz_config(spec, n=3))
-        rho = dense_mixture(report.distilled_state)
+        rho = dense_mixture(report.distilled_state, spec)
         perfect = make_dense(perfect_ghz(3, 3))
         target = np.outer(perfect, perfect.conj())
         assert report.fidelity_numeric == pytest.approx(
@@ -631,11 +631,10 @@ class TestSpecCaches:
                     for report in (run_ted(config), run_ted(config)):
                         assert [getattr(report, f) for f in fields] == [
                             getattr(expected, f) for f in fields]
-                        for (w, state), (w_ref, ref) in zip(
+                        for (w, coeffs), (w_ref, ref) in zip(
                                 report.distilled_state,
                                 expected.distilled_state, strict=True):
-                            assert w == w_ref and state.spec == ref.spec
-                            assert np.array_equal(state.coeffs, ref.coeffs)
+                            assert w == w_ref and np.array_equal(coeffs, ref)
                     visits += 1
             info = _compact_zero_layer.cache_info()
             assert (info.misses, info.hits) == (visits, visits)
@@ -656,23 +655,36 @@ class TestSpecCaches:
     def test_cached_states_are_read_only(self):
         spec = random_ghz_spec(np.random.default_rng(8), 6, 3)
         first = run_ted(ghz_config(spec, n=4))
-        kept = [state.coeffs.copy() for _, state in first.distilled_state]
-        for _, state in first.distilled_state:
+        kept = [coeffs.copy() for _, coeffs in first.distilled_state]
+        for _, coeffs in first.distilled_state:
             with pytest.raises(ValueError):
-                state.coeffs[0] = 0.5
+                coeffs[0] = 0.5
         second = run_ted(ghz_config(spec, n=4))
-        for (_, state), values in zip(second.distilled_state, kept, strict=True):
-            assert np.array_equal(state.coeffs, values)
+        for (_, coeffs), values in zip(second.distilled_state, kept, strict=True):
+            assert np.array_equal(coeffs, values)
+
+    def test_warm_reports_carry_the_context_arrays_themselves(self):
+        # a report holds the cached context's arrays, not a copy per call
+        rng = np.random.default_rng(13)
+        for config in (ghz_config(random_ghz_spec(rng, 5, 4), n=2, q=2),
+                       w_config(random_w_spec(rng, 5), n=2)):
+            _compact_zero_layer.cache_clear()
+            reports = [run_ted(config), run_ted(dataclasses.replace(config, n_copies=9))]
+            _, initial, perfect, _, _ = _compact_zero_layer(config.spec, config.q, config.partition)
+            assert _compact_zero_layer.cache_info().misses == 1
+            for report in reports:
+                (_, got_perfect), (_, got_initial) = report.distilled_state
+                assert got_perfect is perfect and got_initial is initial
 
 
 def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
     """``run_ted`` with p_u and the spec's states built afresh on every call."""
     initial = make_compact(config.spec)
     assignment = assignment_for(config.spec, config.q, config.partition)
-    pu = apply_filter_layer(initial, assignment, (0,) * assignment.q)[1]
+    pu = apply_filter_layer(initial, config.spec, assignment, (0,) * assignment.q)[1]
     ps = overall_success(pu, config.n_copies)
     perfect = make_compact(perfect_like(config.spec))
-    overlap = float(np.dot(perfect.coeffs, initial.coeffs)) ** 2
+    overlap = float(np.dot(perfect, initial)) ** 2
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,

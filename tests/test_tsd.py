@@ -218,7 +218,7 @@ class TestArrayLayout:
         # round differently from the loop in the last places
         config = steering(spec, n=3, q=q, s=s)
         built = build_assemblage(make_compact(spec), config)
-        assert np.array_equal(built.members, make_compact(spec).coeffs[None, :])
+        assert np.array_equal(built.members, make_compact(spec)[None, :])
         dist = run_tsd(config).distilled
         perfect = build_assemblage(make_compact(perfect_like(spec)), config)
         per = assemblage_fidelity_by_setting(dist, perfect)
@@ -568,7 +568,7 @@ class TestSteeringReadsTheEntanglementReport:
             assert _compact_zero_layer.cache_info().hits == hits + 1
             assert (tsd.p_success_per_copy, tsd.p_success_overall, tsd.fidelity_closed_form) == (
                 ted.p_success_per_copy, ted.p_success_overall, ted.fidelity_closed_form)
-            rows = [np.sqrt(w) * state.coeffs for w, state in ted.distilled_state]
+            rows = [np.sqrt(w) * coeffs for w, coeffs in ted.distilled_state]
             assert np.array_equal(tsd.distilled.members, rows)
 
 
@@ -787,11 +787,11 @@ class TestSpanGuards:
         )
 
     def test_state_off_the_configured_span(self):
-        config = steering(GHZ_TOY)
-        with pytest.raises(DimensionMismatchError):
-            build_assemblage(make_compact(GhzSpec(3, 4, GHZ_TOY.alphas)), config)
-        with pytest.raises(DimensionMismatchError):
-            build_assemblage(make_compact(W_TOY), config)
+        # the spec comes from the config, so only the span length can differ
+        for config in (steering(GHZ_TOY), steering(W_TOY, q=2)):  # 3 span rows each
+            for length in (2, 4):
+                with pytest.raises(DimensionMismatchError, match="configured spec's span"):
+                    build_assemblage(np.full(length, length**-0.5), config)
 
     def test_reference_members_must_be_pure(self):
         dist = run_tsd(steering(GHZ_TOY, n=3)).distilled
