@@ -66,9 +66,10 @@ class GhzSpec:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # the coefficients (with the d floor) first, in the CLI's order
+        object.__setattr__(self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas"))
         if self.p < 2:
             raise InvalidSpecError(f"party count must be >= 2, got {self.p}")
-        object.__setattr__(self, "alphas", _validated_coeffs(self.alphas, self.d, "alphas"))
         object.__setattr__(self, "_hash", hash((self.d, self.p, self.alphas)))
 
     def __hash__(self) -> int:  # the dataclass's field hash, computed once

@@ -54,7 +54,6 @@ from .states import (
     WSpec,
     family_of,
     make_compact,
-    perfect_like,
 )
 
 REPORT_FIDELITY_TOL = 1e-9
@@ -160,13 +159,17 @@ def spec_context(
     outcome's probability on the spec's coefficients), those coefficients,
     their uniform target's, their squared overlap and the closed form's
     :func:`closed_form_terms`, computed apart from that p_u.  Reports
-    share the read-only arrays.  The assignment, built first
-    since it checks the pivot, is not read from ``_cached_assignment``: a
-    cached context needs it no more, so a second cache would only hold it."""
+    share the read-only arrays.  The target is filled in directly, with
+    the bits of ``make_compact(perfect_like(spec))``, whose spec would only
+    validate equal coefficients that it keeps as given.  The assignment,
+    built first since it checks the pivot, is not read from
+    ``_cached_assignment``: a cached context needs it no more, so a second
+    cache would only hold it."""
     assignment = assignment_for(spec, q, partition)
     initial = make_compact(spec)
     pu = apply_filter_layer(initial, spec, assignment, (0,) * assignment.q)[1]
-    perfect = make_compact(perfect_like(spec))
+    perfect = np.full(len(initial), 1.0 / math.sqrt(len(initial)))
+    perfect.flags.writeable = False
     overlap = float(np.dot(perfect, initial)) ** 2
     return pu, initial, perfect, overlap, closed_form_terms(spec)
 

@@ -24,10 +24,13 @@ column k equal to R[:, k] prod_{j<s} conj(B[x_j][a_j, l_j[k]]), with R
 the real factor of the characterized state (one row per pure component),
 l_j = ``local_column(spec, j)`` and B the computational (x = 0) or Fourier
 (x = 1) basis.  Each member is R times a phase, a scale and a column mask,
-so R alone is stored: building takes the coefficient vector as one row,
-filtering scales R's columns, and mixing stacks the rows of two factors.
-No stage forms a complex array, a basis or an outcome axis, so a run holds
-O(span) numbers at any d and s.
+so R alone determines the assemblage.  The distilled one is the ``run_ted``
+mixture, R = (sqrt(P_s) g, sqrt(1 - P_s) c) with g the uniform target's
+coefficients and c the spec's, so ``run_tsd`` scores it from that report
+alone: no stage forms an assemblage, a complex array, a basis or an
+outcome axis, and a run holds O(span) numbers at any d and s.
+:class:`Assemblage` and its build, filter and mix steps are the reference
+that the tests rebuild members from.
 
 The assemblage fidelity of A against B is
 
@@ -127,7 +130,6 @@ class SteeringReport:
     fidelity_assemblage: float
     minimizing_setting: Setting
     threshold: bool
-    distilled: Assemblage
 
 
 def build_assemblage(coeffs: np.ndarray, config: SteeringConfig) -> Assemblage:
@@ -176,14 +178,21 @@ def mix_assemblages(weight: float, a: Assemblage, b: Assemblage) -> Assemblage:
 
 def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting, float]:
     """[sum_a Tr sqrt(sqrt(A) B sqrt(A))]^2 for each of ``a.settings``, every
-    member of ``b`` pure (one row g): ||R g|| for the all-Fourier string,
-    sum_a ||sum_{k: l0_k = a} R[:, k] g_k|| for a string with a
-    computational party (see the module docstring)."""
+    member of ``b`` pure (one row g): :func:`_setting_totals` of R g (see
+    the module docstring)."""
     _check_shapes(a, b)
     if len(b.members) != 1:
         raise DimensionMismatchError("reference assemblage members must be pure (one row)")
-    weighted = a.members * b.members  # column k is R[:, k] g_k
-    grouped, changed = weighted, changed_rows(a.spec, (0,))  # GHZ: a group per column
+    computational, fourier = _setting_totals(a.spec, a.members * b.members)
+    return {x: fourier if all(x) else computational for x in a.settings}
+
+
+def _setting_totals(spec: Spec, weighted: np.ndarray) -> tuple[float, float]:
+    """The two scores of a factor R against pure members g, from the
+    (rows, span) array R g (column k is R[:, k] g_k): for every string with
+    a computational party sum_a ||sum_{k: l0_k = a} R[:, k] g_k||, and for
+    the all-Fourier string ||R g||, each squared by :func:`_squared_unit`."""
+    grouped, changed = weighted, changed_rows(spec, (0,))  # GHZ: a group per column
     if changed is not None:  # W: column p-1 alone, the others summed left to right
         (c,) = changed
         rest = np.concatenate((weighted[:, :c], weighted[:, c + 1:]), axis=1)
@@ -191,7 +200,7 @@ def assemblage_fidelity_by_setting(a: Assemblage, b: Assemblage) -> dict[Setting
         grouped = np.concatenate((ends, weighted[:, c:c + 1]), axis=1)
     computational = _squared_unit(np.sqrt(np.square(grouped).sum(axis=0)).sum())
     fourier = _squared_unit(math.hypot(*weighted.sum(axis=1)))
-    return {x: fourier if all(x) else computational for x in a.settings}
+    return computational, fourier
 
 
 def _squared_unit(total: float) -> float:
@@ -203,31 +212,34 @@ def _squared_unit(total: float) -> float:
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:
-    """Full steering-distillation run: build, mix and score the assemblages
-    of the base config's ``run_ted`` mixture (no filter layer runs here).
+    """Full steering-distillation run on the base config's ``run_ted``
+    report (no filter layer runs here).
 
-    The distilled assemblage (``report.distilled``) is the convex mixture of
-    the perfect and initial assemblages with the overall success probability
-    as weight.  ``minimizing_setting`` is the lexicographically largest
-    setting string within FIDELITY_CLAMP_TOL of the minimum, so the tie on
-    uniform specs (every setting scores 1) resolves to the all-Fourier
-    string that non-uniform specs converge to.
+    The distilled assemblage is the convex mixture of the perfect and
+    initial assemblages with the overall success probability P_s as
+    weight, so its factor R has the rows sqrt(P_s) g and sqrt(1 - P_s) c,
+    with g the perfect and c the initial coefficients.  Against the perfect
+    assemblage it scores :func:`_setting_totals` of R g, the rows
+    sqrt(P_s) g g and sqrt(1 - P_s) c g, without forming either assemblage.
+    ``minimizing_setting`` is the lexicographically largest setting string
+    within FIDELITY_CLAMP_TOL of the minimum: the all-Fourier string if its
+    score is, else (1,)*(s-1) + (0,), the largest string with a
+    computational party.  So the tie on uniform specs (every setting
+    scores 1) resolves to the all-Fourier string that non-uniform specs
+    converge to.
     """
     ted = run_ted(config.base)
     (ps, perfect), (_, initial) = ted.distilled_state
-    perf = build_assemblage(perfect, config)
-    dist = mix_assemblages(ps, perf, build_assemblage(initial, config))
-    per_setting = assemblage_fidelity_by_setting(dist, perf)
-    lowest = min(per_setting.values())
+    weighted = np.array((math.sqrt(ps) * perfect, math.sqrt(1.0 - ps) * initial)) * perfect
+    computational, fourier = _setting_totals(config.base.spec, weighted)
+    lowest, s = min(computational, fourier), config.s
+    fourier_lowest = fourier <= lowest + FIDELITY_CLAMP_TOL
     return SteeringReport(
         n_copies=ted.n_copies,
         p_success_per_copy=ted.p_success_per_copy,
         p_success_overall=ps,
         fidelity_closed_form=ted.fidelity_closed_form,
         fidelity_assemblage=lowest,
-        minimizing_setting=max(
-            x for x, f in per_setting.items() if f <= lowest + FIDELITY_CLAMP_TOL
-        ),
+        minimizing_setting=(1,) * s if fourier_lowest else (1,) * (s - 1) + (0,),
         threshold=config.threshold,
-        distilled=dist,
     )

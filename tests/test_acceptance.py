@@ -63,6 +63,7 @@ from conftest import (
     w_corpus,
 )
 from test_montecarlo import binomial_chi2_pvalue
+from test_tsd import distilled_assemblage
 
 
 def check(cid: str, name: str, ok: bool, detail: str = "") -> None:
@@ -212,7 +213,7 @@ def test_criterion_05_assemblage_equals_state_fidelity():
             worst = max(worst, abs(report.fidelity_assemblage - closed_form_fidelity(spec, n)))
             if s >= 2:  # the minimum over all (2 d)^S members, rebuilt one by one
                 perfect = build_assemblage(make_compact(perfect_like(spec)), config)
-                rebuilt = min(rebuilt_scores(report.distilled, perfect).values())
+                rebuilt = min(rebuilt_scores(distilled_assemblage(config), perfect).values())
                 worst_rebuilt = max(worst_rebuilt, abs(rebuilt - report.fidelity_assemblage))
     ok = worst <= 1e-9 and worst_rebuilt <= 1e-12
     check("5", "assemblage fidelity equals state fidelity (incl. S = 2, 3 rebuilt members)", ok,
@@ -243,7 +244,7 @@ def test_criterion_06_non_signaling(rng):
         for outcome in [(0,) * assignment.q, (1,) + (0,) * (assignment.q - 1)]:
             filtered, _ = filter_assemblage(asm, assignment, outcome)
             deviations.append(nonsignaling_deviation(filtered))
-        deviations.append(nonsignaling_deviation(run_tsd(config).distilled))
+        deviations.append(nonsignaling_deviation(distilled_assemblage(config)))
     ok = all(dev <= NONSIGNALING_TOL for dev in deviations)  # NaN fails
     check("6", "non-signaling of constructed, filtered, distilled assemblages",
           ok, f"{len(deviations)} assemblages, worst {max(deviations):.2e} at 1e-10")

@@ -461,6 +461,17 @@ class TestErrorReporting:
         assert err == ("error category=InvalidSpec: span size (d for GHZ, P for W) "
                        f"must be >= 2, got {size}\n")
 
+    @pytest.mark.parametrize("d, p", [(0, 0), (1, 1), (0, 5), (3, 0)])
+    def test_api_and_cli_name_the_same_fault(self, capsys, d, p):
+        # the spec checks its coefficients and their d floor before p, as the CLI does
+        alphas = tuple(float(a) for a in ALPHAS_SQRT8.split(","))
+        with pytest.raises(InvalidSpecError) as caught:
+            qdistill.GhzSpec(d, p, alphas)
+        rc, out, err = run(capsys, "ted-ghz", "--d", str(d), "--p", str(p), "--n", "2",
+                           "--alphas", ALPHAS_SQRT8)
+        assert (rc, out) == (2, "")
+        assert err == f"error category=InvalidSpec: {caught.value}\n"
+
     def test_norm_error_names_the_input_tolerance(self, capsys):
         for alphas, norm in (("0.9,0.9", repr(math.hypot(0.9, 0.9))), ("1e154,1e154", "inf")):
             rc, out, err = run(capsys, "ted-ghz", "--d", "2", "--p", "2", "--n", "2",

@@ -121,7 +121,7 @@ def test_traced_benchmark_runs_clean(workload):
     assert result["failed"] == 0
     assert [name for name, metric in result["metrics"].items() if "note" in metric] == []
     if workload == "steer":
-        assert result["metrics"]["tsd.members"]["value"] > 0
+        assert result["metrics"]["tsd.run_tsd.calls"]["value"] > 0
 
 
 def defined_names(tree: ast.Module, module):

@@ -44,6 +44,7 @@ from qdistill.ted import (
     closed_form_fidelity,
     fidelity_from_success,
     results_at,
+    spec_context,
     w_success_probability,
 )
 
@@ -695,6 +696,37 @@ def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
     )
 
 
+class TestUniformTarget:
+    """spec_context fills the uniform target in with exactly the bits of
+    ``make_compact(perfect_like(spec))``, which validates a second spec."""
+
+    @staticmethod
+    def sizes():
+        return [*range(2, 2001), 10**4, 10**5, 10**6]
+
+    def test_ghz_target_bits(self):
+        # perfect_ghz(d, 2) is perfect_like of every GHZ spec of span d (its
+        # coefficients do not depend on p), so its own context holds both
+        for d in self.sizes():
+            spec = perfect_ghz(d, 2)
+            _, initial, perfect, _, _ = spec_context(spec, 1, None)
+            assert perfect.tobytes() == initial.tobytes()
+            assert not perfect.flags.writeable
+
+    def test_w_target_bits(self):
+        for p in self.sizes():
+            spec = perfect_w(p)
+            _, initial, perfect, _, _ = spec_context(spec, p - 1, None)
+            assert perfect.tobytes() == initial.tobytes()
+            assert not perfect.flags.writeable
+
+    def test_target_bits_on_the_corpora(self):
+        for spec in ghz_corpus() + w_corpus():
+            q = 1 if isinstance(spec, GhzSpec) else spec.p - 1
+            perfect = spec_context(spec, q, None)[2]
+            assert perfect.tobytes() == make_compact(perfect_like(spec)).tobytes()
+
+
 class CountsHashes:
     """Mixed into a spec type: counts how often its specs are hashed."""
 
@@ -715,9 +747,12 @@ class CountedHashWSpec(CountsHashes, WSpec):
 
 # what a run builds per spec, however many n it visits; ``check_pivot`` is
 # counted through every module's reference, ``filters`` (the assignment's
-# check) included, so a second check of the same spec counts too
-BUILT_ONCE = {"perfect_like": 1, "make_compact": 2, "assignment_for": 1,
-              "check_pivot": 1, "closed_form_terms": 1}
+# check) included, so a second check of the same spec counts too.  The
+# uniform target is filled in, not built as a second spec, so the spec's
+# own coefficients are the one ``make_compact`` and ``perfect_like`` never
+# runs (a Counter, whose equality reads a count of 0 as never called)
+BUILT_ONCE = collections.Counter({"perfect_like": 0, "make_compact": 1, "assignment_for": 1,
+                                  "check_pivot": 1, "closed_form_terms": 1})
 
 
 class TestSpecStateCost:
@@ -729,14 +764,15 @@ class TestSpecStateCost:
         # every package module's reference is counted, as the benchmark's
         # tracer does, so a builder called from outside ``ted`` counts too
         built = collections.Counter()
+        modules = (qdistill.ted, qdistill.tsd, qdistill.montecarlo, qdistill.filters,
+                   qdistill.sweep, qdistill.states)
         for name in BUILT_ONCE:
-            fn = getattr(qdistill.ted, name)
+            fn = next(getattr(module, name) for module in modules if hasattr(module, name))
 
             def counted(*args, name=name, fn=fn):
                 built[name] += 1
                 return fn(*args)
-            for module in (qdistill.ted, qdistill.tsd, qdistill.montecarlo,
-                           qdistill.filters, qdistill.sweep):
+            for module in modules:
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted)
         _compact_zero_layer.cache_clear()

@@ -1,5 +1,8 @@
+import collections
 import dataclasses
+import importlib
 import math
+import pkgutil
 import time
 import tracemalloc
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qdistill
 from qdistill import (
     Family,
     GhzSpec,
@@ -28,7 +32,7 @@ from qdistill import (
 )
 from qdistill.states import perfect_like, span_shape
 from qdistill.ted import _compact_zero_layer, assignment_for, closed_form_fidelity, overall_success
-from qdistill.tsd import assemblage_fidelity_by_setting, mix_assemblages
+from qdistill.tsd import FIDELITY_CLAMP_TOL, assemblage_fidelity_by_setting, mix_assemblages
 
 from conftest import (
     NONSIGNALING_TOL,
@@ -65,6 +69,14 @@ def steering(spec, n=2, q=1, s=1, family=None):
     )
     base = ProtocolConfig(n, family, spec, q)
     return SteeringConfig(base, s)
+
+
+def distilled_assemblage(config):
+    """The distilled assemblage that ``run_tsd`` scores without forming it:
+    the perfect and initial assemblages of the base config's ``run_ted``
+    report, mixed with the overall success probability as weight."""
+    (ps, perfect), (_, initial) = run_ted(config.base).distilled_state
+    return mix_assemblages(ps, build_assemblage(perfect, config), build_assemblage(initial, config))
 
 
 class TestMubFamily:
@@ -203,7 +215,7 @@ class TestArrayLayout:
         asm = build_assemblage(make_compact(spec), config)
         span = span_shape(spec)[0]
         assert asm.members.shape == (1, span) and asm.members.dtype == np.float64
-        assert run_tsd(config).distilled.members.shape == (2, span)
+        assert distilled_assemblage(config).members.shape == (2, span)
         one_sided = build_assemblage(make_compact(spec), steering(spec, q=q))
         assert np.array_equal(asm.members, one_sided.members)
         assert asm.settings == tuple((1,) * f + (0,) * (s - f) for f in range(s + 1))
@@ -219,7 +231,7 @@ class TestArrayLayout:
         config = steering(spec, n=3, q=q, s=s)
         built = build_assemblage(make_compact(spec), config)
         assert np.array_equal(built.members, make_compact(spec)[None, :])
-        dist = run_tsd(config).distilled
+        dist = distilled_assemblage(config)
         perfect = build_assemblage(make_compact(perfect_like(spec)), config)
         per = assemblage_fidelity_by_setting(dist, perfect)
         scores = rebuilt_scores(dist, perfect)
@@ -302,7 +314,7 @@ class TestDistilledAssemblage:
     def test_perfect_input_unchanged(self):
         spec = perfect_ghz(3, 3)
         config = steering(spec, n=3)
-        dist = run_tsd(config).distilled
+        dist = distilled_assemblage(config)
         perfect = build_assemblage(make_compact(spec), config)
         for key in member_keys(perfect):
             assert np.allclose(dense_member(dist, *key), dense_member(perfect, *key), atol=1e-12)
@@ -310,7 +322,7 @@ class TestDistilledAssemblage:
     def test_ghz3_member_structure(self):
         n = 3
         config = steering(GHZ_TOY, n=n)
-        dist = run_tsd(config).distilled
+        dist = distilled_assemblage(config)
         pu = 3 * GHZ_TOY.alphas[0] ** 2
         ps = overall_success(pu, n)
         # computational outcome a: ps |aa><aa|/3 + (1-ps) alpha_a^2 |aa><aa|
@@ -322,7 +334,7 @@ class TestDistilledAssemblage:
     def test_w3_member_structure(self):
         n = 2
         config = steering(W_TOY, n=n, q=2)
-        dist = run_tsd(config).distilled
+        dist = distilled_assemblage(config)
         b = W_TOY.betas
         pu = 3 * b[0] ** 2 * b[1] ** 2 / b[2] ** 2
         ps = overall_success(pu, n)
@@ -381,7 +393,7 @@ class TestAssemblageFidelity:
 
     def test_minimum_attained_at_fourier_setting(self):
         config = steering(GHZ_TOY, n=3)
-        dist = run_tsd(config).distilled
+        dist = distilled_assemblage(config)
         perfect = build_assemblage(make_compact(perfect_ghz(3, 3)), config)
         per = assemblage_fidelity_by_setting(dist, perfect)
         assert min(per, key=per.get) == (1,)
@@ -446,9 +458,10 @@ class TestRunTsd:
 
     def test_ghz3_s2_q1_not_threshold_same_fidelity(self):
         r1 = run_tsd(steering(GHZ_TOY, n=4, s=1, q=1))
-        r3 = run_tsd(steering(GHZ_TOY, n=4, s=2, q=1))
+        config = steering(GHZ_TOY, n=4, s=2, q=1)
+        r3 = run_tsd(config)
         assert not r3.threshold
-        assert r3.distilled.members.shape == (2, 3)
+        assert distilled_assemblage(config).members.shape == (2, 3)
         assert r3.fidelity_assemblage == pytest.approx(r1.fidelity_assemblage, abs=1e-9)
 
     def test_w3_sd(self):
@@ -569,7 +582,65 @@ class TestSteeringReadsTheEntanglementReport:
             assert (tsd.p_success_per_copy, tsd.p_success_overall, tsd.fidelity_closed_form) == (
                 ted.p_success_per_copy, ted.p_success_overall, ted.fidelity_closed_form)
             rows = [np.sqrt(w) * coeffs for w, coeffs in ted.distilled_state]
-            assert np.array_equal(tsd.distilled.members, rows)
+            assert np.array_equal(distilled_assemblage(config).members, rows)
+
+
+def uniform_steering_configs():
+    """Exactly uniform specs, where every setting scores 1 (the tie): every
+    valid (s, q) on GHZ, s = 1 on W."""
+    configs = []
+    for d, p in ((2, 2), (2, 5), (3, 3), (5, 4), (16, 3), (1000, 3)):
+        for s in range(1, p):
+            configs += [steering(perfect_ghz(d, p), n=3, q=q, s=s) for q in range(1, p - s + 1)]
+    return configs + [steering(perfect_w(p), n=3, q=p - 1) for p in (2, 3, 4, 6, 50)]
+
+
+class TestScoresWithoutAssemblages:
+    """run_tsd scores the two setting totals straight from the run_ted
+    report; the reference route rebuilds the mixture as assemblages and
+    scores every setting class.  Both must agree to the bit, and a run must
+    form none of the reference objects."""
+
+    STAGES = ("build_assemblage", "mix_assemblages", "assemblage_fidelity_by_setting",
+              "perfect_like")
+
+    @staticmethod
+    def configs():
+        configs = corpus_steering_configs() + uniform_steering_configs()
+        return configs + [SteeringConfig(dataclasses.replace(c.base, n_copies=10**6), c.s)
+                          for c in configs]
+
+    def test_scores_equal_the_rebuilt_mixture(self):
+        configs = self.configs()
+        assert len(configs) == 2 * (1500 + len(uniform_steering_configs()))
+        for config in configs:
+            report = run_tsd(config)
+            (_, perfect), _ = run_ted(config.base).distilled_state
+            per = assemblage_fidelity_by_setting(
+                distilled_assemblage(config), build_assemblage(perfect, config))
+            lowest = min(per.values())
+            assert report.fidelity_assemblage == lowest
+            assert report.minimizing_setting == max(
+                x for x, f in per.items() if f <= lowest + FIDELITY_CLAMP_TOL)
+
+    def test_a_run_calls_no_assemblage_stage(self, monkeypatch):
+        # every package module's reference is counted, the context's included
+        called = collections.Counter()
+        modules = [qdistill] + [importlib.import_module(m.name) for m in
+                                pkgutil.iter_modules(qdistill.__path__, "qdistill.")]
+        for name in self.STAGES:
+            fn = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+            def counted(*args, name=name, fn=fn):
+                called[name] += 1
+                return fn(*args)
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        _compact_zero_layer.cache_clear()
+        for config in self.configs():
+            run_tsd(config)
+        assert called == {}
 
 
 def per_setting_of(config):
@@ -577,7 +648,7 @@ def per_setting_of(config):
     perfect one it is built from."""
     report = run_tsd(config)
     perfect = build_assemblage(make_compact(perfect_like(config.base.spec)), config)
-    return report, assemblage_fidelity_by_setting(report.distilled, perfect)
+    return report, assemblage_fidelity_by_setting(distilled_assemblage(config), perfect)
 
 
 ORACLE_CASES = [
@@ -690,7 +761,7 @@ class TestSpanGuards:
             finally:
                 tracemalloc.stop()
             assert peak < 40 * 2**20
-            assert report.distilled.members.shape == (2, d)
+            assert distilled_assemblage(config).members.shape == (2, d)
             assert report.fidelity_assemblage == pytest.approx(
                 report.fidelity_closed_form, abs=1e-12
             )
@@ -740,10 +811,25 @@ class TestSpanGuards:
             report = run_tsd(config)
             times.append(time.process_time() - start)
         assert min(times) < 0.005
-        assert report.distilled.members.shape == (2, d)
+        assert distilled_assemblage(config).members.shape == (2, d)
         assert report.fidelity_assemblage == pytest.approx(
             report.fidelity_closed_form, abs=1e-12
         )
+
+    def test_cold_run_at_a_hundred_thousand_outcomes(self):
+        # a fresh context fills the uniform target in instead of validating
+        # a second spec of 10^5 coefficients (best of 5 CPU times, the spec
+        # prebuilt and the context rebuilt each time)
+        d = 10**5
+        raw = np.random.default_rng(d).uniform(0.2, 1.0, d)
+        config = steering(GhzSpec(d, 3, tuple(np.sort(raw / np.linalg.norm(raw)))), n=4, s=2)
+        times = []
+        for _ in range(5):
+            _compact_zero_layer.cache_clear()
+            start = time.process_time()
+            run_tsd(config)
+            times.append(time.process_time() - start)
+        assert min(times) < 0.040
 
     def test_sizes_past_the_dense_route_run_in_milliseconds(self):
         # 2^12 amplitudes: the dense route took over a minute for GHZ
@@ -769,7 +855,7 @@ class TestSpanGuards:
                 report = run_tsd(config)
                 times.append(time.process_time() - start)
             assert min(times) < budget
-            assert report.distilled.members.shape == (2, d)
+            assert distilled_assemblage(config).members.shape == (2, d)
             assert report.minimizing_setting == (1,) * s
             assert report.fidelity_assemblage == pytest.approx(
                 report.fidelity_closed_form, abs=1e-12
@@ -794,6 +880,6 @@ class TestSpanGuards:
                     build_assemblage(np.full(length, length**-0.5), config)
 
     def test_reference_members_must_be_pure(self):
-        dist = run_tsd(steering(GHZ_TOY, n=3)).distilled
+        dist = distilled_assemblage(steering(GHZ_TOY, n=3))
         with pytest.raises(DimensionMismatchError):
             assemblage_fidelity_by_setting(dist, dist)
