@@ -7,7 +7,7 @@ one real (q, dim) table whose row r is the K0 diagonal of the r-th
 participant; the K1 diagonals sqrt(1 - K0^2) are derived from it on first
 read.  Since every filter is diagonal, a layer acts on the compact span of
 a state as one multiplier per coefficient (:func:`span_multiplier`), which
-the entanglement and the steering engines share.  The kernel takes the
+the reference entanglement and steering layers share.  The kernel takes the
 placement in the changed-row form of ``states.changed_rows``: a GHZ
 participant changes every row, so the multiplier is the product of the
 selected table rows in party order; a W participant changes one row, so
@@ -27,6 +27,14 @@ over {1..d-1}, the first (d - 1) mod q of them one index longer.
 
 For a W spec with beta_{p-1} maximal, parties 1..p-1 filter their |0>
 component by beta_{p-1-j}/beta_{p-1}; this requires all p-1 of them.
+
+Both families' filters are read from one ratio profile (:func:`pivot_ratios`),
+and by that independence the all-zeros outcome needs no table: its GHZ
+multiplier is the profile itself, bit for bit, and its W multiplier the
+kernel's prefix and suffix products over the party ratios
+(:func:`zero_layer_multiplier`, after :func:`checked_split`'s checks for
+GHZ).  The run paths read p_u from it; the tables serve only the reference
+outcome enumeration and the tests.
 """
 
 from __future__ import annotations
@@ -137,12 +145,21 @@ def span_multiplier(
     changed = changed_rows(spec, assignment.participants)
     if changed is None:
         return np.multiply.reduce(table, axis=0)
-    zeros, q = table[:, 0], len(table)
+    return _w_rows(table[:, 0], table[:, 1], changed, rows)
+
+
+def _w_rows(zeros: np.ndarray, ones, changed, rows: int) -> np.ndarray:
+    """A W layer's multiplier on ``rows`` span rows: participant r holds
+    index 1 (entry ``ones[r]``, or ``ones`` itself if it is a scalar) on
+    row ``changed[r]`` and index 0 (entry ``zeros[r]``) on every other row,
+    so a row's multiplier is the product of every other participant's
+    index-0 entry, times its own participant's index-1 entry if it has one."""
+    q = len(zeros)
     prefix, suffix = np.ones(q + 1), np.ones(q + 1)
     np.cumprod(zeros, out=prefix[1:])  # prefix[r]: the entries before r
     np.cumprod(zeros[::-1], out=suffix[-2::-1])  # suffix[r]: the entries from r on
     values = np.full(rows, prefix[-1])  # an idle party's row
-    values[changed] = prefix[:-1] * suffix[1:] * table[:, 1]
+    values[changed] = prefix[:-1] * suffix[1:] * ones
     return values
 
 
@@ -160,6 +177,40 @@ def check_pivot(spec: Spec) -> None:
         )
 
 
+def pivot_ratios(spec: Spec) -> np.ndarray:
+    """The filters' ratio profile, after :func:`check_pivot`: for GHZ
+    min(alpha_0/alpha_i, 1) at every index i (1 at the pivot), for W
+    min(beta_{p-1-j}/beta_{p-1}, 1), party j's |0> entry, for j = 1..p-1."""
+    check_pivot(spec)
+    if isinstance(spec, GhzSpec):
+        return np.minimum(spec.alphas[0] / np.fromiter(spec.alphas, float, spec.d), 1.0)
+    be = np.fromiter(spec.betas, float, spec.p)
+    return np.minimum(be[-2::-1] / be[-1], 1.0)
+
+
+def checked_split(
+    spec: GhzSpec, partition: IndexPartition | None, parties: tuple[int, ...]
+) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """A GHZ layer's parties and split, checked in this order: at least one
+    party, the partition, the parties ascending strictly within 0..p-1,
+    one party left idle.  Returns the parties and the partition's owner
+    array, or None for the default even split, which no index can break."""
+    parties = tuple(int(j) for j in parties)
+    q = len(parties)
+    if q < 1:
+        raise BadPartitionError(f"need at least one block, got {q}")
+    owner = None
+    if partition is not None:
+        owner = _owner_array(partition.blocks, spec.d)
+        if q != len(partition.blocks):
+            raise BadPartitionError(f"{len(partition.blocks)} blocks for {q} parties")
+    if any(a >= b for a, b in zip((-1, *parties), (*parties, spec.p))):
+        raise BadPartitionError(f"parties {parties} must ascend strictly within 0..{spec.p - 1}")
+    if q > spec.p - 1:
+        raise BadPartitionError("threshold assignment must leave a non-participating party")
+    return parties, owner
+
+
 def ghz_partition_assignment(
     spec: GhzSpec,
     partition: IndexPartition | None,
@@ -172,23 +223,11 @@ def ghz_partition_assignment(
     the order the assignment stores.  ``None`` is the default even split
     into ``len(parties)`` blocks, built as its owner array without blocks.
     """
-    parties = tuple(int(j) for j in parties)
-    q = len(parties)
-    if q < 1:
-        raise BadPartitionError(f"need at least one block, got {q}")
-    if partition is None:
+    parties, owner = checked_split(spec, partition, parties)
+    ratios, q = pivot_ratios(spec), len(parties)
+    if owner is None:
         base, extra = divmod(spec.d - 1, q)
         owner = np.repeat(np.arange(-1, q), [1] + [base + 1] * extra + [base] * (q - extra))
-    else:
-        owner = _owner_array(partition.blocks, spec.d)
-        if q != len(partition.blocks):
-            raise BadPartitionError(f"{len(partition.blocks)} blocks for {q} parties")
-    if any(a >= b for a, b in zip((-1, *parties), (*parties, spec.p))):
-        raise BadPartitionError(f"parties {parties} must ascend strictly within 0..{spec.p - 1}")
-    if q > spec.p - 1:
-        raise BadPartitionError("threshold assignment must leave a non-participating party")
-    check_pivot(spec)
-    ratios = np.minimum(spec.alphas[0] / np.fromiter(spec.alphas, float, spec.d), 1.0)
     table = np.where(owner == np.arange(q)[:, None], ratios, 1.0)
     return FilterAssignment(spec.p, parties, table)
 
@@ -214,9 +253,20 @@ def last_parties(p: int, q: int) -> tuple[int, ...]:
 def w_assignment(spec: WSpec) -> FilterAssignment:
     """W filters: parties 1..p-1 participate, party j attenuating its |0>
     component by beta_{p-1-j}/beta_{p-1}; party 0 stays idle."""
-    check_pivot(spec)
-    be = np.array(spec.betas)
     table = np.ones((spec.p - 1, 2))
-    table[:, 0] = np.minimum(be[-2::-1] / be[-1], 1.0)
+    table[:, 0] = pivot_ratios(spec)
     return FilterAssignment(spec.p, tuple(range(1, spec.p)), table)
 
+
+def zero_layer_multiplier(spec: Spec, q: int, partition: IndexPartition | None) -> np.ndarray:
+    """The all-zeros outcome's multiplier of the layer ``ted.assignment_for``
+    builds, bit for bit, read from :func:`pivot_ratios` without its table
+    and with its checks in the same order.  A GHZ table holds each index's
+    ratio on its owner's row and 1.0 on every other, so its product over
+    rows is the ratio profile itself, whatever the split and q.  W parties
+    1..p-1 all participate, party j changing row p-1-j, with index-1 entry
+    1.0."""
+    if isinstance(spec, GhzSpec):
+        checked_split(spec, partition, last_parties(spec.p, q))
+        return pivot_ratios(spec)
+    return _w_rows(pivot_ratios(spec), 1.0, np.s_[-2::-1], spec.p)

@@ -18,8 +18,11 @@ closed-form fidelity against the uniform-coefficient target
 (and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
 so p_u, both coefficient arrays, their overlap and the closed form's terms
 (its own p_u, the size and the gap, :func:`closed_form_terms`) are fixed by
-the spec, q and the partition.  :func:`spec_context` builds that set, and
-every run path (``run_ted``, ``run_tsd`` through its report, ``run_stats``,
+the spec, q and the partition.  :func:`spec_context` builds that set,
+reading p_u from the filters' pivot-ratio profile with no filter table
+(``filters.zero_layer_multiplier``; :func:`assignment_for` and
+:func:`apply_filter_layer` are the reference layer it equals bit for bit),
+and every run path (``run_ted``, ``run_tsd`` through its report, ``run_stats``,
 ``simulate``, sweep curves) reads it through one small ``lru_cache``
 (``_compact_zero_layer``).  A warm call to :func:`run_ted` does only the
 per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
@@ -46,6 +49,7 @@ from .filters import (
     last_parties,
     span_multiplier,
     w_assignment,
+    zero_layer_multiplier,
 )
 from .states import (
     Family,
@@ -112,7 +116,8 @@ def assignment_for(
 ) -> FilterAssignment:
     """Filter assignment under the default participation convention
     (the last q parties participate, a GHZ partition defaulting to the even
-    contiguous split); W always uses all p-1 of them."""
+    contiguous split); W always uses all p-1 of them.  The reference layer:
+    no run path builds it (:func:`spec_context` reads p_u without it)."""
     if isinstance(spec, GhzSpec):
         return ghz_partition_assignment(spec, partition, last_parties(spec.p, q))
     return w_assignment(spec)
@@ -161,13 +166,15 @@ def spec_context(
     :func:`closed_form_terms`, computed apart from that p_u.  Reports
     share the read-only arrays.  The target is filled in directly, with
     the bits of ``make_compact(perfect_like(spec))``, whose spec would only
-    validate equal coefficients that it keeps as given.  The assignment,
-    built first since it checks the pivot, is not read from
-    ``_cached_assignment``: a cached context needs it no more, so a second
-    cache would only hold it."""
-    assignment = assignment_for(spec, q, partition)
+    validate equal coefficients that it keeps as given.  p_u is read from
+    the pivot-ratio profile (``zero_layer_multiplier``, first since it
+    runs the assignment's checks), with the bits of
+    :func:`apply_filter_layer` on ``assignment_for(spec, q, partition)``
+    at the all-zeros outcome; no filter table is built."""
+    multiplier = zero_layer_multiplier(spec, q, partition)
     initial = make_compact(spec)
-    pu = apply_filter_layer(initial, spec, assignment, (0,) * assignment.q)[1]
+    out = initial * multiplier
+    pu = float((out * out).sum())
     perfect = np.full(len(initial), 1.0 / math.sqrt(len(initial)))
     perfect.flags.writeable = False
     overlap = float(np.dot(perfect, initial)) ** 2

@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from qdistill import (
     Family,
     FilterAssignment,
     GhzSpec,
+    IndexPartition,
     InvalidSpecError,
     PivotNotMaximalError,
     PivotNotMinimalError,
@@ -34,6 +36,7 @@ from qdistill import (
 )
 import qdistill.cli
 import qdistill.ted
+from qdistill.filters import span_multiplier, zero_layer_multiplier
 from qdistill.linalg import _root_fidelity
 from qdistill.states import perfect_like
 from qdistill.ted import (
@@ -51,6 +54,7 @@ from qdistill.ted import (
 from conftest import (
     CORPUS_SEED,
     ORACLE_FIDELITY_TOL,
+    contiguous_partition,
     dense_mixture,
     dense_report,
     dense_vector,
@@ -727,6 +731,126 @@ class TestUniformTarget:
             assert perfect.tobytes() == make_compact(perfect_like(spec)).tobytes()
 
 
+def random_partition(rng: np.random.Generator, d: int, q: int) -> IndexPartition:
+    """Indices 1..d-1 dealt to q blocks at random, so blocks may be empty."""
+    owners = rng.integers(0, q, d - 1)
+    return IndexPartition(tuple(frozenset((np.flatnonzero(owners == k) + 1).tolist())
+                                for k in range(q)))
+
+
+def reference_zero_layer(spec, q: int, partition) -> tuple[float, np.ndarray]:
+    """p_u and the all-zeros multiplier from the filter table itself."""
+    assignment = assignment_for(spec, q, partition)
+    zeros = (0,) * assignment.q
+    pu = apply_filter_layer(make_compact(spec), spec, assignment, zeros)[1]
+    return pu, span_multiplier(spec, assignment, zeros)
+
+
+def outcome(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the class is the compared value
+        return type(exc), str(exc)
+
+
+class TestZeroLayerFromRatios:
+    """spec_context reads p_u from the pivot-ratio profile with the bits of
+    the reference filter layer (``assignment_for`` and
+    ``apply_filter_layer``), and refuses what that layer refuses, with the
+    same class and message."""
+
+    @staticmethod
+    def check(spec, q: int, partition=None) -> None:
+        pu, multiplier = reference_zero_layer(spec, q, partition)
+        assert spec_context(spec, q, partition)[0] == pu
+        assert zero_layer_multiplier(spec, q, partition).tobytes() == multiplier.tobytes()
+
+    def test_ghz_corpus_at_every_q_and_split(self):
+        rng = np.random.default_rng(CORPUS_SEED)
+        empty_blocks = 0
+        for spec in ghz_corpus():
+            for q in range(1, spec.p):
+                partition = random_partition(rng, spec.d, q)
+                empty_blocks += sum(not block for block in partition.blocks)
+                for split in (None, partition, contiguous_partition(spec.d, q)):
+                    self.check(spec, q, split)
+        assert empty_blocks > 0
+
+    def test_w_corpus(self):
+        for spec in w_corpus():
+            self.check(spec, spec.p - 1)
+
+    @pytest.mark.parametrize("size", [2, 3, 1000, 10**4, 10**5, 10**6])
+    def test_uniform_specs(self, size):
+        ghz = perfect_ghz(size, 3)
+        self.check(ghz, 1)
+        self.check(ghz, 2)
+        self.check(perfect_w(size), size - 1)
+
+    def test_w_ratio_products_toward_subnormals(self):
+        # party ratios near 1/2 over about a thousand parties: the row
+        # products cross the normal floor, run through the subnormals and
+        # underflow to 0
+        rng = np.random.default_rng(CORPUS_SEED)
+        subnormal = zero = 0
+        for p in range(1010, 1100, 6):
+            for betas in ((0.5,) * (p - 1) + (1.0,), (*rng.uniform(0.45, 0.55, p - 1), 1.0)):
+                spec = WSpec(p, normalized(betas))
+                self.check(spec, p - 1)
+                rows = zero_layer_multiplier(spec, p - 1, None)
+                subnormal += int(((rows > 0) & (rows < sys.float_info.min)).sum())
+                zero += int((rows == 0).sum())
+        assert subnormal > 0 and zero > 0
+
+    def test_refuses_what_the_reference_refuses(self):
+        # every q from -2 to p+2 against every split, each with and without a
+        # pivot fault, so inputs with two or three faults at once are in it
+        d, p = 5, 4
+        good = random_ghz_spec(np.random.default_rng(CORPUS_SEED), d, p)
+        bad_pivot = GhzSpec(d, p, good.alphas[1:] + good.alphas[:1])
+        blocks = lambda *bs: IndexPartition(tuple(frozenset(b) for b in bs))  # noqa: E731
+        splits = [
+            None, blocks({1, 2, 3, 4}), blocks({1, 2}, {3, 4}), blocks({1}, set(), {2, 3, 4}),
+            blocks({1, 2}, {2, 3, 4}),  # overlap
+            blocks({1}, {3, 4}),  # leaves out 2
+            blocks({1, 2}, {3, 4, 5}),  # index d
+            blocks({0, 1}, {2, 3, 4}),  # the pivot
+            blocks({-1, 1}, {2, 3, 4}),  # negative
+            blocks({1, 2}, {3}, {4}, set()),  # four blocks
+            blocks(),  # none
+        ]
+        refused = set()
+        for spec in (good, bad_pivot):
+            for q in range(-2, p + 3):
+                for split in splits:
+                    want = outcome(lambda: reference_zero_layer(spec, q, split)[0])
+                    got = outcome(lambda: spec_context(spec, q, split)[0])
+                    assert got == want, (spec.alphas, q, split)
+                    if isinstance(want, tuple):
+                        refused.add(want[1])
+        assert len(refused) >= 5
+        for spec in (random_w_spec(np.random.default_rng(CORPUS_SEED), 5),
+                     WSpec(5, normalized((0.2, 0.3, 0.4, 0.7, 0.4)))):
+            for q in range(-2, spec.p + 3):
+                for split in (None, splits[2], splits[4]):
+                    want = outcome(lambda: reference_zero_layer(spec, q, split)[0])
+                    assert outcome(lambda: spec_context(spec, q, split)[0]) == want
+
+    def test_cold_w_context_at_a_hundred_thousand_parties(self):
+        # no per-party Python work: the ratio profile and two cumulative
+        # products (best of 5 CPU times, spec prebuilt; process CPU also
+        # counts a multithreaded BLAS's idle worker spinning after the
+        # overlap's dot, so it reads up to twice the calling thread's time)
+        spec = random_w_spec(np.random.default_rng(CORPUS_SEED), 10**5)
+        times = []
+        for _ in range(5):
+            start = time.process_time()
+            spec_context(spec, spec.p - 1, None)
+            times.append(time.process_time() - start)
+        assert min(times) < 0.075
+
+
 class CountsHashes:
     """Mixed into a spec type: counts how often its specs are hashed."""
 
@@ -746,12 +870,16 @@ class CountedHashWSpec(CountsHashes, WSpec):
 
 
 # what a run builds per spec, however many n it visits; ``check_pivot`` is
-# counted through every module's reference, ``filters`` (the assignment's
-# check) included, so a second check of the same spec counts too.  The
-# uniform target is filled in, not built as a second spec, so the spec's
-# own coefficients are the one ``make_compact`` and ``perfect_like`` never
-# runs (a Counter, whose equality reads a count of 0 as never called)
-BUILT_ONCE = collections.Counter({"perfect_like": 0, "make_compact": 1, "assignment_for": 1,
+# counted through every module's reference, ``filters`` (the ratio
+# profile's check) included, so a second check of the same spec counts too.
+# The uniform target is filled in, not built as a second spec, so the
+# spec's own coefficients are the one ``make_compact`` and ``perfect_like``
+# never runs; p_u is read from the ratio profile, so no filter table is
+# built or applied (a Counter, whose equality reads a count of 0 as never
+# called)
+BUILT_ONCE = collections.Counter({"perfect_like": 0, "make_compact": 1, "assignment_for": 0,
+                                  "ghz_partition_assignment": 0, "w_assignment": 0,
+                                  "apply_filter_layer": 0, "span_multiplier": 0,
                                   "check_pivot": 1, "closed_form_terms": 1})
 
 
@@ -787,11 +915,18 @@ class TestSpecStateCost:
                 run_ted(config(spec, n=n))
             assert built == BUILT_ONCE
 
-    def test_a_steering_run_builds_each_state_and_the_assignment_once(self, built):
+    def test_a_steering_run_builds_each_state_once_and_no_filter_table(self, built):
         for config in (ghz_config(random_ghz_spec(np.random.default_rng(10), 5, 4), n=3, q=2),
                        w_config(random_w_spec(np.random.default_rng(11), 5), n=3)):
             built.clear()
             run_tsd(SteeringConfig(config, 1))
+            assert built == BUILT_ONCE
+
+    def test_a_monte_carlo_run_builds_each_state_once_and_no_filter_table(self, built):
+        for config in (ghz_config(random_ghz_spec(np.random.default_rng(12), 5, 4), n=3, q=2),
+                       w_config(random_w_spec(np.random.default_rng(13), 5), n=3)):
+            built.clear()
+            run_stats(config, 50, 7)
             assert built == BUILT_ONCE
 
     @pytest.mark.parametrize("argv", [
