@@ -45,7 +45,7 @@ from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec, _validated_coeffs, span_shape
 from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, PRESETS, ROW_CAP, STEERING_COLUMNS,
-                    grid_rows, preset_grid, report_row)
+                    grid_rows, report_row)
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
@@ -58,10 +58,8 @@ SIMULATE_COLUMNS = (
     "kept_count", "count",
 )
 
-SWEEP_FIELDS = {  # sweep flag -> SweepGrid field
-    "alpha0": "alpha0_values", "beta0": "beta0_values", "pu": "pu", "gap": "gap",
-    "d": "d_values", "n": "n_values", "p": "p_values",
-}
+# the sweep flags, each passed to grid_rows as the axis of its own name
+SWEEP_AXES = ("alpha0", "beta0", "pu", "gap", "d", "p", "n")
 
 
 # a cell's text by its exact type; any other (numpy's ints and bools, subclasses) by str()
@@ -116,7 +114,10 @@ def _finite(text: str) -> float:
 
 
 def _finite_floats(text: str) -> tuple[float, ...]:
-    return tuple(_finite(v) for v in _parse_floats(text))
+    values = tuple(_finite(v) for v in _parse_floats(text))
+    if not values:
+        raise InvalidSpecError(f"float list {text!r} is empty")
+    return values
 
 
 def _parse_partition(text: str) -> IndexPartition | None:
@@ -235,9 +236,8 @@ def _cmd_run(args, family: Family, steering: bool) -> int:
 
 def _cmd_sweep(args) -> int:
     preset = _need(args, "preset")
-    overrides = {field: getattr(args, flag) for flag, field in SWEEP_FIELDS.items()
-                 if getattr(args, flag) is not None}
-    rows = grid_rows(preset_grid(preset, **overrides))
+    overrides = {axis: value for axis in SWEEP_AXES if (value := getattr(args, axis)) is not None}
+    rows = grid_rows(preset, **overrides)
     out = _write_out(args, rows, CSV_COLUMNS, {"preset": preset})
     if out:
         print(f"wrote {len(rows)} rows to {out}")
@@ -322,7 +322,7 @@ def _add_sweep(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--alpha0", type=_finite_floats)
     sub.add_argument("--beta0", type=_finite_floats)
-    sub.add_argument("--pu", type=_finite)
+    sub.add_argument("--pu", type=lambda text: (_finite(text),))  # one value, a 1-tuple axis
     sub.add_argument("--gap", type=_finite)
     for name in ("d", "p", "n"):
         sub.add_argument(f"--{name}", type=_parse_int_values)

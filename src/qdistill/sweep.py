@@ -19,13 +19,12 @@ A row built from a spec holds the closed form's own gap as ``coeff_gap``
 Rows run over driver value, then size (d or P), then copy count, each in its
 axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows or
 ``SIZE_CAP`` coefficients (d or P per curve), with a d, p or n below 2, or
-overriding a field its preset does not read is refused before any row is built.
+overriding an axis its preset does not read is refused before any row is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import InvalidSpecError, WorkCapExceededError
@@ -115,20 +114,6 @@ def equal_head_w(p: int, beta0: float) -> WSpec:
     return WSpec(p, (beta0,) * (p - 1) + (math.sqrt(max(last, 0.0)),))
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """One sweep's axes (see :data:`PRESETS`); GHZ modes take a single p value."""
-
-    mode: str
-    n_values: tuple[int, ...]
-    d_values: tuple[int, ...] = ()
-    p_values: tuple[int, ...] = ()
-    alpha0_values: tuple[float, ...] = ()
-    beta0_values: tuple[float, ...] = ()
-    pu: float | None = None
-    gap: float | None = None
-
-
 def _row(family: str, d: int, p: int, q: int, s: int, n: int, driver: float, gap: float,
          pu=math.nan, ps=math.nan, closed=math.nan, numeric=math.nan, feasible=False) -> dict:
     """One row of the CSV schema, built in ``CSV_COLUMNS`` order."""
@@ -168,13 +153,13 @@ def _closed_columns(pu: float, size: int, gap: float, n: int) -> tuple[float, fl
     return pu, overall_success(pu, n), fidelity_from_success(pu, size, gap, n)
 
 
-def _ghz_gap_rows(grid: SweepGrid, a0: float, d: int) -> list[dict]:
-    p, gap, family = grid.p_values[0], grid.gap, Family.GHZ_DIAGONAL.value
+def _ghz_gap_rows(axes: dict, a0: float, d: int) -> list[dict]:
+    p, gap, family = axes["p"][0], axes["gap"], Family.GHZ_DIAGONAL.value
     pu = d * a0 * a0 if 0.0 < a0 < 1.0 else math.nan  # no closed columns off (0, 1)
     coeffs = solve_ghz_coefficients(d, a0, gap)
     context = None if coeffs is None else _compact_zero_layer(GhzSpec(d, p, coeffs), 1, None)
     rows, feasible, numeric = [], context is not None, math.nan
-    for n in grid.n_values:
+    for n in axes["n"]:
         pu_n, ps, closed = _closed_columns(pu, d, gap, n)
         if feasible:  # the engine's columns; fidelity_closed stays the aggregates'
             pu_n, ps, _, numeric = results_at(context, n)
@@ -182,21 +167,21 @@ def _ghz_gap_rows(grid: SweepGrid, a0: float, d: int) -> list[dict]:
     return rows
 
 
-def _convergence_rows(grid: SweepGrid, driver: float, size: int) -> list[dict]:
-    """Fidelity vs N along one equal-tail GHZ or equal-head W curve."""
-    if grid.mode == "ghz-convergence":
-        q, spec = 1, equal_tail_ghz(size, grid.p_values[0], driver)
+def _convergence_rows(axes: dict, driver: float, size: int) -> list[dict]:
+    """Fidelity vs N along one equal-tail GHZ (an alpha0 axis) or equal-head W curve."""
+    if "alpha0" in axes:
+        q, spec = 1, equal_tail_ghz(size, axes["p"][0], driver)
     else:
         q, spec = size - 1, equal_head_w(size, driver)
     context = _compact_zero_layer(spec, q, None)
     family, d, gap = family_of(spec).value, span_shape(spec)[1], context[4][2]
     return [_row(family, d, spec.p, q, 0, n, driver, gap, *results_at(context, n), True)
-            for n in grid.n_values]
+            for n in axes["n"]]
 
 
-def _w_contour_rows(grid: SweepGrid, pu: float, p: int) -> list[dict]:
-    family, gap, rows = Family.W_SINGLE_EXCITATION.value, grid.gap, []
-    for n in grid.n_values:
+def _w_contour_rows(axes: dict, pu: float, p: int) -> list[dict]:
+    family, gap, rows = Family.W_SINGLE_EXCITATION.value, axes["gap"], []
+    for n in axes["n"]:
         closed = _closed_columns(pu, p, gap, n)
         rows.append(_row(family, 2, p, p - 1, 0, n, pu, gap, *closed,
                          feasible=not math.isnan(closed[0])))
@@ -204,10 +189,11 @@ def _w_contour_rows(grid: SweepGrid, pu: float, p: int) -> list[dict]:
 
 
 class Preset(NamedTuple):
-    """``build(grid, driver, size)`` gives one (driver, size) point's rows over
-    n_values; ``defaults`` are the only SweepGrid fields the preset reads."""
+    """``build(axes, driver, size)`` gives one (driver, size) point's rows
+    over the ``n`` axis; ``defaults`` are the only axes the preset reads,
+    each named as its ``sweep`` flag."""
 
-    build: Callable[[SweepGrid, float, int], list[dict]]
+    build: Callable[[dict, float, int], list[dict]]
     driver: str
     size: str
     defaults: dict
@@ -215,58 +201,49 @@ class Preset(NamedTuple):
 
 PRESETS = {
     # fidelity contour over (N, d) at fixed alpha0 and gap
-    "ghz-contour": Preset(_ghz_gap_rows, "alpha0_values", "d_values", dict(
-        alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
-        d_values=tuple(range(2, 11)), n_values=tuple(range(2, 21)), p_values=(2,),
+    "ghz-contour": Preset(_ghz_gap_rows, "alpha0", "d", dict(
+        alpha0=(1.0 / math.sqrt(10.0),), gap=0.5,
+        d=tuple(range(2, 11)), n=tuple(range(2, 21)), p=(2,),
     )),
     # fidelity vs N for three starting overlaps, equal tail coefficients
-    "ghz-convergence": Preset(_convergence_rows, "alpha0_values", "d_values", dict(
-        alpha0_values=(1.0 / math.sqrt(8.0), 1.0 / math.sqrt(9.0), 1.0 / math.sqrt(10.0)),
-        d_values=(3,), n_values=tuple(range(2, 51)), p_values=(3,),
+    "ghz-convergence": Preset(_convergence_rows, "alpha0", "d", dict(
+        alpha0=(1.0 / math.sqrt(8.0), 1.0 / math.sqrt(9.0), 1.0 / math.sqrt(10.0)),
+        d=(3,), n=tuple(range(2, 51)), p=(3,),
     )),
     # fidelity and success probability vs d at fixed N
-    "ghz-dimension": Preset(_ghz_gap_rows, "alpha0_values", "d_values", dict(
-        alpha0_values=(1.0 / math.sqrt(10.0),), gap=0.5,
-        d_values=tuple(range(2, 11)), n_values=(2,), p_values=(2,),
+    "ghz-dimension": Preset(_ghz_gap_rows, "alpha0", "d", dict(
+        alpha0=(1.0 / math.sqrt(10.0),), gap=0.5, d=tuple(range(2, 11)), n=(2,), p=(2,),
     )),
     # fidelity contour over (N, P) driven directly by (p_u, gap)
-    "w-contour": Preset(_w_contour_rows, "pu", "p_values", dict(
-        pu=0.3, gap=0.5, p_values=tuple(range(3, 21)), n_values=tuple(range(2, 21)),
+    "w-contour": Preset(_w_contour_rows, "pu", "p", dict(
+        pu=(0.3,), gap=0.5, p=tuple(range(3, 21)), n=tuple(range(2, 21)),
     )),
     # fidelity vs N for three starting first coefficients
-    "w-convergence": Preset(_convergence_rows, "beta0_values", "p_values", dict(
-        beta0_values=(0.5, 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(6.0)),
-        p_values=(3,), n_values=tuple(range(2, 51)),
+    "w-convergence": Preset(_convergence_rows, "beta0", "p", dict(
+        beta0=(0.5, 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(6.0)), p=(3,), n=tuple(range(2, 51)),
     )),
 }
 
 
-def grid_rows(grid: SweepGrid) -> list[dict]:
-    """Materialize a grid as CSV-ready row dicts in deterministic order."""
-    if grid.mode not in PRESETS:
-        raise ValueError(f"unknown sweep mode {grid.mode!r}")
-    if grid.mode.startswith("ghz") and len(grid.p_values) != 1:
-        raise InvalidSpecError("GHZ sweeps take a single --p value")
-    if min((*grid.d_values, *grid.p_values, *grid.n_values), default=2) < 2:
-        raise InvalidSpecError("sweeps need every d, p and n >= 2")
-    preset = PRESETS[grid.mode]
-    drivers, sizes = getattr(grid, preset.driver), getattr(grid, preset.size)
-    drivers = drivers if isinstance(drivers, tuple) else (drivers,)  # w-contour's one p_u
-    count, total = len(drivers) * len(sizes) * len(grid.n_values), len(drivers) * sum(sizes)
-    for value, what, cap in ((count, "rows", ROW_CAP), (total, "coefficients", SIZE_CAP)):
-        if value > cap:
-            raise WorkCapExceededError(f"{grid.mode} grid has {value} {what}, over the cap {cap}")
-    return [row for driver in drivers for size in sizes
-            for row in preset.build(grid, driver, size)]
-
-
-def preset_grid(name: str, **overrides) -> SweepGrid:
-    """The grid of a named sweep, with some of its defaults overridden;
-    overriding a field the preset does not read is refused."""
+def grid_rows(name: str, **overrides) -> list[dict]:
+    """The CSV-ready rows of a named sweep, in deterministic order, with some
+    of its axes overridden; overriding an axis the preset does not read is
+    refused."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    defaults = PRESETS[name].defaults
-    unread = sorted(overrides.keys() - defaults.keys())
+    preset = PRESETS[name]
+    unread = sorted(overrides.keys() - preset.defaults.keys())
     if unread:
-        raise InvalidSpecError(f"preset {name} reads only {sorted(defaults)}, not {unread}")
-    return SweepGrid(mode=name, **{**defaults, **overrides})
+        raise InvalidSpecError(f"preset {name} reads only {sorted(preset.defaults)}, not {unread}")
+    axes = {**preset.defaults, **overrides}
+    if "alpha0" in axes and len(axes["p"]) != 1:
+        raise InvalidSpecError("GHZ sweeps take a single --p value")
+    if min((*axes.get("d", ()), *axes["p"], *axes["n"]), default=2) < 2:
+        raise InvalidSpecError("sweeps need every d, p and n >= 2")
+    drivers, sizes = axes[preset.driver], axes[preset.size]
+    count, total = len(drivers) * len(sizes) * len(axes["n"]), len(drivers) * sum(sizes)
+    for value, what, cap in ((count, "rows", ROW_CAP), (total, "coefficients", SIZE_CAP)):
+        if value > cap:
+            raise WorkCapExceededError(f"{name} grid has {value} {what}, over the cap {cap}")
+    return [row for driver in drivers for size in sizes
+            for row in preset.build(axes, driver, size)]

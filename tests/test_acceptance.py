@@ -46,7 +46,7 @@ from qdistill.filters import last_parties, ghz_partition_assignment
 from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
 from qdistill.states import perfect_like
-from qdistill.sweep import grid_rows, preset_grid
+from qdistill.sweep import grid_rows
 from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
 from qdistill.tsd import filter_assemblage
 
@@ -308,14 +308,14 @@ def test_criterion_08a_convergence_curves():
 
 
 def test_criterion_08b_contour_majority_above_099():
-    rows = grid_rows(preset_grid("ghz-contour"))
+    rows = grid_rows("ghz-contour")
     frac = sum(r["fidelity_closed"] > 0.99 for r in rows) / len(rows)
     check("8b", "contour grid has F > 0.99 on a majority of points",
           frac > 0.5, f"fraction {frac:.3f} of {len(rows)} points")
 
 
 def test_criterion_08c_dimension_trend():
-    rows = grid_rows(preset_grid("ghz-dimension"))
+    rows = grid_rows("ghz-dimension")
     fid = [r["fidelity_closed"] for r in rows]
     ps = [r["ps_per_copy"] for r in rows]
     ok = all(b > a for a, b in zip(fid, fid[1:])) and all(

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 import qdistill
 from qdistill import Family, InvalidSpecError, WSpec, run_ted
 from qdistill import cli
-from qdistill.cli import SWEEP_FIELDS, _config_tokens, _parse_int_values, build_parser, main
+from qdistill.cli import _config_tokens, _parse_int_values, build_parser, main
 from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
+
+from test_sweep import UNREAD_AXES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -350,6 +352,9 @@ class TestErrorReporting:
         ("w-contour", "--p", "1"),
         ("ghz-convergence", "--n", "1"),
         ("w-contour", "--n", "0:3"),
+        # an empty float list printed a header-only CSV and exited 0
+        ("ghz-contour", "--alpha0", ""),
+        ("w-convergence", "--beta0", ","),
     ])
     def test_degenerate_sweep_axis_category(self, capsys, preset, flag, value):
         # refused before any row is built: no traceback and no q = 0 rows
@@ -361,16 +366,15 @@ class TestErrorReporting:
     SWEEP_VALUES = {"alpha0": "0.3", "beta0": "0.5", "pu": "0.3", "gap": "0.5",
                     "d": "3", "p": "3", "n": "2"}
 
-    @pytest.mark.parametrize("preset, flag", [
-        (preset, flag) for preset in PRESETS for flag, field in SWEEP_FIELDS.items()
-        if field not in PRESETS[preset].defaults
-    ])
+    @pytest.mark.parametrize("preset, flag", UNREAD_AXES)
     def test_sweep_flag_the_preset_does_not_read_category(self, capsys, preset, flag):
         # these used to be dropped without a word, printing the default grid
         value = self.SWEEP_VALUES[flag]
         rc, out, err = run(capsys, "sweep", "--preset", preset, f"--{flag}", value)
         self.assert_invalid_spec(rc, err)
         assert err.count("\n") == 1 and out == ""
+        # the refusal names the flag as typed, not a field name behind it
+        assert err.rstrip().endswith(f"not [{flag!r}]") and "_values" not in err
 
     @pytest.mark.parametrize("family_flags", [
         ["--family", "w", "--p", "3", "--betas", BETAS_TOY, "--d", "9"],

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import time
 from pathlib import Path
@@ -26,11 +25,9 @@ from qdistill.sweep import (
     PRESETS,
     ROW_CAP,
     SIZE_CAP,
-    SweepGrid,
     equal_head_w,
     equal_tail_ghz,
     grid_rows,
-    preset_grid,
     report_row,
     solve_ghz_coefficients,
 )
@@ -73,17 +70,17 @@ class TestCoefficientSolver:
 
 class TestGridRows:
     def test_contour_shape_and_columns(self):
-        rows = grid_rows(preset_grid("ghz-contour"))
+        rows = grid_rows("ghz-contour")
         assert len(rows) == 9 * 19
         assert all(tuple(r.keys()) == CSV_COLUMNS for r in rows)
 
     def test_contour_row_order_lexicographic(self):
-        rows = grid_rows(preset_grid("ghz-contour"))
+        rows = grid_rows("ghz-contour")
         keys = [(r["alpha0_or_pu"], r["d"], r["n"]) for r in rows]
         assert keys == sorted(keys)
 
     def test_contour_infeasible_rows_emitted(self):
-        rows = grid_rows(preset_grid("ghz-contour"))
+        rows = grid_rows("ghz-contour")
         by_d = {}
         for r in rows:
             by_d.setdefault(r["d"], set()).add(r["feasible"])
@@ -98,19 +95,19 @@ class TestGridRows:
     @pytest.mark.parametrize("preset, overrides, filled", [
         ("ghz-contour", dict(gap=-5.0), False),
         ("ghz-dimension", dict(gap=20.0), False),  # over d - 1 for every d
-        ("ghz-contour", dict(alpha0_values=(-0.5,), d_values=(2,)), False),
-        ("w-contour", dict(gap=-5.0, p_values=(3,)), False),
-        ("w-contour", dict(gap=2.5, p_values=(3,)), False),
-        ("w-contour", dict(pu=0.0, p_values=(3,)), False),
-        ("ghz-contour", dict(gap=0.0, d_values=(3,)), True),
-        ("w-contour", dict(gap=0.0, p_values=(3,)), True),
-        ("w-contour", dict(gap=2.0, p_values=(3,)), True),
+        ("ghz-contour", dict(alpha0=(-0.5,), d=(2,)), False),
+        ("w-contour", dict(gap=-5.0, p=(3,)), False),
+        ("w-contour", dict(gap=2.5, p=(3,)), False),
+        ("w-contour", dict(pu=(0.0,), p=(3,)), False),
+        ("ghz-contour", dict(gap=0.0, d=(3,)), True),
+        ("w-contour", dict(gap=0.0, p=(3,)), True),
+        ("w-contour", dict(gap=2.0, p=(3,)), True),
     ], ids=["ghz-gap-negative", "ghz-gap-over-size", "ghz-alpha0-negative",
             "w-gap-negative", "w-gap-over-size", "w-pu-zero",
             "ghz-gap-zero", "w-gap-zero", "w-gap-size-minus-one"])
     def test_closed_form_columns_only_where_coefficients_exist(self, preset, overrides, filled):
         # 0 < p_u <= 1, 0 <= gap <= size - 1 and, for GHZ, 0 < alpha0 < 1
-        rows = grid_rows(preset_grid(preset, n_values=(2,), **overrides))
+        rows = grid_rows(preset, n=(2,), **overrides)
         columns = ("ps_per_copy", "ps_overall", "fidelity_closed")
         for r in rows:
             assert [math.isnan(r[c]) for c in columns] == [not filled] * 3
@@ -120,18 +117,18 @@ class TestGridRows:
                 assert r["feasible"] is False
 
     def test_contour_majority_above_099(self):
-        rows = grid_rows(preset_grid("ghz-contour"))
+        rows = grid_rows("ghz-contour")
         frac = sum(r["fidelity_closed"] > 0.99 for r in rows) / len(rows)
         assert frac > 0.5
 
     def test_closed_numeric_agree_on_feasible_rows(self):
         for preset in ("ghz-contour", "ghz-convergence", "w-convergence"):
-            for r in grid_rows(preset_grid(preset)):
+            for r in grid_rows(preset):
                 if r["feasible"]:
                     assert abs(r["fidelity_closed"] - r["fidelity_numeric"]) <= 1e-9
 
     def test_convergence_curves_increase_to_one(self):
-        rows = grid_rows(preset_grid("ghz-convergence"))
+        rows = grid_rows("ghz-convergence")
         by_a0 = {}
         for r in rows:
             by_a0.setdefault(r["alpha0_or_pu"], []).append(r["fidelity_closed"])
@@ -141,14 +138,14 @@ class TestGridRows:
             assert values[-1] > 1 - 1e-7
 
     def test_dimension_rows_monotone_in_d(self):
-        rows = [r for r in grid_rows(preset_grid("ghz-dimension")) if r["feasible"]]
+        rows = [r for r in grid_rows("ghz-dimension") if r["feasible"]]
         ps = [r["ps_per_copy"] for r in rows]
         fid = [r["fidelity_closed"] for r in rows]
         assert all(b > a for a, b in zip(ps, ps[1:]))
         assert all(b > a for a, b in zip(fid, fid[1:]))
 
     def test_w_contour_driver_is_pu(self):
-        rows = grid_rows(preset_grid("w-contour"))
+        rows = grid_rows("w-contour")
         assert len(rows) == 18 * 19
         assert all(r["alpha0_or_pu"] == 0.3 for r in rows)
         assert all(r["ps_per_copy"] == 0.3 for r in rows)
@@ -157,101 +154,100 @@ class TestGridRows:
         assert sample["fidelity_closed"] == pytest.approx(1 - 0.7 * 0.5 / 3, abs=1e-12)
 
     def test_w_convergence_uses_toy_family(self):
-        rows = grid_rows(preset_grid("w-convergence", n_values=(3,)))
+        rows = grid_rows("w-convergence", n=(3,))
         row = next(r for r in rows if r["alpha0_or_pu"] == 0.5)
         assert row["ps_per_copy"] == pytest.approx(0.375, abs=1e-12)
         assert row["fidelity_closed"] == pytest.approx(0.9888298909339968, abs=1e-12)
 
     def test_preset_overrides(self):
-        grid = preset_grid("ghz-contour", n_values=(2, 3), d_values=(3,))
-        assert len(grid_rows(grid)) == 2
+        assert len(grid_rows("ghz-contour", n=(2, 3), d=(3,))) == 2
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset_grid("nope")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            grid_rows(SweepGrid(mode="bogus", n_values=(2,)))
+        with pytest.raises(ValueError, match="unknown preset 'nope'"):
+            grid_rows("nope")
 
     @pytest.mark.parametrize("preset", ["ghz-contour", "ghz-convergence", "ghz-dimension"])
     def test_ghz_party_count_is_the_single_p_value(self, preset):
-        assert {r["p"] for r in grid_rows(preset_grid(preset, p_values=(4,)))} == {4}
+        assert {r["p"] for r in grid_rows(preset, p=(4,))} == {4}
         with pytest.raises(InvalidSpecError, match="GHZ sweeps take a single --p value"):
-            grid_rows(preset_grid(preset, p_values=(2, 3)))
+            grid_rows(preset, p=(2, 3))
 
     def test_row_cap_refused_before_building(self):
         # 18 party counts per copy count: one copy count past the cap
-        n_values = tuple(range(2, 3 + ROW_CAP // 18))
         with pytest.raises(WorkCapExceededError, match="over the cap"):
-            grid_rows(preset_grid("w-contour", n_values=n_values))
+            grid_rows("w-contour", n=tuple(range(2, 3 + ROW_CAP // 18)))
 
-    @pytest.mark.parametrize("name, field", [
-        ("ghz-contour", "d_values"), ("ghz-convergence", "d_values"),
-        ("ghz-dimension", "d_values"), ("w-contour", "p_values"), ("w-convergence", "p_values"),
-    ])
-    def test_size_cap_refused_before_building(self, name, field):
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_size_cap_refused_before_building(self, name):
         # one size past the cap, one far past float range, and a range of
         # sizes each under the cap whose curves total more than it
-        grids = [{field: (SIZE_CAP + 1,)}, {field: (10**400,)},
-                 {field: tuple(range(2, 200)), "n_values": (2,)}]
+        size = PRESETS[name].size
+        grids = [{size: (SIZE_CAP + 1,)}, {size: (10**400,)},
+                 {size: tuple(range(2, 200)), "n": (2,)}]
         for overrides in grids:
             start = time.process_time()
             with pytest.raises(WorkCapExceededError, match=f"over the cap {SIZE_CAP}$"):
-                grid_rows(preset_grid(name, **overrides))
+                grid_rows(name, **overrides)
             assert time.process_time() - start < 0.05
 
     def test_size_cap_counts_every_driver(self):
-        grid = preset_grid("ghz-convergence", alpha0_values=(1e-4, 2e-4, 3e-4),
-                           d_values=(SIZE_CAP // 3 + 1,), n_values=(2,))
+        axes = dict(alpha0=(1e-4, 2e-4, 3e-4), n=(2,))
         with pytest.raises(WorkCapExceededError, match=f"has {3 * (SIZE_CAP // 3 + 1)} coefficients"):
-            grid_rows(grid)
-        assert len(grid_rows(dataclasses.replace(grid, d_values=(SIZE_CAP // 3,)))) == 3
+            grid_rows("ghz-convergence", d=(SIZE_CAP // 3 + 1,), **axes)
+        assert len(grid_rows("ghz-convergence", d=(SIZE_CAP // 3,), **axes)) == 3
 
     def test_row_cap_is_checked_first(self):
-        grid = preset_grid("w-contour", p_values=tuple(range(3, 1003)), n_values=tuple(range(2, 103)))
         with pytest.raises(WorkCapExceededError, match=f"101000 rows, over the cap {ROW_CAP}"):
-            grid_rows(grid)
+            grid_rows("w-contour", p=tuple(range(3, 1003)), n=tuple(range(2, 103)))
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_default_presets_are_under_the_size_cap(self, name):
         preset = PRESETS[name]
-        drivers = preset.defaults[preset.driver]
-        drivers = drivers if isinstance(drivers, tuple) else (drivers,)
-        assert len(drivers) * sum(preset.defaults[preset.size]) <= 207 < SIZE_CAP
+        drivers, sizes = preset.defaults[preset.driver], preset.defaults[preset.size]
+        assert len(drivers) * sum(sizes) <= 207 < SIZE_CAP
+
+
+# every sweep axis (the union of the presets' defaults), and each (preset,
+# axis) pair whose preset does not read the axis: the API and the CLI
+# refusal tests both run on these pairs
+SWEEP_AXES = sorted(set().union(*(preset.defaults for preset in PRESETS.values())))
+UNREAD_AXES = [(name, axis) for name in sorted(PRESETS) for axis in SWEEP_AXES
+               if axis not in PRESETS[name].defaults]
 
 
 class TestPresetTable:
-    GRID_FIELDS = [f.name for f in dataclasses.fields(SweepGrid) if f.name != "mode"]
-
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_overrides_the_preset_does_not_read_are_refused(self, name):
-        unread = [f for f in self.GRID_FIELDS if f not in PRESETS[name].defaults]
+        unread = [axis for preset, axis in UNREAD_AXES if preset == name]
         assert unread
-        for field in unread:
-            with pytest.raises(InvalidSpecError, match="reads only"):
-                preset_grid(name, **{field: 0.5})
+        for axis in unread:
+            with pytest.raises(InvalidSpecError, match=rf"reads only .*, not \['{axis}'\]$"):
+                grid_rows(name, **{axis: (0.5,)})
         with pytest.raises(InvalidSpecError, match="reads only"):
-            preset_grid(name, mode="w-contour")
+            grid_rows(name, mode="w-contour")
+
+    def test_every_axis_is_a_sweep_flag(self):
+        # the CLI passes each set flag to grid_rows under the flag's own name
+        assert sorted(qdistill.cli.SWEEP_AXES) == SWEEP_AXES
+        sweep = build_parser("sweep")
+        assert {a.dest for a in sweep._actions} >= set(SWEEP_AXES)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_row_count_is_the_axis_product(self, name):
         preset = PRESETS[name]
-        grid = preset_grid(name, n_values=(2, 3, 5))
-        drivers, sizes = getattr(grid, preset.driver), getattr(grid, preset.size)
-        drivers = drivers if isinstance(drivers, tuple) else (drivers,)
-        rows = grid_rows(grid)
-        assert len(rows) == len(drivers) * len(sizes) * len(grid.n_values)
+        axes = {**preset.defaults, "n": (2, 3, 5)}
+        drivers, sizes = axes[preset.driver], axes[preset.size]
+        rows = grid_rows(name, n=axes["n"])
+        assert len(rows) == len(drivers) * len(sizes) * len(axes["n"])
         # driver, then size, then n, each in the order its axis gives
-        size = "p" if preset.size == "p_values" else "d"
-        assert [(r["alpha0_or_pu"], r[size], r["n"]) for r in rows] == [
-            (driver, s, n) for driver in drivers for s in sizes for n in grid.n_values
+        assert [(r["alpha0_or_pu"], r[preset.size], r["n"]) for r in rows] == [
+            (driver, s, n) for driver in drivers for s in sizes for n in axes["n"]
         ]
 
     def test_convergence_presets_take_several_sizes(self):
-        rows = grid_rows(preset_grid("ghz-convergence", d_values=(3, 4), n_values=(2,)))
+        rows = grid_rows("ghz-convergence", d=(3, 4), n=(2,))
         assert [(r["d"], r["p"]) for r in rows] == [(3, 3), (4, 3)] * 3
-        rows = grid_rows(preset_grid("w-convergence", beta0_values=(0.4,), p_values=(3, 4)))
+        rows = grid_rows("w-convergence", beta0=(0.4,), p=(3, 4))
         assert {(r["p"], r["q"]) for r in rows} == {(3, 2), (4, 3)}
 
     def test_every_preset_list_is_the_table(self):
@@ -285,14 +281,14 @@ class TestFamilies:
 # (preset, overrides): the default grids and a few of their overrides
 ENGINE_GRIDS = [
     *((name, {}) for name in sorted(PRESETS)),
-    ("ghz-contour", dict(d_values=(3, 5, 9))),
-    ("ghz-contour", dict(n_values=tuple(range(2, 81)))),
+    ("ghz-contour", dict(d=(3, 5, 9))),
+    ("ghz-contour", dict(n=tuple(range(2, 81)))),
     ("ghz-contour", dict(gap=0.3)),
-    ("ghz-dimension", dict(gap=0.3, n_values=(2, 5, 80))),
-    ("ghz-convergence", dict(d_values=(3, 5, 8))),
-    ("ghz-convergence", dict(n_values=tuple(range(2, 81)), p_values=(5,))),
-    ("w-convergence", dict(beta0_values=(0.2, 0.3), p_values=tuple(range(3, 12)))),
-    ("w-convergence", dict(n_values=tuple(range(2, 81)))),
+    ("ghz-dimension", dict(gap=0.3, n=(2, 5, 80))),
+    ("ghz-convergence", dict(d=(3, 5, 8))),
+    ("ghz-convergence", dict(n=tuple(range(2, 81)), p=(5,))),
+    ("w-convergence", dict(beta0=(0.2, 0.3), p=tuple(range(3, 12)))),
+    ("w-convergence", dict(n=tuple(range(2, 81)))),
 ]
 
 
@@ -314,20 +310,20 @@ class TestEngineRows:
     @pytest.mark.parametrize("preset, overrides", ENGINE_GRIDS,
                              ids=[f"{p}-{i}" for i, (p, _) in enumerate(ENGINE_GRIDS)])
     def test_feasible_rows_equal_run_ted(self, preset, overrides):
-        grid = preset_grid(preset, **overrides)
-        rows = [r for r in grid_rows(grid) if r["feasible"]]
+        gap = {**PRESETS[preset].defaults, **overrides}.get("gap")
+        rows = [r for r in grid_rows(preset, **overrides) if r["feasible"]]
         assert rows or preset == "w-contour"  # its rows come from (p_u, gap) alone
         for row in rows if preset != "w-contour" else ():
-            report = run_ted(engine_config(row, grid.gap))
+            report = run_ted(engine_config(row, gap))
             assert row["ps_per_copy"] == report.p_success_per_copy
             assert row["ps_overall"] == report.p_success_overall
             assert row["fidelity_numeric"] == report.fidelity_numeric
-            if grid.gap is None:
+            if gap is None:
                 assert row["fidelity_closed"] == report.fidelity_closed_form
             else:  # a gap row's closed form is the aggregates', not the solved spec's
                 d, a0 = row["d"], row["alpha0_or_pu"]
                 assert row["fidelity_closed"] == fidelity_from_success(
-                    d * a0 * a0, d, grid.gap, row["n"])
+                    d * a0 * a0, d, gap, row["n"])
 
     @pytest.fixture
     def lookups(self, monkeypatch):
@@ -349,11 +345,11 @@ class TestEngineRows:
         ("ghz-contour", {}, 5),  # d = 3..7 have coefficients
         ("ghz-dimension", {}, 5),
         ("w-contour", {}, 0),
-        ("ghz-convergence", dict(d_values=(3, 5, 8), n_values=tuple(range(2, 81))), 9),
-        ("w-convergence", dict(beta0_values=(0.2, 0.3), p_values=tuple(range(3, 12))), 18),
+        ("ghz-convergence", dict(d=(3, 5, 8), n=tuple(range(2, 81))), 9),
+        ("w-convergence", dict(beta0=(0.2, 0.3), p=tuple(range(3, 12))), 18),
     ])
     def test_one_context_lookup_per_curve(self, lookups, preset, overrides, curves):
-        rows = grid_rows(preset_grid(preset, **overrides))
+        rows = grid_rows(preset, **overrides)
         assert lookups["lookups"] == curves < len(rows)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -361,7 +357,7 @@ class TestEngineRows:
         # also where a row has no closed-form columns to compute
         overrides = {"gap": -5.0} if "contour" in preset else {}
         with pytest.raises(InvalidSpecError, match="every d, p and n >= 2"):
-            grid_rows(preset_grid(preset, n_values=(3, 1), **overrides))
+            grid_rows(preset, n=(3, 1), **overrides)
 
 
 @st.composite
@@ -391,12 +387,11 @@ class TestOneGapRule:
     def test_convergence_and_run_rows(self, point):
         preset, driver, size = point
         ghz = preset == "ghz-convergence"
-        grid = preset_grid(preset, n_values=(2, 3, 40), **(
-            dict(alpha0_values=(driver,), d_values=(size,)) if ghz
-            else dict(beta0_values=(driver,), p_values=(size,))))
+        rows = grid_rows(preset, n=(2, 3, 40), **(
+            dict(alpha0=(driver,), d=(size,)) if ghz else dict(beta0=(driver,), p=(size,))))
         spec = equal_tail_ghz(size, 3, driver) if ghz else equal_head_w(size, driver)
         gap = closed_form_terms(spec)[2]
-        assert [row["coeff_gap"] for row in grid_rows(grid)] == [gap] * 3
+        assert [row["coeff_gap"] for row in rows] == [gap] * 3
         assert [row["coeff_gap"] for row in run_rows(spec)] == [gap] * 2
 
     @given(st.booleans(), st.integers(2, 40), st.integers(0, 2**32 - 1))

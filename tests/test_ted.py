@@ -2,9 +2,12 @@ import collections
 import dataclasses
 import decimal
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,7 +692,7 @@ def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
     pu = apply_filter_layer(initial, config.spec, assignment, (0,) * assignment.q)[1]
     ps = overall_success(pu, config.n_copies)
     perfect = make_compact(perfect_like(config.spec))
-    overlap = float(np.dot(perfect, initial)) ** 2
+    overlap = float((perfect * initial).sum()) ** 2
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,
@@ -729,6 +732,33 @@ class TestUniformTarget:
             q = 1 if isinstance(spec, GhzSpec) else spec.p - 1
             perfect = spec_context(spec, q, None)[2]
             assert perfect.tobytes() == make_compact(perfect_like(spec)).tobytes()
+
+
+# eight d = 10^5 GHZ contexts, each overlap printed as its exact bits
+OVERLAP_BITS_CHILD = """
+import numpy as np
+from qdistill import GhzSpec
+from qdistill.ted import spec_context
+rng = np.random.default_rng(0)
+for _ in range(8):
+    x = np.sort(rng.random(10**5) + 0.5)
+    spec = GhzSpec(10**5, 2, tuple(x / np.sqrt((x * x).sum())))
+    print(spec_context(spec, 1, None)[3].hex())
+"""
+
+
+def test_overlap_bits_do_not_follow_the_blas_thread_count():
+    # np.dot ran on multithreaded OpenBLAS above 10^4 entries, and its
+    # bits moved with the thread count: 6 of these 8 overlaps did
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(qdistill.ted.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", OVERLAP_BITS_CHILD], capture_output=True,
+                              text=True, check=True, env=env, timeout=120)
+        assert done.stdout.count("\n") == 8
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 def random_partition(rng: np.random.Generator, d: int, q: int) -> IndexPartition:
