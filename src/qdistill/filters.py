@@ -52,7 +52,7 @@ from .errors import (
     PivotNotMaximalError,
     PivotNotMinimalError,
 )
-from .states import GhzSpec, Spec, WSpec, changed_rows, span_shape
+from .states import GhzSpec, Spec, WSpec, changed_rows, make_compact, span_shape
 
 PIVOT_TOL = 1e-12
 
@@ -177,15 +177,15 @@ def check_pivot(spec: Spec) -> None:
         )
 
 
-def pivot_ratios(spec: Spec) -> np.ndarray:
-    """The filters' ratio profile, after :func:`check_pivot`: for GHZ
+def pivot_ratios(spec: Spec, coeffs: np.ndarray) -> np.ndarray:
+    """The filters' ratio profile, after :func:`check_pivot`, read from the
+    spec's coefficient array ``coeffs`` (``make_compact(spec)``): for GHZ
     min(alpha_0/alpha_i, 1) at every index i (1 at the pivot), for W
     min(beta_{p-1-j}/beta_{p-1}, 1), party j's |0> entry, for j = 1..p-1."""
     check_pivot(spec)
     if isinstance(spec, GhzSpec):
-        return np.minimum(spec.alphas[0] / np.fromiter(spec.alphas, float, spec.d), 1.0)
-    be = np.fromiter(spec.betas, float, spec.p)
-    return np.minimum(be[-2::-1] / be[-1], 1.0)
+        return np.minimum(coeffs[0] / coeffs, 1.0)
+    return np.minimum(coeffs[-2::-1] / coeffs[-1], 1.0)
 
 
 def checked_split(
@@ -224,7 +224,7 @@ def ghz_partition_assignment(
     into ``len(parties)`` blocks, built as its owner array without blocks.
     """
     parties, owner = checked_split(spec, partition, parties)
-    ratios, q = pivot_ratios(spec), len(parties)
+    ratios, q = pivot_ratios(spec, make_compact(spec)), len(parties)
     if owner is None:
         base, extra = divmod(spec.d - 1, q)
         owner = np.repeat(np.arange(-1, q), [1] + [base + 1] * extra + [base] * (q - extra))
@@ -254,19 +254,22 @@ def w_assignment(spec: WSpec) -> FilterAssignment:
     """W filters: parties 1..p-1 participate, party j attenuating its |0>
     component by beta_{p-1-j}/beta_{p-1}; party 0 stays idle."""
     table = np.ones((spec.p - 1, 2))
-    table[:, 0] = pivot_ratios(spec)
+    table[:, 0] = pivot_ratios(spec, make_compact(spec))
     return FilterAssignment(spec.p, tuple(range(1, spec.p)), table)
 
 
-def zero_layer_multiplier(spec: Spec, q: int, partition: IndexPartition | None) -> np.ndarray:
+def zero_layer_multiplier(
+    spec: Spec, q: int, partition: IndexPartition | None, coeffs: np.ndarray
+) -> np.ndarray:
     """The all-zeros outcome's multiplier of the layer ``ted.assignment_for``
-    builds, bit for bit, read from :func:`pivot_ratios` without its table
-    and with its checks in the same order.  A GHZ table holds each index's
-    ratio on its owner's row and 1.0 on every other, so its product over
-    rows is the ratio profile itself, whatever the split and q.  W parties
-    1..p-1 all participate, party j changing row p-1-j, with index-1 entry
-    1.0."""
+    builds, bit for bit, read from :func:`pivot_ratios` of ``coeffs`` (the
+    spec's ``make_compact`` array, which the caller converts once) without
+    a table and with the assignment's checks in the same order.  A GHZ
+    table holds each index's ratio on its owner's row and 1.0 on every
+    other, so its product over rows is the ratio profile itself, whatever
+    the split and q.  W parties 1..p-1 all participate, party j changing
+    row p-1-j, with index-1 entry 1.0."""
     if isinstance(spec, GhzSpec):
         checked_split(spec, partition, last_parties(spec.p, q))
-        return pivot_ratios(spec)
-    return _w_rows(pivot_ratios(spec), 1.0, np.s_[-2::-1], spec.p)
+        return pivot_ratios(spec, coeffs)
+    return _w_rows(pivot_ratios(spec, coeffs), 1.0, np.s_[-2::-1], spec.p)

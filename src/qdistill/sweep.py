@@ -18,8 +18,9 @@ A row built from a spec holds the closed form's own gap as ``coeff_gap``
 
 Rows run over driver value, then size (d or P), then copy count, each in its
 axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows or
-``SIZE_CAP`` coefficients (d or P per curve), with a d, p or n below 2, or
-overriding an axis its preset does not read is refused before any row is built.
+``SIZE_CAP`` coefficients (each curve counting its size, d or P, plus
+``CURVE_COEFFS`` for its fixed cost), with a d, p or n below 2, or overriding
+an axis its preset does not read is refused before any row is built.
 """
 
 from __future__ import annotations
@@ -56,9 +57,17 @@ FEAS_TOL = 1e-12
 # at 80-86 MB peak RSS; the largest default preset has 342 rows
 ROW_CAP = 100_000
 
-# grid_rows on one W curve (49 rows) at P = 10^4: 7-11 ms of CPU, best of 5, at 30 MB peak RSS
-# (both filter layers are linear in the size, d or P); the default presets have at most 207
-SIZE_CAP = 10_000
+# a curve costs its spec and context once, then about 0.5 us per coefficient (the
+# context is linear in the size, d or P), so it counts as its size plus CURVE_COEFFS
+# coefficients: a small W curve takes about 60 us, as much as ~100 coefficients
+CURVE_COEFFS = 100
+
+# the worst admitted W grids each take 0.22-0.39 s of CPU, as ROW_CAP's worst does:
+# one w-convergence curve at P = 509900 (49 rows) at 65 MB peak RSS, and 4900 one-row
+# curves at P = 2..6 at 32 MB; GHZ at d = 509900, 0.16-0.19 s at 55 MB (one process
+# per grid); a grid of at most 10^4 coefficients, the former cap, counts at most
+# 10^4 + 5000 CURVE_COEFFS; the default presets count at most 2007
+SIZE_CAP = 510_000
 
 
 def solve_ghz_coefficients(d: int, alpha0: float, gap: float) -> tuple[float, ...] | None:
@@ -241,7 +250,8 @@ def grid_rows(name: str, **overrides) -> list[dict]:
     if min((*axes.get("d", ()), *axes["p"], *axes["n"]), default=2) < 2:
         raise InvalidSpecError("sweeps need every d, p and n >= 2")
     drivers, sizes = axes[preset.driver], axes[preset.size]
-    count, total = len(drivers) * len(sizes) * len(axes["n"]), len(drivers) * sum(sizes)
+    count = len(drivers) * len(sizes) * len(axes["n"])
+    total = len(drivers) * (sum(sizes) + CURVE_COEFFS * len(sizes))
     for value, what, cap in ((count, "rows", ROW_CAP), (total, "coefficients", SIZE_CAP)):
         if value > cap:
             raise WorkCapExceededError(f"{name} grid has {value} {what}, over the cap {cap}")

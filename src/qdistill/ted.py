@@ -22,11 +22,12 @@ the spec, q and the partition.  :func:`spec_context` builds that set,
 reading p_u from the filters' pivot-ratio profile with no filter table
 (``filters.zero_layer_multiplier``; :func:`assignment_for` and
 :func:`apply_filter_layer` are the reference layer it equals bit for bit),
-and every run path (``run_ted``, ``run_tsd`` through its report, ``run_stats``,
-``simulate``, sweep curves) reads it through one small ``lru_cache``
+and every run path (``run_ted``, ``run_tsd``, ``run_stats``, ``simulate``,
+sweep curves) reads it through one small ``lru_cache``
 (``_compact_zero_layer``).  A warm call to :func:`run_ted` does only the
 per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
-:func:`results_at`, the one per-N step (sweep rows too).
+:func:`results_at`, the one per-N step (``run_tsd`` and sweep rows too,
+without building a report).
 The sampled, per-copy view of the same protocol lives in
 :mod:`qdistill.montecarlo`.
 """
@@ -164,20 +165,24 @@ def spec_context(
     outcome's probability on the spec's coefficients), those coefficients,
     their uniform target's, their squared overlap and the closed form's
     :func:`closed_form_terms`, computed apart from that p_u.  Reports
-    share the read-only arrays.  The target is filled in directly, with
-    the bits of ``make_compact(perfect_like(spec))``, whose spec would only
-    validate equal coefficients that it keeps as given.  p_u is read from
-    the pivot-ratio profile (``zero_layer_multiplier``, first since it
-    runs the assignment's checks), with the bits of
-    :func:`apply_filter_layer` on ``assignment_for(spec, q, partition)``
-    at the all-zeros outcome; no filter table is built."""
-    multiplier = zero_layer_multiplier(spec, q, partition)
+    share the read-only arrays.  The coefficient tuple is converted once
+    (``make_compact``), and the ratio profile reads that array.  The target
+    is filled in directly, with the bits of ``make_compact(perfect_like(spec))``,
+    whose spec would only validate equal coefficients that it keeps as
+    given; every entry is the one number g, so the overlap multiplies by g
+    itself.  p_u is read from the pivot-ratio profile
+    (``zero_layer_multiplier``, which runs the assignment's checks), with
+    the bits of :func:`apply_filter_layer` on ``assignment_for(spec, q, partition)``
+    at the all-zeros outcome; no filter table is built.  Reductions are
+    ``np.add.reduce``, the pairwise sum ``.sum()`` calls, without its
+    Python wrapper (and with no BLAS threads)."""
     initial = make_compact(spec)
-    out = initial * multiplier
-    pu = float((out * out).sum())
-    perfect = np.full(len(initial), 1.0 / math.sqrt(len(initial)))
+    out = initial * zero_layer_multiplier(spec, q, partition, initial)
+    pu = float(np.add.reduce(out * out))
+    g = 1.0 / math.sqrt(len(initial))
+    perfect = np.full(len(initial), g)
     perfect.flags.writeable = False
-    overlap = float((perfect * initial).sum()) ** 2  # numpy's own sum: no BLAS threads
+    overlap = float(np.add.reduce(initial * g)) ** 2
     return pu, initial, perfect, overlap, closed_form_terms(spec)
 
 

@@ -12,9 +12,10 @@ setting string (non-signaling).  Participating characterized parties then
 apply the same local filters as in entanglement distillation, via one-way
 classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
-protocol for the same spec: ``run_tsd`` takes p_u, the overall success,
-the closed-form fidelity and both coefficient arrays of the mixture from the
-``ted.run_ted`` report of its base config.
+protocol for the same spec: ``run_tsd`` reads the base config's spec
+context, the one ``ted.run_ted`` reads, and takes p_u, the overall success
+and the closed-form fidelity from ``ted.results_at`` on it, both
+coefficient arrays of the mixture from the context itself.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -26,9 +27,9 @@ l_j = ``local_column(spec, j)`` and B the computational (x = 0) or Fourier
 (x = 1) basis.  Each member is R times a phase, a scale and a column mask,
 so R alone determines the assemblage.  The distilled one is the ``run_ted``
 mixture, R = (sqrt(P_s) g, sqrt(1 - P_s) c) with g the uniform target's
-coefficients and c the spec's, so ``run_tsd`` scores it from that report
-alone: no stage forms an assemblage, a complex array, a basis or an
-outcome axis, and a run holds O(span) numbers at any d and s.
+coefficients and c the spec's, so ``run_tsd`` scores it from the context
+alone: no stage forms an assemblage, a report, a complex array, a basis or
+an outcome axis, and a run holds O(span) numbers at any d and s.
 :class:`Assemblage` and its build, filter and mix steps are the reference
 that the tests rebuild members from.
 
@@ -52,6 +53,15 @@ steering has s = 1), so l0 groups the columns for every such string.
 Party 0's ``changed_rows`` gives those groups without forming l0: for GHZ
 l0 is the identity, one column per group; for W it marks row p-1 alone,
 which leaves that column and the sum of the others, taken left to right.
+
+This links threshold entanglement and steering distillation exactly: g is
+a unit vector, so the all-Fourier score ||R g||^2 = P_s + (1 - P_s)
+(g . c)^2 is the entanglement run's ``fidelity_numeric``.  That identity is
+a law the tests check (within 2e-15 on the steering corpus), not the run
+path: ``run_tsd`` takes the row sums of R g in the reference route's float
+operations, which keeps every bit of ``fidelity_assemblage``, where
+reading the score off ``fidelity_numeric`` moves it by up to 10 ulp
+(seen on 3662 steering configs).
 """
 
 from __future__ import annotations
@@ -64,8 +74,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
-from .states import Spec, changed_rows, span_shape
-from .ted import ProtocolConfig, run_ted
+from .states import GhzSpec, Spec, changed_rows, span_shape
+from .ted import ProtocolConfig, _compact_zero_layer, results_at
 
 Setting = tuple[int, ...]
 
@@ -191,7 +201,9 @@ def _setting_totals(spec: Spec, weighted: np.ndarray) -> tuple[float, float]:
     """The two scores of a factor R against pure members g, from the
     (rows, span) array R g (column k is R[:, k] g_k): for every string with
     a computational party sum_a ||sum_{k: l0_k = a} R[:, k] g_k||, and for
-    the all-Fourier string ||R g||, each squared by :func:`_squared_unit`."""
+    the all-Fourier string ||R g||, each squared by :func:`_squared_unit`.
+    The reference scorer behind :func:`assemblage_fidelity_by_setting`;
+    :func:`run_tsd` takes the same sums on its two rows without the array."""
     grouped, changed = weighted, changed_rows(spec, (0,))  # GHZ: a group per column
     if changed is not None:  # W: column p-1 alone, the others summed left to right
         (c,) = changed
@@ -212,15 +224,18 @@ def _squared_unit(total: float) -> float:
 
 
 def run_tsd(config: SteeringConfig) -> SteeringReport:
-    """Full steering-distillation run on the base config's ``run_ted``
-    report (no filter layer runs here).
+    """Full steering-distillation run on the base config's spec context and
+    ``ted.results_at`` (no filter layer runs here, and no report or
+    assemblage is built).
 
     The distilled assemblage is the convex mixture of the perfect and
     initial assemblages with the overall success probability P_s as
     weight, so its factor R has the rows sqrt(P_s) g and sqrt(1 - P_s) c,
     with g the perfect and c the initial coefficients.  Against the perfect
-    assemblage it scores :func:`_setting_totals` of R g, the rows
-    sqrt(P_s) g g and sqrt(1 - P_s) c g, without forming either assemblage.
+    assemblage it scores the two totals of :func:`_setting_totals` on R g,
+    the rows sqrt(P_s) g g and sqrt(1 - P_s) c g, in the same float
+    operations.  g is uniform, so the first row is one number, ``top``,
+    and only the second is an array, ``low``.
     ``minimizing_setting`` is the lexicographically largest setting string
     within FIDELITY_CLAMP_TOL of the minimum: the all-Fourier string if its
     score is, else (1,)*(s-1) + (0,), the largest string with a
@@ -228,17 +243,29 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     scores 1) resolves to the all-Fourier string that non-uniform specs
     converge to.
     """
-    ted = run_ted(config.base)
-    (ps, perfect), (_, initial) = ted.distilled_state
-    weighted = np.array((math.sqrt(ps) * perfect, math.sqrt(1.0 - ps) * initial)) * perfect
-    computational, fourier = _setting_totals(config.base.spec, weighted)
+    base = config.base
+    context = _compact_zero_layer(base.spec, base.q, base.partition)
+    pu, ps, closed, _ = results_at(context, base.n_copies)
+    _, initial, perfect, _, _ = context
+    g = float(perfect[0])
+    top, low = math.sqrt(ps) * g * g, math.sqrt(1.0 - ps) * initial * g
+    tops = np.full(len(low), top)  # the first row, for the sums numpy takes over it
+    if isinstance(base.spec, GhzSpec):  # a group per column
+        total = np.add.reduce(np.sqrt(top * top + low * low))
+    else:  # W: column p-1 (party 0's row, the last) alone, the others summed left to right
+        head_top = np.add.accumulate(tops[:-1])[-1]
+        head_low = np.add.accumulate(low[:-1])[-1]
+        total = (math.sqrt(head_top * head_top + head_low * head_low)
+                 + math.sqrt(top * top + low[-1] * low[-1]))
+    computational = _squared_unit(total)
+    fourier = _squared_unit(math.hypot(np.add.reduce(tops), np.add.reduce(low)))
     lowest, s = min(computational, fourier), config.s
     fourier_lowest = fourier <= lowest + FIDELITY_CLAMP_TOL
     return SteeringReport(
-        n_copies=ted.n_copies,
-        p_success_per_copy=ted.p_success_per_copy,
+        n_copies=base.n_copies,
+        p_success_per_copy=pu,
         p_success_overall=ps,
-        fidelity_closed_form=ted.fidelity_closed_form,
+        fidelity_closed_form=closed,
         fidelity_assemblage=lowest,
         minimizing_setting=(1,) * s if fourier_lowest else (1,) * (s - 1) + (0,),
         threshold=config.threshold,

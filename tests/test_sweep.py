@@ -22,6 +22,7 @@ from qdistill import (
 from qdistill.cli import build_parser
 from qdistill.sweep import (
     CSV_COLUMNS,
+    CURVE_COEFFS,
     PRESETS,
     ROW_CAP,
     SIZE_CAP,
@@ -183,7 +184,7 @@ class TestGridRows:
         # sizes each under the cap whose curves total more than it
         size = PRESETS[name].size
         grids = [{size: (SIZE_CAP + 1,)}, {size: (10**400,)},
-                 {size: tuple(range(2, 200)), "n": (2,)}]
+                 {size: tuple(range(2, 1100)), "n": (2,)}]
         for overrides in grids:
             start = time.process_time()
             with pytest.raises(WorkCapExceededError, match=f"over the cap {SIZE_CAP}$"):
@@ -191,10 +192,30 @@ class TestGridRows:
             assert time.process_time() - start < 0.05
 
     def test_size_cap_counts_every_driver(self):
-        axes = dict(alpha0=(1e-4, 2e-4, 3e-4), n=(2,))
+        # three GHZ curves at the cap, the largest d it admits for three drivers
+        axes, d = dict(alpha0=(1e-4, 2e-4, 3e-4), n=(2,)), SIZE_CAP // 3 - CURVE_COEFFS
         with pytest.raises(WorkCapExceededError, match=f"has {3 * (SIZE_CAP // 3 + 1)} coefficients"):
-            grid_rows("ghz-convergence", d=(SIZE_CAP // 3 + 1,), **axes)
-        assert len(grid_rows("ghz-convergence", d=(SIZE_CAP // 3,), **axes)) == 3
+            grid_rows("ghz-convergence", d=(d + 1,), **axes)
+        assert len(grid_rows("ghz-convergence", d=(d,), **axes)) == 3
+
+    def test_size_cap_counts_a_fixed_cost_per_curve(self):
+        sizes = (2, 3, 4, 5, 6) * 980  # 4900 curves
+        assert sum(sizes) + CURVE_COEFFS * len(sizes) == 509600 <= SIZE_CAP
+        with pytest.raises(WorkCapExceededError, match="has 520000 coefficients"):
+            grid_rows("w-convergence", beta0=(0.05,), p=sizes + (2, 3, 4, 5, 6) * 20, n=(2,))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(beta0=(0.5 / math.sqrt(SIZE_CAP - CURVE_COEFFS),), p=(SIZE_CAP - CURVE_COEFFS,)),
+        dict(beta0=(0.05,), p=(2, 3, 4, 5, 6) * 980, n=(2,)),
+    ], ids=["one-large-curve", "small-curves"])
+    def test_the_worst_admitted_w_grids_run_within_a_second(self, overrides):
+        # SIZE_CAP's comment: 0.22-0.39 s of CPU each (W is the costlier family;
+        # the GHZ grid at the cap is test_size_cap_counts_every_driver's); the
+        # budget leaves about a factor of three
+        start = time.process_time()
+        rows = grid_rows("w-convergence", **overrides)
+        assert time.process_time() - start < 1.0
+        assert all(row["feasible"] for row in rows)
 
     def test_row_cap_is_checked_first(self):
         with pytest.raises(WorkCapExceededError, match=f"101000 rows, over the cap {ROW_CAP}"):

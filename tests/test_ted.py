@@ -794,7 +794,8 @@ class TestZeroLayerFromRatios:
     def check(spec, q: int, partition=None) -> None:
         pu, multiplier = reference_zero_layer(spec, q, partition)
         assert spec_context(spec, q, partition)[0] == pu
-        assert zero_layer_multiplier(spec, q, partition).tobytes() == multiplier.tobytes()
+        assert zero_layer_multiplier(spec, q, partition, make_compact(spec)).tobytes() == (
+            multiplier.tobytes())
 
     def test_ghz_corpus_at_every_q_and_split(self):
         rng = np.random.default_rng(CORPUS_SEED)
@@ -828,7 +829,7 @@ class TestZeroLayerFromRatios:
             for betas in ((0.5,) * (p - 1) + (1.0,), (*rng.uniform(0.45, 0.55, p - 1), 1.0)):
                 spec = WSpec(p, normalized(betas))
                 self.check(spec, p - 1)
-                rows = zero_layer_multiplier(spec, p - 1, None)
+                rows = zero_layer_multiplier(spec, p - 1, None, make_compact(spec))
                 subnormal += int(((rows > 0) & (rows < sys.float_info.min)).sum())
                 zero += int((rows == 0).sum())
         assert subnormal > 0 and zero > 0
@@ -913,26 +914,58 @@ BUILT_ONCE = collections.Counter({"perfect_like": 0, "make_compact": 1, "assignm
                                   "check_pivot": 1, "closed_form_terms": 1})
 
 
+# what a fresh-spec steering run reads besides BUILT_ONCE: the one context
+# lookup and the one per-N step, with no entanglement report on the way and
+# not the reference scorer of a factor array
+RUN_TSD_READS = collections.Counter({"_compact_zero_layer": 1, "results_at": 1, "run_ted": 0,
+                                     "DistillationReport": 0, "_setting_totals": 0})
+
+
+def count_calls(monkeypatch, names) -> collections.Counter:
+    """Count the calls of each of ``names`` through every package module's
+    reference, as the benchmark's tracer does, so a call from outside the
+    defining module counts too."""
+    calls = collections.Counter()
+    modules = (qdistill.ted, qdistill.tsd, qdistill.montecarlo, qdistill.filters,
+               qdistill.sweep, qdistill.states)
+    for name in names:
+        fn = next(getattr(module, name) for module in modules if hasattr(module, name))
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class ArrayWatch:
+    """numpy as one module sees it: counts the calls that return an array of
+    two or more dimensions (ufuncs and their methods pass unwatched)."""
+
+    def __init__(self):
+        self.built = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc) or not callable(attr):
+            return attr
+
+        def watched(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.built += isinstance(out, np.ndarray) and out.ndim > 1
+            return out
+        return watched
+
+
 class TestSpecStateCost:
     """Counts, not timings: the per-spec builders run once per spec however
     many n a run visits, so rebuilding them per call fails here."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        # every package module's reference is counted, as the benchmark's
-        # tracer does, so a builder called from outside ``ted`` counts too
-        built = collections.Counter()
-        modules = (qdistill.ted, qdistill.tsd, qdistill.montecarlo, qdistill.filters,
-                   qdistill.sweep, qdistill.states)
-        for name in BUILT_ONCE:
-            fn = next(getattr(module, name) for module in modules if hasattr(module, name))
-
-            def counted(*args, name=name, fn=fn):
-                built[name] += 1
-                return fn(*args)
-            for module in modules:
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counted)
+        built = count_calls(monkeypatch, BUILT_ONCE)
         _compact_zero_layer.cache_clear()
         return built
 
@@ -951,6 +984,25 @@ class TestSpecStateCost:
             built.clear()
             run_tsd(SteeringConfig(config, 1))
             assert built == BUILT_ONCE
+
+    def test_a_fresh_steering_run_reads_one_context_and_builds_no_report(self, monkeypatch):
+        # run_tsd scores from the context and results_at: going back through
+        # run_ted (a report) or the (2, span) factor array that
+        # _setting_totals scores fails here
+        calls = count_calls(monkeypatch, [*BUILT_ONCE, *RUN_TSD_READS])  # zero counts too
+        watch = ArrayWatch()
+        monkeypatch.setattr(qdistill.tsd, "np", watch)
+        rng = np.random.default_rng(14)
+        for config in (ghz_config(random_ghz_spec(rng, 5, 4), n=3, q=2),
+                       w_config(random_w_spec(rng, 5), n=3)):
+            _compact_zero_layer.cache_clear()
+            calls.clear()
+            run_tsd(SteeringConfig(config, 1))
+            assert calls == BUILT_ONCE + RUN_TSD_READS and watch.built == 0
+        # the watch sees a factor array built through the module's numpy
+        rows = qdistill.tsd.build_assemblage(make_compact(config.spec), SteeringConfig(config, 1))
+        qdistill.tsd.mix_assemblages(0.5, rows, rows)
+        assert watch.built == 1
 
     def test_a_monte_carlo_run_builds_each_state_once_and_no_filter_table(self, built):
         for config in (ghz_config(random_ghz_spec(np.random.default_rng(12), 5, 4), n=3, q=2),

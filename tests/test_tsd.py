@@ -560,9 +560,11 @@ class TestEntanglementParity:
 
 
 class TestSteeringReadsTheEntanglementReport:
-    """run_tsd takes p_u, the overall success, the closed form and both
-    mixture states from the run_ted report on its base config, which reads
-    the one cached spec context."""
+    """run_tsd reads the one cached spec context that run_ted reads on its
+    base config, and takes p_u, the overall success and the closed form
+    from the same per-N step (results_at) without building that report, so
+    they equal the report's bit for bit, and the mixture it scores is the
+    report's."""
 
     def test_second_run_hits_the_spec_context_cache(self):
         config = steering(GHZ_TOY, n=3)
@@ -573,7 +575,8 @@ class TestSteeringReadsTheEntanglementReport:
         assert (info.hits, info.misses) == (1, 1)
 
     def test_corpus_runs_on_the_run_ted_report(self):
-        # every valid (s, q) on each GHZ corpus spec, s = 1 on each W one
+        # every valid (s, q) on each GHZ corpus spec, s = 1 on each W one;
+        # the warm run_tsd makes one lookup, a hit on run_ted's entry
         for config in corpus_steering_configs():
             ted = run_ted(config.base)
             hits = _compact_zero_layer.cache_info().hits
@@ -596,8 +599,8 @@ def uniform_steering_configs():
 
 
 class TestScoresWithoutAssemblages:
-    """run_tsd scores the two setting totals straight from the run_ted
-    report; the reference route rebuilds the mixture as assemblages and
+    """run_tsd scores the two setting totals straight from the spec
+    context; the reference route rebuilds the mixture as assemblages and
     scores every setting class.  Both must agree to the bit, and a run must
     form none of the reference objects."""
 
@@ -641,6 +644,24 @@ class TestScoresWithoutAssemblages:
         for config in self.configs():
             run_tsd(config)
         assert called == {}
+
+
+class TestFourierScoreIsTheEntanglementFidelity:
+    """The link between the two protocols, as a checked law that the run
+    path does not take: the all-Fourier score of the distilled assemblage,
+    ||R g||^2 by the reference route, is P_s + (1 - P_s) overlap, the
+    entanglement run's ``fidelity_numeric``, up to roundoff (worst 1.1e-15
+    on these configs)."""
+
+    def test_corpus_and_uniform_configs(self):
+        worst = 0.0
+        for config in corpus_steering_configs() + uniform_steering_configs():
+            ted = run_ted(config.base)
+            (_, perfect), _ = ted.distilled_state
+            per = assemblage_fidelity_by_setting(
+                distilled_assemblage(config), build_assemblage(perfect, config))
+            worst = max(worst, abs(per[(1,) * config.s] - ted.fidelity_numeric))
+        assert worst <= 2e-15
 
 
 def per_setting_of(config):
