@@ -40,6 +40,7 @@ outcome enumeration and the tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -188,15 +189,12 @@ def pivot_ratios(spec: Spec, coeffs: np.ndarray) -> np.ndarray:
     return np.minimum(coeffs[-2::-1] / coeffs[-1], 1.0)
 
 
-def checked_split(
-    spec: GhzSpec, partition: IndexPartition | None, parties: tuple[int, ...]
-) -> tuple[tuple[int, ...], np.ndarray | None]:
-    """A GHZ layer's parties and split, checked in this order: at least one
-    party, the partition, the parties ascending strictly within 0..p-1,
-    one party left idle.  Returns the parties and the partition's owner
-    array, or None for the default even split, which no index can break."""
-    parties = tuple(int(j) for j in parties)
-    q = len(parties)
+def checked_split(spec: GhzSpec, partition: IndexPartition | None, q: int) -> np.ndarray | None:
+    """A GHZ layer's split over q parties, checked in this order: at least
+    one party, the partition, one party left idle.  Returns the partition's
+    owner array, or None for the default even split, which no index can
+    break.  The parties themselves are the last q (:func:`last_parties`)."""
+    q = operator.index(q)  # a count: a float q is a TypeError, not a split of 1.5 parties
     if q < 1:
         raise BadPartitionError(f"need at least one block, got {q}")
     owner = None
@@ -204,32 +202,27 @@ def checked_split(
         owner = _owner_array(partition.blocks, spec.d)
         if q != len(partition.blocks):
             raise BadPartitionError(f"{len(partition.blocks)} blocks for {q} parties")
-    if any(a >= b for a, b in zip((-1, *parties), (*parties, spec.p))):
-        raise BadPartitionError(f"parties {parties} must ascend strictly within 0..{spec.p - 1}")
     if q > spec.p - 1:
         raise BadPartitionError("threshold assignment must leave a non-participating party")
-    return parties, owner
+    return owner
 
 
 def ghz_partition_assignment(
-    spec: GhzSpec,
-    partition: IndexPartition | None,
-    parties: tuple[int, ...],
+    spec: GhzSpec, partition: IndexPartition | None, q: int
 ) -> FilterAssignment:
-    """Distribute the GHZ filter across participating parties by index block.
+    """Distribute the GHZ filter across the last q parties by index block.
 
-    Party ``parties[k]`` filters the indices in ``partition.blocks[k]`` and
-    leaves diagonal entry 1 everywhere else; the parties ascend strictly,
-    the order the assignment stores.  ``None`` is the default even split
-    into ``len(parties)`` blocks, built as its owner array without blocks.
+    The k-th participant filters the indices in ``partition.blocks[k]`` and
+    leaves diagonal entry 1 everywhere else.  ``None`` is the default even
+    split into q blocks, built as its owner array without blocks.
     """
-    parties, owner = checked_split(spec, partition, parties)
-    ratios, q = pivot_ratios(spec, make_compact(spec)), len(parties)
+    owner = checked_split(spec, partition, q)
+    ratios = pivot_ratios(spec, make_compact(spec))
     if owner is None:
         base, extra = divmod(spec.d - 1, q)
         owner = np.repeat(np.arange(-1, q), [1] + [base + 1] * extra + [base] * (q - extra))
     table = np.where(owner == np.arange(q)[:, None], ratios, 1.0)
-    return FilterAssignment(spec.p, parties, table)
+    return FilterAssignment(spec.p, last_parties(spec.p, q), table)
 
 
 def _owner_array(blocks: tuple[frozenset[int], ...], d: int) -> np.ndarray:
@@ -255,7 +248,7 @@ def w_assignment(spec: WSpec) -> FilterAssignment:
     component by beta_{p-1-j}/beta_{p-1}; party 0 stays idle."""
     table = np.ones((spec.p - 1, 2))
     table[:, 0] = pivot_ratios(spec, make_compact(spec))
-    return FilterAssignment(spec.p, tuple(range(1, spec.p)), table)
+    return FilterAssignment(spec.p, last_parties(spec.p, spec.p - 1), table)
 
 
 def zero_layer_multiplier(
@@ -270,6 +263,6 @@ def zero_layer_multiplier(
     the split and q.  W parties 1..p-1 all participate, party j changing
     row p-1-j, with index-1 entry 1.0."""
     if isinstance(spec, GhzSpec):
-        checked_split(spec, partition, last_parties(spec.p, q))
+        checked_split(spec, partition, q)
         return pivot_ratios(spec, coeffs)
     return _w_rows(pivot_ratios(spec, coeffs), 1.0, np.s_[-2::-1], spec.p)

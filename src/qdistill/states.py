@@ -5,15 +5,19 @@ A protocol instance is pinned down by a validated parameter vector
 one coefficient array, :func:`make_compact`'s read-only nonzero
 coefficients: every filter in this package is diagonal in the
 computational basis, so GHZ states never leave span{|ii...i>} and W states
-never leave the single-excitation span, whose shape and placement only this
-module decides (:func:`span_shape`, :func:`local_column`, and
+never leave the single-excitation span, whose shape and placement this
+module states (:func:`span_shape`, :func:`local_column`, and
 :func:`changed_rows`, the same placement in the form the filter kernel
 takes: the one span row on which a W party holds |1>, or none for GHZ,
-where every row changes with every party).  ``make_dense`` places a spec's
-coefficients on the full product space by that rule, the tests' reference
-(subject to the dense cap).  Coefficients are strictly positive reals (the
-filters divide by them) that the spec alone normalizes, by their exactly
-rounded norm.
+where every row changes with every party).  Three run-path steps restate
+the W placement inline: ``filters.pivot_ratios`` (``coeffs[-2::-1]``,
+party j's ratio from beta_{p-1-j}), ``filters.zero_layer_multiplier``
+(rows ``np.s_[-2::-1]``) and ``tsd.run_tsd`` (party 0's |1> on column p-1
+alone); the tests tie each to this module's rule.  ``make_dense`` places
+a spec's coefficients on the full product space by that rule, the tests'
+reference (subject to the dense cap).  Coefficients are strictly positive
+reals (the filters divide by them) that the spec alone normalizes, by
+their exactly rounded norm.
 """
 
 from __future__ import annotations

@@ -66,7 +66,10 @@ CURVE_COEFFS = 100
 # one w-convergence curve at P = 509900 (49 rows) at 65 MB peak RSS, and 4900 one-row
 # curves at P = 2..6 at 32 MB; GHZ at d = 509900, 0.16-0.19 s at 55 MB (one process
 # per grid); a grid of at most 10^4 coefficients, the former cap, counts at most
-# 10^4 + 5000 CURVE_COEFFS; the default presets count at most 2007
+# 10^4 + 5000 CURVE_COEFFS; the default presets count at most 2007.  The caps are
+# checked apart, so one grid may sit at both, their joint worst case: w-convergence
+# with 980 beta0 values, P = 2..6 and 20 n is 98000 rows and 509600 coefficients,
+# 0.41-0.43 s of CPU at 83 MB peak RSS (one process per run, 3 runs, 2-core Xeon)
 SIZE_CAP = 510_000
 
 

@@ -47,7 +47,6 @@ from .filters import (
     IndexPartition,
     check_pivot,
     ghz_partition_assignment,
-    last_parties,
     span_multiplier,
     w_assignment,
     zero_layer_multiplier,
@@ -120,7 +119,7 @@ def assignment_for(
     contiguous split); W always uses all p-1 of them.  The reference layer:
     no run path builds it (:func:`spec_context` reads p_u without it)."""
     if isinstance(spec, GhzSpec):
-        return ghz_partition_assignment(spec, partition, last_parties(spec.p, q))
+        return ghz_partition_assignment(spec, partition, q)
     return w_assignment(spec)
 
 

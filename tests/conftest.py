@@ -15,11 +15,12 @@ from the family definitions, not by the package's per-party rule
 ``states.local_column`` (which ``make_dense`` uses); a test checks that
 the two agree column by column on the corpora.  From the package the
 oracles take only specs, filter assignments, the dense constructor, the
-closed forms that a report carries, and one scorer: ``oracle_steering``
-scores its dense members with the package's eigendecomposition root
-fidelity ``linalg._root_fidelity``, because on its rank-1 targets scipy's
-sqrtm drifts from it by up to about 1e-9 (GHZ, d = 2..5, P = 3..8), far
-over that oracle's 1e-12 bound.
+closed-form fidelity that a report carries, and one scorer:
+``oracle_steering`` scores its dense members with the package's
+eigendecomposition root fidelity ``linalg._root_fidelity``, because on
+its rank-1 targets scipy's sqrtm drifts from it by up to about 1e-9 (GHZ,
+d = 2..5, P = 3..8), far over that oracle's 1e-12 bound.  The dense
+oracles compute P_s themselves, in 60-digit decimals.
 ``tests/test_package.py`` pins this import list.
 """
 
@@ -42,11 +43,10 @@ from qdistill import (
     GhzSpec,
     ProtocolConfig,
     WSpec,
-    make_dense,
 )
 from qdistill.linalg import _root_fidelity
-from qdistill.states import perfect_like
-from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
+from qdistill.states import make_dense, perfect_like
+from qdistill.ted import assignment_for, closed_form_fidelity
 
 settings.register_profile(
     "suite",
@@ -272,19 +272,28 @@ def oracle_w_settings(betas: tuple[float, ...], n: int) -> tuple[decimal.Decimal
         return fidelity, (head + tail) ** 2
 
 
+def oracle_overall_success(pu: float, n: int) -> float:
+    """1 - (1 - p_u)^(n-1) to 60 digits, the float p_u taken exactly, then
+    rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(1 - (1 - decimal.Decimal(pu)) ** (n - 1))
+
+
 def dense_report(config: ProtocolConfig) -> SimpleNamespace:
     """The run_ted report fields recomputed on dense state vectors.
 
     p_u is the squared norm of the all-zeros ``oracle_layer`` applied to the
-    full d^P vector, and the numeric fidelity is
-    ps + (1 - ps) |<perfect|initial>|^2 on dense vectors, so neither touches
-    the compact route.  Subject to the dense cap.
+    full d^P vector, P_s is ``oracle_overall_success`` of that p_u, and the
+    numeric fidelity is ps + (1 - ps) |<perfect|initial>|^2 on dense
+    vectors, so none of them touches the compact route.  Subject to the
+    dense cap.
     """
     spec = config.spec
     assignment = assignment_for(spec, config.q, config.partition)
     initial = make_dense(spec)
     _, pu = oracle_layer(assignment, (0,) * assignment.q, initial)
-    ps = overall_success(pu, config.n_copies)
+    ps = oracle_overall_success(pu, config.n_copies)
     perfect = make_dense(perfect_like(spec))
     overlap = abs(np.vdot(perfect, initial)) ** 2
     return SimpleNamespace(
@@ -437,13 +446,14 @@ def oracle_steering(config) -> SimpleNamespace:
     is the squared norm of the Kronecker-product filter layer, and every
     member pair is scored by the package's eigendecomposition root fidelity
     ``_root_fidelity`` on the d^(P-S)-square matrices (see the module
-    docstring for why not scipy's).  Subject to the dense cap.
+    docstring for why not scipy's), with P_s ``oracle_overall_success`` of
+    that p_u.  Subject to the dense cap.
     """
     base, s = config.base, config.s
     spec = base.spec
     assignment = assignment_for(spec, base.q, base.partition)
     _, pu = oracle_layer(assignment, (0,) * assignment.q, make_dense(spec))
-    ps = overall_success(pu, base.n_copies)
+    ps = oracle_overall_success(pu, base.n_copies)
     per_setting = {}
     pairs = zip(oracle_projections(spec, s), oracle_projections(perfect_like(spec), s))
     for (x, _, v), (_, _, g) in pairs:

@@ -32,23 +32,19 @@ from qdistill import (
     ProtocolConfig,
     SteeringConfig,
     WSpec,
-    build_assemblage,
     make_compact,
-    make_dense,
-    perfect_ghz,
-    perfect_w,
     run_stats,
     run_ted,
     run_tsd,
 )
 from qdistill.cli import main as cli_main
-from qdistill.filters import last_parties, ghz_partition_assignment
+from qdistill.filters import ghz_partition_assignment
 from qdistill.linalg import _root_fidelity
 from qdistill.montecarlo import outcome_distribution
-from qdistill.states import perfect_like
+from qdistill.states import make_dense, perfect_ghz, perfect_like, perfect_w
 from qdistill.sweep import grid_rows
 from qdistill.ted import assignment_for, closed_form_fidelity, overall_success
-from qdistill.tsd import filter_assemblage
+from qdistill.tsd import build_assemblage, filter_assemblage
 
 from conftest import (
     NONSIGNALING_TOL,
@@ -100,9 +96,7 @@ def _ghz_layer_sweep(specs):
             else:
                 partitions = [contiguous_partition(spec.d, q)]
             for partition in partitions:
-                assignment = ghz_partition_assignment(
-                    spec, partition, last_parties(spec.p, q)
-                )
+                assignment = ghz_partition_assignment(spec, partition, q)
                 out, prob = oracle_layer(assignment, (0,) * q, psi)
                 state = out / np.sqrt(prob)
                 per_spec.append((q, prob, state))

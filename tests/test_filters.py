@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -7,20 +8,15 @@ from hypothesis import strategies as st
 
 from qdistill import (
     BadPartitionError,
-    DimensionMismatchError,
-    FilterAssignment,
     GhzSpec,
     IndexPartition,
     PivotNotMaximalError,
     PivotNotMinimalError,
     WSpec,
-    ghz_partition_assignment,
-    make_dense,
-    perfect_ghz,
-    perfect_w,
-    w_assignment,
 )
-from qdistill.filters import last_parties
+from qdistill.errors import DimensionMismatchError
+from qdistill.filters import FilterAssignment, ghz_partition_assignment, w_assignment
+from qdistill.states import make_dense, perfect_ghz, perfect_w
 from qdistill.ted import assignment_for
 
 from conftest import (
@@ -38,7 +34,7 @@ def ghz_single_party_pair(spec: GhzSpec) -> tuple[np.ndarray, np.ndarray]:
     """The (K0, K1) diagonals of the one-party GHZ filter: one block
     {1..d-1} on the last party."""
     part = contiguous_partition(spec.d, 1)
-    assignment = ghz_partition_assignment(spec, part, (spec.p - 1,))
+    assignment = ghz_partition_assignment(spec, part, 1)
     return assignment.k0[0], assignment.k1[0]
 
 
@@ -86,42 +82,44 @@ class TestPartitionAssignment:
         spec = random_ghz_spec(rng, 3, 3)
         a0, a1, a2 = spec.alphas
         part = IndexPartition((frozenset({1}), frozenset({2})))
-        assignment = ghz_partition_assignment(spec, part, (1, 2))
+        assignment = ghz_partition_assignment(spec, part, 2)
         assert assignment.participants == (1, 2)
         assert np.allclose(assignment.k0, [[1.0, a0 / a1, 1.0], [1.0, 1.0, a0 / a2]])
 
     def test_single_block_reduces_to_single_party_pair(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
-        assignment = ghz_partition_assignment(spec, contiguous_partition(4, 1), (2,))
+        assignment = ghz_partition_assignment(spec, contiguous_partition(4, 1), 1)
         single = FilterAssignment(3, (2,), [spec.alphas[0] / np.array(spec.alphas)])
         assert np.array_equal(assignment.k0, single.k0)
         assert np.array_equal(assignment.k1, single.k1)
 
     def test_partition_invariance_dense(self, rng):
         # post-selected state and probability identical for every labeled
-        # partition and every participant count, d <= 4, p <= 4
+        # partition, every participant count and every choice of the q
+        # participants (the package's last q, or any other q holding the
+        # same rows), d <= 4, p <= 4
         for d, p in [(2, 3), (3, 3), (4, 3), (3, 4)]:
             spec = random_ghz_spec(rng, d, p)
             psi = make_dense(spec)
             reference = None
             for q in range(1, p):
                 for part in labeled_partitions(d, q):
-                    assignment = ghz_partition_assignment(
-                        spec, part, last_parties(p, q)
-                    )
-                    out, prob = oracle_layer(assignment, (0,) * q, psi)
-                    state = out / np.sqrt(prob)
-                    if reference is None:
-                        reference = (state, prob)
-                    else:
-                        assert abs(prob - reference[1]) < 1e-12
-                        assert np.max(np.abs(state - reference[0])) < 1e-12
+                    assignment = ghz_partition_assignment(spec, part, q)
+                    for parties in itertools.combinations(range(p), q):
+                        layer = FilterAssignment(p, parties, assignment.k0)
+                        out, prob = oracle_layer(layer, (0,) * q, psi)
+                        state = out / np.sqrt(prob)
+                        if reference is None:
+                            reference = (state, prob)
+                        else:
+                            assert abs(prob - reference[1]) < 1e-12
+                            assert np.max(np.abs(state - reference[0])) < 1e-12
             assert reference[1] == pytest.approx(d * spec.alphas[0] ** 2, abs=1e-12)
 
     def test_empty_block_is_identity(self, rng):
         spec = random_ghz_spec(rng, 2, 4)
         part = IndexPartition((frozenset({1}), frozenset()))
-        assignment = ghz_partition_assignment(spec, part, (2, 3))
+        assignment = ghz_partition_assignment(spec, part, 2)
         assert assignment.participants == (2, 3)
         assert np.allclose(assignment.k0[1], np.ones(2))
 
@@ -131,7 +129,7 @@ class TestPartitionAssignment:
         for d, q in [(4, 2), (5, 3), (6, 4)]:
             spec = random_ghz_spec(rng, d, 5)
             part = contiguous_partition(d, q)
-            assignment = ghz_partition_assignment(spec, part, last_parties(5, q))
+            assignment = ghz_partition_assignment(spec, part, q)
             product = np.ones(d)
             for row in assignment.k0:
                 product *= row
@@ -142,24 +140,21 @@ class TestPartitionAssignment:
     def test_bad_partitions(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
         cases = [
-            (IndexPartition((frozenset({1, 2}), frozenset({2, 3}))), (1, 2)),  # overlap
-            (IndexPartition((frozenset({1}), frozenset({3}))), (1, 2)),        # missing 2
-            (IndexPartition((frozenset({0, 1, 2, 3}),)), (2,)),                # pivot included
-            (IndexPartition((frozenset({1, 2, 3, 4}),)), (2,)),                # index d
-            (IndexPartition((frozenset({1, 2, 3}),)), (1, 2)),                 # count mismatch
-            (IndexPartition((frozenset({1, 2}), frozenset({3}))), (2, 2)),     # duplicate party
-            (IndexPartition((frozenset({1, 2}), frozenset({3}))), (2, 1)),     # descending
-            (IndexPartition((frozenset({1, 2}), frozenset({3}))), (1, 5)),     # out of range
+            (IndexPartition((frozenset({1, 2}), frozenset({2, 3}))), 2),  # overlap
+            (IndexPartition((frozenset({1}), frozenset({3}))), 2),        # missing 2
+            (IndexPartition((frozenset({0, 1, 2, 3}),)), 1),              # pivot included
+            (IndexPartition((frozenset({1, 2, 3, 4}),)), 1),              # index d
+            (IndexPartition((frozenset({1, 2, 3}),)), 2),                 # count mismatch
         ]
-        for part, parties in cases:
+        for part, q in cases:
             with pytest.raises(BadPartitionError):
-                ghz_partition_assignment(spec, part, parties)
+                ghz_partition_assignment(spec, part, q)
 
     def test_all_parties_participating_rejected(self, rng):
         spec = random_ghz_spec(rng, 4, 3)
         part = IndexPartition((frozenset({1}), frozenset({2}), frozenset({3})))
         with pytest.raises(BadPartitionError):
-            ghz_partition_assignment(spec, part, (0, 1, 2))
+            ghz_partition_assignment(spec, part, 3)
 
     def test_default_split_is_the_contiguous_partition(self, rng):
         # None builds its owner array from the package's split rule, without
@@ -168,13 +163,12 @@ class TestPartitionAssignment:
         for d, p in [(2, 3), (12, 5)]:
             spec = random_ghz_spec(rng, d, p)
             for q in range(1, p):
-                for parties in (last_parties(p, q), tuple(range(q))):
-                    got = ghz_partition_assignment(spec, None, parties)
-                    want = ghz_partition_assignment(spec, contiguous_partition(d, q), parties)
-                    assert got.participants == want.participants
-                    assert np.array_equal(got.k0, want.k0)
+                got = ghz_partition_assignment(spec, None, q)
+                want = ghz_partition_assignment(spec, contiguous_partition(d, q), q)
+                assert got.participants == want.participants == tuple(range(p - q, p))
+                assert np.array_equal(got.k0, want.k0)
         with pytest.raises(BadPartitionError):
-            ghz_partition_assignment(random_ghz_spec(rng, 3, 3), None, ())
+            ghz_partition_assignment(random_ghz_spec(rng, 3, 3), None, 0)
 
     def test_large_d_assignment_runs_in_milliseconds(self):
         # the default split is filled through its owner array, with no
@@ -249,7 +243,7 @@ class TestValidatePovm:
             spec = random_ghz_spec(rng, d, 3)
             for q in (1, 2):
                 part = contiguous_partition(d, q)
-                assignment = ghz_partition_assignment(spec, part, last_parties(3, q))
+                assignment = ghz_partition_assignment(spec, part, q)
                 assert completeness_deviation(assignment.k0, assignment.k1) < 1e-12
 
 

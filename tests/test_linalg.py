@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdistill import DenseCapExceededError, NotHermitianError, NotPositiveError
+from qdistill import NotPositiveError
+from qdistill.errors import DenseCapExceededError, NotHermitianError
 from qdistill.linalg import (
     DENSE_CAP,
     _check_hermitian,

@@ -13,18 +13,18 @@ from qdistill import (
     InvalidSpecError,
     WorkCapExceededError,
     WSpec,
-    perfect_ghz,
     run_stats,
-    simulate_trial,
 )
 from qdistill import montecarlo
 from qdistill.montecarlo import (
     _CHUNK_BLOCKS,
     outcome_distribution,
     philox_words,
+    simulate_trial,
     survives,
     trial_rng,
 )
+from qdistill.states import perfect_ghz
 from qdistill.ted import overall_success, success_prob_per_copy
 
 from conftest import ghz_config, random_ghz_spec, w_config

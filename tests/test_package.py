@@ -20,6 +20,25 @@ def test_all_is_sorted_unique_and_resolves():
     assert [n for n in names if not hasattr(qdistill, n)] == []
 
 
+# the reference layer: importable from its own module, not from the top level
+REFERENCE_NAMES = {
+    "errors": ["DenseCapExceededError", "DimensionMismatchError", "NotHermitianError"],
+    "filters": ["FilterAssignment", "ghz_partition_assignment", "w_assignment"],
+    "states": ["make_dense", "perfect_ghz", "perfect_w"],
+    "ted": ["apply_filter_layer"],
+    "tsd": ["Assemblage", "build_assemblage", "filter_assemblage"],
+    "montecarlo": ["TrialRecord", "simulate_trial"],
+}
+
+
+def test_the_top_level_exports_the_run_path_only():
+    for module, names in REFERENCE_NAMES.items():
+        module = importlib.import_module(f"qdistill.{module}")
+        assert [n for n in names if not hasattr(module, n)] == []
+        assert [n for n in names if n in qdistill.__all__ or hasattr(qdistill, n)] == []
+    assert len(qdistill.__all__) == 23
+
+
 def test_runtime_imports_only_numpy():
     # numpy is the one runtime dependency: scipy (the tests' oracles) and the
     # test tools must not be loaded by the package or its CLI
@@ -35,11 +54,12 @@ def test_runtime_imports_only_numpy():
 
 
 # what the conftest oracles may take from the package: specs, assignments,
-# the dense constructor, closed forms and the one scorer oracle_steering
-# uses; no filter or steering kernel, and not the basis placement rule
+# the dense constructor, the closed-form fidelity and the one scorer
+# oracle_steering uses; no filter or steering kernel, not the basis
+# placement rule, and not P_s (the oracles compute it in decimals)
 ORACLE_IMPORTS = {
     "Family", "GhzSpec", "WSpec", "ProtocolConfig", "IndexPartition",
-    "assignment_for", "closed_form_fidelity", "overall_success",
+    "assignment_for", "closed_form_fidelity",
     "perfect_like", "make_dense", "_root_fidelity",
 }
 

@@ -7,16 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdistill import (
-    DenseCapExceededError,
     GhzSpec,
     InvalidSpecError,
     WSpec,
     make_compact,
+)
+from qdistill.errors import DenseCapExceededError
+from qdistill.states import (
+    _validated_coeffs,
+    changed_rows,
+    local_column,
     make_dense,
     perfect_ghz,
     perfect_w,
+    span_shape,
 )
-from qdistill.states import _validated_coeffs, changed_rows, local_column, span_shape
 
 from conftest import (
     ghz_corpus,

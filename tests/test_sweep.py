@@ -217,6 +217,18 @@ class TestGridRows:
         assert time.process_time() - start < 1.0
         assert all(row["feasible"] for row in rows)
 
+    def test_the_grid_at_both_caps_runs_within_its_budget(self):
+        # SIZE_CAP's joint worst case: 98000 rows and 509600 coefficients,
+        # 0.41-0.43 s of CPU where it was measured
+        beta0 = tuple(0.05 + 0.35 * k / 979 for k in range(980))  # all under 1/sqrt(6)
+        axes = dict(beta0=beta0, p=(2, 3, 4, 5, 6), n=tuple(range(2, 22)))
+        assert len(beta0) * (sum(axes["p"]) + CURVE_COEFFS * 5) == 509600 <= SIZE_CAP
+        start = time.process_time()
+        rows = grid_rows("w-convergence", **axes)
+        assert time.process_time() - start < 1.5
+        assert len(rows) == 98000 <= ROW_CAP
+        assert all(row["feasible"] for row in rows)
+
     def test_row_cap_is_checked_first(self):
         with pytest.raises(WorkCapExceededError, match=f"101000 rows, over the cap {ROW_CAP}"):
             grid_rows("w-contour", p=tuple(range(3, 1003)), n=tuple(range(2, 103)))

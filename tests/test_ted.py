@@ -15,9 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdistill import (
-    DimensionMismatchError,
     Family,
-    FilterAssignment,
     GhzSpec,
     IndexPartition,
     InvalidSpecError,
@@ -26,12 +24,8 @@ from qdistill import (
     ProtocolConfig,
     SteeringConfig,
     WSpec,
-    apply_filter_layer,
     make_compact,
-    make_dense,
     overall_success,
-    perfect_ghz,
-    perfect_w,
     run_stats,
     run_ted,
     run_tsd,
@@ -39,13 +33,15 @@ from qdistill import (
 )
 import qdistill.cli
 import qdistill.ted
-from qdistill.filters import span_multiplier, zero_layer_multiplier
+from qdistill.errors import DimensionMismatchError
+from qdistill.filters import FilterAssignment, span_multiplier, zero_layer_multiplier
 from qdistill.linalg import _root_fidelity
-from qdistill.states import perfect_like
+from qdistill.states import make_dense, perfect_ghz, perfect_like, perfect_w
 from qdistill.ted import (
     SPEC_CACHE_SIZE,
     DistillationReport,
     _compact_zero_layer,
+    apply_filter_layer,
     assignment_for,
     closed_form_fidelity,
     fidelity_from_success,
@@ -835,8 +831,9 @@ class TestZeroLayerFromRatios:
         assert subnormal > 0 and zero > 0
 
     def test_refuses_what_the_reference_refuses(self):
-        # every q from -2 to p+2 against every split, each with and without a
-        # pivot fault, so inputs with two or three faults at once are in it
+        # every q from -2 to p+2, and a float q, against every split, each
+        # with and without a pivot fault, so inputs with two or three faults
+        # at once are in it
         d, p = 5, 4
         good = random_ghz_spec(np.random.default_rng(CORPUS_SEED), d, p)
         bad_pivot = GhzSpec(d, p, good.alphas[1:] + good.alphas[:1])
@@ -853,7 +850,7 @@ class TestZeroLayerFromRatios:
         ]
         refused = set()
         for spec in (good, bad_pivot):
-            for q in range(-2, p + 3):
+            for q in (*range(-2, p + 3), 1.0):
                 for split in splits:
                     want = outcome(lambda: reference_zero_layer(spec, q, split)[0])
                     got = outcome(lambda: spec_context(spec, q, split)[0])
@@ -906,10 +903,12 @@ class CountedHashWSpec(CountsHashes, WSpec):
 # The uniform target is filled in, not built as a second spec, so the
 # spec's own coefficients are the one ``make_compact`` and ``perfect_like``
 # never runs; p_u is read from the ratio profile, so no filter table is
-# built or applied (a Counter, whose equality reads a count of 0 as never
+# built or applied, and a GHZ split is checked by its count q, with no
+# party tuple (a Counter, whose equality reads a count of 0 as never
 # called)
 BUILT_ONCE = collections.Counter({"perfect_like": 0, "make_compact": 1, "assignment_for": 0,
                                   "ghz_partition_assignment": 0, "w_assignment": 0,
+                                  "last_parties": 0,
                                   "apply_filter_layer": 0, "span_multiplier": 0,
                                   "check_pivot": 1, "closed_form_terms": 1})
 

@@ -16,23 +16,26 @@ from qdistill import (
     Family,
     GhzSpec,
     InvalidSteeringScenarioError,
-    DimensionMismatchError,
     NotPositiveError,
     ProtocolConfig,
     SteeringConfig,
     WSpec,
-    build_assemblage,
-    filter_assemblage,
     make_compact,
-    perfect_ghz,
-    perfect_w,
     run_ted,
     run_tsd,
     success_prob_per_copy,
 )
-from qdistill.states import perfect_like, span_shape
+from qdistill.errors import DimensionMismatchError
+from qdistill.filters import FilterAssignment
+from qdistill.states import perfect_ghz, perfect_like, perfect_w, span_shape
 from qdistill.ted import _compact_zero_layer, assignment_for, closed_form_fidelity, overall_success
-from qdistill.tsd import FIDELITY_CLAMP_TOL, assemblage_fidelity_by_setting, mix_assemblages
+from qdistill.tsd import (
+    FIDELITY_CLAMP_TOL,
+    assemblage_fidelity_by_setting,
+    build_assemblage,
+    filter_assemblage,
+    mix_assemblages,
+)
 
 from conftest import (
     NONSIGNALING_TOL,
@@ -283,9 +286,7 @@ class TestFilterAssemblage:
         config = steering(spec, s=2, q=1)
         asm = build_assemblage(make_compact(spec), config)
         # an assignment whose participant sits on party 1 (< s) must be refused
-        from qdistill.filters import ghz_partition_assignment
-
-        bad = ghz_partition_assignment(spec, contiguous_partition(spec.d, 1), (1,))
+        bad = FilterAssignment(spec.p, (1,), assignment_for(spec, 1).k0)
         with pytest.raises(InvalidSteeringScenarioError):
             filter_assemblage(asm, bad, (0,))
 
