@@ -32,9 +32,9 @@ Both families' filters are read from one ratio profile (:func:`pivot_ratios`),
 and by that independence the all-zeros outcome needs no table: its GHZ
 multiplier is the profile itself, bit for bit, and its W multiplier the
 kernel's prefix and suffix products over the party ratios
-(:func:`zero_layer_multiplier`, after :func:`checked_split`'s checks for
-GHZ).  The run paths read p_u from it; the tables serve only the reference
-outcome enumeration and the tests.
+(:func:`zero_layer_multiplier`, a function of the spec alone).  The run
+paths read p_u from it; the tables serve only the reference outcome
+enumeration and the tests.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def checked_split(spec: GhzSpec, partition: IndexPartition | None, q: int) -> np
     """A GHZ layer's split over q parties, checked in this order: at least
     one party, the partition, one party left idle.  Returns the partition's
     owner array, or None for the default even split, which no index can
-    break.  The parties themselves are the last q (:func:`last_parties`)."""
+    break.  The parties themselves are the last q (:func:`last_parties`).
+    Checked once per config (``ted.ProtocolConfig``) and per reference table."""
     q = operator.index(q)  # a count: a float q is a TypeError, not a split of 1.5 parties
     if q < 1:
         raise BadPartitionError(f"need at least one block, got {q}")
@@ -251,18 +252,15 @@ def w_assignment(spec: WSpec) -> FilterAssignment:
     return FilterAssignment(spec.p, last_parties(spec.p, spec.p - 1), table)
 
 
-def zero_layer_multiplier(
-    spec: Spec, q: int, partition: IndexPartition | None, coeffs: np.ndarray
-) -> np.ndarray:
-    """The all-zeros outcome's multiplier of the layer ``ted.assignment_for``
-    builds, bit for bit, read from :func:`pivot_ratios` of ``coeffs`` (the
-    spec's ``make_compact`` array, which the caller converts once) without
-    a table and with the assignment's checks in the same order.  A GHZ
-    table holds each index's ratio on its owner's row and 1.0 on every
-    other, so its product over rows is the ratio profile itself, whatever
-    the split and q.  W parties 1..p-1 all participate, party j changing
-    row p-1-j, with index-1 entry 1.0."""
+def zero_layer_multiplier(spec: Spec, coeffs: np.ndarray) -> np.ndarray:
+    """The all-zeros outcome's multiplier of every layer ``ted.assignment_for``
+    builds for ``spec``, bit for bit, read from :func:`pivot_ratios` of
+    ``coeffs`` (the spec's ``make_compact`` array, which the caller converts
+    once) without a table.  A GHZ table holds each index's ratio on its
+    owner's row and 1.0 on every other, so its product over rows is the
+    ratio profile itself, whatever the split and q (the caller checks
+    those).  W parties 1..p-1 all participate, party j changing row p-1-j,
+    with index-1 entry 1.0."""
     if isinstance(spec, GhzSpec):
-        checked_split(spec, partition, q)
         return pivot_ratios(spec, coeffs)
     return _w_rows(pivot_ratios(spec, coeffs), 1.0, np.s_[-2::-1], spec.p)

@@ -145,7 +145,7 @@ def report_row(config: ProtocolConfig | SteeringConfig, report) -> dict:
     driver = spec.alphas[0] if isinstance(spec, GhzSpec) else report.p_success_per_copy
     row = _row(
         family_of(spec).value, span_shape(spec)[1], spec.p, base.q, config.s if steering else 0,
-        base.n_copies, driver, _compact_zero_layer(spec, base.q, base.partition)[4][2],
+        base.n_copies, driver, _compact_zero_layer(spec)[4][2],
         report.p_success_per_copy, report.p_success_overall, report.fidelity_closed_form,
         report.fidelity_assemblage if steering else report.fidelity_numeric, True,
     )
@@ -169,7 +169,7 @@ def _ghz_gap_rows(axes: dict, a0: float, d: int) -> list[dict]:
     p, gap, family = axes["p"][0], axes["gap"], Family.GHZ_DIAGONAL.value
     pu = d * a0 * a0 if 0.0 < a0 < 1.0 else math.nan  # no closed columns off (0, 1)
     coeffs = solve_ghz_coefficients(d, a0, gap)
-    context = None if coeffs is None else _compact_zero_layer(GhzSpec(d, p, coeffs), 1, None)
+    context = None if coeffs is None else _compact_zero_layer(GhzSpec(d, p, coeffs))
     rows, feasible, numeric = [], context is not None, math.nan
     for n in axes["n"]:
         pu_n, ps, closed = _closed_columns(pu, d, gap, n)
@@ -185,7 +185,7 @@ def _convergence_rows(axes: dict, driver: float, size: int) -> list[dict]:
         q, spec = 1, equal_tail_ghz(size, axes["p"][0], driver)
     else:
         q, spec = size - 1, equal_head_w(size, driver)
-    context = _compact_zero_layer(spec, q, None)
+    context = _compact_zero_layer(spec)
     family, d, gap = family_of(spec).value, span_shape(spec)[1], context[4][2]
     return [_row(family, d, spec.p, q, 0, n, driver, gap, *results_at(context, n), True)
             for n in axes["n"]]

@@ -18,18 +18,19 @@ closed-form fidelity against the uniform-coefficient target
 (and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
 so p_u, both coefficient arrays, their overlap and the closed form's terms
 (its own p_u, the size and the gap, :func:`closed_form_terms`) are fixed by
-the spec, q and the partition.  :func:`spec_context` builds that set,
-reading p_u from the filters' pivot-ratio profile with no filter table
+the spec alone: GHZ p_u depends on neither q nor the split, and W uses all
+p-1 parties.  :class:`ProtocolConfig` checks q and the split once, when it
+is built.  :func:`spec_context` builds that set, reading p_u from the
+filters' pivot-ratio profile with no filter table
 (``filters.zero_layer_multiplier``; :func:`assignment_for` and
 :func:`apply_filter_layer` are the reference layer it equals bit for bit),
 and every run path (``run_ted``, ``run_tsd``, ``run_stats``, ``simulate``,
-sweep curves) reads it through one small ``lru_cache``
+sweep curves) reads it by spec through one small ``lru_cache``
 (``_compact_zero_layer``).  A warm call to :func:`run_ted` does only the
 per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
 :func:`results_at`, the one per-N step (``run_tsd`` and sweep rows too,
-without building a report).
-The sampled, per-copy view of the same protocol lives in
-:mod:`qdistill.montecarlo`.
+without building a report).  The sampled, per-copy view of the same
+protocol lives in :mod:`qdistill.montecarlo`.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import BadPartitionError, InvalidSpecError
 from .filters import (
     FilterAssignment,
     IndexPartition,
     check_pivot,
+    checked_split,
     ghz_partition_assignment,
     span_multiplier,
     w_assignment,
@@ -62,10 +64,10 @@ from .states import (
 
 REPORT_FIDELITY_TOL = 1e-9
 
-# size of each (spec, q, partition) cache (the spec context, and the
-# assignment the reference outcome enumeration reads): run paths vary n
-# innermost, so an entry is reused only by the calls right after it; a few
-# entries keep those hits and bound the O(d) data held
+# size of the spec context cache, keyed on the spec alone, and of the (spec,
+# q, partition) assignment cache the reference outcome enumeration reads: run
+# paths vary n innermost, so an entry is reused only by the calls right
+# after it; a few entries keep those hits and bound the O(d) data held
 SPEC_CACHE_SIZE = 4
 
 
@@ -74,7 +76,7 @@ class ProtocolConfig:
     """Everything needed to run one distillation instance.
 
     ``partition`` applies to GHZ only and defaults to a contiguous even
-    split of {1..d-1} over the last q parties.
+    split of {1..d-1} over the last q parties.  q and the split are checked here.
     """
 
     n_copies: int
@@ -94,11 +96,11 @@ class ProtocolConfig:
         if self.family is Family.GHZ_DIAGONAL:
             if not 1 <= self.q <= p - 1:
                 raise InvalidSpecError(f"GHZ threshold requires 1 <= q <= {p - 1}, got {self.q}")
-        else:
-            if self.q != p - 1:
-                raise InvalidSpecError(f"W distillation requires q = p-1 = {p - 1}, got {self.q}")
-            if self.partition is not None:
-                raise InvalidSpecError("partitions only apply to the GHZ family")
+            checked_split(self.spec, self.partition, self.q)
+        elif self.q != p - 1:
+            raise InvalidSpecError(f"W distillation requires q = p-1 = {p - 1}, got {self.q}")
+        elif self.partition is not None:
+            raise InvalidSpecError("partitions only apply to the GHZ family")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +118,13 @@ def assignment_for(
 ) -> FilterAssignment:
     """Filter assignment under the default participation convention
     (the last q parties participate, a GHZ partition defaulting to the even
-    contiguous split); W always uses all p-1 of them.  The reference layer:
-    no run path builds it (:func:`spec_context` reads p_u without it)."""
+    contiguous split); W always uses all p-1 of them, so any other q, or a
+    partition, is refused.  The reference layer: no run path builds it
+    (:func:`spec_context` reads p_u without it)."""
     if isinstance(spec, GhzSpec):
         return ghz_partition_assignment(spec, partition, q)
+    if q != spec.p - 1 or partition is not None:
+        raise BadPartitionError(f"W filters need q = {spec.p - 1} and no partition, got q = {q}")
     return w_assignment(spec)
 
 
@@ -158,25 +163,21 @@ def overall_success(p_per_copy: float, n: int) -> float:
 
 
 def spec_context(
-    spec: Spec, q: int, partition: IndexPartition | None
+    spec: Spec,
 ) -> tuple[float, np.ndarray, np.ndarray, float, tuple[float, int, float]]:
-    """Everything of a run that N does not enter: p_u (the all-zeros
-    outcome's probability on the spec's coefficients), those coefficients,
-    their uniform target's, their squared overlap and the closed form's
-    :func:`closed_form_terms`, computed apart from that p_u.  Reports
-    share the read-only arrays.  The coefficient tuple is converted once
-    (``make_compact``), and the ratio profile reads that array.  The target
-    is filled in directly, with the bits of ``make_compact(perfect_like(spec))``,
-    whose spec would only validate equal coefficients that it keeps as
-    given; every entry is the one number g, so the overlap multiplies by g
-    itself.  p_u is read from the pivot-ratio profile
-    (``zero_layer_multiplier``, which runs the assignment's checks), with
-    the bits of :func:`apply_filter_layer` on ``assignment_for(spec, q, partition)``
-    at the all-zeros outcome; no filter table is built.  Reductions are
-    ``np.add.reduce``, the pairwise sum ``.sum()`` calls, without its
-    Python wrapper (and with no BLAS threads)."""
+    """Everything of a run that N does not enter, fixed by the spec alone:
+    p_u, the spec's coefficients (``make_compact``, converted once), their
+    uniform target's, their squared overlap and :func:`closed_form_terms`
+    (computed apart from that p_u).  Reports share the read-only arrays.
+    The target is filled in with the bits of ``make_compact(perfect_like(spec))``;
+    every entry is the one number g, so the overlap multiplies by g itself.
+    p_u, the all-zeros outcome's probability, is read from the pivot-ratio
+    profile (``zero_layer_multiplier``) with the bits of :func:`apply_filter_layer`
+    on ``assignment_for`` at every q and split a config accepts; no filter
+    table is built.  Reductions are ``np.add.reduce``, the pairwise sum
+    ``.sum()`` calls, without its Python wrapper (and with no BLAS threads)."""
     initial = make_compact(spec)
-    out = initial * zero_layer_multiplier(spec, q, partition, initial)
+    out = initial * zero_layer_multiplier(spec, initial)
     pu = float(np.add.reduce(out * out))
     g = 1.0 / math.sqrt(len(initial))
     perfect = np.full(len(initial), g)
@@ -190,7 +191,7 @@ _compact_zero_layer = lru_cache(maxsize=SPEC_CACHE_SIZE)(spec_context)
 
 def success_prob_per_copy(config: ProtocolConfig) -> float:
     """Probability that every participant reports outcome 0 on one copy."""
-    return _compact_zero_layer(config.spec, config.q, config.partition)[0]
+    return _compact_zero_layer(config.spec)[0]
 
 
 def closed_form_terms(spec: Spec) -> tuple[float, int, float]:
@@ -244,7 +245,7 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
     coefficient vectors, not from the closed form.  The report carries the
     two-component mixture as (weight, coefficient array) pairs, the only state form.
     """
-    context = _compact_zero_layer(config.spec, config.q, config.partition)
+    context = _compact_zero_layer(config.spec)
     pu, ps, closed, numeric = results_at(context, config.n_copies)
     _, initial, perfect, _, _ = context
     return DistillationReport(

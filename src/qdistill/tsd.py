@@ -244,7 +244,7 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     converge to.
     """
     base = config.base
-    context = _compact_zero_layer(base.spec, base.q, base.partition)
+    context = _compact_zero_layer(base.spec)
     pu, ps, closed, _ = results_at(context, base.n_copies)
     _, initial, perfect, _, _ = context
     g = float(perfect[0])

@@ -234,6 +234,21 @@ class TestErrorReporting:
         assert rc == 2
         assert "category=BadPartition" in err
 
+    @pytest.mark.parametrize("argv", [
+        # s = 2 leaves one characterized party for q = 2 filters
+        ["tsd-ghz", "--d", "3", "--p", "3", "--q", "2", "--s", "2", "--n", "2",
+         "--alphas", ALPHAS_SQRT8, "--partition", "1|1,2"],
+        ["simulate", "--family", "ghz", "--d", "3", "--p", "3", "--q", "2", "--n", "2",
+         "--alphas", ALPHAS_SQRT8, "--partition", "1|1,2", "--trials", "0"],
+    ], ids=["tsd-ghz", "simulate"])
+    def test_a_bad_partition_is_refused_before_the_run_is_set_up(self, capsys, argv):
+        # the split is checked when the protocol config is built, so it is
+        # the first fault reported even where the steering scenario or the
+        # trial count is bad too
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error category=BadPartition: blocks [[1], [1, 2]] do not split 1..2\n"
+
     def test_work_cap_category(self, capsys):
         # WorkCapExceeded bounds only the 2^Q reference enumeration; simulate
         # needs p_u alone, so Q = 29 runs and must pass the 5-sigma check

@@ -33,7 +33,7 @@ from qdistill import (
 )
 import qdistill.cli
 import qdistill.ted
-from qdistill.errors import DimensionMismatchError
+from qdistill.errors import BadPartitionError, DimensionMismatchError
 from qdistill.filters import FilterAssignment, span_multiplier, zero_layer_multiplier
 from qdistill.linalg import _root_fidelity
 from qdistill.states import make_dense, perfect_ghz, perfect_like, perfect_w
@@ -656,6 +656,20 @@ class TestSpecCaches:
             info = _compact_zero_layer.cache_info()
             assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
+    def test_one_spec_fills_one_entry_at_every_q_and_split(self):
+        # the context is the spec's alone, so a GHZ spec run at two q and an
+        # explicit split, through every run path, misses once
+        spec = random_ghz_spec(np.random.default_rng(15), 5, 4)
+        split = IndexPartition((frozenset({1, 4}), frozenset({2, 3})))
+        _compact_zero_layer.cache_clear()
+        for config in (ghz_config(spec, n=3, q=1), ghz_config(spec, n=3, q=2),
+                       ghz_config(spec, n=3, q=2, partition=split)):
+            run_ted(config)
+            run_tsd(SteeringConfig(config, 1))
+            run_stats(config, 20, 7)
+        info = _compact_zero_layer.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 8)
+
     def test_cached_states_are_read_only(self):
         spec = random_ghz_spec(np.random.default_rng(8), 6, 3)
         first = run_ted(ghz_config(spec, n=4))
@@ -674,7 +688,7 @@ class TestSpecCaches:
                        w_config(random_w_spec(rng, 5), n=2)):
             _compact_zero_layer.cache_clear()
             reports = [run_ted(config), run_ted(dataclasses.replace(config, n_copies=9))]
-            _, initial, perfect, _, _ = _compact_zero_layer(config.spec, config.q, config.partition)
+            _, initial, perfect, _, _ = _compact_zero_layer(config.spec)
             assert _compact_zero_layer.cache_info().misses == 1
             for report in reports:
                 (_, got_perfect), (_, got_initial) = report.distilled_state
@@ -712,21 +726,20 @@ class TestUniformTarget:
         # coefficients do not depend on p), so its own context holds both
         for d in self.sizes():
             spec = perfect_ghz(d, 2)
-            _, initial, perfect, _, _ = spec_context(spec, 1, None)
+            _, initial, perfect, _, _ = spec_context(spec)
             assert perfect.tobytes() == initial.tobytes()
             assert not perfect.flags.writeable
 
     def test_w_target_bits(self):
         for p in self.sizes():
             spec = perfect_w(p)
-            _, initial, perfect, _, _ = spec_context(spec, p - 1, None)
+            _, initial, perfect, _, _ = spec_context(spec)
             assert perfect.tobytes() == initial.tobytes()
             assert not perfect.flags.writeable
 
     def test_target_bits_on_the_corpora(self):
         for spec in ghz_corpus() + w_corpus():
-            q = 1 if isinstance(spec, GhzSpec) else spec.p - 1
-            perfect = spec_context(spec, q, None)[2]
+            perfect = spec_context(spec)[2]
             assert perfect.tobytes() == make_compact(perfect_like(spec)).tobytes()
 
 
@@ -739,7 +752,7 @@ rng = np.random.default_rng(0)
 for _ in range(8):
     x = np.sort(rng.random(10**5) + 0.5)
     spec = GhzSpec(10**5, 2, tuple(x / np.sqrt((x * x).sum())))
-    print(spec_context(spec, 1, None)[3].hex())
+    print(spec_context(spec)[3].hex())
 """
 
 
@@ -789,9 +802,8 @@ class TestZeroLayerFromRatios:
     @staticmethod
     def check(spec, q: int, partition=None) -> None:
         pu, multiplier = reference_zero_layer(spec, q, partition)
-        assert spec_context(spec, q, partition)[0] == pu
-        assert zero_layer_multiplier(spec, q, partition, make_compact(spec)).tobytes() == (
-            multiplier.tobytes())
+        assert spec_context(spec)[0] == pu
+        assert zero_layer_multiplier(spec, make_compact(spec)).tobytes() == multiplier.tobytes()
 
     def test_ghz_corpus_at_every_q_and_split(self):
         rng = np.random.default_rng(CORPUS_SEED)
@@ -825,15 +837,16 @@ class TestZeroLayerFromRatios:
             for betas in ((0.5,) * (p - 1) + (1.0,), (*rng.uniform(0.45, 0.55, p - 1), 1.0)):
                 spec = WSpec(p, normalized(betas))
                 self.check(spec, p - 1)
-                rows = zero_layer_multiplier(spec, p - 1, None, make_compact(spec))
+                rows = zero_layer_multiplier(spec, make_compact(spec))
                 subnormal += int(((rows > 0) & (rows < sys.float_info.min)).sum())
                 zero += int((rows == 0).sum())
         assert subnormal > 0 and zero > 0
 
     def test_refuses_what_the_reference_refuses(self):
-        # every q from -2 to p+2, and a float q, against every split, each
-        # with and without a pivot fault, so inputs with two or three faults
-        # at once are in it
+        # building the config and running it, at every q the config admits
+        # and a float q, against every split, each with and without a pivot
+        # fault, so inputs with two or three faults at once are in it; a q
+        # out of range is refused by both, by the config as InvalidSpec
         d, p = 5, 4
         good = random_ghz_spec(np.random.default_rng(CORPUS_SEED), d, p)
         bad_pivot = GhzSpec(d, p, good.alphas[1:] + good.alphas[:1])
@@ -848,22 +861,43 @@ class TestZeroLayerFromRatios:
             blocks({1, 2}, {3}, {4}, set()),  # four blocks
             blocks(),  # none
         ]
+
+        def run(spec, q, split):
+            return run_ted(ghz_config(spec, n=2, q=q, partition=split)).p_success_per_copy
+
         refused = set()
         for spec in (good, bad_pivot):
-            for q in (*range(-2, p + 3), 1.0):
+            for q in (*range(1, p), 1.0):
                 for split in splits:
                     want = outcome(lambda: reference_zero_layer(spec, q, split)[0])
-                    got = outcome(lambda: spec_context(spec, q, split)[0])
+                    got = outcome(lambda: run(spec, q, split))
                     assert got == want, (spec.alphas, q, split)
                     if isinstance(want, tuple):
                         refused.add(want[1])
+            for q in (-2, -1, 0, p, p + 1, p + 2):
+                for split in splits:
+                    assert isinstance(outcome(lambda: reference_zero_layer(spec, q, split)[0]),
+                                      tuple)
+                    assert outcome(lambda: run(spec, q, split))[0] is InvalidSpecError
         assert len(refused) >= 5
         for spec in (random_w_spec(np.random.default_rng(CORPUS_SEED), 5),
                      WSpec(5, normalized((0.2, 0.3, 0.4, 0.7, 0.4)))):
-            for q in range(-2, spec.p + 3):
-                for split in (None, splits[2], splits[4]):
-                    want = outcome(lambda: reference_zero_layer(spec, q, split)[0])
-                    assert outcome(lambda: spec_context(spec, q, split)[0]) == want
+            want = outcome(lambda: reference_zero_layer(spec, spec.p - 1, None)[0])
+            assert outcome(lambda: run_ted(w_config(spec)).p_success_per_copy) == want
+
+    def test_w_reference_takes_all_p_minus_1_parties_and_no_split(self):
+        # W filters need every party but party 0, so the reference refuses
+        # any other q, as the GHZ one refuses a q it cannot honour
+        spec = random_w_spec(np.random.default_rng(CORPUS_SEED), 5)
+        split = IndexPartition((frozenset({1}), frozenset(), frozenset(), frozenset()))
+        for q in range(-2, spec.p + 3):
+            for partition in (None, split):
+                got = outcome(lambda: assignment_for(spec, q, partition).participants)
+                if q == spec.p - 1 and partition is None:
+                    assert got == (1, 2, 3, 4)
+                else:
+                    assert got == (BadPartitionError,
+                                   f"W filters need q = 4 and no partition, got q = {q}")
 
     def test_cold_w_context_at_a_hundred_thousand_parties(self):
         # no per-party Python work: the ratio profile and two cumulative
@@ -874,7 +908,7 @@ class TestZeroLayerFromRatios:
         times = []
         for _ in range(5):
             start = time.process_time()
-            spec_context(spec, spec.p - 1, None)
+            spec_context(spec)
             times.append(time.process_time() - start)
         assert min(times) < 0.075
 
