@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -198,7 +199,8 @@ def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
         raise InvalidSpecError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise InvalidSpecError(f"seed must lie in [0, 2**64), got {seed}")
-    filtered = config.n_copies - 1
+    trials, seed = operator.index(trials), operator.index(seed)  # a float seed keys another stream
+    filtered = operator.index(config.n_copies) - 1  # Python ints: a numpy int's width would wrap
     if trials * filtered > MC_WORK_CAP:
         raise WorkCapExceededError(f"{trials} trials x {filtered} copies > the cap {MC_WORK_CAP}")
     pu = success_prob_per_copy(config)

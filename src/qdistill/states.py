@@ -124,7 +124,7 @@ def changed_rows(spec: Spec, parties) -> np.ndarray | None:
 
 
 def make_compact(spec: Spec) -> np.ndarray:
-    """The spec's coefficients, read-only since reports share them: the k-th
+    """The spec's coefficients, read-only since the cache shares them: the k-th
     multiplies |k k ... k> for GHZ, the state excited on party p-1-k for W."""
     coeffs = spec.alphas if isinstance(spec, GhzSpec) else spec.betas
     compact = np.fromiter(coeffs, float, len(coeffs))

@@ -19,13 +19,14 @@ A row built from a spec holds the closed form's own gap as ``coeff_gap``
 Rows run over driver value, then size (d or P), then copy count, each in its
 axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows or
 ``SIZE_CAP`` coefficients (each curve counting its size, d or P, plus
-``CURVE_COEFFS`` for its fixed cost), with a d, p or n below 2, or overriding
-an axis its preset does not read is refused before any row is built.
+``CURVE_COEFFS`` for its fixed cost), with a d, p or n below 2 or not an int,
+or overriding an axis its preset does not read is refused before any row is built.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple
 
 from .errors import InvalidSpecError, WorkCapExceededError
@@ -250,11 +251,12 @@ def grid_rows(name: str, **overrides) -> list[dict]:
     axes = {**preset.defaults, **overrides}
     if "alpha0" in axes and len(axes["p"]) != 1:
         raise InvalidSpecError("GHZ sweeps take a single --p value")
-    if min((*axes.get("d", ()), *axes["p"], *axes["n"]), default=2) < 2:
+    if min(counts := (*axes.get("d", ()), *axes["p"], *axes["n"]), default=2) < 2:
         raise InvalidSpecError("sweeps need every d, p and n >= 2")
+    list(map(operator.index, counts))  # counts: a float, even 2.0 or NaN, is a TypeError
     drivers, sizes = axes[preset.driver], axes[preset.size]
     count = len(drivers) * len(sizes) * len(axes["n"])
-    total = len(drivers) * (sum(sizes) + CURVE_COEFFS * len(sizes))
+    total = len(drivers) * (sum(map(operator.index, sizes)) + CURVE_COEFFS * len(sizes))  # no wrap
     for value, what, cap in ((count, "rows", ROW_CAP), (total, "coefficients", SIZE_CAP)):
         if value > cap:
             raise WorkCapExceededError(f"{name} grid has {value} {what}, over the cap {cap}")

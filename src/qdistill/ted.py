@@ -16,12 +16,12 @@ closed-form fidelity against the uniform-coefficient target
     F = 1 - (1/d) (1 - p_u)^(N-1) (d - (sum_i alpha_i)^2)
 
 (and the same shape with P for W).  N enters only through (1 - p_u)^(N-1),
-so p_u, both coefficient arrays, their overlap and the closed form's terms
-(its own p_u, the size and the gap, :func:`closed_form_terms`) are fixed by
-the spec alone: GHZ p_u depends on neither q nor the split, and W uses all
-p-1 parties.  :class:`ProtocolConfig` checks q and the split once, when it
-is built.  :func:`spec_context` builds that set, reading p_u from the
-filters' pivot-ratio profile with no filter table
+so p_u, the coefficients, the target's one number g, their overlap and the
+closed form's terms (its own p_u, the size and the gap, :func:`closed_form_terms`)
+are fixed by the spec alone: GHZ p_u depends on neither q nor the split,
+and W uses all p-1 parties.  :class:`ProtocolConfig` checks the counts, q
+and the split once, when it is built.  :func:`spec_context` builds that
+set, reading p_u from the filters' pivot-ratio profile with no filter table
 (``filters.zero_layer_multiplier``; :func:`assignment_for` and
 :func:`apply_filter_layer` are the reference layer it equals bit for bit),
 and every run path (``run_ted``, ``run_tsd``, ``run_stats``, ``simulate``,
@@ -29,13 +29,14 @@ sweep curves) reads it by spec through one small ``lru_cache``
 (``_compact_zero_layer``).  A warm call to :func:`run_ted` does only the
 per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
 :func:`results_at`, the one per-N step (``run_tsd`` and sweep rows too,
-without building a report).  The sampled, per-copy view of the same
-protocol lives in :mod:`qdistill.montecarlo`.
+without building a report; reports carry numbers only).  The sampled,
+per-copy view of the same protocol lives in :mod:`qdistill.montecarlo`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -76,7 +77,7 @@ class ProtocolConfig:
     """Everything needed to run one distillation instance.
 
     ``partition`` applies to GHZ only and defaults to a contiguous even
-    split of {1..d-1} over the last q parties.  q and the split are checked here.
+    split of {1..d-1} over the last q parties.  The counts, q and the split are checked here.
     """
 
     n_copies: int
@@ -101,6 +102,7 @@ class ProtocolConfig:
             raise InvalidSpecError(f"W distillation requires q = p-1 = {p - 1}, got {self.q}")
         elif self.partition is not None:
             raise InvalidSpecError("partitions only apply to the GHZ family")
+        operator.index(self.n_copies), operator.index(self.q)  # counts: a float, even 2.0, is a TypeError
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +112,6 @@ class DistillationReport:
     p_success_overall: float
     fidelity_closed_form: float
     fidelity_numeric: float
-    distilled_state: tuple[tuple[float, np.ndarray], ...]  # (P_s, perfect), (1 - P_s, initial)
 
 
 def assignment_for(
@@ -164,13 +165,13 @@ def overall_success(p_per_copy: float, n: int) -> float:
 
 def spec_context(
     spec: Spec,
-) -> tuple[float, np.ndarray, np.ndarray, float, tuple[float, int, float]]:
+) -> tuple[float, np.ndarray, float, float, tuple[float, int, float]]:
     """Everything of a run that N does not enter, fixed by the spec alone:
-    p_u, the spec's coefficients (``make_compact``, converted once), their
-    uniform target's, their squared overlap and :func:`closed_form_terms`
-    (computed apart from that p_u).  Reports share the read-only arrays.
-    The target is filled in with the bits of ``make_compact(perfect_like(spec))``;
-    every entry is the one number g, so the overlap multiplies by g itself.
+    p_u, the spec's coefficients (``make_compact``, converted once), g, their
+    squared overlap with the uniform target and :func:`closed_form_terms`
+    (computed apart from that p_u).  g = 1/sqrt(span) is every entry of the
+    target, bit for bit ``make_compact(perfect_like(spec))``'s, so the
+    overlap multiplies by g itself.
     p_u, the all-zeros outcome's probability, is read from the pivot-ratio
     profile (``zero_layer_multiplier``) with the bits of :func:`apply_filter_layer`
     on ``assignment_for`` at every q and split a config accepts; no filter
@@ -180,10 +181,8 @@ def spec_context(
     out = initial * zero_layer_multiplier(spec, initial)
     pu = float(np.add.reduce(out * out))
     g = 1.0 / math.sqrt(len(initial))
-    perfect = np.full(len(initial), g)
-    perfect.flags.writeable = False
     overlap = float(np.add.reduce(initial * g)) ** 2
-    return pu, initial, perfect, overlap, closed_form_terms(spec)
+    return pu, initial, g, overlap, closed_form_terms(spec)
 
 
 _compact_zero_layer = lru_cache(maxsize=SPEC_CACHE_SIZE)(spec_context)
@@ -239,20 +238,16 @@ def results_at(context: tuple, n: int) -> tuple[float, float, float, float]:
 
 
 def run_ted(config: ProtocolConfig) -> DistillationReport:
-    """Execute the protocol analytically and assemble the report.
+    """Execute the protocol analytically and report the numbers of the
+    distilled mixture P_s |perfect><perfect| + (1 - P_s) |initial><initial|.
 
     The numeric fidelity comes from the overlap of the initial and perfect
-    coefficient vectors, not from the closed form.  The report carries the
-    two-component mixture as (weight, coefficient array) pairs, the only state form.
-    """
-    context = _compact_zero_layer(config.spec)
-    pu, ps, closed, numeric = results_at(context, config.n_copies)
-    _, initial, perfect, _, _ = context
+    coefficient vectors, not from the closed form."""
+    pu, ps, closed, numeric = results_at(_compact_zero_layer(config.spec), config.n_copies)
     return DistillationReport(
         n_copies=config.n_copies,
         p_success_per_copy=pu,
         p_success_overall=ps,
         fidelity_closed_form=closed,
         fidelity_numeric=numeric,
-        distilled_state=((ps, perfect), (1.0 - ps, initial)),
     )

@@ -14,8 +14,8 @@ classical communication; post-selecting the all-zeros outcome leaves the
 perfect assemblage with the same per-copy probability as the entanglement
 protocol for the same spec: ``run_tsd`` reads the base config's spec
 context, the one ``ted.run_ted`` reads, and takes p_u, the overall success
-and the closed-form fidelity from ``ted.results_at`` on it, both
-coefficient arrays of the mixture from the context itself.
+and the closed-form fidelity from ``ted.results_at`` on it, the spec's
+coefficients and the target's one number g from the context itself.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -67,6 +67,7 @@ reading the score off ``fidelity_numeric`` moves it by up to 10 ulp
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -125,6 +126,7 @@ class SteeringConfig:
             raise InvalidSteeringScenarioError(
                 f"q = {self.base.q} filters do not fit on {p - self.s} characterized parties"
             )
+        operator.index(self.s)  # a count, as the base config's
 
     @property
     def threshold(self) -> bool:
@@ -234,8 +236,8 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     with g the perfect and c the initial coefficients.  Against the perfect
     assemblage it scores the two totals of :func:`_setting_totals` on R g,
     the rows sqrt(P_s) g g and sqrt(1 - P_s) c g, in the same float
-    operations.  g is uniform, so the first row is one number, ``top``,
-    and only the second is an array, ``low``.
+    operations.  g is uniform (one number in the context), so the first row
+    is one number, ``top``, and only the second is an array, ``low``.
     ``minimizing_setting`` is the lexicographically largest setting string
     within FIDELITY_CLAMP_TOL of the minimum: the all-Fourier string if its
     score is, else (1,)*(s-1) + (0,), the largest string with a
@@ -244,10 +246,8 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     converge to.
     """
     base = config.base
-    context = _compact_zero_layer(base.spec)
+    _, initial, g, _, _ = context = _compact_zero_layer(base.spec)
     pu, ps, closed, _ = results_at(context, base.n_copies)
-    _, initial, perfect, _, _ = context
-    g = float(perfect[0])
     top, low = math.sqrt(ps) * g * g, math.sqrt(1.0 - ps) * initial * g
     tops = np.full(len(low), top)  # the first row, for the sums numpy takes over it
     if isinstance(base.spec, GhzSpec):  # a group per column

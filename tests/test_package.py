@@ -186,3 +186,22 @@ def test_every_package_name_is_read(monkeypatch):
             if name not in kept and not overrides:
                 unread.append(f"{stem}.{qualified}")
     assert unread == []
+
+
+def test_the_readme_quick_start_runs_as_written():
+    # the README's "Library quick start" block, executed as printed, and
+    # every value its comments state
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    block = section[section.index("```python\n") + 10:section.index("```\n", 10)]
+    for stated in ("# 0.375", "# 0.960502988894...", "# (1,)", "# True"):
+        assert stated in block
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    report, tsd = namespace["report"], namespace["tsd"]
+    assert report.p_success_per_copy == pytest.approx(0.375, abs=1e-15)
+    assert repr(report.fidelity_closed_form).startswith("0.960502988894")
+    assert report.fidelity_numeric == pytest.approx(report.fidelity_closed_form, abs=1e-15)
+    assert tsd.fidelity_assemblage == pytest.approx(report.fidelity_closed_form, abs=1e-15)
+    assert tsd.minimizing_setting == (1,)
+    assert tsd.threshold is True

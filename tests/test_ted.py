@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import decimal
 import math
 import os
@@ -33,10 +32,16 @@ from qdistill import (
 )
 import qdistill.cli
 import qdistill.ted
-from qdistill.errors import BadPartitionError, DimensionMismatchError
+from qdistill.errors import (
+    BadPartitionError,
+    DimensionMismatchError,
+    InvalidSteeringScenarioError,
+    WorkCapExceededError,
+)
 from qdistill.filters import FilterAssignment, span_multiplier, zero_layer_multiplier
 from qdistill.linalg import _root_fidelity
 from qdistill.states import make_dense, perfect_ghz, perfect_like, perfect_w
+from qdistill.sweep import grid_rows
 from qdistill.ted import (
     SPEC_CACHE_SIZE,
     DistillationReport,
@@ -353,15 +358,23 @@ class TestClosedFormFidelity:
             assert run_tsd(SteeringConfig(config, 1)).fidelity_closed_form == expected
 
 
+def modeled_mixture(report: DistillationReport, spec) -> tuple:
+    """The mixture a ``run_ted`` report models, built apart from the package's
+    context: (P_s, perfect), (1 - P_s, initial), with the report's P_s and
+    ``make_compact`` of the spec's uniform target and of the spec."""
+    ps = report.p_success_overall
+    return (ps, make_compact(perfect_like(spec))), (1.0 - ps, make_compact(spec))
+
+
 class TestDistilledState:
     def test_perfect_input_stays_pure(self):
-        mixture = run_ted(ghz_config(perfect_ghz(2, 2), n=4)).distilled_state
-        weights = [w for w, _ in mixture]
-        assert weights[0] == pytest.approx(1.0, abs=1e-12)
+        # the perfect weight P_s is 1: the mixture is the target alone
+        report = run_ted(ghz_config(perfect_ghz(2, 2), n=4))
+        assert report.p_success_overall == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_approaches_one(self):
         weights = [
-            run_ted(ghz_config(SQRT8_SPEC, n=n)).distilled_state[0][0]
+            run_ted(ghz_config(SQRT8_SPEC, n=n)).p_success_overall
             for n in (2, 5, 10, 20, 45)
         ]
         assert weights[0] == pytest.approx(0.375, abs=1e-12)
@@ -371,10 +384,7 @@ class TestDistilledState:
     def test_mixture_fidelity_against_oracle(self):
         config = ghz_config(SQRT8_SPEC, n=2)
         report = run_ted(config)
-        rho = report.distilled_state  # (P_s, perfect), (1 - P_s, initial)
-        assert [w for w, _ in rho] == [report.p_success_overall, 1.0 - report.p_success_overall]
-        assert [tuple(coeffs) for _, coeffs in rho] == [perfect_ghz(3, 3).alphas, SQRT8_SPEC.alphas]
-        dense = dense_mixture(rho, SQRT8_SPEC)
+        dense = dense_mixture(modeled_mixture(report, SQRT8_SPEC), SQRT8_SPEC)
         perfect = make_dense(perfect_ghz(3, 3))
         via_matrix = _root_fidelity(dense, np.outer(perfect, perfect.conj())) ** 2
         via_shortcut = np.vdot(perfect, dense @ perfect).real
@@ -421,7 +431,7 @@ class TestRunTed:
     def test_numeric_fidelity_matches_full_uhlmann_oracle(self, rng):
         spec = random_ghz_spec(rng, 3, 3)
         report = run_ted(ghz_config(spec, n=3))
-        rho = dense_mixture(report.distilled_state, spec)
+        rho = dense_mixture(modeled_mixture(report, spec), spec)
         perfect = make_dense(perfect_ghz(3, 3))
         target = np.outer(perfect, perfect.conj())
         assert report.fidelity_numeric == pytest.approx(
@@ -635,10 +645,6 @@ class TestSpecCaches:
                     for report in (run_ted(config), run_ted(config)):
                         assert [getattr(report, f) for f in fields] == [
                             getattr(expected, f) for f in fields]
-                        for (w, coeffs), (w_ref, ref) in zip(
-                                report.distilled_state,
-                                expected.distilled_state, strict=True):
-                            assert w == w_ref and np.array_equal(coeffs, ref)
                     visits += 1
             info = _compact_zero_layer.cache_info()
             assert (info.misses, info.hits) == (visits, visits)
@@ -671,28 +677,15 @@ class TestSpecCaches:
         assert (info.currsize, info.misses, info.hits) == (1, 1, 8)
 
     def test_cached_states_are_read_only(self):
+        # every run on the spec shares the cached coefficient array
         spec = random_ghz_spec(np.random.default_rng(8), 6, 3)
-        first = run_ted(ghz_config(spec, n=4))
-        kept = [coeffs.copy() for _, coeffs in first.distilled_state]
-        for _, coeffs in first.distilled_state:
-            with pytest.raises(ValueError):
-                coeffs[0] = 0.5
-        second = run_ted(ghz_config(spec, n=4))
-        for (_, coeffs), values in zip(second.distilled_state, kept, strict=True):
-            assert np.array_equal(coeffs, values)
-
-    def test_warm_reports_carry_the_context_arrays_themselves(self):
-        # a report holds the cached context's arrays, not a copy per call
-        rng = np.random.default_rng(13)
-        for config in (ghz_config(random_ghz_spec(rng, 5, 4), n=2, q=2),
-                       w_config(random_w_spec(rng, 5), n=2)):
-            _compact_zero_layer.cache_clear()
-            reports = [run_ted(config), run_ted(dataclasses.replace(config, n_copies=9))]
-            _, initial, perfect, _, _ = _compact_zero_layer(config.spec)
-            assert _compact_zero_layer.cache_info().misses == 1
-            for report in reports:
-                (_, got_perfect), (_, got_initial) = report.distilled_state
-                assert got_perfect is perfect and got_initial is initial
+        run_ted(ghz_config(spec, n=4))
+        coeffs = _compact_zero_layer(spec)[1]
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.5
+        run_ted(ghz_config(spec, n=4))
+        assert _compact_zero_layer(spec)[1] is coeffs
+        assert coeffs.tolist() == list(spec.alphas)
 
 
 def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
@@ -709,38 +702,38 @@ def rebuilt_report(config: ProtocolConfig) -> DistillationReport:
         p_success_overall=ps,
         fidelity_closed_form=closed_form_fidelity(config.spec, config.n_copies),
         fidelity_numeric=ps + (1.0 - ps) * overlap,
-        distilled_state=((ps, perfect), (1.0 - ps, initial)),
     )
 
 
 class TestUniformTarget:
-    """spec_context fills the uniform target in with exactly the bits of
-    ``make_compact(perfect_like(spec))``, which validates a second spec."""
+    """spec_context holds the uniform target as its one number g, with the
+    bits of every entry of ``make_compact(perfect_like(spec))``, which
+    validates a second spec."""
 
     @staticmethod
     def sizes():
         return [*range(2, 2001), 10**4, 10**5, 10**6]
 
+    @staticmethod
+    def assert_target_bits(g, target):
+        assert type(g) is float
+        assert np.full(len(target), g).tobytes() == target.tobytes()
+
     def test_ghz_target_bits(self):
         # perfect_ghz(d, 2) is perfect_like of every GHZ spec of span d (its
         # coefficients do not depend on p), so its own context holds both
         for d in self.sizes():
-            spec = perfect_ghz(d, 2)
-            _, initial, perfect, _, _ = spec_context(spec)
-            assert perfect.tobytes() == initial.tobytes()
-            assert not perfect.flags.writeable
+            _, initial, g, _, _ = spec_context(perfect_ghz(d, 2))
+            self.assert_target_bits(g, initial)
 
     def test_w_target_bits(self):
         for p in self.sizes():
-            spec = perfect_w(p)
-            _, initial, perfect, _, _ = spec_context(spec)
-            assert perfect.tobytes() == initial.tobytes()
-            assert not perfect.flags.writeable
+            _, initial, g, _, _ = spec_context(perfect_w(p))
+            self.assert_target_bits(g, initial)
 
     def test_target_bits_on_the_corpora(self):
         for spec in ghz_corpus() + w_corpus():
-            perfect = spec_context(spec)[2]
-            assert perfect.tobytes() == make_compact(perfect_like(spec)).tobytes()
+            self.assert_target_bits(spec_context(spec)[2], make_compact(perfect_like(spec)))
 
 
 # eight d = 10^5 GHZ contexts, each overlap printed as its exact bits
@@ -1091,3 +1084,64 @@ class TestConfigValidation:
     def test_family_spec_mismatch(self):
         with pytest.raises(InvalidSpecError):
             ProtocolConfig(2, Family.W_SINGLE_EXCITATION, SQRT8_SPEC, 2)
+
+
+GHZ4_SPEC = random_ghz_spec(np.random.default_rng(3), 3, 4)
+GHZ4_BASE = ghz_config(GHZ4_SPEC, n=3)
+
+# every count a caller passes, each with the other arguments valid
+COUNT_ENTRY_POINTS = {
+    "n_copies": lambda v: ProtocolConfig(v, Family.GHZ_DIAGONAL, GHZ4_SPEC, 1),
+    "ghz_q": lambda v: ProtocolConfig(2, Family.GHZ_DIAGONAL, GHZ4_SPEC, v),
+    "w_q": lambda v: ProtocolConfig(2, Family.W_SINGLE_EXCITATION, W_TOY_SPEC, v),
+    "s": lambda v: SteeringConfig(GHZ4_BASE, v),
+    "trials": lambda v: run_stats(GHZ4_BASE, v, 1),
+    "seed": lambda v: run_stats(GHZ4_BASE, 100, v),
+    "sweep_d": lambda v: grid_rows("ghz-convergence", d=(v,)),
+    "sweep_p": lambda v: grid_rows("w-contour", p=(v,), n=(2,)),
+    "sweep_n": lambda v: grid_rows("ghz-convergence", n=(2, v)),
+}
+
+# a value its range check refuses first keeps that refusal
+RANGE_REFUSALS = {
+    ("ghz_q", "nan"): InvalidSpecError, ("ghz_q", "inf"): InvalidSpecError,
+    ("w_q", "2.5"): InvalidSpecError, ("w_q", "nan"): InvalidSpecError,
+    ("w_q", "inf"): InvalidSpecError,
+    ("s", "nan"): InvalidSteeringScenarioError, ("s", "inf"): InvalidSteeringScenarioError,
+    ("seed", "nan"): InvalidSpecError, ("seed", "inf"): InvalidSpecError,
+}
+
+
+class TestCountsAreIntegers:
+    """Copy counts, q, s, trials, seeds and sweep axes are counts: any float,
+    2.0 included, is refused where it enters, with the TypeError of
+    ``operator.index`` that a float GHZ q has always raised, not run as
+    2.5 copies or as another seed's stream."""
+
+    @pytest.mark.parametrize("value", ["2.5", "2.0", "nan", "inf"])
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_a_float_count_is_refused(self, entry, value):
+        expected = RANGE_REFUSALS.get((entry, value))
+        if expected is None:
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+                COUNT_ENTRY_POINTS[entry](float(value))
+        else:
+            with pytest.raises(expected):
+                COUNT_ENTRY_POINTS[entry](float(value))
+
+    def test_python_and_numpy_ints_run(self):
+        for count in (int, np.int64, np.int32, np.int8, np.uint8):
+            config = ProtocolConfig(count(3), Family.GHZ_DIAGONAL, GHZ4_SPEC, count(1))
+            steered = run_tsd(SteeringConfig(config, count(2)))
+            assert steered.fidelity_assemblage == run_tsd(SteeringConfig(GHZ4_BASE, 2)).fidelity_assemblage
+            assert run_stats(config, count(50), count(7)) == run_stats(GHZ4_BASE, 50, 7)
+            assert grid_rows("ghz-convergence", d=(count(3),), n=(count(2),)) == grid_rows(
+                "ghz-convergence", d=(3,), n=(2,))
+        assert run_ted(ghz_config(GHZ4_SPEC, n=10**400)).p_success_overall == 1.0
+        assert run_stats(GHZ4_BASE, 10, np.uint64(2**64 - 1)) == run_stats(GHZ4_BASE, 10, 2**64 - 1)
+        # the work cap counts in Python ints: 2^16 trials x 2^16 copies wraps to 0 in int32
+        narrow = ProtocolConfig(np.int32(2**16 + 1), Family.GHZ_DIAGONAL, GHZ4_SPEC, 1)
+        with pytest.raises(WorkCapExceededError):
+            run_stats(narrow, np.int32(2**16), 1)
+        with pytest.raises(WorkCapExceededError):
+            run_stats(ghz_config(GHZ4_SPEC, n=10**9), np.int32(10**6), 1)

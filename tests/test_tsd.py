@@ -76,10 +76,13 @@ def steering(spec, n=2, q=1, s=1, family=None):
 
 def distilled_assemblage(config):
     """The distilled assemblage that ``run_tsd`` scores without forming it:
-    the perfect and initial assemblages of the base config's ``run_ted``
-    report, mixed with the overall success probability as weight."""
-    (ps, perfect), (_, initial) = run_ted(config.base).distilled_state
-    return mix_assemblages(ps, build_assemblage(perfect, config), build_assemblage(initial, config))
+    the perfect and initial assemblages, built here from ``make_compact`` of
+    the uniform target and of the spec, mixed with the overall success
+    probability of the base config's ``run_ted`` report as weight."""
+    spec = config.base.spec
+    return mix_assemblages(run_ted(config.base).p_success_overall,
+                           build_assemblage(make_compact(perfect_like(spec)), config),
+                           build_assemblage(make_compact(spec), config))
 
 
 class TestMubFamily:
@@ -564,8 +567,8 @@ class TestSteeringReadsTheEntanglementReport:
     """run_tsd reads the one cached spec context that run_ted reads on its
     base config, and takes p_u, the overall success and the closed form
     from the same per-N step (results_at) without building that report, so
-    they equal the report's bit for bit, and the mixture it scores is the
-    report's."""
+    they equal the report's bit for bit, the P_s its mixture is weighted by
+    included."""
 
     def test_second_run_hits_the_spec_context_cache(self):
         config = steering(GHZ_TOY, n=3)
@@ -585,8 +588,6 @@ class TestSteeringReadsTheEntanglementReport:
             assert _compact_zero_layer.cache_info().hits == hits + 1
             assert (tsd.p_success_per_copy, tsd.p_success_overall, tsd.fidelity_closed_form) == (
                 ted.p_success_per_copy, ted.p_success_overall, ted.fidelity_closed_form)
-            rows = [np.sqrt(w) * coeffs for w, coeffs in ted.distilled_state]
-            assert np.array_equal(distilled_assemblage(config).members, rows)
 
 
 def uniform_steering_configs():
@@ -618,10 +619,7 @@ class TestScoresWithoutAssemblages:
         configs = self.configs()
         assert len(configs) == 2 * (1500 + len(uniform_steering_configs()))
         for config in configs:
-            report = run_tsd(config)
-            (_, perfect), _ = run_ted(config.base).distilled_state
-            per = assemblage_fidelity_by_setting(
-                distilled_assemblage(config), build_assemblage(perfect, config))
+            report, per = per_setting_of(config)
             lowest = min(per.values())
             assert report.fidelity_assemblage == lowest
             assert report.minimizing_setting == max(
@@ -658,9 +656,8 @@ class TestFourierScoreIsTheEntanglementFidelity:
         worst = 0.0
         for config in corpus_steering_configs() + uniform_steering_configs():
             ted = run_ted(config.base)
-            (_, perfect), _ = ted.distilled_state
-            per = assemblage_fidelity_by_setting(
-                distilled_assemblage(config), build_assemblage(perfect, config))
+            perfect = build_assemblage(make_compact(perfect_like(config.base.spec)), config)
+            per = assemblage_fidelity_by_setting(distilled_assemblage(config), perfect)
             worst = max(worst, abs(per[(1,) * config.s] - ted.fidelity_numeric))
         assert worst <= 2e-15
 
