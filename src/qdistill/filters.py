@@ -146,21 +146,29 @@ def span_multiplier(
     changed = changed_rows(spec, assignment.participants)
     if changed is None:
         return np.multiply.reduce(table, axis=0)
-    return _w_rows(table[:, 0], table[:, 1], changed, rows)
+    values = _w_rows(table[:, 0], changed, rows)
+    values[changed] *= table[:, 1]
+    return values
 
 
-def _w_rows(zeros: np.ndarray, ones, changed, rows: int) -> np.ndarray:
-    """A W layer's multiplier on ``rows`` span rows: participant r holds
-    index 1 (entry ``ones[r]``, or ``ones`` itself if it is a scalar) on
-    row ``changed[r]`` and index 0 (entry ``zeros[r]``) on every other row,
-    so a row's multiplier is the product of every other participant's
-    index-0 entry, times its own participant's index-1 entry if it has one."""
+def _w_rows(zeros: np.ndarray, changed, rows: int) -> np.ndarray:
+    """A W layer's multiplier on ``rows`` span rows before its index-1
+    entries: participant r holds index 1 on row ``changed[r]`` and index 0
+    (entry ``zeros[r]``) on every other row, so row ``changed[r]`` gets the
+    product of every other participant's index-0 entry, which the caller
+    multiplies by participant r's index-1 entry, and an idle party's row
+    the product of them all."""
     q = len(zeros)
-    prefix, suffix = np.ones(q + 1), np.ones(q + 1)
-    np.cumprod(zeros, out=prefix[1:])  # prefix[r]: the entries before r
-    np.cumprod(zeros[::-1], out=suffix[-2::-1])  # suffix[r]: the entries from r on
-    values = np.full(rows, prefix[-1])  # an idle party's row
-    values[changed] = prefix[:-1] * suffix[1:] * ones
+    # one buffer of prefix and suffix products: ends[r] for r = 0..q is the
+    # product of the first r entries (ends[q] of them all), ends[q + 1 + r]
+    # that of the last r
+    ends = np.empty(2 * q + 2)
+    ends[0] = ends[q + 1] = 1.0
+    np.multiply.accumulate(zeros, out=ends[1:q + 1])
+    np.multiply.accumulate(zeros[::-1], out=ends[q + 2:])
+    values = np.empty(rows)
+    values.fill(ends[q])
+    values[changed] = ends[:q] * ends[2 * q:q:-1]
     return values
 
 
@@ -263,4 +271,4 @@ def zero_layer_multiplier(spec: Spec, coeffs: np.ndarray) -> np.ndarray:
     with index-1 entry 1.0."""
     if isinstance(spec, GhzSpec):
         return pivot_ratios(spec, coeffs)
-    return _w_rows(pivot_ratios(spec, coeffs), 1.0, np.s_[-2::-1], spec.p)
+    return _w_rows(pivot_ratios(spec, coeffs), np.s_[-2::-1], spec.p)

@@ -29,7 +29,9 @@ sweep curves) reads it by spec through one small ``lru_cache``
 (``_compact_zero_layer``).  A warm call to :func:`run_ted` does only the
 per-N work, O(1) at any d: one lookup (a spec keeps its hash) and
 :func:`results_at`, the one per-N step (``run_tsd`` and sweep rows too,
-without building a report; reports carry numbers only).  The sampled,
+without building a report).  Reports are immutable records of numbers
+(``typing.NamedTuple``), built positionally in one call, equal to
+themselves alone and hashed by identity.  The sampled,
 per-copy view of the same protocol lives in :mod:`qdistill.montecarlo`.
 """
 
@@ -39,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +60,6 @@ from .states import (
     Family,
     GhzSpec,
     Spec,
-    WSpec,
     family_of,
     make_compact,
 )
@@ -105,13 +106,25 @@ class ProtocolConfig:
         operator.index(self.n_copies), operator.index(self.q)  # counts: a float, even 2.0, is a TypeError
 
 
-@dataclass(frozen=True, eq=False)
-class DistillationReport:
+class DistillationReport(NamedTuple):
+    """The numbers of one run, an immutable record built in one call.  A
+    report equals itself alone and hashes by identity: a twin with equal
+    fields is another report.  Being a tuple, it also unpacks, indexes and
+    orders like one."""
+
     n_copies: int
     p_success_per_copy: float
     p_success_overall: float
     fidelity_closed_form: float
     fidelity_numeric: float
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    __hash__ = object.__hash__
 
 
 def assignment_for(
@@ -158,6 +171,7 @@ def overall_success(p_per_copy: float, n: int) -> float:
         raise InvalidSpecError(f"per-copy probability {p_per_copy!r} outside [0, 1]")
     if n < 2:
         raise InvalidSpecError(f"n must be >= 2, got {n}")
+    operator.index(n)  # a count: a float, even 2.0 or NaN, is a TypeError
     # past 1e308 copies, which no float holds, any base below 1 gives 0: take the limit
     base = 1.0 - (p_per_copy if p_per_copy < 1.0 else 1.0)
     return 1.0 - base ** (n - 1 if n < 1e308 else math.inf)
@@ -169,9 +183,10 @@ def spec_context(
     """Everything of a run that N does not enter, fixed by the spec alone:
     p_u, the spec's coefficients (``make_compact``, converted once), g, their
     squared overlap with the uniform target and :func:`closed_form_terms`
-    (computed apart from that p_u).  g = 1/sqrt(span) is every entry of the
-    target, bit for bit ``make_compact(perfect_like(spec))``'s, so the
-    overlap multiplies by g itself.
+    (computed apart from that p_u, the W one from the same array).
+    g = 1/sqrt(span) is every entry of the target, bit for bit
+    ``make_compact(perfect_like(spec))``'s, so the overlap multiplies by g
+    itself.
     p_u, the all-zeros outcome's probability, is read from the pivot-ratio
     profile (``zero_layer_multiplier``) with the bits of :func:`apply_filter_layer`
     on ``assignment_for`` at every q and split a config accepts; no filter
@@ -182,7 +197,7 @@ def spec_context(
     pu = float(np.add.reduce(out * out))
     g = 1.0 / math.sqrt(len(initial))
     overlap = float(np.add.reduce(initial * g)) ** 2
-    return pu, initial, g, overlap, closed_form_terms(spec)
+    return pu, initial, g, overlap, closed_form_terms(spec, initial)
 
 
 _compact_zero_layer = lru_cache(maxsize=SPEC_CACHE_SIZE)(spec_context)
@@ -193,35 +208,42 @@ def success_prob_per_copy(config: ProtocolConfig) -> float:
     return _compact_zero_layer(config.spec)[0]
 
 
-def closed_form_terms(spec: Spec) -> tuple[float, int, float]:
+def closed_form_terms(spec: Spec, coeffs: np.ndarray) -> tuple[float, int, float]:
     """The closed form's spec-only terms (p_u, size, gap): (d a_0^2, d,
-    d - (sum a)^2) for GHZ, (the W p_u, P, P - (sum b)^2) for W; the caller checks the pivot."""
+    d - (sum a)^2) for GHZ, (the W p_u, P, P - (sum b)^2) for W, the W p_u
+    read from ``coeffs``, the spec's ``make_compact`` array; the caller
+    checks the pivot."""
     if isinstance(spec, GhzSpec):
         return spec.d * spec.alphas[0] ** 2, spec.d, spec.d - sum(spec.alphas) ** 2
-    return w_success_probability(spec), spec.p, spec.p - math.fsum(spec.betas) ** 2
+    return w_success_probability(coeffs), spec.p, spec.p - math.fsum(spec.betas) ** 2
 
 
 def fidelity_from_success(pu: float, size: float, gap: float, n: int) -> float:
     """Fidelity of the two-component mixture, parameterized by aggregates only."""
     if n < 2:
         raise InvalidSpecError(f"n must be >= 2, got {n}")
+    operator.index(n)  # a count, as in overall_success
     return 1.0 - (1.0 - pu) ** (n - 1 if n < 1e308 else math.inf) * gap / size  # as overall_success
 
 
-def w_success_probability(spec: WSpec) -> float:
-    head, top = np.array(spec.betas[:-1]), spec.betas[-1]  # P b_max^2 prod (b_i/b_max)^2
-    far, shift = head < top / 2, 0  # b_i - b_max is exact only for b_i >= b_max/2
-    logs = np.log1p((np.where(far, top, head) - top) / top)
-    if far.any():  # there the log of the ratio's mantissa, its power of two applied exactly
+def w_success_probability(betas: np.ndarray) -> float:
+    """P b_max^2 prod (b_i/b_max)^2 from a W spec's coefficient array, b_max last."""
+    head, top = betas[:-1], float(betas[-1])
+    gaps = (head - top) / top  # exact for b_i >= b_max/2; a b_i below gives a gap <= -1/2
+    if min(gaps.tolist()) > -0.5:
+        logs, shift = np.log1p(gaps), 0
+    else:  # below b_max/2, the log of the ratio's mantissa, its power of two applied exactly
+        far = head < top / 2
+        logs = np.log1p(np.where(far, 0.0, gaps))
         mantissas, twos = np.frexp(head[far] / top)
         logs[far], shift = np.log(mantissas), 2 * int(twos.sum())
-    return math.ldexp(spec.p * top**2 * math.exp(2 * math.fsum(logs)), shift)
+    return math.ldexp(len(betas) * top**2 * math.exp(2 * math.fsum(logs.tolist())), shift)
 
 
 def closed_form_fidelity(spec: Spec, n: int) -> float:
     """Reference closed form 1 - (1 - p_u)^(n-1) gap / size (closed_form_terms)."""
     check_pivot(spec)
-    return fidelity_from_success(*closed_form_terms(spec), n)
+    return fidelity_from_success(*closed_form_terms(spec, make_compact(spec)), n)
 
 
 def results_at(context: tuple, n: int) -> tuple[float, float, float, float]:
@@ -244,10 +266,4 @@ def run_ted(config: ProtocolConfig) -> DistillationReport:
     The numeric fidelity comes from the overlap of the initial and perfect
     coefficient vectors, not from the closed form."""
     pu, ps, closed, numeric = results_at(_compact_zero_layer(config.spec), config.n_copies)
-    return DistillationReport(
-        n_copies=config.n_copies,
-        p_success_per_copy=pu,
-        p_success_overall=ps,
-        fidelity_closed_form=closed,
-        fidelity_numeric=numeric,
-    )
+    return DistillationReport(config.n_copies, pu, ps, closed, numeric)

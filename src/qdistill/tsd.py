@@ -15,7 +15,8 @@ perfect assemblage with the same per-copy probability as the entanglement
 protocol for the same spec: ``run_tsd`` reads the base config's spec
 context, the one ``ted.run_ted`` reads, and takes p_u, the overall success
 and the closed-form fidelity from ``ted.results_at`` on it, the spec's
-coefficients and the target's one number g from the context itself.
+coefficients and the target's one number g from the context itself.  Its
+report is a record as ``ted.DistillationReport`` is.
 
 Measurements are product-basis projections and filters are diagonal, so
 every member lives in the compact span of :mod:`qdistill.states` as a
@@ -69,14 +70,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidSteeringScenarioError, NotPositiveError
 from .filters import FilterAssignment, span_multiplier
 from .states import GhzSpec, Spec, changed_rows, span_shape
-from .ted import ProtocolConfig, _compact_zero_layer, results_at
+from .ted import DistillationReport, ProtocolConfig, _compact_zero_layer, results_at
 
 Setting = tuple[int, ...]
 
@@ -133,8 +134,10 @@ class SteeringConfig:
         return self.base.q < self.base.spec.p - self.s
 
 
-@dataclass(frozen=True, eq=False)
-class SteeringReport:
+class SteeringReport(NamedTuple):
+    """The numbers of one steering run, a record as ``ted.DistillationReport``
+    is: immutable, equal to itself alone and hashed by identity."""
+
     n_copies: int
     p_success_per_copy: float
     p_success_overall: float
@@ -142,6 +145,9 @@ class SteeringReport:
     fidelity_assemblage: float
     minimizing_setting: Setting
     threshold: bool
+
+    __eq__, __ne__, __hash__ = (DistillationReport.__eq__, DistillationReport.__ne__,
+                                DistillationReport.__hash__)
 
 
 def build_assemblage(coeffs: np.ndarray, config: SteeringConfig) -> Assemblage:
@@ -261,12 +267,5 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     fourier = _squared_unit(math.hypot(np.add.reduce(tops), np.add.reduce(low)))
     lowest, s = min(computational, fourier), config.s
     fourier_lowest = fourier <= lowest + FIDELITY_CLAMP_TOL
-    return SteeringReport(
-        n_copies=base.n_copies,
-        p_success_per_copy=pu,
-        p_success_overall=ps,
-        fidelity_closed_form=closed,
-        fidelity_assemblage=lowest,
-        minimizing_setting=(1,) * s if fourier_lowest else (1,) * (s - 1) + (0,),
-        threshold=config.threshold,
-    )
+    setting = (1,) * s if fourier_lowest else (1,) * (s - 1) + (0,)
+    return SteeringReport(base.n_copies, pu, ps, closed, lowest, setting, config.threshold)

@@ -16,6 +16,7 @@ from qdistill import (
     ProtocolConfig,
     SteeringConfig,
     WorkCapExceededError,
+    make_compact,
     run_ted,
     run_tsd,
 )
@@ -423,7 +424,7 @@ class TestOneGapRule:
         rows = grid_rows(preset, n=(2, 3, 40), **(
             dict(alpha0=(driver,), d=(size,)) if ghz else dict(beta0=(driver,), p=(size,))))
         spec = equal_tail_ghz(size, 3, driver) if ghz else equal_head_w(size, driver)
-        gap = closed_form_terms(spec)[2]
+        gap = closed_form_terms(spec, make_compact(spec))[2]
         assert [row["coeff_gap"] for row in rows] == [gap] * 3
         assert [row["coeff_gap"] for row in run_rows(spec)] == [gap] * 2
 
@@ -431,5 +432,5 @@ class TestOneGapRule:
     def test_random_spec_run_rows(self, ghz, size, seed):
         rng = np.random.default_rng(seed)
         spec = random_ghz_spec(rng, min(size, 12), 3) if ghz else random_w_spec(rng, size)
-        gap = closed_form_terms(spec)[2]
+        gap = closed_form_terms(spec, make_compact(spec))[2]
         assert [row["coeff_gap"] for row in run_rows(spec)] == [gap] * 2

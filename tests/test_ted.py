@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,8 @@ from qdistill.errors import (
 from qdistill.filters import FilterAssignment, span_multiplier, zero_layer_multiplier
 from qdistill.linalg import _root_fidelity
 from qdistill.states import make_dense, perfect_ghz, perfect_like, perfect_w
-from qdistill.sweep import grid_rows
+from qdistill.sweep import grid_rows, report_row
+from qdistill.tsd import SteeringReport
 from qdistill.ted import (
     SPEC_CACHE_SIZE,
     DistillationReport,
@@ -439,6 +441,53 @@ class TestRunTed:
         )
 
 
+REPORT_FIELDS = {
+    DistillationReport: ("n_copies", "p_success_per_copy", "p_success_overall",
+                         "fidelity_closed_form", "fidelity_numeric"),
+    SteeringReport: ("n_copies", "p_success_per_copy", "p_success_overall",
+                     "fidelity_closed_form", "fidelity_assemblage", "minimizing_setting",
+                     "threshold"),
+}
+
+
+def twin_runs():
+    """Two runs of one config for each report kind, and that config."""
+    base = ghz_config(SQRT8_SPEC, n=3)
+    steering = SteeringConfig(base, 1)
+    return [(base, run_ted(base), run_ted(base)),
+            (steering, run_tsd(steering), run_tsd(steering))]
+
+
+class TestReportRecords:
+    """Reports are immutable records: fields in a fixed order, identity
+    equality and hashing as before, and no attribute can be set."""
+
+    @pytest.mark.parametrize("kind", [DistillationReport, SteeringReport], ids=lambda k: k.__name__)
+    def test_fields_keep_their_order(self, kind):
+        assert kind._fields == REPORT_FIELDS[kind]
+
+    def test_attributes_cannot_be_set(self):
+        for _, report, _ in twin_runs():
+            with pytest.raises(AttributeError):
+                report.n_copies = 4
+            with pytest.raises(AttributeError):
+                report.note = "added"
+
+    def test_a_report_equals_itself_alone_and_hashes(self):
+        for _, report, twin in twin_runs():
+            assert tuple(report) == tuple(twin)  # the same numbers
+            assert report == report and not report != report
+            assert report != twin and not report == twin
+            assert report != tuple(report) and tuple(report) != report
+            assert hash(report) == object.__hash__(report)
+            assert {report: 1, twin: 2}[report] == 1
+
+    def test_rows_read_the_fields_by_name(self):
+        for config, report, _ in twin_runs():
+            assert report_row(config, report) == report_row(
+                config, types.SimpleNamespace(**report._asdict()))
+
+
 # a handmade spec context for results_at, n = 3: p_u = 0.5 gives ps = 0.75,
 # and with gap 0.4 over size 2 both fidelities are 0.95
 def handmade_context(pu=0.5, overlap=0.8, terms=(0.5, 2, 0.4)):
@@ -510,7 +559,7 @@ class TestWLargeP:
                 report.p_success_per_copy, report.p_success_overall,
                 report.fidelity_closed_form, report.fidelity_numeric,
             ))
-            assert rel_error(w_success_probability(spec), pu) <= 1e-15
+            assert rel_error(w_success_probability(make_compact(spec)), pu) <= 1e-15
             assert rel_error(report.fidelity_closed_form, fidelity) <= 1e-15
             # the compact route rounds once per party, so its bound is P * eps
             assert rel_error(report.p_success_per_copy, pu) <= 1e-13
@@ -524,7 +573,7 @@ class TestWLargeP:
         report = run_ted(w_config(spec, n=3))
         _, fidelity = oracle_w_law(spec.betas, 3)
         assert 0.0 <= report.p_success_per_copy < 1e-100
-        assert 0.0 <= w_success_probability(spec) < 1e-100
+        assert 0.0 <= w_success_probability(make_compact(spec)) < 1e-100
         assert rel_error(report.fidelity_closed_form, fidelity) <= 1e-15
         assert rel_error(report.fidelity_numeric, fidelity) <= 1e-13
 
@@ -539,7 +588,7 @@ class TestWLargeP:
         w = 1 + tilt * u / p
         spec = WSpec(p, tuple(np.sqrt(w / w.sum())))
         pu, fidelity = oracle_w_law(spec.betas, n)
-        assert rel_error(w_success_probability(spec), pu) <= 1e-15
+        assert rel_error(w_success_probability(make_compact(spec)), pu) <= 1e-15
         assert rel_error(run_ted(w_config(spec, n=n)).fidelity_closed_form, fidelity) <= 1e-15
 
 
@@ -562,14 +611,14 @@ class TestWSmallRatios:
                 if pu < decimal.Decimal(sys.float_info.min):
                     continue
                 cases += 1
-                assert rel_error(w_success_probability(spec), pu) <= 1e-15
+                assert rel_error(w_success_probability(make_compact(spec)), pu) <= 1e-15
                 assert rel_error(closed_form_fidelity(spec, 3), fidelity) <= 1e-15
         assert cases >= 3
 
     def test_underflowing_ratio_gives_zero_without_a_warning(self):
         # the rounded difference was -1 here, and log1p(-1) divides by zero
         spec = WSpec(2, (1e-200, 1.0))
-        assert w_success_probability(spec) == 0.0
+        assert w_success_probability(make_compact(spec)) == 0.0
         assert run_ted(w_config(spec)).fidelity_closed_form == 0.5
 
     def test_ratios_from_one_half_keep_the_log1p_bits(self):
@@ -583,7 +632,7 @@ class TestWSmallRatios:
         specs += [WSpec(p, normalized((*rng.uniform(0.5, 1.0, p - 1), 1.0))) for p in range(2, 40)]
         for spec in specs:
             assert min(spec.betas[:-1]) >= spec.betas[-1] / 2
-            assert w_success_probability(spec) == log1p_law(spec)
+            assert w_success_probability(make_compact(spec)) == log1p_law(spec)
 
 
 class TestLinearInD:
@@ -967,20 +1016,25 @@ def count_calls(monkeypatch, names) -> collections.Counter:
 
 
 class ArrayWatch:
-    """numpy as one module sees it: counts the calls that return an array of
-    two or more dimensions (ufuncs and their methods pass unwatched)."""
+    """numpy as the modules it is set on see it: counts the calls that
+    return an array of two or more dimensions (``built``) and those given a
+    tuple or list of floats, a coefficient tuple or a slice of one, to
+    convert (``converted``); ufuncs and their methods, and types, pass
+    unwatched."""
 
     def __init__(self):
-        self.built = 0
+        self.built = self.converted = 0
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        if isinstance(attr, np.ufunc) or not callable(attr):
+        if isinstance(attr, (np.ufunc, type)) or not callable(attr):
             return attr
 
         def watched(*args, **kwargs):
             out = attr(*args, **kwargs)
             self.built += isinstance(out, np.ndarray) and out.ndim > 1
+            self.converted += any(isinstance(a, (tuple, list)) and a
+                                  and all(isinstance(x, float) for x in a) for a in args)
             return out
         return watched
 
@@ -1029,6 +1083,19 @@ class TestSpecStateCost:
         rows = qdistill.tsd.build_assemblage(make_compact(config.spec), SteeringConfig(config, 1))
         qdistill.tsd.mix_assemblages(0.5, rows, rows)
         assert watch.built == 1
+
+    def test_a_cold_context_converts_the_coefficient_tuple_once(self, built, monkeypatch):
+        # make_compact converts the tuple; every other context value reads
+        # that array (or the tuple as Python floats), W's p_u included
+        watch = ArrayWatch()
+        for module in (qdistill.ted, qdistill.filters, qdistill.states):
+            monkeypatch.setattr(module, "np", watch)
+        rng = np.random.default_rng(15)
+        for spec in (random_ghz_spec(rng, 5, 4), random_w_spec(rng, 5), perfect_w(8)):
+            built.clear()
+            watch.built = watch.converted = 0
+            spec_context(spec)
+            assert built == BUILT_ONCE and (watch.converted, watch.built) == (1, 0)
 
     def test_a_monte_carlo_run_builds_each_state_once_and_no_filter_table(self, built):
         for config in (ghz_config(random_ghz_spec(np.random.default_rng(12), 5, 4), n=3, q=2),
@@ -1100,6 +1167,8 @@ COUNT_ENTRY_POINTS = {
     "sweep_d": lambda v: grid_rows("ghz-convergence", d=(v,)),
     "sweep_p": lambda v: grid_rows("w-contour", p=(v,), n=(2,)),
     "sweep_n": lambda v: grid_rows("ghz-convergence", n=(2, v)),
+    "overall_success_n": lambda v: overall_success(0.3, v),
+    "fidelity_from_success_n": lambda v: fidelity_from_success(0.3, 3, 0.5, v),
 }
 
 # a value its range check refuses first keeps that refusal
@@ -1113,7 +1182,8 @@ RANGE_REFUSALS = {
 
 
 class TestCountsAreIntegers:
-    """Copy counts, q, s, trials, seeds and sweep axes are counts: any float,
+    """Copy counts (the n of ``overall_success`` and ``fidelity_from_success``
+    too), q, s, trials, seeds and sweep axes are counts: any float,
     2.0 included, is refused where it enters, with the TypeError of
     ``operator.index`` that a float GHZ q has always raised, not run as
     2.5 copies or as another seed's stream."""
