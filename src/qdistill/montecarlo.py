@@ -16,13 +16,14 @@ matter how trials are scheduled or parallelized.
 The run path needs only p_u: :func:`run_stats` keeps a copy iff its uniform
 ``(w >> 11) * 2**-53`` is below ``success_prob_per_copy(config)`` (bit for
 bit ``outcome_distribution(config)[1][0]``).  It never forms that float:
-:func:`survives` compares ``w >> 11`` with the integer ``ceil(p_u * 2**53)``,
-which is the same test.  The words come from :func:`philox_words`, bit for
-bit ``trial_rng(s, i)``'s, in tiles of at most ``_CHUNK_BLOCKS`` blocks:
-many short trials a tile, or one long trial split into block ranges whose
-counts add, so memory stays O(tile) at any N.  The capped 2^Q
-:func:`outcome_distribution` and the one-trial :func:`simulate_trial` with
-its full outcome record are reference only.
+:func:`survives` keeps a word ``w`` iff ``w < ceil(p_u * 2**53) * 2**11``,
+which is the same test in one integer compare.  The words come from
+:func:`philox_words`, bit for bit ``trial_rng(s, i)``'s, in tiles of at most
+``_CHUNK_BLOCKS`` blocks: many short trials a tile, or one long trial split
+into block ranges whose counts add, so memory stays O(tile) at any N.
+Survivors are counted per word of a block, with no copy of the words.  The
+capped 2^Q :func:`outcome_distribution` and the one-trial
+:func:`simulate_trial` with its full outcome record are reference only.
 """
 
 from __future__ import annotations
@@ -44,20 +45,31 @@ DISTRIBUTION_SUM_TOL = 1e-12
 MAX_OUTCOME_STRINGS = 2**16  # cap on the 2^Q strings enumerated per config
 
 # run_stats draws at most this many Philox blocks (4 words each) per tile:
-# about 0.6 MiB of traced buffers
+# 0.4-0.5 MiB of traced buffers
 _CHUNK_BLOCKS = 4096
 
-# trials x (N - 1): 0.5-0.65 s of CPU at the measured 1.6-2e7 copies/s for
-# N - 1 >= 4, in many trials or one (29 MB max RSS for one trial at the cap,
-# 1.3 MB above the import); 2.3 s at N = 2, where each trial encrypts a whole
-# block for one copy; 20x the largest test run (1e5 x 5), 200x a bench mc job
+# trials x (N - 1): 0.35-0.55 s of CPU at the cap, at the measured
+# 1.8-2.9e7 copies/s, for N - 1 = 4 or one long trial (29 MB max RSS for one
+# trial at the cap, under 1 MB above the import); up to 0.75 s at N = 6,
+# whose second block holds one used word, and 1.4-1.6 s at N = 2, where each
+# trial encrypts a whole block for one copy; 20x the largest test run
+# (1e5 x 5), 200x a bench mc job
 MC_WORK_CAP = 10**7
 
-# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
+
+def _u64(value: int) -> np.ndarray:
+    """``value mod 2**64`` as a 0-d uint64 array, which a ufunc takes as it is."""
+    return np.array(value % 2**64, dtype=np.uint64)
+
+
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers, their 32-bit
+# halves and the key increments, built once
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+_M0, _M1 = (_u64(m) for m in _PHILOX_M)
+_M0_HALVES, _M1_HALVES = ((_u64(m >> 32), _u64(m & 0xFFFFFFFF)) for m in _PHILOX_M)
+_K1_STEPS = tuple(_u64(r * _PHILOX_W[1]) for r in range(10))
+_LO32, _S32 = _u64(0xFFFFFFFF), _u64(32)
 
 
 @dataclass(frozen=True)
@@ -138,52 +150,91 @@ def simulate_trial(config: ProtocolConfig, rng: np.random.Generator) -> TrialRec
     )
 
 
-def _mulhi(multiplier: int, x: np.ndarray) -> np.ndarray:
-    """High 64-bit word of ``multiplier * x``, from 32-bit halves.
+def _mulhi(halves: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """High 64-bit word of ``m * x`` in a new array, from the 32-bit halves
+    ``(m_hi, m_lo)`` of m and the halves of x; x is left as it is.
 
     ``u`` and ``v`` fold the carries of the two cross products; each is at
-    most 2**64 - 2**32, so neither sum can wrap.
+    most 2**64 - 2**32, so neither sum can wrap.  The partial products are
+    updated in place, in four arrays of x's shape.
     """
-    m_hi, m_lo = np.uint64(multiplier >> 32), np.uint64(multiplier & 0xFFFFFFFF)
-    x_hi, x_lo = x >> _S32, x & _LO32
-    u = m_hi * x_lo + (m_lo * x_lo >> _S32)
-    v = m_lo * x_hi + (u & _LO32)
-    return m_hi * x_hi + (u >> _S32) + (v >> _S32)
+    m_hi, m_lo = halves
+    lo = x & _LO32
+    u = lo * m_lo
+    u >>= _S32
+    lo *= m_hi
+    u += lo  # m_hi * x_lo + (m_lo * x_lo >> 32)
+    np.bitwise_and(u, _LO32, out=lo)
+    u >>= _S32
+    hi = x >> _S32
+    v = hi * m_lo
+    v += lo  # m_lo * x_hi + (u & (2**32 - 1))
+    v >>= _S32
+    hi *= m_hi
+    hi += u
+    hi += v
+    return hi
 
 
-def philox_words(seed: int, start: int, count: int, first: int, blocks: int) -> np.ndarray:
-    """64-bit words of blocks ``first .. first+blocks-1`` of the trials
-    ``start .. start+count-1``: four words a block, one trial a column.
+def philox_words(
+    seed: int, start: int, count: int, first: int, blocks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks ``first .. first+blocks-1`` of the trials ``start .. start+count-1``
+    as four ``(blocks, count)`` arrays of 64-bit words, one per word of a
+    block: trial ``t``'s word ``4*b + j`` of the range is ``words[j][b, t]``.
 
     The key is (seed, trial index), and block ``b`` encrypts the counter
     (b+1, 0, 0, 0) because numpy bumps the counter before its first block,
-    so with ``first = 0`` column ``t`` holds ``trial_rng(seed, start + t)``'s
-    words in order.  The state starts in shapes that broadcast: round 0
+    so with ``first = 0`` trial ``t`` reads ``trial_rng(seed, start + t)``'s
+    words in that order.  The state starts in shapes that broadcast: round 0
     multiplies only the block counters and round 1's first product is one
-    number per tile.
+    number per tile.  Products and exclusive ors update tile-sized arrays in
+    place; only rounds 0 and 1, where c0 or c3 does not span the tile yet,
+    build the new c2 in a new array.
     """
     c0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[:, None]
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    k1 = np.arange(count, dtype=np.uint64)[None, :] + np.uint64(start)
-    m0, m1 = (np.uint64(m) for m in _PHILOX_M)
+    c1, c2, c3 = (np.zeros((1, 1), dtype=np.uint64) for _ in range(3))
+    k1 = np.arange(count, dtype=np.uint64)[None, :]
+    k1 += np.uint64(start)
     for r in range(10):
-        round_k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        round_k1 = k1 + np.uint64(r * _PHILOX_W[1] % 2**64)
-        hi0, hi1 = _mulhi(_PHILOX_M[0], c0), _mulhi(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ (c1 ^ round_k0), m1 * c2, hi0 ^ c3 ^ round_k1, m0 * c0
-    return np.stack((c0, c1, c2, c3), axis=1).reshape(4 * blocks, count)
+        hi1 = _mulhi(_M1_HALVES, c2)
+        hi1 ^= c1
+        hi1 ^= _u64(seed + r * _PHILOX_W[0])
+        hi0 = _mulhi(_M0_HALVES, c0)
+        round_k1 = k1 + _K1_STEPS[r]
+        if r < 2:
+            hi0 = hi0 ^ c3 ^ round_k1
+        else:
+            hi0 ^= c3
+            hi0 ^= round_k1
+        c2 *= _M1
+        c0 *= _M0
+        c0, c1, c2, c3 = hi1, c2, hi0, c0
+    return c0, c1, c2, c3
 
 
 def survives(words: np.ndarray, pu: float) -> np.ndarray:
-    """``(w >> 11) * 2**-53 < pu`` for each word ``w``, compared as integers.
+    """``(w >> 11) * 2**-53 < pu`` for each word ``w``, compared as
+    ``w < ceil(pu * 2**53) * 2**11``.
 
     For an integer k, ``k * 2**-53 < pu`` iff ``k < ceil(pu * 2**53)``, and
     both sides are exact for every finite ``pu >= 0``: scaling by 2**53 is
-    exact and ``w >> 11`` is an integer below 2**53, which is why capping
-    the threshold at 2**53 (so that it fits a word) changes nothing.
+    exact.  For ``k = w >> 11`` and an integer c, ``k < c`` iff
+    ``w < c * 2**11``.  ``w >> 11`` is below 2**53, so capping c at 2**53
+    changes nothing; at the cap (``pu >= 1``) the bound 2**64 does not fit
+    a word, and every word survives.
     """
-    threshold = np.uint64(min(math.ceil(pu * 2.0**53), 2**53))
-    return words >> np.uint64(11) < threshold
+    bound = min(math.ceil(pu * 2.0**53), 2**53) << 11
+    if bound == 2**64:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(bound)
+
+
+def _tiling(filtered: int) -> tuple[int, int, int]:
+    """Philox blocks per trial of ``filtered`` copies, blocks per tile of
+    one trial and trials per tile, for tiles of ``_CHUNK_BLOCKS`` blocks."""
+    per_trial = -(-filtered // 4)
+    return per_trial, min(per_trial, _CHUNK_BLOCKS), max(1, _CHUNK_BLOCKS // per_trial)
 
 
 def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
@@ -204,17 +255,19 @@ def run_stats(config: ProtocolConfig, trials: int, seed: int) -> EmpiricalStats:
     if trials * filtered > MC_WORK_CAP:
         raise WorkCapExceededError(f"{trials} trials x {filtered} copies > the cap {MC_WORK_CAP}")
     pu = success_prob_per_copy(config)
-    per_trial = -(-filtered // 4)  # Philox blocks per trial
-    span = min(per_trial, _CHUNK_BLOCKS)
-    chunk = max(1, _CHUNK_BLOCKS // per_trial)
+    per_trial, span, chunk = _tiling(filtered)
     histogram: dict[int, int] = {}
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
         kept = np.zeros(count, dtype=np.int64)
         for first in range(0, per_trial, span):
-            words = philox_words(seed, start, count, first, min(span, per_trial - first))
+            blocks = min(span, per_trial - first)
+            used = min(4 * blocks, filtered - 4 * first)  # words of these blocks the trial reads
+            words = philox_words(seed, start, count, first, blocks)
             # simulate_trial keeps a copy iff u < cumsum(probs)[0], which is p_u
-            kept += np.count_nonzero(survives(words[: filtered - 4 * first], pu), axis=0)
+            for j, word in enumerate(words[:used]):
+                hits = survives(word[: (used - j + 3) // 4], pu)  # the blocks whose word j is used
+                kept += hits[0] if blocks == 1 else np.count_nonzero(hits, axis=0)
         low = int(kept.min())  # bins span this tile's counts, not 0..N-1
         counts = np.bincount(kept - low)
         for k in np.flatnonzero(counts).tolist():

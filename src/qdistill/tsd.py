@@ -255,7 +255,8 @@ def run_tsd(config: SteeringConfig) -> SteeringReport:
     _, initial, g, _, _ = context = _compact_zero_layer(base.spec)
     pu, ps, closed, _ = results_at(context, base.n_copies)
     top, low = math.sqrt(ps) * g * g, math.sqrt(1.0 - ps) * initial * g
-    tops = np.full(len(low), top)  # the first row, for the sums numpy takes over it
+    tops = np.empty(len(low))  # the first row, for the sums numpy takes over it
+    tops.fill(top)
     if isinstance(base.spec, GhzSpec):  # a group per column
         total = np.add.reduce(np.sqrt(top * top + low * low))
     else:  # W: column p-1 (party 0's row, the last) alone, the others summed left to right

@@ -17,7 +17,7 @@ from qdistill import (
 )
 from qdistill import montecarlo
 from qdistill.montecarlo import (
-    _CHUNK_BLOCKS,
+    _tiling,
     outcome_distribution,
     philox_words,
     simulate_trial,
@@ -124,6 +124,12 @@ def test_w_success_prob_equals_reference_all_zeros_probability(config):
     assert success_prob_per_copy(config) == outcome_distribution(config)[1][0]
 
 
+def stream_order(words):
+    """philox_words' four per-word arrays as one (4 * blocks, count) array,
+    a trial's words down its column in stream order."""
+    return np.stack(words, axis=1).reshape(-1, words[0].shape[1])
+
+
 class TestPhiloxUniforms:
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -137,7 +143,8 @@ class TestPhiloxUniforms:
     def test_matches_numpy_philox_bit_for_bit(self, seed, start, count, m):
         # numpy's uniform is (w >> 11) * 2**-53 of the same word, so equal words
         # are equal draws for run_stats and the reference alike
-        got = philox_words(seed, start, count, 0, -(-m // 4))[:m].T
+        blocks = -(-m // 4)
+        got = stream_order(philox_words(seed, start, count, 0, blocks))[:m].T
         want = np.array([trial_rng(seed, start + t).bit_generator.random_raw(m)
                          for t in range(count)])
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -164,7 +171,8 @@ def test_integer_threshold_equals_float_comparison(pu):
     words and on the words whose top 53 bits sit next to the threshold."""
     k = min(math.floor(pu * 2.0**53), 2**53 - 1)
     edge = [(j << 11) | low for j in range(max(k - 1, 0), min(k + 2, 2**53)) for low in (0, 2047)]
-    words = np.concatenate((philox_words(3, 0, 1, 0, 64)[:, 0], np.array(edge, dtype=np.uint64)))
+    drawn = stream_order(philox_words(3, 0, 1, 0, 64))[:, 0]
+    words = np.concatenate((drawn, np.array(edge, dtype=np.uint64)))
     assert np.array_equal(survives(words, pu), (words >> np.uint64(11)) * 2.0**-53 < pu)
 
 
@@ -274,14 +282,19 @@ BATCH_CONFIGS = {
 BATCH_SEEDS = (0, 2**63, 2**64 - 1)
 
 
-@pytest.mark.parametrize("n", (2, 5, 9))
+# N = 2..5 end a trial's one block after 1..4 used words, N = 6 and 9 use
+# 1 and 4 words of the second block
+LOOP_NS = (2, 3, 4, 5, 6, 9)
+
+
+@pytest.mark.parametrize("n", LOOP_NS)
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_run_stats_equals_per_trial_loop(name, n):
-    """Batched run_stats against the literal loop, at and around the chunk
-    boundaries; every seed meets every config and every N once."""
+    """Batched run_stats against the literal loop, at and around the tile
+    boundaries; every seed meets every config and every N."""
     config = BATCH_CONFIGS[name](n)
-    seed = BATCH_SEEDS[(sorted(BATCH_CONFIGS).index(name) + (2, 5, 9).index(n)) % 3]
-    chunk = max(1, _CHUNK_BLOCKS // -(-(n - 1) // 4))
+    seed = BATCH_SEEDS[(sorted(BATCH_CONFIGS).index(name) + LOOP_NS.index(n)) % 3]
+    chunk = _tiling(n - 1)[2]  # trials per tile
     trial_counts = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7)
     # a run of T trials is trials 0..T-1, so one loop serves every T
     kept = loop_kept_counts(config, max(trial_counts), seed)
@@ -301,7 +314,7 @@ def test_run_stats_streams_trials_across_tiles(monkeypatch, tile, n):
     monkeypatch.setattr(montecarlo, "_CHUNK_BLOCKS", tile)
     name = sorted(BATCH_CONFIGS)[(n + tile) % 3]
     config, seed = BATCH_CONFIGS[name](n), BATCH_SEEDS[tile - 1]
-    chunk = max(1, tile // -(-(n - 1) // 4))
+    chunk = _tiling(n - 1)[2]
     trial_counts = (1, chunk, chunk + 1, 3 * chunk + 2)
     kept = loop_kept_counts(config, max(trial_counts), seed)
     for trials in trial_counts:
