@@ -30,8 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import shutil
+import stat
 import sys
 from datetime import datetime, timezone
 from functools import cached_property, partial
@@ -62,8 +64,11 @@ SIMULATE_COLUMNS = (
 SWEEP_AXES = ("alpha0", "beta0", "pu", "gap", "d", "p", "n")
 
 
-# a cell's text by its exact type; any other (numpy's ints and bools, subclasses) by str()
-CELL_FORMATS = {float: "{:.12g}".format, np.float64: "{:.12g}".format, int: str, str: str,
+# a cell's text by its exact type, as a ``%`` conversion where the type has one
+# (a bool has none: %d or %s would print it as 1 or True); any other type
+# (numpy's ints and bools, subclasses) by str()
+CELL_CONVERSIONS = {float: "%.12g", np.float64: "%.12g", int: "%d", str: "%s"}
+CELL_FORMATS = {**{kind: conversion.__mod__ for kind, conversion in CELL_CONVERSIONS.items()},
                 bool: {True: "true", False: "false"}.__getitem__,
                 tuple: lambda t: "".join(map(str, t))}
 
@@ -163,13 +168,33 @@ def _need(args, name: str):
 
 
 def _rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
-    """Header plus one line per row, each newline-terminated; a column whose
-    cells share a type takes that type's formatter once, not per cell."""
-    sep, rows, cells = "\t" if fmt == "tsv" else ",", list(rows), []
+    """Header plus one line per row, each newline-terminated and each one
+    ``%`` of a template.  A column whose cells share one type of
+    ``CELL_CONVERSIONS`` takes that conversion; any other column is placed
+    with ``%s`` as text, of its one type's formatter or of ``_fmt`` per cell."""
+    sep, rows, cells, conversions = "\t" if fmt == "tsv" else ",", list(rows), [], []
     for values in (list(map(itemgetter(column), rows)) for column in columns):
         kinds = set(map(type, values))
-        cells.append(map(CELL_FORMATS.get(kinds.pop(), str) if len(kinds) == 1 else _fmt, values))
-    return "\n".join([sep.join(columns), *map(sep.join, zip(*cells))]) + "\n"
+        kind = kinds.pop() if len(kinds) == 1 else None
+        conversion = CELL_CONVERSIONS.get(kind)
+        conversions.append(conversion or "%s")
+        cells.append(values if conversion else map(CELL_FORMATS.get(kind, _fmt), values))
+    template = sep.join(conversions) + "\n"
+    return sep.join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+
+
+def _overwrite(path: Path, text: str) -> None:
+    """Write ``text`` over ``path`` in place (utf-8, ``\\n`` line ends), then
+    cut a regular file to its length.  Nothing truncates the file to zero,
+    which ext4 answers with a flush when the file is closed
+    (``auto_da_alloc``), so a rewrite does not wait on the disk.  As with
+    ``Path.write_text``, a symlink's target or a hard link's one file takes
+    the bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as file:
+        file.write(text)
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a FIFO or device has no length
+            file.truncate()
 
 
 def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | None:
@@ -192,18 +217,17 @@ def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | 
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
     }
     try:
-        out.write_text(_rows_text(rows, columns, args.format), encoding="utf-8", newline="\n")
-        out.with_name(out.stem + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _overwrite(out, _rows_text(rows, columns, args.format))
+        _overwrite(out.with_name(out.stem + ".manifest.json"),
+                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise InvalidSpecError(f"cannot write --out {args.out}: {exc}") from exc
     return out
 
 
-def _print_report(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key} = {_fmt(value)}")
+def _print_report(cells: dict[str, str]) -> None:
+    """The report's ``key = text`` lines, in one write."""
+    sys.stdout.write("".join(f"{key} = {text}\n" for key, text in cells.items()))
 
 
 def _protocol_config(args, family: Family) -> ProtocolConfig:
@@ -228,9 +252,9 @@ def _cmd_run(args, family: Family, steering: bool) -> int:
     if steering:
         config = SteeringConfig(config, _need(args, "s"))
     row = report_row(config, run_tsd(config) if steering else run_ted(config))
-    _print_report(row.items())
-    columns = STEERING_COLUMNS if steering else CSV_COLUMNS
-    _write_out(args, [row], columns, {k: _fmt(v) for k, v in row.items()})
+    cells = {key: _fmt(value) for key, value in row.items()}  # the report, config and CSV line
+    _print_report(cells)
+    _write_out(args, [cells], STEERING_COLUMNS if steering else CSV_COLUMNS, cells)
     return 0
 
 
@@ -257,8 +281,8 @@ def _cmd_simulate(args) -> int:
         "success_rate": stats.success_rate,
     }
     histogram = stats.kept_count_histogram
-    _print_report([*run.items(),
-                   ("kept_count_histogram", " ".join(f"{k}:{v}" for k, v in histogram.items()))])
+    _print_report({**{key: _fmt(value) for key, value in run.items()},
+                   "kept_count_histogram": " ".join(f"{k}:{v}" for k, v in histogram.items())})
     run.update(d=span_shape(config.spec)[1], p=config.spec.p, q=config.q)
     # a generator, built only if written: the histogram can have N entries
     rows = ({**run, "kept_count": k, "count": c} for k, c in histogram.items())

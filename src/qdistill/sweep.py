@@ -156,27 +156,34 @@ def report_row(config: ProtocolConfig | SteeringConfig, report) -> dict:
     return row
 
 
-def _closed_columns(pu: float, size: int, gap: float, n: int) -> tuple[float, float, float]:
-    """ps_per_copy, ps_overall and fidelity_closed from the aggregates, or
-    NaN where no coefficient vector has them: p_u in (0, 1] and
-    gap = size - (sum of coefficients)^2 in [0, size - 1]."""
+def _closed_columns(pu: float, size: int, gap: float, ns) -> tuple[float, list[float]]:
+    """p_u and fidelity_closed at each n of a curve's axis from the aggregates,
+    or NaN where no coefficient vector has them: p_u in (0, 1] and
+    gap = size - (sum of coefficients)^2 in [0, size - 1].  The range is
+    checked and p_u clamped to 1 once per curve."""
     if not (0.0 < pu <= 1.0 + FEAS_TOL and 0.0 <= gap <= size - 1):
-        return (math.nan,) * 3
+        return math.nan, [math.nan] * len(ns)
     pu = min(pu, 1.0)
-    return pu, overall_success(pu, n), fidelity_from_success(pu, size, gap, n)
+    return pu, [fidelity_from_success(pu, size, gap, n) for n in ns]
+
+
+def _overall_column(pu: float, ns) -> list[float]:
+    """ps_overall at each n from the aggregates' p_u, NaN where p_u is."""
+    return [math.nan] * len(ns) if math.isnan(pu) else [overall_success(pu, n) for n in ns]
 
 
 def _ghz_gap_rows(axes: dict, a0: float, d: int) -> list[dict]:
-    p, gap, family = axes["p"][0], axes["gap"], Family.GHZ_DIAGONAL.value
-    pu = d * a0 * a0 if 0.0 < a0 < 1.0 else math.nan  # no closed columns off (0, 1)
+    p, gap, ns, family = axes["p"][0], axes["gap"], axes["n"], Family.GHZ_DIAGONAL.value
+    # no closed columns for an a0 off (0, 1)
+    pu, closed = _closed_columns(d * a0 * a0 if 0.0 < a0 < 1.0 else math.nan, d, gap, ns)
     coeffs = solve_ghz_coefficients(d, a0, gap)
-    context = None if coeffs is None else _compact_zero_layer(GhzSpec(d, p, coeffs))
-    rows, feasible, numeric = [], context is not None, math.nan
-    for n in axes["n"]:
-        pu_n, ps, closed = _closed_columns(pu, d, gap, n)
-        if feasible:  # the engine's columns; fidelity_closed stays the aggregates'
-            pu_n, ps, _, numeric = results_at(context, n)
-        rows.append(_row(family, d, p, 1, 0, n, a0, gap, pu_n, ps, closed, numeric, feasible))
+    if coeffs is None:
+        return [_row(family, d, p, 1, 0, n, a0, gap, pu, ps, fidelity)
+                for n, ps, fidelity in zip(ns, _overall_column(pu, ns), closed)]
+    context, rows = _compact_zero_layer(GhzSpec(d, p, coeffs)), []
+    for n, fidelity in zip(ns, closed):  # the engine's columns; fidelity_closed stays the aggregates'
+        pu_n, ps, _, numeric = results_at(context, n)
+        rows.append(_row(family, d, p, 1, 0, n, a0, gap, pu_n, ps, fidelity, numeric, True))
     return rows
 
 
@@ -193,12 +200,11 @@ def _convergence_rows(axes: dict, driver: float, size: int) -> list[dict]:
 
 
 def _w_contour_rows(axes: dict, pu: float, p: int) -> list[dict]:
-    family, gap, rows = Family.W_SINGLE_EXCITATION.value, axes["gap"], []
-    for n in axes["n"]:
-        closed = _closed_columns(pu, p, gap, n)
-        rows.append(_row(family, 2, p, p - 1, 0, n, pu, gap, *closed,
-                         feasible=not math.isnan(closed[0])))
-    return rows
+    gap, ns, family = axes["gap"], axes["n"], Family.W_SINGLE_EXCITATION.value
+    pu_closed, closed = _closed_columns(pu, p, gap, ns)
+    feasible = not math.isnan(pu_closed)
+    return [_row(family, 2, p, p - 1, 0, n, pu, gap, pu_closed, ps, fidelity, feasible=feasible)
+            for n, ps, fidelity in zip(ns, _overall_column(pu_closed, ns), closed)]
 
 
 class Preset(NamedTuple):

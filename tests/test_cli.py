@@ -643,6 +643,36 @@ class TestOutputsAndManifests:
     def test_cell_formatting(self, value, text):
         assert cli._fmt(value) == text
 
+    def test_longer_outputs_are_cut_to_the_new_bytes(self, capsys, tmp_path):
+        # --out files are written over in place, not truncated first
+        out, manifest = tmp_path / "run.csv", tmp_path / "run.manifest.json"
+        for path in (out, manifest):
+            path.write_text("x" * 10_000 + "\n")
+        assert main(TestGoldenFiles.CASES["ted_w3.csv"] + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / "ted_w3.csv").read_bytes()
+        text = manifest.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_a_symlink_at_out_stays_and_its_target_takes_the_bytes(self, capsys, tmp_path):
+        target, out = tmp_path / "target.csv", tmp_path / "run.csv"
+        target.write_text("x" * 10_000 + "\n")
+        out.symlink_to(target)
+        assert main(TestGoldenFiles.CASES["ted_w3.csv"] + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.is_symlink() and out.readlink() == target
+        assert target.read_bytes() == (GOLDEN / "ted_w3.csv").read_bytes()
+
+    def test_both_names_of_a_hard_link_read_the_new_bytes(self, capsys, tmp_path):
+        out, other = tmp_path / "run.csv", tmp_path / "other.csv"
+        other.write_text("x" * 10_000 + "\n")
+        out.hardlink_to(other)
+        assert main(TestGoldenFiles.CASES["ted_w3.csv"] + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        expected = (GOLDEN / "ted_w3.csv").read_bytes()
+        assert out.read_bytes() == other.read_bytes() == expected
+        assert out.stat().st_ino == other.stat().st_ino
+
     def test_tsv_format(self, capsys, tmp_path):
         out = tmp_path / "run.tsv"
         assert main([
@@ -671,7 +701,7 @@ CELLS = {
     "numpy-int": st.integers(-2**63, 2**63 - 1).map(np.int64),
     "bool": st.booleans(),
     "tuple": st.tuples(st.integers(0, 1), st.integers(0, 1)),
-    "str": st.text("abcxyz_-.", max_size=6),
+    "str": st.text("abcxyz_-.%{,", max_size=6),  # no cell text is read as a conversion
 }
 ANY_CELL = st.one_of(*CELLS.values())
 
