@@ -8,8 +8,13 @@ sweep               emit a long-format CSV over a parameter grid
 simulate            Monte Carlo run of the N-copy protocol
 replay              re-execute the command recorded in a run manifest
 
-A command builds only its own parser from the ``COMMANDS`` table; ``--help``
-without a command shows the whole tree.
+Each command's flags are one table, ``COMMANDS``: a row per flag with its
+type, choices, default and help.  A well-formed command line is read
+straight from that table, with no parser built.  Any other line (``--help``,
+an abbreviated or unknown flag, a missing, dash-led or invalid value) goes
+to the argparse parser of its command alone, declared from the same table,
+which prints the help or refuses the line; ``--help`` or ``--version``
+without a command builds the whole tree.
 
 Reports go to stdout as ``key = value`` lines; ``--out`` additionally writes
 a CSV (or TSV) with a fixed, versioned schema plus a JSON run manifest next
@@ -39,6 +44,7 @@ from datetime import datetime, timezone
 from functools import cached_property, partial
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,7 +189,7 @@ def _rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
     return sep.join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
 
-def _overwrite(path: Path, text: str) -> None:
+def _overwrite(path: str | Path, text: str) -> None:
     """Write ``text`` over ``path`` in place (utf-8, ``\\n`` line ends), then
     cut a regular file to its length.  Nothing truncates the file to zero,
     which ext4 answers with a flush when the file is closed
@@ -216,8 +222,8 @@ def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | 
         "numpy": np.__version__,
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
     }
-    try:
-        _overwrite(out, _rows_text(rows, columns, args.format))
+    try:  # the path as typed: Path() drops a trailing separator, open() refuses it
+        _overwrite(args.out, _rows_text(rows, columns, args.format))
         _overwrite(out.with_name(out.stem + ".manifest.json"),
                    json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
@@ -317,75 +323,81 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidSpecError(message)
 
 
-def _add_ints(sub: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        sub.add_argument(f"--{name}", type=int)
+class Flag(NamedTuple):
+    """One ``--name`` of a command: the function that converts its text
+    (None keeps the text), the values it may take, its value when absent and
+    its line in ``--help``."""
+
+    name: str
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    default: object = None
+    help: str | None = None
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file; flags win")
-    sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    sub.add_argument("--out", help="write CSV and a run manifest here")
+class Command(NamedTuple):
+    """A subcommand: its line in the top-level help, the function that runs
+    it, its flags in ``--help`` order and its one positional, if it takes one."""
+
+    help: str
+    func: Callable
+    flags: tuple[Flag, ...] = ()
+    positional: str | None = None
 
 
-def _add_run(sub: argparse.ArgumentParser, family: Family, steering: bool) -> None:
-    if family is Family.GHZ_DIAGONAL:
-        _add_ints(sub, "d", "p", "q", "n")
-        sub.add_argument("--alphas", type=_parse_floats)
-        sub.add_argument("--partition", type=_parse_partition, help="blocks like '1,3|2'")
-    else:
-        _add_ints(sub, "p", "q", "n")
-        sub.add_argument("--betas", type=_parse_floats)
-    if steering:
-        _add_ints(sub, "s")
-    _add_common(sub)
-    sub.set_defaults(func=partial(_cmd_run, family=family, steering=steering))
+COMMON_FLAGS = (
+    Flag("config", help="flat key = value config file; flags win"),
+    Flag("format", choices=("csv", "tsv"), default="csv"),
+    Flag("out", help="write CSV and a run manifest here"),
+)
+GHZ_FLAGS = (*(Flag(name, int) for name in ("d", "p", "q", "n")), Flag("alphas", _parse_floats))
+W_FLAGS = (*(Flag(name, int) for name in ("p", "q", "n")), Flag("betas", _parse_floats))
+GHZ_RUN_FLAGS = (*GHZ_FLAGS, Flag("partition", _parse_partition, help="blocks like '1,3|2'"))
 
-
-def _add_sweep(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--preset", choices=sorted(PRESETS))
-    sub.add_argument("--alpha0", type=_finite_floats)
-    sub.add_argument("--beta0", type=_finite_floats)
-    sub.add_argument("--pu", type=lambda text: (_finite(text),))  # one value, a 1-tuple axis
-    sub.add_argument("--gap", type=_finite)
-    for name in ("d", "p", "n"):
-        sub.add_argument(f"--{name}", type=_parse_int_values)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_sweep)
-
-
-def _add_simulate(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("ghz", "w"))
-    _add_ints(sub, "d", "p", "q", "n")
-    sub.add_argument("--alphas", type=_parse_floats)
-    sub.add_argument("--betas", type=_parse_floats)
-    sub.add_argument("--partition", type=_parse_partition)
-    sub.add_argument("--trials", type=int, default=100000)
-    sub.add_argument("--seed", type=int, default=0)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_simulate)
-
-
-def _add_replay(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("manifest")
-    sub.set_defaults(func=_cmd_replay)
-
-
-# subcommand -> (its line in the top-level help, the function that declares
-# its flags and its ``func``), in the order the help lists them
+# subcommand -> its row, in the order the help lists them
 COMMANDS = {
-    "ted-ghz": ("GHZ entanglement distillation",
-                partial(_add_run, family=Family.GHZ_DIAGONAL, steering=False)),
-    "ted-w": ("W entanglement distillation",
-              partial(_add_run, family=Family.W_SINGLE_EXCITATION, steering=False)),
-    "tsd-ghz": ("GHZ steering distillation",
-                partial(_add_run, family=Family.GHZ_DIAGONAL, steering=True)),
-    "sd-w": ("W steering distillation (one-sided only)",
-             partial(_add_run, family=Family.W_SINGLE_EXCITATION, steering=True)),
-    "sweep": ("grid sweep to CSV", _add_sweep),
-    "simulate": ("Monte Carlo protocol run", _add_simulate),
-    "replay": ("re-run a recorded manifest", _add_replay),
+    "ted-ghz": Command("GHZ entanglement distillation",
+                       partial(_cmd_run, family=Family.GHZ_DIAGONAL, steering=False),
+                       (*GHZ_RUN_FLAGS, *COMMON_FLAGS)),
+    "ted-w": Command("W entanglement distillation",
+                     partial(_cmd_run, family=Family.W_SINGLE_EXCITATION, steering=False),
+                     (*W_FLAGS, *COMMON_FLAGS)),
+    "tsd-ghz": Command("GHZ steering distillation",
+                       partial(_cmd_run, family=Family.GHZ_DIAGONAL, steering=True),
+                       (*GHZ_RUN_FLAGS, Flag("s", int), *COMMON_FLAGS)),
+    "sd-w": Command("W steering distillation (one-sided only)",
+                    partial(_cmd_run, family=Family.W_SINGLE_EXCITATION, steering=True),
+                    (*W_FLAGS, Flag("s", int), *COMMON_FLAGS)),
+    "sweep": Command("grid sweep to CSV", _cmd_sweep, (
+        Flag("preset", choices=tuple(sorted(PRESETS))),
+        Flag("alpha0", _finite_floats),
+        Flag("beta0", _finite_floats),
+        Flag("pu", lambda text: (_finite(text),)),  # one value, a 1-tuple axis
+        Flag("gap", _finite),
+        *(Flag(name, _parse_int_values) for name in ("d", "p", "n")),
+        *COMMON_FLAGS,
+    )),
+    "simulate": Command("Monte Carlo protocol run", _cmd_simulate, (
+        Flag("family", choices=("ghz", "w")),
+        *GHZ_FLAGS,
+        Flag("betas", _parse_floats),
+        Flag("partition", _parse_partition),
+        Flag("trials", int, default=100000),
+        Flag("seed", int, default=0),
+        *COMMON_FLAGS,
+    )),
+    "replay": Command("re-run a recorded manifest", _cmd_replay, positional="manifest"),
 }
+
+
+def _declare(parser: argparse.ArgumentParser, row: Command) -> None:
+    """Declare ``row``'s flags, positional and ``func`` on ``parser``."""
+    for flag in row.flags:
+        parser.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices,
+                            default=flag.default, help=flag.help)
+    if row.positional:
+        parser.add_argument(row.positional)
+    parser.set_defaults(func=row.func)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -394,7 +406,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     carries ``command`` as the tree's does."""
     if command is not None:
         parser = _Parser(prog=f"qdistill {command}")
-        COMMANDS[command][1](parser)
+        _declare(parser, COMMANDS[command])
         parser.set_defaults(command=command)
         return parser
     parser = _Parser(
@@ -403,24 +415,63 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qdistill {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags) in COMMANDS.items():
-        add_flags(subs.add_parser(name, help=help_text))
+    for name, row in COMMANDS.items():
+        _declare(subs.add_parser(name, help=row.help), row)
     return parser
+
+
+def _read(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace ``command``'s parser gives ``tokens``, read from its
+    flag table, or None for argparse to read and word.  None is any line
+    with a token that is not exactly ``--flag`` or ``--flag=value`` of the
+    table, a separate value missing or starting with '-', a value its type
+    raises on or its choices exclude, or the wrong number of positionals."""
+    row = COMMANDS[command]
+    flags = {flag.name: flag for flag in row.flags}
+    values = {flag.name: flag.default for flag in row.flags}
+    positionals = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, text = token[2:].partition("=")
+        flag = flags.get(name) if token.startswith("--") else None
+        if flag is None:
+            return None
+        if not eq:
+            text = next(tokens, "-")  # a missing value fails as a dash-led one
+            if text.startswith("-"):
+                return None
+        try:
+            value = text if flag.type is None else flag.type(text)
+        except Exception:  # argparse calls the type again, and words or raises it
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[name] = value
+    if len(positionals) != (row.positional is not None):
+        return None
+    if positionals:
+        values[row.positional] = positionals[0]
+    return argparse.Namespace(command=command, func=row.func, **values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse a command line, with its ``--config`` lines in front of the
-    command's own flags.  Only the parser of the command in ``argv[0]`` is
-    built; any other command line goes to the full tree, which prints the
-    help or version and exits, or refuses the line."""
+    command's own flags.  A well-formed line is read from the command's flag
+    table; any other line in ``argv[0]``'s command goes to that command's
+    parser alone, and a line without a command first to the full tree.  A
+    parser prints the help or version and exits, or refuses the line."""
     if not argv or argv[0] not in COMMANDS:
         build_parser().parse_args(argv)
         # the tree takes a command only as the first token
         raise InvalidSpecError(f"the command must come first: {' '.join(argv)!r}")
-    parser = build_parser(argv[0])
-    args = parser.parse_args(argv[1:])
+    command, tokens = argv[0], argv[1:]
+    args = _read(command, tokens) or build_parser(command).parse_args(tokens)
     if getattr(args, "config", None):
-        args = parser.parse_args(_config_tokens(args) + argv[1:])
+        tokens = _config_tokens(args) + tokens
+        args = _read(command, tokens) or build_parser(command).parse_args(tokens)
     args.argv = argv
     return args
 

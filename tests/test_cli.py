@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdistill
-from qdistill import Family, InvalidSpecError, WSpec, run_ted
+from qdistill import Family, InvalidSpecError, QdistillError, WSpec, run_ted
 from qdistill import cli
 from qdistill.cli import _config_tokens, _parse_int_values, build_parser, main
 from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
@@ -330,12 +330,15 @@ class TestErrorReporting:
         (["sweep", "--preset", "ghz-dimension"], "nosuchdir/x.csv"),
         (["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY], "."),
         (["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY], "run.csv"),
-    ], ids=["missing-directory", "directory", "manifest-is-directory"])
+        (["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY], "new/"),
+    ], ids=["missing-directory", "directory", "manifest-is-directory", "trailing-separator"])
     def test_unwritable_out_category(self, capsys, tmp_path, argv, out):
         (tmp_path / "run.manifest.json").mkdir()
-        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / out))
+        # joined as text: tmp_path / "new/" would drop the separator
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path) + "/" + out)
         self.assert_invalid_spec(rc, err)
         assert err.count("\n") == 1
+        assert not (tmp_path / "new").exists() and not (tmp_path / "new.manifest.json").exists()
 
     def test_inverted_range_category(self, capsys):
         rc, out, err = run(capsys, "sweep", "--preset", "ghz-convergence", "--n", "10:2")
@@ -965,6 +968,57 @@ def tree_parse(argv: list[str]):
     return args
 
 
+# a drawn flag's values: well formed for the flag of that name in some command
+WELL_FORMED = {
+    "d": ("3", "2,3"), "p": ("3", "3:5"), "q": ("1",), "n": ("3", "2:4"), "s": ("1",),
+    "alphas": (ALPHAS_SQRT8, "0.5,0.5"), "betas": (BETAS_TOY,), "partition": ("1,3|2",),
+    "preset": ("w-contour", "ghz-dimension"), "alpha0": ("0.2,0.3",), "beta0": ("0.5",),
+    "pu": ("0.5",), "gap": ("0.1",), "family": ("ghz", "w"), "trials": ("10",),
+    "seed": ("7",), "format": ("csv", "tsv"), "out": ("run.csv",),
+}
+# values at the edges of a type function or of argparse's token rules
+EDGE_VALUES = ("", "-1", "-", "--", "--p", "nan", "inf", "abc", str(2**64), "1e308", "10:2",
+               "2:6:2:99", "2:200001", "1,3|2")
+# tokens that are not a table flag with its value
+ODD_TOKENS = ("-h", "--help", "--", "--al", "--bogus", "run.manifest.json", "x")
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config text or None): a command and well-formed flags drawn
+    from its table, as ``--f v`` or ``--f=v`` and repeats, with up to two
+    faults put among them: a flag with an edge value (a near miss of its
+    choices for a flag with choices), a flag without its value, or an odd
+    token.  With a config, ``--config`` (CONFIG) is put first or last."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = [flag for flag in cli.COMMANDS[command].flags if flag.name != "config"]
+
+    def pair(flag, values):
+        text = draw(st.sampled_from(values))
+        return [f"--{flag.name}={text}"] if draw(st.booleans()) else [f"--{flag.name}", text]
+
+    drawn = draw(st.lists(st.sampled_from(flags), max_size=6)) if flags else []
+    groups = [pair(flag, WELL_FORMED.get(flag.name, ("7",))) for flag in drawn]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.integers(0, 2)) if flags else 2
+        if fault < 2:
+            flag = draw(st.sampled_from(flags))
+            edges = (*(c.upper() for c in flag.choices), "") if flag.choices else EDGE_VALUES
+            group = pair(flag, edges) if fault == 0 else [f"--{flag.name}"]
+        else:
+            group = [draw(st.sampled_from(ODD_TOKENS))]
+        groups.insert(draw(st.integers(0, len(groups))), group)
+    argv = [command, *(tok for group in groups for tok in group)]
+    if not flags or draw(st.integers(0, 2)):
+        return argv, None
+    keys = draw(st.lists(st.sampled_from([flag.name for flag in flags] + ["bogus"]), max_size=5))
+    lines = [f"{key} = {draw(st.sampled_from(WELL_FORMED.get(key, EDGE_VALUES)))}" for key in keys]
+    if draw(st.integers(0, 7)) == 0:
+        lines.append("a line without an equals sign")
+    at = draw(st.sampled_from([1, len(argv)]))
+    return argv[:at] + ["--config", CONFIG] + argv[at:], "\n".join(lines) + "\n"
+
+
 class TestPerCommandParser:
     @staticmethod
     def outcome(parse, argv, capsys):
@@ -973,8 +1027,8 @@ class TestPerCommandParser:
         what was printed."""
         try:
             args = parse(argv)
-        except InvalidSpecError as exc:
-            result = ("InvalidSpec", str(exc))
+        except QdistillError as exc:
+            result = (exc.category, str(exc))
         except SystemExit as exc:
             result = ("exit", exc.code)
         else:
@@ -1005,36 +1059,92 @@ class TestPerCommandParser:
             cfg.write_text(text)
         self.assert_same_as_tree([str(cfg) if tok == CONFIG else tok for tok in argv], capsys)
 
+    GHZ_LINE = ["ted-ghz", "--d", "3", "--p", "3", "--n", "2", "--alphas", ALPHAS_SQRT8]
+
+    @given(line=command_lines())
+    @example(line=([*GHZ_LINE, "--q", "-1"], None))
+    @example(line=([*GHZ_LINE, "--q=-1"], None))
+    @example(line=(["ted-ghz", "--al", ALPHAS_SQRT8, "--d", "3", "--p", "3"], None))
+    @example(line=(["ted-w", "--p", "3", "--", "--n", "3"], None))
+    @example(line=(["sweep", "--preset", "w-contour", "-h"], None))
+    @example(line=(["sweep", "--preset", "w-contour", "--help"], None))
+    @example(line=(["ted-w", "--p", "3", "--betas", ""], None))
+    @example(line=(["ted-w", "--p", "3", "--betas="], None))
+    @example(line=(["sweep", "--preset", "w-contour", "--gap", "nan"], None))
+    @example(line=(["sweep", "--preset", "w-contour", "--pu=inf"], None))
+    @example(line=(["simulate", "--seed", str(2**64)], None))
+    @example(line=(["sweep", "--preset", "w-contour", "--gap", "1e308"], None))
+    @example(line=(["ted-ghz", "--d", "1e308"], None))
+    @example(line=(["ted-ghz", "--d", "abc"], None))
+    @example(line=(["sweep", "--preset", "w-contour", "--gap", "abc"], None))
+    @example(line=(["ted-w", "--p", "3", "--format", "CSV"], None))
+    @example(line=(["ted-w", "--n", "3", "--out", "--p=3"], None))
+    @example(line=(["sweep", "--preset", "ghz-convergence", "--n", "10:2"], None))
+    @example(line=(["sweep", "--preset", "w-convergence", "--n", "2:6:2:99"], None))
+    @example(line=(["ted-w", "--p"], None))
+    @example(line=(["replay"], None))
+    @example(line=(["replay", "a.json", "b.json"], None))
+    @example(line=(["replay", "a.json"], None))
+    @example(line=(["ted-w", "--config", CONFIG], "p = 3\nn = 3\nseed = -1\nq = -1\n"))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                       HealthCheck.too_slow])
+    def test_drawn_command_line_parses_as_the_full_tree_does(self, capsys, tmp_path, line):
+        argv, text = line
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        self.assert_same_as_tree([str(cfg) if tok == CONFIG else tok for tok in argv], capsys)
+
 
 class TestParserCost:
-    """Counts, not timings: a command declares the flags of the commands it
-    runs and no other, so building the whole tree per command fails here."""
+    """Counts, not timings: a well-formed command line builds no parser, and
+    help or a refusal builds its own command's parser alone, so building a
+    parser per command, or the whole tree, fails here."""
 
     @pytest.fixture
-    def declared(self, monkeypatch):
-        declared = []
-        for name, (help_text, add_flags) in list(cli.COMMANDS.items()):
-            def counted(sub, name=name, add_flags=add_flags):
-                declared.append(name)
-                add_flags(sub)
-            monkeypatch.setitem(cli.COMMANDS, name, (help_text, counted))
-        return declared
+    def built(self, monkeypatch):
+        built = []
+
+        def counted(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return built
 
     @pytest.mark.parametrize("name", ["ted_ghz3.csv", "sweep_w_contour.csv"])
-    def test_a_command_declares_only_its_own_flags(self, capsys, tmp_path, declared, name):
+    def test_a_well_formed_command_builds_no_parser(self, capsys, tmp_path, built, name):
         argv = TestGoldenFiles.CASES[name]
         assert main(argv + ["--out", str(tmp_path / name)]) == 0
-        assert declared == [argv[0]]
+        assert built == []
 
-    def test_replay_declares_its_own_and_the_recorded_commands_flags(
-            self, capsys, tmp_path, declared):
+    def test_a_well_formed_config_line_builds_no_parser(self, capsys, tmp_path, built):
+        cfg = tmp_path / "run.cfg"
+        text, argv = CONFIG_CASES["flag-wins"]
+        cfg.write_text(text)
+        assert main([str(cfg) if tok == CONFIG else tok for tok in argv]) == 0
+        assert built == []
+
+    def test_replay_of_a_well_formed_command_builds_no_parser(self, capsys, tmp_path, built):
         out = tmp_path / "run.csv"
         assert main(TestGoldenFiles.CASES["ted_w3.csv"] + ["--out", str(out)]) == 0
-        declared.clear()
         assert main(["replay", str(tmp_path / "run.manifest.json")]) == 0
-        assert declared == ["replay", "ted-w"]
+        assert built == []
 
-    def test_help_without_a_command_declares_every_command(self, capsys, declared):
+    @pytest.mark.parametrize("argv", [
+        *([command, "--help"] for command in cli.COMMANDS),
+        PARSER_REJECTIONS["bad-int"],
+        PARSER_REJECTIONS["unknown-flag"],
+        PARSER_REJECTIONS["bad-choice"],
+        ["replay"],
+    ], ids=[*(f"{command}-help" for command in cli.COMMANDS),
+            "bad-int", "unknown-flag", "bad-choice", "replay-no-manifest"])
+    def test_help_or_a_refusal_builds_its_own_commands_parser(self, capsys, built, argv):
+        with pytest.raises((SystemExit, InvalidSpecError)):
+            cli._parse(argv)
+        assert built == [argv[0]]
+
+    def test_help_without_a_command_declares_every_command(self, capsys, built):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert declared == list(cli.COMMANDS)
+        assert built == [None]
