@@ -11,10 +11,9 @@ replay              re-execute the command recorded in a run manifest
 Each command's flags are one table, ``COMMANDS``: a row per flag with its
 type, choices, default and help.  A well-formed command line is read
 straight from that table, with no parser built.  Any other line (``--help``,
-an abbreviated or unknown flag, a missing, dash-led or invalid value) goes
-to the argparse parser of its command alone, declared from the same table,
-which prints the help or refuses the line; ``--help`` or ``--version``
-without a command builds the whole tree.
+``--version``, an abbreviated or unknown flag, ``--``, a missing, dash-led or
+invalid value) goes to the one argparse tree of all commands, declared from
+the same table, which prints the help or version or refuses the line.
 
 Reports go to stdout as ``key = value`` lines; ``--out`` additionally writes
 a CSV (or TSV) with a fixed, versioned schema plus a JSON run manifest next
@@ -37,11 +36,10 @@ import json
 import math
 import os
 import platform
-import shutil
 import stat
 import sys
 from datetime import datetime, timezone
-from functools import cached_property, partial
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -206,7 +204,7 @@ def _overwrite(path: str | Path, text: str) -> None:
 def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | None:
     """Write ``rows`` to ``--out`` and a run manifest next to it
     (``<out stem>.manifest.json``); the path, or None without ``--out``."""
-    if not args.out:
+    if args.out is None:
         return None
     out = Path(args.out)
     manifest = {
@@ -313,12 +311,6 @@ def _cmd_replay(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Rejects a command line by raising InvalidSpecError, not by exiting."""
 
-    # argparse's default help width, read once, not once per flag declared
-    _width = cached_property(lambda self: shutil.get_terminal_size().columns - 2)
-
-    def _get_formatter(self):
-        return self.formatter_class(prog=self.prog, width=self._width)
-
     def error(self, message: str):
         raise InvalidSpecError(message)
 
@@ -390,25 +382,9 @@ COMMANDS = {
 }
 
 
-def _declare(parser: argparse.ArgumentParser, row: Command) -> None:
-    """Declare ``row``'s flags, positional and ``func`` on ``parser``."""
-    for flag in row.flags:
-        parser.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices,
-                            default=flag.default, help=flag.help)
-    if row.positional:
-        parser.add_argument(row.positional)
-    parser.set_defaults(func=row.func)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full tree of subcommands, or with ``command`` that subcommand's
-    parser alone, named and behaving as its node of the tree; its namespace
-    carries ``command`` as the tree's does."""
-    if command is not None:
-        parser = _Parser(prog=f"qdistill {command}")
-        _declare(parser, COMMANDS[command])
-        parser.set_defaults(command=command)
-        return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The tree of every subcommand, each declared from its row of
+    ``COMMANDS``: flags, positional and ``func``."""
     parser = _Parser(
         prog="qdistill",
         description="Threshold distillation of GHZ/W entanglement and steering",
@@ -416,16 +392,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qdistill {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, row in COMMANDS.items():
-        _declare(subs.add_parser(name, help=row.help), row)
+        sub = subs.add_parser(name, help=row.help)
+        for flag in row.flags:
+            sub.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices,
+                             default=flag.default, help=flag.help)
+        if row.positional:
+            sub.add_argument(row.positional)
+        sub.set_defaults(func=row.func)
     return parser
 
 
 def _read(command: str, tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace ``command``'s parser gives ``tokens``, read from its
-    flag table, or None for argparse to read and word.  None is any line
-    with a token that is not exactly ``--flag`` or ``--flag=value`` of the
-    table, a separate value missing or starting with '-', a value its type
-    raises on or its choices exclude, or the wrong number of positionals."""
+    """The namespace the tree gives ``[command, *tokens]``, read from the
+    command's flag table, or None for argparse to read and word.  None is
+    any line with a token that is not exactly ``--flag`` or ``--flag=value``
+    of the table, a separate value missing or starting with '-', a value its
+    type raises on or its choices exclude, or the wrong number of
+    positionals."""
     row = COMMANDS[command]
     flags = {flag.name: flag for flag in row.flags}
     values = {flag.name: flag.default for flag in row.flags}
@@ -460,18 +443,18 @@ def _read(command: str, tokens: list[str]) -> argparse.Namespace | None:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse a command line, with its ``--config`` lines in front of the
     command's own flags.  A well-formed line is read from the command's flag
-    table; any other line in ``argv[0]``'s command goes to that command's
-    parser alone, and a line without a command first to the full tree.  A
-    parser prints the help or version and exits, or refuses the line."""
+    table; any other line goes to the argparse tree, which prints the help or
+    version and exits, or refuses the line."""
     if not argv or argv[0] not in COMMANDS:
         build_parser().parse_args(argv)
-        # the tree takes a command only as the first token
+        # the tree takes a command only as the first token; how it reads a
+        # leading '--' differs across Python versions
         raise InvalidSpecError(f"the command must come first: {' '.join(argv)!r}")
     command, tokens = argv[0], argv[1:]
-    args = _read(command, tokens) or build_parser(command).parse_args(tokens)
-    if getattr(args, "config", None):
+    args = _read(command, tokens) or build_parser().parse_args(argv)
+    if getattr(args, "config", None) is not None:
         tokens = _config_tokens(args) + tokens
-        args = _read(command, tokens) or build_parser(command).parse_args(tokens)
+        args = _read(command, tokens) or build_parser().parse_args([command, *tokens])
     args.argv = argv
     return args
 

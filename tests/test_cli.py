@@ -2,8 +2,10 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from qdistill import cli
 from qdistill.cli import _config_tokens, _parse_int_values, build_parser, main
 from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
 
-from test_sweep import UNREAD_AXES
+from test_sweep import UNREAD_AXES, subparser
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -340,6 +342,22 @@ class TestErrorReporting:
         assert err.count("\n") == 1
         assert not (tmp_path / "new").exists() and not (tmp_path / "new.manifest.json").exists()
 
+    @pytest.mark.parametrize("tokens", [
+        ["--out", ""], ["--out="], ["--config", ""], ["--config="], ["--config", "run.cfg"],
+    ], ids=["out", "out=", "config", "config=", "config-line"])
+    @pytest.mark.parametrize("argv", [
+        ["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY],
+        ["sweep", "--preset", "w-contour"],
+    ], ids=["ted-w", "sweep"])
+    def test_empty_out_or_config_category(self, capsys, tmp_path, monkeypatch, argv, tokens):
+        # an empty path names no file, so it is refused as open() or read_text() refuses it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out =\n")
+        rc, _, err = run(capsys, *argv, *tokens)
+        self.assert_invalid_spec(rc, err)
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
     def test_inverted_range_category(self, capsys):
         rc, out, err = run(capsys, "sweep", "--preset", "ghz-convergence", "--n", "10:2")
         self.assert_invalid_spec(rc, err)
@@ -546,7 +564,7 @@ class TestCoefficientRule:
         # their exactly rounded norm, as a spec divides its own
         norm = math.sqrt(math.fsum(v * v for v in values))
         typed = [v / norm * (1 + error) for v in values]
-        args = build_parser("ted-w").parse_args(
+        args = subparser("ted-w").parse_args(
             ["--p", str(len(typed)), "--n", "2", "--betas", ",".join(map(repr, typed))])
         spec = cli._protocol_config(args, Family.W_SINGLE_EXCITATION).spec
         typed_norm = math.sqrt(math.fsum(v * v for v in typed))
@@ -962,7 +980,7 @@ def tree_parse(argv: list[str]):
     of the command's flags: the reference for the per-command parser."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
     return args
@@ -1096,18 +1114,107 @@ class TestPerCommandParser:
         self.assert_same_as_tree([str(cfg) if tok == CONFIG else tok for tok in argv], capsys)
 
 
+# the categories README says the CLI prints
+CLI_CATEGORIES = ("InvalidSpec", "PivotNotMinimal", "PivotNotMaximal", "WorkCapExceeded",
+                  "BadPartition", "InvalidSteeringScenario", "NotPositiveSemidefinite")
+ERROR_LINE = re.compile(rf"error category=(?:{'|'.join(CLI_CATEGORIES)}): [^\n]*\n")
+
+
+class TestMainOnAnyLine:
+    @staticmethod
+    def outcome(argv, capsys):
+        """``main``'s exit code, stdout and stderr for ``argv``, and the bytes
+        of every file in the working directory but run manifests, which
+        record the time."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # help
+            rc = exc.code
+        printed = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(Path().iterdir())
+                 if path.is_file() and not path.name.endswith(".manifest.json")}
+        return rc, printed.out, printed.err, files
+
+    @staticmethod
+    def non_finite(text: str, command: str) -> list[str]:
+        """The cells of ``text`` that read as a float but not a finite one; a
+        sweep prints ``nan`` for a fidelity its infeasible rows do not have."""
+        text = re.sub(r"^(wrote \d+ rows to ).*$", r"\1", text, flags=re.M)  # a path, not a cell
+        cells = []
+        for cell in re.split(r"[\s,=]+", text):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value) and not (command == "sweep" and cell == "nan"):
+                cells.append(cell)
+        return cells
+
+    W_LINE = ["ted-w", "--p", "3", "--n", "3", "--betas", BETAS_TOY]
+
+    @given(line=command_lines())
+    @example(line=(["ted-ghz", "--d", "0", "--p", "0", "--n", "2", "--alphas", "1"], None))
+    @example(line=(["ted-w", "--p", "3", "--n", "-1", "--betas", BETAS_TOY], None))
+    @example(line=(["ted-w", "--p", "3", "--n", "1e308", "--betas", BETAS_TOY], None))
+    @example(line=(["ted-w", "--p", "3", "--n", str(2**64), "--betas", BETAS_TOY], None))
+    @example(line=(["simulate", "--family", "w", "--p", "3", "--n", "3", "--betas", BETAS_TOY,
+                    "--trials", "10", "--seed", str(2**64)], None))
+    @example(line=(["simulate", "--family", "ghz", "--d", "3", "--p", "3", "--n", "3",
+                    "--alphas", ALPHAS_SQRT8, "--trials", "10", "--out", "run.csv"], None))
+    @example(line=(["sweep", "--preset", "w-contour", "--pu", "nan"], None))
+    @example(line=(["sweep", "--preset", "ghz-contour", "--alpha0", "inf"], None))
+    @example(line=(["sweep", "--preset", "ghz-contour", "--alpha0", ""], None))
+    @example(line=(["sweep", "--preset", "ghz-contour", "--n", "2:4"], None))
+    @example(line=(["sweep", "--preset", "ghz-contour", "--n", "2:4", "--out", "inf"], None))
+    @example(line=(["sweep", "--preset", "ghz-convergence", "--n", "10:2"], None))
+    @example(line=(["sweep", "--preset", "w-convergence", "--n", "2:6:2:99"], None))
+    @example(line=(["ted-ghz", "--d", "abc"], None))
+    @example(line=(["tsd-ghz", "--d", "3", "--p", "3", "--s", "0", "--n", "2",
+                    "--alphas", ALPHAS_SQRT8], None))
+    @example(line=([*W_LINE, "--out", "nosuchdir/run.csv"], None))
+    @example(line=([*W_LINE, "--out", ""], None))
+    @example(line=([*W_LINE, "--out="], None))
+    @example(line=(["sweep", "--preset", "w-contour", "-h"], None))
+    @example(line=(["replay", "run.manifest.json"], None))
+    @example(line=(["ted-w", "--config", CONFIG], f"p = 3\nn = 3\nbetas = {BETAS_TOY}\n"))
+    @example(line=(["ted-w", "--config", CONFIG], "out =\n"))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                       HealthCheck.too_slow])
+    def test_drawn_command_line_exits_typed_and_repeats(self, capsys, tmp_path, monkeypatch,
+                                                        line):
+        # each line in a directory of its own, holding a manifest to replay
+        monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+        Path("run.manifest.json").write_text(json.dumps({"command": self.W_LINE}))
+        argv, text = line
+        if text is not None:
+            Path("run.cfg").write_text(text)
+        argv = ["run.cfg" if tok == CONFIG else tok for tok in argv]
+        rc, out, err, files = first = self.outcome(argv, capsys)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert ERROR_LINE.fullmatch(err)
+            return
+        assert err == ""
+        assert self.non_finite(out, argv[0]) == []
+        for name, data in files.items():
+            if name != "run.cfg":
+                assert self.non_finite(data.decode(), argv[0]) == []
+        assert self.outcome(argv, capsys) == first
+
+
 class TestParserCost:
     """Counts, not timings: a well-formed command line builds no parser, and
-    help or a refusal builds its own command's parser alone, so building a
-    parser per command, or the whole tree, fails here."""
+    help, a refusal or a line the flag table does not read builds the tree
+    once, so building a parser for a well-formed line, or keeping one across
+    lines, fails here."""
 
     @pytest.fixture
     def built(self, monkeypatch):
         built = []
 
-        def counted(command=None):
-            built.append(command)
-            return build_parser(command)
+        def counted():
+            built.append(build_parser())
+            return built[-1]
 
         monkeypatch.setattr(cli, "build_parser", counted)
         return built
@@ -1140,11 +1247,17 @@ class TestParserCost:
     ], ids=[*(f"{command}-help" for command in cli.COMMANDS),
             "bad-int", "unknown-flag", "bad-choice", "replay-no-manifest"])
     def test_help_or_a_refusal_builds_its_own_commands_parser(self, capsys, built, argv):
+        # its command's parser is its node of the tree, built whole once
         with pytest.raises((SystemExit, InvalidSpecError)):
             cli._parse(argv)
-        assert built == [argv[0]]
+        assert len(built) == 1
+
+    def test_an_abbreviated_line_that_runs_builds_the_tree_once(self, capsys, built):
+        # argparse reads --al as --alphas; the flag table does not
+        assert main(["ted-ghz", "--d", "3", "--p", "3", "--n", "2", "--al", ALPHAS_SQRT8]) == 0
+        assert len(built) == 1
 
     def test_help_without_a_command_declares_every_command(self, capsys, built):
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert built == [None]
+        assert len(built) == 1

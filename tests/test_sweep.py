@@ -1,3 +1,4 @@
+import argparse
 import ast
 import math
 import time
@@ -36,6 +37,12 @@ from qdistill.sweep import (
 from qdistill.ted import _compact_zero_layer, closed_form_terms, fidelity_from_success
 
 from conftest import ghz_config, random_ghz_spec, random_w_spec, w_config
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    """``command``'s node of the CLI's argparse tree."""
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices[command]
 
 
 class TestCoefficientSolver:
@@ -263,7 +270,7 @@ class TestPresetTable:
     def test_every_axis_is_a_sweep_flag(self):
         # the CLI passes each set flag to grid_rows under the flag's own name
         assert sorted(qdistill.cli.SWEEP_AXES) == SWEEP_AXES
-        sweep = build_parser("sweep")
+        sweep = subparser("sweep")
         assert {a.dest for a in sweep._actions} >= set(SWEEP_AXES)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -285,7 +292,7 @@ class TestPresetTable:
         assert {(r["p"], r["q"]) for r in rows} == {(3, 2), (4, 3)}
 
     def test_every_preset_list_is_the_table(self):
-        sweep = build_parser("sweep")
+        sweep = subparser("sweep")
         (action,) = [a for a in sweep._actions if a.dest == "preset"]
         assert list(action.choices) == sorted(PRESETS)
         # the benchmark keeps its own copy, which must not drift
