@@ -40,7 +40,7 @@ import stat
 import sys
 from datetime import datetime, timezone
 from functools import partial
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -50,8 +50,8 @@ from . import __version__
 from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec, _validated_coeffs, span_shape
-from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, PRESETS, ROW_CAP, STEERING_COLUMNS,
-                    grid_rows, report_row)
+from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, LINE_COLUMNS, PRESETS, ROW_CAP,
+                    STEERING_COLUMNS, grid_curves, report_row)
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
@@ -63,8 +63,9 @@ SIMULATE_COLUMNS = (
     "ps_per_copy", "ps_overall_expected", "success_rate",
     "kept_count", "count",
 )
+SIMULATE_LINE_COLUMNS = ("kept_count", "count")  # a line per histogram entry
 
-# the sweep flags, each passed to grid_rows as the axis of its own name
+# the sweep flags, each passed to grid_curves as the axis of its own name
 SWEEP_AXES = ("alpha0", "beta0", "pu", "gap", "d", "p", "n")
 
 
@@ -171,39 +172,81 @@ def _need(args, name: str):
     return value
 
 
-def _rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
-    """Header plus one line per row, each newline-terminated and each one
-    ``%`` of a template.  A column whose cells share one type of
-    ``CELL_CONVERSIONS`` takes that conversion; any other column is placed
-    with ``%s`` as text, of its one type's formatter or of ``_fmt`` per cell."""
-    sep, rows, cells, conversions = "\t" if fmt == "tsv" else ",", list(rows), [], []
-    for values in (list(map(itemgetter(column), rows)) for column in columns):
-        kinds = set(map(type, values))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        conversion = CELL_CONVERSIONS.get(kind)
-        conversions.append(conversion or "%s")
-        cells.append(values if conversion else map(CELL_FORMATS.get(kind, _fmt), values))
-    template = sep.join(conversions) + "\n"
-    return sep.join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
+def _csv_text(columns: tuple[str, ...], lined: tuple[str, ...], blocks, fmt: str) -> str:
+    """Header plus each block's lines, each newline-terminated.  A block is
+    ``(fixed, lines)``: a cell of every column not in ``lined``, in
+    ``columns`` order, and a sized collection of lines, each a tuple of a
+    cell per ``lined`` column, in its order.  A block's lines are each ``%``
+    of one template that holds its fixed cells' text (a ``%`` doubled).  A
+    ``lined`` column whose cells in the block share one type of
+    ``CELL_CONVERSIONS`` takes that conversion; any other is placed with
+    ``%s`` as ``_fmt`` of each cell."""
+    sep = "\t" if fmt == "tsv" else ","
+    layout, unlined = sep.join(["%s"] * len(columns)) + "\n", [c for c in columns if c not in lined]
+    # each column's place among a block's fixed cells' texts, then its line conversions
+    order = [len(unlined) + lined.index(c) if c in lined else unlined.index(c) for c in columns]
+    parts = [sep.join(columns) + "\n"]
+    for fixed, lines in blocks:
+        if not lines:
+            continue
+        texts, cells, placed = [_fmt(value).replace("%", "%%") for value in fixed], [], False
+        for values in zip(*lines):
+            kinds = set(map(type, values))
+            conversion = CELL_CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
+            if conversion is None:
+                values, conversion, placed = map(_fmt, values), "%s", True
+            texts.append(conversion)
+            cells.append(values)
+        template = layout % tuple(map(texts.__getitem__, order))
+        parts.append("".join(map(template.__mod__, zip(*cells) if placed else lines)))
+    return "".join(parts)
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for what a manifest
+    holds (dicts with str keys, lists, str, int, bool and None), without the
+    pure-Python encoder that any ``indent`` selects."""
+    if isinstance(value, (dict, list)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, list):
+            return "[" + ",".join(inner + _json_text(v, inner) for v in value) + indent + "]"
+        return "{" + ",".join(f"{inner}{encode_basestring_ascii(key)}: {_json_text(v, inner)}"
+                              for key, v in sorted(value.items())) + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a manifest holds no {type(value).__name__}")
 
 
 def _overwrite(path: str | Path, text: str) -> None:
-    """Write ``text`` over ``path`` in place (utf-8, ``\\n`` line ends), then
-    cut a regular file to its length.  Nothing truncates the file to zero,
-    which ext4 answers with a flush when the file is closed
-    (``auto_da_alloc``), so a rewrite does not wait on the disk.  As with
-    ``Path.write_text``, a symlink's target or a hard link's one file takes
-    the bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n",
-              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as file:
-        file.write(text)
-        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a FIFO or device has no length
-            file.truncate()
+    """Write ``text`` over ``path`` in place as utf-8, then cut a regular file
+    to its length.  Nothing truncates the file to zero, which ext4 answers
+    with a flush when the file is closed (``auto_da_alloc``), so a rewrite
+    does not wait on the disk.  As with ``Path.write_text``, a symlink's
+    target or a hard link's one file takes the bytes."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a write may take fewer bytes than given
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # a FIFO or device has no length
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
-def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | None:
-    """Write ``rows`` to ``--out`` and a run manifest next to it
-    (``<out stem>.manifest.json``); the path, or None without ``--out``."""
+def _write_out(args, columns, lined, blocks, manifest_config: dict, seed=None) -> Path | None:
+    """Write the CSV of ``blocks`` (see :func:`_csv_text`) to ``--out`` and a
+    run manifest next to it (``<out stem>.manifest.json``); the path, or
+    None without ``--out``."""
     if args.out is None:
         return None
     out = Path(args.out)
@@ -221,9 +264,8 @@ def _write_out(args, rows, columns, manifest_config: dict, seed=None) -> Path | 
         "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
     }
     try:  # the path as typed: Path() drops a trailing separator, open() refuses it
-        _overwrite(args.out, _rows_text(rows, columns, args.format))
-        _overwrite(out.with_name(out.stem + ".manifest.json"),
-                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _overwrite(args.out, _csv_text(columns, lined, blocks, args.format))
+        _overwrite(out.with_name(out.stem + ".manifest.json"), _json_text(manifest) + "\n")
     except OSError as exc:
         raise InvalidSpecError(f"cannot write --out {args.out}: {exc}") from exc
     return out
@@ -258,19 +300,21 @@ def _cmd_run(args, family: Family, steering: bool) -> int:
     row = report_row(config, run_tsd(config) if steering else run_ted(config))
     cells = {key: _fmt(value) for key, value in row.items()}  # the report, config and CSV line
     _print_report(cells)
-    _write_out(args, [cells], STEERING_COLUMNS if steering else CSV_COLUMNS, cells)
+    # one block of one line, the cells in the schema's order (report_row's)
+    _write_out(args, STEERING_COLUMNS if steering else CSV_COLUMNS, (), [(cells.values(), [()])],
+               cells)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     preset = _need(args, "preset")
     overrides = {axis: value for axis in SWEEP_AXES if (value := getattr(args, axis)) is not None}
-    rows = grid_rows(preset, **overrides)
-    out = _write_out(args, rows, CSV_COLUMNS, {"preset": preset})
+    curves = grid_curves(preset, **overrides)
+    out = _write_out(args, CSV_COLUMNS, LINE_COLUMNS, curves, {"preset": preset})
     if out:
-        print(f"wrote {len(rows)} rows to {out}")
+        print(f"wrote {sum(len(curve.lines) for curve in curves)} rows to {out}")
     else:
-        print(_rows_text(rows, CSV_COLUMNS, args.format), end="")
+        sys.stdout.write(_csv_text(CSV_COLUMNS, LINE_COLUMNS, curves, args.format))
     return 0
 
 
@@ -288,9 +332,10 @@ def _cmd_simulate(args) -> int:
     _print_report({**{key: _fmt(value) for key, value in run.items()},
                    "kept_count_histogram": " ".join(f"{k}:{v}" for k, v in histogram.items())})
     run.update(d=span_shape(config.spec)[1], p=config.spec.p, q=config.q)
-    # a generator, built only if written: the histogram can have N entries
-    rows = ({**run, "kept_count": k, "count": c} for k, c in histogram.items())
-    _write_out(args, rows, SIMULATE_COLUMNS, {"trials": args.trials}, args.seed)
+    # one block, its lines formatted only if written: the histogram can have N entries
+    fixed = [run[column] for column in SIMULATE_COLUMNS if column not in SIMULATE_LINE_COLUMNS]
+    _write_out(args, SIMULATE_COLUMNS, SIMULATE_LINE_COLUMNS, [(fixed, histogram.items())],
+               {"trials": args.trials}, args.seed)
     return 0
 
 

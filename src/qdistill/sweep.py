@@ -9,24 +9,29 @@ protocol engine is run on it to fill the independent ``fidelity_numeric``
 column.  Infeasible grid points are emitted with ``feasible=False`` rather
 than dropped, so grids keep their full rectangular shape.
 
-N enters only through (1 - p_u)^(N-1), so the engine runs once per curve
-(driver value and size), not once per row: each row of a curve takes
-``run_ted``'s per-N step, :func:`~qdistill.ted.results_at`, on one context.
-A row built from a spec holds the closed form's own gap as ``coeff_gap``
+N enters only through (1 - p_u)^(N-1), so a sweep is a list of curves, one
+per driver value and size: a :class:`Curve` holds the cells its spec sets once
+and one ``LINE_COLUMNS`` line per n.  The engine runs once per curve, and
+each line of a curve takes ``run_ted``'s per-N step,
+:func:`~qdistill.ted.results_at`, on one context.  A curve built from a spec
+holds the closed form's own gap as ``coeff_gap``
 (:func:`~qdistill.ted.closed_form_terms`, read from the spec context).
-:func:`report_row` builds the row of one ``run_ted`` or ``run_tsd`` run.
+:func:`grid_rows` is the same grid as one dict per line, and :func:`report_row`
+builds the row of one ``run_ted`` or ``run_tsd`` run.
 
-Rows run over driver value, then size (d or P), then copy count, each in its
-axis's order (see :data:`PRESETS`).  A grid of more than ``ROW_CAP`` rows or
-``SIZE_CAP`` coefficients (each curve counting its size, d or P, plus
-``CURVE_COEFFS`` for its fixed cost), with a d, p or n below 2 or not an int,
-or overriding an axis its preset does not read is refused before any row is built.
+Curves run over driver value, then size (d or P), and lines over copy count,
+each in its axis's order (see :data:`PRESETS`).  A grid of more than
+``ROW_CAP`` lines or ``SIZE_CAP`` coefficients (each curve counting its size,
+d or P, plus ``CURVE_COEFFS`` for its fixed cost), with a d, p or n below 2 or
+not an int, or overriding an axis its preset does not read is refused before
+any curve is built.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .errors import InvalidSpecError, WorkCapExceededError
@@ -51,6 +56,10 @@ CSV_COLUMNS = (
 )
 
 STEERING_COLUMNS = CSV_COLUMNS + ("fidelity_assemblage", "minimizing_setting", "threshold")
+
+# the columns that change along a curve, in CSV_COLUMNS order; a curve's spec
+# alone sets the others
+LINE_COLUMNS = ("n", "ps_overall", "fidelity_closed", "fidelity_numeric")
 
 FEAS_TOL = 1e-12
 
@@ -128,7 +137,7 @@ def equal_head_w(p: int, beta0: float) -> WSpec:
 
 
 def _row(family: str, d: int, p: int, q: int, s: int, n: int, driver: float, gap: float,
-         pu=math.nan, ps=math.nan, closed=math.nan, numeric=math.nan, feasible=False) -> dict:
+         pu: float, ps: float, closed: float, numeric: float, feasible: bool) -> dict:
     """One row of the CSV schema, built in ``CSV_COLUMNS`` order."""
     return {"family": family, "d": d, "p": p, "q": q, "s": s, "n": n,
             "alpha0_or_pu": driver, "coeff_gap": gap, "ps_per_copy": pu, "ps_overall": ps,
@@ -156,6 +165,15 @@ def report_row(config: ProtocolConfig | SteeringConfig, report) -> dict:
     return row
 
 
+class Curve(NamedTuple):
+    """One curve of a sweep: its cells of the ``CSV_COLUMNS`` not in
+    ``LINE_COLUMNS``, and per n of the axis a line of ``LINE_COLUMNS`` cells,
+    each in ``CSV_COLUMNS`` order."""
+
+    cells: tuple
+    lines: list[tuple]
+
+
 def _closed_columns(pu: float, size: int, gap: float, ns) -> tuple[float, list[float]]:
     """p_u and fidelity_closed at each n of a curve's axis from the aggregates,
     or NaN where no coefficient vector has them: p_u in (0, 1] and
@@ -172,47 +190,50 @@ def _overall_column(pu: float, ns) -> list[float]:
     return [math.nan] * len(ns) if math.isnan(pu) else [overall_success(pu, n) for n in ns]
 
 
-def _ghz_gap_rows(axes: dict, a0: float, d: int) -> list[dict]:
+def _aggregate_lines(pu: float, ns, closed) -> list[tuple]:
+    """The lines of a curve with no engine run: no numeric fidelity."""
+    return list(zip(ns, _overall_column(pu, ns), closed, repeat(math.nan)))
+
+
+def _ghz_gap_curve(axes: dict, a0: float, d: int) -> Curve:
     p, gap, ns, family = axes["p"][0], axes["gap"], axes["n"], Family.GHZ_DIAGONAL.value
     # no closed columns for an a0 off (0, 1)
     pu, closed = _closed_columns(d * a0 * a0 if 0.0 < a0 < 1.0 else math.nan, d, gap, ns)
     coeffs = solve_ghz_coefficients(d, a0, gap)
     if coeffs is None:
-        return [_row(family, d, p, 1, 0, n, a0, gap, pu, ps, fidelity)
-                for n, ps, fidelity in zip(ns, _overall_column(pu, ns), closed)]
-    context, rows = _compact_zero_layer(GhzSpec(d, p, coeffs)), []
-    for n, fidelity in zip(ns, closed):  # the engine's columns; fidelity_closed stays the aggregates'
-        pu_n, ps, _, numeric = results_at(context, n)
-        rows.append(_row(family, d, p, 1, 0, n, a0, gap, pu_n, ps, fidelity, numeric, True))
-    return rows
+        return Curve((family, d, p, 1, 0, a0, gap, pu, False), _aggregate_lines(pu, ns, closed))
+    context, lines = _compact_zero_layer(GhzSpec(d, p, coeffs)), []
+    for n, fidelity in zip(ns, closed):
+        _, ps, _, numeric = results_at(context, n)  # fidelity_closed stays the aggregates'
+        lines.append((n, ps, fidelity, numeric))
+    return Curve((family, d, p, 1, 0, a0, gap, context[0], True), lines)
 
 
-def _convergence_rows(axes: dict, driver: float, size: int) -> list[dict]:
+def _convergence_curve(axes: dict, driver: float, size: int) -> Curve:
     """Fidelity vs N along one equal-tail GHZ (an alpha0 axis) or equal-head W curve."""
     if "alpha0" in axes:
         q, spec = 1, equal_tail_ghz(size, axes["p"][0], driver)
     else:
         q, spec = size - 1, equal_head_w(size, driver)
     context = _compact_zero_layer(spec)
-    family, d, gap = family_of(spec).value, span_shape(spec)[1], context[4][2]
-    return [_row(family, d, spec.p, q, 0, n, driver, gap, *results_at(context, n), True)
-            for n in axes["n"]]
+    cells = (family_of(spec).value, span_shape(spec)[1], spec.p, q, 0, driver, context[4][2],
+             context[0], True)
+    return Curve(cells, [(n, *results_at(context, n)[1:]) for n in axes["n"]])
 
 
-def _w_contour_rows(axes: dict, pu: float, p: int) -> list[dict]:
+def _w_contour_curve(axes: dict, pu: float, p: int) -> Curve:
     gap, ns, family = axes["gap"], axes["n"], Family.W_SINGLE_EXCITATION.value
     pu_closed, closed = _closed_columns(pu, p, gap, ns)
-    feasible = not math.isnan(pu_closed)
-    return [_row(family, 2, p, p - 1, 0, n, pu, gap, pu_closed, ps, fidelity, feasible=feasible)
-            for n, ps, fidelity in zip(ns, _overall_column(pu_closed, ns), closed)]
+    cells = (family, 2, p, p - 1, 0, pu, gap, pu_closed, not math.isnan(pu_closed))
+    return Curve(cells, _aggregate_lines(pu_closed, ns, closed))
 
 
 class Preset(NamedTuple):
-    """``build(axes, driver, size)`` gives one (driver, size) point's rows
+    """``build(axes, driver, size)`` gives one (driver, size) point's curve
     over the ``n`` axis; ``defaults`` are the only axes the preset reads,
     each named as its ``sweep`` flag."""
 
-    build: Callable[[dict, float, int], list[dict]]
+    build: Callable[[dict, float, int], Curve]
     driver: str
     size: str
     defaults: dict
@@ -220,33 +241,33 @@ class Preset(NamedTuple):
 
 PRESETS = {
     # fidelity contour over (N, d) at fixed alpha0 and gap
-    "ghz-contour": Preset(_ghz_gap_rows, "alpha0", "d", dict(
+    "ghz-contour": Preset(_ghz_gap_curve, "alpha0", "d", dict(
         alpha0=(1.0 / math.sqrt(10.0),), gap=0.5,
         d=tuple(range(2, 11)), n=tuple(range(2, 21)), p=(2,),
     )),
     # fidelity vs N for three starting overlaps, equal tail coefficients
-    "ghz-convergence": Preset(_convergence_rows, "alpha0", "d", dict(
+    "ghz-convergence": Preset(_convergence_curve, "alpha0", "d", dict(
         alpha0=(1.0 / math.sqrt(8.0), 1.0 / math.sqrt(9.0), 1.0 / math.sqrt(10.0)),
         d=(3,), n=tuple(range(2, 51)), p=(3,),
     )),
     # fidelity and success probability vs d at fixed N
-    "ghz-dimension": Preset(_ghz_gap_rows, "alpha0", "d", dict(
+    "ghz-dimension": Preset(_ghz_gap_curve, "alpha0", "d", dict(
         alpha0=(1.0 / math.sqrt(10.0),), gap=0.5, d=tuple(range(2, 11)), n=(2,), p=(2,),
     )),
     # fidelity contour over (N, P) driven directly by (p_u, gap)
-    "w-contour": Preset(_w_contour_rows, "pu", "p", dict(
+    "w-contour": Preset(_w_contour_curve, "pu", "p", dict(
         pu=(0.3,), gap=0.5, p=tuple(range(3, 21)), n=tuple(range(2, 21)),
     )),
     # fidelity vs N for three starting first coefficients
-    "w-convergence": Preset(_convergence_rows, "beta0", "p", dict(
+    "w-convergence": Preset(_convergence_curve, "beta0", "p", dict(
         beta0=(0.5, 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(6.0)), p=(3,), n=tuple(range(2, 51)),
     )),
 }
 
 
-def grid_rows(name: str, **overrides) -> list[dict]:
-    """The CSV-ready rows of a named sweep, in deterministic order, with some
-    of its axes overridden; overriding an axis the preset does not read is
+def grid_curves(name: str, **overrides) -> list[Curve]:
+    """The curves of a named sweep, in deterministic order, with some of its
+    axes overridden; overriding an axis the preset does not read is
     refused."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -266,5 +287,12 @@ def grid_rows(name: str, **overrides) -> list[dict]:
     for value, what, cap in ((count, "rows", ROW_CAP), (total, "coefficients", SIZE_CAP)):
         if value > cap:
             raise WorkCapExceededError(f"{name} grid has {value} {what}, over the cap {cap}")
-    return [row for driver in drivers for size in sizes
-            for row in preset.build(axes, driver, size)]
+    return [preset.build(axes, driver, size) for driver in drivers for size in sizes]
+
+
+def grid_rows(name: str, **overrides) -> list[dict]:
+    """:func:`grid_curves` as CSV-ready rows, one per line of each curve."""
+    return [_row(family, d, p, q, s, n, driver, gap, pu, ps, closed, numeric, feasible)
+            for (family, d, p, q, s, driver, gap, pu, feasible), lines
+            in grid_curves(name, **overrides)
+            for n, ps, closed, numeric in lines]

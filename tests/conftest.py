@@ -22,6 +22,10 @@ its rank-1 targets scipy's sqrtm drifts from it by up to about 1e-9 (GHZ,
 d = 2..5, P = 3..8), far over that oracle's 1e-12 bound.  The dense
 oracles compute P_s themselves, in 60-digit decimals.
 ``tests/test_package.py`` pins this import list.
+
+``oracle_rows_text`` is the CLI's CSV writer as it was when every row was
+formatted cell by cell, one dict per line, with its own copy of the cell
+tables, so it reads nothing of the block writer it checks.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import decimal
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -494,6 +499,37 @@ def random_density(rng: np.random.Generator, dim: int, floor: float = 0.1) -> np
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return x @ x.conj().T
+
+
+# --------------------------------------------------- the row-by-row CSV writer
+
+# a cell's text by its exact type, as a ``%`` conversion where the type has one
+# (a bool has none: %d or %s would print it as 1 or True); any other type
+# (numpy's ints and bools, subclasses) by str()
+CELL_CONVERSIONS = {float: "%.12g", np.float64: "%.12g", int: "%d", str: "%s"}
+CELL_FORMATS = {**{kind: conversion.__mod__ for kind, conversion in CELL_CONVERSIONS.items()},
+                bool: {True: "true", False: "false"}.__getitem__,
+                tuple: lambda t: "".join(map(str, t))}
+
+
+def _fmt(value) -> str:
+    return CELL_FORMATS.get(type(value), str)(value)
+
+
+def oracle_rows_text(rows, columns: tuple[str, ...], fmt: str) -> str:
+    """Header plus one line per row, each newline-terminated and each one
+    ``%`` of a template.  A column whose cells share one type of
+    ``CELL_CONVERSIONS`` takes that conversion; any other column is placed
+    with ``%s`` as text, of its one type's formatter or of ``_fmt`` per cell."""
+    sep, rows, cells, conversions = "\t" if fmt == "tsv" else ",", list(rows), [], []
+    for values in (list(map(itemgetter(column), rows)) for column in columns):
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        conversion = CELL_CONVERSIONS.get(kind)
+        conversions.append(conversion or "%s")
+        cells.append(values if conversion else map(CELL_FORMATS.get(kind, _fmt), values))
+    template = sep.join(conversions) + "\n"
+    return sep.join(columns) + "\n" + "".join(map(template.__mod__, zip(*cells)))
 
 
 @pytest.fixture

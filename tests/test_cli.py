@@ -17,8 +17,9 @@ import qdistill
 from qdistill import Family, InvalidSpecError, QdistillError, WSpec, run_ted
 from qdistill import cli
 from qdistill.cli import _config_tokens, _parse_int_values, build_parser, main
-from qdistill.sweep import CSV_COLUMNS, PRESETS, ROW_CAP
+from qdistill.sweep import CSV_COLUMNS, LINE_COLUMNS, PRESETS, ROW_CAP, grid_rows
 
+from conftest import oracle_rows_text
 from test_sweep import UNREAD_AXES, subparser
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -602,6 +603,20 @@ class TestSweepConsistency:
         assert {row[CSV_COLUMNS.index("coeff_gap")] for row in rows} == {"-8.881784197e-16"}
 
 
+# command tokens and keys: non-ASCII, quotes, backslashes and control characters
+TOKENS = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u00e9\U0001f600'),
+                           st.characters()), max_size=8)
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), TOKENS)
+
+
+def manifests():
+    """Manifest-shaped dicts: leaves, lists of tokens and flat dicts, any of
+    them empty."""
+    values = st.one_of(LEAVES, st.lists(TOKENS, max_size=6),
+                       st.dictionaries(TOKENS, LEAVES, max_size=5))
+    return st.dictionaries(TOKENS, values, max_size=8)
+
+
 class TestOutputsAndManifests:
     def test_manifest_written_and_replay_reproduces(self, capsys, tmp_path):
         out = tmp_path / "run.csv"
@@ -694,6 +709,14 @@ class TestOutputsAndManifests:
         assert out.read_bytes() == other.read_bytes() == expected
         assert out.stat().st_ino == other.stat().st_ino
 
+    @given(manifest=manifests())
+    @example(manifest={"command": ["ted-w", "--betas", "0.5,\u00e9\"\\\x00\x1f\x7f\u2028"],
+                       "config": {}, "outputs": [], "seed": None, "trials": 2**64, "ok": True})
+    def test_manifest_text_is_the_json_layout(self, manifest):
+        text = cli._json_text(manifest)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True)
+        assert json.loads(text) == manifest  # what replay reads
+
     def test_tsv_format(self, capsys, tmp_path):
         out = tmp_path / "run.tsv"
         assert main([
@@ -728,32 +751,110 @@ ANY_CELL = st.one_of(*CELLS.values())
 
 
 @st.composite
-def row_sets(draw):
-    """(columns, rows): each column holds one cell type or any mix of them."""
+def block_sets(draw):
+    """(columns, lined, blocks): each column holds one cell type or any mix of
+    them, and a drawn subset of the columns changes line by line; a block is
+    its other columns' cells and up to six lines."""
     columns = tuple(f"c{i}" for i in range(draw(st.integers(1, 5))))
-    kinds = [draw(st.sampled_from([*CELLS.values(), ANY_CELL])) for _ in columns]
-    rows = draw(st.lists(st.fixed_dictionaries(dict(zip(columns, kinds))), max_size=6))
-    return columns, rows
+    kinds = {column: draw(st.sampled_from([*CELLS.values(), ANY_CELL])) for column in columns}
+    lined = tuple(column for column in columns if draw(st.booleans()))
+    fixed = st.tuples(*(kinds[column] for column in columns if column not in lined))
+    lines = st.lists(st.tuples(*(kinds[column] for column in lined)), max_size=6)
+    return columns, lined, draw(st.lists(st.tuples(fixed, lines), max_size=4))
+
+
+def block_rows(columns, lined, blocks) -> list[dict]:
+    """One dict per line of ``blocks``, its fixed cells repeated."""
+    rows = []
+    for fixed, lines in blocks:
+        for line in lines:
+            cells, fixed_cells = iter(line), iter(fixed)
+            rows.append({column: next(cells if column in lined else fixed_cells)
+                         for column in columns})
+    return rows
 
 
 class TestRowsText:
-    """The CSV writer gives the text of the cell-by-cell rule, whatever mix
-    of cell types a column holds."""
+    """The CSV block writer gives the text of the cell-by-cell rule, whatever
+    mix of cell types a column holds, within a block or across blocks."""
 
-    @given(row_sets(), st.sampled_from(["csv", "tsv"]), st.booleans())
-    def test_rows_text_matches_the_cell_rule(self, row_set, fmt, as_generator):
-        columns, rows = row_set
+    @given(block_sets(), st.sampled_from(["csv", "tsv"]), st.booleans())
+    def test_rows_text_matches_the_cell_rule(self, block_set, fmt, as_generator):
+        columns, lined, blocks = block_set
+        rows = block_rows(columns, lined, blocks)
         sep = "\t" if fmt == "tsv" else ","
         expected = "".join(sep.join(line) + "\n" for line in [
             columns, *([oracle_cell(row[c]) for c in columns] for row in rows)])
-        given_rows = (row for row in rows) if as_generator else rows
-        assert cli._rows_text(given_rows, columns, fmt) == expected
+        given_blocks = (block for block in blocks) if as_generator else blocks
+        assert cli._csv_text(columns, lined, given_blocks, fmt) == expected
+        assert oracle_rows_text(rows, columns, fmt) == expected
         assert all(cli._fmt(row[c]) == oracle_cell(row[c]) for row in rows for c in columns)
 
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     def test_zero_rows_give_the_header(self, fmt):
         sep = "\t" if fmt == "tsv" else ","
-        assert cli._rows_text(iter(()), CSV_COLUMNS, fmt) == sep.join(CSV_COLUMNS) + "\n"
+        text = cli._csv_text(CSV_COLUMNS, LINE_COLUMNS, iter(()), fmt)
+        assert text == sep.join(CSV_COLUMNS) + "\n"
+
+
+def float_axis(draw, low: float, high: float) -> tuple[float, ...]:
+    return tuple(draw(st.lists(st.floats(low, high), min_size=1, max_size=3)))
+
+
+def int_axis(draw, low: int, high: int) -> tuple[int, ...]:
+    return tuple(draw(st.lists(st.integers(low, high), min_size=1, max_size=3)))
+
+
+@st.composite
+def sweep_runs(draw):
+    """(preset, axes): a preset and some of its axes overridden with small
+    drawn values that run.  Contour drivers and gaps run wide of the
+    feasible region, so curves with no coefficients and ``nan`` cells are
+    drawn; a convergence driver stays under 1/sqrt(size), so its spec is
+    valid at every drawn size."""
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    driver, size = PRESETS[preset].driver, PRESETS[preset].size
+    sizes = int_axis(draw, 2, 10)
+    axes = {size: sizes, "n": int_axis(draw, 2, 40)}
+    if preset.endswith("convergence"):
+        axes[driver] = float_axis(draw, 0.02, 0.98 / math.sqrt(max(sizes)))
+    else:  # --pu takes one value
+        drivers = float_axis(draw, -0.2, 1.2)
+        axes.update({driver: drivers[:1] if driver == "pu" else drivers},
+                    gap=draw(st.floats(-1.0, 12.0)))
+    if driver == "alpha0":
+        axes["p"] = (draw(st.integers(2, 5)),)
+    kept = set(draw(st.lists(st.sampled_from(sorted(axes)))))  # the others at default
+    if preset.endswith("convergence") and size in kept:
+        kept.add(driver)  # a default driver may give no spec at a drawn size
+    return preset, {axis: axes[axis] for axis in sorted(kept)}
+
+
+class TestSweepWriter:
+    """``qdistill sweep`` writes, curve by curve, the bytes that the
+    row-by-row writer gives for ``grid_rows`` of the same grid."""
+
+    @given(sweep=sweep_runs(), fmt=st.sampled_from(["csv", "tsv"]), to_file=st.booleans())
+    @example(sweep=("ghz-contour", dict(gap=-5.0, n=(3,))), fmt="csv", to_file=True)
+    @example(sweep=("w-contour", dict(pu=(0.0,), p=(3, 4), n=(2,))), fmt="tsv", to_file=False)
+    @example(sweep=("ghz-dimension", dict(alpha0=(-0.5, 0.3))), fmt="csv", to_file=False)
+    @example(sweep=("w-convergence", dict(n=(7,))), fmt="tsv", to_file=True)
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sweep_bytes_are_the_row_writers(self, capsys, tmp_path, sweep, fmt, to_file):
+        preset, axes = sweep
+        argv = ["sweep", "--preset", preset, "--format", fmt]
+        for axis, values in axes.items():  # a float as its repr, which reads back exactly
+            argv.append(f"--{axis}=" + ",".join(map(repr, values if axis != "gap" else (values,))))
+        rows = grid_rows(preset, **axes)
+        expected = oracle_rows_text(rows, CSV_COLUMNS, fmt)
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / f"sweep.{fmt}"
+        rc, stdout, err = run(capsys, *argv, *(["--out", str(out)] if to_file else []))
+        assert (rc, err) == (0, "")
+        if to_file:
+            assert stdout == f"wrote {len(rows)} rows to {out}\n"
+            assert out.read_bytes() == expected.encode()
+        else:
+            assert stdout == expected
 
 
 class TestConfigFile:
@@ -863,7 +964,7 @@ class TestParser:
     @pytest.mark.parametrize("columns", ["60", "200"])
     @pytest.mark.parametrize("command", [None, "sweep", "simulate"])
     def test_help_text_follows_the_terminal_width(self, capsys, monkeypatch, columns, command):
-        # the width is read once per parser, when it is built
+        # argparse reads the terminal width whenever it formats a help text
         monkeypatch.setenv("COLUMNS", columns)
         def reference_help():
             parser, subs = reference_parser()
@@ -976,8 +1077,8 @@ CONFIG_CASES = {
 
 
 def tree_parse(argv: list[str]):
-    """A command line parsed by the full tree alone, config lines in front
-    of the command's flags: the reference for the per-command parser."""
+    """A command line parsed by the argparse tree alone, config lines in
+    front of the command's flags: the reference for the flag-table reader."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is not None:
@@ -1038,6 +1139,11 @@ def command_lines(draw):
 
 
 class TestPerCommandParser:
+    """``cli._parse`` reads a command line as the argparse tree does: a line
+    the flag table reads (``cli._read``) gives the tree's namespace, and any
+    other line goes to the tree itself, so its help, exit or refusal is the
+    tree's."""
+
     @staticmethod
     def outcome(parse, argv, capsys):
         """What ``parse`` makes of ``argv``: the namespace, with ``func``
