@@ -17,7 +17,9 @@ the same table, which prints the help or version or refuses the line.
 
 Reports go to stdout as ``key = value`` lines; ``--out`` additionally writes
 a CSV (or TSV) with a fixed, versioned schema plus a JSON run manifest next
-to it (``<out stem>.manifest.json``).  Numeric fields are printed with 12
+to it (``<out stem>.manifest.json``).  The schemas, with the type of each
+column that changes line by line, are :mod:`qdistill.sweep`'s; one block
+writer formats every CSV by them.  Numeric fields are printed with 12
 significant digits, so repeated runs are byte-identical.
 
 ``--config FILE`` lines ``key = value`` are parsed as flags ``--key=value``
@@ -51,19 +53,13 @@ from .errors import InvalidSpecError, QdistillError, WorkCapExceededError
 from .filters import IndexPartition
 from .states import Family, GhzSpec, WSpec, _validated_coeffs, span_shape
 from .sweep import (CSV_COLUMNS, CSV_SCHEMA_VERSION, LINE_COLUMNS, PRESETS, ROW_CAP,
-                    STEERING_COLUMNS, grid_curves, report_row)
+                    SIMULATE_COLUMNS, SIMULATE_LINE_COLUMNS, STEERING_COLUMNS, grid_curves,
+                    report_row)
 from .ted import ProtocolConfig, overall_success, run_ted, success_prob_per_copy
 from .tsd import SteeringConfig, run_tsd
 from .montecarlo import run_stats
 
 CLI_NORM_TOL = 1e-3  # hand-typed coefficients are renormalized within this of unit norm
-
-SIMULATE_COLUMNS = (
-    "family", "d", "p", "q", "n", "trials", "seed",
-    "ps_per_copy", "ps_overall_expected", "success_rate",
-    "kept_count", "count",
-)
-SIMULATE_LINE_COLUMNS = ("kept_count", "count")  # a line per histogram entry
 
 # the sweep flags, each passed to grid_curves as the axis of its own name
 SWEEP_AXES = ("alpha0", "beta0", "pu", "gap", "d", "p", "n")
@@ -172,33 +168,23 @@ def _need(args, name: str):
     return value
 
 
-def _csv_text(columns: tuple[str, ...], lined: tuple[str, ...], blocks, fmt: str) -> str:
-    """Header plus each block's lines, each newline-terminated.  A block is
-    ``(fixed, lines)``: a cell of every column not in ``lined``, in
-    ``columns`` order, and a sized collection of lines, each a tuple of a
-    cell per ``lined`` column, in its order.  A block's lines are each ``%``
-    of one template that holds its fixed cells' text (a ``%`` doubled).  A
-    ``lined`` column whose cells in the block share one type of
-    ``CELL_CONVERSIONS`` takes that conversion; any other is placed with
-    ``%s`` as ``_fmt`` of each cell."""
+def _csv_text(columns: tuple[str, ...], lined: dict[str, type], blocks, fmt: str) -> str:
+    """Header plus each block's lines, each newline-terminated.  ``lined``
+    maps each column that changes line by line, in ``columns`` order, to the
+    one type of its cells, a key of ``CELL_CONVERSIONS``.  A block is
+    ``(fixed, lines)``: a cell of every other column, in ``columns`` order,
+    and a sized collection of lines, each a tuple of a cell per ``lined``
+    column.  A block's lines are each ``%`` of one template: its fixed cells'
+    text (a ``%`` doubled) and each ``lined`` column's conversion."""
     sep = "\t" if fmt == "tsv" else ","
-    layout, unlined = sep.join(["%s"] * len(columns)) + "\n", [c for c in columns if c not in lined]
-    # each column's place among a block's fixed cells' texts, then its line conversions
-    order = [len(unlined) + lined.index(c) if c in lined else unlined.index(c) for c in columns]
+    # a fixed cell's slot, or a lined column's conversion with its % doubled
+    layout = sep.join(CELL_CONVERSIONS[lined[column]].replace("%", "%%") if column in lined
+                      else "%s" for column in columns) + "\n"
     parts = [sep.join(columns) + "\n"]
     for fixed, lines in blocks:
-        if not lines:
-            continue
-        texts, cells, placed = [_fmt(value).replace("%", "%%") for value in fixed], [], False
-        for values in zip(*lines):
-            kinds = set(map(type, values))
-            conversion = CELL_CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
-            if conversion is None:
-                values, conversion, placed = map(_fmt, values), "%s", True
-            texts.append(conversion)
-            cells.append(values)
-        template = layout % tuple(map(texts.__getitem__, order))
-        parts.append("".join(map(template.__mod__, zip(*cells) if placed else lines)))
+        if lines:
+            template = layout % tuple(_fmt(value).replace("%", "%%") for value in fixed)
+            parts.append("".join(map(template.__mod__, lines)))
     return "".join(parts)
 
 
@@ -301,7 +287,7 @@ def _cmd_run(args, family: Family, steering: bool) -> int:
     cells = {key: _fmt(value) for key, value in row.items()}  # the report, config and CSV line
     _print_report(cells)
     # one block of one line, the cells in the schema's order (report_row's)
-    _write_out(args, STEERING_COLUMNS if steering else CSV_COLUMNS, (), [(cells.values(), [()])],
+    _write_out(args, STEERING_COLUMNS if steering else CSV_COLUMNS, {}, [(cells.values(), [()])],
                cells)
     return 0
 

@@ -19,6 +19,11 @@ holds the closed form's own gap as ``coeff_gap``
 :func:`grid_rows` is the same grid as one dict per line, and :func:`report_row`
 builds the row of one ``run_ted`` or ``run_tsd`` run.
 
+Every CSV schema sits here beside ``CSV_SCHEMA_VERSION``, which versions
+them; the columns that change line by line are stated once with their cells'
+type (``LINE_COLUMNS``, ``SIMULATE_LINE_COLUMNS``), which sets their text in
+the CLI's writer.
+
 Curves run over driver value, then size (d or P), and lines over copy count,
 each in its axis's order (see :data:`PRESETS`).  A grid of more than
 ``ROW_CAP`` lines or ``SIZE_CAP`` coefficients (each curve counting its size,
@@ -57,9 +62,16 @@ CSV_COLUMNS = (
 
 STEERING_COLUMNS = CSV_COLUMNS + ("fidelity_assemblage", "minimizing_setting", "threshold")
 
-# the columns that change along a curve, in CSV_COLUMNS order; a curve's spec
-# alone sets the others
-LINE_COLUMNS = ("n", "ps_overall", "fidelity_closed", "fidelity_numeric")
+# the columns that change along a curve, in CSV_COLUMNS order, each with the
+# one type of its cells; a curve's spec alone sets the others
+LINE_COLUMNS = {"n": int, "ps_overall": float, "fidelity_closed": float, "fidelity_numeric": float}
+
+SIMULATE_COLUMNS = (
+    "family", "d", "p", "q", "n", "trials", "seed",
+    "ps_per_copy", "ps_overall_expected", "success_rate",
+    "kept_count", "count",
+)
+SIMULATE_LINE_COLUMNS = {"kept_count": int, "count": int}  # a line per histogram entry
 
 FEAS_TOL = 1e-12
 

@@ -14,18 +14,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdistill
-from qdistill import Family, InvalidSpecError, QdistillError, WSpec, run_ted
+from qdistill import (Family, GhzSpec, IndexPartition, InvalidSpecError, ProtocolConfig,
+                      QdistillError, SteeringConfig, WSpec, overall_success, run_stats, run_ted,
+                      run_tsd, success_prob_per_copy)
 from qdistill import cli
 from qdistill.cli import _config_tokens, _parse_int_values, build_parser, main
-from qdistill.sweep import CSV_COLUMNS, LINE_COLUMNS, PRESETS, ROW_CAP, grid_rows
+from qdistill.sweep import (CSV_COLUMNS, LINE_COLUMNS, PRESETS, ROW_CAP, SIMULATE_COLUMNS,
+                            SIMULATE_LINE_COLUMNS, STEERING_COLUMNS, grid_curves, grid_rows,
+                            report_row)
 
-from conftest import oracle_rows_text
+from conftest import ghz_config, ghz_corpus, oracle_rows_text, w_config, w_corpus
 from test_sweep import UNREAD_AXES, subparser
 
 GOLDEN = Path(__file__).parent / "golden"
 
-ALPHAS_SQRT8 = f"{1 / math.sqrt(8)!r},{math.sqrt(7 / 16)!r},{math.sqrt(7 / 16)!r}"
-BETAS_TOY = f"0.5,0.5,{1 / math.sqrt(2)!r}"
+SQRT8 = (1 / math.sqrt(8), math.sqrt(7 / 16), math.sqrt(7 / 16))
+TOY = (0.5, 0.5, 1 / math.sqrt(2))
+ALPHAS_SQRT8, BETAS_TOY = ",".join(map(repr, SQRT8)), ",".join(map(repr, TOY))
 BETAS_W4 = f"0.45,0.5,0.5,{math.sqrt(0.2975)!r}"
 
 # command lines the parser itself refuses
@@ -748,18 +753,23 @@ CELLS = {
     "str": st.text("abcxyz_-.%{,", max_size=6),  # no cell text is read as a conversion
 }
 ANY_CELL = st.one_of(*CELLS.values())
+# the cells of a lined column by its declared type, each a key of CELL_CONVERSIONS
+LINE_CELLS = {float: CELLS["float"], np.float64: CELLS["numpy-float"], int: CELLS["int"],
+              str: CELLS["str"]}
 
 
 @st.composite
 def block_sets(draw):
-    """(columns, lined, blocks): each column holds one cell type or any mix of
-    them, and a drawn subset of the columns changes line by line; a block is
-    its other columns' cells and up to six lines."""
+    """(columns, lined, blocks): a drawn subset of the columns changes line
+    by line, each mapped to a type of ``CELL_CONVERSIONS`` that all its cells
+    have, and every other column holds one cell type or any mix of them; a
+    block is its fixed columns' cells and up to six lines."""
     columns = tuple(f"c{i}" for i in range(draw(st.integers(1, 5))))
-    kinds = {column: draw(st.sampled_from([*CELLS.values(), ANY_CELL])) for column in columns}
-    lined = tuple(column for column in columns if draw(st.booleans()))
-    fixed = st.tuples(*(kinds[column] for column in columns if column not in lined))
-    lines = st.lists(st.tuples(*(kinds[column] for column in lined)), max_size=6)
+    lined = {column: draw(st.sampled_from(list(LINE_CELLS)))
+             for column in columns if draw(st.booleans())}
+    fixed = st.tuples(*(draw(st.sampled_from([*CELLS.values(), ANY_CELL]))
+                        for column in columns if column not in lined))
+    lines = st.lists(st.tuples(*map(LINE_CELLS.get, lined.values())), max_size=6)
     return columns, lined, draw(st.lists(st.tuples(fixed, lines), max_size=4))
 
 
@@ -775,11 +785,13 @@ def block_rows(columns, lined, blocks) -> list[dict]:
 
 
 class TestRowsText:
-    """The CSV block writer gives the text of the cell-by-cell rule, whatever
-    mix of cell types a column holds, within a block or across blocks."""
+    """The CSV block writer gives the text of the cell-by-cell rule: a lined
+    column's cells all of its declared type, and a fixed column's of any type
+    or mix, within a block or across blocks."""
 
     @given(block_sets(), st.sampled_from(["csv", "tsv"]), st.booleans())
     def test_rows_text_matches_the_cell_rule(self, block_set, fmt, as_generator):
+        assert LINE_CELLS.keys() == cli.CELL_CONVERSIONS.keys()  # every declarable type drawn
         columns, lined, blocks = block_set
         rows = block_rows(columns, lined, blocks)
         sep = "\t" if fmt == "tsv" else ","
@@ -855,6 +867,54 @@ class TestSweepWriter:
             assert out.read_bytes() == expected.encode()
         else:
             assert stdout == expected
+
+
+def assert_line_types(lined: dict, lines) -> None:
+    """Every cell of ``lines`` has exactly the type ``lined`` declares for
+    its column: the writer formats a lined column by that type alone, so
+    ``%d`` would print a float ``n`` truncated, and a bool as 1."""
+    kinds = tuple(lined.values())
+    for line in lines:
+        assert tuple(map(type, line)) == kinds, line
+
+
+class TestLineTypes:
+    """The package hands the writer line cells of exactly their declared
+    types: sweep curves, ``simulate`` histograms and the per-N cells of a run
+    row."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_default_grid_lines(self, preset):
+        for curve in grid_curves(preset):
+            assert_line_types(LINE_COLUMNS, curve.lines)
+
+    @given(sweep=sweep_runs())
+    @example(sweep=("ghz-contour", dict(gap=-5.0, n=(3,))))  # infeasible, nan cells
+    @example(sweep=("w-contour", dict(pu=(0.0,), p=(3, 4), n=(2,))))
+    @example(sweep=("ghz-dimension", dict(alpha0=(-0.5, 0.3))))
+    @example(sweep=("w-convergence", dict(n=(7,))))
+    @settings(max_examples=60)
+    def test_drawn_grid_lines(self, sweep):
+        preset, axes = sweep
+        for curve in grid_curves(preset, **axes):
+            assert_line_types(LINE_COLUMNS, curve.lines)
+
+    @pytest.mark.parametrize("config", [
+        ghz_config(ghz_corpus(6)[5], n=7), ghz_config(ghz_corpus(8)[7], n=40, q=2),
+        w_config(w_corpus(2)[1], n=5), w_config(w_corpus(3)[2], n=30),
+    ], ids=["ghz-n7", "ghz-n40-q2", "w-n5", "w-n30"])
+    def test_simulate_histogram_lines(self, config):
+        histogram = run_stats(config, 500, 11).kept_count_histogram
+        assert_line_types(SIMULATE_LINE_COLUMNS, histogram.items())
+
+    @pytest.mark.parametrize("config", [
+        *(ghz_config(spec, n=n) for spec in ghz_corpus(6) for n in (2, 9)),
+        *(w_config(spec, n=n) for spec in w_corpus(3) for n in (2, 9)),
+    ])
+    def test_run_row_per_n_cells(self, config):
+        steering = SteeringConfig(config, 1)
+        for row in report_row(config, run_ted(config)), report_row(steering, run_tsd(steering)):
+            assert_line_types(LINE_COLUMNS, [tuple(map(row.get, LINE_COLUMNS))])
 
 
 class TestConfigFile:
@@ -1306,6 +1366,132 @@ class TestMainOnAnyLine:
             if name != "run.cfg":
                 assert self.non_finite(data.decode(), argv[0]) == []
         assert self.outcome(argv, capsys) == first
+
+
+GHZ_COMMANDS = ("ted-ghz", "tsd-ghz")
+
+
+def coefficients(draw, size: int) -> tuple[float, ...]:
+    """``size`` positive coefficients of unit norm in ascending order, so
+    alpha_0 is a GHZ spec's minimum and beta_{P-1} a W spec's maximum."""
+    values = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+    return tuple(sorted((values / np.linalg.norm(values)).tolist()))
+
+
+@st.composite
+def run_lines(draw):
+    """(command, flags): a run command or ``simulate`` with a valid value for
+    each flag it needs and for some of its optional ones, in a drawn order.
+    Coefficients are a tuple of floats, a partition a tuple of index blocks
+    (some possibly empty), every other value as typed."""
+    command = draw(st.sampled_from(["ted-ghz", "ted-w", "tsd-ghz", "sd-w", "simulate"]))
+    ghz = command in GHZ_COMMANDS or (command == "simulate" and draw(st.booleans()))
+    flags = {"family": "ghz" if ghz else "w"} if command == "simulate" else {}
+    p = draw(st.integers(2, 4 if ghz else 6))
+    flags.update(p=p, n=draw(st.integers(2, 12 if command == "simulate" else 60)))
+    s = draw(st.integers(1, p - 1)) if command == "tsd-ghz" else int(command == "sd-w")  # W: s = 1
+    if ghz:
+        d = draw(st.integers(2, 5))
+        q = draw(st.integers(1, p - max(s, 1)))  # the filters fit on the characterized parties
+        flags.update(d=d, alphas=coefficients(draw, d))
+        if q > 1 or draw(st.booleans()):
+            flags["q"] = q
+        if draw(st.booleans()):
+            labels = draw(st.lists(st.integers(0, q - 1), min_size=d - 1, max_size=d - 1))
+            flags["partition"] = tuple(tuple(i for i, label in enumerate(labels, 1) if label == b)
+                                       for b in range(q))
+    else:
+        flags["betas"] = coefficients(draw, p)
+        if draw(st.booleans()):
+            flags["q"] = p - 1
+    if s:
+        flags["s"] = s
+    if command == "simulate":
+        flags["trials"] = draw(st.integers(1, 300))
+        if draw(st.booleans()):
+            flags["seed"] = draw(st.integers(0, 2**64 - 1))
+    if fmt := draw(st.sampled_from(["csv", "tsv", None])):
+        flags["format"] = fmt
+    return command, {name: flags[name] for name in draw(st.permutations(list(flags)))}
+
+
+def flag_text(name: str, value) -> str:
+    """A flag's value as typed: coefficients as their reprs, which read back
+    exactly, and a partition as ``1,3|2``."""
+    if name in ("alphas", "betas"):
+        return ",".join(map(repr, value))
+    if name == "partition":
+        return "|".join(",".join(map(str, block)) for block in value)
+    return str(value)
+
+
+class TestMainOnRunLines:
+    """A complete, valid line of a run command or ``simulate`` exits 0 with
+    nothing on stderr, prints the cells of the package's own row and writes
+    the row-by-row writer's text of the same rows."""
+
+    @staticmethod
+    def expected(command: str, flags: dict) -> tuple[tuple[str, ...], list[dict], dict]:
+        """The line's CSV schema and rows, built through the package API, and
+        the cells its report prints."""
+        n, p = flags["n"], flags["p"]
+        if command in GHZ_COMMANDS or flags.get("family") == "ghz":
+            blocks = flags.get("partition")
+            config = ProtocolConfig(n, Family.GHZ_DIAGONAL, GhzSpec(flags["d"], p, flags["alphas"]),
+                                    flags.get("q", 1),
+                                    blocks and IndexPartition(tuple(map(frozenset, blocks))))
+        else:
+            config = ProtocolConfig(n, Family.W_SINGLE_EXCITATION, WSpec(p, flags["betas"]),
+                                    flags.get("q", p - 1))
+        if "s" in flags:
+            config = SteeringConfig(config, flags["s"])
+            row = report_row(config, run_tsd(config))
+            return STEERING_COLUMNS, [row], row
+        if command != "simulate":
+            row = report_row(config, run_ted(config))
+            return CSV_COLUMNS, [row], row
+        trials, seed, pu = flags["trials"], flags.get("seed", 0), success_prob_per_copy(config)
+        stats = run_stats(config, trials, seed)
+        run = {"family": flags["family"], "n": n, "trials": trials, "seed": seed, "ps_per_copy": pu,
+               "ps_overall_expected": overall_success(pu, n), "success_rate": stats.success_rate}
+        histogram = stats.kept_count_histogram
+        rows = [{**run, "d": flags.get("d", 2), "p": p, "q": config.q, "kept_count": kept,
+                 "count": count} for kept, count in histogram.items()]
+        return SIMULATE_COLUMNS, rows, {
+            **run, "kept_count_histogram": " ".join(f"{k}:{v}" for k, v in histogram.items())}
+
+    @given(line=run_lines(), to_file=st.booleans())
+    @example(line=("ted-ghz", {"d": 3, "p": 3, "n": 2, "alphas": SQRT8}), to_file=True)
+    @example(line=("ted-ghz", {"partition": ((1, 3), (2,)), "d": 4, "p": 3, "q": 2, "n": 5,
+                               "alphas": (0.4, 0.5, 0.5, math.sqrt(0.34)), "format": "tsv"}),
+             to_file=True)
+    @example(line=("ted-w", {"p": 3, "n": 3, "betas": TOY}), to_file=False)
+    @example(line=("tsd-ghz", {"d": 3, "p": 3, "q": 1, "s": 1, "n": 2, "alphas": SQRT8,
+                               "format": "tsv"}), to_file=True)
+    @example(line=("sd-w", {"p": 3, "s": 1, "n": 3, "betas": TOY}), to_file=True)
+    @example(line=("simulate", {"family": "ghz", "d": 3, "p": 3, "q": 1, "n": 5, "alphas": SQRT8,
+                                "trials": 200, "seed": 42}), to_file=True)
+    @example(line=("simulate", {"family": "w", "p": 4, "n": 6, "format": "tsv",
+                                "betas": (0.45, 0.5, 0.5, math.sqrt(0.2975)), "trials": 300,
+                                "seed": 2**64 - 1}), to_file=True)
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_run_line_prints_and_writes_the_package_rows(self, capsys, tmp_path, line, to_file):
+        command, flags = line
+        argv = [command, *(tok for name, value in flags.items()
+                           for tok in (f"--{name}", flag_text(name, value)))]
+        fmt = flags.get("format", "csv")
+        columns, rows, report = self.expected(command, flags)
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / f"run.{fmt}"
+        rc, stdout, err = run(capsys, *argv, *(["--out", str(out)] if to_file else []))
+        assert (rc, err) == (0, "")
+        assert stdout == "".join(f"{key} = {oracle_cell(value)}\n" for key, value in report.items())
+        if to_file:
+            text = out.read_text()
+            assert text == oracle_rows_text(rows, columns, fmt)
+            header, first = (line.split("\t" if fmt == "tsv" else ",")
+                             for line in text.splitlines()[:2])
+            printed = parse_report(stdout)
+            assert all(printed[key] == cell for key, cell in zip(header, first) if key in printed)
 
 
 class TestParserCost:
